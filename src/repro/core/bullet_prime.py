@@ -54,9 +54,6 @@ class BulletPrimeConfig:
     block_size: int = 16 * KiB
     encoded: bool = False
     request_strategy: str = "rarest_random"
-    #: None = exact rarest scan; an int bounds the scan to a uniform
-    #: sample of that many candidates (used at large experiment scale).
-    rarity_sample: int | None = None
 
     # Peering (section 3.3.1).
     adaptive_peering: bool = True
@@ -250,8 +247,6 @@ class BulletPrimeNode(OverlayProtocol):
         self.receivers = {}  # conn -> _ReceiverState
         self.sender_policy, self.receiver_policy = config.policy_pair()
         self._pending_senders = set()  # peer ids with connects in flight
-        #: Blocks requested from any sender (prevents duplicate requests).
-        self.requested = set()
         #: Blocks stranded in flight when a sender was declared dead (or
         #: discarded as corrupt); membership tags the re-request so it is
         #: counted once.
@@ -278,10 +273,11 @@ class BulletPrimeNode(OverlayProtocol):
             subset_size=config.ransub_subset,
             seed=config.seed,
         )
+        #: Which sender can supply which block; also owns which blocks are
+        #: requested or held, so no block is requested twice.
         self.avail = AvailabilityView(
             config.request_strategy,
             split_rng(config.seed, f"bp.req.{node_id}"),
-            rarity_sample=config.rarity_sample,
         )
 
         self.pusher = None
@@ -514,8 +510,10 @@ class BulletPrimeNode(OverlayProtocol):
             return
         # Out of retries: the peer is dead to us.  Orphan its in-flight
         # blocks (so their re-request elsewhere is counted) and drop it —
-        # _drop_sender releases the blocks and re-pumps the other senders,
-        # which immediately re-request them from alternate mesh peers.
+        # _drop_sender releases the blocks and re-pumps the other senders.
+        # Only a sender that still lists a released block can re-request
+        # it; one that compacted it away while it was in flight cannot
+        # (see core/request.py), so most orphans wait for a new peer.
         self.failure_stats["suspects"] += 1
         self._orphaned.update(sender.outstanding)
         self._drop_sender(conn, initiated=True)
@@ -622,7 +620,7 @@ class BulletPrimeNode(OverlayProtocol):
         # (stddev ~ 0), so they are dropped unconditionally to free slots.
         for conn, s in list(self.senders.items()):
             if s.epoch_bw <= 0 and not s.outstanding and not conn.closed:
-                if self.avail.candidate_count(conn, self._useful) == 0:
+                if self.avail.candidate_count(conn) == 0:
                     s.idle_epochs += 1
                     if s.idle_epochs >= 2:
                         self.stats["senders_pruned"] += 1
@@ -786,9 +784,11 @@ class BulletPrimeNode(OverlayProtocol):
         if state.fd_timer is not None:
             state.fd_timer.cancel()
             state.fd_timer = None
-        for block in state.outstanding:
-            self.requested.discard(block)
         self.avail.remove_sender(conn)
+        wants = self.state.wants
+        for block in state.outstanding:
+            if wants(block):
+                self.avail.released(block)
         if initiated:
             conn.close()
         # Other senders may now supply the blocks this one owed us.
@@ -934,7 +934,6 @@ class BulletPrimeNode(OverlayProtocol):
         if sender is not None and not pushed:
             sender.last_data_at = self.sim.now
             sender.outstanding.discard(block)
-            self.requested.discard(block)
             sender.controller.observe_arrival(
                 self.sim.now, message.size
             )
@@ -979,7 +978,8 @@ class BulletPrimeNode(OverlayProtocol):
             # requestable again.
             sender.last_data_at = self.sim.now
             sender.outstanding.discard(block)
-            self.requested.discard(block)
+            if self.state.wants(block):
+                self.avail.released(block)
             sender.corrupts += 1
             sender.corrupt_total += 1
             if sender.marked_block == block:
@@ -1003,6 +1003,7 @@ class BulletPrimeNode(OverlayProtocol):
                 self.trace.block_received(self.node_id, block, duplicate=True)
             return
         self.arrival_order.append(block)
+        self.avail.ingested(block)
         if self.trace is not None:
             self.trace.block_received(self.node_id, block)
         # Self-clocked diffs: receivers with an idle request pipeline (or
@@ -1028,21 +1029,6 @@ class BulletPrimeNode(OverlayProtocol):
             self._drop_sender(conn, initiated=True)
         self._pending_senders.clear()
 
-    def _useful(self, block):
-        # Runs for every candidate of every request decision; the
-        # DownloadState.wants() call is inlined (same int-bit-vector
-        # access download.py itself uses) so the innermost predicate is
-        # one attribute walk and one shift.
-        state = self.state
-        if state._complete:
-            return False
-        if state.encoded:
-            return block not in state._held and block not in self.requested
-        return (
-            not (block >= 0 and (state._bitmap._bits >> block) & 1)
-            and block not in self.requested
-        )
-
     def _pump_sender(self, conn):
         sender = self.senders.get(conn)
         if sender is None or conn.closed or self.state.complete:
@@ -1053,12 +1039,12 @@ class BulletPrimeNode(OverlayProtocol):
             else self.config.fixed_outstanding
         )
         while len(sender.outstanding) < limit:
-            block = self.avail.pick(conn, self._useful)
+            block = self.avail.pick(conn)
             if block is None:
                 self._maybe_request_diff(sender)
                 break
             sender.outstanding.add(block)
-            self.requested.add(block)
+            self.avail.taken(block)
             if self._orphaned and block in self._orphaned:
                 # A block a dead sender owed us, now re-requested from an
                 # alternate peer.
@@ -1081,10 +1067,8 @@ class BulletPrimeNode(OverlayProtocol):
             # Prefetch availability: ask for a diff when we are *about
             # to* run out of known-useful blocks from this sender (paper
             # section 3.3.4), hiding the diff round trip instead of
-            # idling the pipe when the candidate list empties.  The
-            # early-exit form stops scanning once it is clear no diff is
-            # needed yet.
-            if self.avail.prefetch_needed(conn, limit, self._useful):
+            # idling the pipe when the candidate list empties.
+            if self.avail.prefetch_needed(conn, limit):
                 self._maybe_request_diff(sender)
         if self._fd_enabled and sender.outstanding and sender.fd_timer is None:
             self._arm_sender_detector(conn)

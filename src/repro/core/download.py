@@ -116,14 +116,9 @@ class DownloadState:
     def wants(self, block):
         """Would receiving ``block`` make progress?
 
-        This predicate runs for every candidate block of every request
-        decision, so the membership test is inlined rather than routed
-        through ``__contains__`` (it relies on BlockBitmap's
-        int-bit-vector layout; see the note on ``BlockBitmap._bits``).
-
-        ``BulletPrimeNode._useful`` inlines this body (plus its own
-        requested-set check) for the same reason — keep the two in sync
-        if the representation here ever changes.
+        The membership test is inlined rather than routed through
+        ``__contains__`` (it relies on BlockBitmap's int-bit-vector
+        layout; see the note on ``BlockBitmap._bits``).
         """
         if self._complete:
             return False

@@ -9,39 +9,109 @@ not already requested anywhere) to ask for next:
   produces lockstep progress and poor diversity.
 - ``random`` — uniform over useful blocks.
 - ``rarest`` — fewest advertising senders first, deterministic
-  tie-break.
+  tie-break (earliest discovered).
 - ``rarest_random`` — fewest advertising senders, ties broken uniformly
   at random.  Bullet's default.
 
-:class:`AvailabilityView` maintains the shared bookkeeping (per-sender
-discovery-ordered candidate lists plus a global rarity census across
-senders) and lets each strategy pick in amortized O(candidates).
+:class:`AvailabilityView` owns the bookkeeping: a global rarity census
+across senders, the set of blocks that are *unavailable* (held, or
+requested from some sender), and per-sender candidates.
+
+**Notification API.**  The view never asks whether a block is useful;
+its owner tells it when that changes: :meth:`~AvailabilityView.taken`
+when a request is issued, :meth:`~AvailabilityView.released` when a
+request is given up while the block is still wanted, and
+:meth:`~AvailabilityView.ingested` when a block is held for good.
+
+**The rarest index.**  For ``rarest`` / ``rarest_random`` each sender's
+*live* candidates (advertised, wanted, requested nowhere) are filed in
+rarity buckets — ``census count -> sorted list of discovery positions``
+— so a pick is "smallest non-empty bucket, first or
+``rng.randrange(len(bucket))``-th entry" and counting candidates is a
+sum of bucket lengths.  A census change (``learn``, ``remove_sender``)
+re-files a block only in the senders where it is live, and not at all
+when it is unavailable (then it is live nowhere).  ``first`` / ``random``
+keep a plain candidate list and drop unavailable entries as they meet
+them.
+
+**Compaction and the ``stale`` set.**  The scan this index replaced
+dropped every candidate that was not useful at the moment a sender's
+list was scanned, for good; one that became useful again *before* the
+next scan (its request was released) survived.  The index reproduces
+that bit for bit: a live candidate requested elsewhere moves to the
+sender's ``stale`` set, a release moves it back to its old position,
+and ``stale`` is emptied wherever the scan compacted (``pick`` and
+``candidate_count``, not ``prefetch_needed``).  A block released after
+that is therefore requestable only from a sender that learns it anew
+(ROADMAP item 4 records this as a defect to fix in its own PR).
 """
+
+from bisect import bisect_left, insort
 
 __all__ = ["AvailabilityView", "REQUEST_STRATEGIES"]
 
-#: Sentinel rarity greater than any real advertising-sender count.
-_NO_RARITY = float("inf")
 
+class _CandidateList:
+    """One sender's candidates for ``first`` / ``random``."""
 
-class _SenderAvailability:
-    """Blocks one sender is known to have, in discovery order."""
-
-    __slots__ = ("order", "known")
+    __slots__ = ("known", "order")
 
     def __init__(self):
-        #: Discovery-ordered candidate list; stale entries (already held
-        #: or requested) are dropped lazily during selection.
-        self.order = []
         #: Everything this sender ever advertised (for rarity accounting
         #: and duplicate-diff suppression).
         self.known = set()
+        #: Candidates in discovery order; unavailable entries are dropped
+        #: lazily during selection.
+        self.order = []
+
+
+class _RarityIndex:
+    """One sender's candidates for ``rarest`` / ``rarest_random``."""
+
+    __slots__ = ("known", "order", "buckets", "stale")
+
+    def __init__(self):
+        #: block -> discovery position, for everything ever advertised.
+        self.known = {}
+        #: Discovery position -> block (append-only).
+        self.order = []
+        #: Census count -> sorted discovery positions of the live
+        #: candidates advertised by that many senders; no empty buckets.
+        self.buckets = {}
+        #: Candidates that became unavailable since this sender was last
+        #: compacted; a release revives them.
+        self.stale = set()
+
+    def file(self, block, rarity):
+        bucket = self.buckets.get(rarity)
+        if bucket is None:
+            self.buckets[rarity] = [self.known[block]]
+        else:
+            insort(bucket, self.known[block])
+
+    def unfile(self, block, rarity):
+        """Remove a ``known`` block from its bucket; False if not live."""
+        bucket = self.buckets.get(rarity)
+        if bucket is None:
+            return False
+        position = self.known[block]
+        index = bisect_left(bucket, position)
+        if index == len(bucket) or bucket[index] != position:
+            return False
+        if len(bucket) == 1:
+            del self.buckets[rarity]
+        else:
+            del bucket[index]
+        return True
+
+    def live_count(self):
+        return sum(map(len, self.buckets.values()))
 
 
 class AvailabilityView:
     """A receiver's knowledge of which peers can supply which blocks."""
 
-    def __init__(self, strategy, rng, rarity_sample=None):
+    def __init__(self, strategy, rng):
         if strategy not in REQUEST_STRATEGIES:
             raise ValueError(
                 f"unknown request strategy {strategy!r}; "
@@ -49,117 +119,179 @@ class AvailabilityView:
             )
         self.strategy = strategy
         self.rng = rng
-        #: Optional cap on how many candidates a rarest scan examines
-        #: (uniform sample).  ``None`` means exact scan; large-scale
-        #: experiments may set e.g. 64 to bound per-request work.
-        self.rarity_sample = rarity_sample
+        self._indexed = strategy in ("rarest", "rarest_random")
         self._senders = {}
         #: block id -> number of senders advertising it (rarity census).
         self.rarity = {}
+        #: Blocks held or requested from some sender.  Invariant: an
+        #: unavailable block is live in no sender's index.
+        self._unavailable = set()
 
     # -- bookkeeping -------------------------------------------------------------
 
     def add_sender(self, sender_key):
         if sender_key in self._senders:
             raise KeyError(f"sender {sender_key!r} already tracked")
-        self._senders[sender_key] = _SenderAvailability()
+        self._senders[sender_key] = (
+            _RarityIndex() if self._indexed else _CandidateList()
+        )
 
     def remove_sender(self, sender_key):
-        availability = self._senders.pop(sender_key)
-        for block in availability.known:
-            count = self.rarity.get(block, 0) - 1
-            if count <= 0:
-                self.rarity.pop(block, None)
-            else:
-                self.rarity[block] = count
-        return availability.known
+        removed = self._senders.pop(sender_key)
+        rarity = self.rarity
+        unavailable = self._unavailable
+        for block in removed.known:
+            count = rarity[block] - 1
+            if count == 0:
+                del rarity[block]
+                continue
+            rarity[block] = count
+            if self._indexed and block not in unavailable:
+                self._refile(block, count + 1, count)
 
-    def senders(self):
-        return list(self._senders)
+    def _refile(self, block, old, new):
+        """An available block's census count changed: move it to the
+        right bucket in every sender where it is live."""
+        for index in self._senders.values():
+            if block in index.known and index.unfile(block, old):
+                index.file(block, new)
 
     def learn(self, sender_key, blocks):
         """Record a diff: ``sender_key`` now also has ``blocks``."""
-        availability = self._senders[sender_key]
-        known = availability.known
-        known_add = known.add
-        order_append = availability.order.append
+        learner = self._senders[sender_key]
+        known = learner.known
+        order = learner.order
         rarity = self.rarity
         rarity_get = rarity.get
+        if not self._indexed:
+            for block in blocks:
+                if block not in known:
+                    known.add(block)
+                    order.append(block)
+                    rarity[block] = rarity_get(block, 0) + 1
+            return
+        unavailable = self._unavailable
+        buckets = learner.buckets
         for block in blocks:
             if block in known:
                 continue
-            known_add(block)
-            order_append(block)
-            rarity[block] = rarity_get(block, 0) + 1
+            count = rarity_get(block, 0) + 1
+            rarity[block] = count
+            position = len(order)
+            if block in unavailable:
+                learner.stale.add(block)
+            else:
+                if count > 1:
+                    self._refile(block, count - 1, count)
+                # The newest position sorts after everything already filed.
+                bucket = buckets.get(count)
+                if bucket is None:
+                    buckets[count] = [position]
+                else:
+                    bucket.append(position)
+            known[block] = position
+            order.append(block)
 
-    def known_of(self, sender_key):
-        return self._senders[sender_key].known
+    # -- usefulness notifications ---------------------------------------------------
 
-    def candidate_count(self, sender_key, useful):
+    def taken(self, block):
+        """``block`` was requested from some sender."""
+        if block in self._unavailable:
+            return  # already live nowhere
+        self._unavailable.add(block)
+        if self._indexed:
+            rarity = self.rarity.get(block)
+            for index in self._senders.values():
+                if block in index.known and index.unfile(block, rarity):
+                    index.stale.add(block)
+
+    def released(self, block):
+        """A request for ``block`` was given up.
+
+        Only for blocks the receiver still wants (never one it holds).
+        """
+        if block not in self._unavailable:
+            return
+        self._unavailable.discard(block)
+        if self._indexed:
+            rarity = self.rarity.get(block)
+            for index in self._senders.values():
+                if block in index.stale:
+                    index.stale.discard(block)
+                    index.file(block, rarity)
+
+    def ingested(self, block):
+        """The receiver now holds ``block``.
+
+        To the view this is a request that is never released.
+        """
+        self.taken(block)
+
+    # -- counting -------------------------------------------------------------------
+
+    def candidate_count(self, sender_key):
         """Number of useful blocks available from this sender.
 
-        ``useful(block)`` says whether the receiver still wants a block.
-        Compacts the candidate list as a side effect.
+        Compacts the sender's candidates as a side effect.
         """
-        availability = self._senders[sender_key]
-        availability.order = [b for b in availability.order if useful(b)]
-        return len(availability.order)
+        candidates = self._senders[sender_key]
+        if self._indexed:
+            candidates.stale.clear()
+            return candidates.live_count()
+        unavailable = self._unavailable
+        candidates.order = [b for b in candidates.order if b not in unavailable]
+        return len(candidates.order)
 
-    def prefetch_needed(self, sender_key, limit, useful):
+    def prefetch_needed(self, sender_key, limit):
         """True when at most ``limit`` useful candidates remain.
 
-        The per-block diff-prefetch check used to pay a full
-        ``candidate_count`` scan after every request round; this is the
-        early-exit form — the scan stops as soon as ``limit + 1`` useful
-        candidates are seen, which on a healthy sender is the first few
-        entries.  Only the exact rarest scans take the early exit: their
-        selection never depends on how many *stale* entries the candidate
-        list carries, so skipping the compaction is invisible.  The
-        ``random`` / ``first`` strategies and sampled rarest draw on the
-        raw list (length or sample), so they keep the exact
-        compact-and-count semantics.
+        The rarest strategies answer without compacting (their selection
+        never depends on how many stale entries a sender carries);
+        ``random`` / ``first`` draw on the raw list, so they keep the
+        exact compact-and-count semantics.
         """
-        if self.strategy not in ("rarest", "rarest_random") or (
-            self.rarity_sample is not None
-        ):
-            return self.candidate_count(sender_key, useful) <= limit
-        seen = 0
-        for block in self._senders[sender_key].order:
-            if useful(block):
-                seen += 1
-                if seen > limit:
-                    return False
-        return True
+        if self._indexed:
+            return self._senders[sender_key].live_count() <= limit
+        return self.candidate_count(sender_key) <= limit
 
     # -- selection ----------------------------------------------------------------
 
-    def pick(self, sender_key, useful):
+    def pick(self, sender_key):
         """Choose the next block to request from ``sender_key``.
 
-        ``useful(block)`` must return True for blocks still worth
-        requesting.  Returns a block id or ``None`` when the sender has
-        nothing useful.  Consumed and stale entries are removed from the
-        candidate list.
+        Returns a block id, or ``None`` when the sender has nothing
+        useful.  The block stops being a candidate of this sender; the
+        caller reports the request with :meth:`taken`.
         """
-        order = self._senders[sender_key].order
-        if self.strategy == "first":
-            return self._pick_first(order, useful)
-        if self.strategy == "random":
-            return self._pick_random(order, useful)
-        return self._pick_rarest(
-            order, useful, randomize=(self.strategy == "rarest_random")
-        )
+        candidates = self._senders[sender_key]
+        if not self._indexed:
+            if self.strategy == "first":
+                return self._pick_first(candidates.order)
+            return self._pick_random(candidates.order)
+        candidates.stale.clear()
+        buckets = candidates.buckets
+        if not buckets:
+            return None
+        rarity = min(buckets)
+        bucket = buckets[rarity]
+        if self.strategy == "rarest_random":
+            position = bucket.pop(self.rng.randrange(len(bucket)))
+        else:
+            position = bucket.pop(0)
+        if not bucket:
+            del buckets[rarity]
+        return candidates.order[position]
 
-    def _pick_first(self, order, useful):
+    def _pick_first(self, order):
+        unavailable = self._unavailable
         while order:
-            block = order[0]
-            if useful(block):
-                order.pop(0)
+            block = order.pop(0)
+            if block not in unavailable:
                 return block
-            order.pop(0)
         return None
 
-    def _pick_random(self, order, useful):
+    def _pick_random(self, order):
+        unavailable = self._unavailable
         while order:
             index = self.rng.randrange(len(order))
             block = order[index]
@@ -167,50 +299,9 @@ class AvailabilityView:
             # strategy.
             order[index] = order[-1]
             order.pop()
-            if useful(block):
+            if block not in unavailable:
                 return block
         return None
-
-    def _pick_rarest(self, order, useful, randomize):
-        # Compact stale entries in place while scanning for the minimum
-        # rarity; optionally examine only a bounded random sample.
-        valid = []
-        scan = order
-        if self.rarity_sample is not None and len(order) > self.rarity_sample:
-            scan = self.rng.sample(order, self.rarity_sample)
-            scan_set = set(scan)
-            # Keep unscanned entries; they stay candidates for next time.
-            valid = [b for b in order if b not in scan_set and useful(b)]
-        rarity_of = self.rarity.get
-        valid_append = valid.append
-        # Sentinel above any real census count: the first useful block
-        # always takes the < branch, so no per-iteration None check.
-        best_rarity = _NO_RARITY
-        ties = []
-        for block in scan:
-            if not useful(block):
-                continue
-            valid_append(block)
-            rarity = rarity_of(block, 0)
-            if rarity < best_rarity:
-                best_rarity = rarity
-                ties = [block]
-            elif rarity == best_rarity:
-                ties.append(block)
-        if best_rarity is _NO_RARITY:
-            order.clear()
-            return None
-        if scan is not order:
-            # Sampled mode: unscanned survivors kept in ``valid`` also
-            # compete on rarity, in list order (ahead of scanned ones).
-            ties = [b for b in valid if rarity_of(b, 0) == best_rarity]
-        if randomize:
-            chosen = ties[self.rng.randrange(len(ties))]
-        else:
-            chosen = ties[0]
-        valid.remove(chosen)
-        order[:] = valid
-        return chosen
 
 
 #: The strategies a Bullet' node can be configured with.
