@@ -291,7 +291,10 @@ def _run_command(argv):
             f"seed {args.seed}):"
         )
         for key in ("median", "p90", "worst"):
-            print(f"  {key:14s} {summary[key]:10.1f} s")
+            # None when no node completed (see ExperimentResult.summary).
+            value = summary[key]
+            shown = f"{'n/a':>10s}" if value is None else f"{value:10.1f} s"
+            print(f"  {key:14s} {shown}")
         print(f"  {'finished':14s} {summary['finished']}")
         print(f"  {'duplicates':14s} {summary['duplicates']}")
         print(f"  {'control bytes':14s} {summary['control_bytes']}")

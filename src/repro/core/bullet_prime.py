@@ -38,6 +38,55 @@ REQUEST_WIRE_BYTES = 24
 #: How many held block ids a RanSub summary samples for usefulness
 #: estimation at candidate-evaluation time.
 SUMMARY_SAMPLE = 24
+#: Requests kept outstanding per sender before the XCP-style controller
+#: has adapted (section 3.3.3).
+INITIAL_OUTSTANDING = 3
+#: Blocks the source keeps queued per tree child.
+SOURCE_PUSH_WINDOW = 2
+
+# Failure detection.  Dormant (zero timers, zero events) until the fault
+# injector arms it network-wide at the first real fault; the constants
+# below only matter from that point on.
+#: A request outstanding past ``FD_RTO_MULTIPLE * max(rtt, rto)`` with no
+#: data arriving triggers a retry round.
+FD_RTO_MULTIPLE = 4.0
+#: Retry rounds (with exponential backoff + jitter) before the peer is
+#: declared dead and its in-flight blocks re-requested elsewhere.
+FD_MAX_RETRIES = 2
+#: Floor on the suspicion timeout, so near-zero-RTT paths do not thrash
+#: the detector.
+FD_MIN_TIMEOUT = 2.0
+#: Handshakes to crashed nodes black-hole; give up after this long.
+FD_CONNECT_TIMEOUT = 5.0
+#: RanSub distribute silence (in epochs) before the tree parent is
+#: presumed dead and the node climbs toward the root.
+FD_LIVENESS_EPOCHS = 3.0
+
+# Gray-failure response.  Dormant until a gray fault (fail-slow, flaky
+# link, message adversity) arms gray detection network-wide; crash-only
+# runs never touch these paths.  The quarantine state machine is
+# deliberately asymmetric — fast backoff (exponential hold per offense),
+# slow recovery (a probation of clean epochs before the record clears) —
+# the GREEN/YELLOW/RED shape adaptive controllers converge on for
+# loss-vs-delay ambiguity.
+#: EWMA smoothing for per-sender goodput quality.
+QUALITY_ALPHA = 0.3
+#: A sender is a straggler when its quality falls below this fraction of
+#: the mean sender quality...
+STRAGGLER_FRACTION = 0.35
+#: ...for this many consecutive epochs while misbehaving (timeouts,
+#: corrupt blocks, or lagging on outstanding requests).
+STRAGGLER_EPOCHS = 2
+#: Corrupted blocks from one sender (per connection) that trigger an
+#: immediate quarantine — a checksum mismatch is unambiguous evidence of
+#: a gray path, so this bypasses the slow EWMA rule entirely.
+CORRUPT_QUARANTINE = 2
+#: First-offense quarantine hold in seconds; doubles per re-offense.
+QUARANTINE_BASE = 20.0
+#: Cap on the exponential quarantine hold.
+QUARANTINE_MAX = 240.0
+#: Clean epochs a re-probed peer must serve before its record clears.
+QUARANTINE_PROBATION = 2
 
 
 @dataclass
@@ -47,7 +96,9 @@ class BulletPrimeConfig:
     The paper's stated goal is to *minimize* user-visible knobs: the
     defaults below are the paper's own constants, and the non-default
     modes exist to reproduce its ablation experiments (static peer sets,
-    fixed outstanding requests, alternative request strategies).
+    fixed outstanding requests, alternative request strategies).  Values
+    nothing varies (the failure-detector and quarantine constants) are
+    module constants above, not fields.
     """
 
     num_blocks: int = 640
@@ -66,7 +117,6 @@ class BulletPrimeConfig:
     # Flow control (section 3.3.3).
     adaptive_outstanding: bool = True
     fixed_outstanding: int = 3
-    initial_outstanding: int = 3
     fc_alpha: float = 0.4
     fc_beta: float = 0.226
 
@@ -74,56 +124,6 @@ class BulletPrimeConfig:
     ransub_epoch: float = 5.0
     ransub_subset: int = 10
     tree_fanout: int = 4
-
-    # Source push.
-    source_push_window: int = 2
-
-    # Failure detection.  Dormant (zero timers, zero events) until the
-    # fault injector arms it network-wide at the first real fault; the
-    # knobs below only matter from that point on.
-    #: A request outstanding past ``fd_rto_multiple * max(rtt, rto)``
-    #: with no data arriving triggers a retry round.
-    fd_rto_multiple: float = 4.0
-    #: Retry rounds (with exponential backoff + jitter) before the peer
-    #: is declared dead and its in-flight blocks re-requested elsewhere.
-    fd_max_retries: int = 2
-    #: Floor on the suspicion timeout, so near-zero-RTT paths do not
-    #: thrash the detector.
-    fd_min_timeout: float = 2.0
-    #: Handshakes to crashed nodes black-hole; give up after this long.
-    fd_connect_timeout: float = 5.0
-    #: RanSub distribute silence (in epochs) before the tree parent is
-    #: presumed dead and the node climbs toward the root.
-    fd_liveness_epochs: float = 3.0
-
-    # Gray-failure response.  Dormant until a gray fault (fail-slow,
-    # flaky link, message adversity) arms gray detection network-wide;
-    # crash-only runs never touch these paths.  The quarantine state
-    # machine is deliberately asymmetric — fast backoff (exponential
-    # hold per offense), slow recovery (a probation of clean epochs
-    # before the record clears) — the GREEN/YELLOW/RED shape adaptive
-    # controllers converge on for loss-vs-delay ambiguity.
-    #: Master switch for sender quality scoring + quarantine.
-    quarantine_enabled: bool = True
-    #: EWMA smoothing for per-sender goodput quality.
-    quality_alpha: float = 0.3
-    #: A sender is a straggler when its quality falls below this
-    #: fraction of the mean sender quality...
-    straggler_fraction: float = 0.35
-    #: ...for this many consecutive epochs while misbehaving (timeouts,
-    #: corrupt blocks, or lagging on outstanding requests).
-    straggler_epochs: int = 2
-    #: Corrupted blocks from one sender (per connection) that trigger an
-    #: immediate quarantine — a checksum mismatch is unambiguous
-    #: evidence of a gray path, so this bypasses the slow EWMA rule
-    #: entirely.  0 disables the shortcut.
-    corrupt_quarantine: int = 2
-    #: First-offense quarantine hold in seconds; doubles per re-offense.
-    quarantine_base: float = 20.0
-    #: Cap on the exponential quarantine hold.
-    quarantine_max: float = 240.0
-    #: Clean epochs a re-probed peer must serve before its record clears.
-    quarantine_probation: int = 2
 
     seed: int = 0
 
@@ -306,7 +306,7 @@ class BulletPrimeNode(OverlayProtocol):
             self.pusher = SourcePusher(
                 self.config.block_size,
                 encoded=True,
-                window=self.config.source_push_window,
+                window=SOURCE_PUSH_WINDOW,
                 on_block_pushed=self._source_generated,
             )
         else:
@@ -316,7 +316,7 @@ class BulletPrimeNode(OverlayProtocol):
             self.pusher = SourcePusher(
                 self.config.block_size,
                 block_ids=range(self.config.num_blocks),
-                window=self.config.source_push_window,
+                window=SOURCE_PUSH_WINDOW,
                 on_pass_complete=self._source_pass_complete,
             )
         if not self.config.encoded:
@@ -352,7 +352,7 @@ class BulletPrimeNode(OverlayProtocol):
         self.connect(
             target,
             self._tree_parent_connected,
-            timeout=self.config.fd_connect_timeout if self._fd_enabled else None,
+            timeout=FD_CONNECT_TIMEOUT if self._fd_enabled else None,
             on_timeout=self._tree_connect_timed_out,
         )
 
@@ -456,8 +456,8 @@ class BulletPrimeNode(OverlayProtocol):
     def _fd_timeout(self, sender):
         conn = sender.conn
         base = max(
-            self.config.fd_rto_multiple * max(conn.rtt, conn.rto),
-            self.config.fd_min_timeout,
+            FD_RTO_MULTIPLE * max(conn.rtt, conn.rto),
+            FD_MIN_TIMEOUT,
         )
         # Exponential backoff per retry round, jittered so a wave of
         # detectors armed by the same fault does not fire in lockstep.
@@ -490,7 +490,7 @@ class BulletPrimeNode(OverlayProtocol):
             sender.fd_retries = 0
             self._arm_sender_detector(conn)
             return
-        if sender.fd_retries < self.config.fd_max_retries:
+        if sender.fd_retries < FD_MAX_RETRIES:
             # Retry round: re-send every outstanding request and back off.
             sender.fd_retries += 1
             sender.timeouts += 1
@@ -521,7 +521,7 @@ class BulletPrimeNode(OverlayProtocol):
     def _check_tree_liveness(self):
         if self._tree_connecting:
             return True  # re-attach already in progress
-        window = self.config.fd_liveness_epochs * self.config.ransub_epoch
+        window = FD_LIVENESS_EPOCHS * self.config.ransub_epoch
         if self.sim.now - self.ransub.last_distribute_at < window:
             return True
         # No distribute wave for several epochs: the parent (or the path
@@ -576,7 +576,6 @@ class BulletPrimeNode(OverlayProtocol):
     def _measure_bandwidth(self, elapsed):
         incoming = 0.0
         gray = self._gray_enabled
-        alpha = self.config.quality_alpha
         for s in self.senders.values():
             received = s.conn.bytes_received
             s.epoch_bw = (received - s.bytes_mark) / elapsed
@@ -589,7 +588,10 @@ class BulletPrimeNode(OverlayProtocol):
                 if s.quality < 0.0:
                     s.quality = s.epoch_bw
                 else:
-                    s.quality = alpha * s.epoch_bw + (1.0 - alpha) * s.quality
+                    s.quality = (
+                        QUALITY_ALPHA * s.epoch_bw
+                        + (1.0 - QUALITY_ALPHA) * s.quality
+                    )
         if self._tree_parent_conn is not None and not self._tree_parent_conn.closed:
             incoming += (
                 self._tree_parent_conn.bytes_received
@@ -611,7 +613,7 @@ class BulletPrimeNode(OverlayProtocol):
         policy = self.sender_policy
         policy.manage(len(self.senders), self._epoch_incoming_bw)
 
-        if self._gray_enabled and self.config.quarantine_enabled:
+        if self._gray_enabled:
             self._update_quarantine()
 
         # Dead-weight senders: no bytes delivered, nothing outstanding and
@@ -661,7 +663,7 @@ class BulletPrimeNode(OverlayProtocol):
             self.connect(
                 peer,
                 lambda conn, p=peer: self._sender_connected(conn, p),
-                timeout=self.config.fd_connect_timeout if self._fd_enabled else None,
+                timeout=FD_CONNECT_TIMEOUT if self._fd_enabled else None,
                 on_timeout=lambda p=peer: self._sender_connect_timed_out(p),
             )
 
@@ -692,8 +694,8 @@ class BulletPrimeNode(OverlayProtocol):
         record = self._quarantine.get(peer)
         level = record[0] + 1 if record is not None else 1
         hold = min(
-            self.config.quarantine_base * (2.0 ** (level - 1)),
-            self.config.quarantine_max,
+            QUARANTINE_BASE * (2.0 ** (level - 1)),
+            QUARANTINE_MAX,
         )
         self._quarantine[peer] = [level, self.sim.now + hold, 0]
         self.failure_stats["quarantines"] += 1
@@ -703,20 +705,19 @@ class BulletPrimeNode(OverlayProtocol):
 
         Two jobs: (1) catch chronic stragglers — senders that misbehaved
         this epoch (detector timeouts or corrupt blocks) *and* whose
-        EWMA goodput sits below ``straggler_fraction`` of the mean for
-        ``straggler_epochs`` consecutive epochs — and quarantine them;
+        EWMA goodput sits below ``STRAGGLER_FRACTION`` of the mean for
+        ``STRAGGLER_EPOCHS`` consecutive epochs — and quarantine them;
         (2) walk re-probed peers through probation — slow recovery: only
-        ``quarantine_probation`` consecutive clean epochs clear the
+        ``QUARANTINE_PROBATION`` consecutive clean epochs clear the
         record, and any offense during probation re-quarantines at the
         next backoff level immediately.
         """
         senders = self.senders
         measured = [s.quality for s in senders.values() if s.quality >= 0.0]
         mean_quality = sum(measured) / len(measured) if measured else 0.0
-        threshold = self.config.straggler_fraction * mean_quality
-        corrupt_cap = self.config.corrupt_quarantine
+        threshold = STRAGGLER_FRACTION * mean_quality
         for conn, s in list(senders.items()):
-            if corrupt_cap > 0 and s.corrupt_total >= corrupt_cap:
+            if s.corrupt_total >= CORRUPT_QUARANTINE:
                 # Chronic corrupter: no EWMA deliberation needed.
                 self._quarantine_peer(s.peer)
                 self._drop_sender(conn, initiated=True)
@@ -748,7 +749,7 @@ class BulletPrimeNode(OverlayProtocol):
             elif offended and len(senders) > 1 and s.quality >= 0.0:
                 if s.quality < threshold:
                     s.slow_epochs += 1
-                    if s.slow_epochs >= self.config.straggler_epochs:
+                    if s.slow_epochs >= STRAGGLER_EPOCHS:
                         self._quarantine_peer(s.peer)
                         self._drop_sender(conn, initiated=True)
                         continue
@@ -883,7 +884,7 @@ class BulletPrimeNode(OverlayProtocol):
         controller = OutstandingController(
             self.config.block_size,
             initial=(
-                self.config.initial_outstanding
+                INITIAL_OUTSTANDING
                 if self.config.adaptive_outstanding
                 else self.config.fixed_outstanding
             ),
@@ -899,7 +900,7 @@ class BulletPrimeNode(OverlayProtocol):
             # Re-adopting a peer whose quarantine hold expired: a slow
             # re-probe.  Probation starts — the record (and its backoff
             # level) only clears after consecutive clean epochs.
-            record[2] = self.config.quarantine_probation
+            record[2] = QUARANTINE_PROBATION
             self.failure_stats["reprobes"] += 1
         have = self.arrival_order if not self.config.encoded else list(self.state.blocks())
         conn.send(

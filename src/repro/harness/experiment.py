@@ -8,7 +8,6 @@ limit).  The runner wires them to a fresh simulator and returns an
 """
 
 import gc
-import warnings
 
 from repro.common.rng import split_rng
 from repro.harness.faults import FaultInjector, LivenessWatchdog
@@ -23,11 +22,17 @@ __all__ = ["ExperimentResult", "run_experiment"]
 
 
 def _resolve_scenario(scenario):
-    """Accept a Scenario, a registry name, or a legacy installer."""
+    """Accept ``None``, a Scenario, or a registry name."""
     if isinstance(scenario, str):
         from repro.harness.registry import SCENARIOS
 
         return SCENARIOS.build(scenario)
+    if scenario is not None and not isinstance(scenario, Scenario):
+        raise TypeError(
+            "scenario must be a repro.scenarios.Scenario, a name registered "
+            "in repro.harness.registry.SCENARIOS, or None; got "
+            f"{type(scenario).__name__}"
+        )
     return scenario
 
 
@@ -45,40 +50,6 @@ def _resolve_flow_model(flow_model):
 
         return FLOW_MODELS.build(flow_model)
     return flow_model
-
-
-def _validated_failure_schedule(failure_schedule, topology, source_id):
-    """Reject malformed schedules with a clear error, not misbehavior."""
-    entries = []
-    seen = set()
-    for entry in failure_schedule:
-        try:
-            fail_time, node_id = entry
-        except (TypeError, ValueError):
-            raise ValueError(
-                "failure_schedule entries must be (time, node_id) pairs, "
-                f"got {entry!r}"
-            ) from None
-        fail_time = float(fail_time)
-        if fail_time != fail_time:  # NaN
-            raise ValueError("failure_schedule contains a NaN time")
-        if fail_time < 0:
-            raise ValueError(
-                f"failure_schedule time must be >= 0, got {fail_time}"
-            )
-        if node_id == source_id:
-            raise ValueError("the source cannot be failed (it is the data)")
-        if node_id not in topology.nodes:
-            raise ValueError(
-                f"failure_schedule names unknown node {node_id!r}"
-            )
-        if node_id in seen:
-            raise ValueError(
-                f"failure_schedule lists node {node_id!r} more than once"
-            )
-        seen.add(node_id)
-        entries.append((fail_time, node_id))
-    return tuple(entries)
 
 
 class ExperimentResult:
@@ -164,7 +135,6 @@ def run_experiment(
     tree_fanout=4,
     seed=0,
     check_period=1.0,
-    failure_schedule=(),
     flow_allocator="incremental",
     flow_model=None,
     watchdog_window=60.0,
@@ -183,28 +153,18 @@ def run_experiment(
         File size in blocks (drives the trace collector).
     scenario:
         Optional dynamic network conditions: a
-        :class:`repro.scenarios.Scenario`, a scenario name registered in
-        :data:`repro.harness.registry.SCENARIOS`, or a legacy
-        ``scenario(sim, topology)`` installer.  Scenario objects get the
-        full :class:`~repro.scenarios.ScenarioContext` (nodes, source,
-        seed) and may stagger node start times via ``ctx.start_delays``.
+        :class:`repro.scenarios.Scenario` or a scenario name registered
+        in :data:`repro.harness.registry.SCENARIOS` (anything else is a
+        :class:`TypeError`).  The scenario gets the full
+        :class:`~repro.scenarios.ScenarioContext` (nodes, source, seed)
+        and may stagger node start times via ``ctx.start_delays``.
+        Node crashes are scenarios too: ``"crash"``, or
+        :class:`repro.scenarios.failures.Crash` with an explicit
+        ``schedule``; failed nodes are excluded from the completion
+        condition unless they finished earlier.
     max_time:
         Simulated-seconds cap; the run stops early once every surviving
         non-source node has completed.
-    failure_schedule:
-        **Deprecated** — pass ``scenario="crash"`` (or a
-        :class:`repro.scenarios.failures.Crash` with a ``schedule``)
-        instead; this wrapper emits a :class:`DeprecationWarning` and
-        will be removed one release after 2026-08.  Optional
-        ``[(time, node_id), ...]``: at each time the node is *silently
-        crashed* (connections aborted without notice, timers die,
-        handshakes black-hole) — the paper's section-1
-        churn/reliability scenario.  Validated up front (unknown or
-        duplicate nodes, negative/NaN times, and the source are
-        rejected) and installed as a thin wrapper over the ``crash``
-        scenario, composed with ``scenario`` when both are given.
-        Failed nodes are excluded from the completion condition unless
-        they finished earlier.
     watchdog_window:
         Liveness window in simulated seconds: once any fault actuates,
         a run making no block-delivery progress for this long is failed
@@ -270,41 +230,18 @@ def run_experiment(
     )
 
     scenario = _resolve_scenario(scenario)
-    if failure_schedule:
-        warnings.warn(
-            "run_experiment(failure_schedule=...) is deprecated; pass "
-            "scenario=repro.scenarios.failures.Crash(schedule=...) (or "
-            'scenario="crash" with registry params) instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Compat path: the explicit schedule becomes a crash scenario so
-        # the silent-failure semantics, detector arming, and watchdog
-        # all come from the one fault-injection pipeline.
-        from repro.scenarios.combinators import Compose
-        from repro.scenarios.failures import Crash
-
-        crash = Crash(
-            schedule=_validated_failure_schedule(
-                failure_schedule, topology, source_id
-            )
-        )
-        scenario = crash if scenario is None else Compose(scenario, crash)
     start_delays = {}
     if scenario is not None:
-        if isinstance(scenario, Scenario):
-            ctx = ScenarioContext(
-                sim,
-                topology,
-                nodes=nodes,
-                source_id=source_id,
-                seed=seed,
-                faults=injector,
-            )
-            scenario.install(ctx)
-            start_delays = ctx.start_delays
-        else:
-            scenario(sim, topology)
+        ctx = ScenarioContext(
+            sim,
+            topology,
+            nodes=nodes,
+            source_id=source_id,
+            seed=seed,
+            faults=injector,
+        )
+        scenario.install(ctx)
+        start_delays = ctx.start_delays
     for node_id, node in nodes.items():
         delay = start_delays.get(node_id, 0.0)
         if delay > 0 and node_id != source_id:

@@ -17,6 +17,8 @@ free.
 
 import importlib
 
+from repro.common.params import Param
+
 __all__ = [
     "Param",
     "Registry",
@@ -32,76 +34,22 @@ def _normalize(name):
     return name.lower().replace("-", "").replace("_", "")
 
 
-class Param:
-    """One declared knob of a registered builder.
+class RegistryEntry:
+    """One registered name: the builder plus display metadata.
 
-    Declaring params makes a builder's keyword arguments *data*: sweep
-    specs and CLI flags can enumerate, validate, and coerce them without
-    importing the implementing class.  ``kind`` is one of ``"float"``,
-    ``"int"``, ``"str"``, ``"bool"``; ``default`` is display metadata
-    (the builder's own default still applies when the knob is omitted).
+    ``params`` is the builder's own ``params`` tuple (see
+    :class:`repro.common.params.Configurable`) — the registry reads the
+    knob schema off the class, it never holds a second copy.
     """
 
-    __slots__ = ("name", "kind", "default", "description")
+    __slots__ = ("name", "builder", "description", "aliases", "params")
 
-    _KINDS = {"float": float, "int": int, "str": str, "bool": bool}
-
-    def __init__(self, name, kind, default=None, description=""):
-        if kind not in self._KINDS:
-            raise ValueError(
-                f"param {name!r}: kind must be one of "
-                f"{sorted(self._KINDS)}, got {kind!r}"
-            )
-        self.name = name
-        self.kind = kind
-        self.default = default
-        self.description = description
-
-    def coerce(self, value):
-        """Coerce a spec-file / CLI value to this param's kind."""
-        if value is None:
-            return None
-        if self.kind == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise ValueError(
-                f"param {self.name!r} expects a bool, got {value!r}"
-            )
-        try:
-            return self._KINDS[self.kind](value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"param {self.name!r} expects {self.kind}, got {value!r}"
-            ) from None
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "default": self.default,
-            "description": self.description,
-        }
-
-    def __repr__(self):
-        return f"Param({self.name!r}, {self.kind!r}, default={self.default!r})"
-
-
-class RegistryEntry:
-    """One registered name: the builder plus display metadata."""
-
-    __slots__ = ("name", "builder", "description", "aliases", "params", "extras")
-
-    def __init__(
-        self, name, builder, description="", aliases=(), params=(), **extras
-    ):
+    def __init__(self, name, builder, description="", aliases=()):
         self.name = name
         self.builder = builder
         self.description = description
         self.aliases = tuple(aliases)
-        self.params = tuple(params)
-        self.extras = extras
+        self.params = getattr(builder, "params", ())
         seen = set()
         for param in self.params:
             if param.name in seen:
@@ -154,9 +102,7 @@ class Registry:
             self._populated = True
             importlib.import_module(self._populate)
 
-    def register(
-        self, name, builder, *, description="", aliases=(), params=(), **extras
-    ):
+    def register(self, name, builder, *, description="", aliases=()):
         """Register ``builder`` under ``name`` (plus ``aliases``).
 
         Registration is all-or-nothing: a duplicate name, or an alias
@@ -169,14 +115,7 @@ class Registry:
                 f"duplicate {self.kind} name {name!r} (already registered; "
                 f"names are never overwritten)"
             )
-        entry = RegistryEntry(
-            name,
-            builder,
-            description=description,
-            aliases=aliases,
-            params=params,
-            **extras,
-        )
+        entry = RegistryEntry(name, builder, description, aliases)
         # Validate every key before committing any of them, so a failed
         # registration cannot leave a half-visible entry behind.
         staged = {}

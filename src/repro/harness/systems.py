@@ -26,7 +26,6 @@ __all__ = [
     "bullet_factory",
     "bittorrent_factory",
     "splitstream_factory",
-    "SYSTEM_FACTORIES",
 ]
 
 
@@ -137,45 +136,20 @@ SYSTEMS.register(
     bullet_prime_factory,
     description="Bullet' (this paper): adaptive peering + flow control",
     aliases=("bulletprime", "bullet-prime", "bp"),
-    config=BulletPrimeConfig,
 )
 SYSTEMS.register(
     "bullet",
     bullet_factory,
     description="original Bullet: tree push plus mesh recovery",
-    config=BulletConfig,
 )
 SYSTEMS.register(
     "bittorrent",
     bittorrent_factory,
     description="BitTorrent: tracker-coordinated swarm",
     aliases=("bt",),
-    config=BitTorrentConfig,
 )
 SYSTEMS.register(
     "splitstream",
     splitstream_factory,
     description="SplitStream: striped interior-node-disjoint trees",
-    config=SplitStreamConfig,
 )
-
-def __getattr__(name):
-    # Legacy view, deprecated: name -> (factory builder, config class).
-    # Derived from the registry on access (module-level __getattr__, PEP
-    # 562) so importing it — the only way to reach it — warns once per
-    # call site; removal is scheduled one release after 2026-08.
-    if name == "SYSTEM_FACTORIES":
-        import warnings
-
-        warnings.warn(
-            "SYSTEM_FACTORIES is deprecated; use "
-            "repro.harness.registry.SYSTEMS (entry.builder and "
-            "entry.extras['config']) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            name: (entry.builder, entry.extras["config"])
-            for name, entry in SYSTEMS.items()
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

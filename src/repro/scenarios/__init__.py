@@ -7,37 +7,18 @@ changes over time and installs into any simulation via a
 :class:`ScenarioContext`; instances are pure configuration and freely
 re-installable.
 
-Catalogue (all registered in :data:`repro.harness.registry.SCENARIOS`):
-
-====================  =======================================================
-``none``              static control case (no dynamics)
-``correlated_decreases``  the paper's section-4.1 periodic correlated cuts
-``cascading_cuts``    Figure 12's one-sender-at-a-time collapse
-``oscillate``         cellular/5G-style high-frequency capacity swings
-``flash_crowd``       staggered receiver joins over a ramp
-``churn``             nodes drop to trickle connectivity and come back
-``trace_replay``      drive conditions from a (time, bw[, loss, delay]) trace
-``gilbert_elliott``   two-state bursty loss on every core link
-``asymmetric_squeeze``  capacity cuts on receiver uplinks only
-``lossy``             overlay a loss schedule on any other scenario
-``crash``             seeded permanent node kills (silent-failure model)
-``crash_restart``     nodes crash, lose all state, rejoin after a downtime
-``partition``         split into islands for a window, then heal
-``chaos``             seeded composite crash/restart/partition stream
-``fail_slow``         gray stragglers: uplink squeeze + stretched timers
-``flaky``             intermittent heavy-loss windows on access links
-``adversarial``       message duplication, reordering, payload corruption
-``gray_chaos``        ``chaos`` plus degrade/flake events and adversity
-====================  =======================================================
+The catalogue is registered in :data:`repro.harness.registry.SCENARIOS`;
+``python -m repro list`` prints every scenario with its aliases, knobs
+and defaults (``--json`` adds kinds and descriptions), read off the
+classes' own ``params`` declarations.
 
 Scenarios actuate the full link-condition engine — capacity, loss rate,
 and delay, per direction (see :mod:`repro.sim.links`).  Combinators —
 :func:`compose`, :func:`delay`, :func:`repeat`, :func:`lossy` — build
 compound conditions; :class:`TraceRecorder` captures any run's link
 schedule (optionally including loss and delay columns) for later
-replay.  ``run_experiment`` accepts Scenario instances directly (or
-registry names), and every scenario still works as a legacy
-``scenario(sim, topology)`` installer.
+replay.  ``run_experiment`` accepts Scenario instances or registry
+names.
 """
 
 from repro.scenarios.base import (
@@ -45,7 +26,6 @@ from repro.scenarios.base import (
     Scenario,
     ScenarioContext,
     ScenarioHandle,
-    install_scenario,
 )
 from repro.scenarios.catalog import (
     CascadingCuts,
@@ -54,8 +34,6 @@ from repro.scenarios.catalog import (
     FlashCrowd,
     Oscillate,
     Static,
-    cascading_cuts,
-    correlated_decreases,
 )
 from repro.scenarios.combinators import (
     Compose,
@@ -94,7 +72,6 @@ __all__ = [
     "ScenarioContext",
     "ScenarioHandle",
     "CompositeHandle",
-    "install_scenario",
     "Static",
     "CorrelatedDecreases",
     "CascadingCuts",
@@ -124,410 +101,59 @@ __all__ = [
     "delay",
     "repeat",
     "lossy",
-    "correlated_decreases",
-    "cascading_cuts",
 ]
 
 # -- registration -------------------------------------------------------------
 #
 # Kept last: importing the registry may (re-)enter this package while it
-# is mid-import, and by this point every public name above exists.
-#
-# Every scenario declares its knobs as :class:`Param` schemas, so sweep
-# specs and the CLI can enumerate, validate, and grid over them without
-# importing the scenario classes.
+# is mid-import, and by this point every public name above exists.  Each
+# class carries its own name and knob schema (``params``); only the
+# listing text and aliases are said here.
 
-from repro.common.units import KBPS  # noqa: E402
-from repro.harness.registry import SCENARIOS, Param  # noqa: E402
+from repro.harness.registry import SCENARIOS  # noqa: E402
 
-_COMMON_WINDOW = (
-    Param("start", "float", default=None,
-          description="first firing, seconds after installation"),
-    Param("stop", "float", default=None,
-          description="stop after this many seconds (None: run forever)"),
-    Param("seed", "int", default=None,
-          description="override the experiment seed for this scenario's RNG"),
-)
-
-SCENARIOS.register(
-    "none",
-    Static,
-    description="static network, no dynamic conditions (control case)",
-    aliases=("static",),
-)
-SCENARIOS.register(
-    "correlated_decreases",
-    CorrelatedDecreases,
-    description="paper sec. 4.1: periodic correlated bandwidth cuts",
-    aliases=("correlated", "bandwidth_cuts"),
-    params=(
-        Param("period", "float", default=20.0,
-              description="seconds between correlated cut rounds"),
-        Param("victim_fraction", "float", default=0.5,
-              description="fraction of nodes whose inbound links are cut"),
-        Param("source_fraction", "float", default=0.5,
-              description="fraction of senders cut toward each victim"),
-        Param("factor", "float", default=0.5,
-              description="multiplier applied to each cut link, in (0, 1)"),
-        Param("floor", "float", default=32 * KBPS,
-              description="links never degrade below this (bytes/sec)"),
-        *_COMMON_WINDOW,
-    ),
-)
-SCENARIOS.register(
-    "cascading_cuts",
-    CascadingCuts,
-    description="paper Fig. 12: one more sender link throttled per period",
-    aliases=("cascade",),
-    params=(
-        Param("period", "float", default=25.0,
-              description="seconds between successive sender throttles"),
-        Param("throttled_bw", "float", default=100 * KBPS,
-              description="capacity each throttled link drops to (bytes/sec)"),
-        Param("start", "float", default=None,
-              description="first throttle, seconds after installation"),
-    ),
-)
-SCENARIOS.register(
-    "oscillate",
-    Oscillate,
-    description="cellular/5G-style high-frequency capacity oscillation",
-    aliases=("oscillation", "cellular"),
-    params=(
-        Param("period", "float", default=2.0,
-              description="seconds per full capacity swing"),
-        Param("low", "float", default=0.25,
-              description="trough, as a fraction of installed capacity"),
-        Param("high", "float", default=1.0,
-              description="crest, as a fraction of installed capacity"),
-        Param("wave", "str", default="sine",
-              description="'sine' (smooth) or 'square' (hard switches)"),
-        Param("sample_period", "float", default=None,
-              description="tick interval (default: period / 8)"),
-        Param("phase_jitter", "bool", default=True,
-              description="random per-link phase so links don't sync"),
-        Param("start", "float", default=0.0,
-              description="first firing, seconds after installation"),
-        Param("stop", "float", default=None,
-              description="stop after this many seconds (None: run forever)"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for this scenario's RNG"),
-    ),
-)
-SCENARIOS.register(
-    "flash_crowd",
-    FlashCrowd,
-    description="staggered receiver joins over a ramp interval",
-    aliases=("staggered_joins",),
-    params=(
-        Param("ramp", "float", default=30.0,
-              description="receivers join uniformly over this many seconds"),
-        Param("start", "float", default=0.0,
-              description="delay before the first join"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for join times"),
-    ),
-)
-SCENARIOS.register(
-    "churn",
-    Churn,
-    description="nodes lose connectivity and rejoin (network-level churn)",
-    params=(
-        Param("period", "float", default=20.0,
-              description="seconds between churn rounds"),
-        Param("down_time", "float", default=10.0,
-              description="seconds a churned node stays dark"),
-        Param("fraction", "float", default=0.1,
-              description="fraction of receivers churned per round, (0, 1]"),
-        Param("offline_capacity", "float", default=16.0,
-              description="trickle capacity while dark (bytes/sec)"),
-        *_COMMON_WINDOW,
-    ),
-)
-SCENARIOS.register(
-    "trace_replay",
-    TraceReplay,
-    description=(
-        "drive link conditions from a (time, bw[, loss, delay]) trace"
-    ),
-    aliases=("trace",),
-    params=(
-        Param("path", "str", default=None,
-              description="trace file (.json or .csv) to replay "
-              "(default: built-in demo dip)"),
-        Param("time_scale", "float", default=1.0,
-              description="stretch (>1) or compress (<1) the trace clock"),
-    ),
-)
-SCENARIOS.register(
-    "gilbert_elliott",
-    GilbertElliott,
-    description="two-state (Gilbert-Elliott) bursty loss on every core link",
-    aliases=("bursty_loss",),
-    params=(
-        Param("bad_loss", "float", default=0.05,
-              description="loss overlaid while a link is in the bad state"),
-        Param("good_loss", "float", default=0.0,
-              description="loss overlaid while in the good state"),
-        Param("mean_good", "float", default=20.0,
-              description="mean seconds a link stays in the good state"),
-        Param("mean_bad", "float", default=5.0,
-              description="mean seconds a link stays in the bad state"),
-        Param("sample_period", "float", default=1.0,
-              description="Markov-chain tick interval in seconds"),
-        Param("start", "float", default=0.0,
-              description="first firing, seconds after installation"),
-        Param("stop", "float", default=None,
-              description="stop after this many seconds (None: run forever)"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for this scenario's RNG"),
-    ),
-)
-SCENARIOS.register(
-    "asymmetric_squeeze",
-    AsymmetricSqueeze,
-    description="periodic capacity cuts on receiver uplinks only (asymmetric)",
-    aliases=("uplink_squeeze",),
-    params=(
-        Param("period", "float", default=20.0,
-              description="seconds between squeeze rounds"),
-        Param("fraction", "float", default=0.5,
-              description="fraction of receivers squeezed per round, (0, 1]"),
-        Param("factor", "float", default=0.5,
-              description="multiplier applied to each uplink, in (0, 1)"),
-        Param("floor", "float", default=32 * KBPS,
-              description="uplinks never degrade below this (bytes/sec)"),
-        Param("hold", "float", default=None,
-              description="release each cut after this many seconds "
-              "(None: cuts are cumulative)"),
-        *_COMMON_WINDOW,
-    ),
-)
-SCENARIOS.register(
-    "crash",
-    Crash,
-    description="seeded permanent node kills (silent crash-stop failures)",
-    aliases=("failures",),
-    params=(
-        Param("fraction", "float", default=0.2,
-              description="fraction of receivers crashed, (0, 1]"),
-        Param("count", "int", default=0,
-              description="exact victim count (0: use fraction)"),
-        Param("start", "float", default=10.0,
-              description="first crash, seconds after installation"),
-        Param("stagger", "float", default=2.0,
-              description="seconds between successive crashes"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for victim choice"),
-    ),
-)
-SCENARIOS.register(
-    "crash_restart",
-    CrashRestart,
-    description="nodes crash silently, then rejoin with all state lost",
-    aliases=("restart",),
-    params=(
-        Param("fraction", "float", default=0.2,
-              description="fraction of receivers crashed, (0, 1]"),
-        Param("count", "int", default=0,
-              description="exact victim count (0: use fraction)"),
-        Param("start", "float", default=10.0,
-              description="first crash, seconds after installation"),
-        Param("stagger", "float", default=2.0,
-              description="seconds between successive crashes"),
-        Param("down_time", "float", default=15.0,
-              description="seconds a crashed node stays down before rejoining"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for victim choice"),
-    ),
-)
-SCENARIOS.register(
-    "partition",
-    Partition,
-    description="split the topology into islands for a window, then heal",
-    aliases=("split",),
-    params=(
-        Param("islands", "int", default=2,
-              description="number of islands the nodes are split into"),
-        Param("start", "float", default=8.0,
-              description="partition onset, seconds after installation"),
-        Param("duration", "float", default=15.0,
-              description="seconds the partition holds before healing"),
-        Param("squeeze", "float", default=1e-3,
-              description="cross-island capacity multiplier while split"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for island choice"),
-    ),
-)
-SCENARIOS.register(
-    "chaos",
-    Chaos,
-    description="seeded composite crash/restart/partition fault stream",
-    params=(
-        Param("rate", "float", default=0.1,
-              description="fault events per second (0: no faults at all)"),
-        Param("start", "float", default=5.0,
-              description="fault window opens this many seconds in"),
-        Param("duration", "float", default=120.0,
-              description="length of the fault window in seconds"),
-        Param("down_time", "float", default=15.0,
-              description="downtime of crash-with-restart events"),
-        Param("partition_duration", "float", default=15.0,
-              description="seconds each partition event holds"),
-        Param("crash_weight", "float", default=1.0,
-              description="relative weight of permanent-crash events"),
-        Param("restart_weight", "float", default=2.0,
-              description="relative weight of crash-with-restart events"),
-        Param("partition_weight", "float", default=0.5,
-              description="relative weight of partition events"),
-        Param("max_dead_fraction", "float", default=0.25,
-              description="cap on permanently dead receivers, [0, 1]"),
-        Param("squeeze", "float", default=1e-3,
-              description="cross-island capacity multiplier while split"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for the fault stream"),
-    ),
-)
-SCENARIOS.register(
-    "fail_slow",
-    FailSlow,
-    description="gray stragglers: uplink squeeze plus stretched timers",
-    aliases=("straggler",),
-    params=(
-        Param("fraction", "float", default=0.25,
-              description="fraction of receivers degraded, [0, 1] (0: none)"),
-        Param("count", "int", default=0,
-              description="exact victim count (0: use fraction)"),
-        Param("factor", "float", default=0.2,
-              description="uplink capacity multiplier while degraded, (0, 1]"),
-        Param("stretch", "float", default=2.0,
-              description="one-shot protocol timer multiplier, >= 1"),
-        Param("start", "float", default=10.0,
-              description="first degradation, seconds after installation"),
-        Param("stagger", "float", default=2.0,
-              description="seconds between successive degradations"),
-        Param("duration", "float", default=45.0,
-              description="seconds before a victim heals (None: permanent)"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for victim choice"),
-    ),
-)
-SCENARIOS.register(
-    "flaky",
-    Flaky,
-    description="intermittent heavy-loss (gray-link) windows on access links",
-    aliases=("gray_links",),
-    params=(
-        Param("fraction", "float", default=0.25,
-              description="fraction of receivers made flaky, [0, 1] (0: none)"),
-        Param("count", "int", default=0,
-              description="exact victim count (0: use fraction)"),
-        Param("loss", "float", default=0.9,
-              description="loss overlaid during a window, [0, 1] (0: none)"),
-        Param("window", "float", default=4.0,
-              description="seconds each loss window holds"),
-        Param("gap", "float", default=8.0,
-              description="mean clean seconds between windows (exponential)"),
-        Param("start", "float", default=5.0,
-              description="flaky period opens this many seconds in"),
-        Param("duration", "float", default=60.0,
-              description="length of the flaky period in seconds"),
-        Param("direction", "str", default="random",
-              description="'up', 'down', 'both', or 'random' per window"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for the schedule"),
-    ),
-)
-SCENARIOS.register(
-    "adversarial",
-    Adversarial,
-    description="message duplication, bounded reordering, payload corruption",
-    aliases=("byzantine_links",),
-    params=(
-        Param("duplicate", "float", default=0.01,
-              description="per-message duplication probability, [0, 1)"),
-        Param("reorder", "float", default=0.05,
-              description="control-message reorder probability, [0, 1)"),
-        Param("reorder_window", "float", default=0.5,
-              description="max extra delay for a reordered message (seconds)"),
-        Param("corrupt", "float", default=0.01,
-              description="per-block payload corruption probability, [0, 1)"),
-        Param("start", "float", default=5.0,
-              description="adversity arms this many seconds in"),
-        Param("stop", "float", default=None,
-              description="disarm at this time (None: run forever)"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for the mischief"),
-    ),
-)
-SCENARIOS.register(
-    "gray_chaos",
-    GrayChaos,
-    description="chaos plus fail-slow/flaky events and message adversity",
-    params=(
-        Param("rate", "float", default=0.1,
-              description="fault events per second (0: no faults at all)"),
-        Param("start", "float", default=5.0,
-              description="fault window opens this many seconds in"),
-        Param("duration", "float", default=120.0,
-              description="length of the fault window in seconds"),
-        Param("down_time", "float", default=15.0,
-              description="downtime of crash-with-restart events"),
-        Param("partition_duration", "float", default=15.0,
-              description="seconds each partition event holds"),
-        Param("crash_weight", "float", default=0.5,
-              description="relative weight of permanent-crash events"),
-        Param("restart_weight", "float", default=1.0,
-              description="relative weight of crash-with-restart events"),
-        Param("partition_weight", "float", default=0.25,
-              description="relative weight of partition events"),
-        Param("degrade_weight", "float", default=2.0,
-              description="relative weight of fail-slow degrade events"),
-        Param("flake_weight", "float", default=1.5,
-              description="relative weight of gray-link flake events"),
-        Param("max_dead_fraction", "float", default=0.25,
-              description="cap on permanently dead receivers, [0, 1]"),
-        Param("squeeze", "float", default=1e-3,
-              description="cross-island capacity multiplier while split"),
-        Param("degrade_factor", "float", default=0.2,
-              description="uplink multiplier of degrade events, (0, 1]"),
-        Param("stretch", "float", default=2.0,
-              description="timer multiplier of degrade events, >= 1"),
-        Param("degrade_duration", "float", default=40.0,
-              description="seconds a degrade event holds before healing"),
-        Param("flake_loss", "float", default=0.9,
-              description="loss overlaid during a flake window, (0, 1]"),
-        Param("flake_window", "float", default=4.0,
-              description="seconds each flake window holds"),
-        Param("duplicate", "float", default=0.01,
-              description="per-message duplication probability, [0, 1)"),
-        Param("reorder", "float", default=0.05,
-              description="control-message reorder probability, [0, 1)"),
-        Param("reorder_window", "float", default=0.5,
-              description="max extra delay for a reordered message (seconds)"),
-        Param("corrupt", "float", default=0.02,
-              description="per-block payload corruption probability, [0, 1)"),
-        Param("seed", "int", default=None,
-              description="override the experiment seed for the fault stream"),
-    ),
-)
-SCENARIOS.register(
-    "lossy",
-    Lossy,
-    description="overlay a loss schedule on any other scenario",
-    aliases=("loss_overlay",),
-    params=(
-        Param("base", "str", default="none",
-              description="scenario to overlay (any registered name)"),
-        Param("loss", "float", default=0.02,
-              description="loss probability overlaid while the schedule is on"),
-        Param("period", "float", default=None,
-              description="square-wave cycle length (None: constant overlay)"),
-        Param("duty", "float", default=0.5,
-              description="fraction of each cycle the overlay is on, (0, 1]"),
-        Param("start", "float", default=0.0,
-              description="overlay (or first cycle) starts after this delay"),
-        Param("stop", "float", default=None,
-              description="stop after this many seconds (None: run forever)"),
-    ),
-)
+for _builder, _description, _aliases in (
+    (Static, "static network, no dynamic conditions (control case)",
+     ("static",)),
+    (CorrelatedDecreases,
+     "paper sec. 4.1: periodic correlated bandwidth cuts",
+     ("correlated", "bandwidth_cuts")),
+    (CascadingCuts,
+     "paper Fig. 12: one more sender link throttled per period",
+     ("cascade",)),
+    (Oscillate, "cellular/5G-style high-frequency capacity oscillation",
+     ("oscillation", "cellular")),
+    (FlashCrowd, "staggered receiver joins over a ramp interval",
+     ("staggered_joins",)),
+    (Churn, "nodes lose connectivity and rejoin (network-level churn)", ()),
+    (TraceReplay,
+     "drive link conditions from a (time, bw[, loss, delay]) trace",
+     ("trace",)),
+    (GilbertElliott,
+     "two-state (Gilbert-Elliott) bursty loss on every core link",
+     ("bursty_loss",)),
+    (AsymmetricSqueeze,
+     "periodic capacity cuts on receiver uplinks only (asymmetric)",
+     ("uplink_squeeze",)),
+    (Crash, "seeded permanent node kills (silent crash-stop failures)",
+     ("failures",)),
+    (CrashRestart, "nodes crash silently, then rejoin with all state lost",
+     ("restart",)),
+    (Partition, "split the topology into islands for a window, then heal",
+     ("split",)),
+    (Chaos, "seeded composite crash/restart/partition fault stream", ()),
+    (FailSlow, "gray stragglers: uplink squeeze plus stretched timers",
+     ("straggler",)),
+    (Flaky, "intermittent heavy-loss (gray-link) windows on access links",
+     ("gray_links",)),
+    (Adversarial,
+     "message duplication, bounded reordering, payload corruption",
+     ("byzantine_links",)),
+    (GrayChaos, "chaos plus fail-slow/flaky events and message adversity",
+     ()),
+    (Lossy, "overlay a loss schedule on any other scenario",
+     ("loss_overlay",)),
+):
+    SCENARIOS.register(
+        _builder.name, _builder, description=_description, aliases=_aliases
+    )

@@ -14,13 +14,9 @@ the source id, and the experiment seed.  Scenarios that only mutate
 links work in any context; scenarios that shape *membership* (e.g.
 ``flash_crowd`` staggering node joins) publish their intent through
 ``ctx.start_delays`` and the harness honors it.
-
-Legacy call sites that treat a scenario as a bare
-``scenario(sim, topology)`` installer keep working: ``Scenario``
-instances are callable with that signature and build a minimal context
-on the fly.
 """
 
+from repro.common.params import Configurable, Param
 from repro.common.rng import split_rng
 
 __all__ = [
@@ -28,8 +24,16 @@ __all__ = [
     "ScenarioContext",
     "ScenarioHandle",
     "CompositeHandle",
-    "install_scenario",
+    "WINDOW_PARAMS",
 ]
+
+#: The install-relative firing window + RNG override that periodic
+#: catalogue scenarios share (append to a class's own ``params``).
+WINDOW_PARAMS = (
+    Param("start", "float", None, "first firing, seconds after installation"),
+    Param("stop", "float", None, "stop after this many seconds (None: run forever)"),
+    Param("seed", "int", None, "override the experiment seed for this scenario's RNG"),
+)
 
 
 class ScenarioContext:
@@ -258,10 +262,12 @@ class CompositeHandle:
             handle.cancel()
 
 
-class Scenario:
+class Scenario(Configurable):
     """Base class for all dynamic-network scenarios.
 
-    Subclasses override :meth:`install` (and usually set :attr:`name`);
+    Subclasses declare their knobs as ``params`` (bound as attributes by
+    :class:`~repro.common.params.Configurable`), range-check them in
+    ``validate``, set :attr:`name`, and override :meth:`install`;
     instances must be pure configuration so they can be installed more
     than once.
     """
@@ -273,20 +279,5 @@ class Scenario:
         """Install this scenario into ``ctx``; return a cancel handle."""
         raise NotImplementedError
 
-    def __call__(self, sim, topology):
-        """Legacy installer signature: ``scenario(sim, topology)``."""
-        return self.install(ScenarioContext(sim, topology))
-
     def __repr__(self):
         return f"{type(self).__name__}()"
-
-
-def install_scenario(scenario, ctx):
-    """Install ``scenario`` — a :class:`Scenario` or a legacy callable.
-
-    Returns the handle (or whatever the legacy installer returned,
-    possibly None).  Legacy installers only see ``(sim, topology)``.
-    """
-    if isinstance(scenario, Scenario):
-        return scenario.install(ctx)
-    return scenario(ctx.sim, ctx.topology)

@@ -21,8 +21,9 @@ in :mod:`repro.scenarios.combinators`.
 
 import math
 
+from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import Scenario, ScenarioContext, ScenarioHandle
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, ScenarioHandle
 
 __all__ = [
     "Static",
@@ -31,8 +32,6 @@ __all__ = [
     "Oscillate",
     "FlashCrowd",
     "Churn",
-    "correlated_decreases",
-    "cascading_cuts",
 ]
 
 
@@ -62,30 +61,32 @@ class CorrelatedDecreases(Scenario):
     """
 
     name = "correlated_decreases"
+    params = (
+        Param("period", "float", 20.0, "seconds between correlated cut rounds"),
+        Param(
+            "victim_fraction",
+            "float",
+            0.5,
+            "fraction of nodes whose inbound links are cut",
+        ),
+        Param(
+            "source_fraction",
+            "float",
+            0.5,
+            "fraction of senders cut toward each victim",
+        ),
+        Param("factor", "float", 0.5, "multiplier applied to each cut link, in (0, 1)"),
+        Param(
+            "floor", "float", 32 * KBPS, "links never degrade below this (bytes/sec)"
+        ),
+        *WINDOW_PARAMS,
+    )
 
-    def __init__(
-        self,
-        seed=None,
-        period=20.0,
-        victim_fraction=0.5,
-        source_fraction=0.5,
-        factor=0.5,
-        floor=32 * KBPS,
-        start=None,
-        stop=None,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        self.seed = seed
-        self.period = period
-        self.victim_fraction = victim_fraction
-        self.source_fraction = source_fraction
-        self.factor = factor
-        self.floor = floor
-        self.start = start
-        self.stop = stop
+    def validate(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.factor < 1.0:
+            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
 
     def install(self, ctx):
         topology = ctx.topology
@@ -130,22 +131,26 @@ class CascadingCuts(Scenario):
     """
 
     name = "cascading_cuts"
+    params = (
+        Param("period", "float", 25.0, "seconds between successive sender throttles"),
+        Param(
+            "throttled_bw",
+            "float",
+            100 * KBPS,
+            "capacity each throttled link drops to (bytes/sec)",
+        ),
+        Param("start", "float", None, "first throttle, seconds after installation"),
+    )
 
-    def __init__(
-        self,
-        target=None,
-        senders=None,
-        period=25.0,
-        throttled_bw=100 * KBPS,
-        start=None,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
+    def __init__(self, target=None, senders=None, **knobs):
+        # target/senders are node ids — programmatic only, not knobs.
+        super().__init__(**knobs)
         self.target = target
         self.senders = None if senders is None else list(senders)
-        self.period = period
-        self.throttled_bw = throttled_bw
-        self.start = start
+
+    def validate(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
 
     def _resolve(self, ctx):
         target = self.target
@@ -203,40 +208,33 @@ class Oscillate(Scenario):
     """
 
     name = "oscillate"
+    params = (
+        Param("period", "float", 2.0, "seconds per full capacity swing"),
+        Param("low", "float", 0.25, "trough, as a fraction of installed capacity"),
+        Param("high", "float", 1.0, "crest, as a fraction of installed capacity"),
+        Param("wave", "str", "sine", "'sine' (smooth) or 'square' (hard switches)"),
+        Param("sample_period", "float", None, "tick interval (default: period / 8)"),
+        Param(
+            "phase_jitter", "bool", True, "random per-link phase so links don't sync"
+        ),
+        *with_defaults(WINDOW_PARAMS, start=0.0),
+    )
 
-    def __init__(
-        self,
-        period=2.0,
-        low=0.25,
-        high=1.0,
-        wave="sine",
-        sample_period=None,
-        phase_jitter=True,
-        start=0.0,
-        stop=None,
-        seed=None,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        if not 0.0 < low <= high:
+    def validate(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.low <= self.high:
             raise ValueError(
-                f"need 0 < low <= high, got low={low} high={high}"
+                f"need 0 < low <= high, got low={self.low} high={self.high}"
             )
-        if wave not in ("sine", "square"):
-            raise ValueError(f"wave must be 'sine' or 'square', got {wave!r}")
-        if sample_period is not None and sample_period <= 0:
+        if self.wave not in ("sine", "square"):
             raise ValueError(
-                f"sample_period must be > 0, got {sample_period}"
+                f"wave must be 'sine' or 'square', got {self.wave!r}"
             )
-        self.period = period
-        self.low = low
-        self.high = high
-        self.wave = wave
-        self.sample_period = sample_period
-        self.phase_jitter = phase_jitter
-        self.start = start
-        self.stop = stop
-        self.seed = seed
+        if self.sample_period is not None and self.sample_period <= 0:
+            raise ValueError(
+                f"sample_period must be > 0, got {self.sample_period}"
+            )
 
     def install(self, ctx):
         sim = ctx.sim
@@ -290,13 +288,15 @@ class FlashCrowd(Scenario):
     """
 
     name = "flash_crowd"
+    params = (
+        Param("ramp", "float", 30.0, "receivers join uniformly over this many seconds"),
+        Param("start", "float", 0.0, "delay before the first join"),
+        Param("seed", "int", None, "override the experiment seed for join times"),
+    )
 
-    def __init__(self, ramp=30.0, start=0.0, seed=None):
-        if ramp < 0:
-            raise ValueError(f"ramp must be >= 0, got {ramp}")
-        self.ramp = ramp
-        self.start = start
-        self.seed = seed
+    def validate(self):
+        if self.ramp < 0:
+            raise ValueError(f"ramp must be >= 0, got {self.ramp}")
 
     def install(self, ctx):
         rng = ctx.rng("flash_crowd", self.seed)
@@ -324,34 +324,31 @@ class Churn(Scenario):
     """
 
     name = "churn"
+    params = (
+        Param("period", "float", 20.0, "seconds between churn rounds"),
+        Param("down_time", "float", 10.0, "seconds a churned node stays dark"),
+        Param(
+            "fraction", "float", 0.1, "fraction of receivers churned per round, (0, 1]"
+        ),
+        Param(
+            "offline_capacity", "float", 16.0, "trickle capacity while dark (bytes/sec)"
+        ),
+        *WINDOW_PARAMS,
+    )
 
-    def __init__(
-        self,
-        period=20.0,
-        down_time=10.0,
-        fraction=0.1,
-        offline_capacity=16.0,
-        start=None,
-        stop=None,
-        seed=None,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        if down_time <= 0:
-            raise ValueError(f"down_time must be > 0, got {down_time}")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if offline_capacity <= 0:
+    def validate(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if self.down_time <= 0:
+            raise ValueError(f"down_time must be > 0, got {self.down_time}")
+        if not 0.0 < self.fraction <= 1.0:
             raise ValueError(
-                f"offline_capacity must be > 0, got {offline_capacity}"
+                f"fraction must be in (0, 1], got {self.fraction}"
             )
-        self.period = period
-        self.down_time = down_time
-        self.fraction = fraction
-        self.offline_capacity = offline_capacity
-        self.start = start
-        self.stop = stop
-        self.seed = seed
+        if self.offline_capacity <= 0:
+            raise ValueError(
+                f"offline_capacity must be > 0, got {self.offline_capacity}"
+            )
 
     def install(self, ctx):
         sim, topology = ctx.sim, ctx.topology
@@ -417,62 +414,3 @@ class Churn(Scenario):
 
         handle.on_cancel(restore_everyone)
         return handle
-
-
-# -- legacy installer functions ----------------------------------------------
-#
-# The original ``repro.sim.scenario`` API: plain functions called as
-# ``f(sim, topology, ...)`` returning a cancel handle.  They now build
-# the equivalent Scenario and install it immediately; behavior (RNG
-# stream, scheduling order) is unchanged.
-
-
-def correlated_decreases(
-    sim,
-    topology,
-    seed=0,
-    period=20.0,
-    victim_fraction=0.5,
-    source_fraction=0.5,
-    factor=0.5,
-    floor=32 * KBPS,
-    start=None,
-    stop=None,
-):
-    """Install the paper's periodic correlated bandwidth-decrease process.
-
-    Legacy wrapper around :class:`CorrelatedDecreases`; returns a handle
-    with ``cancel()``.
-    """
-    scenario = CorrelatedDecreases(
-        seed=seed,
-        period=period,
-        victim_fraction=victim_fraction,
-        source_fraction=source_fraction,
-        factor=factor,
-        floor=floor,
-        start=start,
-        stop=stop,
-    )
-    return scenario.install(ScenarioContext(sim, topology))
-
-
-def cascading_cuts(
-    sim,
-    topology,
-    target,
-    senders,
-    period=25.0,
-    throttled_bw=100 * KBPS,
-    start=None,
-):
-    """Install Figure 12's cascading slowdowns (legacy wrapper around
-    :class:`CascadingCuts`); returns a handle with ``cancel()``."""
-    scenario = CascadingCuts(
-        target=target,
-        senders=senders,
-        period=period,
-        throttled_bw=throttled_bw,
-        start=start,
-    )
-    return scenario.install(ScenarioContext(sim, topology))

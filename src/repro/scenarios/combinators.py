@@ -11,12 +11,7 @@ Combinators are scenarios themselves, so they nest:
 ``repeat(delay(compose(a, b), 5.0), every=60.0)``.
 """
 
-from repro.scenarios.base import (
-    CompositeHandle,
-    Scenario,
-    ScenarioHandle,
-    install_scenario,
-)
+from repro.scenarios.base import CompositeHandle, Scenario, ScenarioHandle
 
 __all__ = ["Compose", "Delay", "Repeat", "compose", "delay", "repeat"]
 
@@ -34,7 +29,7 @@ class Compose(Scenario):
     def install(self, ctx):
         handle = CompositeHandle()
         for scenario in self.scenarios:
-            handle.add(install_scenario(scenario, ctx))
+            handle.add(scenario.install(ctx))
         return handle
 
     def __repr__(self):
@@ -65,7 +60,7 @@ class Delay(Scenario):
 
         def arm():
             if not handle.cancelled:
-                handle.add(install_scenario(self.scenario, ctx))
+                handle.add(self.scenario.install(ctx))
 
         outer.add_timer(ctx.sim.schedule(self.offset, arm))
         return handle
@@ -103,7 +98,7 @@ class Repeat(Scenario):
                 return
             if state["inner"] is not None:
                 state["inner"].cancel()
-            state["inner"] = install_scenario(self.scenario, ctx)
+            state["inner"] = self.scenario.install(ctx)
             state["count"] += 1
             if self.times is None or state["count"] < self.times:
                 state["timer"] = ctx.sim.schedule(self.every, arm)

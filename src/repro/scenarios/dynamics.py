@@ -27,12 +27,13 @@ price: cancelling restores baselines exactly up to float round-trip
 bit-exact but would erase concurrent writers' changes.
 """
 
+from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
 from repro.scenarios.base import (
+    WINDOW_PARAMS,
     CompositeHandle,
     Scenario,
     ScenarioHandle,
-    install_scenario,
 )
 
 __all__ = [
@@ -85,37 +86,31 @@ class GilbertElliott(Scenario):
     """
 
     name = "gilbert_elliott"
+    params = (
+        Param(
+            "bad_loss", "float", 0.05, "loss overlaid while a link is in the bad state"
+        ),
+        Param("good_loss", "float", 0.0, "loss overlaid while in the good state"),
+        Param(
+            "mean_good", "float", 20.0, "mean seconds a link stays in the good state"
+        ),
+        Param("mean_bad", "float", 5.0, "mean seconds a link stays in the bad state"),
+        Param("sample_period", "float", 1.0, "Markov-chain tick interval in seconds"),
+        *with_defaults(WINDOW_PARAMS, start=0.0),
+    )
 
-    def __init__(
-        self,
-        bad_loss=0.05,
-        good_loss=0.0,
-        mean_good=20.0,
-        mean_bad=5.0,
-        sample_period=1.0,
-        start=0.0,
-        stop=None,
-        seed=None,
-    ):
-        if not 0.0 <= good_loss < 1.0:
-            raise ValueError(f"good_loss must be in [0, 1), got {good_loss}")
-        if not good_loss <= bad_loss < 1.0:
-            raise ValueError(f"need good_loss <= bad_loss < 1, got {bad_loss}")
-        if mean_good <= 0 or mean_bad <= 0:
+    def validate(self):
+        if not 0.0 <= self.good_loss < 1.0:
+            raise ValueError(f"good_loss must be in [0, 1), got {self.good_loss}")
+        if not self.good_loss <= self.bad_loss < 1.0:
+            raise ValueError(f"need good_loss <= bad_loss < 1, got {self.bad_loss}")
+        if self.mean_good <= 0 or self.mean_bad <= 0:
             raise ValueError(
                 f"mean sojourn times must be > 0, got "
-                f"good={mean_good} bad={mean_bad}"
+                f"good={self.mean_good} bad={self.mean_bad}"
             )
-        if sample_period <= 0:
-            raise ValueError(f"sample_period must be > 0, got {sample_period}")
-        self.bad_loss = bad_loss
-        self.good_loss = good_loss
-        self.mean_good = mean_good
-        self.mean_bad = mean_bad
-        self.sample_period = sample_period
-        self.start = start
-        self.stop = stop
-        self.seed = seed
+        if self.sample_period <= 0:
+            raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
 
     def _swap_overlay(self, link, old_extra, new_extra):
         """Replace this scenario's overlay on ``link``: divide out the
@@ -209,34 +204,33 @@ class AsymmetricSqueeze(Scenario):
     """
 
     name = "asymmetric_squeeze"
+    params = (
+        Param("period", "float", 20.0, "seconds between squeeze rounds"),
+        Param(
+            "fraction", "float", 0.5, "fraction of receivers squeezed per round, (0, 1]"
+        ),
+        Param("factor", "float", 0.5, "multiplier applied to each uplink, in (0, 1)"),
+        Param(
+            "floor", "float", 32 * KBPS, "uplinks never degrade below this (bytes/sec)"
+        ),
+        Param(
+            "hold",
+            "float",
+            None,
+            "release each cut after this many seconds (None: cuts are cumulative)",
+        ),
+        *WINDOW_PARAMS,
+    )
 
-    def __init__(
-        self,
-        period=20.0,
-        fraction=0.5,
-        factor=0.5,
-        floor=32 * KBPS,
-        hold=None,
-        start=None,
-        stop=None,
-        seed=None,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        if hold is not None and hold <= 0:
-            raise ValueError(f"hold must be > 0, got {hold}")
-        self.period = period
-        self.fraction = fraction
-        self.factor = factor
-        self.floor = floor
-        self.hold = hold
-        self.start = start
-        self.stop = stop
-        self.seed = seed
+    def validate(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if not 0.0 < self.factor < 1.0:
+            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
+        if self.hold is not None and self.hold <= 0:
+            raise ValueError(f"hold must be > 0, got {self.hold}")
 
     def install(self, ctx):
         sim = ctx.sim
@@ -320,35 +314,37 @@ class Lossy(Scenario):
     """
 
     name = "lossy"
+    params = (
+        Param("base", "str", "none", "scenario to overlay (any registered name)"),
+        Param(
+            "loss", "float", 0.02, "loss probability overlaid while the schedule is on"
+        ),
+        Param(
+            "period", "float", None, "square-wave cycle length (None: constant overlay)"
+        ),
+        Param("duty", "float", 0.5, "fraction of each cycle the overlay is on, (0, 1]"),
+        Param(
+            "start", "float", 0.0, "overlay (or first cycle) starts after this delay"
+        ),
+        Param(
+            "stop", "float", None, "stop after this many seconds (None: run forever)"
+        ),
+    )
 
-    def __init__(
-        self,
-        base="none",
-        loss=0.02,
-        period=None,
-        duty=0.5,
-        start=0.0,
-        stop=None,
-    ):
-        if not 0.0 < loss < 1.0:
-            raise ValueError(f"loss must be in (0, 1), got {loss}")
-        if period is not None and period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        if not 0.0 < duty <= 1.0:
-            raise ValueError(f"duty must be in (0, 1], got {duty}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if stop is not None and stop <= start:
+    def validate(self):
+        if not 0.0 < self.loss < 1.0:
+            raise ValueError(f"loss must be in (0, 1), got {self.loss}")
+        if self.period is not None and self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.duty <= 1.0:
+            raise ValueError(f"duty must be in (0, 1], got {self.duty}")
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
+        if self.stop is not None and self.stop <= self.start:
             raise ValueError(
                 f"stop must be > start (install-relative window), got "
-                f"start={start} stop={stop}"
+                f"start={self.start} stop={self.stop}"
             )
-        self.base = base
-        self.loss = loss
-        self.period = period
-        self.duty = duty
-        self.start = start
-        self.stop = stop
 
     def _resolve_base(self):
         if isinstance(self.base, str):
@@ -361,7 +357,7 @@ class Lossy(Scenario):
         sim = ctx.sim
         links = [link for _pair, link in ctx.core_links()]
         handle = CompositeHandle()
-        handle.add(install_scenario(self._resolve_base(), ctx))
+        handle.add(self._resolve_base().install(ctx))
         own = ScenarioHandle()
         handle.add(own)
         # One live off-timer slot, overwritten per cycle (appending each
@@ -429,13 +425,6 @@ class Lossy(Scenario):
         )
 
 
-def lossy(base, loss=0.02, period=None, duty=0.5, start=0.0, stop=None):
+def lossy(base, **knobs):
     """Overlay a loss schedule on ``base`` (see :class:`Lossy`)."""
-    return Lossy(
-        base=base,
-        loss=loss,
-        period=period,
-        duty=duty,
-        start=start,
-        stop=stop,
-    )
+    return Lossy(base=base, **knobs)

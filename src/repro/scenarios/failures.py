@@ -20,6 +20,7 @@ or protocol behavior — the property the sweep engine's bit-identity
 contract needs.
 """
 
+from repro.common.params import Param, with_defaults
 from repro.scenarios.base import Scenario, ScenarioHandle
 
 __all__ = [
@@ -45,40 +46,70 @@ def _pick_victims(ctx, rng, fraction, count):
     return rng.sample(receivers, max(1, min(count, cap)))
 
 
+def _checked_schedule(schedule):
+    """``schedule`` as a tuple of ``(float time, node_id)`` pairs, or a
+    clear :class:`ValueError` — never misbehavior mid-run."""
+    entries = []
+    seen = set()
+    for entry in schedule:
+        try:
+            at, node = entry
+        except (TypeError, ValueError):
+            raise ValueError(
+                "crash schedule entries must be (time, node_id) pairs, "
+                f"got {entry!r}"
+            ) from None
+        at = float(at)
+        if at != at:
+            raise ValueError("crash schedule contains a NaN time")
+        if at < 0:
+            raise ValueError(f"crash schedule time must be >= 0, got {at}")
+        if node in seen:
+            raise ValueError(f"crash schedule lists node {node!r} more than once")
+        seen.add(node)
+        entries.append((at, node))
+    return tuple(entries)
+
+
 class Crash(Scenario):
     """Seeded permanent node kills (the paper's section-1 failure case).
 
     ``count`` nodes (or ``fraction`` of the receivers when ``count`` is
     0) are chosen with the scenario RNG and crashed one ``stagger``
     apart starting at ``start``.  An explicit ``schedule`` of
-    ``(time, node_id)`` pairs overrides the random choice entirely —
-    that form is what ``run_experiment(failure_schedule=...)`` wraps.
+    ``(time, node_id)`` pairs overrides the random choice entirely; it
+    is validated up front — malformed pairs, NaN or negative times and
+    duplicate nodes at construction, unknown nodes and the source (it
+    is the data) at install, where the topology is known.
     """
 
     name = "crash"
+    params = (
+        Param("fraction", "float", 0.2, "fraction of receivers crashed, (0, 1]"),
+        Param("count", "int", 0, "exact victim count (0: use fraction)"),
+        Param("start", "float", 10.0, "first crash, seconds after installation"),
+        Param("stagger", "float", 2.0, "seconds between successive crashes"),
+        Param("seed", "int", None, "override the experiment seed for victim choice"),
+    )
 
-    def __init__(
-        self,
-        fraction=0.2,
-        count=0,
-        start=10.0,
-        stagger=2.0,
-        seed=None,
-        schedule=None,
-    ):
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if start < 0 or stagger < 0:
+    def __init__(self, schedule=None, **knobs):
+        # schedule names node ids — programmatic only, not a knob.
+        super().__init__(**knobs)
+        self.schedule = None if schedule is None else _checked_schedule(schedule)
+
+    def validate(self):
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.start < 0 or self.stagger < 0:
             raise ValueError("start and stagger must be >= 0")
-        self.fraction = fraction
-        self.count = count
-        self.start = start
-        self.stagger = stagger
-        self.seed = seed
-        self.schedule = tuple(schedule) if schedule is not None else None
 
     def _kill_plan(self, ctx):
         if self.schedule is not None:
+            for _at, node in self.schedule:
+                if node == ctx.source_id:
+                    raise ValueError("the source cannot be failed (it is the data)")
+                if node not in ctx.topology.nodes:
+                    raise ValueError(f"crash schedule names unknown node {node!r}")
             return list(self.schedule)
         rng = ctx.rng(self.name, self.seed)
         victims = _pick_victims(ctx, rng, self.fraction, self.count)
@@ -109,28 +140,19 @@ class CrashRestart(Crash):
     """
 
     name = "crash_restart"
+    params = Crash.params + (
+        Param(
+            "down_time",
+            "float",
+            15.0,
+            "seconds a crashed node stays down before rejoining",
+        ),
+    )
 
-    def __init__(
-        self,
-        fraction=0.2,
-        count=0,
-        start=10.0,
-        stagger=2.0,
-        down_time=15.0,
-        seed=None,
-        schedule=None,
-    ):
-        super().__init__(
-            fraction=fraction,
-            count=count,
-            start=start,
-            stagger=stagger,
-            seed=seed,
-            schedule=schedule,
-        )
-        if down_time <= 0:
-            raise ValueError(f"down_time must be > 0, got {down_time}")
-        self.down_time = down_time
+    def validate(self):
+        super().validate()
+        if self.down_time <= 0:
+            raise ValueError(f"down_time must be > 0, got {self.down_time}")
 
     def _fire(self, ctx, node):
         ctx.fail_node(node)
@@ -149,17 +171,19 @@ class Partition(Scenario):
     """
 
     name = "partition"
+    params = (
+        Param("islands", "int", 2, "number of islands the nodes are split into"),
+        Param("start", "float", 8.0, "partition onset, seconds after installation"),
+        Param("duration", "float", 15.0, "seconds the partition holds before healing"),
+        Param("squeeze", "float", 1e-3, "cross-island capacity multiplier while split"),
+        Param("seed", "int", None, "override the experiment seed for island choice"),
+    )
 
-    def __init__(self, islands=2, start=8.0, duration=15.0, squeeze=1e-3, seed=None):
-        if islands < 2:
-            raise ValueError(f"need at least 2 islands, got {islands}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        self.islands = islands
-        self.start = start
-        self.duration = duration
-        self.squeeze = squeeze
-        self.seed = seed
+    def validate(self):
+        if self.islands < 2:
+            raise ValueError(f"need at least 2 islands, got {self.islands}")
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
 
     def _split(self, ctx):
         rng = ctx.rng(self.name, self.seed)
@@ -198,40 +222,44 @@ class Chaos(Scenario):
     """
 
     name = "chaos"
+    params = (
+        Param("rate", "float", 0.1, "fault events per second (0: no faults at all)"),
+        Param("start", "float", 5.0, "fault window opens this many seconds in"),
+        Param("duration", "float", 120.0, "length of the fault window in seconds"),
+        Param("down_time", "float", 15.0, "downtime of crash-with-restart events"),
+        Param(
+            "partition_duration", "float", 15.0, "seconds each partition event holds"
+        ),
+        Param(
+            "crash_weight", "float", 1.0, "relative weight of permanent-crash events"
+        ),
+        Param(
+            "restart_weight",
+            "float",
+            2.0,
+            "relative weight of crash-with-restart events",
+        ),
+        Param("partition_weight", "float", 0.5, "relative weight of partition events"),
+        Param(
+            "max_dead_fraction",
+            "float",
+            0.25,
+            "cap on permanently dead receivers, [0, 1]",
+        ),
+        Param("squeeze", "float", 1e-3, "cross-island capacity multiplier while split"),
+        Param("seed", "int", None, "override the experiment seed for the fault stream"),
+    )
 
-    def __init__(
-        self,
-        rate=0.1,
-        start=5.0,
-        duration=120.0,
-        down_time=15.0,
-        partition_duration=15.0,
-        crash_weight=1.0,
-        restart_weight=2.0,
-        partition_weight=0.5,
-        max_dead_fraction=0.25,
-        squeeze=1e-3,
-        seed=None,
-    ):
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        if min(crash_weight, restart_weight, partition_weight) < 0:
+    def validate(self):
+        if self.duration < 0:
+            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if min(self.crash_weight, self.restart_weight, self.partition_weight) < 0:
             raise ValueError("event weights must be >= 0")
-        if not 0.0 <= max_dead_fraction <= 1.0:
+        if not 0.0 <= self.max_dead_fraction <= 1.0:
             raise ValueError(
-                f"max_dead_fraction must be in [0, 1], got {max_dead_fraction}"
+                "max_dead_fraction must be in [0, 1], got "
+                f"{self.max_dead_fraction}"
             )
-        self.rate = rate
-        self.start = start
-        self.duration = duration
-        self.down_time = down_time
-        self.partition_duration = partition_duration
-        self.crash_weight = crash_weight
-        self.restart_weight = restart_weight
-        self.partition_weight = partition_weight
-        self.max_dead_fraction = max_dead_fraction
-        self.squeeze = squeeze
-        self.seed = seed
 
     def _kind_menu(self):
         """The weighted event menu; subclasses extend it."""
@@ -308,36 +336,37 @@ class FailSlow(Scenario):
     """
 
     name = "fail_slow"
+    params = (
+        Param(
+            "fraction",
+            "float",
+            0.25,
+            "fraction of receivers degraded, [0, 1] (0: none)",
+        ),
+        Param("count", "int", 0, "exact victim count (0: use fraction)"),
+        Param(
+            "factor", "float", 0.2, "uplink capacity multiplier while degraded, (0, 1]"
+        ),
+        Param("stretch", "float", 2.0, "one-shot protocol timer multiplier, >= 1"),
+        Param("start", "float", 10.0, "first degradation, seconds after installation"),
+        Param("stagger", "float", 2.0, "seconds between successive degradations"),
+        Param(
+            "duration", "float", 45.0, "seconds before a victim heals (None: permanent)"
+        ),
+        Param("seed", "int", None, "override the experiment seed for victim choice"),
+    )
 
-    def __init__(
-        self,
-        fraction=0.25,
-        count=0,
-        factor=0.2,
-        stretch=2.0,
-        start=10.0,
-        stagger=2.0,
-        duration=45.0,
-        seed=None,
-    ):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if not 0.0 < factor <= 1.0:
-            raise ValueError(f"factor must be in (0, 1], got {factor}")
-        if stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {stretch}")
-        if start < 0 or stagger < 0:
+    def validate(self):
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+        if not 0.0 < self.factor <= 1.0:
+            raise ValueError(f"factor must be in (0, 1], got {self.factor}")
+        if self.stretch < 1.0:
+            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
+        if self.start < 0 or self.stagger < 0:
             raise ValueError("start and stagger must be >= 0")
-        if duration is not None and duration <= 0:
-            raise ValueError(f"duration must be > 0 or None, got {duration}")
-        self.fraction = fraction
-        self.count = count
-        self.factor = factor
-        self.stretch = stretch
-        self.start = start
-        self.stagger = stagger
-        self.duration = duration
-        self.seed = seed
+        if self.duration is not None and self.duration <= 0:
+            raise ValueError(f"duration must be > 0 or None, got {self.duration}")
 
     def _fire(self, ctx, node):
         ctx.degrade_node(
@@ -379,41 +408,39 @@ class Flaky(Scenario):
     """
 
     name = "flaky"
+    params = (
+        Param(
+            "fraction",
+            "float",
+            0.25,
+            "fraction of receivers made flaky, [0, 1] (0: none)",
+        ),
+        Param("count", "int", 0, "exact victim count (0: use fraction)"),
+        Param("loss", "float", 0.9, "loss overlaid during a window, [0, 1] (0: none)"),
+        Param("window", "float", 4.0, "seconds each loss window holds"),
+        Param("gap", "float", 8.0, "mean clean seconds between windows (exponential)"),
+        Param("start", "float", 5.0, "flaky period opens this many seconds in"),
+        Param("duration", "float", 60.0, "length of the flaky period in seconds"),
+        Param(
+            "direction", "str", "random", "'up', 'down', 'both', or 'random' per window"
+        ),
+        Param("seed", "int", None, "override the experiment seed for the schedule"),
+    )
 
-    def __init__(
-        self,
-        fraction=0.25,
-        count=0,
-        loss=0.9,
-        window=4.0,
-        gap=8.0,
-        start=5.0,
-        duration=60.0,
-        direction="random",
-        seed=None,
-    ):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {loss}")
-        if window <= 0 or gap <= 0:
+    def validate(self):
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+        if not 0.0 <= self.loss <= 1.0:
+            raise ValueError(f"loss must be in [0, 1], got {self.loss}")
+        if self.window <= 0 or self.gap <= 0:
             raise ValueError("window and gap must be > 0")
-        if start < 0 or duration < 0:
+        if self.start < 0 or self.duration < 0:
             raise ValueError("start and duration must be >= 0")
-        if direction not in ("up", "down", "both", "random"):
+        if self.direction not in ("up", "down", "both", "random"):
             raise ValueError(
                 "direction must be 'up', 'down', 'both', or 'random', "
-                f"got {direction!r}"
+                f"got {self.direction!r}"
             )
-        self.fraction = fraction
-        self.count = count
-        self.loss = loss
-        self.window = window
-        self.gap = gap
-        self.start = start
-        self.duration = duration
-        self.direction = direction
-        self.seed = seed
 
     def _fire(self, ctx, node, direction):
         ctx.flake_node(
@@ -442,6 +469,39 @@ class Flaky(Scenario):
         return handle
 
 
+#: The message-adversity rates ``adversarial`` and ``gray_chaos`` share.
+_ADVERSITY_PARAMS = (
+    Param("duplicate", "float", 0.01, "per-message duplication probability, [0, 1)"),
+    Param("reorder", "float", 0.05, "control-message reorder probability, [0, 1)"),
+    Param(
+        "reorder_window",
+        "float",
+        0.5,
+        "max extra delay for a reordered message (seconds)",
+    ),
+    Param("corrupt", "float", 0.01, "per-block payload corruption probability, [0, 1)"),
+)
+
+
+def _validate_adversity(scenario):
+    for label in ("duplicate", "reorder", "corrupt"):
+        value = getattr(scenario, label)
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{label} rate must be in [0, 1), got {value}")
+    if scenario.reorder_window <= 0:
+        raise ValueError(f"reorder_window must be > 0, got {scenario.reorder_window}")
+
+
+def _arm_adversity(scenario, ctx, rng):
+    ctx.arm_adversity(
+        rng,
+        duplicate=scenario.duplicate,
+        reorder=scenario.reorder,
+        reorder_window=scenario.reorder_window,
+        corrupt=scenario.corrupt,
+    )
+
+
 class Adversarial(Scenario):
     """Constant message-level adversity over a window.
 
@@ -458,53 +518,26 @@ class Adversarial(Scenario):
     """
 
     name = "adversarial"
+    params = (
+        *_ADVERSITY_PARAMS,
+        Param("start", "float", 5.0, "adversity arms this many seconds in"),
+        Param("stop", "float", None, "disarm at this time (None: run forever)"),
+        Param("seed", "int", None, "override the experiment seed for the mischief"),
+    )
 
-    def __init__(
-        self,
-        duplicate=0.01,
-        reorder=0.05,
-        reorder_window=0.5,
-        corrupt=0.01,
-        start=5.0,
-        stop=None,
-        seed=None,
-    ):
-        for label, value in (
-            ("duplicate", duplicate),
-            ("reorder", reorder),
-            ("corrupt", corrupt),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{label} rate must be in [0, 1), got {value}")
-        if reorder_window <= 0:
-            raise ValueError(f"reorder_window must be > 0, got {reorder_window}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if stop is not None and stop <= start:
-            raise ValueError(f"stop must be > start, got {stop}")
-        self.duplicate = duplicate
-        self.reorder = reorder
-        self.reorder_window = reorder_window
-        self.corrupt = corrupt
-        self.start = start
-        self.stop = stop
-        self.seed = seed
-
-    def _arm(self, ctx, rng):
-        ctx.arm_adversity(
-            rng,
-            duplicate=self.duplicate,
-            reorder=self.reorder,
-            reorder_window=self.reorder_window,
-            corrupt=self.corrupt,
-        )
+    def validate(self):
+        _validate_adversity(self)
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
+        if self.stop is not None and self.stop <= self.start:
+            raise ValueError(f"stop must be > start, got {self.stop}")
 
     def install(self, ctx):
         handle = ScenarioHandle()
         if self.duplicate <= 0 and self.reorder <= 0 and self.corrupt <= 0:
             return handle
         rng = ctx.rng(self.name, self.seed)
-        handle.add_timer(ctx.sim.schedule(self.start, self._arm, ctx, rng))
+        handle.add_timer(ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng))
         if self.stop is not None:
             handle.add_timer(
                 ctx.sim.schedule(self.stop, lambda: ctx.disarm_adversity())
@@ -529,91 +562,62 @@ class GrayChaos(Chaos):
     """
 
     name = "gray_chaos"
+    params = (
+        *with_defaults(
+            Chaos.params,
+            crash_weight=0.5,
+            restart_weight=1.0,
+            partition_weight=0.25,
+        ),
+        Param(
+            "degrade_weight",
+            "float",
+            2.0,
+            "relative weight of fail-slow degrade events",
+        ),
+        Param(
+            "flake_weight", "float", 1.5, "relative weight of gray-link flake events"
+        ),
+        Param(
+            "degrade_factor",
+            "float",
+            0.2,
+            "uplink multiplier of degrade events, (0, 1]",
+        ),
+        Param("stretch", "float", 2.0, "timer multiplier of degrade events, >= 1"),
+        Param(
+            "degrade_duration",
+            "float",
+            40.0,
+            "seconds a degrade event holds before healing",
+        ),
+        Param(
+            "flake_loss", "float", 0.9, "loss overlaid during a flake window, (0, 1]"
+        ),
+        Param("flake_window", "float", 4.0, "seconds each flake window holds"),
+        *with_defaults(_ADVERSITY_PARAMS, corrupt=0.02),
+    )
 
-    def __init__(
-        self,
-        rate=0.1,
-        start=5.0,
-        duration=120.0,
-        down_time=15.0,
-        partition_duration=15.0,
-        crash_weight=0.5,
-        restart_weight=1.0,
-        partition_weight=0.25,
-        degrade_weight=2.0,
-        flake_weight=1.5,
-        max_dead_fraction=0.25,
-        squeeze=1e-3,
-        degrade_factor=0.2,
-        stretch=2.0,
-        degrade_duration=40.0,
-        flake_loss=0.9,
-        flake_window=4.0,
-        duplicate=0.01,
-        reorder=0.05,
-        reorder_window=0.5,
-        corrupt=0.02,
-        seed=None,
-    ):
-        super().__init__(
-            rate=rate,
-            start=start,
-            duration=duration,
-            down_time=down_time,
-            partition_duration=partition_duration,
-            crash_weight=crash_weight,
-            restart_weight=restart_weight,
-            partition_weight=partition_weight,
-            max_dead_fraction=max_dead_fraction,
-            squeeze=squeeze,
-            seed=seed,
-        )
-        if min(degrade_weight, flake_weight) < 0:
+    def validate(self):
+        super().validate()
+        if min(self.degrade_weight, self.flake_weight) < 0:
             raise ValueError("event weights must be >= 0")
-        if not 0.0 < degrade_factor <= 1.0:
+        if not 0.0 < self.degrade_factor <= 1.0:
             raise ValueError(
-                f"degrade_factor must be in (0, 1], got {degrade_factor}"
+                f"degrade_factor must be in (0, 1], got {self.degrade_factor}"
             )
-        if stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {stretch}")
-        if degrade_duration <= 0 or flake_window <= 0:
+        if self.stretch < 1.0:
+            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
+        if self.degrade_duration <= 0 or self.flake_window <= 0:
             raise ValueError("degrade_duration and flake_window must be > 0")
-        if not 0.0 < flake_loss <= 1.0:
-            raise ValueError(f"flake_loss must be in (0, 1], got {flake_loss}")
-        for label, value in (
-            ("duplicate", duplicate),
-            ("reorder", reorder),
-            ("corrupt", corrupt),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{label} rate must be in [0, 1), got {value}")
-        if reorder_window <= 0:
-            raise ValueError(f"reorder_window must be > 0, got {reorder_window}")
-        self.degrade_weight = degrade_weight
-        self.flake_weight = flake_weight
-        self.degrade_factor = degrade_factor
-        self.stretch = stretch
-        self.degrade_duration = degrade_duration
-        self.flake_loss = flake_loss
-        self.flake_window = flake_window
-        self.duplicate = duplicate
-        self.reorder = reorder
-        self.reorder_window = reorder_window
-        self.corrupt = corrupt
+        if not 0.0 < self.flake_loss <= 1.0:
+            raise ValueError(f"flake_loss must be in (0, 1], got {self.flake_loss}")
+        _validate_adversity(self)
 
     def _kind_menu(self):
         return super()._kind_menu() + (
             ("degrade", self.degrade_weight),
             ("flake", self.flake_weight),
-        )
-
-    def _arm_adversity(self, ctx, rng):
-        ctx.arm_adversity(
-            rng,
-            duplicate=self.duplicate,
-            reorder=self.reorder,
-            reorder_window=self.reorder_window,
-            corrupt=self.corrupt,
         )
 
     def install(self, ctx):
@@ -625,7 +629,7 @@ class GrayChaos(Chaos):
             # message and must not perturb the fault timeline's draws.
             rng = ctx.rng(f"{self.name}.adversity", self.seed)
             handle.add_timer(
-                ctx.sim.schedule(self.start, self._arm_adversity, ctx, rng)
+                ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
             )
             handle.on_cancel(lambda: ctx.disarm_adversity())
         return handle

@@ -34,6 +34,7 @@ including the loss and delay columns.
 
 import json
 
+from repro.common.params import Param
 from repro.scenarios.base import Scenario, ScenarioHandle
 
 __all__ = [
@@ -292,18 +293,28 @@ class TraceReplay(Scenario):
     """
 
     name = "trace_replay"
+    params = (
+        Param(
+            "path",
+            "str",
+            None,
+            "trace file (.json or .csv) to replay (default: built-in demo dip)",
+        ),
+        Param(
+            "time_scale", "float", 1.0, "stretch (>1) or compress (<1) the trace clock"
+        ),
+    )
 
-    def __init__(self, events=None, path=None, time_scale=1.0):
-        if events is not None and path is not None:
+    def __init__(self, events=None, **knobs):
+        # events is an in-memory trace — programmatic only, not a knob.
+        super().__init__(**knobs)
+        if events is not None and self.path is not None:
             raise ValueError("pass events or path, not both")
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be > 0, got {time_scale}")
-        if path is not None:
-            events = read_trace(path)
+        if self.path is not None:
+            events = read_trace(self.path)
         elif events is None:
-            events = [dict(e) for e in DEMO_EVENTS]
+            events = DEMO_EVENTS
         self.events = [dict(e) for e in events]
-        self.time_scale = time_scale
         for event in self.events:
             if "t" not in event or "link" not in event:
                 raise ValueError(f"trace event missing t/link: {event!r}")
@@ -318,6 +329,12 @@ class TraceReplay(Scenario):
                     f"trace event needs at least one of "
                     f"capacity/scale/loss/delay: {event!r}"
                 )
+
+    def validate(self):
+        if self.time_scale <= 0:
+            raise ValueError(
+                f"time_scale must be > 0, got {self.time_scale}"
+            )
 
     def _targets(self, ctx, key):
         if key == "*":

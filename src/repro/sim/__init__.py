@@ -13,8 +13,6 @@ simulator:
   of link capacity with a per-flow Mathis loss cap and slow-start ramp.
 - :mod:`repro.sim.transport` — reliable in-order message connections with
   the sender-queue accounting Bullet' flow control needs.
-- :mod:`repro.sim.scenario` — compat shim; dynamic network conditions
-  now live in the :mod:`repro.scenarios` package.
 - :mod:`repro.sim.trace` — experiment metrics.
 """
 

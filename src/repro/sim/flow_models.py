@@ -41,7 +41,8 @@ at any worker count — the same contract the golden matrix pins for
 import math
 from collections import deque
 
-from repro.harness.registry import FLOW_MODELS, Param
+from repro.common.params import Param
+from repro.harness.registry import FLOW_MODELS
 from repro.sim.tcp import FlowModel, TcpModel
 
 __all__ = ["BbrModel", "AutorateModel"]
@@ -75,24 +76,31 @@ class BbrModel(FlowModel):
 
     name = "bbr"
     dynamic = True
+    params = FlowModel.params + (
+        Param(
+            "window", "float", 10.0, "max-filter window over delivery samples (seconds)"
+        ),
+        Param("probe_gain", "float", 1.25, "pacing gain in the probe phase"),
+        Param("drain_gain", "float", 0.75, "pacing gain in the drain phase"),
+        Param(
+            "cwnd_gain", "float", 2.0, "inflight bound as a multiple of estimated BDP"
+        ),
+        Param(
+            "phase_time", "float", 0.25, "duration of one gain-cycle phase (seconds)"
+        ),
+    )
 
-    def __init__(self, window=10.0, probe_gain=1.25, drain_gain=0.75,
-                 cwnd_gain=2.0, phase_time=0.25, **kwargs):
-        super().__init__(**kwargs)
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        if phase_time <= 0:
-            raise ValueError(f"phase_time must be > 0, got {phase_time}")
-        if drain_gain <= 0 or probe_gain <= 0 or cwnd_gain <= 0:
+    def validate(self):
+        if self.window <= 0:
+            raise ValueError(f"window must be > 0, got {self.window}")
+        if self.phase_time <= 0:
+            raise ValueError(f"phase_time must be > 0, got {self.phase_time}")
+        if self.drain_gain <= 0 or self.probe_gain <= 0 or self.cwnd_gain <= 0:
             raise ValueError("gains must be > 0")
-        self.window = window
-        self.probe_gain = probe_gain
-        self.drain_gain = drain_gain
-        self.cwnd_gain = cwnd_gain
-        self.phase_time = phase_time
         #: BBR's ProbeBW gain cycle: one probe phase, one drain phase,
-        #: six cruise phases.
-        self.gains = (probe_gain, drain_gain, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        #: six cruise phases (precomputed: ``dynamic_cap`` indexes it per
+        #: fill).
+        self.gains = (self.probe_gain, self.drain_gain, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def steady_state_cap(self, links):
         # Loss-insensitive: no static bound, the windowed estimator is
@@ -185,31 +193,50 @@ class AutorateModel(FlowModel):
 
     name = "autorate"
     dynamic = True
+    params = FlowModel.params + (
+        Param(
+            "control_interval",
+            "float",
+            0.05,
+            "seconds of simulated time per control tick",
+        ),
+        Param(
+            "yellow_delta",
+            "float",
+            0.01,
+            "RTT increase over baseline entering YELLOW (seconds)",
+        ),
+        Param(
+            "red_delta",
+            "float",
+            0.03,
+            "RTT increase over baseline entering RED (seconds)",
+        ),
+        Param("yellow_loss", "float", 0.01, "path loss probability entering YELLOW"),
+        Param("red_loss", "float", 0.04, "path loss probability entering RED"),
+        Param("backoff", "float", 0.5, "multiplicative cap factor per RED tick"),
+        Param(
+            "floor_frac", "float", 0.2, "cap floor as a fraction of the best rate seen"
+        ),
+        Param(
+            "step_frac",
+            "float",
+            0.05,
+            "recovery step as a fraction of the best rate seen",
+        ),
+        Param("recovery_ticks", "int", 5, "consecutive GREEN ticks per recovery step"),
+    )
 
-    def __init__(self, control_interval=0.05, yellow_delta=0.01,
-                 red_delta=0.03, yellow_loss=0.01, red_loss=0.04,
-                 backoff=0.5, floor_frac=0.2, step_frac=0.05,
-                 recovery_ticks=5, **kwargs):
-        super().__init__(**kwargs)
-        if control_interval <= 0:
+    def validate(self):
+        if self.control_interval <= 0:
             raise ValueError(
-                f"control_interval must be > 0, got {control_interval}"
+                f"control_interval must be > 0, got {self.control_interval}"
             )
-        if not 0.0 < backoff < 1.0:
-            raise ValueError(f"backoff must be in (0, 1), got {backoff}")
-        if recovery_ticks < 1:
-            raise ValueError(
-                f"recovery_ticks must be >= 1, got {recovery_ticks}"
-            )
-        self.control_interval = control_interval
-        self.yellow_delta = yellow_delta
-        self.red_delta = red_delta
-        self.yellow_loss = yellow_loss
-        self.red_loss = red_loss
-        self.backoff = backoff
-        self.floor_frac = floor_frac
-        self.step_frac = step_frac
-        self.recovery_ticks = int(recovery_ticks)
+        if not 0.0 < self.backoff < 1.0:
+            raise ValueError(f"backoff must be in (0, 1), got {self.backoff}")
+        if self.recovery_ticks < 1:
+            raise ValueError(f"recovery_ticks must be >= 1, got {self.recovery_ticks}")
+        self.recovery_ticks = int(self.recovery_ticks)
 
     def steady_state_cap(self, links):
         # The shaper, not loss arithmetic, is the bound.
@@ -278,87 +305,31 @@ class AutorateModel(FlowModel):
         return st.cap
 
 
-def _register():
-    FLOW_MODELS.register(
-        "reno",
-        TcpModel,
-        description=(
-            "loss-based Reno-shaped cap (Mathis model) — the paper's "
-            "underlay and the default"
-        ),
-        aliases=("tcp", "mathis"),
-        params=(
-            Param("mss", "int", 1460,
-                  "TCP maximum segment size (bytes)"),
-            Param("min_rto", "float", 0.2,
-                  "lower bound on the RTO estimate (seconds)"),
-            Param("ramp_initial_segments", "int", 4,
-                  "slow-start initial window (segments)"),
-        ),
-    )
-    FLOW_MODELS.register(
-        "bbr",
-        BbrModel,
-        description=(
-            "windowed-max delivery-rate estimator with probe/drain "
-            "gain cycle; loss-insensitive, delay-bounded inflight"
-        ),
-        aliases=("bbr_style",),
-        params=(
-            Param("window", "float", 10.0,
-                  "max-filter window over delivery samples (seconds)"),
-            Param("probe_gain", "float", 1.25,
-                  "pacing gain in the probe phase"),
-            Param("drain_gain", "float", 0.75,
-                  "pacing gain in the drain phase"),
-            Param("cwnd_gain", "float", 2.0,
-                  "inflight bound as a multiple of estimated BDP"),
-            Param("phase_time", "float", 0.25,
-                  "duration of one gain-cycle phase (seconds)"),
-            Param("mss", "int", 1460,
-                  "TCP maximum segment size (bytes)"),
-            Param("min_rto", "float", 0.2,
-                  "lower bound on the RTO estimate (seconds)"),
-            Param("ramp_initial_segments", "int", 4,
-                  "slow-start initial window (segments)"),
-        ),
-    )
-    FLOW_MODELS.register(
-        "autorate",
-        AutorateModel,
-        description=(
-            "CAKE-autorate-style GREEN/YELLOW/RED shaper: fast "
-            "multiplicative backoff to a rate floor, slow additive "
-            "recovery"
-        ),
-        aliases=("cake_autorate", "wanctl"),
-        params=(
-            Param("control_interval", "float", 0.05,
-                  "seconds of simulated time per control tick"),
-            Param("yellow_delta", "float", 0.01,
-                  "RTT increase over baseline entering YELLOW (seconds)"),
-            Param("red_delta", "float", 0.03,
-                  "RTT increase over baseline entering RED (seconds)"),
-            Param("yellow_loss", "float", 0.01,
-                  "path loss probability entering YELLOW"),
-            Param("red_loss", "float", 0.04,
-                  "path loss probability entering RED"),
-            Param("backoff", "float", 0.5,
-                  "multiplicative cap factor per RED tick"),
-            Param("floor_frac", "float", 0.2,
-                  "cap floor as a fraction of the best rate seen"),
-            Param("step_frac", "float", 0.05,
-                  "recovery step as a fraction of the best rate seen"),
-            Param("recovery_ticks", "int", 5,
-                  "consecutive GREEN ticks per recovery step"),
-            Param("mss", "int", 1460,
-                  "TCP maximum segment size (bytes)"),
-            Param("min_rto", "float", 0.2,
-                  "lower bound on the RTO estimate (seconds)"),
-            Param("ramp_initial_segments", "int", 4,
-                  "slow-start initial window (segments)"),
-        ),
-    )
-
-
-_register()
+FLOW_MODELS.register(
+    TcpModel.name,
+    TcpModel,
+    description=(
+        "loss-based Reno-shaped cap (Mathis model) — the paper's "
+        "underlay and the default"
+    ),
+    aliases=("tcp", "mathis"),
+)
+FLOW_MODELS.register(
+    BbrModel.name,
+    BbrModel,
+    description=(
+        "windowed-max delivery-rate estimator with probe/drain "
+        "gain cycle; loss-insensitive, delay-bounded inflight"
+    ),
+    aliases=("bbr_style",),
+)
+FLOW_MODELS.register(
+    AutorateModel.name,
+    AutorateModel,
+    description=(
+        "CAKE-autorate-style GREEN/YELLOW/RED shaper: fast "
+        "multiplicative backoff to a rate floor, slow additive "
+        "recovery"
+    ),
+    aliases=("cake_autorate", "wanctl"),
+)

@@ -98,13 +98,15 @@ from bisect import insort
 from operator import attrgetter
 from operator import itemgetter
 
+from repro.common.params import Configurable, Param
+
 __all__ = ["FlowModel", "TcpModel", "Flow", "FlowNetwork"]
 
 #: TCP maximum segment size used by the rate-model caps, in bytes.
 MSS = 1460
 
 
-class FlowModel:
+class FlowModel(Configurable):
     """Abstract underlay rate-control model.
 
     A flow model answers four questions about any flow, given the links
@@ -131,7 +133,9 @@ class FlowModel:
     to the pre-interface allocator.
 
     Subclasses share the Reno-shaped RTO and exponential ramp by
-    default; both are overridable.
+    default; both are overridable.  Knobs are declared as ``params``
+    (see :class:`~repro.common.params.Configurable`); a subclass extends
+    this tuple with the knobs it adds.
     """
 
     #: Canonical registry name (display metadata; the registry is the
@@ -142,10 +146,13 @@ class FlowModel:
     #: pass so the model's control loop ticks on the allocator cadence.
     dynamic = False
 
-    def __init__(self, mss=MSS, min_rto=0.2, ramp_initial_segments=4):
-        self.mss = mss
-        self.min_rto = min_rto
-        self.ramp_initial_segments = ramp_initial_segments
+    params = (
+        Param("mss", "int", MSS, "TCP maximum segment size (bytes)"),
+        Param("min_rto", "float", 0.2, "lower bound on the RTO estimate (seconds)"),
+        Param(
+            "ramp_initial_segments", "int", 4, "slow-start initial window (segments)"
+        ),
+    )
 
     def path_loss(self, links):
         """Aggregate loss probability across ``links`` (independent drops)."""

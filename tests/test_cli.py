@@ -61,6 +61,20 @@ def test_cli_run_text_output(capsys):
     assert "median" in out
 
 
+def test_cli_run_text_output_when_no_node_completed(capsys):
+    # summary() reports median/p90/worst = None for such runs; the text
+    # report must render them, not die formatting None as a float.
+    code = main(
+        ["run", "--system", "splitstream", "--scenario", "none", "--nodes",
+         "8", "--blocks", "24", "--max-time", "0.5"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    for key in ("median", "p90", "worst"):
+        assert f"{key:14s} {'n/a':>10s}" in out
+    assert "finished       False" in out
+
+
 PROFILE_KEYS = {
     "events_processed",
     "events_per_second",

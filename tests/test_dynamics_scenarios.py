@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.registry import SCENARIOS
+from repro.harness.registry import FLOW_MODELS, SCENARIOS
 from repro.scenarios import (
     AsymmetricSqueeze,
     GilbertElliott,
@@ -305,21 +305,34 @@ class TestLossy:
 
 class TestRegistration:
     @pytest.mark.parametrize(
-        "name",
-        ["gilbert_elliott", "asymmetric_squeeze", "lossy"],
+        "registry, name",
+        [
+            pytest.param(registry, name, id=name)
+            for registry in (SCENARIOS, FLOW_MODELS)
+            for name in registry.names()
+        ],
     )
-    def test_registered_with_param_schemas(self, name):
-        entry = SCENARIOS.get(name)
-        assert entry.params, f"{name} must declare its knobs"
-        declared = {p.name for p in entry.params}
-        import inspect
-
-        signature = inspect.signature(entry.builder.__init__)
-        accepted = set(signature.parameters) - {"self"}
-        assert declared == accepted, (
-            f"{name}: declared params {sorted(declared)} != constructor "
-            f"params {sorted(accepted)}"
-        )
+    def test_registered_with_param_schemas(self, registry, name):
+        """A class's ``params`` tuple is the one declaration of its
+        knobs: the registry schema, the constructor, and the defaults."""
+        entry = registry.get(name)
+        builder = entry.builder
+        assert entry.params is builder.params
+        built = entry.build()
+        for param in entry.params:
+            assert getattr(built, param.name) == param.default, param.name
+        with pytest.raises(TypeError, match="no_such_knob"):
+            entry.build(no_such_knob=1)
+        # A subclass extends its parent's tuple: each inherited knob is
+        # the parent's own Param, or (with_defaults) differs from it
+        # only in the default — never a second hand-written declaration.
+        inherited = builder.__mro__[1].params
+        for theirs, ours in zip(inherited, builder.params[: len(inherited)]):
+            assert ours is theirs or (
+                (ours.name, ours.kind, ours.description)
+                == (theirs.name, theirs.kind, theirs.description)
+            ), ours.name
+        assert len(builder.params) >= len(inherited)
 
     def test_aliases_resolve(self):
         assert SCENARIOS.get("bursty_loss").name == "gilbert_elliott"

@@ -10,27 +10,8 @@ import pytest
 
 from repro.harness.experiment import run_experiment
 from repro.harness.systems import bullet_prime_factory, splitstream_factory
+from repro.scenarios import Crash
 from repro.sim.topology import mesh_topology
-
-# These tests deliberately keep exercising the deprecated
-# failure_schedule= compat wrapper until its removal: the deprecation
-# contract is "still works, but warns".  The warning itself is asserted
-# once, below.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_experiment.failure_schedule:DeprecationWarning"
-)
-
-
-def test_failure_schedule_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="crash"):
-        run_experiment(
-            mesh_topology(6, seed=1),
-            bullet_prime_factory(num_blocks=8, seed=1),
-            8,
-            failure_schedule=[(1.0, 3)],
-            max_time=30.0,
-            seed=1,
-        )
 
 
 def test_source_cannot_be_failed():
@@ -39,7 +20,7 @@ def test_source_cannot_be_failed():
             mesh_topology(6, seed=1),
             bullet_prime_factory(num_blocks=16, seed=1),
             16,
-            failure_schedule=[(1.0, 0)],
+            scenario=Crash(schedule=[(1.0, 0)]),
             max_time=10.0,
             seed=1,
         )
@@ -50,7 +31,7 @@ def test_bullet_prime_survives_leaf_failures():
         mesh_topology(12, seed=6),
         bullet_prime_factory(num_blocks=64, seed=6),
         64,
-        failure_schedule=[(8.0, 11), (12.0, 10)],
+        scenario=Crash(schedule=[(8.0, 11), (12.0, 10)]),
         max_time=1500.0,
         seed=6,
     )
@@ -76,7 +57,7 @@ def test_bullet_prime_survives_interior_tree_failure():
         topology,
         bullet_prime_factory(num_blocks=64, seed=seed),
         64,
-        failure_schedule=[(6.0, interior)],
+        scenario=Crash(schedule=[(6.0, interior)]),
         max_time=1500.0,
         seed=seed,
     )
@@ -98,7 +79,7 @@ def test_failed_nodes_do_not_block_completion_check():
         mesh_topology(8, seed=3),
         bullet_prime_factory(num_blocks=32, seed=3),
         32,
-        failure_schedule=[(2.0, 7)],
+        scenario=Crash(schedule=[(2.0, 7)]),
         max_time=1200.0,
         seed=3,
     )
@@ -116,7 +97,7 @@ def test_mesh_beats_tree_under_failures():
         mesh_topology(16, seed=seed),
         bullet_prime_factory(num_blocks=96, seed=seed),
         96,
-        failure_schedule=failures,
+        scenario=Crash(schedule=failures),
         max_time=900.0,
         seed=seed,
     )
@@ -124,7 +105,7 @@ def test_mesh_beats_tree_under_failures():
         mesh_topology(16, seed=seed),
         splitstream_factory(num_blocks=96, seed=seed),
         96,
-        failure_schedule=failures,
+        scenario=Crash(schedule=failures),
         max_time=900.0,
         seed=seed,
     )

@@ -156,16 +156,13 @@ class TestPartitionScenario:
         assert result.invariants.ok, result.invariants.violations
 
 
-@pytest.mark.filterwarnings(
-    "ignore:run_experiment.failure_schedule:DeprecationWarning"
-)
 class TestFailureScheduleValidation:
     def _attempt(self, schedule):
         return run_experiment(
             mesh_topology(6, seed=1),
             bullet_prime_factory(num_blocks=16, seed=1),
             16,
-            failure_schedule=schedule,
+            scenario=Crash(schedule=schedule),
             max_time=10.0,
             seed=1,
         )
@@ -234,13 +231,15 @@ class TestScenarioConfigValidation:
             Chaos(max_dead_fraction=1.5)
 
     def test_failure_scenarios_need_the_harness_injector(self):
-        # Installed bare (legacy scenario(sim, topology) signature) there
-        # is no fault injector; actuation must fail loudly, not crash
-        # nodes that do not exist.
+        # Installed bare (a link-level context, no harness) there is no
+        # fault injector; actuation must fail loudly, not crash nodes
+        # that do not exist.
+        from repro.scenarios import ScenarioContext
         from repro.sim.engine import Simulator
 
         sim = Simulator()
-        handle = Crash(schedule=((1.0, 1),))(sim, mesh_topology(4, seed=1))
+        ctx = ScenarioContext(sim, mesh_topology(4, seed=1))
+        handle = Crash(schedule=((1.0, 1),)).install(ctx)
         assert handle is not None
         with pytest.raises(RuntimeError, match="fault injector"):
             sim.run(until=5.0)

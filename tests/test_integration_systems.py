@@ -12,7 +12,7 @@ from repro.harness.systems import (
     bullet_prime_factory,
     splitstream_factory,
 )
-from repro.sim.scenario import correlated_decreases
+from repro.scenarios import CorrelatedDecreases
 from repro.sim.topology import mesh_topology
 
 NB = 48
@@ -70,8 +70,7 @@ def test_bullet_prime_no_duplicate_blocks_without_push_race():
 
 
 def test_bullet_prime_survives_bandwidth_changes():
-    scenario = lambda sim, topo: correlated_decreases(sim, topo, seed=3)
-    result = _run(bullet_prime_factory, scenario=scenario)
+    result = _run(bullet_prime_factory, scenario=CorrelatedDecreases(seed=3))
     assert result.finished
 
 

@@ -93,19 +93,6 @@ class TestSystemsRegistry:
         assert SYSTEMS.get("bulletprime").name == "bullet_prime"
         assert SYSTEMS.get("bp").name == "bullet_prime"
 
-    def test_legacy_view_deprecated_but_matches_registry(self):
-        # The compat dict still works for one release, but touching it
-        # must warn with a pointer at the registry replacement.
-        from repro.harness import systems
-
-        with pytest.warns(DeprecationWarning, match="SYSTEMS"):
-            factories = systems.SYSTEM_FACTORIES
-        assert sorted(factories) == SYSTEMS.names()
-        for name, (builder, config) in factories.items():
-            entry = SYSTEMS.get(name)
-            assert entry.builder is builder
-            assert entry.extras["config"] is config
-
     def test_other_missing_attributes_still_raise(self):
         from repro.harness import systems
 
@@ -166,20 +153,34 @@ class TestParams:
         with pytest.raises(ValueError, match="expects a bool"):
             Param("b", "bool").coerce("yes")
 
+    @pytest.mark.parametrize("value", [2.7, True, "2.7", float("inf")])
+    def test_int_coercion_is_lossless_or_refused(self, value):
+        with pytest.raises(ValueError, match="expects int"):
+            Param("n", "int").coerce(value)
+
+    def test_integral_floats_are_ints(self):
+        assert Param("n", "int").coerce(3.0) == 3
+
+    @pytest.mark.parametrize("value", ["nan", float("nan")])
+    def test_float_rejects_nan(self, value):
+        with pytest.raises(ValueError, match="expects float"):
+            Param("p", "float").coerce(value)
+
     def test_duplicate_param_names_rejected(self):
+        class Twice:
+            params = (Param("p", "float"), Param("p", "int"))
+
         reg = Registry("thing")
         with pytest.raises(ValueError, match="twice"):
-            reg.register(
-                "x",
-                lambda: None,
-                params=(Param("p", "float"), Param("p", "int")),
-            )
+            reg.register("x", Twice)
 
     def test_entry_param_lookup_and_coercion(self):
+        class Thing:
+            params = (Param("p", "float", default=1.0),)
+
         reg = Registry("thing")
-        entry = reg.register(
-            "x", lambda: None, params=(Param("p", "float", default=1.0),)
-        )
+        entry = reg.register("x", Thing)
+        assert entry.params is Thing.params
         assert entry.param("p").default == 1.0
         assert entry.coerce_params({"p": "3"}) == {"p": 3.0}
         with pytest.raises(KeyError, match="no param 'q'"):

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.common.units import KBPS, MBPS
+from repro.scenarios import CascadingCuts, CorrelatedDecreases, ScenarioContext
 from repro.sim.engine import Simulator
-from repro.sim.scenario import cascading_cuts, correlated_decreases
 from repro.sim.topology import mesh_topology, star_topology
 from repro.sim.trace import TraceCollector
+
+
+def _install(scenario, sim, topo):
+    """Link-level installation: no nodes, no source, context seed 0."""
+    return scenario.install(ScenarioContext(sim, topo))
 
 
 class TestCorrelatedDecreases:
@@ -14,7 +19,7 @@ class TestCorrelatedDecreases:
         sim = Simulator()
         topo = mesh_topology(10, seed=1)
         before = {pair: link.capacity for pair, link in topo.core.items()}
-        correlated_decreases(sim, topo, seed=1, period=20.0)
+        _install(CorrelatedDecreases(seed=1, period=20.0), sim, topo)
         sim.run(until=100.0)
         after = {pair: link.capacity for pair, link in topo.core.items()}
         cut = [p for p in before if after[p] < before[p]]
@@ -33,7 +38,7 @@ class TestCorrelatedDecreases:
         sim = Simulator()
         topo = mesh_topology(20, seed=2)
         before = {pair: link.capacity for pair, link in topo.core.items()}
-        correlated_decreases(sim, topo, seed=2, period=20.0)
+        _install(CorrelatedDecreases(seed=2, period=20.0), sim, topo)
         sim.run(until=21.0)  # exactly one firing
         victims = {
             dst
@@ -45,7 +50,7 @@ class TestCorrelatedDecreases:
     def test_cancel_stops_cuts(self):
         sim = Simulator()
         topo = mesh_topology(10, seed=3)
-        handle = correlated_decreases(sim, topo, seed=3, period=10.0)
+        handle = _install(CorrelatedDecreases(seed=3, period=10.0), sim, topo)
         handle.cancel()
         before = {pair: link.capacity for pair, link in topo.core.items()}
         sim.run(until=50.0)
@@ -56,7 +61,7 @@ class TestCorrelatedDecreases:
         sim = Simulator()
         topo = mesh_topology(10, seed=4)
         losses = {pair: link.loss_rate for pair, link in topo.core.items()}
-        correlated_decreases(sim, topo, seed=4, period=10.0)
+        _install(CorrelatedDecreases(seed=4, period=10.0), sim, topo)
         sim.run(until=60.0)
         assert losses == {
             pair: link.loss_rate for pair, link in topo.core.items()
@@ -69,7 +74,7 @@ class TestCascadingCuts:
         senders = [1, 2, 3]
         special = {(s, 0): (5 * MBPS, 0.1) for s in senders}
         topo = star_topology(4, special_links=special)
-        cascading_cuts(sim, topo, target=0, senders=senders, period=25.0)
+        _install(CascadingCuts(target=0, senders=senders, period=25.0), sim, topo)
         sim.run(until=26.0)
         throttled = [
             s for s in senders if topo.core[(s, 0)].capacity == 100 * KBPS
@@ -84,7 +89,7 @@ class TestCascadingCuts:
     def test_reverse_direction_untouched(self):
         sim = Simulator()
         topo = star_topology(3)
-        cascading_cuts(sim, topo, target=0, senders=[1, 2], period=10.0)
+        _install(CascadingCuts(target=0, senders=[1, 2], period=10.0), sim, topo)
         sim.run(until=50.0)
         assert topo.core[(0, 1)].capacity == 10 * MBPS
 

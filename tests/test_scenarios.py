@@ -64,21 +64,6 @@ class TestStatic:
         assert _capacities(ctx.topology) == before
 
 
-class TestLegacyCallable:
-    def test_scenario_instances_are_legacy_installers(self):
-        # The old harness contract: scenario(sim, topology) -> handle.
-        sim = Simulator()
-        topo = mesh_topology(6, seed=2)
-        handle = CorrelatedDecreases(seed=2, period=10.0)(sim, topo)
-        before = _capacities(topo)
-        sim.run(until=50.0)
-        assert _capacities(topo) != before
-        handle.cancel()
-        frozen = _capacities(topo)
-        sim.run(until=200.0)
-        assert _capacities(topo) == frozen
-
-
 class TestCascadingCutsDefaults:
     def test_defaults_resolve_from_context(self):
         ctx = _ctx(5, source_id=0)
