@@ -1,10 +1,10 @@
 """Ablation: the XCP controller constants vs naive alternatives.
 
-DESIGN.md calls out alpha = 0.4 / beta = 0.226 (the XCP-stable gains) as
-a design choice worth ablating: this sweep compares the paper's
-constants against a sluggish controller (tiny gains) and an aggressive
-one (gains near instability), reporting completion times on the lossy
-mesh where adaptation matters.
+``core/flow_control.py`` takes alpha = 0.4 / beta = 0.226 (the XCP-stable
+gains) from the paper — a design choice worth ablating: this sweep
+compares the paper's constants against a sluggish controller (tiny
+gains) and an aggressive one (gains near instability), reporting
+completion times on the lossy mesh where adaptation matters.
 """
 
 from conftest import run_once

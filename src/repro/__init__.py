@@ -6,7 +6,8 @@ high-bandwidth file-dissemination system, against Bullet, BitTorrent and
 SplitStream, and introduces **Shotgun**, an rsync-over-overlay rapid
 synchronization tool.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (docs/reference.md describes the engines; ``python -m
+repro list`` prints everything registered):
 
 - :mod:`repro.core` — Bullet' itself: adaptive peering, rarest-random
   requests, XCP-style flow control, self-clocked diffs, the source.

@@ -60,15 +60,48 @@ import json
 import sys
 import time
 
-from repro.harness.experiment import run_experiment
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS, WORKLOADS
 from repro.harness.sweep import (
-    TOPOLOGIES,
+    AXES,
     SweepSpec,
+    execute_cell,
     golden_matrix_spec,
     run_sweep,
 )
+
+
+def _add_axis_flags(parser, flags, defaults, **kwargs):
+    """One option per ``AXES`` row that has ``flags`` (``"run_flags"``
+    or ``"sweep_flags"``) and an entry in ``defaults``."""
+    for axis in AXES:
+        names = getattr(axis, flags)
+        if names and axis.field in defaults:
+            parser.add_argument(
+                *names, dest=axis.field, default=defaults[axis.field],
+                help=axis.help, **kwargs,
+            )
+
+
+def _axis_fields(args, verb):
+    """The spec fields set by the axis options: ``run`` values as
+    typed, ``sweep`` grids split into their tokens."""
+    fields = {}
+    for axis in AXES:
+        text = getattr(args, axis.field, None)
+        if text is not None:
+            split = verb == "sweep" and not axis.scalar
+            fields[axis.grid] = axis.parse(text) if split else text
+    return fields
+
+
+def _fail(exc):
+    """Report bad input as an ``error:`` line; the exit code is 2."""
+    # KeyError str()-wraps its message in quotes; everything else
+    # formats best as-is (OSError's args[0] is a bare errno).
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _parse_figure_args(argv):
@@ -89,26 +122,21 @@ def _parse_figure_args(argv):
         choices=sorted(FIGURES) + ["all"],
         help="which figure to reproduce ('all' runs every one)",
     )
-    parser.add_argument("--nodes", type=int, default=None, help="overlay size")
-    parser.add_argument(
-        "--blocks", type=int, default=None, help="file size in blocks"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
+    # Each figure keeps its own scale unless told otherwise.
+    figure_defaults = {"nodes": None, "blocks": None, "seed": 0}
+    _add_axis_flags(parser, "run_flags", figure_defaults, type=int)
     return parser.parse_args(argv)
 
 
 def _figure_kwargs(figure_id, args):
-    kwargs = {"seed": args.seed}
     # Not every figure takes both scale knobs (fig12/fig15 fix their own
     # topologies); pass only what applies.
     import inspect
 
     accepted = inspect.signature(FIGURES[figure_id]).parameters
-    if args.nodes is not None and "num_nodes" in accepted:
-        kwargs["num_nodes"] = args.nodes
-    if args.blocks is not None and "num_blocks" in accepted:
-        kwargs["num_blocks"] = args.blocks
-    return kwargs
+    scale = {"num_nodes": args.nodes, "num_blocks": args.blocks}
+    kwargs = {k: v for k, v in scale.items() if v is not None and k in accepted}
+    return dict(kwargs, seed=args.seed)
 
 
 def _figures_command(argv):
@@ -122,46 +150,20 @@ def _figures_command(argv):
     return 0
 
 
-def _parse_run_args(argv):
+#: ``run`` shows one configuration, so it defaults to the paper's scale;
+#: the spec defaults in ``AXES`` are sized for grids of many cells.
+RUN_DEFAULTS = {axis.field: axis.default for axis in AXES}
+RUN_DEFAULTS.update(nodes=40, blocks=320, max_time=6000.0)
+
+
+def _run_parser():
     parser = argparse.ArgumentParser(
         prog="repro run",
         description=(
             "Run one registered system under one registered scenario."
         ),
     )
-    parser.add_argument(
-        "--system",
-        default="bullet_prime",
-        help="system name or alias (see 'repro list')",
-    )
-    parser.add_argument(
-        "--scenario",
-        default="none",
-        help="dynamic-network scenario name or alias (see 'repro list')",
-    )
-    parser.add_argument(
-        "--flow-model",
-        default="reno",
-        help="underlay rate-control model name or alias "
-        "(reno, bbr, autorate; see 'repro list')",
-    )
-    parser.add_argument(
-        "--topology",
-        default="mesh",
-        choices=sorted(TOPOLOGIES),
-        help="topology family (default: the paper's lossy mesh)",
-    )
-    parser.add_argument("--nodes", type=int, default=40, help="overlay size")
-    parser.add_argument(
-        "--blocks", type=int, default=320, help="file size in blocks"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--max-time",
-        type=float,
-        default=6000.0,
-        help="simulated-seconds cap",
-    )
+    _add_axis_flags(parser, "run_flags", RUN_DEFAULTS)
     parser.add_argument(
         "--trace",
         default=None,
@@ -193,64 +195,38 @@ def _parse_run_args(argv):
             "passes, component sizes, and wall-clock time"
         ),
     )
-    return parser.parse_args(argv)
+    return parser
 
 
 def _run_command(argv):
-    args = _parse_run_args(argv)
+    args = _run_parser().parse_args(argv)
     try:
-        system = SYSTEMS.get(args.system)
-        scenario_entry = SCENARIOS.get(args.scenario)
-        flow_model_entry = FLOW_MODELS.get(args.flow_model)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    scenario_kwargs = {}
-    if args.trace is not None:
-        if scenario_entry.name != "trace_replay":
-            print(
-                "error: --trace only applies to --scenario trace_replay",
-                file=sys.stderr,
-            )
-            return 2
-        scenario_kwargs["path"] = args.trace
-    try:
-        scenario = scenario_entry.build(**scenario_kwargs)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot build scenario: {exc}", file=sys.stderr)
-        return 2
-    topology = TOPOLOGIES[args.topology](args.nodes, seed=args.seed)
-
+        fields = _axis_fields(args, "run")
+        if args.trace is not None:
+            if SCENARIOS.get(args.scenario).name != "trace_replay":
+                raise ValueError("--trace only applies to --scenario trace_replay")
+            fields["scenarios"] = {
+                "name": args.scenario, "params": {"path": args.trace}
+            }
+        # A run is a one-cell sweep: same checks, same execution path.
+        (cell,) = SweepSpec.from_dict(fields).expand()
+    except (ValueError, KeyError) as exc:
+        return _fail(exc)
     started = time.time()
-    result = run_experiment(
-        topology,
-        system.builder(num_blocks=args.blocks, seed=args.seed),
-        args.blocks,
-        scenario=scenario,
-        max_time=args.max_time,
-        seed=args.seed,
-        flow_model=flow_model_entry.name,
-        watchdog_window=args.watchdog_window,
-        check_invariants=not args.no_invariants,
-    )
+    try:
+        result = execute_cell(
+            cell,
+            watchdog_window=args.watchdog_window,
+            check_invariants=not args.no_invariants,
+        )
+    except (OSError, ValueError) as exc:
+        # What the layers below refuse about their input: an unreadable
+        # trace file, an out-of-range scenario knob, the watchdog window.
+        return _fail(exc)
     elapsed = time.time() - started
     summary = result.summary()
     failed_nodes = sorted(result.failed_nodes)
-    fd_counters = {
-        key: summary["perf"][key]
-        for key in (
-            "fd_retries",
-            "fd_suspects",
-            "fd_rerequests",
-            "fd_rejoins",
-            "gray_quarantines",
-            "gray_reprobes",
-            "gray_corrupt_detected",
-            "gray_dup_dropped",
-            "gray_reordered",
-            "watchdog_fired",
-        )
-    }
+    fault_counters = result.extra_perf
     invariant_report = (
         result.invariants.report() if result.invariants is not None else None
     )
@@ -263,32 +239,26 @@ def _run_command(argv):
         profile["wall_seconds"] = round(elapsed, 3)
     if args.json:
         doc = {
-            "system": system.name,
-            "scenario": scenario_entry.name,
-            "flow_model": flow_model_entry.name,
-            "topology": args.topology,
-            "nodes": args.nodes,
-            "blocks": args.blocks,
-            "seed": args.seed,
-            "summary": summary,
-            "failed_nodes": failed_nodes,
-            "wall_seconds": round(elapsed, 3),
+            axis.field: getattr(cell, axis.field)
+            for axis in AXES
+            if not axis.scalar
         }
+        doc.update(
+            summary=summary,
+            failed_nodes=failed_nodes,
+            wall_seconds=round(elapsed, 3),
+        )
         if invariant_report is not None:
             doc["invariants"] = invariant_report
         if profile is not None:
             doc["profile"] = profile
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
-        underlay = (
-            ""
-            if flow_model_entry.name == "reno"
-            else f" over {flow_model_entry.name}"
-        )
+        underlay = "" if cell.flow_model == "reno" else f" over {cell.flow_model}"
         print(
-            f"{system.name} under {scenario_entry.name}{underlay} on "
-            f"{args.topology}({args.nodes} nodes, {args.blocks} blocks, "
-            f"seed {args.seed}):"
+            f"{cell.system} under {cell.scenario}{underlay} on "
+            f"{cell.topology}({cell.nodes} nodes, {cell.blocks} blocks, "
+            f"seed {cell.seed}):"
         )
         for key in ("median", "p90", "worst"):
             # None when no node completed (see ExperimentResult.summary).
@@ -298,25 +268,15 @@ def _run_command(argv):
         print(f"  {'finished':14s} {summary['finished']}")
         print(f"  {'duplicates':14s} {summary['duplicates']}")
         print(f"  {'control bytes':14s} {summary['control_bytes']}")
-        if failed_nodes or any(fd_counters.values()):
+        if failed_nodes or any(fault_counters.values()):
             print(f"  {'failed nodes':14s} {failed_nodes}")
-            for key in (
-                "fd_retries",
-                "fd_suspects",
-                "fd_rerequests",
-                "fd_rejoins",
-            ):
-                print(f"  {key:14s} {fd_counters[key]}")
-            for key in (
-                "gray_quarantines",
-                "gray_reprobes",
-                "gray_corrupt_detected",
-                "gray_dup_dropped",
-                "gray_reordered",
-            ):
-                if fd_counters[key]:
-                    print(f"  {key:22s} {fd_counters[key]}")
-            watchdog = "FIRED" if fd_counters["watchdog_fired"] else "clean"
+            for key, value in fault_counters.items():
+                # Detector counters always; gray ones only when they moved.
+                if key.startswith("fd_"):
+                    print(f"  {key:14s} {value}")
+                elif key.startswith("gray_") and value:
+                    print(f"  {key:22s} {value}")
+            watchdog = "FIRED" if fault_counters["watchdog_fired"] else "clean"
             print(f"  {'watchdog':14s} {watchdog}")
         if invariant_report is not None:
             state = (
@@ -330,23 +290,9 @@ def _run_command(argv):
             )
         if profile is not None:
             print("profile:")
-            for key in (
-                "events_processed",
-                "events_per_second",
-                "timers_allocated",
-                "timers_recycled",
-                "same_time_batched",
-                "heap_compactions",
-                "reallocations",
-                "components_allocated",
-                "flows_allocated",
-                "fill_rounds",
-                "path_refreshes",
-                "max_component_size",
-                "mean_component_size",
-                "wall_seconds",
-            ):
-                print(f"  {key:22s} {profile[key]}")
+            for key, value in profile.items():
+                if key not in fault_counters:  # those have their own rows
+                    print(f"  {key:22s} {value}")
         print(f"[completed in {elapsed:.1f}s]")
     if invariant_report is not None and not invariant_report["ok"]:
         for violation in invariant_report["violations"][:10]:
@@ -355,14 +301,15 @@ def _run_command(argv):
     return 0
 
 
-def _parse_sweep_args(argv):
+def _sweep_parser():
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description=(
             "Run a parameter sweep: a grid over systems, scenarios "
             "(with per-scenario parameter grids via --spec), topologies, "
-            "scales, and seeds, executed across a worker pool.  Results "
-            "are bit-identical for any --workers value."
+            "scales, and seeds — each grid option takes comma-separated "
+            "values — executed across a worker pool.  Results are "
+            "bit-identical for any --workers value."
         ),
     )
     parser.add_argument(
@@ -377,42 +324,8 @@ def _parse_sweep_args(argv):
         help="use the built-in acceptance matrix: every system x every "
         "scenario x seeds 1,3,5,7 on the 8-node mesh (288 cells)",
     )
-    parser.add_argument(
-        "--systems", default=None, help="comma-separated system names/aliases"
-    )
-    parser.add_argument(
-        "--scenarios",
-        default=None,
-        help="comma-separated scenario names/aliases",
-    )
-    parser.add_argument(
-        "--flow-models",
-        "--flow-model",
-        dest="flow_models",
-        default=None,
-        help="comma-separated underlay flow-model names/aliases "
-        "(reno, bbr, autorate)",
-    )
-    parser.add_argument(
-        "--topologies",
-        default=None,
-        help=f"comma-separated topology families ({', '.join(sorted(TOPOLOGIES))})",
-    )
-    parser.add_argument(
-        "--nodes", default=None, help="comma-separated overlay sizes"
-    )
-    parser.add_argument(
-        "--blocks", default=None, help="comma-separated file sizes in blocks"
-    )
-    parser.add_argument(
-        "--seeds",
-        default=None,
-        help="seeds: comma-separated values and/or start:stop ranges "
-        "(e.g. '0:4' or '1,3,5:8')",
-    )
-    parser.add_argument(
-        "--max-time", type=float, default=None, help="simulated-seconds cap"
-    )
+    # Unset unless given, so a --spec file's values survive.
+    _add_axis_flags(parser, "sweep_flags", dict.fromkeys(RUN_DEFAULTS))
     parser.add_argument(
         "--workers",
         type=int,
@@ -443,44 +356,17 @@ def _parse_sweep_args(argv):
         help="compare summaries against a recorded golden-summaries JSON "
         "file; exit 1 on any bit-level mismatch",
     )
-    return parser.parse_args(argv)
-
-
-def _parse_seeds(text):
-    seeds = []
-    for token in text.split(","):
-        token = token.strip()
-        if ":" in token:
-            start, _, stop = token.partition(":")
-            seeds.extend(range(int(start), int(stop)))
-        elif token:
-            seeds.append(int(token))
-    return seeds
-
-
-def _comma_list(text):
-    return [token.strip() for token in text.split(",") if token.strip()]
+    return parser
 
 
 def _build_sweep_spec(args):
+    fields = _axis_fields(args, "sweep")
     if args.golden_matrix:
         # The acceptance matrix is fixed by definition; silently
         # ignoring grid flags would let a user believe an override took
         # effect when it never could.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--spec", args.spec),
-                ("--systems", args.systems),
-                ("--scenarios", args.scenarios),
-                ("--flow-models", args.flow_models),
-                ("--topologies", args.topologies),
-                ("--nodes", args.nodes),
-                ("--blocks", args.blocks),
-                ("--seeds", args.seeds),
-                ("--max-time", args.max_time),
-            )
-            if value is not None
+        conflicting = ["--spec"] * (args.spec is not None) + [
+            axis.sweep_flags[0] for axis in AXES if axis.grid in fields
         ]
         if conflicting:
             raise ValueError(
@@ -488,28 +374,11 @@ def _build_sweep_spec(args):
                 f"{', '.join(conflicting)}"
             )
         return golden_matrix_spec()
-    doc = {}
     if args.spec is not None:
         # Normalize through SweepSpec so flag overrides apply on top of
         # a validated file.
-        doc = SweepSpec.from_file(args.spec).to_dict()
-    if args.systems is not None:
-        doc["systems"] = _comma_list(args.systems)
-    if args.scenarios is not None:
-        doc["scenarios"] = _comma_list(args.scenarios)
-    if args.flow_models is not None:
-        doc["flow_models"] = _comma_list(args.flow_models)
-    if args.topologies is not None:
-        doc["topologies"] = _comma_list(args.topologies)
-    if args.nodes is not None:
-        doc["nodes"] = [int(n) for n in _comma_list(args.nodes)]
-    if args.blocks is not None:
-        doc["blocks"] = [int(b) for b in _comma_list(args.blocks)]
-    if args.seeds is not None:
-        doc["seeds"] = _parse_seeds(args.seeds)
-    if args.max_time is not None:
-        doc["max_time"] = args.max_time
-    return SweepSpec.from_dict(doc)
+        fields = {**SweepSpec.from_file(args.spec).to_dict(), **fields}
+    return SweepSpec.from_dict(fields)
 
 
 def _check_golden(result, golden):
@@ -567,7 +436,7 @@ def _check_golden(result, golden):
 
 
 def _sweep_command(argv):
-    args = _parse_sweep_args(argv)
+    args = _sweep_parser().parse_args(argv)
     golden = None
     try:
         spec = _build_sweep_spec(args)
@@ -577,11 +446,7 @@ def _sweep_command(argv):
             with open(args.check_golden, encoding="utf-8") as fh:
                 golden = json.load(fh)
     except (OSError, ValueError, KeyError) as exc:
-        # KeyError str()-wraps its message in quotes; everything else
-        # formats best as-is (OSError's args[0] is a bare errno).
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _fail(exc)
 
     def progress(done, total, key):
         print(f"[{done}/{total}] {key}", file=sys.stderr)
@@ -719,9 +584,7 @@ def _compare_command(argv):
             else:
                 text = compare.render_markdown(doc) + "\n"
     except (OSError, ValueError, KeyError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     print(text, end="")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -780,8 +643,7 @@ def _perf_gate_command(argv):
             return 0
         baseline = perf_gate.load_json(args.baseline)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     problems = perf_gate.check_ledger(ledger, baseline)
     if problems:
         print("perf-counter gate FAILED:", file=sys.stderr)

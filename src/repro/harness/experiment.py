@@ -11,6 +11,7 @@ import gc
 
 from repro.common.rng import split_rng
 from repro.harness.faults import FaultInjector, LivenessWatchdog
+from repro.overlay.node import FAILURE_COUNTERS
 from repro.overlay.tree import build_random_tree
 from repro.scenarios.base import Scenario, ScenarioContext
 from repro.sim.engine import Simulator
@@ -281,33 +282,15 @@ def run_experiment(
     finished = not injector.pending_restarts and all(
         r in trace.completion_times for r in survivors()
     )
-    fd_totals = {
-        "retries": 0,
-        "suspects": 0,
-        "rerequests": 0,
-        "rejoins": 0,
-        "quarantines": 0,
-        "reprobes": 0,
-        "corrupt_detected": 0,
-    }
-    for node in nodes.values():
-        for key, value in node.failure_stats.items():
-            fd_totals[key] = fd_totals.get(key, 0) + value
-    for key, value in injector.salvaged_stats.items():
-        fd_totals[key] = fd_totals.get(key, 0) + value
+    extra_perf = dict.fromkeys(FAILURE_COUNTERS.values(), 0)
+    per_node = [node.failure_stats for node in nodes.values()]
+    for stats in (*per_node, injector.salvaged_stats):
+        for key, value in stats.items():
+            extra_perf[FAILURE_COUNTERS[key]] += value
     adversity = injector.adversity
-    extra_perf = {
-        "fd_retries": fd_totals["retries"],
-        "fd_suspects": fd_totals["suspects"],
-        "fd_rerequests": fd_totals["rerequests"],
-        "fd_rejoins": fd_totals["rejoins"],
-        "gray_quarantines": fd_totals["quarantines"],
-        "gray_reprobes": fd_totals["reprobes"],
-        "gray_corrupt_detected": fd_totals["corrupt_detected"],
-        "gray_dup_dropped": adversity.stats["dup_dropped"] if adversity else 0,
-        "gray_reordered": adversity.stats["reordered"] if adversity else 0,
-        "watchdog_fired": 1 if watchdog.fired else 0,
-    }
+    extra_perf["gray_dup_dropped"] = adversity.stats["dup_dropped"] if adversity else 0
+    extra_perf["gray_reordered"] = adversity.stats["reordered"] if adversity else 0
+    extra_perf["watchdog_fired"] = 1 if watchdog.fired else 0
     result = ExperimentResult(
         trace, nodes, sim, finished, flows=flows, extra_perf=extra_perf
     )

@@ -1,12 +1,10 @@
 """Fault injection: crashes, restarts, partitions, gray failures, liveness.
 
 The :class:`FaultInjector` is the one actuation point for node-level
-failures.  Scenarios reach it through the
-:class:`~repro.scenarios.base.ScenarioContext` actuators
-(``fail_node`` / ``restart_node`` / ``partition`` / ``degrade_node`` /
-``flake_node`` / ``arm_adversity``); the experiment harness builds one
-per run and reads its ``failed`` / ``pending_restarts`` sets for the
-completion condition.
+failures.  Scenarios reach it as ``ctx.faults`` on their
+:class:`~repro.scenarios.base.ScenarioContext`; the experiment harness
+builds one per run and reads its ``failed`` / ``pending_restarts`` sets
+for the completion condition.
 
 Crash semantics are *silent*: a crashed node aborts every connection
 without notifying peers (no FINs cross the wire) and its endpoint
@@ -28,30 +26,9 @@ detection; arming them under plain crash scenarios would perturb the
 recorded crash/chaos timelines.
 """
 
+from repro.sim.links import _overlay_loss, _remove_loss
+
 __all__ = ["FaultInjector", "LivenessWatchdog"]
-
-
-def _overlay_loss(current, extra):
-    """Add an independent loss process on top of ``current`` (same
-    multiplicative composition and clamping as the scenario-side
-    ``repro.scenarios.dynamics._overlay_loss`` — kept local so the
-    harness never imports the scenario package)."""
-    value = 1.0 - (1.0 - current) * (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
-
-
-def _remove_loss(current, extra):
-    """Inverse of :func:`_overlay_loss` (same clamping)."""
-    value = 1.0 - (1.0 - current) / (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
 
 
 class LivenessWatchdog:

@@ -5,8 +5,9 @@ by default so the whole suite completes on a laptop; pass larger
 ``num_nodes`` / ``num_blocks`` for paper scale) and returns a
 :class:`~repro.harness.report.FigureData`.
 
-The experiment index in DESIGN.md maps each function to the paper's
-figure and to the benchmark that regenerates it.
+``FIGURES`` at the bottom of this module maps each id to its function
+(``python -m repro list`` prints the ids); ``benchmarks/test_bench_figN.py``
+regenerates figure N.
 
 Figures are thin consumers of the registries: systems come from
 :data:`repro.harness.registry.SYSTEMS` and dynamic conditions are
@@ -495,7 +496,7 @@ FIGURES = {
 
 
 def run_figure(figure_id, **kwargs):
-    """Run one figure's experiment by id (see DESIGN.md's index)."""
+    """Run one figure's experiment by id (a key of ``FIGURES``)."""
     try:
         fn = FIGURES[figure_id]
     except KeyError:

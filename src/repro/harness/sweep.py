@@ -4,6 +4,8 @@ A sweep is a declarative grid — systems x scenarios (with per-scenario
 parameter grids) x flow models x topologies x node counts x block
 counts x seeds — expanded into independent *cells*, each one exactly the experiment
 :func:`repro.harness.experiment.run_experiment` would run by hand.
+The dimensions are declared once, in :data:`AXES`; the spec, the cells'
+nesting order and the ``run``/``sweep`` command lines all read that table.
 Cells execute serially or across a multiprocess worker pool; because
 every cell is a self-contained deterministic simulation seeded only by
 its own spec fields, the merged output is **bit-identical regardless of
@@ -28,6 +30,7 @@ store with ``--out``.
 import itertools
 import json
 import multiprocessing
+from collections import namedtuple
 
 from repro.common import stats
 from repro.harness.experiment import run_experiment
@@ -40,11 +43,13 @@ from repro.sim.topology import (
 )
 
 __all__ = [
+    "AXES",
     "TOPOLOGIES",
     "StoreView",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
+    "execute_cell",
     "golden_matrix_spec",
     "record_cell",
     "run_cell",
@@ -66,48 +71,32 @@ def _comparable_value(value):
     return json.loads(json.dumps(value))
 
 
-class SweepCell:
-    """One fully-resolved experiment: the atom a sweep executes.
+class SweepCell(
+    namedtuple(
+        "SweepCell",
+        "system scenario scenario_params topology nodes blocks seed max_time "
+        "tree_fanout flow_model",
+        defaults=(4, "reno"),
+    )
+):
+    """One fully-resolved experiment: the atom a sweep executes, and
+    the whole of what ``repro run`` runs.
 
     ``scenario_params`` is a plain dict in sorted-key order; all names
-    are canonical registry names.  Cells are value objects — they
-    round-trip through :meth:`to_dict`/:meth:`from_dict` (how they cross
-    the process boundary to pool workers).
+    are canonical registry names.  Cells are immutable value objects —
+    they round-trip through :meth:`to_dict`/:meth:`from_dict` (how they
+    cross the process boundary to pool workers).
     """
 
-    __slots__ = (
-        "system",
-        "scenario",
-        "scenario_params",
-        "topology",
-        "nodes",
-        "blocks",
-        "seed",
-        "max_time",
-        "tree_fanout",
-        "flow_model",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
-        system,
-        scenario,
-        scenario_params,
-        topology,
-        nodes,
-        blocks,
-        seed,
-        max_time,
-        tree_fanout=4,
-        flow_model="reno",
-    ):
-        self.system = system
-        self.scenario = scenario
-        self.scenario_params = {
-            key: _comparable_value(scenario_params[key])
-            for key in sorted(scenario_params)
+    def __new__(cls, *args, **kwargs):
+        cell = super().__new__(cls, *args, **kwargs)
+        params = {
+            key: _comparable_value(cell.scenario_params[key])
+            for key in sorted(cell.scenario_params)
         }
-        for key, value in self.scenario_params.items():
+        for key, value in params.items():
             # '|' is the cell-key field separator; a param value
             # containing it (a trace path, a lossy base spec, ...) would
             # render keys that are ambiguous to every key consumer.
@@ -120,17 +109,13 @@ class SweepCell:
                     "cell-key field separator; use a value without '|' "
                     "(e.g. rename the file for trace_replay's 'path')"
                 )
-        self.topology = topology
-        self.nodes = nodes
-        self.blocks = blocks
-        self.seed = seed
-        self.max_time = max_time
-        self.tree_fanout = tree_fanout
-        # Canonicalized through the registry so aliases ("wanctl") and
-        # the canonical name render identical cell keys, and an unknown
-        # model fails here — at spec/record time — with the registry's
-        # clear "available: [...]" error, not mid-sweep.
-        self.flow_model = FLOW_MODELS.get(flow_model).name
+        # The flow model is canonicalized through the registry so
+        # aliases ("wanctl") and the canonical name render identical
+        # cell keys, and an unknown model fails here — at spec/record
+        # time — with the registry's clear "available: [...]" error.
+        return cell._replace(
+            scenario_params=params, flow_model=FLOW_MODELS.get(cell.flow_model).name
+        )
 
     def condition_key(self):
         """Cell identity minus system and seed — everything a paired
@@ -161,7 +146,7 @@ class SweepCell:
         return f"{self.group_key()}|s{self.seed}"
 
     def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, doc):
@@ -174,104 +159,204 @@ class SweepCell:
 def _as_list(value, what):
     if isinstance(value, (str, int, float, dict)):
         return [value]
-    values = list(value)
+    try:
+        values = list(value)
+    except TypeError:
+        raise ValueError(
+            f"sweep spec: {what} must be a value or a list of values, "
+            f"got {value!r}"
+        ) from None
     if not values:
         raise ValueError(f"sweep spec: {what} must not be empty")
     return values
 
 
+# -- axis checks: one value in, its canonical form out (or ValueError /
+# the registry's "unknown ...; available: [...]" KeyError) ------------------
+
+
+def _entry(registry, name):
+    if not isinstance(name, str):
+        raise ValueError(
+            f"{registry.kind} name must be a string, got {name!r}"
+        )
+    return registry.get(name)
+
+
+def _scenario(entry):
+    """One scenarios-grid entry as ``(canonical name, {knob: [coerced
+    values]})`` — the per-scenario parameter grid."""
+    doc = dict(entry) if isinstance(entry, dict) else {"name": entry}
+    name = doc.pop("name", None) or doc.pop("scenario", None)
+    params = doc.pop("params", {})
+    if name is None or doc or not isinstance(params, dict):
+        raise ValueError(
+            "sweep spec: a scenario entry is a name or a {'name': ..., "
+            f"'params': {{knob: value-or-list}}}} object, got {entry!r}"
+        )
+    registered = _entry(SCENARIOS, name)
+    grid = {}
+    for knob in sorted(params):
+        param = registered.param(knob)  # raises on undeclared knobs
+        values = _as_list(params[knob], f"scenario param {knob!r}")
+        grid[knob] = [param.coerce(v) for v in values]
+    return registered.name, grid
+
+
+def _scenario_points(entry):
+    """A canonical scenarios entry's grid points, as ``(name, params)``."""
+    name, grid = entry
+    knobs = [[(knob, v) for v in values] for knob, values in grid.items()]
+    return [(name, dict(combo)) for combo in itertools.product(*knobs)]
+
+
+def _topology(name):
+    if not isinstance(name, str) or name not in TOPOLOGIES:
+        raise ValueError(
+            f"unknown topology {name!r}; available: {sorted(TOPOLOGIES)}"
+        )
+    return name
+
+
+def _number(what, kind, minimum=None):
+    """Check for a numeric axis.  The floors are the ones the layers
+    below enforce (a tree needs its root, a download needs a block):
+    refused here, at spec time, instead of mid-sweep."""
+
+    def check(value):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or (minimum is not None and number < minimum):
+            floor = "" if minimum is None else f" >= {minimum}"
+            raise ValueError(
+                f"{what} must be {kind.__name__}{floor}, got {value!r}"
+            )
+        return number
+
+    return check
+
+
+def _comma_list(text):
+    return [token.strip() for token in text.split(",") if token.strip()]
+
+
+def _parse_seeds(text):
+    seeds = []
+    for token in _comma_list(text):
+        if ":" in token:
+            start, _, stop = token.partition(":")
+            seeds.extend(range(int(start), int(stop)))
+        else:
+            seeds.append(int(token))
+    return seeds
+
+
+#: One experiment dimension.  ``field`` names it on a :class:`SweepCell`
+#: and ``grid`` on a :class:`SweepSpec` — a list of values, or one value
+#: every cell shares when ``scalar``.  ``check`` canonicalises one value
+#: or refuses it.  ``run_flags`` / ``sweep_flags`` are the option
+#: strings of the two CLI verbs (none: not settable from the command
+#: line); ``parse`` splits a ``sweep`` flag's text into grid tokens,
+#: which ``check`` then coerces like spec-file values.
+Axis = namedtuple(
+    "Axis", "field grid default check run_flags sweep_flags parse help scalar",
+    defaults=(False,),
+)
+
+#: Every run axis, declared once, in cell-nesting order (the first row
+#: varies slowest).  :class:`SweepSpec`, ``repro run`` and ``repro
+#: sweep`` all read this table; a new dimension is a row here, the
+#: :class:`SweepCell` field it names, and that field's use in
+#: :func:`execute_cell` (docs/reference.md, "Run axes").
+AXES = (
+    Axis(
+        "system", "systems", "bullet_prime", lambda name: _entry(SYSTEMS, name).name,
+        ("--system",), ("--systems",), _comma_list,
+        "system name or alias (see 'repro list')",
+    ),
+    # One row for the scenario and its knobs: a grid entry carries its
+    # own parameter grid, and each cell takes one (name, params) point.
+    Axis(
+        "scenario", "scenarios", "none", _scenario,
+        ("--scenario",), ("--scenarios",), _comma_list,
+        "dynamic-network scenario name or alias (see 'repro list')",
+    ),
+    Axis(
+        "flow_model", "flow_models", "reno",
+        lambda name: _entry(FLOW_MODELS, name).name,
+        ("--flow-model",), ("--flow-models", "--flow-model"), _comma_list,
+        "underlay rate-control model name or alias (reno, bbr, autorate)",
+    ),
+    Axis(
+        "topology", "topologies", "mesh", _topology,
+        ("--topology",), ("--topologies",), _comma_list,
+        f"topology family ({', '.join(sorted(TOPOLOGIES))})",
+    ),
+    Axis(
+        "nodes", "nodes", 8, _number("nodes", int, 1),
+        ("--nodes",), ("--nodes",), _comma_list, "overlay size",
+    ),
+    Axis(
+        "blocks", "blocks", 24, _number("blocks", int, 1),
+        ("--blocks",), ("--blocks",), _comma_list, "file size in blocks",
+    ),
+    Axis(
+        "seed", "seeds", 0, _number("seeds", int),
+        ("--seed",), ("--seeds",), _parse_seeds,
+        "experiment seed; a sweep also takes start:stop ranges "
+        "(e.g. '0:4' or '1,3,5:8')",
+    ),
+    Axis(
+        "max_time", "max_time", 3600.0, _number("max_time", float),
+        ("--max-time",), ("--max-time",), None, "simulated-seconds cap",
+        scalar=True,
+    ),
+    Axis(
+        "tree_fanout", "tree_fanout", 4, _number("tree_fanout", int, 1),
+        (), (), None, "", scalar=True,
+    ),
+)
+
+
 class SweepSpec:
     """A declarative sweep: grids over every experiment dimension.
+
+    Takes one keyword per :data:`AXES` row — ``systems``, ``scenarios``,
+    ``flow_models``, ``topologies``, ``nodes``, ``blocks``, ``seeds``
+    (each a value or a list of values) and the scalars ``max_time`` and
+    ``tree_fanout`` — defaulting to the row's default.  Every value is
+    canonicalised and checked by its row at construction, so bad input
+    fails at spec time, not mid-sweep.
 
     ``scenarios`` entries are either a registry name (defaults for every
     knob) or a ``{"name": ..., "params": {knob: value-or-list}}`` dict;
     list-valued knobs expand into a grid.  Knobs are validated and
     coerced against the :class:`~repro.harness.registry.Param` schemas
-    the scenario declared at registration, so a typo'd or ill-typed knob
-    fails at spec time, not mid-sweep.
+    the scenario class declares.
     """
 
-    def __init__(
-        self,
-        systems=("bullet_prime",),
-        scenarios=("none",),
-        topologies=("mesh",),
-        nodes=(8,),
-        blocks=(24,),
-        seeds=(0,),
-        max_time=3600.0,
-        tree_fanout=4,
-        flow_models=("reno",),
-    ):
-        self.systems = [SYSTEMS.get(name).name for name in _as_list(systems, "systems")]
-        self.scenarios = [
-            self._normalize_scenario(entry)
-            for entry in _as_list(scenarios, "scenarios")
-        ]
-        # Canonicalize (and reject unknown names) at spec time, exactly
-        # like systems and scenarios above.
-        self.flow_models = [
-            FLOW_MODELS.get(name).name
-            for name in _as_list(flow_models, "flow_models")
-        ]
-        self.topologies = list(_as_list(topologies, "topologies"))
-        for topology in self.topologies:
-            if topology not in TOPOLOGIES:
-                raise ValueError(
-                    f"unknown topology {topology!r}; available: "
-                    f"{sorted(TOPOLOGIES)}"
-                )
-        self.nodes = [int(n) for n in _as_list(nodes, "nodes")]
-        self.blocks = [int(b) for b in _as_list(blocks, "blocks")]
-        self.seeds = [int(s) for s in _as_list(seeds, "seeds")]
-        self.max_time = float(max_time)
-        self.tree_fanout = int(tree_fanout)
+    def __init__(self, **fields):
+        unknown = set(fields) - {axis.grid for axis in AXES}
+        if unknown:
+            raise ValueError(f"sweep spec: unknown fields {sorted(unknown)}")
+        for axis in AXES:
+            value = fields.get(axis.grid, axis.default)
+            if axis.scalar:
+                value = axis.check(value)
+            else:
+                value = [axis.check(v) for v in _as_list(value, axis.grid)]
+            setattr(self, axis.grid, value)
         # Specs are immutable after construction, so the expansion (and
         # its duplicate-cell check) runs once however many times len(),
         # run_sweep, and the CLI ask for the cells.
         self._cells = None
 
-    @staticmethod
-    def _normalize_scenario(entry):
-        """Resolve one scenarios-grid entry to ``(canonical name,
-        {knob: [coerced values]})`` — the per-scenario parameter grid."""
-        if isinstance(entry, str):
-            name, params = entry, {}
-        else:
-            doc = dict(entry)
-            name = doc.pop("name", None) or doc.pop("scenario", None)
-            if name is None:
-                raise ValueError(
-                    f"sweep spec: scenario entry needs a 'name': {entry!r}"
-                )
-            params = dict(doc.pop("params", {}))
-            if doc:
-                raise ValueError(
-                    f"sweep spec: unknown scenario entry keys {sorted(doc)}"
-                )
-        registered = SCENARIOS.get(name)
-        grid = {}
-        for knob in sorted(params):
-            param = registered.param(knob)  # raises on undeclared knobs
-            values = _as_list(params[knob], f"scenario param {knob!r}")
-            grid[knob] = [param.coerce(v) for v in values]
-        return registered.name, grid
-
-    @staticmethod
-    def _scenario_points(grid):
-        """Expand a ``{knob: [values]}`` grid into its grid points."""
-        axes = [[(knob, v) for v in values] for knob, values in grid.items()]
-        return [dict(combo) for combo in itertools.product(*axes)]
-
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc)
-        unknown = set(doc) - {
-            "systems", "scenarios", "topologies", "nodes", "blocks",
-            "seeds", "max_time", "tree_fanout", "flow_models",
-        }
-        if unknown:
-            raise ValueError(f"sweep spec: unknown fields {sorted(unknown)}")
+        if not isinstance(doc, dict):
+            raise ValueError(f"sweep spec: expected an object of fields, got {doc!r}")
         return cls(**doc)
 
     @classmethod
@@ -281,50 +366,33 @@ class SweepSpec:
 
     def to_dict(self):
         """Plain-data form of the (normalized) spec."""
-        return {
-            "systems": list(self.systems),
-            "scenarios": [
-                name if not grid else {"name": name, "params": dict(grid)}
-                for name, grid in self.scenarios
-            ],
-            "topologies": list(self.topologies),
-            "nodes": list(self.nodes),
-            "blocks": list(self.blocks),
-            "seeds": list(self.seeds),
-            "max_time": self.max_time,
-            "tree_fanout": self.tree_fanout,
-            "flow_models": list(self.flow_models),
-        }
+        doc = {}
+        for axis in AXES:
+            value = getattr(self, axis.grid)
+            doc[axis.grid] = value if axis.scalar else list(value)
+        # Back to the entry form the scenario row's check accepts.
+        doc["scenarios"] = [
+            name if not grid else {"name": name, "params": dict(grid)}
+            for name, grid in self.scenarios
+        ]
+        return doc
 
     def expand(self):
         """The cell list, in canonical (spec-declaration) order."""
         if self._cells is not None:
             return list(self._cells)
-        cells = []
-        for system in self.systems:
-            for scenario_name, grid in self.scenarios:
-                for params in self._scenario_points(grid):
-                    for flow_model in self.flow_models:
-                        for topology in self.topologies:
-                            for nodes in self.nodes:
-                                for blocks in self.blocks:
-                                    for seed in self.seeds:
-                                        cells.append(
-                                            SweepCell(
-                                                system,
-                                                scenario_name,
-                                                params,
-                                                topology,
-                                                nodes,
-                                                blocks,
-                                                seed,
-                                                self.max_time,
-                                                self.tree_fanout,
-                                                flow_model=flow_model,
-                                            )
-                                        )
-        seen = set()
-        for cell in cells:
+        grids = {a.field: getattr(self, a.grid) for a in AXES if not a.scalar}
+        # The scenario axis varies by (name, params) point: each entry's
+        # knob grid unrolls in place, then splits into the two cell fields.
+        grids["scenario"] = [
+            point for entry in self.scenarios for point in _scenario_points(entry)
+        ]
+        scalars = {a.field: getattr(self, a.grid) for a in AXES if a.scalar}
+        cells, seen = [], set()
+        for combo in itertools.product(*grids.values()):
+            fields = dict(zip(grids, combo), **scalars)
+            fields["scenario"], fields["scenario_params"] = fields["scenario"]
+            cell = SweepCell(**fields)
             key = cell.key()
             if key in seen:
                 raise ValueError(
@@ -332,6 +400,7 @@ class SweepSpec:
                     f"(two grid entries resolve to the same canonical name?)"
                 )
             seen.add(key)
+            cells.append(cell)
         self._cells = tuple(cells)
         return cells
 
@@ -357,6 +426,30 @@ def golden_matrix_spec(seeds=(1, 3, 5, 7), nodes=8, blocks=24, max_time=900.0):
     )
 
 
+def execute_cell(cell, *, watchdog_window=60.0, check_invariants=False):
+    """Run one cell's experiment; returns its ``ExperimentResult``.
+
+    The one place a cell's names become objects, for ``run`` and
+    ``sweep`` alike; the keyword arguments are the ``run_experiment``
+    settings that are per verb rather than per cell.
+    """
+    topology = TOPOLOGIES[cell.topology](cell.nodes, seed=cell.seed)
+    system = SYSTEMS.get(cell.system)
+    scenario = SCENARIOS.build(cell.scenario, **cell.scenario_params)
+    return run_experiment(
+        topology,
+        system.builder(num_blocks=cell.blocks, seed=cell.seed),
+        cell.blocks,
+        scenario=scenario,
+        max_time=cell.max_time,
+        tree_fanout=cell.tree_fanout,
+        seed=cell.seed,
+        flow_model=cell.flow_model,
+        watchdog_window=watchdog_window,
+        check_invariants=check_invariants,
+    )
+
+
 def run_cell(cell):
     """Execute one cell; returns its plain-data record.
 
@@ -366,19 +459,6 @@ def run_cell(cell):
     """
     if isinstance(cell, dict):
         cell = SweepCell.from_dict(cell)
-    topology = TOPOLOGIES[cell.topology](cell.nodes, seed=cell.seed)
-    system = SYSTEMS.get(cell.system)
-    scenario = SCENARIOS.build(cell.scenario, **cell.scenario_params)
-    result = run_experiment(
-        topology,
-        system.builder(num_blocks=cell.blocks, seed=cell.seed),
-        cell.blocks,
-        scenario=scenario,
-        max_time=cell.max_time,
-        tree_fanout=cell.tree_fanout,
-        seed=cell.seed,
-        flow_model=cell.flow_model,
-    )
     return {
         "key": cell.key(),
         # Structured grouping fields: consumers (aggregates, repro
@@ -387,7 +467,7 @@ def run_cell(cell):
         "group": cell.group_key(),
         "seed": cell.seed,
         "cell": cell.to_dict(),
-        "summary": result.summary(),
+        "summary": execute_cell(cell).summary(),
     }
 
 

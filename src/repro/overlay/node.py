@@ -6,7 +6,22 @@ message dispatch by ``kind``, timers, connection management — so the
 protocol modules contain only algorithm code.
 """
 
-__all__ = ["OverlayProtocol"]
+__all__ = ["FAILURE_COUNTERS", "OverlayProtocol"]
+
+#: ``OverlayProtocol.failure_stats`` key -> the ``summary()["perf"]``
+#: counter the harness sums it into.  The ``fd_*`` ones move once fault
+#: detection is armed; the ``gray_*`` ones (quarantines, re-probes,
+#: corruption detections) further require *gray* detection (see
+#: :meth:`OverlayProtocol.gray_detection_started`).
+FAILURE_COUNTERS = {
+    "retries": "fd_retries",
+    "suspects": "fd_suspects",
+    "rerequests": "fd_rerequests",
+    "rejoins": "fd_rejoins",
+    "quarantines": "gray_quarantines",
+    "reprobes": "gray_reprobes",
+    "corrupt_detected": "gray_corrupt_detected",
+}
 
 
 class OverlayProtocol:
@@ -28,20 +43,9 @@ class OverlayProtocol:
         self._timers = []
         self.stopped = False
         self.crashed = False
-        #: Failure-handling work done by this node, summed into
-        #: ``summary()["perf"]`` by the harness.  All zeros unless fault
-        #: detection was armed at some point during the run; the last
-        #: three (quarantines, re-probes, corruption detections) further
-        #: require *gray* detection (see :meth:`gray_detection_started`).
-        self.failure_stats = {
-            "retries": 0,
-            "suspects": 0,
-            "rerequests": 0,
-            "rejoins": 0,
-            "quarantines": 0,
-            "reprobes": 0,
-            "corrupt_detected": 0,
-        }
+        #: Failure-handling work done by this node (all zeros unless
+        #: fault detection was armed at some point during the run).
+        self.failure_stats = dict.fromkeys(FAILURE_COUNTERS, 0)
 
     # -- wiring ----------------------------------------------------------------
 

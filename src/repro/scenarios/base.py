@@ -68,71 +68,21 @@ class ScenarioContext:
         #: node_id -> start delay in seconds; the harness starts those
         #: nodes late (membership-shaping scenarios write this).
         self.start_delays = {}
-        #: The run's :class:`repro.harness.faults.FaultInjector`, present
-        #: when installed by the experiment harness.  Scenarios actuate
-        #: node-level failures through the methods below, never by
-        #: touching protocol nodes directly.
-        self.faults = faults
+        self._faults = faults
 
-    def _require_faults(self):
-        if self.faults is None:
+    @property
+    def faults(self):
+        """The run's :class:`repro.harness.faults.FaultInjector`: how a
+        scenario actuates node-level failures (never by touching
+        protocol nodes directly).  Only the experiment harness supplies
+        one; a bare link-level context refuses."""
+        if self._faults is None:
             raise RuntimeError(
                 "this scenario injects node failures and needs the "
                 "experiment harness's fault injector; install it via "
                 "run_experiment, not as a bare link-level scenario"
             )
-        return self.faults
-
-    def fail_node(self, node_id):
-        """Silently crash ``node_id`` now (peers must detect it)."""
-        return self._require_faults().fail(node_id)
-
-    def restart_node(self, node_id, after=0.0):
-        """Restart a crashed node ``after`` seconds from now, with all
-        protocol state lost; the run stays alive until it happens."""
-        return self._require_faults().schedule_restart(node_id, after)
-
-    def partition(self, islands, duration, squeeze=1e-3):
-        """Split the topology into ``islands`` for ``duration`` seconds
-        (cross-island core links collapse to a trickle), then heal."""
-        return self._require_faults().partition(islands, duration, squeeze)
-
-    def degrade_node(self, node_id, factor=0.25, stretch=2.0, duration=None):
-        """Make ``node_id`` fail-slow: uplink capacity squeezed to
-        ``factor``, one-shot protocol timers stretched by ``stretch``;
-        auto-restored after ``duration`` seconds (None: until
-        :meth:`restore_node`)."""
-        return self._require_faults().degrade_node(
-            node_id, factor=factor, stretch=stretch, duration=duration
-        )
-
-    def restore_node(self, node_id):
-        """Undo :meth:`degrade_node` on ``node_id``."""
-        return self._require_faults().restore_node(node_id)
-
-    def flake_node(self, node_id, loss=0.9, duration=5.0, direction="both"):
-        """Overlay a heavy-loss window on ``node_id``'s access links for
-        ``duration`` seconds (``direction``: 'up', 'down', or 'both')."""
-        return self._require_faults().flake_node(
-            node_id, loss=loss, duration=duration, direction=direction
-        )
-
-    def arm_adversity(
-        self, rng, duplicate=0.0, reorder=0.0, reorder_window=0.5, corrupt=0.0
-    ):
-        """Install seeded message-level adversity (duplication, bounded
-        reordering, payload corruption) network-wide."""
-        return self._require_faults().arm_adversity(
-            rng,
-            duplicate=duplicate,
-            reorder=reorder,
-            reorder_window=reorder_window,
-            corrupt=corrupt,
-        )
-
-    def disarm_adversity(self):
-        """Stop perturbing messages (counters stay readable)."""
-        return self._require_faults().disarm_adversity()
+        return self._faults
 
     def rng(self, label, seed=None):
         """An independent RNG stream for ``label`` (see ``split_rng``).

@@ -35,6 +35,7 @@ from repro.scenarios.base import (
     Scenario,
     ScenarioHandle,
 )
+from repro.sim.links import _overlay_loss, _remove_loss
 
 __all__ = [
     "AsymmetricSqueeze",
@@ -42,26 +43,6 @@ __all__ = [
     "Lossy",
     "lossy",
 ]
-
-
-def _overlay_loss(current, extra):
-    """Add an independent loss process on top of ``current``."""
-    value = 1.0 - (1.0 - current) * (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
-
-
-def _remove_loss(current, extra):
-    """Inverse of :func:`_overlay_loss` (same clamping)."""
-    value = 1.0 - (1.0 - current) / (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
 
 
 class GilbertElliott(Scenario):

@@ -8,8 +8,7 @@ These promote node failure to the same first-class dynamic-condition
 axis the link scenarios occupy: declaratively configured, registered
 with full ``Param`` schemas, grid-able by sweeps, and installed through
 the standard :class:`~repro.scenarios.base.ScenarioContext` — whose
-``fail_node`` / ``restart_node`` / ``partition`` actuators delegate to
-the run's fault injector.  Failures are *silent* (see
+``faults`` is the run's fault injector.  Failures are *silent* (see
 :mod:`repro.harness.faults`): peers learn of a death only through their
 own failure detectors, which the injector arms at the first fault.
 
@@ -119,7 +118,7 @@ class Crash(Scenario):
         ]
 
     def _fire(self, ctx, node):
-        ctx.fail_node(node)
+        ctx.faults.fail(node)
 
     def install(self, ctx):
         handle = ScenarioHandle()
@@ -155,8 +154,8 @@ class CrashRestart(Crash):
             raise ValueError(f"down_time must be > 0, got {self.down_time}")
 
     def _fire(self, ctx, node):
-        ctx.fail_node(node)
-        ctx.restart_node(node, after=self.down_time)
+        ctx.faults.fail(node)
+        ctx.faults.schedule_restart(node, self.down_time)
 
 
 class Partition(Scenario):
@@ -196,7 +195,7 @@ class Partition(Scenario):
             groups[index % len(groups)].append(node)
         if ctx.source_id is not None:
             groups[0].append(ctx.source_id)
-        ctx.partition([g for g in groups if g], self.duration, self.squeeze)
+        ctx.faults.partition([g for g in groups if g], self.duration, self.squeeze)
 
     def install(self, ctx):
         handle = ScenarioHandle()
@@ -293,9 +292,9 @@ class Chaos(Scenario):
         return handle
 
     def _fire(self, ctx, rng, kind):
-        faults = ctx._require_faults()
+        faults = ctx.faults
         receivers = ctx.receivers
-        live = [n for n in receivers if n not in faults.failed]
+        live = faults.live_receivers()
         if kind == "partition":
             if faults.partition_active or len(live) < 2:
                 return
@@ -305,7 +304,9 @@ class Chaos(Scenario):
             near = pool[half:]
             if ctx.source_id is not None:
                 near = near + [ctx.source_id]
-            ctx.partition([near, pool[:half]], self.partition_duration, self.squeeze)
+            ctx.faults.partition(
+                [near, pool[:half]], self.partition_duration, self.squeeze
+            )
             return
         if len(live) < 2:
             return  # never take out the last live receiver
@@ -314,9 +315,9 @@ class Chaos(Scenario):
             dead_after = len(faults.permanently_failed()) + 1
             if dead_after > self.max_dead_fraction * len(receivers):
                 kind = "restart"  # cap reached: demote to a transient
-        ctx.fail_node(victim)
+        ctx.faults.fail(victim)
         if kind == "restart":
-            ctx.restart_node(victim, after=self.down_time)
+            ctx.faults.schedule_restart(victim, self.down_time)
 
 
 class FailSlow(Scenario):
@@ -369,7 +370,7 @@ class FailSlow(Scenario):
             raise ValueError(f"duration must be > 0 or None, got {self.duration}")
 
     def _fire(self, ctx, node):
-        ctx.degrade_node(
+        ctx.faults.degrade_node(
             node,
             factor=self.factor,
             stretch=self.stretch,
@@ -443,7 +444,7 @@ class Flaky(Scenario):
             )
 
     def _fire(self, ctx, node, direction):
-        ctx.flake_node(
+        ctx.faults.flake_node(
             node, loss=self.loss, duration=self.window, direction=direction
         )
 
@@ -493,7 +494,7 @@ def _validate_adversity(scenario):
 
 
 def _arm_adversity(scenario, ctx, rng):
-    ctx.arm_adversity(
+    ctx.faults.arm_adversity(
         rng,
         duplicate=scenario.duplicate,
         reorder=scenario.reorder,
@@ -540,9 +541,9 @@ class Adversarial(Scenario):
         handle.add_timer(ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng))
         if self.stop is not None:
             handle.add_timer(
-                ctx.sim.schedule(self.stop, lambda: ctx.disarm_adversity())
+                ctx.sim.schedule(self.stop, lambda: ctx.faults.disarm_adversity())
             )
-        handle.on_cancel(lambda: ctx.disarm_adversity())
+        handle.on_cancel(lambda: ctx.faults.disarm_adversity())
         return handle
 
 
@@ -631,14 +632,14 @@ class GrayChaos(Chaos):
             handle.add_timer(
                 ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
             )
-            handle.on_cancel(lambda: ctx.disarm_adversity())
+            handle.on_cancel(lambda: ctx.faults.disarm_adversity())
         return handle
 
     def _fire(self, ctx, rng, kind):
         if kind == "degrade":
             victim = self._gray_victim(ctx, rng)
             if victim is not None:
-                ctx.degrade_node(
+                ctx.faults.degrade_node(
                     victim,
                     factor=self.degrade_factor,
                     stretch=self.stretch,
@@ -648,7 +649,7 @@ class GrayChaos(Chaos):
         if kind == "flake":
             victim = self._gray_victim(ctx, rng)
             if victim is not None:
-                ctx.flake_node(
+                ctx.faults.flake_node(
                     victim,
                     loss=self.flake_loss,
                     duration=self.flake_window,
@@ -661,8 +662,7 @@ class GrayChaos(Chaos):
         """A live receiver to degrade/flake (never the source; gray
         events do not kill, so the last-receiver guard is about keeping
         at least one clean serving path, same spirit as ``chaos``)."""
-        faults = ctx._require_faults()
-        live = [n for n in ctx.receivers if n not in faults.failed]
+        live = ctx.faults.live_receivers()
         if len(live) < 2:
             return None
         return rng.choice(live)

@@ -34,6 +34,27 @@ __all__ = ["Link", "LinkConditions"]
 LinkConditions = namedtuple("LinkConditions", ("capacity", "loss_rate", "delay"))
 
 
+def _overlay_loss(current, extra):
+    """Add an independent loss process on top of ``current`` (the one
+    composition rule scenarios and the fault injector share)."""
+    value = 1.0 - (1.0 - current) * (1.0 - extra)
+    if value < 0.0:
+        return 0.0
+    if value >= 1.0:
+        return 0.999999
+    return value
+
+
+def _remove_loss(current, extra):
+    """Inverse of :func:`_overlay_loss` (same clamping)."""
+    value = 1.0 - (1.0 - current) / (1.0 - extra)
+    if value < 0.0:
+        return 0.0
+    if value >= 1.0:
+        return 0.999999
+    return value
+
+
 class Link:
     """One unidirectional link.
 

@@ -505,3 +505,127 @@ def test_cli_sweep_bad_param_fails_cleanly(tmp_path, capsys):
     code = main(["sweep", "--spec", str(spec_path)])
     assert code == 2
     assert "wobble" in capsys.readouterr().err
+
+
+# -- one axis table under both verbs ------------------------------------------
+
+
+def _option_strings(parser):
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_cli_option_strings_are_frozen():
+    # The axis options are generated from harness.sweep.AXES; this is the
+    # surface they must keep generating (written out, not derived).
+    from repro.__main__ import _run_parser, _sweep_parser
+
+    assert _option_strings(_run_parser()) == {
+        "-h", "--help", "--system", "--scenario", "--flow-model", "--topology",
+        "--nodes", "--blocks", "--seed", "--max-time", "--trace",
+        "--watchdog-window", "--no-invariants", "--json", "--profile",
+    }
+    assert _option_strings(_sweep_parser()) == {
+        "-h", "--help", "--spec", "--golden-matrix", "--systems", "--scenarios",
+        "--flow-models", "--flow-model", "--topologies", "--nodes", "--blocks",
+        "--seeds", "--max-time", "--workers", "--out", "--json", "--quiet",
+        "--check-golden",
+    }
+
+
+def test_cli_run_defaults_are_frozen():
+    from repro.__main__ import _run_parser
+
+    args = _run_parser().parse_args([])
+    assert (args.system, args.scenario, args.flow_model, args.topology) == (
+        "bullet_prime", "none", "reno", "mesh"
+    )
+    assert (args.nodes, args.blocks, args.seed, args.max_time) == (40, 320, 0, 6000.0)
+
+
+def test_cli_run_and_one_cell_sweep_agree(tmp_path, capsys):
+    # Both verbs execute a cell through the same function, so the same
+    # axes give the same summary — perf counters included, although
+    # only `run` wraps the nodes with the invariant checker.
+    axes = ["--nodes", "8", "--blocks", "24", "--max-time", "900"]
+    assert main(["run", "--system", "bullet_prime", "--scenario", "chaos",
+                 "--seed", "1", "--json"] + axes) == 0
+    run_doc = json.loads(capsys.readouterr().out)
+    store = tmp_path / "cell.jsonl"
+    assert main(["sweep", "--systems", "bullet_prime", "--scenarios", "chaos",
+                 "--seeds", "1", "--quiet", "--out", str(store)] + axes) == 0
+    (line,) = store.read_text().splitlines()
+    record = json.loads(line)
+    assert run_doc["summary"] == record["summary"]
+    assert run_doc["summary"]["perf"]["fd_suspects"] > 0  # the faults did fire
+    for field in ("system", "scenario", "flow_model", "topology", "nodes",
+                  "blocks", "seed"):
+        assert run_doc[field] == record["cell"][field]
+
+
+def _write_spec(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return ["sweep", "--spec", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--nodes", "0"],
+        ["run", "--blocks", "0"],
+        ["run", "--nodes", "six"],
+        ["run", "--seed", "0:2"],
+        ["run", "--topology", "torus"],
+        ["run", "--nodes", "6", "--blocks", "8", "--watchdog-window", "0"],
+        ["sweep", "--nodes", "8,0"],
+        ["sweep", "--blocks", "0"],
+        ["sweep", "--max-time", "soon"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_out_of_range_input_fails_at_spec_time(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert "[1/" not in captured.err  # no cell ran before the refusal
+
+
+def test_cli_watchdog_window_reports_the_watchdogs_own_message(capsys):
+    assert main(["run", "--nodes", "6", "--blocks", "8",
+                 "--watchdog-window", "0"]) == 2
+    assert "error: watchdog window must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        "mesh",
+        {"nodes": None},
+        {"nodes": [8, None]},
+        {"systems": [None]},
+        {"scenarios": None},
+        {"scenarios": [7]},
+        {"scenarios": [{"name": "churn", "params": None}]},
+        {"topologies": [["mesh"]]},
+        {"max_time": None},
+        {"tree_fanout": 0},
+    ],
+    ids=json.dumps,
+)
+def test_cli_malformed_spec_file_fails_cleanly(doc, tmp_path, capsys):
+    assert main(_write_spec(tmp_path, doc)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_run_rejects_a_pipe_in_the_trace_path(capsys):
+    # `run --trace` is the cell's scenario_params["path"], so the cell-key
+    # separator rule that always applied to sweeps applies here too.
+    assert main(["run", "--scenario", "trace", "--trace", "a|b.json"]) == 2
+    assert "field separator" in capsys.readouterr().err
+

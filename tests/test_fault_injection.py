@@ -243,3 +243,35 @@ class TestScenarioConfigValidation:
         assert handle is not None
         with pytest.raises(RuntimeError, match="fault injector"):
             sim.run(until=5.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "crash",
+            "crash_restart",
+            "partition",
+            "chaos",
+            "fail_slow",
+            "flaky",
+            "adversarial",
+            "gray_chaos",
+        ],
+    )
+    def test_every_fault_scenario_refuses_a_bare_context(self, name):
+        # ctx.faults is the checked accessor: each actuation reaches it,
+        # so a context built without the harness says so in full.
+        from repro.scenarios import ScenarioContext
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        ctx = ScenarioContext(sim, mesh_topology(6, seed=1), source_id=0, seed=1)
+        params = {"rate": 5.0} if name.endswith("chaos") else {}
+        SCENARIOS.build(name, **params).install(ctx)
+        message = (
+            "this scenario injects node failures and needs the experiment "
+            "harness's fault injector; install it via run_experiment, not "
+            "as a bare link-level scenario"
+        )
+        with pytest.raises(RuntimeError) as raised:
+            sim.run(until=60.0)
+        assert str(raised.value) == message

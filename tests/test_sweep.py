@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.common import stats
+from repro.__main__ import main
 from repro.harness.sweep import (
+    AXES,
     StoreView,
     SweepCell,
     SweepResult,
@@ -18,6 +20,72 @@ from repro.harness.sweep import (
 )
 
 TINY = dict(nodes=(6,), blocks=(12,), seeds=(1,), max_time=600.0)
+
+#: Per axis: a CLI/spec token and the canonical value it must become on
+#: the spec, the cell, and every record.
+AXIS_SAMPLES = {
+    "system": ("bt", "bittorrent"),
+    "scenario": ("cellular", "oscillate"),
+    "flow_model": ("wanctl", "autorate"),
+    "topology": ("star", "star"),
+    "nodes": ("7", 7),
+    "blocks": ("13", 13),
+    "seed": ("3", 3),
+    "max_time": ("700", 700.0),
+    "tree_fanout": ("3", 3),
+}
+
+
+class TestAxisTable:
+    def test_every_row_has_a_sample_and_a_cell_field(self):
+        assert [axis.field for axis in AXES] == list(AXIS_SAMPLES)
+        assert {axis.field for axis in AXES} <= set(SweepCell._fields)
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.field)
+    def test_token_round_trips_to_the_record(self, axis, tmp_path, capsys):
+        token, canonical = AXIS_SAMPLES[axis.field]
+        rows = {a.field: a for a in AXES}
+        tokens = {"nodes": "6", "blocks": "12", "seed": "1", "max_time": "600"}
+        tokens[axis.field] = token
+
+        # token -> SweepSpec field -> SweepCell field
+        spec = SweepSpec(**{rows[field].grid: tokens[field] for field in tokens})
+        on_spec = getattr(spec, axis.grid)
+        if axis.field == "scenario":
+            assert on_spec == [(canonical, {})]
+        else:
+            assert on_spec == (canonical if axis.scalar else [canonical])
+        (cell,) = spec.expand()
+        assert getattr(cell, axis.field) == canonical
+
+        # -> record -> record_cell, through JSON like a store line
+        record = json.loads(json.dumps(run_cell(cell), sort_keys=True))
+        assert record["cell"][axis.field] == canonical
+        assert record_cell(record) == cell
+        again = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert [c.key() for c in again.expand()] == [cell.key()]
+
+        # the same token through each verb that has an option for the row
+        def argv(column):
+            return [
+                part
+                for field, text in tokens.items()
+                if getattr(rows[field], column)
+                for part in (getattr(rows[field], column)[0], text)
+            ]
+
+        if axis.sweep_flags:
+            store = tmp_path / "store.jsonl"
+            flags = argv("sweep_flags") + ["--quiet", "--out", str(store)]
+            assert main(["sweep"] + flags) == 0
+            assert json.loads(store.read_text()) == record
+            capsys.readouterr()
+        if axis.run_flags:
+            assert main(["run", "--json"] + argv("run_flags")) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["summary"] == record["summary"]
+            if not axis.scalar:
+                assert doc[axis.field] == canonical
 
 
 class TestSpecExpansion:
