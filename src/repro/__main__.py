@@ -210,7 +210,7 @@ def _run_command(argv):
             }
         # A run is a one-cell sweep: same checks, same execution path.
         (cell,) = SweepSpec.from_dict(fields).expand()
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail(exc)
     started = time.time()
     try:
@@ -219,9 +219,9 @@ def _run_command(argv):
             watchdog_window=args.watchdog_window,
             check_invariants=not args.no_invariants,
         )
-    except (OSError, ValueError) as exc:
-        # What the layers below refuse about their input: an unreadable
-        # trace file, an out-of-range scenario knob, the watchdog window.
+    except ValueError as exc:
+        # The one per-verb setting the spec does not carry: the
+        # watchdog window, refused by the layer that owns it.
         return _fail(exc)
     elapsed = time.time() - started
     summary = result.summary()

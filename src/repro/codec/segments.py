@@ -56,9 +56,6 @@ class SegmentedEncoder:
     def num_segments(self):
         return len(self.encoders)
 
-    def segment_blocks(self, segment):
-        return self.encoders[segment].k
-
     def encode(self, segment):
         """Produce the next encoded block of ``segment``."""
         return self.encoders[segment].encode()

@@ -10,11 +10,11 @@ Crash semantics are *silent*: a crashed node aborts every connection
 without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
 death through its own failure detectors.  The injector therefore arms
-detection network-wide — ``Network.fault_detection`` plus each node's
-``fault_detection_started()`` hook and the :class:`LivenessWatchdog` —
-at the **first** actual fault actuation.  Fault-free runs (and a
-``chaos`` scenario with rate 0) never arm anything, which is what keeps
-their event timelines bit-identical to the legacy golden matrix.
+detection network-wide — each node's ``fault_detection_started()`` hook
+and the :class:`LivenessWatchdog` — at the **first** actual fault
+actuation.  Fault-free runs (and a ``chaos`` scenario with rate 0) never
+arm anything, which is what keeps their event timelines bit-identical to
+the legacy golden matrix.
 
 *Gray* failures — fail-slow nodes (:meth:`FaultInjector.degrade_node`),
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and
@@ -130,8 +130,6 @@ class FaultInjector:
         #: node_id -> (squeezed uplinks, factor, stretch) while fail-slow
         #: degraded; inverse-restored by :meth:`restore_node`.
         self.degraded = {}
-        #: Count of flaky-link windows actuated (introspection/tests).
-        self.flakes_applied = 0
         #: The run's :class:`~repro.sim.transport.MessageAdversity`, kept
         #: here even after :meth:`disarm_adversity` so its counters
         #: survive into the end-of-run summary.
@@ -148,7 +146,6 @@ class FaultInjector:
         if self.armed:
             return
         self.armed = True
-        self.network.fault_detection = True
         for node in self.nodes.values():
             node.fault_detection_started()
         if self.watchdog is not None:
@@ -304,29 +301,6 @@ class FaultInjector:
 
     # -- gray failures ---------------------------------------------------------
 
-    def _node_uplinks(self, node_id):
-        """Links carrying ``node_id``'s outbound traffic (access uplink
-        when modeled, else every core link out of the node)."""
-        up = self.topology.access_up.get(node_id)
-        if up is not None:
-            return [up]
-        return [
-            link
-            for (src, _dst), link in sorted(self.topology.core.items())
-            if src == node_id
-        ]
-
-    def _node_downlinks(self, node_id):
-        """Mirror of :meth:`_node_uplinks` for inbound traffic."""
-        down = self.topology.access_down.get(node_id)
-        if down is not None:
-            return [down]
-        return [
-            link
-            for (_src, dst), link in sorted(self.topology.core.items())
-            if dst == node_id
-        ]
-
     def degrade_node(self, node_id, factor=0.25, stretch=2.0, duration=None):
         """Make ``node_id`` *fail-slow*: alive, responsive, useless.
 
@@ -352,7 +326,7 @@ class FaultInjector:
         if node_id in self.degraded:
             return False
         self.arm_gray()
-        links = self._node_uplinks(node_id)
+        links = self.topology.uplinks(node_id)
         for link in links:
             link.scale_capacity(factor)
         node = self.nodes.get(node_id)
@@ -403,12 +377,11 @@ class FaultInjector:
         self.arm_gray()
         links = []
         if direction in ("up", "both"):
-            links.extend(self._node_uplinks(node_id))
+            links.extend(self.topology.uplinks(node_id))
         if direction in ("down", "both"):
-            links.extend(self._node_downlinks(node_id))
+            links.extend(self.topology.downlinks(node_id))
         for link in links:
             link.loss_rate = _overlay_loss(link.loss_rate, loss)
-        self.flakes_applied += 1
 
         def clear():
             for link in links:

@@ -69,11 +69,12 @@ def _system_comparison(
     max_time=6000.0,
     systems=None,
     notes=(),
+    build_topology=_mesh,
 ):
     fig = FigureData(figure_id, title, reference="bullet_prime", notes=notes)
     for name in systems or SYSTEMS:
         builder = SYSTEMS.get(name).builder
-        topology = _mesh(num_nodes, seed)
+        topology = build_topology(num_nodes, seed)
         result = run_experiment(
             topology,
             builder(num_blocks=num_blocks, seed=seed),
@@ -402,23 +403,15 @@ def fig13_interarrival(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
 def fig14_planetlab(num_nodes=41, num_blocks=320, seed=0, max_time=9000.0):
     """Figure 14: the wide-area (PlanetLab-like) comparison, 50 MB in the
     paper; heterogeneous access links and transcontinental RTTs here."""
-    fig = FigureData(
+    return _system_comparison(
         "fig14",
         "wide-area comparison on a PlanetLab-like topology (paper Fig. 14)",
-        reference="bullet_prime",
+        num_nodes,
+        num_blocks,
+        seed,
+        max_time=max_time,
+        build_topology=planetlab_like_topology,
     )
-    for name, entry in SYSTEMS.items():
-        builder = entry.builder
-        topology = planetlab_like_topology(num_nodes, seed=seed)
-        result = run_experiment(
-            topology,
-            builder(num_blocks=num_blocks, seed=seed),
-            num_blocks,
-            max_time=max_time,
-            seed=seed,
-        )
-        fig.add_series(name, _receiver_times(result))
-    return fig
 
 
 # ------------------------------------------------------------------ fig 15

@@ -65,10 +65,22 @@ TOPOLOGIES = {
 }
 
 
-def _comparable_value(value):
+def _key_value(knob, value):
     """JSON round-trip a param value so cell keys and JSONL records are
     identical whether the spec came from a file or from Python."""
-    return json.loads(json.dumps(value))
+    value = json.loads(json.dumps(value))
+    # '|' is the cell-key field separator; a param value containing it
+    # (a trace path, a lossy base spec, ...) would render keys that are
+    # ambiguous to every key consumer.  Rejected — at spec-validation
+    # time — rather than escaped: an escape scheme would silently change
+    # the key of every cell already recorded in golden stores.
+    if "|" in f"{knob}={json.dumps(value)}":
+        raise ValueError(
+            f"scenario param {knob}={value!r} renders with '|', the "
+            "cell-key field separator; use a value without '|' "
+            "(e.g. rename the file for trace_replay's 'path')"
+        )
+    return value
 
 
 class SweepCell(
@@ -93,22 +105,9 @@ class SweepCell(
     def __new__(cls, *args, **kwargs):
         cell = super().__new__(cls, *args, **kwargs)
         params = {
-            key: _comparable_value(cell.scenario_params[key])
+            key: _key_value(key, cell.scenario_params[key])
             for key in sorted(cell.scenario_params)
         }
-        for key, value in params.items():
-            # '|' is the cell-key field separator; a param value
-            # containing it (a trace path, a lossy base spec, ...) would
-            # render keys that are ambiguous to every key consumer.
-            # Rejected here — at spec-validation time — rather than
-            # escaped: an escape scheme would silently change the key of
-            # every cell already recorded in golden stores.
-            if "|" in f"{key}={json.dumps(value)}":
-                raise ValueError(
-                    f"scenario param {key}={value!r} renders with '|', the "
-                    "cell-key field separator; use a value without '|' "
-                    "(e.g. rename the file for trace_replay's 'path')"
-                )
         # The flow model is canonicalized through the registry so
         # aliases ("wanctl") and the canonical name render identical
         # cell keys, and an unknown model fails here — at spec/record
@@ -185,7 +184,10 @@ def _entry(registry, name):
 
 def _scenario(entry):
     """One scenarios-grid entry as ``(canonical name, {knob: [coerced
-    values]})`` — the per-scenario parameter grid."""
+    values]})`` — the per-scenario parameter grid.  ``Param.coerce``
+    holds each value to its knob's domain, and every grid point's
+    scenario is built once and discarded, so what one knob cannot say (a
+    cross-knob constraint, an unreadable trace file) is refused here too."""
     doc = dict(entry) if isinstance(entry, dict) else {"name": entry}
     name = doc.pop("name", None) or doc.pop("scenario", None)
     params = doc.pop("params", {})
@@ -199,7 +201,9 @@ def _scenario(entry):
     for knob in sorted(params):
         param = registered.param(knob)  # raises on undeclared knobs
         values = _as_list(params[knob], f"scenario param {knob!r}")
-        grid[knob] = [param.coerce(v) for v in values]
+        grid[knob] = [_key_value(knob, param.coerce(v)) for v in values]
+    for _name, point in _scenario_points((registered.name, grid)):
+        registered.build(**point)
     return registered.name, grid
 
 
@@ -332,9 +336,10 @@ class SweepSpec:
 
     ``scenarios`` entries are either a registry name (defaults for every
     knob) or a ``{"name": ..., "params": {knob: value-or-list}}`` dict;
-    list-valued knobs expand into a grid.  Knobs are validated and
-    coerced against the :class:`~repro.harness.registry.Param` schemas
-    the scenario class declares.
+    list-valued knobs expand into a grid.  Knobs are coerced and held
+    to their domains by the :class:`~repro.harness.registry.Param`
+    schemas the scenario class declares, and each grid point's scenario
+    is built once here, so no bad knob survives to a worker.
     """
 
     def __init__(self, **fields):

@@ -35,7 +35,7 @@ class NodeSet(dict):
     The fault injector's restart path needs a *fresh* protocol instance
     wired to the same network, tree/tracker/forest, config, and trace —
     state loss on crash is total, so re-using the dead instance is not
-    an option.  Each factory captures its per-system construction
+    an option.  ``_factory`` captures the per-system construction
     context in ``build_one`` once, and ``rebuild`` replays it for one
     node; constructing a node re-registers it as the endpoint's
     acceptor, so the newcomer is reachable the moment it starts.
@@ -53,14 +53,18 @@ class NodeSet(dict):
         return node
 
 
-def bullet_prime_factory(config=None, **overrides):
-    """Bullet' node factory; ``overrides`` patch the default config."""
+def _factory(config_class, node_class, shared_object, config, overrides):
+    """The ``node_factory`` of one system: every node is a ``node_class``
+    wired to the run's one ``shared_object(network, tree, source_id,
+    config)`` — the control tree, a tracker, a stripe forest."""
     if config is None:
-        config = BulletPrimeConfig(**overrides)
+        config = config_class(**overrides)
 
     def factory(network, tree, source_id, trace):
+        shared = shared_object(network, tree, source_id, config)
+
         def build_one(node):
-            return BulletPrimeNode(network, node, tree, source_id, config, trace)
+            return node_class(network, node, shared, source_id, config, trace)
 
         return NodeSet(
             {node: build_one(node) for node in network.topology.nodes},
@@ -68,67 +72,48 @@ def bullet_prime_factory(config=None, **overrides):
         )
 
     return factory
+
+
+def _control_tree(network, tree, source_id, config):
+    return tree
+
+
+def _tracker(network, tree, source_id, config):
+    return Tracker(seed=config.seed)
+
+
+def _stripe_forest(network, tree, source_id, config):
+    return build_stripe_forest(
+        network.topology.nodes,
+        source_id,
+        config.num_stripes,
+        config.max_fanout,
+        seed=config.seed,
+    )
+
+
+def bullet_prime_factory(config=None, **overrides):
+    """Bullet' node factory; ``overrides`` patch the default config."""
+    return _factory(
+        BulletPrimeConfig, BulletPrimeNode, _control_tree, config, overrides
+    )
 
 
 def bullet_factory(config=None, **overrides):
     """Original-Bullet node factory."""
-    if config is None:
-        config = BulletConfig(**overrides)
-
-    def factory(network, tree, source_id, trace):
-        def build_one(node):
-            return BulletNode(network, node, tree, source_id, config, trace)
-
-        return NodeSet(
-            {node: build_one(node) for node in network.topology.nodes},
-            build_one,
-        )
-
-    return factory
+    return _factory(BulletConfig, BulletNode, _control_tree, config, overrides)
 
 
 def bittorrent_factory(config=None, **overrides):
     """BitTorrent node factory (creates the shared tracker)."""
-    if config is None:
-        config = BitTorrentConfig(**overrides)
-
-    def factory(network, _tree, source_id, trace):
-        tracker = Tracker(seed=config.seed)
-
-        def build_one(node):
-            return BitTorrentNode(network, node, tracker, source_id, config, trace)
-
-        return NodeSet(
-            {node: build_one(node) for node in network.topology.nodes},
-            build_one,
-        )
-
-    return factory
+    return _factory(BitTorrentConfig, BitTorrentNode, _tracker, config, overrides)
 
 
 def splitstream_factory(config=None, **overrides):
     """SplitStream node factory (builds the stripe forest)."""
-    if config is None:
-        config = SplitStreamConfig(**overrides)
-
-    def factory(network, _tree, source_id, trace):
-        forest = build_stripe_forest(
-            network.topology.nodes,
-            source_id,
-            config.num_stripes,
-            config.max_fanout,
-            seed=config.seed,
-        )
-
-        def build_one(node):
-            return SplitStreamNode(network, node, forest, source_id, config, trace)
-
-        return NodeSet(
-            {node: build_one(node) for node in network.topology.nodes},
-            build_one,
-        )
-
-    return factory
+    return _factory(
+        SplitStreamConfig, SplitStreamNode, _stripe_forest, config, overrides
+    )
 
 
 SYSTEMS.register(

@@ -30,8 +30,16 @@ __all__ = [
 #: The install-relative firing window + RNG override that periodic
 #: catalogue scenarios share (append to a class's own ``params``).
 WINDOW_PARAMS = (
-    Param("start", "float", None, "first firing, seconds after installation"),
-    Param("stop", "float", None, "stop after this many seconds (None: run forever)"),
+    Param(
+        "start", "float", None, "first firing, seconds after installation", "[0, inf)"
+    ),
+    Param(
+        "stop",
+        "float",
+        None,
+        "stop after this many seconds (None: run forever)",
+        "[0, inf)",
+    ),
     Param("seed", "int", None, "override the experiment seed for this scenario's RNG"),
 )
 
@@ -101,34 +109,6 @@ class ScenarioContext:
     def core_links(self):
         """Deterministically ordered ``[((src, dst), link), ...]``."""
         return sorted(self.topology.core.items())
-
-    def uplinks(self, node):
-        """Links carrying ``node``'s *outbound* traffic, in deterministic
-        order: the access uplink when the topology models one, otherwise
-        every core link out of the node.  Links are unidirectional, so
-        mutating these leaves the inbound direction untouched — this is
-        the actuation point for asymmetric (per-direction) dynamics.
-        """
-        up = self.topology.access_up.get(node)
-        if up is not None:
-            return [up]
-        return [
-            link
-            for (src, _dst), link in self.core_links()
-            if src == node
-        ]
-
-    def downlinks(self, node):
-        """Links carrying ``node``'s *inbound* traffic (mirror of
-        :meth:`uplinks`)."""
-        down = self.topology.access_down.get(node)
-        if down is not None:
-            return [down]
-        return [
-            link
-            for (_src, dst), link in self.core_links()
-            if dst == node
-        ]
 
 
 class ScenarioHandle:
@@ -215,11 +195,12 @@ class CompositeHandle:
 class Scenario(Configurable):
     """Base class for all dynamic-network scenarios.
 
-    Subclasses declare their knobs as ``params`` (bound as attributes by
-    :class:`~repro.common.params.Configurable`), range-check them in
-    ``validate``, set :attr:`name`, and override :meth:`install`;
-    instances must be pure configuration so they can be installed more
-    than once.
+    Subclasses declare their knobs as ``params`` — each ``Param`` row
+    states the knob's domain, the only range check it gets (bound and
+    checked by :class:`~repro.common.params.Configurable`; ``validate``
+    is for cross-knob constraints only) — set :attr:`name`, and
+    override :meth:`install`; instances must be pure configuration so
+    they can be installed more than once.
     """
 
     #: Registry/display name; subclasses override.

@@ -62,31 +62,33 @@ class CorrelatedDecreases(Scenario):
 
     name = "correlated_decreases"
     params = (
-        Param("period", "float", 20.0, "seconds between correlated cut rounds"),
+        Param(
+            "period", "float", 20.0, "seconds between correlated cut rounds", "(0, inf)"
+        ),
         Param(
             "victim_fraction",
             "float",
             0.5,
             "fraction of nodes whose inbound links are cut",
+            "[0, 1]",
         ),
         Param(
             "source_fraction",
             "float",
             0.5,
             "fraction of senders cut toward each victim",
+            "[0, 1]",
         ),
-        Param("factor", "float", 0.5, "multiplier applied to each cut link, in (0, 1)"),
+        Param("factor", "float", 0.5, "multiplier applied to each cut link", "(0, 1)"),
         Param(
-            "floor", "float", 32 * KBPS, "links never degrade below this (bytes/sec)"
+            "floor",
+            "float",
+            32 * KBPS,
+            "links never degrade below this (bytes/sec)",
+            "[0, inf)",
         ),
         *WINDOW_PARAMS,
     )
-
-    def validate(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
 
     def install(self, ctx):
         topology = ctx.topology
@@ -132,14 +134,27 @@ class CascadingCuts(Scenario):
 
     name = "cascading_cuts"
     params = (
-        Param("period", "float", 25.0, "seconds between successive sender throttles"),
+        Param(
+            "period",
+            "float",
+            25.0,
+            "seconds between successive sender throttles",
+            "(0, inf)",
+        ),
         Param(
             "throttled_bw",
             "float",
             100 * KBPS,
             "capacity each throttled link drops to (bytes/sec)",
+            "(0, inf)",
         ),
-        Param("start", "float", None, "first throttle, seconds after installation"),
+        Param(
+            "start",
+            "float",
+            None,
+            "first throttle, seconds after installation",
+            "[0, inf)",
+        ),
     )
 
     def __init__(self, target=None, senders=None, **knobs):
@@ -147,10 +162,6 @@ class CascadingCuts(Scenario):
         super().__init__(**knobs)
         self.target = target
         self.senders = None if senders is None else list(senders)
-
-    def validate(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
 
     def _resolve(self, ctx):
         target = self.target
@@ -209,11 +220,35 @@ class Oscillate(Scenario):
 
     name = "oscillate"
     params = (
-        Param("period", "float", 2.0, "seconds per full capacity swing"),
-        Param("low", "float", 0.25, "trough, as a fraction of installed capacity"),
-        Param("high", "float", 1.0, "crest, as a fraction of installed capacity"),
-        Param("wave", "str", "sine", "'sine' (smooth) or 'square' (hard switches)"),
-        Param("sample_period", "float", None, "tick interval (default: period / 8)"),
+        Param("period", "float", 2.0, "seconds per full capacity swing", "(0, inf)"),
+        Param(
+            "low",
+            "float",
+            0.25,
+            "trough, as a fraction of installed capacity",
+            "(0, inf)",
+        ),
+        Param(
+            "high",
+            "float",
+            1.0,
+            "crest, as a fraction of installed capacity",
+            "(0, inf)",
+        ),
+        Param(
+            "wave",
+            "str",
+            "sine",
+            "'sine' (smooth) or 'square' (hard switches)",
+            ("sine", "square"),
+        ),
+        Param(
+            "sample_period",
+            "float",
+            None,
+            "tick interval (default: period / 8)",
+            "(0, inf)",
+        ),
         Param(
             "phase_jitter", "bool", True, "random per-link phase so links don't sync"
         ),
@@ -221,19 +256,9 @@ class Oscillate(Scenario):
     )
 
     def validate(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if not 0.0 < self.low <= self.high:
+        if self.low > self.high:
             raise ValueError(
-                f"need 0 < low <= high, got low={self.low} high={self.high}"
-            )
-        if self.wave not in ("sine", "square"):
-            raise ValueError(
-                f"wave must be 'sine' or 'square', got {self.wave!r}"
-            )
-        if self.sample_period is not None and self.sample_period <= 0:
-            raise ValueError(
-                f"sample_period must be > 0, got {self.sample_period}"
+                f"need low <= high, got low={self.low} high={self.high}"
             )
 
     def install(self, ctx):
@@ -289,14 +314,16 @@ class FlashCrowd(Scenario):
 
     name = "flash_crowd"
     params = (
-        Param("ramp", "float", 30.0, "receivers join uniformly over this many seconds"),
-        Param("start", "float", 0.0, "delay before the first join"),
+        Param(
+            "ramp",
+            "float",
+            30.0,
+            "receivers join uniformly over this many seconds",
+            "[0, inf)",
+        ),
+        Param("start", "float", 0.0, "delay before the first join", "[0, inf)"),
         Param("seed", "int", None, "override the experiment seed for join times"),
     )
-
-    def validate(self):
-        if self.ramp < 0:
-            raise ValueError(f"ramp must be >= 0, got {self.ramp}")
 
     def install(self, ctx):
         rng = ctx.rng("flash_crowd", self.seed)
@@ -325,30 +352,26 @@ class Churn(Scenario):
 
     name = "churn"
     params = (
-        Param("period", "float", 20.0, "seconds between churn rounds"),
-        Param("down_time", "float", 10.0, "seconds a churned node stays dark"),
+        Param("period", "float", 20.0, "seconds between churn rounds", "(0, inf)"),
         Param(
-            "fraction", "float", 0.1, "fraction of receivers churned per round, (0, 1]"
+            "down_time", "float", 10.0, "seconds a churned node stays dark", "(0, inf)"
         ),
         Param(
-            "offline_capacity", "float", 16.0, "trickle capacity while dark (bytes/sec)"
+            "fraction",
+            "float",
+            0.1,
+            "fraction of receivers churned per round",
+            "(0, 1]",
+        ),
+        Param(
+            "offline_capacity",
+            "float",
+            16.0,
+            "trickle capacity while dark (bytes/sec)",
+            "(0, inf)",
         ),
         *WINDOW_PARAMS,
     )
-
-    def validate(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if self.down_time <= 0:
-            raise ValueError(f"down_time must be > 0, got {self.down_time}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(
-                f"fraction must be in (0, 1], got {self.fraction}"
-            )
-        if self.offline_capacity <= 0:
-            raise ValueError(
-                f"offline_capacity must be > 0, got {self.offline_capacity}"
-            )
 
     def install(self, ctx):
         sim, topology = ctx.sim, ctx.topology

@@ -69,29 +69,45 @@ class GilbertElliott(Scenario):
     name = "gilbert_elliott"
     params = (
         Param(
-            "bad_loss", "float", 0.05, "loss overlaid while a link is in the bad state"
+            "bad_loss",
+            "float",
+            0.05,
+            "loss overlaid while a link is in the bad state",
+            "[0, 1)",
         ),
-        Param("good_loss", "float", 0.0, "loss overlaid while in the good state"),
         Param(
-            "mean_good", "float", 20.0, "mean seconds a link stays in the good state"
+            "good_loss", "float", 0.0, "loss overlaid while in the good state", "[0, 1)"
         ),
-        Param("mean_bad", "float", 5.0, "mean seconds a link stays in the bad state"),
-        Param("sample_period", "float", 1.0, "Markov-chain tick interval in seconds"),
+        Param(
+            "mean_good",
+            "float",
+            20.0,
+            "mean seconds a link stays in the good state",
+            "(0, inf)",
+        ),
+        Param(
+            "mean_bad",
+            "float",
+            5.0,
+            "mean seconds a link stays in the bad state",
+            "(0, inf)",
+        ),
+        Param(
+            "sample_period",
+            "float",
+            1.0,
+            "Markov-chain tick interval in seconds",
+            "(0, inf)",
+        ),
         *with_defaults(WINDOW_PARAMS, start=0.0),
     )
 
     def validate(self):
-        if not 0.0 <= self.good_loss < 1.0:
-            raise ValueError(f"good_loss must be in [0, 1), got {self.good_loss}")
-        if not self.good_loss <= self.bad_loss < 1.0:
-            raise ValueError(f"need good_loss <= bad_loss < 1, got {self.bad_loss}")
-        if self.mean_good <= 0 or self.mean_bad <= 0:
+        if self.good_loss > self.bad_loss:
             raise ValueError(
-                f"mean sojourn times must be > 0, got "
-                f"good={self.mean_good} bad={self.mean_bad}"
+                f"need good_loss <= bad_loss, got good_loss={self.good_loss} "
+                f"bad_loss={self.bad_loss}"
             )
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
 
     def _swap_overlay(self, link, old_extra, new_extra):
         """Replace this scenario's overlay on ``link``: divide out the
@@ -177,7 +193,7 @@ class AsymmetricSqueeze(Scenario):
 
     The uplink direction is the access uplink where the topology models
     one, else every core link out of the node (see
-    ``ScenarioContext.uplinks``).  With ``hold`` set, each cut is
+    ``Topology.uplinks``).  With ``hold`` set, each cut is
     released (multiplicatively, so composed scenarios' changes persist)
     ``hold`` seconds later, turning the cumulative squeeze into
     squeeze-and-recover cycles.  Cancelling releases every cut still
@@ -186,32 +202,31 @@ class AsymmetricSqueeze(Scenario):
 
     name = "asymmetric_squeeze"
     params = (
-        Param("period", "float", 20.0, "seconds between squeeze rounds"),
+        Param("period", "float", 20.0, "seconds between squeeze rounds", "(0, inf)"),
         Param(
-            "fraction", "float", 0.5, "fraction of receivers squeezed per round, (0, 1]"
+            "fraction",
+            "float",
+            0.5,
+            "fraction of receivers squeezed per round",
+            "(0, 1]",
         ),
-        Param("factor", "float", 0.5, "multiplier applied to each uplink, in (0, 1)"),
+        Param("factor", "float", 0.5, "multiplier applied to each uplink", "(0, 1)"),
         Param(
-            "floor", "float", 32 * KBPS, "uplinks never degrade below this (bytes/sec)"
+            "floor",
+            "float",
+            32 * KBPS,
+            "uplinks never degrade below this (bytes/sec)",
+            "[0, inf)",
         ),
         Param(
             "hold",
             "float",
             None,
             "release each cut after this many seconds (None: cuts are cumulative)",
+            "(0, inf)",
         ),
         *WINDOW_PARAMS,
     )
-
-    def validate(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
-        if self.hold is not None and self.hold <= 0:
-            raise ValueError(f"hold must be > 0, got {self.hold}")
 
     def install(self, ctx):
         sim = ctx.sim
@@ -240,7 +255,7 @@ class AsymmetricSqueeze(Scenario):
             count = max(1, int(len(receivers) * self.fraction))
             cut = []
             for node in rng.sample(receivers, min(count, len(receivers))):
-                for link in ctx.uplinks(node):
+                for link in ctx.topology.uplinks(node):
                     if link.capacity * self.factor >= self.floor:
                         link.scale_capacity(self.factor)
                         outstanding[link] = outstanding.get(link, 0) + 1
@@ -280,14 +295,14 @@ class Lossy(Scenario):
     """Overlay a loss schedule on any other scenario.
 
     ``base`` is a :class:`Scenario` instance or a registered scenario
-    name (resolved at install time, so the instance stays pure
-    configuration); the overlay adds a ``loss`` process to every core
-    link.  With ``period=None`` the overlay switches on ``start``
-    seconds after installation and off at ``stop`` (or teardown); with a
-    ``period`` it follows a square wave — on for ``duty`` of each cycle
-    — modeling recurring loss episodes (cross-traffic bursts, interface
-    roaming) riding on top of whatever capacity dynamics ``base``
-    provides.
+    name (checked at construction, built afresh at install time, so the
+    instance stays pure configuration); the overlay adds a ``loss``
+    process to every core link.  With ``period=None`` the overlay
+    switches on ``start`` seconds after installation and off at ``stop``
+    (or teardown); with a ``period`` it follows a square wave — on for
+    ``duty`` of each cycle — modeling recurring loss episodes
+    (cross-traffic bursts, interface roaming) riding on top of whatever
+    capacity dynamics ``base`` provides.
 
     The overlay multiplies the keep probability, so the base scenario
     (or a composed :class:`GilbertElliott`) can keep mutating loss
@@ -298,34 +313,47 @@ class Lossy(Scenario):
     params = (
         Param("base", "str", "none", "scenario to overlay (any registered name)"),
         Param(
-            "loss", "float", 0.02, "loss probability overlaid while the schedule is on"
+            "loss",
+            "float",
+            0.02,
+            "loss probability overlaid while the schedule is on",
+            "(0, 1)",
         ),
         Param(
-            "period", "float", None, "square-wave cycle length (None: constant overlay)"
+            "period",
+            "float",
+            None,
+            "square-wave cycle length (None: constant overlay)",
+            "(0, inf)",
         ),
-        Param("duty", "float", 0.5, "fraction of each cycle the overlay is on, (0, 1]"),
         Param(
-            "start", "float", 0.0, "overlay (or first cycle) starts after this delay"
+            "duty", "float", 0.5, "fraction of each cycle the overlay is on", "(0, 1]"
         ),
         Param(
-            "stop", "float", None, "stop after this many seconds (None: run forever)"
+            "start",
+            "float",
+            0.0,
+            "overlay (or first cycle) starts after this delay",
+            "[0, inf)",
+        ),
+        Param(
+            "stop",
+            "float",
+            None,
+            "stop after this many seconds (None: run forever)",
+            "(0, inf)",
         ),
     )
 
     def validate(self):
-        if not 0.0 < self.loss < 1.0:
-            raise ValueError(f"loss must be in (0, 1), got {self.loss}")
-        if self.period is not None and self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"duty must be in (0, 1], got {self.duty}")
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
         if self.stop is not None and self.stop <= self.start:
             raise ValueError(
                 f"stop must be > start (install-relative window), got "
                 f"start={self.start} stop={self.stop}"
             )
+        # A base name that does not resolve (or a base that does not
+        # build) is refused here, not at install.
+        self._resolve_base()
 
     def _resolve_base(self):
         if isinstance(self.base, str):

@@ -84,10 +84,18 @@ class Crash(Scenario):
 
     name = "crash"
     params = (
-        Param("fraction", "float", 0.2, "fraction of receivers crashed, (0, 1]"),
-        Param("count", "int", 0, "exact victim count (0: use fraction)"),
-        Param("start", "float", 10.0, "first crash, seconds after installation"),
-        Param("stagger", "float", 2.0, "seconds between successive crashes"),
+        Param("fraction", "float", 0.2, "fraction of receivers crashed", "(0, 1]"),
+        Param("count", "int", 0, "exact victim count (0: use fraction)", "[0, inf)"),
+        Param(
+            "start",
+            "float",
+            10.0,
+            "first crash, seconds after installation",
+            "[0, inf)",
+        ),
+        Param(
+            "stagger", "float", 2.0, "seconds between successive crashes", "[0, inf)"
+        ),
         Param("seed", "int", None, "override the experiment seed for victim choice"),
     )
 
@@ -95,12 +103,6 @@ class Crash(Scenario):
         # schedule names node ids — programmatic only, not a knob.
         super().__init__(**knobs)
         self.schedule = None if schedule is None else _checked_schedule(schedule)
-
-    def validate(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.start < 0 or self.stagger < 0:
-            raise ValueError("start and stagger must be >= 0")
 
     def _kill_plan(self, ctx):
         if self.schedule is not None:
@@ -145,13 +147,9 @@ class CrashRestart(Crash):
             "float",
             15.0,
             "seconds a crashed node stays down before rejoining",
+            "(0, inf)",
         ),
     )
-
-    def validate(self):
-        super().validate()
-        if self.down_time <= 0:
-            raise ValueError(f"down_time must be > 0, got {self.down_time}")
 
     def _fire(self, ctx, node):
         ctx.faults.fail(node)
@@ -171,18 +169,36 @@ class Partition(Scenario):
 
     name = "partition"
     params = (
-        Param("islands", "int", 2, "number of islands the nodes are split into"),
-        Param("start", "float", 8.0, "partition onset, seconds after installation"),
-        Param("duration", "float", 15.0, "seconds the partition holds before healing"),
-        Param("squeeze", "float", 1e-3, "cross-island capacity multiplier while split"),
+        Param(
+            "islands",
+            "int",
+            2,
+            "number of islands the nodes are split into",
+            "[2, inf)",
+        ),
+        Param(
+            "start",
+            "float",
+            8.0,
+            "partition onset, seconds after installation",
+            "[0, inf)",
+        ),
+        Param(
+            "duration",
+            "float",
+            15.0,
+            "seconds the partition holds before healing",
+            "(0, inf)",
+        ),
+        Param(
+            "squeeze",
+            "float",
+            1e-3,
+            "cross-island capacity multiplier while split",
+            "(0, 1)",
+        ),
         Param("seed", "int", None, "override the experiment seed for island choice"),
     )
-
-    def validate(self):
-        if self.islands < 2:
-            raise ValueError(f"need at least 2 islands, got {self.islands}")
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
 
     def _split(self, ctx):
         rng = ctx.rng(self.name, self.seed)
@@ -222,43 +238,74 @@ class Chaos(Scenario):
 
     name = "chaos"
     params = (
-        Param("rate", "float", 0.1, "fault events per second (0: no faults at all)"),
-        Param("start", "float", 5.0, "fault window opens this many seconds in"),
-        Param("duration", "float", 120.0, "length of the fault window in seconds"),
-        Param("down_time", "float", 15.0, "downtime of crash-with-restart events"),
         Param(
-            "partition_duration", "float", 15.0, "seconds each partition event holds"
+            "rate",
+            "float",
+            0.1,
+            "fault events per second (0: no faults at all)",
+            "[0, inf)",
         ),
         Param(
-            "crash_weight", "float", 1.0, "relative weight of permanent-crash events"
+            "start", "float", 5.0, "fault window opens this many seconds in", "[0, inf)"
+        ),
+        Param(
+            "duration",
+            "float",
+            120.0,
+            "length of the fault window in seconds",
+            "[0, inf)",
+        ),
+        Param(
+            "down_time",
+            "float",
+            15.0,
+            "downtime of crash-with-restart events",
+            "[0, inf)",
+        ),
+        Param(
+            "partition_duration",
+            "float",
+            15.0,
+            "seconds each partition event holds",
+            "(0, inf)",
+        ),
+        Param(
+            "crash_weight",
+            "float",
+            1.0,
+            "relative weight of permanent-crash events",
+            "[0, inf)",
         ),
         Param(
             "restart_weight",
             "float",
             2.0,
             "relative weight of crash-with-restart events",
+            "[0, inf)",
         ),
-        Param("partition_weight", "float", 0.5, "relative weight of partition events"),
+        Param(
+            "partition_weight",
+            "float",
+            0.5,
+            "relative weight of partition events",
+            "[0, inf)",
+        ),
         Param(
             "max_dead_fraction",
             "float",
             0.25,
-            "cap on permanently dead receivers, [0, 1]",
+            "cap on permanently dead receivers",
+            "[0, 1]",
         ),
-        Param("squeeze", "float", 1e-3, "cross-island capacity multiplier while split"),
+        Param(
+            "squeeze",
+            "float",
+            1e-3,
+            "cross-island capacity multiplier while split",
+            "(0, 1)",
+        ),
         Param("seed", "int", None, "override the experiment seed for the fault stream"),
     )
-
-    def validate(self):
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if min(self.crash_weight, self.restart_weight, self.partition_weight) < 0:
-            raise ValueError("event weights must be >= 0")
-        if not 0.0 <= self.max_dead_fraction <= 1.0:
-            raise ValueError(
-                "max_dead_fraction must be in [0, 1], got "
-                f"{self.max_dead_fraction}"
-            )
 
     def _kind_menu(self):
         """The weighted event menu; subclasses extend it."""
@@ -342,32 +389,44 @@ class FailSlow(Scenario):
             "fraction",
             "float",
             0.25,
-            "fraction of receivers degraded, [0, 1] (0: none)",
+            "fraction of receivers degraded (0: none)",
+            "[0, 1]",
         ),
-        Param("count", "int", 0, "exact victim count (0: use fraction)"),
+        Param("count", "int", 0, "exact victim count (0: use fraction)", "[0, inf)"),
         Param(
-            "factor", "float", 0.2, "uplink capacity multiplier while degraded, (0, 1]"
+            "factor",
+            "float",
+            0.2,
+            "uplink capacity multiplier while degraded",
+            "(0, 1]",
         ),
-        Param("stretch", "float", 2.0, "one-shot protocol timer multiplier, >= 1"),
-        Param("start", "float", 10.0, "first degradation, seconds after installation"),
-        Param("stagger", "float", 2.0, "seconds between successive degradations"),
         Param(
-            "duration", "float", 45.0, "seconds before a victim heals (None: permanent)"
+            "stretch", "float", 2.0, "one-shot protocol timer multiplier", "[1, inf)"
+        ),
+        Param(
+            "start",
+            "float",
+            10.0,
+            "first degradation, seconds after installation",
+            "[0, inf)",
+        ),
+        Param(
+            "stagger",
+            "float",
+            2.0,
+            "seconds between successive degradations",
+            "[0, inf)",
+        ),
+        Param(
+            "duration",
+            "float",
+            45.0,
+            "seconds before a victim heals (None: permanent)",
+            "(0, inf)",
+            True,
         ),
         Param("seed", "int", None, "override the experiment seed for victim choice"),
     )
-
-    def validate(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError(f"factor must be in (0, 1], got {self.factor}")
-        if self.stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
-        if self.start < 0 or self.stagger < 0:
-            raise ValueError("start and stagger must be >= 0")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"duration must be > 0 or None, got {self.duration}")
 
     def _fire(self, ctx, node):
         ctx.faults.degrade_node(
@@ -414,34 +473,40 @@ class Flaky(Scenario):
             "fraction",
             "float",
             0.25,
-            "fraction of receivers made flaky, [0, 1] (0: none)",
+            "fraction of receivers made flaky (0: none)",
+            "[0, 1]",
         ),
-        Param("count", "int", 0, "exact victim count (0: use fraction)"),
-        Param("loss", "float", 0.9, "loss overlaid during a window, [0, 1] (0: none)"),
-        Param("window", "float", 4.0, "seconds each loss window holds"),
-        Param("gap", "float", 8.0, "mean clean seconds between windows (exponential)"),
-        Param("start", "float", 5.0, "flaky period opens this many seconds in"),
-        Param("duration", "float", 60.0, "length of the flaky period in seconds"),
+        Param("count", "int", 0, "exact victim count (0: use fraction)", "[0, inf)"),
         Param(
-            "direction", "str", "random", "'up', 'down', 'both', or 'random' per window"
+            "loss", "float", 0.9, "loss overlaid during a window (0: none)", "[0, 1)"
+        ),
+        Param("window", "float", 4.0, "seconds each loss window holds", "(0, inf)"),
+        Param(
+            "gap",
+            "float",
+            8.0,
+            "mean clean seconds between windows (exponential)",
+            "(0, inf)",
+        ),
+        Param(
+            "start", "float", 5.0, "flaky period opens this many seconds in", "[0, inf)"
+        ),
+        Param(
+            "duration",
+            "float",
+            60.0,
+            "length of the flaky period in seconds",
+            "[0, inf)",
+        ),
+        Param(
+            "direction",
+            "str",
+            "random",
+            "link direction hit by each window ('random': drawn per window)",
+            ("up", "down", "both", "random"),
         ),
         Param("seed", "int", None, "override the experiment seed for the schedule"),
     )
-
-    def validate(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if self.window <= 0 or self.gap <= 0:
-            raise ValueError("window and gap must be > 0")
-        if self.start < 0 or self.duration < 0:
-            raise ValueError("start and duration must be >= 0")
-        if self.direction not in ("up", "down", "both", "random"):
-            raise ValueError(
-                "direction must be 'up', 'down', 'both', or 'random', "
-                f"got {self.direction!r}"
-            )
 
     def _fire(self, ctx, node, direction):
         ctx.faults.flake_node(
@@ -472,25 +537,19 @@ class Flaky(Scenario):
 
 #: The message-adversity rates ``adversarial`` and ``gray_chaos`` share.
 _ADVERSITY_PARAMS = (
-    Param("duplicate", "float", 0.01, "per-message duplication probability, [0, 1)"),
-    Param("reorder", "float", 0.05, "control-message reorder probability, [0, 1)"),
+    Param("duplicate", "float", 0.01, "per-message duplication probability", "[0, 1)"),
+    Param("reorder", "float", 0.05, "control-message reorder probability", "[0, 1)"),
     Param(
         "reorder_window",
         "float",
         0.5,
         "max extra delay for a reordered message (seconds)",
+        "(0, inf)",
     ),
-    Param("corrupt", "float", 0.01, "per-block payload corruption probability, [0, 1)"),
+    Param(
+        "corrupt", "float", 0.01, "per-block payload corruption probability", "[0, 1)"
+    ),
 )
-
-
-def _validate_adversity(scenario):
-    for label in ("duplicate", "reorder", "corrupt"):
-        value = getattr(scenario, label)
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"{label} rate must be in [0, 1), got {value}")
-    if scenario.reorder_window <= 0:
-        raise ValueError(f"reorder_window must be > 0, got {scenario.reorder_window}")
 
 
 def _arm_adversity(scenario, ctx, rng):
@@ -521,15 +580,14 @@ class Adversarial(Scenario):
     name = "adversarial"
     params = (
         *_ADVERSITY_PARAMS,
-        Param("start", "float", 5.0, "adversity arms this many seconds in"),
-        Param("stop", "float", None, "disarm at this time (None: run forever)"),
+        Param("start", "float", 5.0, "adversity arms this many seconds in", "[0, inf)"),
+        Param(
+            "stop", "float", None, "disarm at this time (None: run forever)", "(0, inf)"
+        ),
         Param("seed", "int", None, "override the experiment seed for the mischief"),
     )
 
     def validate(self):
-        _validate_adversity(self)
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
         if self.stop is not None and self.stop <= self.start:
             raise ValueError(f"stop must be > start, got {self.stop}")
 
@@ -575,45 +633,40 @@ class GrayChaos(Chaos):
             "float",
             2.0,
             "relative weight of fail-slow degrade events",
+            "[0, inf)",
         ),
         Param(
-            "flake_weight", "float", 1.5, "relative weight of gray-link flake events"
+            "flake_weight",
+            "float",
+            1.5,
+            "relative weight of gray-link flake events",
+            "[0, inf)",
         ),
         Param(
             "degrade_factor",
             "float",
             0.2,
-            "uplink multiplier of degrade events, (0, 1]",
+            "uplink multiplier of degrade events",
+            "(0, 1]",
         ),
-        Param("stretch", "float", 2.0, "timer multiplier of degrade events, >= 1"),
+        Param(
+            "stretch", "float", 2.0, "timer multiplier of degrade events", "[1, inf)"
+        ),
         Param(
             "degrade_duration",
             "float",
             40.0,
             "seconds a degrade event holds before healing",
+            "(0, inf)",
         ),
         Param(
-            "flake_loss", "float", 0.9, "loss overlaid during a flake window, (0, 1]"
+            "flake_loss", "float", 0.9, "loss overlaid during a flake window", "(0, 1)"
         ),
-        Param("flake_window", "float", 4.0, "seconds each flake window holds"),
+        Param(
+            "flake_window", "float", 4.0, "seconds each flake window holds", "(0, inf)"
+        ),
         *with_defaults(_ADVERSITY_PARAMS, corrupt=0.02),
     )
-
-    def validate(self):
-        super().validate()
-        if min(self.degrade_weight, self.flake_weight) < 0:
-            raise ValueError("event weights must be >= 0")
-        if not 0.0 < self.degrade_factor <= 1.0:
-            raise ValueError(
-                f"degrade_factor must be in (0, 1], got {self.degrade_factor}"
-            )
-        if self.stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
-        if self.degrade_duration <= 0 or self.flake_window <= 0:
-            raise ValueError("degrade_duration and flake_window must be > 0")
-        if not 0.0 < self.flake_loss <= 1.0:
-            raise ValueError(f"flake_loss must be in (0, 1], got {self.flake_loss}")
-        _validate_adversity(self)
 
     def _kind_menu(self):
         return super()._kind_menu() + (

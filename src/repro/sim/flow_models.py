@@ -78,25 +78,35 @@ class BbrModel(FlowModel):
     dynamic = True
     params = FlowModel.params + (
         Param(
-            "window", "float", 10.0, "max-filter window over delivery samples (seconds)"
+            "window",
+            "float",
+            10.0,
+            "max-filter window over delivery samples (seconds)",
+            "(0, inf)",
         ),
-        Param("probe_gain", "float", 1.25, "pacing gain in the probe phase"),
-        Param("drain_gain", "float", 0.75, "pacing gain in the drain phase"),
         Param(
-            "cwnd_gain", "float", 2.0, "inflight bound as a multiple of estimated BDP"
+            "probe_gain", "float", 1.25, "pacing gain in the probe phase", "(0, inf)"
         ),
         Param(
-            "phase_time", "float", 0.25, "duration of one gain-cycle phase (seconds)"
+            "drain_gain", "float", 0.75, "pacing gain in the drain phase", "(0, inf)"
+        ),
+        Param(
+            "cwnd_gain",
+            "float",
+            2.0,
+            "inflight bound as a multiple of estimated BDP",
+            "(0, inf)",
+        ),
+        Param(
+            "phase_time",
+            "float",
+            0.25,
+            "duration of one gain-cycle phase (seconds)",
+            "(0, inf)",
         ),
     )
 
     def validate(self):
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-        if self.phase_time <= 0:
-            raise ValueError(f"phase_time must be > 0, got {self.phase_time}")
-        if self.drain_gain <= 0 or self.probe_gain <= 0 or self.cwnd_gain <= 0:
-            raise ValueError("gains must be > 0")
         #: BBR's ProbeBW gain cycle: one probe phase, one drain phase,
         #: six cruise phases (precomputed: ``dynamic_cap`` indexes it per
         #: fill).
@@ -199,43 +209,61 @@ class AutorateModel(FlowModel):
             "float",
             0.05,
             "seconds of simulated time per control tick",
+            "(0, inf)",
         ),
         Param(
             "yellow_delta",
             "float",
             0.01,
             "RTT increase over baseline entering YELLOW (seconds)",
+            "(0, inf)",
         ),
         Param(
             "red_delta",
             "float",
             0.03,
             "RTT increase over baseline entering RED (seconds)",
+            "(0, inf)",
         ),
-        Param("yellow_loss", "float", 0.01, "path loss probability entering YELLOW"),
-        Param("red_loss", "float", 0.04, "path loss probability entering RED"),
-        Param("backoff", "float", 0.5, "multiplicative cap factor per RED tick"),
         Param(
-            "floor_frac", "float", 0.2, "cap floor as a fraction of the best rate seen"
+            "yellow_loss",
+            "float",
+            0.01,
+            "path loss probability entering YELLOW",
+            "(0, 1]",
+        ),
+        Param(
+            "red_loss", "float", 0.04, "path loss probability entering RED", "(0, 1]"
+        ),
+        Param(
+            "backoff", "float", 0.5, "multiplicative cap factor per RED tick", "(0, 1)"
+        ),
+        Param(
+            "floor_frac",
+            "float",
+            0.2,
+            "cap floor as a fraction of the best rate seen",
+            "[0, 1]",
         ),
         Param(
             "step_frac",
             "float",
             0.05,
             "recovery step as a fraction of the best rate seen",
+            "(0, 1]",
         ),
-        Param("recovery_ticks", "int", 5, "consecutive GREEN ticks per recovery step"),
+        Param(
+            "recovery_ticks",
+            "int",
+            5,
+            "consecutive GREEN ticks per recovery step",
+            "[1, inf)",
+        ),
     )
 
     def validate(self):
-        if self.control_interval <= 0:
-            raise ValueError(
-                f"control_interval must be > 0, got {self.control_interval}"
-            )
-        if not 0.0 < self.backoff < 1.0:
-            raise ValueError(f"backoff must be in (0, 1), got {self.backoff}")
-        if self.recovery_ticks < 1:
-            raise ValueError(f"recovery_ticks must be >= 1, got {self.recovery_ticks}")
+        # Programmatic values are checked, not coerced; the streak
+        # arithmetic in ``dynamic_cap`` needs a true int.
         self.recovery_ticks = int(self.recovery_ticks)
 
     def steady_state_cap(self, links):

@@ -147,10 +147,20 @@ class FlowModel(Configurable):
     dynamic = False
 
     params = (
-        Param("mss", "int", MSS, "TCP maximum segment size (bytes)"),
-        Param("min_rto", "float", 0.2, "lower bound on the RTO estimate (seconds)"),
+        Param("mss", "int", MSS, "TCP maximum segment size (bytes)", "[1, inf)"),
         Param(
-            "ramp_initial_segments", "int", 4, "slow-start initial window (segments)"
+            "min_rto",
+            "float",
+            0.2,
+            "lower bound on the RTO estimate (seconds)",
+            "[0, inf)",
+        ),
+        Param(
+            "ramp_initial_segments",
+            "int",
+            4,
+            "slow-start initial window (segments)",
+            "[1, inf)",
         ),
     )
 
@@ -958,7 +968,3 @@ class FlowNetwork:
                 round(self.flows_allocated / components, 3) if components else 0.0
             ),
         }
-
-    @property
-    def active_flow_count(self):
-        return len(self._active_flows)

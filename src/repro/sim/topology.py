@@ -77,15 +77,25 @@ class Topology:
         backward = sum(link.delay for link in self.path(dst, src))
         return forward + backward
 
-    def core_links_into(self, dst):
-        """All core links whose destination is ``dst`` (Figure 12 uses
-        this to throttle individual senders of one node)."""
-        return {
-            src: link for (src, d), link in self.core.items() if d == dst
-        }
+    def uplinks(self, node):
+        """Links carrying ``node``'s *outbound* traffic, in deterministic
+        order: the access uplink when the topology models one, otherwise
+        every core link out of the node.  Links are unidirectional, so
+        mutating these leaves the inbound direction untouched — this is
+        the actuation point for asymmetric (per-direction) dynamics.
+        """
+        up = self.access_up.get(node)
+        if up is not None:
+            return [up]
+        return [link for (src, _dst), link in sorted(self.core.items()) if src == node]
 
-    def all_core_links(self):
-        return list(self.core.values())
+    def downlinks(self, node):
+        """Links carrying ``node``'s *inbound* traffic (mirror of
+        :meth:`uplinks`)."""
+        down = self.access_down.get(node)
+        if down is not None:
+            return [down]
+        return [link for (_src, dst), link in sorted(self.core.items()) if dst == node]
 
     def __repr__(self):
         return f"Topology(n={len(self.nodes)}, core_links={len(self.core)})"

@@ -57,10 +57,6 @@ class TraceCollector:
 
     # -- results ---------------------------------------------------------------
 
-    @property
-    def all_complete(self):
-        return len(self.completion_times) >= len(self.block_arrivals)
-
     def completion_cdf(self):
         """CDF of download times across nodes that finished."""
         if not self.completion_times:

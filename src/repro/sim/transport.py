@@ -47,7 +47,6 @@ class Message:
         "is_block",
         "in_front",
         "wasted",
-        "corrupted",
         "_enqueued_at",
     )
 
@@ -61,9 +60,6 @@ class Message:
         #: Filled in by the sending channel for block messages.
         self.in_front = 0
         self.wasted = 0.0
-        #: Set by :class:`MessageAdversity` when the payload was damaged
-        #: in flight (the ``csum`` field, when present, no longer matches).
-        self.corrupted = False
         self._enqueued_at = None
 
     def __repr__(self):
@@ -88,10 +84,10 @@ class MessageAdversity:
     - *Reordering* adds a bounded extra delay to control messages (blocks
       already serialize through the flow's rate); the in-order contract
       between two blocks on one channel is preserved.
-    - *Corruption* damages a block's payload in flight: the message is
-      flagged and its ``csum`` field (when the sender attached one) is
-      perturbed, so checksum-verifying protocols detect the damage and
-      checksum-less ones silently ingest a poisoned block.
+    - *Corruption* damages a block's payload in flight: the message's
+      ``csum`` field (when the sender attached one) is perturbed, so
+      checksum-verifying protocols detect the damage and checksum-less
+      ones silently ingest a poisoned block.
     """
 
     __slots__ = (
@@ -138,7 +134,6 @@ class MessageAdversity:
             self.sim.schedule(delay, self._dup_absorbed)
         if message.is_block:
             if self.corrupt > 0.0 and rng.random() < self.corrupt:
-                message.corrupted = True
                 self.stats["corrupted"] += 1
                 payload = message.payload
                 if isinstance(payload, dict) and "csum" in payload:
@@ -226,10 +221,6 @@ class Channel:
         flow.on_path_change = self._path_changed
 
     # -- queue state queries used by protocols -------------------------------
-
-    @property
-    def queued_messages(self):
-        return len(self.queue)
 
     def queued_block_count(self):
         """Blocks waiting behind the one in the socket buffer."""
@@ -420,7 +411,6 @@ class Connection:
         "bytes_received",
         "blocks_received",
         "control_bytes_sent",
-        "user",
     )
 
     def __init__(self, endpoint, local, remote):
@@ -439,8 +429,6 @@ class Connection:
         self.bytes_received = 0
         self.blocks_received = 0
         self.control_bytes_sent = 0
-        #: Free slot for protocol per-connection state.
-        self.user = None
 
     def send(self, message):
         """Queue ``message`` for transmission to the remote node."""
@@ -491,11 +479,6 @@ class Connection:
         channel = self._out_channel
         channel.block_low_watermark = watermark
         channel.on_block_low = callback
-
-    @property
-    def send_rate(self):
-        """Instantaneous allocated outbound rate in bytes/second."""
-        return self._out_channel.flow.rate
 
     @property
     def rtt(self):
@@ -622,11 +605,6 @@ class Network:
         self.rng = rng
         self._endpoints = {}
         self._conn_counter = 0
-        #: Armed (network-wide) by the fault injector at the first real
-        #: fault actuation; protocols read it to decide whether to spend
-        #: timers on failure detection.  Never set in fault-free runs, so
-        #: legacy timelines stay bit-identical.
-        self.fault_detection = False
         #: Optional :class:`MessageAdversity` installed by the fault
         #: injector's gray-failure actuators; None (the default) keeps
         #: the delivery path a single attribute read.

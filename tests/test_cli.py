@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.harness.registry import SCENARIOS
 
 
 def test_cli_runs_one_figure(capsys):
@@ -629,3 +630,66 @@ def test_cli_run_rejects_a_pipe_in_the_trace_path(capsys):
     assert main(["run", "--scenario", "trace", "--trace", "a|b.json"]) == 2
     assert "field separator" in capsys.readouterr().err
 
+
+
+# -- knob domains are refused at spec time, under both verbs -------------------
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "scenario, params, named",
+    [
+        ("churn", {"period": 0}, ["'period'", "(0, inf)", "0.0"]),
+        ("churn", {"period": [None]}, ["'period'", "(0, inf)", "None"]),
+        ("correlated_decreases", {"victim_fraction": 2.0},
+         ["'victim_fraction'", "[0, 1]", "2.0"]),
+        ("chaos", {"down_time": -5}, ["'down_time'", "[0, inf)", "-5.0"]),
+        ("crash", {"count": -3}, ["'count'", "[0, inf)", "-3"]),
+        ("flash_crowd", {"start": -5}, ["'start'", "[0, inf)", "-5.0"]),
+        ("partition", {"squeeze": 2}, ["'squeeze'", "(0, 1)", "2.0"]),
+        ("cascading_cuts", {"throttled_bw": 0},
+         ["'throttled_bw'", "(0, inf)", "0.0"]),
+        ("flaky", {"direction": "sideways"},
+         ["'direction'", "['up', 'down', 'both', 'random']", "'sideways'"]),
+        ("oscillate", {"low": 0.9, "high": 0.5}, ["low=0.9", "high=0.5"]),
+        ("lossy", {"base": "bogus"},
+         ["unknown scenario 'bogus'; available: ['adversarial',"]),
+        ("trace_replay", {"path": "/nonexistent.csv"}, ["/nonexistent.csv"]),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+)
+def test_cli_bad_knob_fails_at_spec_time(
+    scenario, params, named, workers, tmp_path, capsys
+):
+    argv = _write_spec(tmp_path, {
+        "systems": ["bullet_prime"],
+        "scenarios": ["none", {"name": scenario, "params": params}],
+        "nodes": [8], "blocks": [16], "seeds": [0],
+    })
+    assert main(argv + ["--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    for text in named:
+        assert text in captured.err
+    assert "Traceback" not in captured.err
+    assert "[1/" not in captured.err  # the valid `none` cell never ran
+    assert captured.out == ""
+    # Constructing the scenario directly is refused the same way (the
+    # value prints as passed, not as coerced: 0 rather than 0.0).
+    knobs = {k: v[0] if isinstance(v, list) else v for k, v in params.items()}
+    with pytest.raises((ValueError, KeyError, OSError)) as info:
+        SCENARIOS.build(scenario, **knobs)
+    for text in named[:2]:
+        assert text in str(info.value)
+
+
+def test_cli_run_unreadable_trace_fails_before_the_run(capsys):
+    code = main(["run", "--scenario", "trace_replay", "--trace",
+                 "/nonexistent.csv", "--nodes", "8", "--blocks", "16"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "/nonexistent.csv" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.harness.experiment import run_experiment
 from repro.harness.figures import FIGURES, run_figure
+from repro.harness.registry import SYSTEMS
 from repro.harness.report import FigureData
 from repro.harness.workloads import flash_crowd_file, software_update_workload
+from repro.overlay.tree import build_random_tree
+from repro.sim.engine import Simulator
+from repro.sim.tcp import FlowNetwork
+from repro.sim.topology import mesh_topology, planetlab_like_topology
+from repro.sim.trace import TraceCollector
+from repro.sim.transport import Network
 
 
 class TestFigureData:
@@ -147,3 +155,53 @@ class TestFigureRegistry:
         fig = run_figure("fig6", num_nodes=8, num_blocks=24, seed=1)
         assert set(fig.series) == {"rarest_random", "random", "first"}
         assert fig.render()
+
+
+class TestSystemFactories:
+    @pytest.mark.parametrize(
+        "system, shared", [
+            ("bullet_prime", "tree"),
+            ("bullet", "tree"),
+            ("bittorrent", "tracker"),
+            ("splitstream", "forest"),
+        ],
+    )
+    def test_rebuild_returns_a_fresh_node_on_the_same_shared_object(
+        self, system, shared
+    ):
+        topology = mesh_topology(6, seed=1)
+        sim = Simulator()
+        network = Network(sim, topology, FlowNetwork(sim))
+        tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
+        trace = TraceCollector(sim, 8)
+        factory = SYSTEMS.get(system).builder(num_blocks=8, seed=1)
+        nodes = factory(network, tree, 0, trace)
+        assert sorted(nodes) == topology.nodes
+        old = nodes[3]
+        new = nodes.rebuild(3)
+        assert new is nodes[3] and new is not old
+        assert type(new) is type(old) and new.config is old.config
+        everyone = {id(getattr(node, shared)) for node in nodes.values()}
+        assert everyone == {id(getattr(old, shared))}
+        if shared == "tree":
+            assert new.tree is tree
+        with pytest.raises(KeyError):
+            nodes.rebuild(99)
+
+
+def test_fig14_is_the_system_comparison_on_the_planetlab_topology():
+    # What fig14 ran before it became a row of _system_comparison.
+    fig = run_figure("fig14", num_nodes=8, num_blocks=16)
+    assert list(fig.series) == list(SYSTEMS)
+    assert fig.reference == "bullet_prime"
+    for name, entry in SYSTEMS.items():
+        result = run_experiment(
+            planetlab_like_topology(8, seed=0),
+            entry.builder(num_blocks=16, seed=0),
+            16,
+            max_time=9000.0,
+            seed=0,
+        )
+        times = dict(result.trace.completion_times)
+        times.pop(result.source_id, None)
+        assert fig.series[name] == sorted(times.values())
