@@ -131,8 +131,9 @@ class BulletNode(OverlayProtocol):
         self._tree_children_conns.append(conn)
         if self.is_source:
             # Event-driven generation: wake only when this child's block
-            # queue drops below the push window (the sole moment the old
-            # per-message on_sent poll could make progress).
+            # queue drops below the push window, i.e. when a block
+            # finishes transmission and leaves push_window - 1 queued —
+            # the sole moment generation can make progress.
             conn.watch_send_queue_low(
                 self.config.push_window, self._child_has_room
             )

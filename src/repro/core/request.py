@@ -43,7 +43,7 @@ sender's ``stale`` set, a release moves it back to its old position,
 and ``stale`` is emptied wherever the scan compacted (``pick`` and
 ``candidate_count``, not ``prefetch_needed``).  A block released after
 that is therefore requestable only from a sender that learns it anew
-(ROADMAP item 4 records this as a defect to fix in its own PR).
+(ROADMAP item 1(b) records this as a defect to fix in its own PR).
 """
 
 from bisect import bisect_left, insort

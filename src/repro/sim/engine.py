@@ -266,40 +266,6 @@ class Simulator:
         self._sequence += 1
         return timer
 
-    def schedule_batch(self, delay, calls):
-        """Run several callbacks consecutively at one instant.
-
-        ``calls`` is an iterable of ``(callback, *args)`` tuples; the
-        whole batch occupies a single heap entry and the callbacks run
-        back-to-back in list order — the order N individual ``schedule``
-        calls at the same delay would have produced — without re-entering
-        the heap between them.  Returns one :class:`Timer` cancelling
-        the entire batch.  :meth:`stop` from inside a batched callback
-        halts the remainder of the batch.
-        """
-        calls = tuple(calls)
-        for item in calls:
-            if not item or not callable(item[0]):
-                raise TypeError(
-                    f"schedule_batch items must be (callback, *args) "
-                    f"tuples, got {item!r}"
-                )
-        return self.schedule(delay, self._run_scheduled_batch, calls)
-
-    def _run_scheduled_batch(self, calls):
-        # The run loop counted the batch as one processed event; count
-        # the remaining callbacks here so events_processed still equals
-        # the number of callbacks executed.
-        first = True
-        for item in calls:
-            if self._stopped:
-                break
-            if first:
-                first = False
-            else:
-                self.events_processed += 1
-            item[0](*item[1:])
-
     def _compact(self):
         """Rebuild the heap without its cancelled entries, recycling the
         timers no caller holds a handle to.

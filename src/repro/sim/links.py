@@ -124,7 +124,7 @@ class Link:
         #: flow network; lets idle flows refresh their invariants lazily
         #: at activation instead of eagerly on every change.
         self._cond_stamp = 0
-        #: Allocator scratch (see :class:`repro.sim.tcp.FlowNetwork`):
+        #: Allocator scratch (see :mod:`repro.sim.alloc`):
         #: the epoch stamp marks which allocation pass the remaining/
         #: unfrozen values belong to, so passes need no per-link dicts.
         self._alloc_epoch = -1

@@ -1,11 +1,17 @@
-"""Flow-level underlay rate-control models and the max-min allocator.
+"""Flow-level underlay rate-control models and the flow network.
 
 Real Bullet' rides on per-peer TCP connections.  Their steady-state
 throughput is governed by (a) fair sharing of bottleneck links with
 competing flows and (b) a per-flow rate bound imposed by the underlay's
-congestion controller.  Which controller is a pluggable axis: the
-abstract :class:`FlowModel` interface covers the path invariants (RTT,
-loss, RTO), the steady-state cap, and the post-connect ramp cap, and
+congestion controller.  This module owns (b) and the event glue around
+(a); the max-min arithmetic itself lives in :mod:`repro.sim.alloc`.
+
+Flow models
+-----------
+
+Which controller bounds a flow is a pluggable axis: the abstract
+:class:`FlowModel` interface covers the path invariants (RTT, loss,
+RTO), the steady-state cap, and the post-connect ramp cap, and
 :class:`TcpModel` — registered as ``reno`` in
 :data:`repro.harness.registry.FLOW_MODELS` and the default everywhere —
 implements the loss-based Reno-shaped cap captured by the Mathis
@@ -19,55 +25,41 @@ the allocator's own delivery-rate history and the path's delay
 evolution; they declare ``dynamic = True`` and receive the
 :meth:`FlowModel.observe_rate` / :meth:`FlowModel.path_refreshed` /
 :meth:`FlowModel.dynamic_cap` callbacks below.  Every dynamic hook is
-gated on that flag, so a :class:`FlowNetwork` running the default Reno
-model executes the exact pre-redesign instruction stream — the golden
-matrices pin this bit for bit.
+gated on that flag, so the default Reno model pays one falsy attribute
+read per call site and nothing else.
 
-:class:`FlowNetwork` implements progressive filling (water-filling)
-max-min fair allocation over the links each flow traverses, with each
-flow additionally bounded by its model cap and a slow-start ramp after
-connection establishment.  Allocation is recomputed when the set of
-active flows changes or a link capacity changes; recomputations within
-``reallocation_interval`` are coalesced to keep large experiments linear
-in the number of block transfers.
+The flow network: bookkeeping, kernel, settle
+---------------------------------------------
 
-Incremental, component-scoped allocation
-----------------------------------------
+:class:`FlowNetwork` tracks which flows are active and what changed
+since the last pass.  Every activation, deactivation, capacity change
+and loss/delay change records the touched flows/links in a dirty set;
+changes within ``reallocation_interval`` are coalesced into one pass to
+keep large experiments linear in the number of block transfers.  A pass
+(:meth:`FlowNetwork.reallocate`) then
 
-Max-min fair shares factor over the *connected components* of the graph
-whose vertices are active flows and whose edges are shared links: a
-flow's rate depends only on the flows it (transitively) shares a link
-with.  The allocator exploits this.  Every activation, deactivation, and
-capacity change records the touched flows/links in a dirty set; a
-reallocation pass then
+1. gathers seeds — dirty flows, the flows on dirty links, and flows
+   whose slow-start cap is still *binding* (their cap grows with time; a
+   ramp already above the flow's share cannot change the allocation and
+   only has its ``ramp_done`` latch swept) — or, with
+   ``incremental=False``, every active flow;
+2. asks :func:`repro.sim.alloc.components` for the connected components
+   those seeds reach, and for each one computes every flow's cap, calls
+   :func:`repro.sim.alloc.fill`, and
+3. walks the flows in the freeze order ``fill`` returned through the one
+   settle loop: ramp latch, ``observe_rate`` feed, dead band,
+   ``flow.rate``, ``on_rate_change``.  Untouched components keep their
+   rates with zero work and no callbacks.
 
-1. expands the dirty seeds into full components by breadth-first search
-   over the ``link.flows`` adjacency (flows whose slow-start cap is
-   still *binding* are seeds too — their cap grows with time; a ramp
-   already above the flow's share cannot change the allocation and only
-   has its ``ramp_done`` latch swept),
-2. re-runs progressive filling over those components only, and
-3. leaves every untouched component's rates exactly as they are —
-   zero work, no callbacks.
-
-Complexity per pass is ``O(F_d + L_d + I_d * L_d)`` where ``F_d``/``L_d``
-are the flows/links in dirty components and ``I_d`` the filling
-iterations there, instead of the same expression over the whole network.
-With ``incremental=False`` every component is recomputed on every pass;
-because both modes run the identical per-component arithmetic in the
-identical order, they produce bit-identical rates and event sequences —
-the equivalence is asserted by a randomized property test and by the
-scenario-matrix golden tests.
-
-One scoping note: per-component processing settles each component in
-creation order, whereas the legacy *global* fill interleaved freezes
-across components by bottleneck-share rounds.  Rates are identical
-either way (max-min allocation factors over components), but when two
-events in *different* components land on exactly the same timestamp,
-their tie-break order can differ from the legacy trajectory — an
-equally valid schedule.  The recorded golden matrix pins the realized
-behavior; the incremental ≡ full guarantee is unaffected (both modes
-settle per component).
+Work per pass is proportional to the dirty components only.  The
+kernel orders everything by creation sequence, so seed order cannot
+influence results, and passing every active flow as seeds runs the
+identical arithmetic in the identical order: ``incremental`` and
+``full`` produce bit-identical rates and event sequences (asserted by a
+randomized property test and the scenario-matrix golden tests).
+Callbacks fired from the settle loop (transport reschedules, model
+feeds) never touch allocator state, which is what lets settling wait
+until a component's fill has finished.
 
 Link-condition dynamics
 -----------------------
@@ -80,25 +72,20 @@ get their path invariants (Mathis cap, RTT, loss, RTO) refreshed
 immediately and their components re-filled, while idle flows refresh
 lazily at their next activation by comparing stamps.  When no scenario
 touches loss or delay the epoch never moves and the whole mechanism
-reduces to one always-equal integer compare per activation — which is
-why capacity-only runs are bit-identical to the pre-engine code.
+reduces to one always-equal integer compare per activation.
 
-Per-flow invariants (Mathis cap, RTT, loss, RTO) are computed once at
-flow creation (and refreshed on condition changes as above), and a
-``ramp_done`` latch stops flows past slow-start
-from paying the exponential window recompute or scheduling further ramp
-revisits.  Per-link allocation scratch (``remaining`` capacity and
-unfrozen-flow counts) lives in slots on the :class:`~repro.sim.links.Link`
-itself, updated in place, so a pass allocates no per-link dictionaries.
+Per-flow invariants are computed once at flow creation (and refreshed
+as above), and a ``ramp_done`` latch stops flows past slow-start from
+paying the exponential window recompute or scheduling further ramp
+revisits.
 """
 
-import heapq
 import math
 from bisect import insort
 from operator import attrgetter
-from operator import itemgetter
 
 from repro.common.params import Configurable, Param
+from repro.sim.alloc import components, fill
 
 __all__ = ["FlowModel", "TcpModel", "Flow", "FlowNetwork"]
 
@@ -129,8 +116,7 @@ class FlowModel(Configurable):
     :meth:`path_refreshed` when a traversed link's loss or delay moved,
     and :meth:`dynamic_cap` for the instantaneous cap on every fill.
     All hooks are gated on ``dynamic`` at the call sites, so a static
-    model (Reno) pays nothing — its instruction stream is bit-identical
-    to the pre-interface allocator.
+    model (Reno) pays nothing.
 
     Subclasses share the Reno-shaped RTO and exponential ramp by
     default; both are overridable.  Knobs are declared as ``params``
@@ -198,13 +184,7 @@ class FlowModel(Configurable):
         return window_segments * self.mss / rtt
 
     def slow_start_cap(self, links, age):
-        """Rate bound while the congestion window ramps up.
-
-        Approximates slow start: the window starts at
-        ``ramp_initial_segments`` segments and doubles every RTT, so the
-        achievable rate at connection age ``age`` is
-        ``initial * 2^(age/RTT) * MSS / RTT``.
-        """
+        """:meth:`slow_start_cap_at` for the RTT of ``links``."""
         return self.slow_start_cap_at(self.path_rtt(links), age)
 
     # -- dynamic-model hooks (no-ops for static models) --------------------
@@ -340,10 +320,8 @@ class Flow:
         return f"Flow({self.name!r}, rate={self.rate:.0f}B/s, active={self._active})"
 
 
-#: C-level sort keys — these orderings run on every allocation pass.
+#: C-level sort key: ``link.flows`` is kept in creation order.
 _flow_seq = attrgetter("seq")
-_flow_cap = attrgetter("_cap")
-_entry_index = itemgetter(1)
 
 
 class FlowNetwork:
@@ -356,22 +334,18 @@ class FlowNetwork:
     (changes within one interval are coalesced, trading a bounded amount
     of short-term accuracy for linear running time).
 
-    With ``incremental=True`` (the default) a reallocation pass only
-    recomputes the connected components of the active-flow/shared-link
-    graph that contain a dirty flow, a dirty link, or a flow still in
-    its slow-start ramp; untouched components keep their rates with zero
-    work.  ``incremental=False`` recomputes every component each pass
-    using the same per-component arithmetic — by construction the two
-    modes produce bit-identical rates (see the module docstring).
+    With ``incremental=True`` (the default) a pass refills only the
+    components holding a dirty flow, a dirty link, or a binding ramp;
+    ``incremental=False`` refills every component.  Same arithmetic,
+    bit-identical rates (see the module docstring).
     """
 
     def __init__(self, sim, model=None, reallocation_interval=0.01,
                  incremental=True):
         self.sim = sim
         self.model = model if model is not None else TcpModel()
-        #: Hoisted dynamic-model gate: checked on the hot fill paths, so
-        #: static models (Reno, the default) execute the pre-interface
-        #: instruction stream with one extra falsy attribute read.
+        #: Hoisted dynamic-model gate: every hook call site checks it, so
+        #: static models (Reno, the default) pay one falsy attribute read.
         self._dynamic = bool(self.model.dynamic)
         self.reallocation_interval = reallocation_interval
         self.incremental = incremental
@@ -380,26 +354,23 @@ class FlowNetwork:
         self._dirty = False
         self._realloc_scheduled = False
         self._last_realloc = -math.inf
-        #: Flows activated since the last pass (seeds for the BFS).
+        #: Flows activated or path-refreshed since the last pass (all
+        #: active: ``deactivate`` discards); seeds for the next one.
         self._dirty_flows = set()
         #: Links whose capacity changed or whose flow set shrank.
         self._dirty_links = set()
         #: Active flows still inside slow-start: their cap grows with
         #: time, so their components must be revisited every pass.
         self._ramping_flows = set()
-        #: Monotone pass id for link-list dedup without dictionaries.
+        #: Last stamp handed to the kernel; each ``components`` / ``fill``
+        #: call gets a fresh one (dedup without sets or dictionaries).
         self._alloc_epoch = 0
         #: Monotone count of loss/delay mutations anywhere in the
         #: network (the *condition epoch*).  Flows stamp the epoch their
         #: path invariants were computed at; while no scenario touches
-        #: loss or delay this never moves, the staleness test in
-        #: ``activate`` is a single always-equal int compare, and the
-        #: capacity-only trajectory is bit-identical to the pre-engine
-        #: code by construction.
+        #: loss or delay this never moves and the staleness test in
+        #: ``activate`` is a single always-equal int compare.
         self._cond_epoch = 0
-        #: Epoch used by the latest component discovery (flows stamped
-        #: with it were refilled this pass).
-        self._last_bfs_epoch = -1
         #: Number of allocation passes performed.
         self.reallocations = 0
         #: Components / flows actually re-filled (allocator work done).
@@ -407,13 +378,15 @@ class FlowNetwork:
         self.flows_allocated = 0
         self.max_component_size = 0
         #: Progressive-filling freeze rounds across all fills (each round
-        #: surfaces one bottleneck level from the share heap).
+        #: surfaces one bottleneck level).
         self.fill_rounds = 0
         #: Per-flow path-invariant recomputations forced by loss/delay
         #: condition changes (zero in capacity-only runs).
         self.path_refreshes = 0
 
     def new_flow(self, name, links):
+        if not links:
+            raise ValueError(f"flow {name!r} has an empty path")
         flow = Flow(name, links, self.model, started_at=self.sim.now)
         flow.seq = self._flow_seq
         self._flow_seq += 1
@@ -569,54 +542,15 @@ class FlowNetwork:
         self._ramping_flows.discard(flow)
         return flow.mathis_cap
 
-    # -- component discovery ---------------------------------------------------
-
-    def _components(self, seeds):
-        """Connected components of the active-flow graph reachable from
-        ``seeds``, as flow lists sorted by creation sequence; the
-        component list itself is ordered by each component's oldest flow
-        so downstream callback order is independent of seed order.
-
-        Visited marking uses an epoch stamp on the flows themselves —
-        no per-pass set, no hashing on the hot path.
-        """
-        self._alloc_epoch += 1
-        epoch = self._alloc_epoch
-        self._last_bfs_epoch = epoch
-        components = []
-        for seed in seeds:
-            if seed._visit_epoch == epoch or not seed._active:
-                continue
-            seed._visit_epoch = epoch
-            stack = [seed]
-            stack_pop = stack.pop
-            stack_append = stack.append
-            component = []
-            component_append = component.append
-            while stack:
-                flow = stack_pop()
-                component_append(flow)
-                for link in flow.links:
-                    # Expand each link once per pass: every flow on it
-                    # lands on the stack the first time, so revisiting
-                    # from a sibling flow would only rescan the set.
-                    if link._alloc_epoch != epoch:
-                        link._alloc_epoch = epoch
-                        for other in link.flows:
-                            if other._visit_epoch != epoch:
-                                other._visit_epoch = epoch
-                                stack_append(other)
-            component.sort(key=_flow_seq)
-            components.append(component)
-        components.sort(key=lambda component: component[0].seq)
-        return components
+    # -- the allocation pass ---------------------------------------------------
 
     def reallocate(self):
         """Run one allocation pass over every dirty component.
 
-        Progressive filling: flows bounded below their fair share by
-        their cap are frozen at the cap; remaining capacity is repeatedly
-        divided among unfrozen flows at the tightest link.
+        The kernel (:mod:`repro.sim.alloc`) finds the components and
+        fills them; this method chooses the seeds, prices each flow's
+        cap before its component is filled, and settles the flows in
+        the freeze order the kernel hands back.
         """
         self.reallocations += 1
         if not self._active_flows:
@@ -624,7 +558,7 @@ class FlowNetwork:
             self._dirty_links.clear()
             return
         if self.incremental:
-            seeds = [f for f in self._dirty_flows if f._active]
+            seeds = list(self._dirty_flows)
             for link in self._dirty_links:
                 seeds.extend(link.flows)
             if self._dynamic:
@@ -638,25 +572,63 @@ class FlowNetwork:
                 # flow's share cannot change the component's allocation
                 # by growing.
                 seeds.extend(f for f in self._ramping_flows if f.ramp_binding)
-            # Seed order (and duplicates) cannot influence results:
-            # discovery dedups via visit stamps, component membership is
-            # order-free, and both the flows within a component and the
-            # component list itself are sorted before filling.
         else:
             seeds = self._active_flows
         self._dirty_flows.clear()
         self._dirty_links.clear()
 
-        for component in self._components(seeds):
-            self._fill_component(component)
+        # One stamp for discovery (flows carrying it were refilled this
+        # pass), then a fresh one per fill.
+        epoch = bfs_epoch = self._alloc_epoch + 1
+        flow_cap = self.flow_cap
+        now = self.sim.now
+        # Dynamic models sample the settled rate of every allocated flow
+        # (even an unchanged one — a windowed filter such as BBR's needs
+        # fresh samples so old maxima can expire); ``None`` keeps the
+        # static path branch-only.
+        observe = self.model.observe_rate if self._dynamic else None
+        for component in components(seeds, bfs_epoch):
+            size = len(component)
+            self.components_allocated += 1
+            self.flows_allocated += size
+            if size > self.max_component_size:
+                self.max_component_size = size
+            for flow in component:
+                # Fast path: past slow-start the cap is the (precomputed)
+                # Mathis cap — no call, no exponential.
+                flow._cap = flow.mathis_cap if flow.ramp_done else flow_cap(flow)
+            epoch += 1
+            frozen, rates, rounds = fill(component, epoch)
+            self.fill_rounds += rounds
+            # The one settle site.  Freeze order is callback order.
+            for flow, rate in zip(frozen, rates):
+                if not flow.ramp_done:
+                    # The ramp cap bound this fill iff it set the rate:
+                    # only a cap-limited freeze assigns the cap itself,
+                    # so ``>=`` identifies it exactly.
+                    flow.ramp_binding = rate >= flow._cap
+                if observe is not None:
+                    observe(flow, rate, now)
+                # Dead band: a rate that moved by less than 1e-9 B/s is
+                # the same rate, and reschedules nothing.
+                diff = rate - flow.rate
+                if diff > 1e-9 or diff < -1e-9:
+                    old_rate = flow.rate
+                    flow.rate = rate
+                    if flow.on_rate_change is not None:
+                        # The old rate is passed so byte-progress accrued
+                        # since the last event is credited at the rate
+                        # that actually applied (crediting at the new
+                        # rate would let an oversubscribed link deliver
+                        # more than its capacity).
+                        flow.on_rate_change(flow, old_rate)
+        self._alloc_epoch = epoch
 
         if self._ramping_flows:
             # Ramping flows whose component was not refilled still track
             # the window growth: latch ramp_done exactly when a full
             # recomputation would, so the revisit schedule (and with it
             # the event timeline) is identical in both allocator modes.
-            bfs_epoch = self._last_bfs_epoch
-            flow_cap = self.flow_cap
             for flow in list(self._ramping_flows):
                 if flow._visit_epoch != bfs_epoch:
                     flow_cap(flow)
@@ -671,300 +643,17 @@ class FlowNetwork:
             delay = max(self.reallocation_interval, 0.005)
             self.sim.schedule(delay, self._run_reallocation)
 
-    def _fill_component(self, flows):
-        """Progressive filling over one connected component.
-
-        ``flows`` is the component's active flows sorted by creation
-        sequence.  All allocation state lives in slots on the flows and
-        links themselves (no per-pass dictionaries); each flow's
-        rate-change callback fires the moment it freezes — freeze order
-        IS the classic fill's end-of-pass sweep order, and the callbacks
-        (transport reschedules) never touch allocator state, so the
-        event sequence is unchanged.
-
-        The loop structure mirrors the classic global fill exactly —
-        same freeze batches in the same order, so rates are bit-for-bit
-        what the global algorithm computes on this component — but the
-        bottleneck scan is a **lazy share heap** instead of an all-links
-        rescan per round.  Correctness rests on the water-filling
-        invariant that a link's fair share only *rises* as flows freeze:
-        a heap entry recorded before a freeze touched its link is a
-        lower bound on the live share, so resolving staleness at the top
-        (recompute, re-push) still surfaces the true minimum, and
-        popping every entry within the freeze tolerance of that minimum
-        yields a superset of the links the freeze step must examine —
-        the same superset property the old scan's candidate collection
-        had.  Candidates are re-tested against their *live* share in
-        first-appearance order, exactly as before, so the freeze sets,
-        their order, and the floating-point trajectory are unchanged.
-        The cap-limited batch likewise comes from a cap-sorted prefix
-        (monotone cursor, built lazily).
-
-        The previous implementation rescanned every component link every
-        round — measured at ~4.3M link visits for one 50-node cell;
-        the heap replaces that with O(changed links * log L) per round.
-        """
-        flow_count = len(flows)
-        self.components_allocated += 1
-        self.flows_allocated += flow_count
-        if flow_count > self.max_component_size:
-            self.max_component_size = flow_count
-
-        if flow_count == 1:
-            # A lone flow owns all its links: the fill degenerates to
-            # min(capacity) vs the flow's cap.  Same arithmetic, same
-            # callback, none of the scaffolding.
-            flow = flows[0]
-            cap = flow.mathis_cap if flow.ramp_done else self.flow_cap(flow)
-            share = flow.links[0]._capacity
-            for link in flow.links:
-                if link._capacity < share:
-                    share = link._capacity
-            rate = cap if cap <= share else share
-            if not flow.ramp_done:
-                flow.ramp_binding = rate >= cap
-            if self._dynamic:
-                # Feed the model even when the rate is unchanged: a
-                # windowed filter (BBR) must see fresh samples so old
-                # maxima can expire out of the window.
-                self.model.observe_rate(flow, rate, self.sim.now)
-            diff = rate - flow.rate
-            if diff > 1e-9 or diff < -1e-9:
-                old_rate = flow.rate
-                flow.rate = rate
-                if flow.on_rate_change is not None:
-                    flow.on_rate_change(flow, old_rate)
-            return
-
-        # Heap entries are ``(share, first-appearance index, link)``;
-        # the index both breaks float ties deterministically (links are
-        # never compared) and restores the classic scan's candidate
-        # order.  The epoch stamp dedups without building a dict.
-        self._alloc_epoch += 1
-        epoch = self._alloc_epoch
-        inf = math.inf
-        flow_cap = self.flow_cap
-        # Dynamic models sample the settled rate at every freeze (even
-        # an unchanged one — windowed filters need fresh samples so old
-        # maxima can expire); ``None`` keeps the static path branch-only.
-        observe = self.model.observe_rate if self._dynamic else None
-        now = self.sim.now
-        min_cap = inf
-        entries = []
-        n_links = 0
-        for flow in flows:
-            # Fast path: past slow-start the cap is the (precomputed)
-            # Mathis cap — no call, no exponential.
-            cap = flow.mathis_cap if flow.ramp_done else flow_cap(flow)
-            flow._cap = cap
-            if cap < min_cap:
-                min_cap = cap
-            flow._frozen = False
-            for link in flow.links:
-                if link._alloc_epoch != epoch:
-                    link._alloc_epoch = epoch
-                    remaining = link._capacity
-                    count = len(link.flows)
-                    link._alloc_remaining = remaining
-                    link._alloc_unfrozen = count
-                    entries.append((remaining / count, n_links, link))
-                    n_links += 1
-        heapq.heapify(entries)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-
-        # Flows in ascending cap order; ``cap_cursor`` sweeps forward as
-        # the bottleneck share rises (shares are non-decreasing across
-        # rounds, so a flow skipped once never needs re-checking until
-        # its cap is reached).  ``flows`` is seq-sorted and the sort is
-        # stable, so equal caps stay in creation order.  Built lazily:
-        # while ``min_cap`` exceeds the fair share no cap can bind and
-        # the ordering is never consulted.
-        by_cap = None
-        cap_cursor = 0
-
-        unfrozen_count = flow_count
-
-        while unfrozen_count:
-            self.fill_rounds += 1
-            # Surface the true minimum live share: pop dead links, and
-            # re-push entries whose link was touched by a freeze since
-            # they were recorded (their live share has risen).  The top
-            # is fresh when its recorded share equals the live value.
-            bottleneck_share = inf
-            while entries:
-                share, index, link = entries[0]
-                count = link._alloc_unfrozen
-                if count == 0:
-                    heappop(entries)  # dead: every flow on it froze
-                    continue
-                live = link._alloc_remaining / count
-                if live != share:
-                    # One sift instead of a pop + push: the stale top is
-                    # replaced by its own live share.
-                    heapreplace(entries, (live, index, link))
-                    continue
-                bottleneck_share = share
-                break
-            if bottleneck_share is inf:
-                # All remaining flows traverse only frozen links (cannot
-                # happen with positive capacities, but guard anyway).
-                for flow in flows:
-                    if not flow._frozen:
-                        flow._frozen = True
-                        self._settle(flow, flow._cap)
-                break
-            threshold = bottleneck_share * (1 + 1e-12)
-
-            # Freeze cap-limited flows first: any unfrozen flow whose cap
-            # is at or below the current fair share gets exactly its cap.
-            # The heap is left untouched — entries for links these
-            # freezes invalidate become stale lower bounds, resolved at
-            # the top of the next round.
-            cap_limited = None
-            if min_cap <= bottleneck_share:
-                if by_cap is None:
-                    by_cap = sorted(flows, key=_flow_cap)
-                while cap_cursor < flow_count:
-                    flow = by_cap[cap_cursor]
-                    if flow._cap > bottleneck_share:
-                        break
-                    cap_cursor += 1
-                    if not flow._frozen:
-                        if cap_limited is None:
-                            cap_limited = [flow]
-                        else:
-                            cap_limited.append(flow)
-            if cap_limited is not None:
-                # Freeze in creation order (the classic scan's order) so
-                # per-link subtraction order — and with it the exact
-                # floating-point trajectory — is unchanged.
-                if len(cap_limited) > 1:
-                    cap_limited.sort(key=_flow_seq)
-                for flow in cap_limited:
-                    rate = flow._cap
-                    flow._frozen = True
-                    unfrozen_count -= 1
-                    for link in flow.links:
-                        link._alloc_remaining -= rate
-                        link._alloc_unfrozen -= 1
-                    # Inline settle (hot site): rate == cap, so a still-
-                    # ramping flow is binding by definition; caps are
-                    # positive, so no clamp needed.
-                    if not flow.ramp_done:
-                        flow.ramp_binding = True
-                    if observe is not None:
-                        observe(flow, rate, now)
-                    diff = rate - flow.rate
-                    if diff > 1e-9 or diff < -1e-9:
-                        old_rate = flow.rate
-                        flow.rate = rate
-                        if flow.on_rate_change is not None:
-                            flow.on_rate_change(flow, old_rate)
-                continue
-
-            # Otherwise freeze every flow on the bottleneck link(s): pop
-            # the tolerance band (recorded shares are lower bounds, so
-            # every link whose live share is within the band is in it),
-            # restore first-appearance order, and re-test each candidate
-            # against its live share — identical outcome to the old
-            # full rescan, since shares only rise as flows freeze.
-            candidates = [heappop(entries)]
-            while entries and entries[0][0] <= threshold:
-                candidates.append(heappop(entries))
-            if len(candidates) > 1:
-                candidates.sort(key=_entry_index)
-            frozen_any = False
-            for seen_share, index, link in candidates:
-                count = link._alloc_unfrozen
-                if count == 0:
-                    continue  # died inside this band: drop its entry
-                if link._alloc_remaining / count <= threshold:
-                    # link.flows is maintained in seq order, which is
-                    # exactly the classic scan's freeze order; callbacks
-                    # never touch membership, so iterating it directly
-                    # (no copy, no sort) is safe.
-                    for flow in link.flows:
-                        if flow._frozen:
-                            continue
-                        flow._frozen = True
-                        frozen_any = True
-                        unfrozen_count -= 1
-                        for flow_link in flow.links:
-                            flow_link._alloc_remaining -= bottleneck_share
-                            flow_link._alloc_unfrozen -= 1
-                        # Inline settle (hot site): every unfrozen flow
-                        # here has cap > share (cap-limited ones froze
-                        # above), so a still-ramping flow is non-binding.
-                        if not flow.ramp_done:
-                            flow.ramp_binding = False
-                        rate = bottleneck_share if bottleneck_share > 0.0 else 0.0
-                        if observe is not None:
-                            observe(flow, rate, now)
-                        diff = rate - flow.rate
-                        if diff > 1e-9 or diff < -1e-9:
-                            old_rate = flow.rate
-                            flow.rate = rate
-                            if flow.on_rate_change is not None:
-                                flow.on_rate_change(flow, old_rate)
-                # Re-admit the candidate with its live share (it left the
-                # heap when the band was popped); dead links stay out.
-                count = link._alloc_unfrozen
-                if count:
-                    heappush(
-                        entries, (link._alloc_remaining / count, index, link)
-                    )
-            if not frozen_any:  # numerical corner: freeze everything
-                for flow in flows:
-                    if not flow._frozen:
-                        flow._frozen = True
-                        rate = flow._cap
-                        if bottleneck_share < rate:
-                            rate = bottleneck_share
-                        unfrozen_count -= 1
-                        self._settle(flow, rate)
-                break
-
-    def _settle(self, flow, rate):
-        """Apply one frozen flow's rate and fire its callback.
-
-        Called at freeze time: freeze order is exactly the order the
-        classic fill's end-of-pass sweep would visit, and callbacks (the
-        transport's reschedules) never touch allocator state, so firing
-        early leaves the event sequence bit-identical.
-        """
-        if not flow.ramp_done:
-            # The ramp cap bound this fill iff it set the rate; the
-            # cap-limited branch is the only one assigning the cap
-            # itself, so equality identifies it exactly.
-            flow.ramp_binding = rate >= flow._cap
-        if rate < 0.0:
-            rate = 0.0
-        if self._dynamic:
-            self.model.observe_rate(flow, rate, self.sim.now)
-        diff = rate - flow.rate
-        if diff > 1e-9 or diff < -1e-9:
-            old_rate = flow.rate
-            flow.rate = rate
-            if flow.on_rate_change is not None:
-                # The old rate is passed so byte-progress accrued since
-                # the last event is credited at the rate that actually
-                # applied (crediting at the new rate would let an
-                # oversubscribed link deliver more than its capacity).
-                flow.on_rate_change(flow, old_rate)
-
     def perf_stats(self):
         """Allocator work counters (all deterministic for a fixed seed)."""
-        components = self.components_allocated
+        filled = self.components_allocated
         return {
             "reallocations": self.reallocations,
-            "components_allocated": components,
+            "components_allocated": filled,
             "flows_allocated": self.flows_allocated,
             "fill_rounds": self.fill_rounds,
             "path_refreshes": self.path_refreshes,
             "max_component_size": self.max_component_size,
             "mean_component_size": (
-                round(self.flows_allocated / components, 3) if components else 0.0
+                round(self.flows_allocated / filled, 3) if filled else 0.0
             ),
         }

@@ -148,21 +148,19 @@ class Channel:
     """One direction of a connection: a FIFO drained at the flow's rate.
 
     The send queue is a :class:`collections.deque` (popping the head of a
-    list is O(n)) and the queue statistics protocols poll on every block
-    — block counts and byte totals — are maintained as running counters,
-    so ``queued_block_count`` / ``queued_bytes`` / ``send_queue_blocks``
+    list is O(n)) and the block count protocols read on every block is a
+    running counter, so ``queued_block_count`` / ``send_queue_blocks``
     are O(1) instead of per-call scans.
 
-    Instead of making every protocol poll those counters per block, the
+    Instead of making every protocol poll that counter per block, the
     channel pushes the one transition protocols actually act on: when the
     number of queued blocks drops below ``block_low_watermark`` the
     channel invokes ``on_block_low(connection)`` — the event-driven
     low-watermark path push senders (the source pusher, Bullet's lossy
     tree push, SplitStream's blocking multicast) and Bullet's self-
-    clocked diff trigger ride on.  The callback fires at exactly the
-    simulated instant the old per-message polling would first have
-    observed the queue below the watermark, so switching a protocol from
-    polling to the callback leaves its event timeline bit-identical.
+    clocked diff trigger ride on.  The callback fires at the simulated
+    instant the block whose transmission takes the count from the
+    watermark to one below it leaves the queue.
     """
 
     __slots__ = (
@@ -173,7 +171,6 @@ class Channel:
         "prop_delay",
         "queue",
         "queued_blocks",
-        "_queued_wire_bytes",
         "head_remaining",
         "last_advance",
         "idle_since",
@@ -196,8 +193,6 @@ class Channel:
         self.queue = deque()
         #: Running count of block messages in ``queue`` (head included).
         self.queued_blocks = 0
-        #: Running sum of size+header over ``queue`` (head included in full).
-        self._queued_wire_bytes = 0
         self.head_remaining = 0.0
         self.last_advance = network.sim.now
         self.idle_since = network.sim.now
@@ -228,14 +223,6 @@ class Channel:
             return self.queued_blocks - 1
         return self.queued_blocks
 
-    def queued_bytes(self):
-        total = self._queued_wire_bytes
-        if self.queue:
-            # Subtract what the head message already transmitted.
-            head_size = self.queue[0].size + MESSAGE_HEADER_BYTES
-            total -= head_size - self.head_remaining
-        return total
-
     # -- sending --------------------------------------------------------------
 
     def enqueue(self, message):
@@ -257,7 +244,6 @@ class Channel:
                     1 if self.queue else 0
                 )
             self.queued_blocks += 1
-        self._queued_wire_bytes += message.size + MESSAGE_HEADER_BYTES
         self.queue.append(message)
         if len(self.queue) == 1:
             self._start_head()
@@ -283,16 +269,6 @@ class Channel:
             self._event = self.sim.schedule(
                 remaining / rate, self._head_transmitted
             )
-
-    def _advance_progress(self, rate=None):
-        now = self.sim.now
-        if rate is None:
-            rate = self.flow.rate
-        if self.queue and rate > 0:
-            self.head_remaining -= rate * (now - self.last_advance)
-            if self.head_remaining < 0:
-                self.head_remaining = 0.0
-        self.last_advance = now
 
     def _rate_changed(self, _flow, old_rate):
         # The transport's busiest callback (every allocation pass hits
@@ -327,7 +303,7 @@ class Channel:
 
     def _head_transmitted(self):
         self._event = None
-        # _advance_progress inlined (runs once per transmitted message).
+        # Credit the head's progress since the last rate change.
         now = self.sim.now
         queue = self.queue
         if queue:
@@ -341,7 +317,6 @@ class Channel:
         message = queue.popleft()
         wire_size = message.size + MESSAGE_HEADER_BYTES
         self.bytes_sent += wire_size
-        self._queued_wire_bytes -= wire_size
         if message.is_block:
             self.queued_blocks -= 1
         self._deliver_later(message)
@@ -351,8 +326,6 @@ class Channel:
             self.network.flows.deactivate(self.flow)
             self.idle_since = self.sim.now
         conn = self.connection
-        if conn.on_sent is not None and not conn.closed:
-            conn.on_sent(conn, message)
         if (
             self.on_block_low is not None
             and message.is_block
@@ -384,7 +357,6 @@ class Channel:
         if self.queue:
             self.queue.clear()
             self.queued_blocks = 0
-            self._queued_wire_bytes = 0
             self.network.flows.deactivate(self.flow)
         self.flow.on_rate_change = None
         self.flow.on_path_change = None
@@ -405,7 +377,6 @@ class Connection:
         "_out_channel",
         "_twin",
         "on_message",
-        "on_sent",
         "on_close",
         "closed",
         "bytes_received",
@@ -420,10 +391,6 @@ class Connection:
         self._out_channel = None
         self._twin = None
         self.on_message = None
-        #: ``on_sent(conn, message)`` fires each time a message finishes
-        #: transmission (push senders use it to keep pipes primed without
-        #: polling).
-        self.on_sent = None
         self.on_close = None
         self.closed = False
         self.bytes_received = 0

@@ -419,48 +419,6 @@ class TestSameInstantDrain:
         assert fired == ["a", "b"]
 
 
-class TestScheduleBatch:
-    def test_batch_runs_in_list_order_at_one_instant(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_batch(
-            2.0,
-            [
-                (seen.append, "a"),
-                (seen.append, "b"),
-                (lambda: seen.append(sim.now),),
-            ],
-        )
-        sim.run()
-        assert seen == ["a", "b", 2.0]
-        # One heap entry, three executed callbacks.
-        assert sim.events_processed == 3
-
-    def test_batch_cancel_cancels_all(self):
-        sim = Simulator()
-        seen = []
-        timer = sim.schedule_batch(1.0, [(seen.append, 1), (seen.append, 2)])
-        timer.cancel()
-        sim.run()
-        assert seen == []
-
-    def test_stop_from_inside_batch_halts_remainder(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_batch(
-            1.0,
-            [(seen.append, 1), (sim.stop,), (seen.append, 2)],
-        )
-        sim.schedule(5.0, lambda: seen.append("late"))
-        sim.run()
-        assert seen == [1]
-
-    def test_batch_rejects_non_callable(self):
-        sim = Simulator()
-        with pytest.raises(TypeError):
-            sim.schedule_batch(1.0, [("not-callable",)])
-
-
 class TestCancelledCountExact:
     """``_cancelled_count`` equals the number of cancelled entries in
     the heap at all times — including when cancels land between a

@@ -89,6 +89,11 @@ class TestFairSharing:
         sim.run(until=1.0)
         assert flow.rate == pytest.approx(1000)
 
+    def test_empty_path_refused_where_it_enters(self):
+        _, net = _make_network()
+        with pytest.raises(ValueError, match="'x'"):
+            net.new_flow("x", [])
+
     def test_two_flows_share_equally(self):
         sim, net = _make_network()
         link = Link("l", capacity=1000)

@@ -109,16 +109,6 @@ class TestDelivery:
         assert remote.blocks_received == 1
         assert local.control_bytes_sent == 1000 + MESSAGE_HEADER_BYTES
 
-    def test_on_sent_fires_per_message(self):
-        sim, net = _two_node_net()
-        local, _ = _connect(sim, net)
-        sent = []
-        local.on_sent = lambda c, m: sent.append(m.kind)
-        local.send(Message("a", size=500))
-        local.send(Message("b", size=500))
-        sim.run(until=10.0)
-        assert sent == ["a", "b"]
-
 
 class TestSenderAccounting:
     def test_idle_gap_reported_negative(self):
@@ -164,14 +154,12 @@ class TestSenderAccounting:
 
 
 class TestChannelCounterAccounting:
-    """The deque-backed channel keeps running counters; they must agree
-    with a from-scratch scan of the queue at every point in time."""
+    """The deque-backed channel keeps a running block counter; it must
+    agree with a from-scratch scan of the queue at every point in time."""
 
     @staticmethod
     def _recount(channel):
-        blocks = sum(1 for m in channel.queue if m.is_block)
-        wire = sum(m.size + MESSAGE_HEADER_BYTES for m in channel.queue)
-        return blocks, wire
+        return sum(1 for m in channel.queue if m.is_block)
 
     def test_counters_track_mixed_traffic(self):
         sim, net = _two_node_net(core_bw=50_000)
@@ -186,10 +174,9 @@ class TestChannelCounterAccounting:
                     is_block=is_block,
                 )
             )
-            blocks, wire = self._recount(channel)
+            blocks = self._recount(channel)
             assert channel.queued_blocks == blocks
             assert local.send_queue_blocks == blocks
-            assert channel._queued_wire_bytes == wire
 
         # Drain step by step: counters must stay consistent after every
         # transmission completes.  Bounded so a stalled queue fails the
@@ -201,12 +188,9 @@ class TestChannelCounterAccounting:
             sim.run(until=sim.now + 1.0)
             if len(channel.queue) == before:
                 continue
-            blocks, wire = self._recount(channel)
-            assert channel.queued_blocks == blocks
-            assert channel._queued_wire_bytes == wire
+            assert channel.queued_blocks == self._recount(channel)
         assert not channel.queue, "send queue failed to drain"
         assert channel.queued_blocks == 0
-        assert channel._queued_wire_bytes == 0
 
     def test_queued_block_count_excludes_transmitting_head(self):
         sim, net = _two_node_net(core_bw=10_000)
@@ -219,20 +203,6 @@ class TestChannelCounterAccounting:
         local.send(Message("c", size=100, is_block=False))
         assert channel.queued_block_count() == 2  # control doesn't count
 
-    def test_queued_bytes_matches_scan_with_partial_head(self):
-        sim, net = _two_node_net(core_bw=10_000)
-        local, _ = _connect(sim, net)
-        channel = local._out_channel
-        for _ in range(2):
-            local.send(Message("b", size=5_000, is_block=True))
-        sim.run(until=sim.now + 0.2)  # transmit part of the head
-        channel._advance_progress()
-        _, wire = self._recount(channel)
-        head_size = channel.queue[0].size + MESSAGE_HEADER_BYTES
-        expected = wire - (head_size - channel.head_remaining)
-        assert channel.queued_bytes() == pytest.approx(expected)
-        assert channel.queued_bytes() < wire  # some head bytes are gone
-
     def test_close_resets_counters(self):
         sim, net = _two_node_net()
         local, _ = _connect(sim, net)
@@ -241,7 +211,6 @@ class TestChannelCounterAccounting:
             local.send(Message("b", size=5_000, is_block=True))
         local.close()
         assert channel.queued_blocks == 0
-        assert channel._queued_wire_bytes == 0
         assert len(channel.queue) == 0
 
 
