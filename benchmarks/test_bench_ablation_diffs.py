@@ -50,11 +50,8 @@ def _sweep(num_nodes, num_blocks, seed=2):
     # with the same fixed peering to isolate the diff mechanism.
     digest = run_experiment(
         mesh_topology(num_nodes, seed=seed),
-        bullet_factory(
-            config=BulletConfig(
-                num_blocks=num_blocks, seed=seed, digest_period=5.0
-            )
-        ),
+        # Bullet's digest period (bullet.DIGEST_PERIOD, 5 s) is a constant.
+        bullet_factory(config=BulletConfig(num_blocks=num_blocks, seed=seed)),
         num_blocks,
         max_time=6000.0,
         seed=seed,

@@ -7,9 +7,9 @@ Scale note: this comparison needs enough blocks to amortize Bullet's
 peering cold start (a couple of RanSub epochs), so the bench enforces a
 floor of 40 nodes / 480 blocks (7.5 MB).  SplitStream's blocking push
 trees have no cold start and look strong at reduced file sizes; its
-stripes are min-edge-limited, so Bullet' crosses over near 20 MB and
-wins at the paper's 100 MB (see EXPERIMENTS.md) — at bench scale we
-assert it stays within striking distance.
+stripes are min-edge-limited, so Bullet' is expected to cross over at
+larger files (the paper's is 100 MB; no committed run records where) —
+at bench scale we assert it stays within striking distance.
 """
 
 from conftest import run_once

@@ -10,97 +10,79 @@ Reproduces the paper's two adaptivity arguments on small topologies:
   either starves high bandwidth-delay paths or queues too much on
   collapsing ones — the XCP-style controller adapts per peer.
 
-The dynamic conditions are scripted with the scenario API
-(:mod:`repro.scenarios`): ``CascadingCuts`` recreates Figure 12's
-collapsing links, ``Oscillate`` the cellular-style capacity swings.
+Every variant is one ``systems`` entry of a sweep spec — Bullet' with
+some of its declared knobs set (``python -m repro list`` prints them) —
+and the conditions are ``scenarios`` / ``topologies`` entries, so each
+demo is a :class:`~repro.harness.sweep.SweepSpec` and nothing else; the
+rows print the variants as cell keys and league tables name them.
 
 Run:  python examples/adaptive_flow_control.py
 """
 
-from repro.common.units import KiB, MBPS, MS
-from repro.harness.experiment import run_experiment
-from repro.harness.systems import bullet_prime_factory
-from repro.scenarios import CascadingCuts, Oscillate
-from repro.sim.topology import constrained_access_topology, mesh_topology, star_topology
+from repro.common.units import KiB, MS
+from repro.harness.sweep import SweepSpec, record_cell, run_sweep
+
+
+def bullet_prime(**params):
+    return {"name": "bullet_prime", "params": params}
+
+
+def static_peers(count):
+    return bullet_prime(
+        adaptive_peering=False, initial_senders=count, initial_receivers=count
+    )
+
+
+def show(title, **grids):
+    print(f"\n{title}")
+    spec = SweepSpec(seeds=5, max_time=3000.0, **grids)
+    for record in run_sweep(spec).records:
+        summary = record["summary"]
+        print(
+            f"  median {summary['median']:7.1f} s   worst {summary['worst']:7.1f} s"
+            f"   {record_cell(record).system_key()}"
+        )
 
 
 def peer_set_demo():
     print("=== adaptive peer sets (Figures 7/9) ===")
-    scenarios = {
-        "lossy mesh (more peers help)": lambda: mesh_topology(20, seed=5),
-        "constrained access (fewer peers help)": lambda: constrained_access_topology(
-            20, seed=5
-        ),
-    }
-    for title, topo_factory in scenarios.items():
-        print(f"\n{title}")
-        for label, overrides in (
-            ("static-6", dict(adaptive_peering=False, initial_senders=6, initial_receivers=6)),
-            ("static-14", dict(adaptive_peering=False, initial_senders=14, initial_receivers=14)),
-            ("dynamic", dict(adaptive_peering=True)),
-        ):
-            result = run_experiment(
-                topo_factory(),
-                bullet_prime_factory(num_blocks=96, seed=5, **overrides),
-                96,
-                max_time=3000.0,
-                seed=5,
-            )
-            cdf = result.completion_cdf()
-            print(f"  {label:10s} median {cdf.median:7.1f} s   worst {cdf.maximum:7.1f} s")
+    systems = [static_peers(6), static_peers(14), "bullet_prime"]
+    for title, topology in (
+        ("lossy mesh (more peers help)", "mesh"),
+        ("constrained access (fewer peers help)", "constrained"),
+    ):
+        show(title, systems=systems, topologies=topology, nodes=20, blocks=96)
 
 
 def outstanding_demo():
     print("\n=== adaptive outstanding requests (Figure 10) ===")
-    # High bandwidth-delay product: 10 Mbps, 100 ms dedicated links.
-    for label, overrides in (
-        ("fixed-3", dict(adaptive_outstanding=False, fixed_outstanding=3)),
-        ("fixed-50", dict(adaptive_outstanding=False, fixed_outstanding=50)),
-        ("dynamic", dict(adaptive_outstanding=True)),
-    ):
-        result = run_experiment(
-            star_topology(12, core_bw=10 * MBPS, core_delay=100 * MS),
-            bullet_prime_factory(
-                num_blocks=192,
-                block_size=8 * KiB,
-                seed=5,
-                adaptive_peering=False,
-                initial_senders=5,
-                initial_receivers=5,
-                **overrides,
-            ),
-            192,
-            max_time=3000.0,
-            seed=5,
-        )
-        cdf = result.completion_cdf()
-        print(f"  {label:10s} median {cdf.median:7.1f} s   worst {cdf.maximum:7.1f} s")
-    print("\nfixed-3 cannot fill the 10 Mbps x 100 ms pipe; the dynamic")
+    frozen = dict(
+        block_size=8 * KiB, adaptive_peering=False, initial_senders=5, initial_receivers=5
+    )
+    fixed = dict(frozen, adaptive_outstanding=False, fixed_outstanding=[3, 50])
+    show(
+        "high bandwidth-delay product: 10 Mbps, 100 ms dedicated links",
+        systems=[bullet_prime(**fixed), bullet_prime(**frozen)],
+        topologies={"name": "star", "params": {"core_delay": 100 * MS}},
+        nodes=12,
+        blocks=192,
+    )
+    print("\na window of 3 cannot fill the 10 Mbps x 100 ms pipe; the dynamic")
     print("controller converges to a deep enough pipeline on its own.")
 
 
 def dynamic_conditions_demo():
     print("\n=== adaptivity under scripted dynamics (Figure 12 & cellular) ===")
-    scenarios = {
-        "cascading cuts (Fig. 12)": CascadingCuts(period=20.0),
-        "2 s cellular oscillation": Oscillate(period=2.0, low=0.2),
-    }
-    for title, scenario in scenarios.items():
-        print(f"\n{title}")
-        for label, overrides in (
-            ("fixed-50", dict(adaptive_outstanding=False, fixed_outstanding=50)),
-            ("dynamic", dict(adaptive_outstanding=True)),
-        ):
-            result = run_experiment(
-                mesh_topology(16, seed=5),
-                bullet_prime_factory(num_blocks=96, seed=5, **overrides),
-                96,
-                scenario=scenario,
-                max_time=3000.0,
-                seed=5,
-            )
-            cdf = result.completion_cdf()
-            print(f"  {label:10s} median {cdf.median:7.1f} s   worst {cdf.maximum:7.1f} s")
+    systems = [
+        bullet_prime(adaptive_outstanding=False, fixed_outstanding=50),
+        "bullet_prime",
+    ]
+    for title, name, params in (
+        ("cascading cuts (Fig. 12)", "cascading_cuts", {"period": 20.0}),
+        ("2 s cellular oscillation", "oscillate", {"period": 2.0, "low": 0.2}),
+    ):
+        scenario = {"name": name, "params": params}
+        show(title, systems=systems, scenarios=scenario, nodes=16, blocks=96)
     print("\nqueueing 50 blocks on a link that is about to collapse (or dip)")
     print("forces long waits; the adaptive controller keeps the pipeline")
     print("matched to each peer's current bandwidth-delay product.")

@@ -21,8 +21,8 @@ Registry-driven runs — any system under any scenario::
     python -m repro run --system bullet_prime --scenario chaos \\
         --nodes 20 --blocks 64 --json
 
-Parameter sweeps — grids over systems x scenarios (and their knobs) x
-topologies x scales x seeds, executed across a worker pool::
+Parameter sweeps — grids over systems x scenarios x topologies (each
+with its knobs) x scales x seeds, executed across a worker pool::
 
     python -m repro sweep --systems bullet_prime,bittorrent \\
         --scenarios none,churn --seeds 0:4 --workers 4 --out results.jsonl
@@ -61,9 +61,10 @@ import sys
 import time
 
 from repro.harness.figures import FIGURES, run_figure
-from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS, WORKLOADS
+from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS
 from repro.harness.sweep import (
     AXES,
+    TOPOLOGIES,
     SweepSpec,
     execute_cell,
     golden_matrix_spec,
@@ -114,7 +115,7 @@ def _parse_figure_args(argv):
         epilog=(
             "Other commands: 'repro run' (any system under any dynamic "
             "scenario) and 'repro list' (registered systems, scenarios, "
-            "workloads)."
+            "flow models, topologies)."
         ),
     )
     parser.add_argument(
@@ -243,6 +244,12 @@ def _run_command(argv):
             for axis in AXES
             if not axis.scalar
         }
+        # The knobs set on the cell, when any were.
+        doc.update(
+            (field, value)
+            for field, value in cell.to_dict().items()
+            if field.endswith("_params") and value
+        )
         doc.update(
             summary=summary,
             failed_nodes=failed_nodes,
@@ -256,7 +263,7 @@ def _run_command(argv):
     else:
         underlay = "" if cell.flow_model == "reno" else f" over {cell.flow_model}"
         print(
-            f"{cell.system} under {cell.scenario}{underlay} on "
+            f"{cell.system_key()} under {cell.scenario}{underlay} on "
             f"{cell.topology}({cell.nodes} nodes, {cell.blocks} blocks, "
             f"seed {cell.seed}):"
         )
@@ -305,8 +312,8 @@ def _sweep_parser():
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description=(
-            "Run a parameter sweep: a grid over systems, scenarios "
-            "(with per-scenario parameter grids via --spec), topologies, "
+            "Run a parameter sweep: a grid over systems, scenarios, "
+            "topologies (each with parameter grids via --spec), "
             "scales, and seeds — each grid option takes comma-separated "
             "values — executed across a worker pool.  Results are "
             "bit-identical for any --workers value."
@@ -387,8 +394,8 @@ def _check_golden(result, golden):
     checked, mismatched = set(), []
     for record in result.records:
         cell = record["cell"]
-        if cell["scenario_params"]:
-            continue  # goldens are recorded at catalogue defaults
+        if any(value for field, value in cell.items() if field.endswith("_params")):
+            continue  # goldens are recorded at every knob's default
         if cell.get("flow_model", "reno") != "reno":
             continue  # goldens are recorded on the default underlay
         key = f"{cell['system']}|{cell['scenario']}|{cell['seed']}"
@@ -510,8 +517,9 @@ def _parse_compare_args(argv):
     parser.add_argument(
         "--baseline",
         default=None,
-        help="system every competitor is compared against "
-        "(default: alphabetically first system in the store)",
+        help="system every competitor is compared against, spelled as "
+        "cell keys render it (bullet_prime, 'bullet_prime[fixed_outstanding=9]'; "
+        "default: alphabetically first system in the store)",
     )
     parser.add_argument(
         "--confidence",
@@ -666,7 +674,7 @@ def _parse_list_args(argv):
     parser = argparse.ArgumentParser(
         prog="repro list",
         description="List registered systems, scenarios, flow models, "
-        "and workloads.",
+        "and topologies, each with its knobs.",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the listing as JSON"
@@ -680,7 +688,7 @@ def _list_command(argv):
         ("systems", SYSTEMS),
         ("scenarios", SCENARIOS),
         ("flow_models", FLOW_MODELS),
-        ("workloads", WORKLOADS),
+        ("topologies", TOPOLOGIES),
     ]
     if args.json:
         doc = {

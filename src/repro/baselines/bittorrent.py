@@ -19,12 +19,10 @@ and the tracker is a bottleneck/single point of failure — is exactly
 what Figures 4/5 exercise.
 """
 
-from dataclasses import dataclass
-
 from repro.common.rng import split_rng
-from repro.common.units import KiB, MS
-from repro.core.download import DownloadState
-from repro.overlay.node import OverlayProtocol
+from repro.common.units import MS
+from repro.core.download import BLOCK_SIZE, DownloadState
+from repro.overlay.node import OverlayProtocol, SystemConfig
 from repro.sim.transport import Message
 
 __all__ = ["Tracker", "BitTorrentConfig", "BitTorrentNode"]
@@ -61,20 +59,20 @@ class Tracker:
         sim.schedule(self.latency, respond)
 
 
-@dataclass
-class BitTorrentConfig:
-    num_blocks: int = 640
-    block_size: int = 16 * KiB
+#: The mainline client's constants: nothing varies these.
+MAX_CONNECTIONS = 20
+MIN_CONNECTIONS = 8
+#: BitTorrent's fixed pipeline depth.
+OUTSTANDING_PER_PEER = 5
+UNCHOKE_SLOTS = 3
+RECHOKE_PERIOD = 10.0
+OPTIMISTIC_PERIOD = 30.0
+ANNOUNCE_PERIOD = 30.0
 
-    max_connections: int = 20
-    min_connections: int = 8
-    outstanding_per_peer: int = 5  # BitTorrent's fixed pipeline depth
-    unchoke_slots: int = 3
-    rechoke_period: float = 10.0
-    optimistic_period: float = 30.0
-    announce_period: float = 30.0
 
-    seed: int = 0
+class BitTorrentConfig(SystemConfig):
+    """BitTorrent declares no knobs: its tunables are the constants
+    above, its block size :data:`repro.core.download.BLOCK_SIZE`."""
 
 
 class _PeerState:
@@ -137,14 +135,14 @@ class BitTorrentNode(OverlayProtocol):
                 self.trace.completed(self.node_id)
             self.completed_at = self.sim.now
         self._announce()
-        self.periodic(self.config.announce_period, self._announce_tick)
-        self.periodic(self.config.rechoke_period, self._rechoke, jitter_rng=self.rng)
+        self.periodic(ANNOUNCE_PERIOD, self._announce_tick)
+        self.periodic(RECHOKE_PERIOD, self._rechoke, jitter_rng=self.rng)
 
     def _announce(self):
         self.tracker.announce(self.sim, self.node_id, self._peer_list)
 
     def _announce_tick(self):
-        if len(self.peers) < self.config.min_connections:
+        if len(self.peers) < MIN_CONNECTIONS:
             self._announce()
         return True
 
@@ -152,7 +150,7 @@ class BitTorrentNode(OverlayProtocol):
         if self.stopped:
             return
         current = {p.peer for p in self.peers.values()}
-        room = self.config.max_connections - len(self.peers) - len(
+        room = MAX_CONNECTIONS - len(self.peers) - len(
             self._pending_connects
         )
         for peer in peer_ids:
@@ -168,7 +166,7 @@ class BitTorrentNode(OverlayProtocol):
 
     def _connected(self, conn, peer):
         self._pending_connects.discard(peer)
-        if conn.closed or len(self.peers) >= self.config.max_connections:
+        if conn.closed or len(self.peers) >= MAX_CONNECTIONS:
             conn.close()
             return
         self._register(conn, peer)
@@ -193,7 +191,7 @@ class BitTorrentNode(OverlayProtocol):
     def on_bt_handshake(self, conn, message):
         state = self.peers.get(conn)
         if state is None:
-            if len(self.peers) >= self.config.max_connections:
+            if len(self.peers) >= MAX_CONNECTIONS:
                 conn.close()
                 return
             self._register(conn, message.payload["node"])
@@ -244,21 +242,21 @@ class BitTorrentNode(OverlayProtocol):
         # Measure rates since the previous rechoke.
         for p in self.peers.values():
             received = p.conn.bytes_received
-            p.rate_in = (received - p.bytes_in_mark) / self.config.rechoke_period
+            p.rate_in = (received - p.bytes_in_mark) / RECHOKE_PERIOD
             p.bytes_in_mark = received
             sent = p.conn.bytes_sent
-            p.rate_out = (sent - p.bytes_out_mark) / self.config.rechoke_period
+            p.rate_out = (sent - p.bytes_out_mark) / RECHOKE_PERIOD
             p.bytes_out_mark = sent
 
         if self.state.complete:
             ranked = sorted(interested, key=lambda p: -p.rate_out)
         else:
             ranked = sorted(interested, key=lambda p: -p.rate_in)
-        unchoked = set(ranked[: self.config.unchoke_slots])
+        unchoked = set(ranked[:UNCHOKE_SLOTS])
 
         rotate = (
             self._rechoke_count
-            % max(1, int(self.config.optimistic_period / self.config.rechoke_period))
+            % max(1, int(OPTIMISTIC_PERIOD / RECHOKE_PERIOD))
             == 0
         )
         if rotate or self._optimistic_peer not in self.peers.values():
@@ -306,7 +304,7 @@ class BitTorrentNode(OverlayProtocol):
     def _pump(self, state):
         if self.state.complete or state.peer_choking or state.conn.closed:
             return
-        while len(state.outstanding) < self.config.outstanding_per_peer:
+        while len(state.outstanding) < OUTSTANDING_PER_PEER:
             block = self._pick_rarest(state)
             if block is None:
                 return
@@ -339,7 +337,7 @@ class BitTorrentNode(OverlayProtocol):
             Message(
                 "bt_block",
                 payload={"block": block},
-                size=self.config.block_size + 13,
+                size=BLOCK_SIZE + 13,
                 is_block=True,
             )
         )

@@ -29,34 +29,30 @@ chapters call out, and we keep them:
   (section 4.2 grants Bullet this optimistically).
 """
 
-from dataclasses import dataclass
-
 from repro.common.rng import split_rng
-from repro.common.units import KiB
-from repro.core.download import DownloadState, ENCODING_OVERHEAD
-from repro.overlay.node import OverlayProtocol
+from repro.core.download import BLOCK_SIZE, DownloadState
+from repro.overlay.node import OverlayProtocol, SystemConfig
 from repro.overlay.ransub import NodeSummary, RanSubService
 from repro.sim.transport import Message
 
 __all__ = ["BulletConfig", "BulletNode"]
 
 
-@dataclass
-class BulletConfig:
-    num_blocks: int = 640
-    block_size: int = 16 * KiB
-    target_senders: int = 10
-    max_receivers: int = 10
-    outstanding_per_peer: int = 5
-    digest_period: float = 5.0
-    #: How many recently received block ids a periodic digest carries.
-    digest_window: int = 400
-    ransub_epoch: float = 5.0
-    ransub_subset: int = 10
-    tree_fanout: int = 4
-    push_window: int = 2
-    overhead: float = ENCODING_OVERHEAD
-    seed: int = 0
+#: The one Bullet the paper compares against: nothing varies these.
+TARGET_SENDERS = 10
+MAX_RECEIVERS = 10
+OUTSTANDING_PER_PEER = 5
+DIGEST_PERIOD = 5.0
+#: How many recently received block ids a periodic digest carries.
+DIGEST_WINDOW = 400
+#: Blocks the source keeps queued per tree child.
+PUSH_WINDOW = 2
+
+
+class BulletConfig(SystemConfig):
+    """Bullet declares no knobs: its tunables are the constants above,
+    the block size and encoding overhead :mod:`repro.core.download`'s,
+    the epoch and subset size RanSub's defaults."""
 
 
 class _SenderState:
@@ -79,9 +75,7 @@ class BulletNode(OverlayProtocol):
         self.source_id = source_id
         self.is_source = node_id == source_id
         self.rng = split_rng(config.seed, f"bullet.{node_id}")
-        self.state = DownloadState(
-            config.num_blocks, encoded=True, overhead=config.overhead
-        )
+        self.state = DownloadState(config.num_blocks, encoded=True)
         self.arrival_order = []
 
         self.senders = {}  # conn -> _SenderState
@@ -96,8 +90,6 @@ class BulletNode(OverlayProtocol):
             tree,
             state_provider=self._summary,
             on_subset=self._on_subset,
-            epoch_period=config.ransub_epoch,
-            subset_size=config.ransub_subset,
             seed=config.seed,
         )
         self._generated = 0
@@ -114,9 +106,7 @@ class BulletNode(OverlayProtocol):
             self.connect(parent, self._parent_connected)
         if self.node_id == self.tree.root:
             self.ransub.start_root()
-        self.periodic(
-            self.config.digest_period, self._send_digests, jitter_rng=self.rng
-        )
+        self.periodic(DIGEST_PERIOD, self._send_digests, jitter_rng=self.rng)
 
     def _parent_connected(self, conn):
         parent = self.tree.parent_of(self.node_id)
@@ -134,9 +124,7 @@ class BulletNode(OverlayProtocol):
             # queue drops below the push window, i.e. when a block
             # finishes transmission and leaves push_window - 1 queued —
             # the sole moment generation can make progress.
-            conn.watch_send_queue_low(
-                self.config.push_window, self._child_has_room
-            )
+            conn.watch_send_queue_low(PUSH_WINDOW, self._child_has_room)
             self._generate()
 
     def _child_has_room(self, _conn):
@@ -147,7 +135,7 @@ class BulletNode(OverlayProtocol):
     def _generate(self):
         """Source: emit fresh stream blocks while any child has room."""
         while any(
-            not c.closed and c.send_queue_blocks < self.config.push_window
+            not c.closed and c.send_queue_blocks < PUSH_WINDOW
             for c in self._tree_children_conns
         ):
             block = self._generated
@@ -169,12 +157,12 @@ class BulletNode(OverlayProtocol):
         for conn in self._tree_children_conns:
             if conn.closed:
                 continue
-            if conn.send_queue_blocks < self.config.push_window:
+            if conn.send_queue_blocks < PUSH_WINDOW:
                 conn.send(
                     Message(
                         "bl_push",
                         payload={"block": block},
-                        size=self.config.block_size,
+                        size=BLOCK_SIZE,
                         is_block=True,
                     )
                 )
@@ -194,7 +182,7 @@ class BulletNode(OverlayProtocol):
         if self.is_source or self.state.complete:
             return
         want = (
-            self.config.target_senders
+            TARGET_SENDERS
             - len(self.senders)
             - len(self._pending_senders)
         )
@@ -229,7 +217,7 @@ class BulletNode(OverlayProtocol):
         conn.send(Message("bl_join", payload={"node": self.node_id}, size=16))
 
     def on_bl_join(self, conn, message):
-        if len(self.receivers) >= self.config.max_receivers:
+        if len(self.receivers) >= MAX_RECEIVERS:
             conn.send(Message("bl_reject", size=16))
             return
         self.receivers[conn] = message.payload["node"]
@@ -262,7 +250,7 @@ class BulletNode(OverlayProtocol):
     def _send_digests(self):
         if not self.receivers:
             return True
-        window = self.arrival_order[-self.config.digest_window :]
+        window = self.arrival_order[-DIGEST_WINDOW :]
         for conn in list(self.receivers):
             if not conn.closed:
                 self.stats["digests_sent"] += 1
@@ -276,7 +264,7 @@ class BulletNode(OverlayProtocol):
         return True
 
     def _digest_to(self, conn):
-        window = self.arrival_order[-self.config.digest_window :]
+        window = self.arrival_order[-DIGEST_WINDOW :]
         conn.send(
             Message(
                 "bl_digest",
@@ -297,7 +285,7 @@ class BulletNode(OverlayProtocol):
     def _pump(self, sender):
         if self.state.complete or sender.conn.closed:
             return
-        while len(sender.outstanding) < self.config.outstanding_per_peer:
+        while len(sender.outstanding) < OUTSTANDING_PER_PEER:
             candidates = [
                 b
                 for b in sender.available
@@ -319,7 +307,7 @@ class BulletNode(OverlayProtocol):
             Message(
                 "bl_block",
                 payload={"block": block},
-                size=self.config.block_size,
+                size=BLOCK_SIZE,
                 is_block=True,
             )
         )

@@ -27,31 +27,32 @@ introduction uses to motivate mesh systems.
 """
 
 import math
-from dataclasses import dataclass
-
+from repro.common.params import Param
 from repro.common.rng import split_rng
-from repro.common.units import KiB
-from repro.core.download import DownloadState, ENCODING_OVERHEAD
-from repro.overlay.node import OverlayProtocol
+from repro.core.download import BLOCK_SIZE, ENCODING_OVERHEAD, DownloadState
+from repro.overlay.node import OverlayProtocol, SystemConfig
 from repro.sim.transport import Message
 
 __all__ = ["SplitStreamConfig", "SplitStreamNode", "build_stripe_forest"]
 
 
-@dataclass
-class SplitStreamConfig:
-    num_blocks: int = 640
-    block_size: int = 16 * KiB
-    num_stripes: int = 16
-    #: Cap on per-node fanout within one stripe tree.  Pastry/Scribe
-    #: trees bound out-degree, which makes stripe trees several levels
-    #: deep — the depth is what exposes subtrees to interior congestion.
-    max_fanout: int = 8
-    #: Per-child application send queue before back-pressure stalls a
-    #: subtree branch.
-    push_window: int = 3
-    overhead: float = ENCODING_OVERHEAD
-    seed: int = 0
+#: Cap on per-node fanout within one stripe tree.  Pastry/Scribe trees
+#: bound out-degree, which makes stripe trees several levels deep — the
+#: depth is what exposes subtrees to interior congestion.
+MAX_FANOUT = 8
+#: Per-child application send queue before back-pressure stalls a
+#: subtree branch.
+PUSH_WINDOW = 3
+
+
+class SplitStreamConfig(SystemConfig):
+    """The stripe count is SplitStream's one knob; the fanout cap and
+    push window are the constants above, the block size and encoding
+    overhead :mod:`repro.core.download`'s."""
+
+    params = (
+        Param("num_stripes", "int", 16, "stripe trees the file splits over", "[1, inf)"),
+    )
 
 
 def build_stripe_forest(nodes, source, num_stripes, max_fanout, seed=0):
@@ -113,15 +114,13 @@ class SplitStreamNode(OverlayProtocol):
         self.forest = forest
         self.source_id = source_id
         self.is_source = node_id == source_id
-        self.state = DownloadState(
-            config.num_blocks, encoded=True, overhead=config.overhead
-        )
+        self.state = DownloadState(config.num_blocks, encoded=True)
         # Encoding is applied *per stripe* (each stripe is an independent
         # fountain), so completion requires (1 + overhead) * n/k distinct
         # blocks from every stripe — stripes do not substitute for each
         # other, which is why losing one stripe tree's bandwidth hurts.
         per_stripe = config.num_blocks / config.num_stripes
-        self._stripe_required = math.ceil((1.0 + config.overhead) * per_stripe)
+        self._stripe_required = math.ceil((1.0 + ENCODING_OVERHEAD) * per_stripe)
         self._stripe_counts = [0] * config.num_stripes
         #: stripe -> list of child connections (filled as children join).
         self.stripe_children = {}
@@ -171,7 +170,7 @@ class SplitStreamNode(OverlayProtocol):
         # event — the instant this child's queue drops below the push
         # window — instead of a drain attempt per transmitted message.
         conn.watch_send_queue_low(
-            self.config.push_window, lambda c, s=stripe: self._drain_one(s)
+            PUSH_WINDOW, lambda c, s=stripe: self._drain_one(s)
         )
 
     # -- source stream ------------------------------------------------------------
@@ -217,7 +216,7 @@ class SplitStreamNode(OverlayProtocol):
         if self._stripe_backlog.get(stripe):
             return False
         return all(
-            c.send_queue_blocks < self.config.push_window for c in conns
+            c.send_queue_blocks < PUSH_WINDOW for c in conns
         )
 
     # -- blocking multicast forwarding ------------------------------------------------
@@ -241,7 +240,7 @@ class SplitStreamNode(OverlayProtocol):
             return
         while backlog:
             if any(
-                c.send_queue_blocks >= self.config.push_window for c in conns
+                c.send_queue_blocks >= PUSH_WINDOW for c in conns
             ):
                 self.stats["stalls"] += 1
                 return  # blocking send: wait for the slowest child
@@ -252,7 +251,7 @@ class SplitStreamNode(OverlayProtocol):
                     Message(
                         "ss_block",
                         payload={"block": block, "stripe": stripe},
-                        size=self.config.block_size,
+                        size=BLOCK_SIZE,
                         is_block=True,
                     )
                 )

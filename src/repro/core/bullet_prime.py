@@ -17,17 +17,21 @@ the strategy modules of this package:
   (:class:`~repro.core.diffs.DiffTracker`).
 """
 
-from dataclasses import dataclass
-
+from repro.common.params import Param
 from repro.common.rng import split_rng
-from repro.common.units import KiB
 from repro.core.diffs import DiffTracker, diff_wire_size
-from repro.core.download import DownloadState, block_checksum
-from repro.core.flow_control import OutstandingController
-from repro.core.peering import PeerSetPolicy
-from repro.core.request import AvailabilityView
+from repro.core.download import BLOCK_SIZE, DownloadState, block_checksum
+from repro.core.flow_control import ALPHA, BETA, OutstandingController
+from repro.core.peering import (
+    INITIAL_PEERS,
+    MAX_PEERS,
+    MIN_PEERS,
+    PRUNE_SIGMA,
+    PeerSetPolicy,
+)
+from repro.core.request import REQUEST_STRATEGIES, AvailabilityView
 from repro.core.source import SourcePusher
-from repro.overlay.node import OverlayProtocol
+from repro.overlay.node import OverlayProtocol, SystemConfig
 from repro.overlay.ransub import NodeSummary, RanSubService
 from repro.sim.transport import Message
 
@@ -89,43 +93,57 @@ QUARANTINE_MAX = 240.0
 QUARANTINE_PROBATION = 2
 
 
-@dataclass
-class BulletPrimeConfig:
-    """Every tunable of the system in one place.
+class BulletPrimeConfig(SystemConfig):
+    """Every tunable of the system, declared once.
 
     The paper's stated goal is to *minimize* user-visible knobs: the
     defaults below are the paper's own constants, and the non-default
     modes exist to reproduce its ablation experiments (static peer sets,
     fixed outstanding requests, alternative request strategies).  Values
-    nothing varies (the failure-detector and quarantine constants) are
-    module constants above, not fields.
+    nothing varies (the failure-detector and quarantine constants, the
+    RanSub subset size) are module constants, not knobs.
     """
 
-    num_blocks: int = 640
-    block_size: int = 16 * KiB
-    encoded: bool = False
-    request_strategy: str = "rarest_random"
-
-    # Peering (section 3.3.1).
-    adaptive_peering: bool = True
-    initial_senders: int = 10
-    initial_receivers: int = 10
-    min_peers: int = 6
-    max_peers: int = 25
-    prune_sigma: float = 1.5
-
-    # Flow control (section 3.3.3).
-    adaptive_outstanding: bool = True
-    fixed_outstanding: int = 3
-    fc_alpha: float = 0.4
-    fc_beta: float = 0.226
-
-    # RanSub / control tree.
-    ransub_epoch: float = 5.0
-    ransub_subset: int = 10
-    tree_fanout: int = 4
-
-    seed: int = 0
+    params = (
+        Param("block_size", "int", BLOCK_SIZE, "bytes per block", "[1, inf)"),
+        Param("encoded", "bool", False, "source-side rateless encoding (section 4.2)"),
+        Param(
+            "request_strategy",
+            "str",
+            "rarest_random",
+            "which useful block to request next (section 3.3.2)",
+            REQUEST_STRATEGIES,
+        ),
+        # Peering (section 3.3.1).
+        Param("adaptive_peering", "bool", True, "size and prune peer sets per epoch"),
+        Param("initial_senders", "int", INITIAL_PEERS, "senders at start", "[1, inf)"),
+        Param(
+            "initial_receivers", "int", INITIAL_PEERS, "receivers at start", "[1, inf)"
+        ),
+        Param("min_peers", "int", MIN_PEERS, "floor of an adaptive set", "[1, inf)"),
+        Param("max_peers", "int", MAX_PEERS, "cap of an adaptive set", "[1, inf)"),
+        Param(
+            "prune_sigma",
+            "float",
+            PRUNE_SIGMA,
+            "prune peers this many standard deviations below the mean",
+            "[0, inf)",
+        ),
+        # Flow control (section 3.3.3).
+        Param(
+            "adaptive_outstanding", "bool", True, "XCP-style per-sender request window"
+        ),
+        Param(
+            "fixed_outstanding",
+            "int",
+            INITIAL_OUTSTANDING,
+            "the window when adaptive_outstanding is off",
+            "[1, inf)",
+        ),
+        Param("fc_alpha", "float", ALPHA, "controller gain on spare rate", "(0, inf)"),
+        Param("fc_beta", "float", BETA, "controller gain on queued bytes", "(0, inf)"),
+        Param("ransub_epoch", "float", 5.0, "seconds per RanSub epoch", "(0, inf)"),
+    )
 
     def policy_pair(self):
         """Build (sender policy, receiver policy) from the config."""
@@ -270,7 +288,6 @@ class BulletPrimeNode(OverlayProtocol):
             state_provider=self._summary,
             on_subset=self._on_subset,
             epoch_period=config.ransub_epoch,
-            subset_size=config.ransub_subset,
             seed=config.seed,
         )
         #: Which sender can supply which block; also owns which blocks are

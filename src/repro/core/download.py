@@ -20,13 +20,19 @@ import math
 from functools import lru_cache
 
 from repro.common.bitmap import BlockBitmap
+from repro.common.units import KiB
 
 __all__ = [
     "DownloadState",
     "FileObject",
+    "BLOCK_SIZE",
     "ENCODING_OVERHEAD",
     "block_checksum",
 ]
+
+#: The paper's block size (16 KB): fixed for the baselines, the default
+#: of Bullet prime's ``block_size`` knob.
+BLOCK_SIZE = 16 * KiB
 
 #: Reception overhead the paper charges rateless codes (sections 2.2, 4.2).
 ENCODING_OVERHEAD = 0.04

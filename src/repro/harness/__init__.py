@@ -3,7 +3,7 @@
 - :mod:`repro.harness.registry` — the unified name registries:
   :data:`~repro.harness.registry.SYSTEMS`,
   :data:`~repro.harness.registry.SCENARIOS`,
-  :data:`~repro.harness.registry.WORKLOADS`.  Everything else resolves
+  :data:`~repro.harness.registry.FLOW_MODELS`.  Everything else resolves
   names through these.
 - :mod:`repro.harness.experiment` — generic runner: topology + system +
   optional dynamic scenario -> completion-time CDF and traces.
@@ -21,7 +21,7 @@
 
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.figures import FIGURES, run_figure
-from repro.harness.registry import SCENARIOS, SYSTEMS, WORKLOADS
+from repro.harness.registry import SCENARIOS, SYSTEMS
 from repro.harness.sweep import StoreView, SweepSpec, run_sweep
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "run_figure",
     "SYSTEMS",
     "SCENARIOS",
-    "WORKLOADS",
     "SweepSpec",
     "run_sweep",
 ]

@@ -68,7 +68,9 @@ WALL_FIELDS = ("serial_seconds", "parallel_seconds_4w")
 
 
 def _index_store(store):
-    """``{condition: {system: {seed: summary}}}`` over a store.
+    """``{condition: {system: {seed: summary}}}`` over a store, a
+    *system* being ``SweepCell.system_key()`` — the name plus the knobs
+    set on it, so knob variants of one system rank against each other.
 
     Built from the structured cell fields (never by parsing keys), and
     consumed in sorted order everywhere, so the report is identical for
@@ -78,7 +80,7 @@ def _index_store(store):
     for record in store.records:
         cell = record_cell(record)
         by_system = index.setdefault(cell.condition_key(), {})
-        by_seed = by_system.setdefault(cell.system, {})
+        by_seed = by_system.setdefault(cell.system_key(), {})
         if cell.seed in by_seed:
             raise ValueError(
                 f"duplicate cell {record['key']!r} in the store(s) — "

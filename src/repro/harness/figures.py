@@ -9,40 +9,55 @@ by default so the whole suite completes on a laptop; pass larger
 (``python -m repro list`` prints the ids); ``benchmarks/test_bench_figN.py``
 regenerates figure N.
 
-Figures are thin consumers of the registries: systems come from
-:data:`repro.harness.registry.SYSTEMS` and dynamic conditions are
-:class:`repro.scenarios.Scenario` objects, so anything registered there
-is immediately plottable.
+Figures 4-14 are sweep specs plus reducers: each builds a
+:class:`~repro.harness.sweep.SweepSpec` from its scale arguments — the
+figure's variants are ``systems`` / ``scenarios`` / ``topologies``
+entries with params — runs the cells through
+:func:`~repro.harness.sweep.execute_cell`, and reduces each result to a
+series.  Anything registered is therefore immediately plottable.
 """
 
-from repro.common.units import KBPS, KiB, MBPS, MS
+from repro.common.units import KiB, MBPS, MS
 from repro.core.download import ENCODING_OVERHEAD
-from repro.harness.experiment import run_experiment
 from repro.harness.registry import SYSTEMS
 from repro.harness.report import FigureData
-from repro.harness.systems import bullet_prime_factory
-from repro.scenarios import CascadingCuts, CorrelatedDecreases
-from repro.sim.topology import (
-    constrained_access_topology,
-    mesh_topology,
-    planetlab_like_topology,
-    star_topology,
-)
+from repro.harness.sweep import SweepSpec, execute_cell
+from repro.sim.topology import planetlab_like_topology
 
 __all__ = ["FIGURES", "run_figure"]
 
 
-def _receiver_times(result):
+def _spec(num_nodes, num_blocks, seed, max_time=6000.0, **grids):
+    """A figure's spec: its scale arguments plus the other axes' grids."""
+    return SweepSpec(
+        nodes=num_nodes, blocks=num_blocks, seeds=seed, max_time=max_time, **grids
+    )
+
+
+def _receiver_times(cell, result):
     times = dict(result.trace.completion_times)
     times.pop(result.source_id, None)
     return list(times.values())
 
 
-def _mesh(num_nodes, seed, **kwargs):
-    return mesh_topology(num_nodes, seed=seed, **kwargs)
+def _run_grid(figure, labels, *scale, samples=_receiver_times, **grids):
+    """The one grid runner: a :class:`FigureData` built from ``figure``
+    (id, title, reference series) with one series per cell of the spec —
+    named by ``labels``, which follow the spec's expansion order, and
+    reduced from the cell's result by ``samples(cell, result)``."""
+    figure_id, title, reference = figure
+    fig = FigureData(figure_id, f"{title} (paper Fig. {figure_id[3:]})", reference)
+    cells = _spec(*scale, **grids).expand()
+    for label, cell in zip(labels, cells, strict=True):
+        fig.add_series(label, samples(cell, execute_cell(cell)))
+    return fig
 
 
-def _dynamic_scenario(seed, period=None, num_blocks=None):
+def _bullet_prime(**params):
+    return {"name": "bullet_prime", "params": params}
+
+
+def _dynamic_scenario(num_blocks):
     """The section-4.1 bandwidth-change process.
 
     The paper applies 20-second periods to ~100 MB downloads, i.e. many
@@ -50,41 +65,15 @@ def _dynamic_scenario(seed, period=None, num_blocks=None):
     scales down proportionally (floor 4 s) so a download still spans a
     comparable number of rounds.
     """
-    if period is None:
-        blocks_at_paper_scale = 6400  # 100 MB / 16 KB
-        period = max(4.0, 20.0 * (num_blocks or 640) / blocks_at_paper_scale)
-    return CorrelatedDecreases(seed=seed, period=period)
+    blocks_at_paper_scale = 6400  # 100 MB / 16 KB
+    period = max(4.0, 20.0 * num_blocks / blocks_at_paper_scale)
+    return {"name": "correlated_decreases", "params": {"period": period}}
 
 
-# ---------------------------------------------------------------- fig 4 / 5
-
-
-def _system_comparison(
-    figure_id,
-    title,
-    num_nodes,
-    num_blocks,
-    seed,
-    scenario=None,
-    max_time=6000.0,
-    systems=None,
-    notes=(),
-    build_topology=_mesh,
-):
-    fig = FigureData(figure_id, title, reference="bullet_prime", notes=notes)
-    for name in systems or SYSTEMS:
-        builder = SYSTEMS.get(name).builder
-        topology = build_topology(num_nodes, seed)
-        result = run_experiment(
-            topology,
-            builder(num_blocks=num_blocks, seed=seed),
-            num_blocks,
-            scenario=scenario,
-            max_time=max_time,
-            seed=seed,
-        )
-        fig.add_series(name, _receiver_times(result))
-    return fig
+def _system_comparison(figure_id, title, *scale, **grids):
+    figure = (figure_id, title, "bullet_prime")
+    systems = list(SYSTEMS)
+    return _run_grid(figure, systems, *scale, systems=systems, **grids)
 
 
 def fig4_overall_static(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
@@ -93,13 +82,8 @@ def fig4_overall_static(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
     Also reports the two reference calculations the paper plots: the
     access-link optimum and a MACEDON/TCP-feasible estimate.
     """
-    fig = _system_comparison(
-        "fig4",
-        "download time CDF, static loss (paper Fig. 4)",
-        num_nodes,
-        num_blocks,
-        seed,
-    )
+    title = "download time CDF, static loss"
+    fig = _system_comparison("fig4", title, num_nodes, num_blocks, seed, max_time)
     file_bytes = num_blocks * 16 * KiB
     access = 6 * MBPS
     optimal = file_bytes / access * 2  # receive + source serialization
@@ -110,111 +94,52 @@ def fig4_overall_static(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
 
 def fig5_overall_dynamic(num_nodes=40, num_blocks=320, seed=0, max_time=9000.0):
     """Figure 5: the same comparison under correlated bandwidth cuts."""
-    return _system_comparison(
-        "fig5",
-        "download time CDF, synthetic bandwidth changes (paper Fig. 5)",
-        num_nodes,
-        num_blocks,
-        seed,
-        scenario=_dynamic_scenario(seed, num_blocks=num_blocks),
-        max_time=max_time,
-    )
+    title = "download time CDF, synthetic bandwidth changes"
+    scale = (num_nodes, num_blocks, seed, max_time)
+    scenario = _dynamic_scenario(num_blocks)
+    return _system_comparison("fig5", title, *scale, scenarios=scenario)
 
 
-# ------------------------------------------------------------------- fig 6
+def fig14_planetlab(num_nodes=41, num_blocks=320, seed=0, max_time=9000.0):
+    """Figure 14: the wide-area (PlanetLab-like) comparison, 50 MB in the
+    paper; heterogeneous access links and transcontinental RTTs here."""
+    title = "wide-area comparison on a PlanetLab-like topology"
+    scale = (num_nodes, num_blocks, seed, max_time)
+    return _system_comparison("fig14", title, *scale, topologies="planetlab")
 
 
-def fig6_request_strategies(
-    num_nodes=40, num_blocks=320, seed=0, max_time=6000.0
-):
+def fig6_request_strategies(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
     """Figure 6: first-encountered vs random vs rarest-random."""
-    fig = FigureData(
-        "fig6",
-        "request strategy impact (paper Fig. 6)",
-        reference="rarest_random",
-    )
-    for strategy in ("rarest_random", "random", "first"):
-        topology = _mesh(num_nodes, seed)
-        result = run_experiment(
-            topology,
-            bullet_prime_factory(
-                num_blocks=num_blocks, seed=seed, request_strategy=strategy
-            ),
-            num_blocks,
-            max_time=max_time,
-            seed=seed,
-        )
-        fig.add_series(strategy, _receiver_times(result))
-    return fig
+    figure = ("fig6", "request strategy impact", "rarest_random")
+    strategies = ["rarest_random", "random", "first"]
+    scale = (num_nodes, num_blocks, seed, max_time)
+    systems = _bullet_prime(request_strategy=strategies)
+    return _run_grid(figure, strategies, *scale, systems=systems)
 
 
-# --------------------------------------------------------------- figs 7/8/9
-
-
-def _peer_set_variants(
-    figure_id,
-    title,
-    topology_factory,
-    num_blocks,
-    seed,
-    static_sizes=(6, 10, 14),
-    scenario=None,
-    max_time=6000.0,
-    block_size=16 * KiB,
-):
-    fig = FigureData(figure_id, title, reference="dynamic")
-    variants = [("dynamic", dict(adaptive_peering=True))]
-    for size in static_sizes:
-        variants.append(
-            (
-                f"static-{size}",
-                dict(
-                    adaptive_peering=False,
-                    initial_senders=size,
-                    initial_receivers=size,
-                ),
-            )
-        )
-    for label, overrides in variants:
-        result = run_experiment(
-            topology_factory(),
-            bullet_prime_factory(
-                num_blocks=num_blocks,
-                seed=seed,
-                block_size=block_size,
-                **overrides,
-            ),
-            num_blocks,
-            scenario=scenario,
-            max_time=max_time,
-            seed=seed,
-        )
-        fig.add_series(label, _receiver_times(result))
-    return fig
+def _peer_set_variants(figure_id, title, static_sizes, *scale, **grids):
+    """Adaptive peer sets against sets frozen at each of ``static_sizes``."""
+    systems = ["bullet_prime"] + [
+        _bullet_prime(adaptive_peering=False, initial_senders=n, initial_receivers=n)
+        for n in static_sizes
+    ]
+    figure = (figure_id, title, "dynamic")
+    labels = ["dynamic"] + [f"static-{n}" for n in static_sizes]
+    return _run_grid(figure, labels, *scale, systems=systems, **grids)
 
 
 def fig7_peer_sets_static_loss(num_nodes=40, num_blocks=320, seed=0):
     """Figure 7: static peer sets 6/10/14 vs dynamic, lossy mesh."""
-    return _peer_set_variants(
-        "fig7",
-        "peer set size under random losses (paper Fig. 7)",
-        lambda: _mesh(num_nodes, seed),
-        num_blocks,
-        seed,
-    )
+    title = "peer set size under random losses"
+    return _peer_set_variants("fig7", title, (6, 10, 14), num_nodes, num_blocks, seed)
 
 
 def fig8_peer_sets_dynamic(num_nodes=40, num_blocks=320, seed=0):
     """Figure 8: peer-set sizing under synthetic bandwidth changes."""
-    return _peer_set_variants(
-        "fig8",
-        "peer set size under bandwidth changes (paper Fig. 8)",
-        lambda: _mesh(num_nodes, seed),
-        num_blocks,
-        seed,
-        scenario=_dynamic_scenario(seed, num_blocks=num_blocks),
-        max_time=9000.0,
-    )
+    title = "peer set size under bandwidth changes"
+    scale = (num_nodes, num_blocks, seed, 9000.0)
+    scenario = _dynamic_scenario(num_blocks)
+    return _peer_set_variants("fig8", title, (6, 10, 14), *scale, scenarios=scenario)
 
 
 def fig9_peer_sets_constrained(num_nodes=40, num_blocks=64, seed=0):
@@ -223,65 +148,21 @@ def fig9_peer_sets_constrained(num_nodes=40, num_blocks=64, seed=0):
     More peers means more competing TCP flows on the narrow access link
     plus more control traffic, so the 14-peer variant loses here.
     """
-    return _peer_set_variants(
-        "fig9",
-        "constrained access links (paper Fig. 9)",
-        lambda: constrained_access_topology(num_nodes, seed=seed),
-        num_blocks,
-        seed,
-        static_sizes=(10, 14),
-    )
+    title = "constrained access links"
+    scale = (num_nodes, num_blocks, seed)
+    return _peer_set_variants("fig9", title, (10, 14), *scale, topologies="constrained")
 
 
-# ------------------------------------------------------------- figs 10/11/12
-
-
-def _outstanding_variants(
-    figure_id,
-    title,
-    topology_factory,
-    num_blocks,
-    seed,
-    fixed=(3, 6, 9, 15, 50),
-    scenario=None,
-    senders=5,
-    block_size=8 * KiB,
-    max_time=6000.0,
-    nodes_of_interest=None,
-):
-    fig = FigureData(figure_id, title, reference="dynamic")
-    variants = [("dynamic", dict(adaptive_outstanding=True))]
-    for count in fixed:
-        variants.append(
-            (
-                f"fixed-{count}",
-                dict(adaptive_outstanding=False, fixed_outstanding=count),
-            )
-        )
-    for label, overrides in variants:
-        result = run_experiment(
-            topology_factory(),
-            bullet_prime_factory(
-                num_blocks=num_blocks,
-                seed=seed,
-                block_size=block_size,
-                adaptive_peering=False,
-                initial_senders=senders,
-                initial_receivers=senders,
-                **overrides,
-            ),
-            num_blocks,
-            scenario=scenario,
-            max_time=max_time,
-            seed=seed,
-        )
-        times = result.trace.completion_times
-        if nodes_of_interest is not None:
-            samples = [times[n] for n in nodes_of_interest if n in times]
-        else:
-            samples = _receiver_times(result)
-        fig.add_series(label, samples)
-    return fig
+def _outstanding_variants(figure_id, title, fixed, *scale, senders=5, **grids):
+    """The adaptive request window against each ``fixed`` one, on 8 KB
+    blocks and peer sets frozen at ``senders``."""
+    peers = dict(initial_senders=senders, initial_receivers=senders)
+    frozen = dict(peers, adaptive_peering=False, block_size=8 * KiB)
+    windows = dict(frozen, adaptive_outstanding=False, fixed_outstanding=list(fixed))
+    figure = (figure_id, title, "dynamic")
+    labels = ["dynamic"] + [f"fixed-{n}" for n in fixed]
+    systems = [_bullet_prime(**frozen), _bullet_prime(**windows)]
+    return _run_grid(figure, labels, *scale, systems=systems, **grids)
 
 
 def fig10_outstanding_clean(num_nodes=25, num_blocks=320, seed=0):
@@ -290,37 +171,24 @@ def fig10_outstanding_clean(num_nodes=25, num_blocks=320, seed=0):
     High bandwidth-delay product: small fixed pipelines cannot fill the
     pipe; the dynamic controller tracks the large settings.
     """
+    title = "outstanding blocks, high-BDP clean network"
+    scale = (num_nodes, num_blocks, seed)
+    star = {"name": "star", "params": {"core_delay": 100 * MS}}
     return _outstanding_variants(
-        "fig10",
-        "outstanding blocks, high-BDP clean network (paper Fig. 10)",
-        lambda: star_topology(num_nodes, core_bw=10 * MBPS, core_delay=100 * MS),
-        num_blocks,
-        seed,
+        "fig10", title, (3, 6, 9, 15, 50), *scale, topologies=star
     )
 
 
 def fig11_outstanding_lossy(num_nodes=25, num_blocks=320, seed=0):
     """Figure 11: the same under random losses (0-1.5%): too many
     outstanding blocks now waits on loss-throttled connections."""
-
-    def topology():
-        return mesh_topology(
-            num_nodes,
-            seed=seed,
-            access_bw=10 * MBPS,
-            core_bw=10 * MBPS,
-            max_loss=0.015,
-            min_core_delay=50 * MS,
-            max_core_delay=150 * MS,
-        )
-
+    title = "outstanding blocks under random losses"
+    scale = (num_nodes, num_blocks, seed)
+    lossy = dict(access_bw=10 * MBPS, core_bw=10 * MBPS, max_loss=0.015)
+    delays = dict(min_core_delay=50 * MS, max_core_delay=150 * MS)
+    mesh = {"name": "mesh", "params": {**lossy, **delays}}
     return _outstanding_variants(
-        "fig11",
-        "outstanding blocks under random losses (paper Fig. 11)",
-        topology,
-        num_blocks,
-        seed,
-        fixed=(3, 6, 15, 50),
+        "fig11", title, (3, 6, 15, 50), *scale, topologies=mesh
     )
 
 
@@ -330,91 +198,50 @@ def fig12_outstanding_cascading(num_blocks=640, seed=0):
 
     The interesting series is the 8th node's completion time: queueing
     many blocks on a link that is about to collapse forces long waits.
+    ``cascading_cuts`` cuts the links into the highest-numbered node,
+    the one ``throttled_star`` throttles.
     """
-    target = 7
-    helpers = list(range(1, 7))
-    special = {(h, target): (5 * MBPS, 100 * MS) for h in helpers}
-    special[(0, target)] = (10 * KBPS, 100 * MS)  # the source is not a peer
 
-    def topology():
-        return star_topology(
-            8, core_bw=10 * MBPS, core_delay=1 * MS, special_links=special
-        )
-
-    scenario = CascadingCuts(target=target, senders=helpers, period=25.0)
+    def throttled_node_time(cell, result):
+        times = result.trace.completion_times
+        return [times[cell.nodes - 1]] if cell.nodes - 1 in times else []
 
     fig = _outstanding_variants(
         "fig12",
-        "cascading bandwidth cuts, throttled node (paper Fig. 12)",
-        topology,
-        num_blocks,
-        seed,
-        fixed=(9, 15, 50),
-        scenario=scenario,
+        "cascading bandwidth cuts, throttled node",
+        (9, 15, 50),
+        *(8, num_blocks, seed, 9000.0),  # nodes, blocks, seed, max_time
         senders=6,
-        max_time=9000.0,
-        nodes_of_interest=[target],
+        topologies="throttled_star",
+        scenarios="cascading_cuts",
+        samples=throttled_node_time,
     )
-    fig.notes.append(
-        "series are the throttled 8th node's completion time only"
-    )
+    fig.notes.append("series are the throttled 8th node's completion time only")
     return fig
-
-
-# ------------------------------------------------------------------ fig 13
 
 
 def fig13_interarrival(num_nodes=40, num_blocks=320, seed=0, max_time=6000.0):
     """Figure 13: block inter-arrival gaps and the last-block overage
     compared against the cost of 4% source-encoding overhead."""
-    topology = _mesh(num_nodes, seed)
-    result = run_experiment(
-        topology,
-        bullet_prime_factory(num_blocks=num_blocks, seed=seed),
-        num_blocks,
-        max_time=max_time,
-        seed=seed,
+    (cell,) = _spec(num_nodes, num_blocks, seed, max_time).expand()
+    result = execute_cell(cell)
+    title = "block inter-arrival times and encoding tradeoff (paper Fig. 13)"
+    fig = FigureData("fig13", title)
+    fig.add_series(
+        "mean inter-arrival gap (s)", result.trace.mean_interarrival_by_index()
     )
-    fig = FigureData(
-        "fig13",
-        "block inter-arrival times and encoding tradeoff (paper Fig. 13)",
-    )
-    gaps = result.trace.mean_interarrival_by_index()
-    fig.add_series("mean inter-arrival gap (s)", gaps)
     overage = result.trace.last_block_overage(tail=20)
     mean_download = result.completion_cdf().mean
     encoding_cost = ENCODING_OVERHEAD * mean_download
     fig.add_scalar("last-20-blocks overage (s)", overage)
     fig.add_scalar("4% encoding overhead cost (s)", encoding_cost)
-    fig.add_scalar(
-        "encoding wins (1=yes)", 1.0 if encoding_cost < overage else 0.0
-    )
+    fig.add_scalar("encoding wins (1=yes)", 1.0 if encoding_cost < overage else 0.0)
     fig.notes.append(
         "encoding at the source pays if its fixed overhead is below the "
         "tail overage; the paper (and typically this reproduction) finds "
         "it is not a clear win"
     )
     return fig
-
-
-# ------------------------------------------------------------------ fig 14
-
-
-def fig14_planetlab(num_nodes=41, num_blocks=320, seed=0, max_time=9000.0):
-    """Figure 14: the wide-area (PlanetLab-like) comparison, 50 MB in the
-    paper; heterogeneous access links and transcontinental RTTs here."""
-    return _system_comparison(
-        "fig14",
-        "wide-area comparison on a PlanetLab-like topology (paper Fig. 14)",
-        num_nodes,
-        num_blocks,
-        seed,
-        max_time=max_time,
-        build_topology=planetlab_like_topology,
-    )
-
-
-# ------------------------------------------------------------------ fig 15
 
 
 def fig15_shotgun(
@@ -438,31 +265,22 @@ def fig15_shotgun(
     delta = int(delta_bytes * scale)
     image = delta * image_ratio
     bundle = UpdateBundle.synthetic(delta, image)
-    session = ShotgunSession(bundle)
     topology = planetlab_like_topology(num_nodes, seed=seed)
-    outcome = session.run(
+    outcome = ShotgunSession(bundle).run(
         topology, seed=seed, max_time=max_time, apply_bytes=image
     )
 
-    fig = FigureData(
-        "fig15",
-        "Shotgun vs staggered parallel rsync (paper Fig. 15)",
-        reference="shotgun (download + update)",
-    )
+    title = "Shotgun vs staggered parallel rsync (paper Fig. 15)"
+    fig = FigureData("fig15", title, reference="shotgun (download + update)")
+    fig.add_series("shotgun (download only)", list(outcome["download"].values()))
     fig.add_series(
-        "shotgun (download only)", list(outcome["download"].values())
-    )
-    fig.add_series(
-        "shotgun (download + update)",
-        list(outcome["download_and_update"].values()),
+        "shotgun (download + update)", list(outcome["download_and_update"].values())
     )
     rsync = ParallelRsyncModel()
     for k in parallelism:
         fig.add_series(
             f"{k} parallel rsync",
-            rsync.completion_times(
-                num_nodes, k, bundle.wire_size, image_bytes=image
-            ),
+            rsync.completion_times(num_nodes, k, bundle.wire_size, image_bytes=image),
         )
     fig.notes.append(
         f"delta {delta} B from a {image} B image (scale={scale}); every "

@@ -1,8 +1,8 @@
-"""Unified name registries for systems, scenarios, and workloads.
+"""Unified name registries for systems, scenarios and flow models.
 
 One :class:`Registry` instance per kind maps names to *builders* —
 callables returning the experiment ingredient (a node-factory builder, a
-:class:`~repro.scenarios.base.Scenario`, a workload generator).  Every
+:class:`~repro.scenarios.base.Scenario`, a topology).  Every
 consumer (figures, the ``python -m repro run``/``list`` CLI, benchmarks,
 tests) resolves through these instead of private dicts, so registering a
 new system or scenario makes it runnable everywhere at once — including
@@ -25,7 +25,6 @@ __all__ = [
     "RegistryEntry",
     "SYSTEMS",
     "SCENARIOS",
-    "WORKLOADS",
     "FLOW_MODELS",
 ]
 
@@ -39,7 +38,7 @@ class RegistryEntry:
 
     ``params`` is the builder's own ``params`` tuple (see
     :class:`repro.common.params.Configurable`) — the registry reads the
-    knob schema off the class, it never holds a second copy.
+    knob schema off the builder, it never holds a second copy.
     """
 
     __slots__ = ("name", "builder", "description", "aliases", "params")
@@ -84,8 +83,9 @@ class Registry:
 
     ``populate`` names a module imported on first access; that module
     registers its entries at import time (systems register themselves in
-    :mod:`repro.harness.systems`, scenarios in :mod:`repro.scenarios`,
-    workloads in :mod:`repro.harness.workloads`).
+    :mod:`repro.harness.systems`, scenarios in :mod:`repro.scenarios`).
+    The topology families' registry is filled where it is defined, in
+    :mod:`repro.harness.sweep`.
     """
 
     def __init__(self, kind, populate=None):
@@ -150,6 +150,10 @@ class Registry:
         """Build the named object: ``get(name).builder(**kwargs)``."""
         return self.get(name).build(**kwargs)
 
+    def __getitem__(self, name):
+        """The named builder: ``registry[name](...)`` builds."""
+        return self.get(name).builder
+
     def names(self):
         self._ensure_populated()
         return sorted(self._entries)
@@ -197,9 +201,6 @@ SYSTEMS = Registry("system", populate="repro.harness.systems")
 
 #: Dynamic-network scenarios (``repro.scenarios``).
 SCENARIOS = Registry("scenario", populate="repro.scenarios")
-
-#: Workload generators (``repro.harness.workloads``).
-WORKLOADS = Registry("workload", populate="repro.harness.workloads")
 
 #: Underlay flow models (``repro.sim.flow_models``): the rate-control
 #: law each TCP flow obeys — ``reno`` (Mathis cap, the default),

@@ -1,8 +1,9 @@
 """Parallel parameter sweeps over the experiment matrix.
 
-A sweep is a declarative grid — systems x scenarios (with per-scenario
-parameter grids) x flow models x topologies x node counts x block
-counts x seeds — expanded into independent *cells*, each one exactly the experiment
+A sweep is a declarative grid — systems x scenarios x flow models x
+topologies (each of those three with its own parameter grid) x node
+counts x block counts x seeds — expanded into independent *cells*, each
+one exactly the experiment
 :func:`repro.harness.experiment.run_experiment` would run by hand.
 The dimensions are declared once, in :data:`AXES`; the spec, the cells'
 nesting order and the ``run``/``sweep`` command lines all read that table.
@@ -34,12 +35,13 @@ from collections import namedtuple
 
 from repro.common import stats
 from repro.harness.experiment import run_experiment
-from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS
+from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS, Registry
 from repro.sim.topology import (
     constrained_access_topology,
     mesh_topology,
     planetlab_like_topology,
     star_topology,
+    throttled_star_topology,
 )
 
 __all__ = [
@@ -56,18 +58,23 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Topology families runnable from specs and the CLI.
-TOPOLOGIES = {
-    "mesh": mesh_topology,
-    "constrained": constrained_access_topology,
-    "planetlab": planetlab_like_topology,
-    "star": lambda num_nodes, seed=0: star_topology(num_nodes),
-}
+#: Topology families runnable from specs and the CLI, each called as
+#: ``TOPOLOGIES[name](num_nodes, seed=0, **knobs)``.
+TOPOLOGIES = Registry("topology")
+for _name, _builder, _description in (
+    ("mesh", mesh_topology, "the paper's lossy full mesh (section 4.1)"),
+    ("constrained", constrained_access_topology, "Figure 9: 800 Kbps access links"),
+    ("planetlab", planetlab_like_topology, "synthetic wide-area stand-in (Figure 14)"),
+    ("star", star_topology, "dedicated clean per-pair links (Figure 10)"),
+    ("throttled_star", throttled_star_topology, "Figure 12: last node behind slow links"),
+):
+    TOPOLOGIES.register(_name, _builder, description=_description)
 
 
-def _key_value(knob, value):
-    """JSON round-trip a param value so cell keys and JSONL records are
-    identical whether the spec came from a file or from Python."""
+def _key_value(kind, knob, value):
+    """JSON round-trip a ``kind`` ("system", "scenario", "topology")
+    param value so cell keys and JSONL records are identical whether the
+    spec came from a file or from Python."""
     value = json.loads(json.dumps(value))
     # '|' is the cell-key field separator; a param value containing it
     # (a trace path, a lossy base spec, ...) would render keys that are
@@ -76,68 +83,85 @@ def _key_value(knob, value):
     # the key of every cell already recorded in golden stores.
     if "|" in f"{knob}={json.dumps(value)}":
         raise ValueError(
-            f"scenario param {knob}={value!r} renders with '|', the "
+            f"{kind} param {knob}={value!r} renders with '|', the "
             "cell-key field separator; use a value without '|' "
             "(e.g. rename the file for trace_replay's 'path')"
         )
     return value
 
 
+def _key_params(kind, params):
+    """A cell's ``{kind}_params``: sorted-knob order, key-ready values."""
+    return {knob: _key_value(kind, knob, params[knob]) for knob in sorted(params)}
+
+
+def _with_params(name, params):
+    """``name[knob=value,...]`` — or the bare name without params."""
+    rendered = ",".join(f"{k}={json.dumps(v)}" for k, v in params.items())
+    return name + (f"[{rendered}]" if rendered else "")
+
+
 class SweepCell(
     namedtuple(
         "SweepCell",
         "system scenario scenario_params topology nodes blocks seed max_time "
-        "tree_fanout flow_model",
-        defaults=(4, "reno"),
+        "tree_fanout flow_model system_params topology_params",
+        defaults=(4, "reno", {}, {}),
     )
 ):
     """One fully-resolved experiment: the atom a sweep executes, and
     the whole of what ``repro run`` runs.
 
-    ``scenario_params`` is a plain dict in sorted-key order; all names
-    are canonical registry names.  Cells are immutable value objects —
-    they round-trip through :meth:`to_dict`/:meth:`from_dict` (how they
-    cross the process boundary to pool workers).
+    ``system_params``, ``scenario_params`` and ``topology_params`` are
+    plain dicts in sorted-key order holding the knobs the spec named;
+    all names are canonical registry names.  Cells are immutable value
+    objects — they round-trip through :meth:`to_dict`/:meth:`from_dict`
+    (how they cross the process boundary to pool workers).
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         cell = super().__new__(cls, *args, **kwargs)
-        params = {
-            key: _key_value(key, cell.scenario_params[key])
-            for key in sorted(cell.scenario_params)
-        }
         # The flow model is canonicalized through the registry so
         # aliases ("wanctl") and the canonical name render identical
         # cell keys, and an unknown model fails here — at spec/record
         # time — with the registry's clear "available: [...]" error.
         return cell._replace(
-            scenario_params=params, flow_model=FLOW_MODELS.get(cell.flow_model).name
+            system_params=_key_params("system", cell.system_params),
+            scenario_params=_key_params("scenario", cell.scenario_params),
+            topology_params=_key_params("topology", cell.topology_params),
+            flow_model=FLOW_MODELS.get(cell.flow_model).name,
         )
+
+    def system_key(self):
+        """The system with the knobs the spec set on it, e.g.
+        ``bullet_prime[fixed_outstanding=9]`` — what ``repro compare``
+        ranks.  A system at its defaults is its bare name."""
+        return _with_params(self.system, self.system_params)
 
     def condition_key(self):
         """Cell identity minus system and seed — everything a paired
         comparison holds fixed, e.g. ``oscillate[period=4.0]|mesh|n8|b24``.
 
-        The flow model joins the key as a ``|fm=<model>`` field **only
-        when it is not the default** ``reno``: every key ever rendered
-        before the flow-model axis existed stays byte-identical (golden
-        stores, compare fixtures), while non-default underlays can never
-        pair with default cells.
+        What was added to cells after stores were first recorded joins
+        the key **only when it is not the default** — topology knobs as
+        a ``mesh[max_loss=0.0]`` suffix like the scenario's, the flow
+        model as a ``|fm=<model>`` field unless it is ``reno`` — so
+        every key ever rendered stays byte-identical (golden stores,
+        compare fixtures), while non-default cells can never pair with
+        default ones.
         """
-        params = ",".join(
-            f"{k}={json.dumps(v)}" for k, v in self.scenario_params.items()
-        )
-        scenario = self.scenario + (f"[{params}]" if params else "")
-        key = f"{scenario}|{self.topology}|n{self.nodes}|b{self.blocks}"
+        scenario = _with_params(self.scenario, self.scenario_params)
+        topology = _with_params(self.topology, self.topology_params)
+        key = f"{scenario}|{topology}|n{self.nodes}|b{self.blocks}"
         if self.flow_model != "reno":
             key += f"|fm={self.flow_model}"
         return key
 
     def group_key(self):
         """The key minus the seed: cells sharing it aggregate together."""
-        return f"{self.system}|{self.condition_key()}"
+        return f"{self.system_key()}|{self.condition_key()}"
 
     def key(self):
         """Canonical cell identity, e.g.
@@ -145,7 +169,14 @@ class SweepCell(
         return f"{self.group_key()}|s{self.seed}"
 
     def to_dict(self):
-        return self._asdict()
+        """Plain-data form.  The two param fields newer than the oldest
+        stores are left out when empty, so a default cell's record is
+        byte-identical to the one those stores hold."""
+        doc = self._asdict()
+        for field in ("system_params", "topology_params"):
+            if not doc[field]:
+                del doc[field]
+        return doc
 
     @classmethod
     def from_dict(cls, doc):
@@ -182,44 +213,47 @@ def _entry(registry, name):
     return registry.get(name)
 
 
-def _scenario(entry):
-    """One scenarios-grid entry as ``(canonical name, {knob: [coerced
-    values]})`` — the per-scenario parameter grid.  ``Param.coerce``
-    holds each value to its knob's domain, and every grid point's
-    scenario is built once and discarded, so what one knob cannot say (a
-    cross-knob constraint, an unreadable trace file) is refused here too."""
-    doc = dict(entry) if isinstance(entry, dict) else {"name": entry}
-    name = doc.pop("name", None) or doc.pop("scenario", None)
-    params = doc.pop("params", {})
-    if name is None or doc or not isinstance(params, dict):
-        raise ValueError(
-            "sweep spec: a scenario entry is a name or a {'name': ..., "
-            f"'params': {{knob: value-or-list}}}} object, got {entry!r}"
-        )
-    registered = _entry(SCENARIOS, name)
-    grid = {}
-    for knob in sorted(params):
-        param = registered.param(knob)  # raises on undeclared knobs
-        values = _as_list(params[knob], f"scenario param {knob!r}")
-        grid[knob] = [_key_value(knob, param.coerce(v)) for v in values]
-    for _name, point in _scenario_points((registered.name, grid)):
-        registered.build(**point)
-    return registered.name, grid
+def _with_knobs(registry, probe=True):
+    """Check for an axis whose entries carry knobs: one grid entry — a
+    name, or a ``{"name": ..., "params": {knob: value-or-list}}`` object
+    (also as JSON text, which is how a ``run`` flag spells one) — becomes
+    ``(canonical name, {knob: [coerced values]})``, the entry's parameter
+    grid.  ``Param.coerce`` holds each value to its knob's domain; with
+    ``probe`` every grid point is built once and discarded, so what one
+    knob cannot say (a cross-knob constraint, an unreadable trace file)
+    is refused here too."""
+    kind = registry.kind
+
+    def check(entry):
+        if isinstance(entry, str) and entry.lstrip().startswith("{"):
+            entry = json.loads(entry)
+        doc = dict(entry) if isinstance(entry, dict) else {"name": entry}
+        name = doc.pop("name", None) or doc.pop(kind, None)
+        params = doc.pop("params", {})
+        if name is None or doc or not isinstance(params, dict):
+            raise ValueError(
+                f"sweep spec: a {kind} entry is a name or a {{'name': ..., "
+                f"'params': {{knob: value-or-list}}}} object, got {entry!r}"
+            )
+        registered = _entry(registry, name)
+        grid = {}
+        for knob in sorted(params):
+            param = registered.param(knob)  # raises on undeclared knobs
+            values = _as_list(params[knob], f"{kind} param {knob!r}")
+            grid[knob] = [_key_value(kind, knob, param.coerce(v)) for v in values]
+        if probe:
+            for _name, point in _points((registered.name, grid)):
+                registered.build(**point)
+        return registered.name, grid
+
+    return check
 
 
-def _scenario_points(entry):
-    """A canonical scenarios entry's grid points, as ``(name, params)``."""
+def _points(entry):
+    """A canonical ``(name, grid)`` entry's grid points, as ``(name, params)``."""
     name, grid = entry
     knobs = [[(knob, v) for v in values] for knob, values in grid.items()]
     return [(name, dict(combo)) for combo in itertools.product(*knobs)]
-
-
-def _topology(name):
-    if not isinstance(name, str) or name not in TOPOLOGIES:
-        raise ValueError(
-            f"unknown topology {name!r}; available: {sorted(TOPOLOGIES)}"
-        )
-    return name
 
 
 def _number(what, kind, minimum=None):
@@ -275,15 +309,15 @@ Axis = namedtuple(
 #: :class:`SweepCell` field it names, and that field's use in
 #: :func:`execute_cell` (docs/reference.md, "Run axes").
 AXES = (
+    # Three rows carry knobs beside the name: a grid entry brings its
+    # own parameter grid, and each cell takes one (name, params) point.
     Axis(
-        "system", "systems", "bullet_prime", lambda name: _entry(SYSTEMS, name).name,
+        "system", "systems", "bullet_prime", _with_knobs(SYSTEMS),
         ("--system",), ("--systems",), _comma_list,
         "system name or alias (see 'repro list')",
     ),
-    # One row for the scenario and its knobs: a grid entry carries its
-    # own parameter grid, and each cell takes one (name, params) point.
     Axis(
-        "scenario", "scenarios", "none", _scenario,
+        "scenario", "scenarios", "none", _with_knobs(SCENARIOS),
         ("--scenario",), ("--scenarios",), _comma_list,
         "dynamic-network scenario name or alias (see 'repro list')",
     ),
@@ -293,10 +327,12 @@ AXES = (
         ("--flow-model",), ("--flow-models", "--flow-model"), _comma_list,
         "underlay rate-control model name or alias (reno, bbr, autorate)",
     ),
+    # Not probed: a topology needs a node count to build, and its
+    # knobs' domains say all there is to check.
     Axis(
-        "topology", "topologies", "mesh", _topology,
+        "topology", "topologies", "mesh", _with_knobs(TOPOLOGIES, probe=False),
         ("--topology",), ("--topologies",), _comma_list,
-        f"topology family ({', '.join(sorted(TOPOLOGIES))})",
+        f"topology family ({', '.join(TOPOLOGIES.names())})",
     ),
     Axis(
         "nodes", "nodes", 8, _number("nodes", int, 1),
@@ -334,11 +370,12 @@ class SweepSpec:
     canonicalised and checked by its row at construction, so bad input
     fails at spec time, not mid-sweep.
 
-    ``scenarios`` entries are either a registry name (defaults for every
-    knob) or a ``{"name": ..., "params": {knob: value-or-list}}`` dict;
-    list-valued knobs expand into a grid.  Knobs are coerced and held
-    to their domains by the :class:`~repro.harness.registry.Param`
-    schemas the scenario class declares, and each grid point's scenario
+    ``systems``, ``scenarios`` and ``topologies`` entries are either a
+    registry name (defaults for every knob) or a ``{"name": ...,
+    "params": {knob: value-or-list}}`` dict; list-valued knobs expand
+    into a grid.  Knobs are coerced and held to their domains by the
+    :class:`~repro.harness.registry.Param` schemas the registered
+    builder declares, and each grid point's scenario and system config
     is built once here, so no bad knob survives to a worker.
     """
 
@@ -374,12 +411,13 @@ class SweepSpec:
         doc = {}
         for axis in AXES:
             value = getattr(self, axis.grid)
+            if f"{axis.field}_params" in SweepCell._fields:
+                # Back to the entry form the row's check accepts.
+                value = [
+                    name if not grid else {"name": name, "params": dict(grid)}
+                    for name, grid in value
+                ]
             doc[axis.grid] = value if axis.scalar else list(value)
-        # Back to the entry form the scenario row's check accepts.
-        doc["scenarios"] = [
-            name if not grid else {"name": name, "params": dict(grid)}
-            for name, grid in self.scenarios
-        ]
         return doc
 
     def expand(self):
@@ -387,16 +425,18 @@ class SweepSpec:
         if self._cells is not None:
             return list(self._cells)
         grids = {a.field: getattr(self, a.grid) for a in AXES if not a.scalar}
-        # The scenario axis varies by (name, params) point: each entry's
-        # knob grid unrolls in place, then splits into the two cell fields.
-        grids["scenario"] = [
-            point for entry in self.scenarios for point in _scenario_points(entry)
-        ]
+        # A knob-carrying axis varies by (name, params) point: each
+        # entry's knob grid unrolls in place, then splits into the two
+        # cell fields.
+        knobbed = [f for f in grids if f"{f}_params" in SweepCell._fields]
+        for field in knobbed:
+            grids[field] = [p for entry in grids[field] for p in _points(entry)]
         scalars = {a.field: getattr(self, a.grid) for a in AXES if a.scalar}
         cells, seen = [], set()
         for combo in itertools.product(*grids.values()):
             fields = dict(zip(grids, combo), **scalars)
-            fields["scenario"], fields["scenario_params"] = fields["scenario"]
+            for field in knobbed:
+                fields[field], fields[f"{field}_params"] = fields[field]
             cell = SweepCell(**fields)
             key = cell.key()
             if key in seen:
@@ -438,14 +478,13 @@ def execute_cell(cell, *, watchdog_window=60.0, check_invariants=False):
     ``sweep`` alike; the keyword arguments are the ``run_experiment``
     settings that are per verb rather than per cell.
     """
-    topology = TOPOLOGIES[cell.topology](cell.nodes, seed=cell.seed)
-    system = SYSTEMS.get(cell.system)
-    scenario = SCENARIOS.build(cell.scenario, **cell.scenario_params)
     return run_experiment(
-        topology,
-        system.builder(num_blocks=cell.blocks, seed=cell.seed),
+        TOPOLOGIES[cell.topology](cell.nodes, seed=cell.seed, **cell.topology_params),
+        SYSTEMS[cell.system](
+            num_blocks=cell.blocks, seed=cell.seed, **cell.system_params
+        ),
         cell.blocks,
-        scenario=scenario,
+        scenario=SCENARIOS.build(cell.scenario, **cell.scenario_params),
         max_time=cell.max_time,
         tree_fanout=cell.tree_fanout,
         seed=cell.seed,

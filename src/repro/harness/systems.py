@@ -13,6 +13,7 @@ automatically.
 from repro.baselines.bittorrent import BitTorrentConfig, BitTorrentNode, Tracker
 from repro.baselines.bullet import BulletConfig, BulletNode
 from repro.baselines.splitstream import (
+    MAX_FANOUT,
     SplitStreamConfig,
     SplitStreamNode,
     build_stripe_forest,
@@ -53,25 +54,42 @@ class NodeSet(dict):
         return node
 
 
-def _factory(config_class, node_class, shared_object, config, overrides):
-    """The ``node_factory`` of one system: every node is a ``node_class``
-    wired to the run's one ``shared_object(network, tree, source_id,
-    config)`` — the control tree, a tracker, a stripe forest."""
-    if config is None:
-        config = config_class(**overrides)
+def _system(config_class, node_class, shared_object, doc):
+    """One system's ``node_factory`` builder: every node is a
+    ``node_class`` wired to the run's one ``shared_object(network, tree,
+    source_id, config)`` — the control tree, a tracker, a stripe forest.
 
-    def factory(network, tree, source_id, trace):
-        shared = shared_object(network, tree, source_id, config)
+    The builder takes ``num_blocks``, ``seed`` and the knobs
+    ``config_class`` declares (its ``params`` are the builder's, which
+    is where the registry reads the schema) or one ready ``config`` —
+    not both.
+    """
 
-        def build_one(node):
-            return node_class(network, node, shared, source_id, config, trace)
+    def builder(config=None, **knobs):
+        if config is None:
+            config = config_class(**knobs)
+        elif knobs:
+            raise TypeError(
+                f"{config_class.__name__} passed together with knob(s) "
+                f"{sorted(knobs)}, which it would ignore; set them on the config"
+            )
 
-        return NodeSet(
-            {node: build_one(node) for node in network.topology.nodes},
-            build_one,
-        )
+        def factory(network, tree, source_id, trace):
+            shared = shared_object(network, tree, source_id, config)
 
-    return factory
+            def build_one(node):
+                return node_class(network, node, shared, source_id, config, trace)
+
+            return NodeSet(
+                {node: build_one(node) for node in network.topology.nodes},
+                build_one,
+            )
+
+        return factory
+
+    builder.__doc__ = doc
+    builder.params = config_class.params
+    return builder
 
 
 def _control_tree(network, tree, source_id, config):
@@ -87,34 +105,32 @@ def _stripe_forest(network, tree, source_id, config):
         network.topology.nodes,
         source_id,
         config.num_stripes,
-        config.max_fanout,
+        MAX_FANOUT,
         seed=config.seed,
     )
 
 
-def bullet_prime_factory(config=None, **overrides):
-    """Bullet' node factory; ``overrides`` patch the default config."""
-    return _factory(
-        BulletPrimeConfig, BulletPrimeNode, _control_tree, config, overrides
-    )
-
-
-def bullet_factory(config=None, **overrides):
-    """Original-Bullet node factory."""
-    return _factory(BulletConfig, BulletNode, _control_tree, config, overrides)
-
-
-def bittorrent_factory(config=None, **overrides):
-    """BitTorrent node factory (creates the shared tracker)."""
-    return _factory(BitTorrentConfig, BitTorrentNode, _tracker, config, overrides)
-
-
-def splitstream_factory(config=None, **overrides):
-    """SplitStream node factory (builds the stripe forest)."""
-    return _factory(
-        SplitStreamConfig, SplitStreamNode, _stripe_forest, config, overrides
-    )
-
+bullet_prime_factory = _system(
+    BulletPrimeConfig,
+    BulletPrimeNode,
+    _control_tree,
+    "Bullet' node factory; knobs patch the default config.",
+)
+bullet_factory = _system(
+    BulletConfig, BulletNode, _control_tree, "Original-Bullet node factory."
+)
+bittorrent_factory = _system(
+    BitTorrentConfig,
+    BitTorrentNode,
+    _tracker,
+    "BitTorrent node factory (creates the shared tracker).",
+)
+splitstream_factory = _system(
+    SplitStreamConfig,
+    SplitStreamNode,
+    _stripe_forest,
+    "SplitStream node factory (builds the stripe forest).",
+)
 
 SYSTEMS.register(
     "bullet_prime",

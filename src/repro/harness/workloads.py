@@ -9,7 +9,6 @@
 
 from repro.common.rng import split_rng
 from repro.core.download import FileObject
-from repro.harness.registry import WORKLOADS
 
 __all__ = ["flash_crowd_file", "software_update_workload"]
 
@@ -41,16 +40,3 @@ def software_update_workload(image_size, delta_fraction=0.5, chunk=4096, seed=0)
         pieces.append(piece)
     return old_image, b"".join(pieces)
 
-
-WORKLOADS.register(
-    "flash_crowd_file",
-    flash_crowd_file,
-    description="one synthetic file, one source, a crowd of receivers",
-    aliases=("file",),
-)
-WORKLOADS.register(
-    "software_update",
-    software_update_workload,
-    description="old/new software images differing in a delta fraction",
-    aliases=("update",),
-)

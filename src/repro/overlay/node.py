@@ -6,7 +6,9 @@ message dispatch by ``kind``, timers, connection management — so the
 protocol modules contain only algorithm code.
 """
 
-__all__ = ["FAILURE_COUNTERS", "OverlayProtocol"]
+from repro.common.params import Configurable
+
+__all__ = ["FAILURE_COUNTERS", "OverlayProtocol", "SystemConfig"]
 
 #: ``OverlayProtocol.failure_stats`` key -> the ``summary()["perf"]``
 #: counter the harness sums it into.  The ``fd_*`` ones move once fault
@@ -22,6 +24,18 @@ FAILURE_COUNTERS = {
     "reprobes": "gray_reprobes",
     "corrupt_detected": "gray_corrupt_detected",
 }
+
+
+class SystemConfig(Configurable):
+    """What every node of one system's run is built from: the file size
+    and the seed — supplied by whoever sets the run up (a sweep cell, a
+    figure, a test), not knobs — plus the knobs the system declares in
+    ``params``."""
+
+    def __init__(self, num_blocks=640, seed=0, **knobs):
+        self.num_blocks = num_blocks
+        self.seed = seed
+        super().__init__(**knobs)
 
 
 class OverlayProtocol:

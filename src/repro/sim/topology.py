@@ -11,13 +11,23 @@ same shape:
   propagation delay uniform in [5 ms, 200 ms].
 - ``constrained_access_topology`` — Figure 9: ample 10 Mbps / 1 ms core,
   800 Kbps access links, no loss.
-- ``star_topology`` — Figure 12: a small set of nodes with dedicated
-  per-pair links (used for the cascading-slowdown experiment).
+- ``star_topology`` — Figure 10: a small set of nodes with dedicated
+  per-pair links.
+- ``throttled_star_topology`` — Figure 12: a star whose last node is
+  fed over slow links (the cascading-slowdown experiment).
 - ``planetlab_like_topology`` — a synthetic wide-area stand-in for the
   PlanetLab deployment: heterogeneous heavy-tailed access rates and
   transcontinental RTTs.
+
+Each family is registered in :data:`repro.harness.sweep.TOPOLOGIES`
+and called as ``builder(num_nodes, seed=0, **knobs)``.  The knobs some
+figure turns are declared once, as ``Param`` rows on the builder
+(:func:`_family`); the values nothing varies are the constants below.
 """
 
+import functools
+
+from repro.common.params import Param
 from repro.common.rng import split_rng
 from repro.common.units import KBPS, MBPS, MS
 from repro.sim.links import Link
@@ -27,8 +37,26 @@ __all__ = [
     "mesh_topology",
     "constrained_access_topology",
     "star_topology",
+    "throttled_star_topology",
     "planetlab_like_topology",
 ]
+
+#: Access links' one-way delay, every family that models them.
+ACCESS_DELAY = 1 * MS
+#: Figure 9's constrained access links under an ample, near-zero-delay core.
+CONSTRAINED_ACCESS_BW = 800 * KBPS
+#: Dedicated per-pair links of the ample-core families (constrained, star).
+DEDICATED_CORE_BW = 10 * MBPS
+DEDICATED_CORE_DELAY = 1 * MS
+#: Figure 12: each helper's link to the throttled node, and the source's
+#: (the source is not one of its peers), as ``(bandwidth, delay)``.
+THROTTLED_HELPER_LINK = (5 * MBPS, 100 * MS)
+THROTTLED_SOURCE_LINK = (10 * KBPS, 100 * MS)
+#: PlanetLab stand-in: access-rate range, core loss ceiling, core capacity.
+PLANETLAB_MIN_ACCESS = 1 * MBPS
+PLANETLAB_MAX_ACCESS = 10 * MBPS
+PLANETLAB_MAX_LOSS = 0.02
+PLANETLAB_CORE_BW = 20 * MBPS
 
 
 class Topology:
@@ -109,15 +137,34 @@ def _full_mesh(topology, nodes, make_core):
             topology.add_core(src, dst, make_core(src, dst))
 
 
+def _family(*params):
+    """Declare a topology builder's knobs.  The decorated function is
+    called as ``builder(num_nodes, seed=0, **knobs)``: every declared
+    knob is held to its domain and defaulted from its ``Param`` row,
+    and ``builder.params`` is the schema the registry lists."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def builder(num_nodes, seed=0, **knobs):
+            for param in params:
+                knobs[param.name] = param.check(knobs.get(param.name, param.default))
+            return build(num_nodes, seed, **knobs)
+
+        builder.params = params
+        return builder
+
+    return decorate
+
+
+@_family(
+    Param("access_bw", "float", 6 * MBPS, "access link capacity (B/s)", "(0, inf)"),
+    Param("core_bw", "float", 2 * MBPS, "core link capacity (B/s)", "(0, inf)"),
+    Param("max_loss", "float", 0.03, "core loss is uniform in [0, max_loss]", "[0, 1)"),
+    Param("min_core_delay", "float", 5 * MS, "core delay, low end (s)", "[0, inf)"),
+    Param("max_core_delay", "float", 200 * MS, "core delay, high end (s)", "[0, inf)"),
+)
 def mesh_topology(
-    num_nodes,
-    seed=0,
-    access_bw=6 * MBPS,
-    core_bw=2 * MBPS,
-    max_loss=0.03,
-    min_core_delay=5 * MS,
-    max_core_delay=200 * MS,
-    access_delay=1 * MS,
+    num_nodes, seed, access_bw, core_bw, max_loss, min_core_delay, max_core_delay
 ):
     """The paper's main ModelNet configuration.
 
@@ -131,8 +178,8 @@ def mesh_topology(
     for node in nodes:
         topo.add_access(
             node,
-            Link(f"up{node}", access_bw, access_delay),
-            Link(f"down{node}", access_bw, access_delay),
+            Link(f"up{node}", access_bw, ACCESS_DELAY),
+            Link(f"down{node}", access_bw, ACCESS_DELAY),
         )
 
     def make_core(src, dst):
@@ -144,45 +191,42 @@ def mesh_topology(
     return topo
 
 
-def constrained_access_topology(
-    num_nodes,
-    seed=0,
-    access_bw=800 * KBPS,
-    core_bw=10 * MBPS,
-    core_delay=1 * MS,
-    access_delay=1 * MS,
-):
+def constrained_access_topology(num_nodes, seed=0):
     """Figure 9: ample core bandwidth, constrained access links, no loss."""
     nodes = list(range(num_nodes))
     topo = Topology(nodes)
     for node in nodes:
         topo.add_access(
             node,
-            Link(f"up{node}", access_bw, access_delay),
-            Link(f"down{node}", access_bw, access_delay),
+            Link(f"up{node}", CONSTRAINED_ACCESS_BW, ACCESS_DELAY),
+            Link(f"down{node}", CONSTRAINED_ACCESS_BW, ACCESS_DELAY),
         )
 
     def make_core(src, dst):
-        return Link(f"core{src}->{dst}", core_bw, core_delay)
+        return Link(f"core{src}->{dst}", DEDICATED_CORE_BW, DEDICATED_CORE_DELAY)
 
     _full_mesh(topo, nodes, make_core)
     return topo
 
 
-def star_topology(
-    num_nodes,
-    core_bw=10 * MBPS,
-    core_delay=1 * MS,
-    special_links=None,
-):
+@_family(
+    Param(
+        "core_delay",
+        "float",
+        DEDICATED_CORE_DELAY,
+        "one-way delay of every per-pair link (s)",
+        "[0, inf)",
+    ),
+)
+def star_topology(num_nodes, seed, core_delay, special_links=None):
     """Small dedicated-link topologies for the Figure 10/12 experiments.
 
-    Every ordered pair gets a dedicated core link of ``core_bw`` /
-    ``core_delay``; entries in ``special_links`` —
-    ``{(src, dst): (bw, delay)}`` — override individual pairs (Figure 12
-    gives the throttled 8th node 5 Mbps / 100 ms links).  No access links
-    are modeled: the per-pair links are the only constraint, matching the
-    dedicated-link setups of those figures.
+    Every ordered pair gets a dedicated core link of
+    ``DEDICATED_CORE_BW`` / ``core_delay``; entries in ``special_links``
+    — ``{(src, dst): (bw, delay)}``, a programmatic argument, not a
+    knob — override individual pairs.  No access links are modeled: the
+    per-pair links are the only constraint, matching the dedicated-link
+    setups of those figures.  Nothing is drawn, so ``seed`` is unused.
     """
     special_links = special_links or {}
     nodes = list(range(num_nodes))
@@ -191,38 +235,44 @@ def star_topology(
         topo.add_access(node, None, None)
 
     def make_core(src, dst):
-        bw, delay = special_links.get((src, dst), (core_bw, core_delay))
+        bw, delay = special_links.get((src, dst), (DEDICATED_CORE_BW, core_delay))
         return Link(f"core{src}->{dst}", bw, delay)
 
     _full_mesh(topo, nodes, make_core)
     return topo
 
 
-def planetlab_like_topology(
-    num_nodes,
-    seed=0,
-    min_access=1 * MBPS,
-    max_access=10 * MBPS,
-    max_loss=0.02,
-):
+def throttled_star_topology(num_nodes, seed=0):
+    """Figure 12: a star whose last node is the throttled one — every
+    other receiver (a *helper*) reaches it over a 5 Mbps / 100 ms link,
+    the source over a link too slow to matter."""
+    target = num_nodes - 1
+    special = {(helper, target): THROTTLED_HELPER_LINK for helper in range(1, target)}
+    special[(0, target)] = THROTTLED_SOURCE_LINK
+    return star_topology(num_nodes, special_links=special)
+
+
+def planetlab_like_topology(num_nodes, seed=0):
     """A synthetic wide-area topology standing in for PlanetLab.
 
     PlanetLab sites in 2005 were heterogeneous: DSL-class through GbE
     access, intercontinental RTTs, and background congestion.  We draw
     access bandwidth from a heavy-tailed distribution in
-    [min_access, max_access], core delay from a trimodal continental/
-    transatlantic/transpacific mix, and mild random loss.
+    [PLANETLAB_MIN_ACCESS, PLANETLAB_MAX_ACCESS], core delay from a
+    trimodal continental/transatlantic/transpacific mix, and mild random
+    loss.
     """
     rng = split_rng(seed, "topology.planetlab")
     nodes = list(range(num_nodes))
     topo = Topology(nodes)
+    spread = PLANETLAB_MAX_ACCESS - PLANETLAB_MIN_ACCESS
     for node in nodes:
         # Heavy tail: most sites are fast, a noticeable minority is slow.
-        bw = min_access + (max_access - min_access) * (rng.random() ** 2)
+        bw = PLANETLAB_MIN_ACCESS + spread * (rng.random() ** 2)
         topo.add_access(
             node,
-            Link(f"up{node}", bw, 1 * MS),
-            Link(f"down{node}", bw, 1 * MS),
+            Link(f"up{node}", bw, ACCESS_DELAY),
+            Link(f"down{node}", bw, ACCESS_DELAY),
         )
 
     def make_core(src, dst):
@@ -233,10 +283,11 @@ def planetlab_like_topology(
             delay = rng.uniform(60 * MS, 120 * MS)  # transatlantic
         else:
             delay = rng.uniform(120 * MS, 250 * MS)  # transpacific
-        loss = rng.uniform(0.0, max_loss)
+        loss = rng.uniform(0.0, PLANETLAB_MAX_LOSS)
         # Core capacity ample relative to access; congestion shows up as
         # loss and shared access links.
-        return Link(f"core{src}->{dst}", 20 * MBPS, delay, loss)
+        return Link(f"core{src}->{dst}", PLANETLAB_CORE_BW, delay, loss)
 
     _full_mesh(topo, nodes, make_core)
     return topo
+

@@ -1,5 +1,6 @@
 """Node-level behaviour tests for the baseline systems."""
 
+from repro.baselines import bittorrent, bullet, splitstream
 from repro.baselines.bittorrent import BitTorrentConfig, BitTorrentNode, Tracker
 from repro.baselines.splitstream import (
     SplitStreamConfig,
@@ -41,7 +42,7 @@ class TestBitTorrentChoking:
                 unchoked = sum(
                     1 for p in node.peers.values() if not p.am_choking
                 )
-                limit = node.config.unchoke_slots + 1  # + optimistic
+                limit = bittorrent.UNCHOKE_SLOTS + 1  # + optimistic
                 if unchoked > limit:
                     violations.append((node.node_id, unchoked))
             return True
@@ -67,7 +68,7 @@ class TestBitTorrentChoking:
         def audit():
             for node in nodes.values():
                 for p in node.peers.values():
-                    if len(p.outstanding) > node.config.outstanding_per_peer:
+                    if len(p.outstanding) > bittorrent.OUTSTANDING_PER_PEER:
                         violations.append(len(p.outstanding))
             return True
 
@@ -124,7 +125,7 @@ class TestSplitStreamBlocking:
         slow_s0 = len([b for b in nodes[2].state.blocks() if b % 2 == 0])
         fast_s1 = len([b for b in nodes[1].state.blocks() if b % 2 == 1])
         assert slow_s0 > 0
-        assert fast_s0 <= slow_s0 + config.push_window + 2
+        assert fast_s0 <= slow_s0 + splitstream.PUSH_WINDOW + 2
         # ~20 KB/s * 30 s / 16 KB ~ 37 blocks vs hundreds on stripe 1.
         assert fast_s1 > 4 * fast_s0
 
@@ -211,4 +212,4 @@ class TestBulletBaseline:
             seed=5,
         )
         for node in result.nodes.values():
-            assert len(node.receivers) <= node.config.max_receivers
+            assert len(node.receivers) <= bullet.MAX_RECEIVERS

@@ -158,9 +158,10 @@ def test_cli_list(capsys):
     code = main(["list"])
     assert code == 0
     out = capsys.readouterr().out
-    for section in ("systems:", "scenarios:", "workloads:"):
+    for section in ("systems:", "scenarios:", "flow_models:", "topologies:"):
         assert section in out
-    for name in ("bullet_prime", "oscillate", "trace_replay", "flash_crowd"):
+    assert "workloads:" not in out
+    for name in ("bullet_prime", "oscillate", "trace_replay", "throttled_star"):
         assert name in out
     assert "fig4" in out
     # Every scenario's declared knobs surface in the listing.
@@ -168,6 +169,8 @@ def test_cli_list(capsys):
     assert "period=2.0" in out  # oscillate
     assert "down_time=10.0" in out  # churn
     assert "ramp=30.0" in out  # flash_crowd
+    assert "request_strategy='rarest_random'" in out  # bullet_prime
+    assert "max_loss=0.03" in out  # mesh
 
 
 def test_cli_list_shows_dynamics_scenarios(capsys):
@@ -377,6 +380,33 @@ def test_cli_sweep_check_golden_skips_other_scales(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0 mismatched" in err
     assert "did not cover" in err
+
+
+def test_cli_sweep_check_golden_skips_knob_variants(tmp_path, capsys):
+    # Goldens are recorded at every knob's default: a system or topology
+    # variant of a recorded cell is another experiment, not a second
+    # (ambiguous, drifted) run of it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "systems": ["bp", {"name": "bp", "params": {"request_strategy": "first"}}],
+        "topologies": ["mesh", {"name": "mesh", "params": {"max_loss": 0.0}}],
+        "nodes": [6], "blocks": [12], "seeds": [1], "max_time": 600.0,
+    }))
+    flags = ["sweep", "--spec", str(spec), "--quiet", "--out", str(tmp_path / "r.jsonl")]
+    assert main(flags) == 0
+    records = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text().splitlines()]
+    assert [r["key"] for r in records] == [
+        "bullet_prime|none|mesh|n6|b12|s1",
+        "bullet_prime|none|mesh[max_loss=0.0]|n6|b12|s1",
+        'bullet_prime[request_strategy="first"]|none|mesh|n6|b12|s1',
+        'bullet_prime[request_strategy="first"]|none|mesh[max_loss=0.0]|n6|b12|s1',
+    ]
+    summary = {k: v for k, v in records[0]["summary"].items() if k != "perf"}
+    golden_path = tmp_path / "golden.json"
+    golden_path.write_text(json.dumps({"bullet_prime|none|1": summary}))
+    capsys.readouterr()
+    assert main(flags + ["--check-golden", str(golden_path)]) == 0
+    assert "1/1 recorded cells covered, 0 mismatched" in capsys.readouterr().err
 
 
 def test_cli_sweep_check_golden_bad_path_fails_before_sweeping(capsys):

@@ -20,6 +20,7 @@ from repro.harness.sweep import (
     StoreView,
     SweepCell,
     SweepSpec,
+    record_cell,
     run_sweep,
 )
 
@@ -129,6 +130,36 @@ class TestPairedComparison:
         records = _fixture_records()
         with pytest.raises(ValueError, match="duplicate cell"):
             compare.compare_store(StoreView(records + records[:1]))
+
+    def test_knob_variants_of_one_system_are_league_rows(self):
+        def variant(seed, median, system_params=None, topology_params=None):
+            record = _record("bullet_prime", seed, median, median + 2, median + 4)
+            cell = record_cell(record)._replace(
+                system_params=system_params or {},
+                topology_params=topology_params or {},
+            )
+            return dict(
+                record, key=cell.key(), group=cell.group_key(), cell=cell.to_dict()
+            )
+
+        records = []
+        for seed, base in ((0, 10.0), (1, 12.0)):
+            records.append(variant(seed, base))
+            records.append(variant(seed, base + 3, {"request_strategy": "first"}))
+            records.append(variant(seed, base - 1, {"request_strategy": "rarest"}))
+            records.append(variant(seed, base * 2, topology_params={"max_loss": 0.0}))
+        doc = compare.compare_store(StoreView(records), baseline="bullet_prime")
+        # The lossless-mesh cells are another condition; with only the
+        # baseline system present there, they pair with nothing.
+        (cond,) = doc["conditions"]
+        assert cond["condition"] == "none|mesh|n8|b24"
+        assert [(r["system"], r["metrics"]["median"]["mean_delta"]) for r in cond["rows"]] == [
+            ('bullet_prime[request_strategy="rarest"]', -1.0),
+            ('bullet_prime[request_strategy="first"]', 3.0),
+        ]
+        assert '| `bullet_prime[request_strategy="first"]` | 2/2 |' in (
+            compare.render_markdown(doc)
+        )
 
     def test_unfinished_pairs_excluded(self):
         records = _fixture_records()

@@ -8,8 +8,8 @@ from repro.harness.registry import (
     Registry,
     SCENARIOS,
     SYSTEMS,
-    WORKLOADS,
 )
+from repro.harness.sweep import TOPOLOGIES
 from repro.scenarios import Scenario
 
 
@@ -92,6 +92,28 @@ class TestSystemsRegistry:
     def test_bulletprime_alias(self):
         assert SYSTEMS.get("bulletprime").name == "bullet_prime"
         assert SYSTEMS.get("bp").name == "bullet_prime"
+
+    def test_builder_schema_is_the_config_class_params(self):
+        from repro.core.bullet_prime import BulletPrimeConfig
+
+        entry = SYSTEMS.get("bullet_prime")
+        assert entry.params is BulletPrimeConfig.params
+        assert SYSTEMS.get("bittorrent").params == ()
+        # The file size and the seed are the cell's to supply, not knobs.
+        assert not {"num_blocks", "seed"} & {p.name for p in entry.params}
+
+    def test_knobs_beside_a_ready_config_are_refused_not_dropped(self):
+        from repro.core.bullet_prime import BulletPrimeConfig
+        from repro.harness.systems import bullet_prime_factory
+
+        config = BulletPrimeConfig(num_blocks=8, fixed_outstanding=3)
+        with pytest.raises(TypeError, match=r"\['fixed_outstanding', 'seed'\]"):
+            bullet_prime_factory(config=config, fixed_outstanding=9, seed=2)
+        assert callable(bullet_prime_factory(config=config))
+        with pytest.raises(TypeError, match="unexpected knob.*'tree_fanout'"):
+            bullet_prime_factory(tree_fanout=4)
+        with pytest.raises(ValueError, match="'request_strategy' must be one of"):
+            bullet_prime_factory(request_strategy="bogus")
 
     def test_other_missing_attributes_still_raise(self):
         from repro.harness import systems
@@ -209,8 +231,8 @@ class TestLiveRegistriesAreHardened:
     @pytest.mark.parametrize(
         "registry,name",
         [(SYSTEMS, "bullet_prime"), (SCENARIOS, "churn"),
-         (WORKLOADS, "software_update"), (FLOW_MODELS, "bbr")],
-        ids=["systems", "scenarios", "workloads", "flow_models"],
+         (TOPOLOGIES, "throttled_star"), (FLOW_MODELS, "bbr")],
+        ids=["systems", "scenarios", "topologies", "flow_models"],
     )
     def test_duplicate_name_raises(self, registry, name):
         before = registry.get(name)
@@ -220,9 +242,9 @@ class TestLiveRegistriesAreHardened:
 
     @pytest.mark.parametrize(
         "registry,alias",
-        [(SYSTEMS, "bp"), (SCENARIOS, "cellular"), (WORKLOADS, "file"),
+        [(SYSTEMS, "bp"), (SCENARIOS, "cellular"), (TOPOLOGIES, "mesh"),
          (FLOW_MODELS, "wanctl")],
-        ids=["systems", "scenarios", "workloads", "flow_models"],
+        ids=["systems", "scenarios", "topologies", "flow_models"],
     )
     def test_colliding_alias_raises(self, registry, alias):
         with pytest.raises(ValueError, match="collides"):
@@ -274,14 +296,29 @@ class TestFlowModelsRegistry:
             FLOW_MODELS.get("cubic")
 
 
-class TestWorkloadsRegistry:
-    def test_workloads_registered(self):
-        assert WORKLOADS.names() == ["flash_crowd_file", "software_update"]
+class TestTopologiesRegistry:
+    def test_families_registered(self):
+        assert TOPOLOGIES.names() == [
+            "constrained", "mesh", "planetlab", "star", "throttled_star"
+        ]
 
-    def test_build_flash_crowd_file(self):
-        fo = WORKLOADS.build("file", size=10_000, block_size=512, seed=1)
-        assert fo.num_blocks == 20
+    def test_subscript_is_the_builder(self):
+        # How bench/workloads.py builds one: TOPOLOGIES[name](nodes, seed=seed).
+        for name in TOPOLOGIES:
+            assert len(TOPOLOGIES[name](5, seed=3).nodes) == 5
+        with pytest.raises(KeyError, match="unknown topology 'torus'; available"):
+            TOPOLOGIES["torus"]
 
-    def test_build_software_update(self):
-        old, new = WORKLOADS.build("update", image_size=20_000, seed=2)
-        assert len(old) == len(new) == 20_000
+    def test_knobs_reach_the_links_and_are_held_to_their_domains(self):
+        star = TOPOLOGIES["star"](3, core_delay=0.25)
+        assert star.core[(0, 1)].delay == 0.25
+        with pytest.raises(ValueError, match=r"'max_loss' must be in \[0, 1\)"):
+            TOPOLOGIES["mesh"](3, max_loss=1.5)
+        with pytest.raises(TypeError, match="core_bw"):
+            TOPOLOGIES["star"](3, core_bw=1.0)
+
+    def test_throttled_star_slows_every_link_into_the_last_node(self):
+        topo = TOPOLOGIES["throttled_star"](8)
+        into_last = [topo.core[(src, 7)] for src in range(7)]
+        assert all(link.delay == 0.1 for link in into_last)
+        assert into_last[0].capacity < into_last[1].capacity < topo.core[(1, 2)].capacity

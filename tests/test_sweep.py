@@ -51,7 +51,7 @@ class TestAxisTable:
         # token -> SweepSpec field -> SweepCell field
         spec = SweepSpec(**{rows[field].grid: tokens[field] for field in tokens})
         on_spec = getattr(spec, axis.grid)
-        if axis.field == "scenario":
+        if f"{axis.field}_params" in SweepCell._fields:
             assert on_spec == [(canonical, {})]
         else:
             assert on_spec == (canonical if axis.scalar else [canonical])
@@ -149,7 +149,7 @@ class TestSpecExpansion:
             SweepSpec(systems=("napster",))
         with pytest.raises(KeyError, match="unknown scenario"):
             SweepSpec(scenarios=("meteor_strike",))
-        with pytest.raises(ValueError, match="unknown topology"):
+        with pytest.raises(KeyError, match="unknown topology"):
             SweepSpec(topologies=("torus",))
 
     def test_duplicate_cells_rejected(self):
@@ -176,6 +176,57 @@ class TestSpecExpansion:
         path.write_text(json.dumps(spec.to_dict()))
         again = SweepSpec.from_file(path)
         assert [c.key() for c in again.expand()] == [c.key() for c in spec.expand()]
+
+    def test_system_entries_with_params_are_distinct_cells(self):
+        spec = SweepSpec(
+            systems=(
+                "bp",
+                {"name": "bp", "params": {"fixed_outstanding": [9, 15]}},
+                {"name": "bullet_prime", "params": {"request_strategy": "random"}},
+            ),
+            topologies=({"name": "mesh", "params": {"max_loss": "0.015"}},),
+            **TINY,
+        )
+        cells = spec.expand()
+        assert [c.system_key() for c in cells] == [
+            "bullet_prime",
+            "bullet_prime[fixed_outstanding=9]",
+            "bullet_prime[fixed_outstanding=15]",
+            'bullet_prime[request_strategy="random"]',
+        ]
+        assert {c.system for c in cells} == {"bullet_prime"}
+        assert all(c.topology_params == {"max_loss": 0.015} for c in cells)
+        assert cells[1].key() == (
+            "bullet_prime[fixed_outstanding=9]|none|mesh[max_loss=0.015]|n6|b12|s1"
+        )
+        assert len({c.key() for c in cells}) == 4
+        doc = json.loads(json.dumps(spec.to_dict()))
+        assert doc["systems"][0] == "bullet_prime"
+        assert doc["systems"][1] == {
+            "name": "bullet_prime", "params": {"fixed_outstanding": [9, 15]}
+        }
+        assert SweepSpec.from_dict(doc).expand() == cells
+        # The same entry twice is still a duplicate.
+        with pytest.raises(ValueError, match="duplicate cell"):
+            SweepSpec(systems=("bp", {"name": "bullet_prime"})).expand()
+
+    def test_bad_system_and_topology_knobs_are_refused_at_spec_time(self):
+        for fields, error, match in (
+            ({"systems": [{"name": "bp", "params": {"request_strategy": "bogus"}}]},
+             ValueError, "must be one of"),
+            ({"systems": [{"name": "bp", "params": {"min_peers": 0}}]},
+             ValueError, r"\[1, inf\)"),
+            ({"systems": [{"name": "bittorrent", "params": {"unchoke_slots": 4}}]},
+             KeyError, "no param 'unchoke_slots'"),
+            ({"topologies": [{"name": "mesh", "params": {"max_loss": 1.5}}]},
+             ValueError, r"\[0, 1\)"),
+            ({"topologies": [{"name": "planetlab", "params": {"max_loss": 0.1}}]},
+             KeyError, "no param 'max_loss'"),
+            ({"systems": [{"name": "bp", "knobs": {}}]}, ValueError, "a system entry"),
+            ({"topologies": ['{"name": "mesh"']}, ValueError, "delimiter"),
+        ):
+            with pytest.raises(error, match=match):
+                SweepSpec(**fields)
 
     def test_golden_matrix_spec_shape(self):
         cells = golden_matrix_spec().expand()
@@ -233,6 +284,54 @@ class TestCells:
                 ),
                 **TINY,
             ).expand()
+
+    def test_default_cells_render_as_they_did_before_system_params(self):
+        # Pinned literally: what every store recorded before cells
+        # carried system / topology params must keep loading and keep
+        # comparing byte for byte.
+        (cell,) = SweepSpec(systems="bp", scenarios="cellular", **TINY).expand()
+        assert cell.key() == "bullet_prime|oscillate|mesh|n6|b12|s1"
+        assert cell.to_dict() == {
+            "system": "bullet_prime", "scenario": "oscillate",
+            "scenario_params": {}, "topology": "mesh", "nodes": 6,
+            "blocks": 12, "seed": 1, "max_time": 600.0, "tree_fanout": 4,
+            "flow_model": "reno",
+        }
+        assert list(cell.to_dict()) == list(SweepCell._fields[:10])
+
+    def test_old_store_records_load_without_the_param_fields(self):
+        old = {
+            "system": "bullet_prime", "scenario": "churn",
+            "scenario_params": {"period": 5.0}, "topology": "mesh", "nodes": 8,
+            "blocks": 24, "seed": 3, "max_time": 900.0, "tree_fanout": 4,
+        }  # no flow_model, system_params or topology_params
+        cell = record_cell({"key": "?", "cell": old, "summary": {}})
+        assert cell.key() == "bullet_prime|churn[period=5.0]|mesh|n8|b24|s3"
+        assert (cell.system_params, cell.topology_params) == ({}, {})
+        assert cell.to_dict() == dict(old, flow_model="reno")
+
+    def test_params_round_trip_and_sort_like_scenario_params(self):
+        cell = SweepCell(
+            "bullet_prime", "none", {}, "mesh", 8, 24, 3, 900.0,
+            system_params={"initial_senders": 6, "adaptive_peering": False},
+            topology_params={"max_loss": 0},
+        )
+        assert cell.key() == (
+            "bullet_prime[adaptive_peering=false,initial_senders=6]"
+            "|none|mesh[max_loss=0]|n8|b24|s3"
+        )
+        assert cell.condition_key() == "none|mesh[max_loss=0]|n8|b24"
+        again = SweepCell.from_dict(json.loads(json.dumps(cell.to_dict())))
+        assert again == cell and again.key() == cell.key()
+
+    @pytest.mark.parametrize("kind", ["system", "scenario", "topology"])
+    def test_pipe_refusal_names_the_kind_of_param(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} param x='a.b'.*field separator"):
+            SweepCell(
+                system="bullet_prime", scenario="none", topology="mesh", nodes=8,
+                blocks=24, seed=1, max_time=900.0,
+                **{"scenario_params": {}, f"{kind}_params": {"x": "a|b"}},
+            )
 
     def test_record_cell_roundtrips(self):
         cell = SweepCell(
