@@ -1,19 +1,17 @@
 """Allocator benchmark: scenario sweep with perf counters recorded.
 
-Runs Bullet' under every registered dynamic scenario (the same sweep as
-``test_bench_scenario_sweep``) but records, per scenario, the wall-clock
-time, the number of allocation passes (``FlowNetwork.reallocations``),
-and the component-scoped work counters — so the pytest-benchmark JSON
-(``BENCH_*.json`` via ``--benchmark-json``) captures a perf trajectory
-across PRs, not just a single total.
+Runs Bullet' under every registered dynamic scenario and records, per
+scenario, the wall-clock time, the number of allocation passes
+(``FlowNetwork.reallocations``), and the component-scoped work counters
+(pytest-benchmark JSON via ``--benchmark-json``).  The counters are
+pinned exactly, cell by cell, by the golden store
+(``tests/data/golden_matrix.jsonl``); speed is ``bench/``'s to measure.
 
 Also spot-checks the allocator-equivalence guarantee at benchmark scale:
 one scenario is re-run with ``flow_allocator="full"`` and must produce a
 bit-identical summary.
 
-Scale knobs: ``REPRO_BENCH_NODES`` / ``REPRO_BENCH_BLOCKS`` (the 2x
-speedup acceptance run uses ``REPRO_BENCH_NODES=50``); CI smoke mode
-runs reduced scale on every PR so regressions fail loudly.
+Scale knobs: ``REPRO_BENCH_NODES`` / ``REPRO_BENCH_BLOCKS``.
 """
 
 import time

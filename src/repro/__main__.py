@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Four families of commands:
+Five families of commands:
 
 Figures — reproduce any of the paper's figures::
 
@@ -28,26 +28,24 @@ with its knobs) x scales x seeds, executed across a worker pool::
         --scenarios none,churn --seeds 0:4 --workers 4 --out results.jsonl
     python -m repro sweep --spec examples/sweep_spec.json --workers 2
     python -m repro sweep --golden-matrix --workers 4 \\
-        --check-golden tests/data/golden_matrix_summaries.json
+        --check-golden tests/data/golden_matrix.jsonl
+
+``--check-golden`` holds a sweep to a recorded store: every record the
+store holds must come out under the same cell key, equal field for
+field — summary and work counters alike.  The golden store is what
+``sweep --golden-matrix --workers 1 --quiet --out`` writes; that one
+command re-records it.
 
 Paired-comparison analytics — turn sweep stores into conclusions
-("system A beats system B by X% under scenario S, CI [lo, hi]"), and
-read the accumulating perf-ledger history for regressions::
+("system A beats system B by X% under scenario S, CI [lo, hi]")::
 
     python -m repro compare results.jsonl --baseline bullet_prime
     python -m repro compare results.jsonl --format json --out league.json
-    python -m repro compare --trend BENCH_old.json BENCH_new.json \\
-        --counter-threshold 0.2
 
 Discovery — enumerate everything registered::
 
     python -m repro list
     python -m repro list --json
-
-Perf gate — deterministic counter regression check for CI::
-
-    python -m repro perf-gate --ledger BENCH_sweep_smoke.json \\
-        --baseline tests/data/perf_counters_baseline.json
 
 Figure output is the text rendering of the figure's data; ``run``
 prints a completion-time summary (or the same as JSON with ``--json``);
@@ -65,6 +63,7 @@ from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS
 from repro.harness.sweep import (
     AXES,
     TOPOLOGIES,
+    StoreView,
     SweepSpec,
     execute_cell,
     golden_matrix_spec,
@@ -360,8 +359,8 @@ def _sweep_parser():
         "--check-golden",
         default=None,
         metavar="PATH",
-        help="compare summaries against a recorded golden-summaries JSON "
-        "file; exit 1 on any bit-level mismatch",
+        help="hold the sweep to a recorded JSONL store, matching cell "
+        "keys; exit 1 if a recorded cell is missing or any field differs",
     )
     return parser
 
@@ -388,58 +387,51 @@ def _build_sweep_spec(args):
     return SweepSpec.from_dict(fields)
 
 
+def _differences(expected, got, path=""):
+    """``dotted.path: expected -> got`` for every leaf where two records
+    differ, in sorted field order."""
+    if not (isinstance(expected, dict) and isinstance(got, dict)):
+        return [] if expected == got else [f"{path}: {expected!r} -> {got!r}"]
+    return [
+        line
+        for field in sorted(expected.keys() | got.keys())
+        for line in _differences(
+            expected.get(field), got.get(field), f"{path}.{field}".lstrip(".")
+        )
+    ]
+
+
 def _check_golden(result, golden):
-    """Compare sweep summaries (minus perf counters) to recorded golden
-    summaries keyed ``system|scenario|seed``.  Returns an exit code."""
-    checked, mismatched = set(), []
-    for record in result.records:
-        cell = record["cell"]
-        if any(value for field, value in cell.items() if field.endswith("_params")):
-            continue  # goldens are recorded at every knob's default
-        if cell.get("flow_model", "reno") != "reno":
-            continue  # goldens are recorded on the default underlay
-        key = f"{cell['system']}|{cell['scenario']}|{cell['seed']}"
-        expected = golden.get(key)
-        # Goldens pin the scale they were recorded at through their
-        # completion count ("nodes"); a sweep cell at another scale is
-        # a different experiment, not a drifted one — skip it rather
-        # than spuriously mismatch.
-        if expected is None or record["summary"]["nodes"] != expected["nodes"]:
-            continue
-        if key in checked:
-            print(
-                f"error: multiple sweep cells map to golden {key!r} "
-                "(grid spans several scales?)",
-                file=sys.stderr,
-            )
-            return 1
-        checked.add(key)
-        summary = {
-            k: v for k, v in record["summary"].items() if k != "perf"
-        }
-        if summary != expected:
-            mismatched.append(key)
+    """Hold the sweep to a golden store: each golden record must be
+    produced under its cell key and equal it field for field.  Sweep
+    cells the store does not hold are other experiments and are not
+    looked at.  Returns an exit code."""
+    produced = {record["key"]: record for record in result.records}
+    drifted, uncovered = {}, []
+    for expected in golden.records:
+        key = expected["key"]
+        if key not in produced:
+            uncovered.append(key)
+        elif differences := _differences(expected, produced[key]):
+            drifted[key] = differences
     print(
-        f"golden check: {len(checked)}/{len(golden)} recorded cells "
-        f"covered, {len(mismatched)} mismatched",
+        f"golden check: {len(golden) - len(uncovered)}/{len(golden)} "
+        f"recorded cells covered, {len(drifted)} mismatched",
         file=sys.stderr,
     )
-    if mismatched:
-        for key in mismatched[:10]:
-            print(f"  summary drifted from golden: {key}", file=sys.stderr)
-        return 1
-    uncovered = sorted(set(golden) - checked)
+    for key in list(drifted)[:10]:
+        print(f"  drifted from golden: {key}", file=sys.stderr)
+        for line in drifted[key][:5]:
+            print(f"    {line}", file=sys.stderr)
     if uncovered:
         print(
             f"error: sweep did not cover {len(uncovered)} recorded golden "
-            "cell(s) — grid at another scale, or the run no longer "
-            "completes the recorded node count:",
+            "cell(s):",
             file=sys.stderr,
         )
         for key in uncovered[:10]:
             print(f"  not covered: {key}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if drifted or uncovered else 0
 
 
 def _sweep_command(argv):
@@ -450,8 +442,7 @@ def _sweep_command(argv):
         total = len(spec.expand())
         if args.check_golden is not None:
             # Load before the sweep: a typo'd path must not cost a run.
-            with open(args.check_golden, encoding="utf-8") as fh:
-                golden = json.load(fh)
+            golden = StoreView.from_jsonl(args.check_golden)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(exc)
 
@@ -501,18 +492,14 @@ def _parse_compare_args(argv):
             "Paired per-seed comparison of systems in sweep JSONL "
             "store(s): league tables with median/p90/worst deltas vs a "
             "baseline, win rates, and paired Student-t confidence "
-            "intervals.  With --trend, instead read two or more "
-            "BENCH_*.json perf-ledger entries (oldest first) and exit "
-            "nonzero on wall-time or counter regressions past the "
-            "thresholds."
+            "intervals."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="+",
         metavar="PATH",
-        help="sweep JSONL result store(s) (concatenated), or perf "
-        "ledger JSON files oldest-first with --trend",
+        help="sweep JSONL result store(s) (concatenated)",
     )
     parser.add_argument(
         "--baseline",
@@ -540,28 +527,6 @@ def _parse_compare_args(argv):
         metavar="PATH",
         help="also write the report here (e.g. for a CI artifact)",
     )
-    parser.add_argument(
-        "--trend",
-        action="store_true",
-        help="ledger-trend mode: PATHs are perf-ledger JSON files "
-        "(BENCH_*.json), oldest first",
-    )
-    parser.add_argument(
-        "--counter-threshold",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="trend mode: relative increase in a deterministic work "
-        "counter that fails the gate (default 0.10 = +10%%)",
-    )
-    parser.add_argument(
-        "--wall-threshold",
-        type=float,
-        default=0.50,
-        metavar="FRACTION",
-        help="trend mode: relative increase in a wall-time field that "
-        "fails the gate (wall clocks are noisy; default 0.50 = +50%%)",
-    )
     return parser.parse_args(argv)
 
 
@@ -570,103 +535,21 @@ def _compare_command(argv):
 
     args = _parse_compare_args(argv)
     try:
-        if args.trend:
-            entries = compare.load_ledger_entries(args.paths)
-            report = compare.trend_report(
-                entries,
-                counter_threshold=args.counter_threshold,
-                wall_threshold=args.wall_threshold,
-            )
-            if args.format == "json":
-                text = compare.render_trend_json(report)
-            else:
-                text = compare.render_trend_markdown(report) + "\n"
-        else:
-            doc = compare.compare_paths(
-                args.paths,
-                baseline=args.baseline,
-                confidence=args.confidence,
-            )
-            if args.format == "json":
-                text = compare.render_json(doc)
-            else:
-                text = compare.render_markdown(doc) + "\n"
+        doc = compare.compare_paths(
+            args.paths,
+            baseline=args.baseline,
+            confidence=args.confidence,
+        )
     except (OSError, ValueError, KeyError) as exc:
         return _fail(exc)
+    if args.format == "json":
+        text = compare.render_json(doc)
+    else:
+        text = compare.render_markdown(doc) + "\n"
     print(text, end="")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.trend and not report["ok"]:
-        for problem in report["regressions"]:
-            print(f"trend regression: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _parse_perf_gate_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="repro perf-gate",
-        description=(
-            "Deterministic perf-counter regression gate: compare a "
-            "benchmark ledger's noise-free work counters "
-            "(events_processed, reallocations, fill_rounds, "
-            "timers_recycled) against a committed baseline and fail on "
-            "any drift.  Update the baseline in the same PR to accept "
-            "an intentional change."
-        ),
-    )
-    parser.add_argument(
-        "--ledger",
-        required=True,
-        metavar="PATH",
-        help="benchmark ledger JSON (BENCH_sweep.json; see "
-        "REPRO_BENCH_LEDGER in benchmarks/test_bench_scenario_sweep.py)",
-    )
-    parser.add_argument(
-        "--baseline",
-        required=True,
-        metavar="PATH",
-        help="committed baseline JSON "
-        "(tests/data/perf_counters_baseline.json)",
-    )
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="record the ledger's counters as the new baseline instead "
-        "of checking",
-    )
-    return parser.parse_args(argv)
-
-
-def _perf_gate_command(argv):
-    from repro.harness import perf_gate
-
-    args = _parse_perf_gate_args(argv)
-    try:
-        ledger = perf_gate.latest_entry(perf_gate.load_json(args.ledger))
-        if args.update:
-            perf_gate.update_baseline(ledger, args.baseline)
-            print(f"recorded perf-counter baseline to {args.baseline}")
-            return 0
-        baseline = perf_gate.load_json(args.baseline)
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-    problems = perf_gate.check_ledger(ledger, baseline)
-    if problems:
-        print("perf-counter gate FAILED:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        print(
-            "(intentional? re-record with: python -m repro perf-gate "
-            f"--ledger {args.ledger} --baseline {args.baseline} --update)",
-            file=sys.stderr,
-        )
-        return 1
-    counters = ", ".join(
-        f"{name}={value}" for name, value in sorted(baseline["counters"].items())
-    )
-    print(f"perf-counter gate ok: {counters}")
     return 0
 
 
@@ -723,8 +606,6 @@ def main(argv=None):
         return _list_command(argv[1:])
     if argv and argv[0] == "compare":
         return _compare_command(argv[1:])
-    if argv and argv[0] == "perf-gate":
-        return _perf_gate_command(argv[1:])
     return _figures_command(argv)
 
 

@@ -10,10 +10,11 @@
 - :mod:`repro.harness.sweep` — declarative parameter sweeps over the
   whole matrix (systems x scenarios x knobs x topologies x scales x
   seeds) on a multiprocess worker pool; bit-identical results for any
-  worker count.
+  worker count.  Its JSONL store is also the golden fence:
+  ``tests/data/golden_matrix.jsonl`` pins every summary field and work
+  counter of the 288-cell acceptance matrix.
 - :mod:`repro.harness.compare` — paired-comparison analytics over
-  sweep stores (league tables vs a baseline, paired Student-t CIs)
-  and the perf-ledger trend gate.
+  sweep stores (league tables vs a baseline, paired Student-t CIs).
 - :mod:`repro.harness.workloads` — file and delta workload generators.
 - :mod:`repro.harness.figures` — one entry point per paper figure.
 - :mod:`repro.harness.report` — text rendering of figure data.

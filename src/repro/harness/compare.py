@@ -1,4 +1,4 @@
-"""Paired-comparison analytics over sweep stores + the ledger trend gate.
+"""Paired-comparison analytics over sweep stores.
 
 The paper's headline claims are pairwise — "Bullet' beats its
 alternatives by X% at the median under dynamic conditions" — and the
@@ -22,24 +22,19 @@ contributes only when **both** runs finished, and ``n_pairs`` vs
 (:func:`render_markdown`); both are bit-stable — derived only from
 record *values*, never record order, worker count, or wall clock.
 
-:func:`trend_report` is the longitudinal half: it reads two or more
-``BENCH_*.json`` perf-ledger entries (each PR's CI run uploads one) in
-chronological order and flags wall-time and deterministic-counter
-regressions between consecutive comparable entries, so CI can fail a
-PR that quietly makes the hot paths do more work.
+Whether a change moved behaviour at all is not this module's question:
+``repro sweep --check-golden`` holds whole records, work counters
+included, to a recorded store.
 
 CLI::
 
     python -m repro compare results.jsonl --baseline bullet_prime
     python -m repro compare results.jsonl --format json
-    python -m repro compare --trend BENCH_old.json BENCH_new.json \\
-        --counter-threshold 0.2 --wall-threshold 1.0
 """
 
 import json
 
 from repro.common import stats
-from repro.harness.perf_gate import GATE_COUNTERS, SCALE_FIELDS
 from repro.harness.report import render_markdown_table
 from repro.harness.sweep import StoreView, record_cell
 
@@ -47,24 +42,12 @@ __all__ = [
     "METRICS",
     "compare_paths",
     "compare_store",
-    "load_ledger_entries",
     "render_json",
     "render_markdown",
-    "render_trend_json",
-    "render_trend_markdown",
-    "trend_report",
 ]
 
 #: Completion metrics compared, in report order.
 METRICS = ("median", "p90", "worst")
-
-#: Ledger wall-time fields checked by the trend gate (seconds; noisy —
-#: gate with a generous threshold, unlike the deterministic counters).
-WALL_FIELDS = ("serial_seconds", "parallel_seconds_4w")
-
-
-# ---------------------------------------------------------------------------
-# Paired comparison
 
 
 def _index_store(store):
@@ -277,169 +260,6 @@ def render_markdown(doc):
 
 def render_json(doc):
     """The report document as deterministic (sorted-keys) JSON."""
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Ledger trend gate
-
-
-def load_ledger_entries(paths):
-    """Ledger entries from ``paths``, oldest first.
-
-    Each file holds one ledger document (the committed
-    ``BENCH_sweep.json`` form) or a list of them; entries are tagged
-    with their ``source`` for reporting.
-    """
-    entries = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        docs = doc if isinstance(doc, list) else [doc]
-        if not docs:
-            raise ValueError(f"{path}: empty ledger")
-        for i, entry in enumerate(docs):
-            if not isinstance(entry, dict) or "perf_totals" not in entry:
-                raise ValueError(f"{path}: not a perf ledger (no 'perf_totals')")
-            source = f"{path}[{i}]" if len(docs) > 1 else str(path)
-            entries.append({"source": source, "ledger": entry})
-    return entries
-
-
-def _relative_change(before, after):
-    """(after - before) / before; None when the base is zero."""
-    if not before:
-        return None
-    return (after - before) / before
-
-
-def trend_report(
-    entries,
-    counter_threshold=0.10,
-    wall_threshold=0.50,
-    counters=GATE_COUNTERS,
-):
-    """Flag regressions between consecutive comparable ledger entries.
-
-    ``entries`` is :func:`load_ledger_entries` output, oldest first.
-    Two entries are *comparable* when every scale field
-    (:data:`~repro.harness.perf_gate.SCALE_FIELDS`) matches — counters
-    measured at different scales or catalogues say nothing about each
-    other and the step is reported as skipped instead.  A regression is
-    a relative increase beyond ``counter_threshold`` for the
-    deterministic work counters or beyond ``wall_threshold`` for the
-    (noisy) wall-time fields.
-    """
-    if len(entries) < 2:
-        raise ValueError(
-            f"trend needs at least two ledger entries, got {len(entries)}"
-        )
-    for threshold, name in (
-        (counter_threshold, "counter_threshold"),
-        (wall_threshold, "wall_threshold"),
-    ):
-        if threshold <= 0:
-            raise ValueError(f"{name} must be > 0, got {threshold}")
-    steps = []
-    regressions = []
-    for prev, cur in zip(entries, entries[1:]):
-        before, after = prev["ledger"], cur["ledger"]
-        step = {
-            "from": prev["source"],
-            "to": cur["source"],
-            "comparable": True,
-            "changes": {},
-            "regressions": [],
-        }
-        mismatched = [
-            field for field in SCALE_FIELDS if before.get(field) != after.get(field)
-        ]
-        if mismatched:
-            step["comparable"] = False
-            step["skipped"] = "scale fields differ: " + ", ".join(sorted(mismatched))
-            steps.append(step)
-            continue
-        checks = [
-            (name, counter_threshold, before["perf_totals"], after["perf_totals"])
-            for name in counters
-        ]
-        checks += [(name, wall_threshold, before, after) for name in WALL_FIELDS]
-        for name, threshold, before_doc, after_doc in checks:
-            b = before_doc.get(name)
-            a = after_doc.get(name)
-            if b is None or a is None:
-                continue
-            change = _relative_change(b, a)
-            regressed = change is not None and change > threshold
-            step["changes"][name] = {
-                "before": b,
-                "after": a,
-                "change": change,
-                "threshold": threshold,
-                "regressed": regressed,
-            }
-            if regressed:
-                step["regressions"].append(name)
-                regressions.append(
-                    f"{name}: {b} -> {a} "
-                    f"(+{change * 100:.1f}% > {threshold * 100:.0f}% "
-                    f"threshold; {prev['source']} -> {cur['source']})"
-                )
-        steps.append(step)
-    return {
-        "entries": [e["source"] for e in entries],
-        "counter_threshold": counter_threshold,
-        "wall_threshold": wall_threshold,
-        "steps": steps,
-        "regressions": regressions,
-        "ok": not regressions,
-    }
-
-
-def render_trend_markdown(doc):
-    """The trend report as markdown: one table per consecutive step."""
-    lines = [
-        "# Perf-ledger trend",
-        "",
-        f"counters gate at +{doc['counter_threshold'] * 100:.0f}%, "
-        f"wall times at +{doc['wall_threshold'] * 100:.0f}% "
-        "(relative increase between consecutive comparable entries).",
-    ]
-    for step in doc["steps"]:
-        lines += ["", f"## {step['from']} → {step['to']}", ""]
-        if not step["comparable"]:
-            lines.append(f"*skipped: {step['skipped']}*")
-            continue
-        rows = []
-        for name, change in step["changes"].items():
-            delta = (
-                "n/a (zero base)"
-                if change["change"] is None
-                else f"{change['change'] * 100:+.1f}%"
-            )
-            rows.append(
-                [
-                    name,
-                    change["before"],
-                    change["after"],
-                    delta,
-                    "**REGRESSED**" if change["regressed"] else "ok",
-                ]
-            )
-        lines.append(
-            render_markdown_table(
-                ["counter", "before", "after", "change", "verdict"], rows
-            )
-        )
-    if doc["ok"]:
-        lines += ["", "No regressions."]
-    else:
-        lines += ["", f"{len(doc['regressions'])} regression(s):"]
-    lines += [f"- {problem}" for problem in doc["regressions"]]
-    return "\n".join(lines)
-
-
-def render_trend_json(doc):
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 

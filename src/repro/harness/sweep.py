@@ -11,8 +11,8 @@ Cells execute serially or across a multiprocess worker pool; because
 every cell is a self-contained deterministic simulation seeded only by
 its own spec fields, the merged output is **bit-identical regardless of
 worker count or completion order**.  That invariant is what lets the
-golden matrix (``tests/data/golden_matrix_summaries.json``) be checked
-against a parallel run.
+golden store (``tests/data/golden_matrix.jsonl``, the serial
+:func:`golden_matrix_spec` store) be checked against a parallel run.
 
 Outputs:
 
@@ -34,6 +34,7 @@ import multiprocessing
 from collections import namedtuple
 
 from repro.common import stats
+from repro.common.params import Param
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS, Registry
 from repro.sim.topology import (
@@ -256,26 +257,6 @@ def _points(entry):
     return [(name, dict(combo)) for combo in itertools.product(*knobs)]
 
 
-def _number(what, kind, minimum=None):
-    """Check for a numeric axis.  The floors are the ones the layers
-    below enforce (a tree needs its root, a download needs a block):
-    refused here, at spec time, instead of mid-sweep."""
-
-    def check(value):
-        try:
-            number = kind(value)
-        except (TypeError, ValueError):
-            number = None
-        if number is None or (minimum is not None and number < minimum):
-            floor = "" if minimum is None else f" >= {minimum}"
-            raise ValueError(
-                f"{what} must be {kind.__name__}{floor}, got {value!r}"
-            )
-        return number
-
-    return check
-
-
 def _comma_list(text):
     return [token.strip() for token in text.split(",") if token.strip()]
 
@@ -334,27 +315,33 @@ AXES = (
         ("--topology",), ("--topologies",), _comma_list,
         f"topology family ({', '.join(TOPOLOGIES.names())})",
     ),
+    # The numeric rows are checked like knobs, by Param.coerce: no lossy
+    # conversion (8.7 nodes, a `true` seed, a NaN time limit) and the
+    # floors the layers below enforce (a tree needs its root, a download
+    # a block), refused at spec time instead of mid-sweep.
     Axis(
-        "nodes", "nodes", 8, _number("nodes", int, 1),
+        "nodes", "nodes", 8, Param("nodes", "int", 8, domain="[1, inf)").coerce,
         ("--nodes",), ("--nodes",), _comma_list, "overlay size",
     ),
     Axis(
-        "blocks", "blocks", 24, _number("blocks", int, 1),
+        "blocks", "blocks", 24, Param("blocks", "int", 24, domain="[1, inf)").coerce,
         ("--blocks",), ("--blocks",), _comma_list, "file size in blocks",
     ),
     Axis(
-        "seed", "seeds", 0, _number("seeds", int),
+        "seed", "seeds", 0, Param("seeds", "int", 0).coerce,
         ("--seed",), ("--seeds",), _parse_seeds,
         "experiment seed; a sweep also takes start:stop ranges "
         "(e.g. '0:4' or '1,3,5:8')",
     ),
     Axis(
-        "max_time", "max_time", 3600.0, _number("max_time", float),
+        "max_time", "max_time", 3600.0,
+        Param("max_time", "float", 3600.0, domain="[0, inf)").coerce,
         ("--max-time",), ("--max-time",), None, "simulated-seconds cap",
         scalar=True,
     ),
     Axis(
-        "tree_fanout", "tree_fanout", 4, _number("tree_fanout", int, 1),
+        "tree_fanout", "tree_fanout", 4,
+        Param("tree_fanout", "int", 4, domain="[1, inf)").coerce,
         (), (), None, "", scalar=True,
     ),
 )
@@ -458,8 +445,10 @@ class SweepSpec:
 
 def golden_matrix_spec(seeds=(1, 3, 5, 7), nodes=8, blocks=24, max_time=900.0):
     """The acceptance matrix: every system x every scenario x ``seeds``
-    on the paper's mesh — the 288 cells recorded in
-    ``tests/data/golden_matrix_summaries.json``."""
+    on the paper's mesh — the 288 cells whose whole records (summary
+    and work counters) ``tests/data/golden_matrix.jsonl`` pins; ``repro
+    sweep --golden-matrix --workers 1 --quiet --out`` that path
+    re-records it."""
     return SweepSpec(
         systems=SYSTEMS.names(),
         scenarios=SCENARIOS.names(),

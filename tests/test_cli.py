@@ -333,26 +333,50 @@ def test_cli_sweep_flags_override_spec_file(tmp_path, capsys):
     assert doc["cells"] == 2
 
 
-def test_cli_sweep_check_golden(tmp_path, capsys):
-    golden_path = tmp_path / "golden.json"
-    flags = ["sweep", "--systems", "bp", "--scenarios", "none", "--nodes",
-             "6", "--blocks", "12", "--seeds", "1", "--max-time", "600",
-             "--out", str(tmp_path / "r.jsonl")]
-    assert main(flags) == 0
-    record = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[0])
-    summary = {k: v for k, v in record["summary"].items() if k != "perf"}
-    golden_path.write_text(json.dumps({"bullet_prime|none|1": summary}))
+GOLDEN_FLAGS = [
+    "sweep", "--systems", "bp", "--scenarios", "none", "--nodes", "6",
+    "--blocks", "12", "--seeds", "1", "--max-time", "600", "--quiet",
+]
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory):
+    """A one-cell store, recorded the way the golden store is."""
+    path = tmp_path_factory.mktemp("golden") / "golden.jsonl"
+    assert main(GOLDEN_FLAGS + ["--out", str(path)]) == 0
+    return path
+
+
+def test_cli_sweep_check_golden(golden_store, tmp_path, capsys):
     capsys.readouterr()
-    # Matching goldens pass ...
-    assert main(flags + ["--check-golden", str(golden_path)]) == 0
-    # ... a drifted value fails ...
-    summary["median"] += 1.0
-    golden_path.write_text(json.dumps({"bullet_prime|none|1": summary}))
-    assert main(flags + ["--check-golden", str(golden_path)]) == 1
-    # ... and an uncovered golden cell fails.
-    golden_path.write_text(json.dumps({"bullet_prime|churn|1": {}}))
-    assert main(flags + ["--check-golden", str(golden_path)]) == 1
+    # The store a sweep wrote passes against the same sweep ...
+    assert main(GOLDEN_FLAGS + ["--check-golden", str(golden_store)]) == 0
+    assert "1/1 recorded cells covered, 0 mismatched" in capsys.readouterr().err
+    # ... and a store holding a key the sweep does not produce fails.
+    record = json.loads(golden_store.read_text())
+    record["key"] = record["key"].replace("none", "churn")
+    other = tmp_path / "other.jsonl"
+    other.write_text(json.dumps(record) + "\n")
+    assert main(GOLDEN_FLAGS + ["--check-golden", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert "0/1 recorded cells covered, 0 mismatched" in err
+    assert "not covered: bullet_prime|churn|mesh|n6|b12|s1" in err
+
+
+def test_cli_sweep_check_golden_names_the_drifted_field(golden_store, tmp_path, capsys):
+    # One work counter edited in a copy of the store: the check fails and
+    # says which field moved, from what to what.
+    record = json.loads(golden_store.read_text())
+    rounds = record["summary"]["perf"]["fill_rounds"]
+    record["summary"]["perf"]["fill_rounds"] = rounds - 1
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text(json.dumps(record, sort_keys=True) + "\n")
     capsys.readouterr()
+    assert main(GOLDEN_FLAGS + ["--check-golden", str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert "1/1 recorded cells covered, 1 mismatched" in err
+    assert "drifted from golden: bullet_prime|none|mesh|n6|b12|s1" in err
+    assert f"    summary.perf.fill_rounds: {rounds - 1} -> {rounds}\n" in err
 
 
 def test_cli_sweep_golden_matrix_rejects_grid_flags(capsys):
@@ -362,51 +386,34 @@ def test_cli_sweep_golden_matrix_rejects_grid_flags(capsys):
     assert "--golden-matrix" in err and "--seeds" in err
 
 
-def test_cli_sweep_check_golden_skips_other_scales(tmp_path, capsys):
-    # A golden recorded at 6 nodes must not be compared against (and
-    # spuriously fail) a 10-node run of the same system x scenario x
-    # seed — the run simply doesn't cover it.
-    flags = ["sweep", "--systems", "bp", "--scenarios", "none", "--nodes",
-             "6", "--blocks", "12", "--seeds", "1", "--max-time", "600",
-             "--out", str(tmp_path / "r.jsonl")]
-    assert main(flags) == 0
-    record = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[0])
-    summary = {k: v for k, v in record["summary"].items() if k != "perf"}
-    golden_path = tmp_path / "golden.json"
-    golden_path.write_text(json.dumps({"bullet_prime|none|1": summary}))
+def test_cli_sweep_check_golden_other_scale_is_not_covered(golden_store, capsys):
+    # A 10-node run of the recorded 6-node cell is another experiment:
+    # the golden cell is uncovered, not drifted.
+    other_scale = [f if f != "6" else "10" for f in GOLDEN_FLAGS]
     capsys.readouterr()
-    other_scale = [f if f != "6" else "10" for f in flags]
-    assert main(other_scale + ["--check-golden", str(golden_path)]) == 1
+    assert main(other_scale + ["--check-golden", str(golden_store)]) == 1
     err = capsys.readouterr().err
     assert "0 mismatched" in err
     assert "did not cover" in err
+    assert "drifted" not in err
 
 
-def test_cli_sweep_check_golden_skips_knob_variants(tmp_path, capsys):
-    # Goldens are recorded at every knob's default: a system or topology
-    # variant of a recorded cell is another experiment, not a second
-    # (ambiguous, drifted) run of it.
+def test_cli_sweep_check_golden_ignores_other_cells(golden_store, tmp_path, capsys):
+    # A system or topology variant of a recorded cell — a knob, a star
+    # instead of the mesh — is another experiment under another key: the
+    # golden cell is checked, the variants are not looked at.
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "systems": ["bp", {"name": "bp", "params": {"request_strategy": "first"}}],
-        "topologies": ["mesh", {"name": "mesh", "params": {"max_loss": 0.0}}],
+        "topologies": ["mesh", "star", {"name": "mesh", "params": {"max_loss": 0.0}}],
         "nodes": [6], "blocks": [12], "seeds": [1], "max_time": 600.0,
     }))
-    flags = ["sweep", "--spec", str(spec), "--quiet", "--out", str(tmp_path / "r.jsonl")]
-    assert main(flags) == 0
-    records = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text().splitlines()]
-    assert [r["key"] for r in records] == [
-        "bullet_prime|none|mesh|n6|b12|s1",
-        "bullet_prime|none|mesh[max_loss=0.0]|n6|b12|s1",
-        'bullet_prime[request_strategy="first"]|none|mesh|n6|b12|s1',
-        'bullet_prime[request_strategy="first"]|none|mesh[max_loss=0.0]|n6|b12|s1',
-    ]
-    summary = {k: v for k, v in records[0]["summary"].items() if k != "perf"}
-    golden_path = tmp_path / "golden.json"
-    golden_path.write_text(json.dumps({"bullet_prime|none|1": summary}))
+    flags = ["sweep", "--spec", str(spec), "--quiet", "--check-golden", str(golden_store)]
     capsys.readouterr()
-    assert main(flags + ["--check-golden", str(golden_path)]) == 0
-    assert "1/1 recorded cells covered, 0 mismatched" in capsys.readouterr().err
+    assert main(flags) == 0
+    err = capsys.readouterr().err
+    assert "1/1 recorded cells covered, 0 mismatched" in err
+    assert "drifted" not in err
 
 
 def test_cli_sweep_check_golden_bad_path_fails_before_sweeping(capsys):
@@ -483,49 +490,6 @@ def test_cli_compare_bad_paths_fail_cleanly(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["compare", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def _write_ledger(path, events=1000):
-    path.write_text(json.dumps({
-        "benchmark": "scenario_sweep", "nodes": 10, "blocks": 48,
-        "cells": 14, "scenarios": ["none"], "seeds": [2],
-        "serial_seconds": 1.0, "parallel_seconds_4w": 0.5,
-        "perf_totals": {
-            "events_processed": events, "reallocations": 200,
-            "fill_rounds": 400, "timers_recycled": 800,
-        },
-    }))
-
-
-def test_cli_compare_trend_gate(tmp_path, capsys):
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
-    _write_ledger(old, events=1000)
-    _write_ledger(new, events=1300)  # +30%
-    # Past the threshold: report printed, regression on stderr, exit 1.
-    code = main(
-        ["compare", "--trend", str(old), str(new),
-         "--counter-threshold", "0.2"]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "Perf-ledger trend" in captured.out
-    assert "REGRESSED" in captured.out
-    assert "events_processed" in captured.err
-    # A generous threshold passes the same pair.
-    code = main(
-        ["compare", "--trend", str(old), str(new),
-         "--counter-threshold", "0.5"]
-    )
-    assert code == 0
-    assert "No regressions." in capsys.readouterr().out
-
-
-def test_cli_compare_trend_requires_two_entries(tmp_path, capsys):
-    ledger = tmp_path / "only.json"
-    _write_ledger(ledger)
-    code = main(["compare", "--trend", str(ledger)])
-    assert code == 2
-    assert "at least two" in capsys.readouterr().err
 
 
 def test_cli_sweep_bad_param_fails_cleanly(tmp_path, capsys):
@@ -608,9 +572,17 @@ def _write_spec(tmp_path, doc):
         ["run", "--seed", "0:2"],
         ["run", "--topology", "torus"],
         ["run", "--nodes", "6", "--blocks", "8", "--watchdog-window", "0"],
+        ["run", "--nodes", "8.7"],
+        ["run", "--blocks", "2.5"],
+        ["run", "--max-time", "-1"],
+        ["run", "--max-time", "nan"],
         ["sweep", "--nodes", "8,0"],
         ["sweep", "--blocks", "0"],
         ["sweep", "--max-time", "soon"],
+        ["sweep", "--nodes", "8.7"],
+        ["sweep", "--blocks", "2.5"],
+        ["sweep", "--max-time", "-1"],
+        ["sweep", "--max-time", "nan"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -618,6 +590,7 @@ def test_cli_out_of_range_input_fails_at_spec_time(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert "[1/" not in captured.err  # no cell ran before the refusal
@@ -643,6 +616,13 @@ def test_cli_watchdog_window_reports_the_watchdogs_own_message(capsys):
         {"topologies": [["mesh"]]},
         {"max_time": None},
         {"tree_fanout": 0},
+        # Lossy or non-numeric values are refused, not truncated.
+        {"nodes": [8.7]},
+        {"blocks": [2.5]},
+        {"seeds": [True]},
+        {"tree_fanout": 2.5},
+        {"max_time": -1},
+        {"max_time": "nan"},
     ],
     ids=json.dumps,
 )
@@ -650,6 +630,7 @@ def test_cli_malformed_spec_file_fails_cleanly(doc, tmp_path, capsys):
     assert main(_write_spec(tmp_path, doc)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

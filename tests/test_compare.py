@@ -1,10 +1,10 @@
-"""Tests for the paired-comparison analytics and the ledger trend gate.
+"""Tests for the paired-comparison analytics.
 
 The hand-computed fixture pins one league table byte for byte; the
 hypothesis test pins the order-invariance property (shuffled record
 order cannot move a single output byte); the chaos-group test exercises
 the unfinished-cell policy against the real golden watchdog cell
-(``bittorrent|chaos|1``).
+(``bittorrent|chaos|mesh|n8|b24|s1``).
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.harness.sweep import (
     run_sweep,
 )
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix_summaries.json"
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix.jsonl"
 
 
 def _record(system, seed, median, p90, worst, finished=True, scenario="none"):
@@ -249,15 +249,16 @@ class TestWatchdogCells:
         return run_sweep(spec, workers=1)
 
     def test_matches_recorded_golden_cells(self, chaos_store):
-        golden = json.loads(GOLDEN_PATH.read_text())
+        golden = StoreView.from_jsonl(GOLDEN_PATH).by_key()
         by_key = chaos_store.by_key()
         watchdog = by_key["bittorrent|chaos|mesh|n8|b24|s1"]
         assert watchdog["finished"] is False
         assert watchdog["perf"]["watchdog_fired"] == 1
-        assert watchdog["median"] == golden["bittorrent|chaos|1"]["median"]
+        for key, summary in by_key.items():
+            assert summary == golden[key]
 
     def test_aggregates_exclude_the_watchdog_cell(self, chaos_store):
-        golden = json.loads(GOLDEN_PATH.read_text())
+        golden = StoreView.from_jsonl(GOLDEN_PATH).by_key()
         rows = {row["group"]: row for row in chaos_store.aggregates()}
         bt = rows["bittorrent|chaos|mesh|n8|b24"]
         assert (bt["n_seeds"], bt["n_finished"]) == (2, 1)
@@ -265,7 +266,9 @@ class TestWatchdogCells:
         # Only the finished seed-3 cell enters the statistics; the
         # censored watchdog metrics never leak into a mean.
         assert bt["median"]["n"] == 1
-        assert bt["median"]["mean"] == golden["bittorrent|chaos|3"]["median"]
+        assert (
+            bt["median"]["mean"] == golden["bittorrent|chaos|mesh|n8|b24|s3"]["median"]
+        )
         bp = rows["bullet_prime|chaos|mesh|n8|b24"]
         assert (bp["n_seeds"], bp["n_finished"]) == (2, 2)
 
@@ -293,128 +296,6 @@ class TestWatchdogCells:
         assert (row["pairs"], row["n_pairs"]) == (2, 0)
         assert row["metrics"]["median"] is None
         assert "n/a" in compare.render_markdown(doc)
-
-
-def _ledger(**overrides):
-    base = {
-        "benchmark": "scenario_sweep",
-        "nodes": 10,
-        "blocks": 48,
-        "cells": 14,
-        "scenarios": ["chaos", "none"],
-        "seeds": [2],
-        "serial_seconds": 1.0,
-        "parallel_seconds_4w": 0.5,
-        "perf_totals": {
-            "events_processed": 1000,
-            "reallocations": 200,
-            "fill_rounds": 400,
-            "timers_recycled": 800,
-        },
-    }
-    perf = overrides.pop("perf_totals", {})
-    base.update(overrides)
-    base["perf_totals"] = {**base["perf_totals"], **perf}
-    return base
-
-
-def _entries(*ledgers):
-    return [
-        {"source": f"entry{i}", "ledger": ledger} for i, ledger in enumerate(ledgers)
-    ]
-
-
-class TestTrendGate:
-    def test_counter_regression_flagged_past_threshold(self):
-        report = compare.trend_report(
-            _entries(_ledger(), _ledger(perf_totals={"events_processed": 1250})),
-            counter_threshold=0.20,
-        )
-        assert not report["ok"]
-        assert report["steps"][0]["regressions"] == ["events_processed"]
-        assert "events_processed" in report["regressions"][0]
-        assert "REGRESSED" in compare.render_trend_markdown(report)
-
-    def test_within_threshold_passes(self):
-        report = compare.trend_report(
-            _entries(_ledger(), _ledger(perf_totals={"events_processed": 1190})),
-            counter_threshold=0.20,
-        )
-        assert report["ok"]
-        assert report["regressions"] == []
-        assert "No regressions." in compare.render_trend_markdown(report)
-
-    def test_improvement_never_regresses(self):
-        report = compare.trend_report(
-            _entries(_ledger(), _ledger(perf_totals={"events_processed": 10}))
-        )
-        assert report["ok"]
-
-    def test_wall_time_uses_its_own_generous_threshold(self):
-        faster_counters_slower_wall = _ledger(serial_seconds=1.4)
-        report = compare.trend_report(
-            _entries(_ledger(), faster_counters_slower_wall),
-            counter_threshold=0.10,
-            wall_threshold=0.50,
-        )
-        assert report["ok"]  # +40% wall is under the 50% wall threshold
-        report = compare.trend_report(
-            _entries(_ledger(), _ledger(serial_seconds=1.6)),
-            wall_threshold=0.50,
-        )
-        assert report["steps"][0]["regressions"] == ["serial_seconds"]
-
-    def test_scale_mismatch_skips_not_lies(self):
-        report = compare.trend_report(
-            _entries(
-                _ledger(),
-                _ledger(nodes=50, perf_totals={"events_processed": 99999}),
-            )
-        )
-        assert report["ok"]
-        step = report["steps"][0]
-        assert step["comparable"] is False
-        assert "nodes" in step["skipped"]
-        assert "skipped" in compare.render_trend_markdown(report)
-
-    def test_consecutive_steps_each_checked(self):
-        report = compare.trend_report(
-            _entries(
-                _ledger(),
-                _ledger(perf_totals={"fill_rounds": 404}),
-                _ledger(perf_totals={"fill_rounds": 800}),
-            ),
-            counter_threshold=0.20,
-        )
-        assert [s["regressions"] for s in report["steps"]] == [
-            [],
-            ["fill_rounds"],
-        ]
-
-    def test_requires_two_entries(self):
-        with pytest.raises(ValueError, match="at least two"):
-            compare.trend_report(_entries(_ledger()))
-
-    def test_rejects_nonpositive_thresholds(self):
-        entries = _entries(_ledger(), _ledger())
-        with pytest.raises(ValueError, match="counter_threshold"):
-            compare.trend_report(entries, counter_threshold=0.0)
-
-    def test_load_ledger_entries_accepts_dict_and_list(self, tmp_path):
-        single = tmp_path / "single.json"
-        single.write_text(json.dumps(_ledger()))
-        many = tmp_path / "many.json"
-        many.write_text(json.dumps([_ledger(), _ledger()]))
-        entries = compare.load_ledger_entries([str(single), str(many)])
-        assert [e["source"] for e in entries] == [
-            str(single),
-            f"{many}[0]",
-            f"{many}[1]",
-        ]
-        with pytest.raises(ValueError, match="perf_totals"):
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps({"whatever": 1}))
-            compare.load_ledger_entries([str(bad)])
 
 
 class TestStoreLoading:

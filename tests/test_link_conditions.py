@@ -15,19 +15,19 @@ the new engine is byte-identical to the goldens recorded before the
 engine existed.
 """
 
-import json
 import pathlib
 
 import pytest
 
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import SYSTEMS
+from repro.harness.sweep import StoreView
 from repro.sim.engine import Simulator
 from repro.sim.links import Link, LinkConditions
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix_summaries.json"
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix.jsonl"
 
 
 class TestLinkConditions:
@@ -223,7 +223,7 @@ class TestCapacityOnlyBitIdentity:
         ],
     )
     def test_direct_run_matches_pre_engine_golden(self, system, scenario, seed):
-        golden = json.loads(GOLDEN_PATH.read_text())
+        golden = StoreView.from_jsonl(GOLDEN_PATH).by_key()
         result = run_experiment(
             mesh_topology(8, seed=seed),
             SYSTEMS.get(system).builder(num_blocks=24, seed=seed),
@@ -233,7 +233,6 @@ class TestCapacityOnlyBitIdentity:
             seed=seed,
         )
         summary = result.summary()
-        perf = summary.pop("perf")
-        assert summary == golden[f"{system}|{scenario}|{seed}"]
+        assert summary == golden[f"{system}|{scenario}|mesh|n8|b24|s{seed}"]
         # Capacity-only scenarios must never touch the refresh path.
-        assert perf["path_refreshes"] == 0
+        assert summary["perf"]["path_refreshes"] == 0

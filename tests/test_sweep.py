@@ -162,6 +162,48 @@ class TestSpecExpansion:
         with pytest.raises(ValueError, match="must not be empty"):
             SweepSpec(seeds=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", [8.7]),
+            ("nodes", [0]),
+            ("blocks", [2.5]),
+            ("blocks", [True]),
+            ("seeds", [True]),
+            ("seeds", [1.5]),
+            ("tree_fanout", 2.5),
+            ("max_time", -1),
+            ("max_time", float("nan")),
+            ("max_time", "nan"),
+        ],
+        ids=repr,
+    )
+    def test_numeric_axis_refuses_lossy_or_out_of_range_values(self, field, value):
+        # Refused when the spec is built, not truncated into another cell.
+        with pytest.raises(ValueError, match=f"param '{field}'"):
+            SweepSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, canonical",
+        [
+            ("nodes", [8.0], 8),
+            ("nodes", ["8"], 8),
+            ("blocks", [24.0], 24),
+            ("seeds", [3.0], 3),
+            ("seeds", [-1], -1),
+            ("max_time", 600, 600.0),
+            ("max_time", 0, 0.0),
+            ("tree_fanout", 3.0, 3),
+        ],
+        ids=repr,
+    )
+    def test_numeric_axis_keeps_lossless_values(self, field, value, canonical):
+        (cell,) = SweepSpec(**{**TINY, field: value}).expand()
+        attr = "seed" if field == "seeds" else field
+        assert getattr(cell, attr) == canonical
+        assert type(getattr(cell, attr)) is type(canonical)
+        assert cell == SweepSpec(**{**TINY, field: canonical}).expand()[0]
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown fields"):
             SweepSpec.from_dict({"systems": ["bullet_prime"], "speed": 11})
