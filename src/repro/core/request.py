@@ -42,8 +42,9 @@ that bit for bit: a live candidate requested elsewhere moves to the
 sender's ``stale`` set, a release moves it back to its old position,
 and ``stale`` is emptied wherever the scan compacted (``pick`` and
 ``candidate_count``, not ``prefetch_needed``).  A block released after
-that is therefore requestable only from a sender that learns it anew
-(ROADMAP item 1(b) records this as a defect to fix in its own PR).
+that is therefore requestable only from a sender that learns it anew:
+the orphaned-released-block defect, kept until a fix that moves every
+Bullet' golden cell lands as a change of its own.
 """
 
 from bisect import bisect_left, insort

@@ -15,7 +15,8 @@ object identity) and ``_cap`` (its rate bound for this fill, set by the
 caller beforehand).  A *link* has ``_capacity`` and ``flows``, the
 seq-sorted list of every flow currently crossing it.  The kernel writes
 only scratch slots: ``flow._frozen`` / ``flow._visit_epoch`` and
-``link._alloc_epoch`` / ``_alloc_remaining`` / ``_alloc_unfrozen``.
+``link._alloc_epoch`` / ``_alloc_remaining`` / ``_alloc_unfrozen``, on
+every link of a fill alike, share-heap and single-flow-list links.
 ``epoch`` is a caller-supplied stamp, distinct on every call, that
 dedups flows and links without building a set or a dict.
 
@@ -35,6 +36,7 @@ order of every downstream event at equal timestamps — it is part of
 the kernel's contract, not an implementation detail.
 """
 
+from bisect import bisect_right
 from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 from operator import attrgetter, itemgetter
@@ -44,6 +46,7 @@ __all__ = ["components", "fill"]
 #: C-level sort keys — these orderings run on every allocation pass.
 _flow_seq = attrgetter("seq")
 _flow_cap = attrgetter("_cap")
+_entry_share = itemgetter(0)
 _entry_index = itemgetter(1)
 
 
@@ -113,6 +116,15 @@ def fill(flows, epoch):
     and the floating-point trajectory are those of a full rescan at
     O(changed links * log L) per round.  The cap-limited batch likewise
     comes from a cap-sorted prefix (monotone cursor, built lazily).
+
+    Links carrying exactly one flow — most of a mesh's core links —
+    never enter the heap.  Such a link's share is its capacity until
+    its flow freezes, and the link is dead after that, so its entry can
+    never go stale: the one-flow links wait in a list sorted by
+    ``(capacity, first-appearance index)``, swept by a cursor.  The
+    bottleneck is the smaller of the heap's fresh top and the cursor's
+    head, the band is the heap band plus the list prefix at or below
+    the threshold, and the first-appearance sort merges the two.
     """
     flow_count = len(flows)
     if flow_count == 1:
@@ -126,11 +138,12 @@ def fill(flows, epoch):
                 rate = link._capacity
         return flows, [rate], 0
 
-    # Heap entries are ``(share, first-appearance index, link)``; the
-    # index both breaks float ties deterministically (links are never
-    # compared) and restores a link scan's candidate order.
+    # Entries are ``(share, first-appearance index, link)``, in the heap
+    # and the single-flow list alike; the index breaks float ties (links
+    # are never compared) and restores a link scan's candidate order.
     min_cap = inf
     entries = []
+    singles = []
     n_links = 0
     for flow in flows:
         if flow._cap < min_cap:
@@ -143,9 +156,16 @@ def fill(flows, epoch):
                 count = len(link.flows)
                 link._alloc_remaining = remaining
                 link._alloc_unfrozen = count
-                entries.append((remaining / count, n_links, link))
+                if count == 1:
+                    singles.append((remaining, n_links, link))
+                else:
+                    entries.append((remaining / count, n_links, link))
                 n_links += 1
     heapify(entries)
+    # Built in index order and sorted stably: (capacity, index) order.
+    singles.sort(key=_entry_share)
+    n_singles = len(singles)
+    single_cursor = 0
 
     # Flows in ascending cap order; ``cap_cursor`` sweeps forward as the
     # bottleneck share rises (shares are non-decreasing across rounds,
@@ -184,6 +204,14 @@ def fill(flows, epoch):
                 continue
             bottleneck_share = share
             break
+        # The single-flow list's head is fresh unless dead: skip those.
+        while single_cursor < n_singles:
+            share, index, link = singles[single_cursor]
+            if link._alloc_unfrozen:
+                if share < bottleneck_share:
+                    bottleneck_share = share
+                break
+            single_cursor += 1
         if bottleneck_share is inf:
             # All remaining flows traverse only frozen links (cannot
             # happen with positive capacities, but guard anyway).
@@ -232,14 +260,20 @@ def fill(flows, epoch):
 
         # Otherwise freeze every flow on the bottleneck link(s): pop the
         # tolerance band (recorded shares are lower bounds, so every
-        # link whose live share is within the band is in it), restore
-        # first-appearance order, and re-test each candidate against its
-        # live share — identical outcome to a full rescan, since shares
-        # only rise as flows freeze.  Every flow frozen here has cap >
-        # share (cap-limited ones froze above).
-        candidates = [heappop(entries)]
+        # link whose live share is within the band is in it), add the
+        # single-flow prefix inside it, restore first-appearance order,
+        # and re-test each candidate against its live share — identical
+        # outcome to a full rescan, since shares only rise as flows
+        # freeze.  Every flow frozen here has cap > share (cap-limited
+        # ones froze above).  Shares are positive, so the fresh heap
+        # top, when it is the bottleneck, is inside its own band.
+        candidates = []
         while entries and entries[0][0] <= threshold:
             candidates.append(heappop(entries))
+        # Each single-flow link in the band freezes its flow (or is dead).
+        band_end = bisect_right(singles, threshold, single_cursor, key=_entry_share)
+        candidates += singles[single_cursor:band_end]
+        single_cursor = band_end
         if len(candidates) > 1:
             candidates.sort(key=_entry_index)
         rate = bottleneck_share if bottleneck_share > 0.0 else 0.0

@@ -2,9 +2,10 @@
 
 :mod:`repro.sim.tcp` defines the :class:`~repro.sim.tcp.FlowModel`
 interface and the default loss-based ``reno`` model (the Mathis cap the
-paper's evaluation assumed).  This module ships the two *model-based*
-competitors ROADMAP item 3 asked for, registered — together with
-``reno`` — in :data:`repro.harness.registry.FLOW_MODELS`:
+paper's evaluation assumed).  This module ships its two *model-based*
+competitors — a delivery-rate estimator and a delay-driven shaper —
+registered, together with ``reno``, in
+:data:`repro.harness.registry.FLOW_MODELS`:
 
 ``bbr``
     A deterministic approximation of BBR's bandwidth estimator: the
@@ -27,15 +28,19 @@ competitors ROADMAP item 3 asked for, registered — together with
     the best rate seen) and **slow recovery** (several consecutive GREEN
     ticks buy one additive step back up).
 
-Both models are ``dynamic = True``: the allocator feeds them every
-settled rate (:meth:`~repro.sim.tcp.FlowModel.observe_rate`), notifies
-them when a path's invariants move
-(:meth:`~repro.sim.tcp.FlowModel.path_refreshed`), and consults
-:meth:`~repro.sim.tcp.FlowModel.dynamic_cap` on every fill.  All state
-is a pure function of (event times, settled rates), both of which are
-deterministic per cell, so sweeps over these models are bit-identical
-at any worker count — the same contract the golden matrix pins for
-``reno``.
+Both models are ``dynamic = True``: the allocator notifies them when a
+path's invariants move (:meth:`~repro.sim.tcp.FlowModel.path_refreshed`)
+and, once per filled component, asks for every flow's cap
+(:meth:`~repro.sim.tcp.FlowModel.dynamic_caps`, seq order, before the
+fill) and feeds them every settled rate
+(:meth:`~repro.sim.tcp.FlowModel.observe_rates`, freeze order).  Each
+model runs the per-flow loop itself, with the slow-start ramp of
+:meth:`~repro.sim.tcp.FlowModel.slow_start_cap_at` inlined unchanged, so
+a pass costs two calls per component instead of four per flow.  All
+state is a pure function of (event times, settled rates), both of which
+are deterministic per cell, so sweeps over these models are
+bit-identical at any worker count — the same contract the golden matrix
+pins for ``reno``.
 """
 
 import math
@@ -66,7 +71,7 @@ class BbrModel(FlowModel):
     """Windowed-max delivery-rate estimation with a probe/drain cycle.
 
     The steady-state cap is ``inf`` — the live bound comes from
-    :meth:`dynamic_cap`: ``gain * btlbw`` with ``btlbw`` the windowed
+    :meth:`dynamic_caps`: ``gain * btlbw`` with ``btlbw`` the windowed
     max of settled rates and ``gain`` cycling through
     ``[probe, drain, 1, 1, 1, 1, 1, 1]`` (phase advances every
     ``phase_time`` seconds, deterministically from simulated time), all
@@ -108,8 +113,8 @@ class BbrModel(FlowModel):
 
     def validate(self):
         #: BBR's ProbeBW gain cycle: one probe phase, one drain phase,
-        #: six cruise phases (precomputed: ``dynamic_cap`` indexes it per
-        #: fill).
+        #: six cruise phases (precomputed: ``dynamic_caps`` indexes it
+        #: per flow per fill).
         self.gains = (self.probe_gain, self.drain_gain, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def steady_state_cap(self, links):
@@ -128,41 +133,55 @@ class BbrModel(FlowModel):
         if flow.rtt < st.min_rtt:
             st.min_rtt = flow.rtt
 
-    def observe_rate(self, flow, rate, now):
-        st = flow.model_state
-        wedge = st.wedge
+    def observe_rates(self, flows, rates, now):
+        # Expiry is left to ``dynamic_caps``, the wedge's only reader:
+        # it drops the expired prefix before reading the front, and the
+        # back pops below remove the same samples with or without it.
+        for flow, rate in zip(flows, rates):
+            wedge = flow.model_state.wedge
+            while wedge and wedge[-1][1] <= rate:
+                wedge.pop()
+            wedge.append((now, rate))
+
+    def dynamic_caps(self, flows, now):
         horizon = now - self.window
-        while wedge and wedge[0][0] < horizon:
-            wedge.popleft()
-        while wedge and wedge[-1][1] <= rate:
-            wedge.pop()
-        wedge.append((now, rate))
-
-    def dynamic_cap(self, flow, now):
-        st = flow.model_state
-        wedge = st.wedge
-        horizon = now - self.window
-        while wedge and wedge[0][0] < horizon:
-            wedge.popleft()
-        if not wedge:
-            # No delivery samples inside the window (fresh or long-idle
-            # flow): unbounded, the ramp and the fair share govern.
-            return math.inf
-        btlbw = wedge[0][1]
-        rtt = flow.rtt if flow.rtt > 1e-4 else 1e-4
-        if btlbw <= 0.0:
-            return self.mss / rtt
-        phase = int((now - st.cycle_start) / self.phase_time) % 8
-        cap = btlbw * self.gains[phase]
-        inflight_bound = self.cwnd_gain * btlbw * st.min_rtt / rtt
-        if inflight_bound < cap:
-            cap = inflight_bound
-        floor = self.mss / rtt  # never below one segment per RTT
-        return cap if cap > floor else floor
-
-
-#: Autorate congestion states.
-_GREEN, _YELLOW, _RED = 0, 1, 2
+        mss = self.mss
+        initial = self.ramp_initial_segments
+        gains = self.gains
+        phase_time = self.phase_time
+        cwnd_gain = self.cwnd_gain
+        inf = math.inf
+        for flow in flows:
+            rtt = flow.rtt
+            if rtt < 1e-4:
+                rtt = 1e-4
+            # The slow-start ramp: ``FlowModel.slow_start_cap_at``, inlined.
+            doublings = (now - flow.started_at) / rtt
+            ramp = inf if doublings > 40 else initial * 2.0**doublings * mss / rtt
+            st = flow.model_state
+            wedge = st.wedge
+            while wedge:
+                sample = wedge[0]
+                if sample[0] >= horizon:
+                    break
+                wedge.popleft()
+            if not wedge:
+                # No delivery samples inside the window (fresh or
+                # long-idle flow): unbounded, the ramp and the fair
+                # share govern.
+                cap = inf
+            else:
+                btlbw = sample[1]
+                cap = mss / rtt  # never below one segment per RTT
+                if btlbw > 0.0:
+                    phase = int((now - st.cycle_start) / phase_time) % 8
+                    bound = btlbw * gains[phase]
+                    inflight_bound = cwnd_gain * btlbw * st.min_rtt / rtt
+                    if inflight_bound < bound:
+                        bound = inflight_bound
+                    if bound > cap:
+                        cap = bound
+            flow._cap = ramp if ramp < cap else cap
 
 
 class _AutorateState:
@@ -263,7 +282,7 @@ class AutorateModel(FlowModel):
 
     def validate(self):
         # Programmatic values are checked, not coerced; the streak
-        # arithmetic in ``dynamic_cap`` needs a true int.
+        # arithmetic in ``_tick`` needs a true int.
         self.recovery_ticks = int(self.recovery_ticks)
 
     def steady_state_cap(self, links):
@@ -278,59 +297,67 @@ class AutorateModel(FlowModel):
         if flow.rtt < st.base_rtt:
             st.base_rtt = flow.rtt
 
-    def observe_rate(self, flow, rate, now):
-        st = flow.model_state
-        if rate > st.max_rate:
-            st.max_rate = rate
+    def observe_rates(self, flows, rates, now):
+        for flow, rate in zip(flows, rates):
+            st = flow.model_state
+            if rate > st.max_rate:
+                st.max_rate = rate
 
-    def _classify(self, flow, st):
+    def dynamic_caps(self, flows, now):
+        interval = self.control_interval
+        mss = self.mss
+        initial = self.ramp_initial_segments
+        inf = math.inf
+        for flow in flows:
+            rtt = flow.rtt
+            if rtt < 1e-4:
+                rtt = 1e-4
+            # The slow-start ramp: ``FlowModel.slow_start_cap_at``, inlined.
+            doublings = (now - flow.started_at) / rtt
+            ramp = inf if doublings > 40 else initial * 2.0**doublings * mss / rtt
+            st = flow.model_state
+            ticks = int((now - st.last_tick) / interval)
+            if ticks > 0:
+                st.last_tick += ticks * interval
+                self._tick(flow, st, ticks, rtt)
+            cap = st.cap
+            flow._cap = ramp if ramp < cap else cap
+
+    def _tick(self, flow, st, ticks, rtt):
+        """Run ``ticks`` pending control ticks, all under the path's
+        *current* GREEN / YELLOW / RED class (path invariants only move
+        at discrete condition events, and those seed an allocation pass,
+        so the window between visits is homogeneous to within one
+        coalescing interval)."""
         delta = flow.rtt - st.base_rtt
         if delta >= self.red_delta or flow.loss >= self.red_loss:
-            return _RED
-        if delta >= self.yellow_delta or flow.loss >= self.yellow_loss:
-            return _YELLOW
-        return _GREEN
-
-    def dynamic_cap(self, flow, now):
-        st = flow.model_state
-        ticks = int((now - st.last_tick) / self.control_interval)
-        if ticks > 0:
-            st.last_tick += ticks * self.control_interval
-            # All pending ticks run under the *current* classification
-            # (path invariants only move at discrete condition events,
-            # and those seed an allocation pass, so the window between
-            # visits is homogeneous to within one coalescing interval).
-            state = self._classify(flow, st)
-            if state == _RED:
-                st.green_streak = 0
-                cap = st.cap
-                if cap == math.inf:
-                    # First backoff: start shaping from the best rate
-                    # actually seen (nothing to shape before that).
-                    cap = st.max_rate
-                if cap > 0.0:
-                    rtt = flow.rtt if flow.rtt > 1e-4 else 1e-4
-                    floor = self.floor_frac * st.max_rate
-                    segment_floor = self.mss / rtt
-                    if floor < segment_floor:
-                        floor = segment_floor
-                    cap *= self.backoff ** ticks
-                    if cap < floor:
-                        cap = floor
-                    st.cap = cap
-            elif state == _YELLOW:
-                st.green_streak = 0
-            else:
-                if st.cap != math.inf and st.max_rate > 0.0:
-                    rt = self.recovery_ticks
-                    streak = st.green_streak
-                    steps = (streak + ticks) // rt - streak // rt
-                    if steps:
-                        st.cap += steps * self.step_frac * st.max_rate
-                        if st.cap >= st.max_rate:
-                            st.cap = math.inf
-                st.green_streak += ticks
-        return st.cap
+            st.green_streak = 0
+            cap = st.cap
+            if cap == math.inf:
+                # First backoff: start shaping from the best rate
+                # actually seen (nothing to shape before that).
+                cap = st.max_rate
+            if cap > 0.0:
+                floor = self.floor_frac * st.max_rate
+                segment_floor = self.mss / rtt
+                if floor < segment_floor:
+                    floor = segment_floor
+                cap *= self.backoff**ticks
+                if cap < floor:
+                    cap = floor
+                st.cap = cap
+        elif delta >= self.yellow_delta or flow.loss >= self.yellow_loss:
+            st.green_streak = 0
+        else:
+            if st.cap != math.inf and st.max_rate > 0.0:
+                rt = self.recovery_ticks
+                streak = st.green_streak
+                steps = (streak + ticks) // rt - streak // rt
+                if steps:
+                    st.cap += steps * self.step_frac * st.max_rate
+                    if st.cap >= st.max_rate:
+                        st.cap = math.inf
+            st.green_streak += ticks
 
 
 FLOW_MODELS.register(

@@ -23,10 +23,10 @@ Model-based controllers (``bbr``, ``autorate`` — see
 :mod:`repro.sim.flow_models`) instead derive a *time-varying* cap from
 the allocator's own delivery-rate history and the path's delay
 evolution; they declare ``dynamic = True`` and receive the
-:meth:`FlowModel.observe_rate` / :meth:`FlowModel.path_refreshed` /
-:meth:`FlowModel.dynamic_cap` callbacks below.  Every dynamic hook is
-gated on that flag, so the default Reno model pays one falsy attribute
-read per call site and nothing else.
+:meth:`FlowModel.path_refreshed` callback per flow and the batched
+:meth:`FlowModel.dynamic_caps` / :meth:`FlowModel.observe_rates` calls
+once per filled component.  Every dynamic hook is gated on that flag,
+so the default Reno model pays one falsy test per call site.
 
 The flow network: bookkeeping, kernel, settle
 ---------------------------------------------
@@ -44,12 +44,13 @@ keep large experiments linear in the number of block transfers.  A pass
    only has its ``ramp_done`` latch swept) — or, with
    ``incremental=False``, every active flow;
 2. asks :func:`repro.sim.alloc.components` for the connected components
-   those seeds reach, and for each one computes every flow's cap, calls
+   those seeds reach, and for each one prices every flow's cap (one
+   ``dynamic_caps`` call under a dynamic model), calls
    :func:`repro.sim.alloc.fill`, and
-3. walks the flows in the freeze order ``fill`` returned through the one
-   settle loop: ramp latch, ``observe_rate`` feed, dead band,
-   ``flow.rate``, ``on_rate_change``.  Untouched components keep their
-   rates with zero work and no callbacks.
+3. settles the flows in the freeze order ``fill`` returned: one
+   ``observe_rates`` feed, then the one settle loop (ramp latch, dead
+   band, ``flow.rate``, ``on_rate_change``).  Untouched components keep
+   their rates with zero work and no callbacks.
 
 Work per pass is proportional to the dirty components only.  The
 kernel orders everything by creation sequence, so seed order cannot
@@ -57,27 +58,21 @@ influence results, and passing every active flow as seeds runs the
 identical arithmetic in the identical order: ``incremental`` and
 ``full`` produce bit-identical rates and event sequences (asserted by a
 randomized property test and the scenario-matrix golden tests).
-Callbacks fired from the settle loop (transport reschedules, model
-feeds) never touch allocator state, which is what lets settling wait
-until a component's fill has finished.
+Neither the model feed nor the callbacks fired from the settle loop
+(transport reschedules) touch allocator state, which is what lets
+settling wait until a component's fill has finished.
 
 Link-condition dynamics
 -----------------------
 
-Capacity is not the only runtime-mutable link knob: the link-condition
-engine lets scenarios drive ``loss_rate`` and ``delay`` too (see
-:mod:`repro.sim.links`).  A loss/delay mutation bumps the network's
-*condition epoch* and stamps the link; active flows crossing the link
-get their path invariants (Mathis cap, RTT, loss, RTO) refreshed
-immediately and their components re-filled, while idle flows refresh
-lazily at their next activation by comparing stamps.  When no scenario
-touches loss or delay the epoch never moves and the whole mechanism
-reduces to one always-equal integer compare per activation.
-
-Per-flow invariants are computed once at flow creation (and refreshed
-as above), and a ``ramp_done`` latch stops flows past slow-start from
-paying the exponential window recompute or scheduling further ramp
-revisits.
+The link-condition engine lets scenarios drive ``loss_rate`` and
+``delay`` as well as capacity (see :mod:`repro.sim.links`).  A
+loss/delay mutation bumps the network's *condition epoch* and stamps
+the link: active flows crossing it get their path invariants (Mathis
+cap, RTT, loss, RTO) refreshed at once and their components re-filled;
+idle flows refresh lazily at their next activation by comparing stamps.
+With no such scenario the epoch never moves, and the mechanism costs
+one always-equal integer compare per activation.
 """
 
 import math
@@ -111,15 +106,15 @@ class FlowModel(Configurable):
     Models whose live bound varies with time or history set
     ``dynamic = True`` and implement the dynamic hooks: the allocator
     then calls :meth:`flow_started` once per flow (attach per-flow state
-    to ``flow.model_state``), :meth:`observe_rate` whenever a fill
-    settles the flow's rate (the delivery-rate feed),
-    :meth:`path_refreshed` when a traversed link's loss or delay moved,
-    and :meth:`dynamic_cap` for the instantaneous cap on every fill.
-    All hooks are gated on ``dynamic`` at the call sites, so a static
-    model (Reno) pays nothing.
+    to ``flow.model_state``), :meth:`path_refreshed` when a traversed
+    link's loss or delay moved, and, once per filled component,
+    :meth:`dynamic_caps` before the fill and :meth:`observe_rates` (the
+    delivery-rate feed) after it.  All hooks are gated on ``dynamic`` at
+    the call sites, so a static model (Reno) pays nothing.
 
     Subclasses share the Reno-shaped RTO and exponential ramp by
-    default; both are overridable.  Knobs are declared as ``params``
+    default (the dynamic models inline the ramp in their
+    :meth:`dynamic_caps` loop).  Knobs are declared as ``params``
     (see :class:`~repro.common.params.Configurable`); a subclass extends
     this tuple with the knobs it adds.
     """
@@ -134,20 +129,10 @@ class FlowModel(Configurable):
 
     params = (
         Param("mss", "int", MSS, "TCP maximum segment size (bytes)", "[1, inf)"),
-        Param(
-            "min_rto",
-            "float",
-            0.2,
-            "lower bound on the RTO estimate (seconds)",
-            "[0, inf)",
-        ),
-        Param(
-            "ramp_initial_segments",
-            "int",
-            4,
-            "slow-start initial window (segments)",
-            "[1, inf)",
-        ),
+        Param("min_rto", "float", 0.2, "lower bound on the RTO estimate (seconds)",
+              "[0, inf)"),
+        Param("ramp_initial_segments", "int", 4,
+              "slow-start initial window (segments)", "[1, inf)"),
     )
 
     def path_loss(self, links):
@@ -187,21 +172,24 @@ class FlowModel(Configurable):
         """:meth:`slow_start_cap_at` for the RTT of ``links``."""
         return self.slow_start_cap_at(self.path_rtt(links), age)
 
-    # -- dynamic-model hooks (no-ops for static models) --------------------
+    # -- dynamic-model hooks (called only when ``dynamic``) -----------------
 
     def flow_started(self, flow, now):
         """Attach per-flow controller state (``flow.model_state``)."""
-
-    def observe_rate(self, flow, rate, now):
-        """One settled allocation: the model's delivery-rate feed."""
 
     def path_refreshed(self, flow, now):
         """The flow's path invariants were just recomputed (loss/delay
         moved); dynamic models resample their delay baselines here."""
 
-    def dynamic_cap(self, flow, now):
-        """Instantaneous steady-state bound for a dynamic model."""
-        return flow.mathis_cap
+    def dynamic_caps(self, flows, now):
+        """Set ``flow._cap`` for one component's flows (seq order) before
+        its fill: the slow-start ramp or the model's live bound,
+        whichever is lower."""
+        raise NotImplementedError
+
+    def observe_rates(self, flows, rates, now):
+        """One settled component, in freeze order: the model's
+        delivery-rate feed."""
 
 
 class TcpModel(FlowModel):
@@ -242,25 +230,9 @@ class Flow:
     """
 
     __slots__ = (
-        "name",
-        "seq",
-        "links",
-        "mathis_cap",
-        "rtt",
-        "loss",
-        "rto",
-        "started_at",
-        "rate",
-        "ramp_done",
-        "ramp_binding",
-        "on_rate_change",
-        "on_path_change",
-        "model_state",
-        "_active",
-        "_network",
-        "_cap",
-        "_frozen",
-        "_visit_epoch",
+        "name", "seq", "links", "mathis_cap", "rtt", "loss", "rto", "started_at",
+        "rate", "ramp_done", "ramp_binding", "on_rate_change", "on_path_change",
+        "model_state", "_active", "_network", "_cap", "_frozen", "_visit_epoch",
         "_path_epoch",
     )
 
@@ -271,7 +243,7 @@ class Flow:
         #: Steady-state cap from the flow model.  The attribute keeps
         #: its historical name (the Mathis cap is what the default Reno
         #: model computes here); dynamic models set it to ``inf`` and
-        #: impose their live bound through ``FlowModel.dynamic_cap``.
+        #: impose their live bound through ``FlowModel.dynamic_caps``.
         self.mathis_cap = model.steady_state_cap(links)
         self.rtt = model.path_rtt(links)
         self.loss = model.path_loss(links)
@@ -302,9 +274,9 @@ class Flow:
         self.model_state = None
         self._active = False
         self._network = None
-        #: Allocation scratch: instantaneous cap / frozen marker for the
-        #: pass currently in progress (valid only inside reallocate()),
-        #: plus the BFS visit stamp used by component discovery.
+        #: Allocation scratch: instantaneous cap (``flow_cap`` or
+        #: ``FlowModel.dynamic_caps``) / frozen marker for the pass in
+        #: progress, plus the BFS visit stamp of component discovery.
         self._cap = 0.0
         self._frozen = False
         self._visit_epoch = -1
@@ -344,8 +316,7 @@ class FlowNetwork:
                  incremental=True):
         self.sim = sim
         self.model = model if model is not None else TcpModel()
-        #: Hoisted dynamic-model gate: every hook call site checks it, so
-        #: static models (Reno, the default) pay one falsy attribute read.
+        #: Hoisted dynamic-model gate, checked at every hook call site.
         self._dynamic = bool(self.model.dynamic)
         self.reallocation_interval = reallocation_interval
         self.incremental = incremental
@@ -365,15 +336,12 @@ class FlowNetwork:
         #: Last stamp handed to the kernel; each ``components`` / ``fill``
         #: call gets a fresh one (dedup without sets or dictionaries).
         self._alloc_epoch = 0
-        #: Monotone count of loss/delay mutations anywhere in the
-        #: network (the *condition epoch*).  Flows stamp the epoch their
-        #: path invariants were computed at; while no scenario touches
-        #: loss or delay this never moves and the staleness test in
-        #: ``activate`` is a single always-equal int compare.
+        #: Monotone count of loss/delay mutations (the *condition
+        #: epoch*); flows stamp the epoch their path invariants were
+        #: computed at, which is ``activate``'s staleness test.
         self._cond_epoch = 0
-        #: Number of allocation passes performed.
+        #: Allocation passes; components / flows actually re-filled.
         self.reallocations = 0
-        #: Components / flows actually re-filled (allocator work done).
         self.components_allocated = 0
         self.flows_allocated = 0
         self.max_component_size = 0
@@ -518,24 +486,18 @@ class FlowNetwork:
         self.reallocate()
 
     def flow_cap(self, flow):
-        """Instantaneous per-flow rate bound (steady cap + slow-start).
+        """Instantaneous rate bound under a static model (Reno).
 
-        Static models (Reno): the slow-start window only grows, so once
-        it crosses the Mathis cap the result is ``mathis_cap`` forever;
-        ``ramp_done`` latches that and skips the exponential recompute
-        from then on.  Dynamic models: the steady bound itself moves
-        (and can *shrink*), so the latch never engages — the model's
-        ``dynamic_cap`` is consulted on every fill and the flow stays in
-        the ramping set, which keeps the periodic revisit loop (the
-        controller's tick) alive while the flow is active.
+        The slow-start window only grows, so once it crosses the Mathis
+        cap the result is ``mathis_cap`` forever; ``ramp_done`` latches
+        that and skips the exponential recompute from then on.  Dynamic
+        models price flows in ``FlowModel.dynamic_caps`` and never latch:
+        their flows stay in the ramping set, which keeps the revisit loop
+        (the controller's tick) alive while they are active.
         """
         if flow.ramp_done:
             return flow.mathis_cap
-        age = self.sim.now - flow.started_at
-        ramp = self.model.slow_start_cap_at(flow.rtt, age)
-        if self._dynamic:
-            steady = self.model.dynamic_cap(flow, self.sim.now)
-            return ramp if ramp < steady else steady
+        ramp = self.model.slow_start_cap_at(flow.rtt, self.sim.now - flow.started_at)
         if ramp < flow.mathis_cap:
             return ramp
         flow.ramp_done = True
@@ -582,33 +544,35 @@ class FlowNetwork:
         epoch = bfs_epoch = self._alloc_epoch + 1
         flow_cap = self.flow_cap
         now = self.sim.now
-        # Dynamic models sample the settled rate of every allocated flow
-        # (even an unchanged one — a windowed filter such as BBR's needs
-        # fresh samples so old maxima can expire); ``None`` keeps the
-        # static path branch-only.
-        observe = self.model.observe_rate if self._dynamic else None
+        # A dynamic model prices each component in one call and samples
+        # every settled rate in one more (even an unchanged rate: a
+        # windowed filter such as BBR's needs fresh samples so old maxima
+        # can expire); ``None`` keeps the static path branch-only.
+        model = self.model if self._dynamic else None
         for component in components(seeds, bfs_epoch):
             size = len(component)
             self.components_allocated += 1
             self.flows_allocated += size
             if size > self.max_component_size:
                 self.max_component_size = size
-            for flow in component:
-                # Fast path: past slow-start the cap is the (precomputed)
-                # Mathis cap — no call, no exponential.
-                flow._cap = flow.mathis_cap if flow.ramp_done else flow_cap(flow)
+            if model is not None:
+                model.dynamic_caps(component, now)
+            else:
+                for flow in component:
+                    # Past slow-start: the precomputed Mathis cap, no call.
+                    flow._cap = flow.mathis_cap if flow.ramp_done else flow_cap(flow)
             epoch += 1
             frozen, rates, rounds = fill(component, epoch)
             self.fill_rounds += rounds
             # The one settle site.  Freeze order is callback order.
+            if model is not None:
+                model.observe_rates(frozen, rates, now)
             for flow, rate in zip(frozen, rates):
                 if not flow.ramp_done:
                     # The ramp cap bound this fill iff it set the rate:
                     # only a cap-limited freeze assigns the cap itself,
                     # so ``>=`` identifies it exactly.
                     flow.ramp_binding = rate >= flow._cap
-                if observe is not None:
-                    observe(flow, rate, now)
                 # Dead band: a rate that moved by less than 1e-9 B/s is
                 # the same rate, and reschedules nothing.
                 diff = rate - flow.rate
@@ -624,11 +588,13 @@ class FlowNetwork:
                         flow.on_rate_change(flow, old_rate)
         self._alloc_epoch = epoch
 
-        if self._ramping_flows:
+        if self._ramping_flows and model is None:
             # Ramping flows whose component was not refilled still track
             # the window growth: latch ramp_done exactly when a full
             # recomputation would, so the revisit schedule (and with it
             # the event timeline) is identical in both allocator modes.
+            # A dynamic model seeds every ramping flow in both modes, so
+            # none is ever left unvisited there.
             for flow in list(self._ramping_flows):
                 if flow._visit_epoch != bfs_epoch:
                     flow_cap(flow)

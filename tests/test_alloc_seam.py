@@ -48,7 +48,7 @@ def test_callbacks_fire_in_freeze_order_outside_the_dead_band(
 
 
 class _RecordingDynamicModel(FlowModel):
-    """A ``dynamic = True`` model that logs its two per-fill hooks."""
+    """A ``dynamic = True`` model that logs its two batched hooks."""
 
     name = "recording"
     dynamic = True
@@ -60,13 +60,14 @@ class _RecordingDynamicModel(FlowModel):
     def steady_state_cap(self, links):
         return float("inf")
 
-    def dynamic_cap(self, flow, now):
-        self.log.append(("cap", flow.seq))
-        # Some flows cap-limited, some not, varying from pass to pass.
-        return 40_000.0 * (1 + (flow.seq + len(self.log)) % 7)
+    def dynamic_caps(self, flows, now):
+        self.log.append(("caps", [f.seq for f in flows]))
+        for flow in flows:
+            # Some flows cap-limited, some not, varying from pass to pass.
+            flow._cap = 40_000.0 * (1 + (flow.seq + len(self.log)) % 7)
 
-    def observe_rate(self, flow, rate, now):
-        self.log.append(("observe", flow.seq))
+    def observe_rates(self, flows, rates, now):
+        self.log.append(("observe", [f.seq for f in flows], list(rates)))
 
 
 def test_dynamic_model_prices_a_component_before_any_flow_of_it_settles(monkeypatch):
@@ -85,26 +86,27 @@ def test_dynamic_model_prices_a_component_before_any_flow_of_it_settles(monkeypa
     def recording_fill(component, epoch):
         frozen, rates, rounds = kernel_fill(component, epoch)
         model.log.append(("fill", [f.seq for f in component], [f.seq for f in frozen]))
+        fills.append(list(rates))
         return frozen, rates, rounds
 
+    fills = []
     kernel_fill = tcp.fill
     monkeypatch.setattr(tcp, "fill", recording_fill)
     _install(sim, net, links, flows, _random_script(5, len(links), len(flows)))
     sim.run(until=60.0)
 
+    # Per component, exactly: one ``dynamic_caps`` with its flows in seq
+    # order, the fill, one ``observe_rates`` with the flows in the order
+    # they froze and the rates they froze at — and nothing in between.
     log = model.log
-    fills = [i for i, entry in enumerate(log) if entry[0] == "fill"]
-    assert len(fills) == net.components_allocated > 0
+    assert len(log) == 3 * net.components_allocated > 0
     assert net.max_component_size > 2
-    cursor = 0
-    for i in fills:
-        _, component, frozen = log[i]
-        size = len(component)
-        # Every cap of the component, then the fill, then every observe
-        # in freeze order — and nothing else in between components.
-        assert log[cursor:i] == [("cap", seq) for seq in component]
-        assert log[i + 1 : i + 1 + size] == [("observe", seq) for seq in frozen]
-        cursor = i + 1 + size
-    assert cursor == len(log)
-    assert sum(e[0] == "cap" for e in log) == net.flows_allocated
-    assert sum(e[0] == "observe" for e in log) == net.flows_allocated
+    for n, i in enumerate(range(0, len(log), 3)):
+        caps, filled, observed = log[i : i + 3]
+        _, component, frozen = filled
+        assert caps == ("caps", component)
+        assert component == sorted(component)
+        assert observed == ("observe", frozen, fills[n])
+    for hook in ("caps", "observe"):
+        calls = [entry[1] for entry in log if entry[0] == hook]
+        assert sum(map(len, calls)) == net.flows_allocated

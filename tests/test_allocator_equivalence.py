@@ -17,17 +17,19 @@ import pytest
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import SCENARIOS, SYSTEMS
 from repro.sim.engine import Simulator
+from repro.sim.flow_models import AutorateModel, BbrModel
 from repro.sim.links import Link
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 
 
-def _build_world(seed, incremental, num_links=12, num_flows=24):
+def _build_world(seed, incremental, num_links=12, num_flows=24, model=None):
     """One (sim, network, links, flows) universe; two calls with the same
     seed build identical twins (separate Link/Flow objects)."""
     rng = random.Random(seed)
     sim = Simulator()
-    net = FlowNetwork(sim, reallocation_interval=0.01, incremental=incremental)
+    net = FlowNetwork(sim, model=model, reallocation_interval=0.01,
+                      incremental=incremental)
     links = [
         Link(
             f"l{i}",
@@ -44,15 +46,26 @@ def _build_world(seed, incremental, num_links=12, num_flows=24):
     return sim, net, links, flows
 
 
-def _random_script(seed, num_links, num_flows, num_ops=120, horizon=30.0):
+def _random_script(seed, num_links, num_flows, num_ops=120, horizon=30.0,
+                   conditions=False):
     """Timestamped operations referring to links/flows by index, so the
-    same script can drive both twin universes."""
+    same script can drive both twin universes.  ``conditions`` adds
+    loss-rate and delay writes (path refreshes) to the mix."""
     rng = random.Random(seed * 7919 + 13)
+    kinds = ["activate", "deactivate", "capacity", "scale"]
+    if conditions:
+        kinds += ["loss", "delay"]
     ops = []
     for _ in range(num_ops):
         t = rng.uniform(0.0, horizon)
-        kind = rng.choice(["activate", "deactivate", "capacity", "scale"])
-        if kind == "activate":
+        kind = rng.choice(kinds)
+        if kind == "loss":
+            ops.append((t, "loss", rng.randrange(num_links),
+                        rng.choice([0.0, 0.005, 0.02, 0.08])))
+        elif kind == "delay":
+            ops.append((t, "delay", rng.randrange(num_links),
+                        rng.uniform(0.001, 0.2)))
+        elif kind == "activate":
             ops.append((t, "activate", rng.randrange(num_flows)))
         elif kind == "deactivate":
             ops.append((t, "deactivate", rng.randrange(num_flows)))
@@ -76,21 +89,25 @@ def _install(sim, net, links, flows, ops):
             sim.schedule_at(op[0], net.activate, flows[op[2]])
         elif op[1] == "deactivate":
             sim.schedule_at(op[0], net.deactivate, flows[op[2]])
-        elif op[1] == "capacity":
-            def set_cap(link=links[op[2]], value=op[3]):
-                link.capacity = value
-            sim.schedule_at(op[0], set_cap)
+        elif op[1] in ("capacity", "loss", "delay"):
+            attr = {"capacity": "capacity", "loss": "loss_rate",
+                    "delay": "delay"}[op[1]]
+            def set_attr(link=links[op[2]], attr=attr, value=op[3]):
+                setattr(link, attr, value)
+            sim.schedule_at(op[0], set_attr)
         else:
             def scale(link=links[op[2]], factor=op[3]):
                 link.scale_capacity(factor)
             sim.schedule_at(op[0], scale)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_incremental_matches_full_on_random_scripts(seed):
-    sim_i, net_i, links_i, flows_i = _build_world(seed, incremental=True)
-    sim_f, net_f, links_f, flows_f = _build_world(seed, incremental=False)
-    ops = _random_script(seed, len(links_i), len(flows_i))
+def _assert_twins_agree(seed, model_cls=None, conditions=False):
+    models = (None, None) if model_cls is None else (model_cls(), model_cls())
+    sim_i, net_i, links_i, flows_i = _build_world(
+        seed, incremental=True, model=models[0])
+    sim_f, net_f, links_f, flows_f = _build_world(
+        seed, incremental=False, model=models[1])
+    ops = _random_script(seed, len(links_i), len(flows_i), conditions=conditions)
     _install(sim_i, net_i, links_i, flows_i, ops)
     _install(sim_f, net_f, links_f, flows_f, ops)
 
@@ -111,9 +128,28 @@ def test_incremental_matches_full_on_random_scripts(seed):
     # identical simulator event sequence.
     assert net_i.reallocations == net_f.reallocations
     assert sim_i.events_processed == sim_f.events_processed
+    return net_i, net_f
 
 
-def _matrix_run(scenario_name, flow_allocator, seed=3):
+@pytest.mark.parametrize("seed", range(8))
+def test_incremental_matches_full_on_random_scripts(seed):
+    _assert_twins_agree(seed)
+
+
+@pytest.mark.parametrize("model_cls", [BbrModel, AutorateModel])
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_matches_full_under_dynamic_models(seed, model_cls):
+    """A dynamic model's cap can shrink, so every active flow seeds every
+    pass in both modes; that is why the post-fill ramp sweep is skipped
+    under one.  Loss and delay writes drive the models' path refreshes
+    (autorate's RED / YELLOW classes, BBR's inflight bound)."""
+    net_i, net_f = _assert_twins_agree(seed, model_cls, conditions=True)
+    assert net_i.path_refreshes == net_f.path_refreshes > 0
+    # Every active flow is a seed, so incremental does full's work.
+    assert net_i.perf_stats() == net_f.perf_stats()
+
+
+def _matrix_run(scenario_name, flow_allocator, seed=3, flow_model=None):
     return run_experiment(
         mesh_topology(8, seed=seed),
         SYSTEMS.get("bullet_prime").builder(num_blocks=24, seed=seed),
@@ -122,6 +158,7 @@ def _matrix_run(scenario_name, flow_allocator, seed=3):
         max_time=900.0,
         seed=seed,
         flow_allocator=flow_allocator,
+        flow_model=flow_model,
     )
 
 
@@ -140,11 +177,15 @@ def test_summary_perf_counters_deterministic_and_equivalent(scenario_name):
     incremental <= full, never more work.
     """
     perf = {}
+    rest = {}
     for mode in ("incremental", "full"):
-        first = _matrix_run(scenario_name, mode).summary()["perf"]
-        second = _matrix_run(scenario_name, mode).summary()["perf"]
-        assert first == second, f"{mode} perf counters must be deterministic"
-        perf[mode] = first
+        first = _matrix_run(scenario_name, mode).summary()
+        second = _matrix_run(scenario_name, mode).summary()
+        assert first == second, f"{mode} summaries must be deterministic"
+        perf[mode] = first.pop("perf")
+        rest[mode] = first
+    # Same experiment in both modes: every non-work field is equal.
+    assert rest["incremental"] == rest["full"]
     inc, full = perf["incremental"], perf["full"]
     assert set(inc) == set(full) == {
         "events_processed",
@@ -185,6 +226,18 @@ def test_summary_perf_counters_deterministic_and_equivalent(scenario_name):
     # The event core pools timers: after warm-up nearly every event is
     # served from the free list, and both modes drive the same schedule.
     assert inc["timers_recycled"] > inc["timers_allocated"]
+
+
+@pytest.mark.parametrize("flow_model", ["bbr", "autorate"])
+@pytest.mark.parametrize("scenario_name", ["oscillate", "gilbert_elliott"])
+def test_dynamic_model_experiments_identical_in_both_modes(scenario_name,
+                                                           flow_model):
+    """Whole experiments under the batched dynamic-model hooks: the two
+    allocator modes give the same summary and, since every active flow
+    seeds every pass, the same work counters too."""
+    inc = _matrix_run(scenario_name, "incremental", flow_model=flow_model)
+    full = _matrix_run(scenario_name, "full", flow_model=flow_model)
+    assert inc.summary() == full.summary()
 
 
 def test_incremental_skips_clean_components():

@@ -10,7 +10,10 @@ Three layers of coverage:
   recorded goldens by ``test_scenario_matrix.py``).
 - **Model mechanics** — the BBR windowed-max filter, gain cycle, and
   inflight bound; the autorate state machine's fast-backoff /
-  slow-recovery asymmetry — exercised directly on stub flows.
+  slow-recovery asymmetry — exercised directly on stub flows through
+  the batched ``dynamic_caps`` / ``observe_rates`` hooks, whose inlined
+  slow-start ramp must equal ``FlowModel.slow_start_cap_at`` bit for
+  bit.
 - **Plumbing** — registry validation at spec time, sweep determinism at
   1/2/4 workers for the dynamic models, condition-key compatibility,
   and the CLI surfaces.
@@ -96,10 +99,59 @@ class TestFlowModelInterface:
         assert AutorateModel().steady_state_cap(links) == math.inf
 
 
-def _stub_flow(rtt=0.1, loss=0.0):
+def _stub_flow(rtt=0.1, loss=0.0, started_at=-math.inf):
+    # Started infinitely long ago unless asked: the slow-start ramp is
+    # then ``inf`` and the model's own bound is the whole cap.
     return types.SimpleNamespace(
-        rtt=rtt, loss=loss, mathis_cap=math.inf, model_state=None
+        rtt=rtt,
+        loss=loss,
+        started_at=started_at,
+        mathis_cap=math.inf,
+        model_state=None,
+        _cap=None,
     )
+
+
+def _cap(model, flow, now):
+    """One flow's cap through the batched hook, as a one-flow component."""
+    model.dynamic_caps([flow], now)
+    return flow._cap
+
+
+def _observe(model, flow, rate, now):
+    model.observe_rates([flow], [rate], now)
+
+
+class TestBatchedHooks:
+    @pytest.mark.parametrize("model_cls", [BbrModel, AutorateModel])
+    def test_the_inlined_ramp_is_slow_start_cap_at(self, model_cls):
+        """Before any delivery sample both models are unbounded, so the
+        cap is the slow-start ramp — bit for bit the base class's."""
+        model = model_cls()
+        for rtt in (0.0, 5e-5, 1e-4, 0.013, 0.1, 0.37):
+            for age in (0.0, 0.001, 0.05, 0.4, 2.0, 1e3):
+                flow = _stub_flow(rtt=rtt, started_at=0.0)
+                model.flow_started(flow, now=0.0)
+                assert _cap(model, flow, age) == model.slow_start_cap_at(rtt, age)
+
+    @pytest.mark.parametrize("model_cls", [BbrModel, AutorateModel])
+    def test_a_component_is_priced_flow_by_flow(self, model_cls):
+        """One call over a component sets the caps that one call per
+        flow sets: the batch shares no state between its flows."""
+        model = model_cls()
+        specs = [(0.1, 0.0, 1e6), (0.05, 0.1, 4e5), (0.3, 0.02, 2e5), (0.1, 0.0, 0.0)]
+        batched, single = [], []
+        for flows in (batched, single):
+            for rtt, loss, rate in specs:
+                flow = _stub_flow(rtt=rtt, loss=loss, started_at=0.0)
+                model.flow_started(flow, now=0.0)
+                flows.append(flow)
+            model.observe_rates(flows, [spec[2] for spec in specs], now=0.0)
+        for now in (0.3, 1.7, 6.2):
+            model.dynamic_caps(batched, now)
+            for flow in single:
+                model.dynamic_caps([flow], now)
+            assert [f._cap for f in batched] == [f._cap for f in single]
 
 
 class TestBbrMechanics:
@@ -110,41 +162,48 @@ class TestBbrMechanics:
         model = BbrModel(window=10.0)
         flow = _stub_flow()
         model.flow_started(flow, now=0.0)
-        model.observe_rate(flow, 1e6, now=0.0)
-        model.observe_rate(flow, 6e5, now=1.0)
+        _observe(model, flow, 1e6, now=0.0)
+        _observe(model, flow, 6e5, now=1.0)
         # Inside the window the old maximum rules.
-        cap = model.dynamic_cap(flow, now=0.6)  # phase 2: gain 1.0
+        cap = _cap(model, flow, now=0.6)  # phase 2: gain 1.0
         assert cap == pytest.approx(1e6)
         # Once the 1e6 sample ages out, the filter forgets it.
-        model.observe_rate(flow, 6e5, now=10.5)
-        cap = model.dynamic_cap(flow, now=10.6)  # phase 42 % 8 = 2
+        _observe(model, flow, 6e5, now=10.5)
+        cap = _cap(model, flow, now=10.6)  # phase 42 % 8 = 2
         assert cap == pytest.approx(6e5)
 
     def test_gain_cycle_probes_and_drains(self):
         model = BbrModel(phase_time=0.25)
         flow = _stub_flow()
         model.flow_started(flow, now=0.0)
-        model.observe_rate(flow, 1e6, now=0.0)
-        assert model.dynamic_cap(flow, now=0.0) == pytest.approx(1.25e6)
-        assert model.dynamic_cap(flow, now=0.30) == pytest.approx(0.75e6)
-        assert model.dynamic_cap(flow, now=0.60) == pytest.approx(1e6)
+        _observe(model, flow, 1e6, now=0.0)
+        assert _cap(model, flow, now=0.0) == pytest.approx(1.25e6)
+        assert _cap(model, flow, now=0.30) == pytest.approx(0.75e6)
+        assert _cap(model, flow, now=0.60) == pytest.approx(1e6)
 
     def test_inflight_bound_shrinks_when_delay_inflates(self):
         model = BbrModel(cwnd_gain=2.0)
         flow = _stub_flow(rtt=0.1)
         model.flow_started(flow, now=0.0)
-        model.observe_rate(flow, 1e6, now=0.0)
+        _observe(model, flow, 1e6, now=0.0)
         # Path delay quadruples: min_rtt/rtt = 1/4, bound = 2*1e6/4.
         flow.rtt = 0.4
         model.path_refreshed(flow, now=0.1)
-        cap = model.dynamic_cap(flow, now=0.6)  # cruise phase
+        cap = _cap(model, flow, now=0.6)  # cruise phase
         assert cap == pytest.approx(5e5)
 
     def test_no_samples_means_unbounded(self):
         model = BbrModel()
         flow = _stub_flow()
         model.flow_started(flow, now=0.0)
-        assert model.dynamic_cap(flow, now=0.0) == math.inf
+        assert _cap(model, flow, now=0.0) == math.inf
+
+    def test_zero_delivery_floors_at_one_segment_per_rtt(self):
+        model = BbrModel()
+        flow = _stub_flow(rtt=0.1)
+        model.flow_started(flow, now=0.0)
+        _observe(model, flow, 0.0, now=0.0)
+        assert _cap(model, flow, now=0.6) == model.mss / 0.1
 
     def test_loss_never_enters_the_cap(self):
         model = BbrModel()
@@ -152,8 +211,8 @@ class TestBbrMechanics:
         lossy = _stub_flow(loss=0.2)
         for flow in (lossless, lossy):
             model.flow_started(flow, now=0.0)
-            model.observe_rate(flow, 1e6, now=0.0)
-        assert model.dynamic_cap(lossless, 0.6) == model.dynamic_cap(lossy, 0.6)
+            _observe(model, flow, 1e6, now=0.0)
+        assert _cap(model, lossless, 0.6) == _cap(model, lossy, 0.6)
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="window"):
@@ -170,49 +229,49 @@ class TestAutorateMechanics:
     def _primed_flow(self, model, loss=0.0, rtt=0.1, max_rate=1e6):
         flow = _stub_flow(rtt=rtt, loss=loss)
         model.flow_started(flow, now=0.0)
-        model.observe_rate(flow, max_rate, now=0.0)
+        _observe(model, flow, max_rate, now=0.0)
         return flow
 
     def test_unshaped_until_congestion(self):
         model = self._model()
         flow = self._primed_flow(model)
-        assert model.dynamic_cap(flow, now=5.0) == math.inf
+        assert _cap(model, flow, now=5.0) == math.inf
 
     def test_red_loss_backs_off_immediately(self):
         model = self._model(backoff=0.5, red_loss=0.04)
         flow = self._primed_flow(model, loss=0.1)
         # One RED tick: inf -> max_rate, then one halving.
-        assert model.dynamic_cap(flow, now=1.0) == pytest.approx(5e5)
+        assert _cap(model, flow, now=1.0) == pytest.approx(5e5)
 
     def test_sustained_red_clamps_at_the_floor(self):
         model = self._model(backoff=0.5, floor_frac=0.2)
         flow = self._primed_flow(model, loss=0.1)
-        assert model.dynamic_cap(flow, now=50.0) == pytest.approx(0.2 * 1e6)
+        assert _cap(model, flow, now=50.0) == pytest.approx(0.2 * 1e6)
 
     def test_red_rtt_delta_triggers_too(self):
         model = self._model(red_delta=0.03)
         flow = self._primed_flow(model, rtt=0.1)
         flow.rtt = 0.2  # +100 ms over baseline
         model.path_refreshed(flow, now=0.5)
-        assert model.dynamic_cap(flow, now=1.0) < math.inf
+        assert _cap(model, flow, now=1.0) < math.inf
 
     def test_yellow_holds_without_backing_off(self):
         model = self._model(yellow_loss=0.01, red_loss=0.5)
         flow = self._primed_flow(model, loss=0.1)
-        assert model.dynamic_cap(flow, now=5.0) == math.inf
+        assert _cap(model, flow, now=5.0) == math.inf
 
     def test_recovery_is_slow_and_stepped(self):
         model = self._model(backoff=0.5, step_frac=0.05, recovery_ticks=5)
         flow = self._primed_flow(model, loss=0.1)
-        backed_off = model.dynamic_cap(flow, now=1.0)
+        backed_off = _cap(model, flow, now=1.0)
         flow.loss = 0.0  # congestion clears
         # Four GREEN ticks: not yet a full streak, cap holds.
-        assert model.dynamic_cap(flow, now=4.9) == backed_off
+        assert _cap(model, flow, now=4.9) == backed_off
         # The fifth completes a streak: one additive step up.
-        stepped = model.dynamic_cap(flow, now=6.0)
+        stepped = _cap(model, flow, now=6.0)
         assert stepped == pytest.approx(backed_off + 0.05 * 1e6)
         # Enough streaks recover past max_rate and unshape entirely.
-        assert model.dynamic_cap(flow, now=80.0) == math.inf
+        assert _cap(model, flow, now=80.0) == math.inf
 
     def test_backoff_asymmetry(self):
         """Coming down is one tick; coming back is recovery_ticks per
@@ -220,12 +279,12 @@ class TestAutorateMechanics:
         longer than collapse."""
         model = self._model(backoff=0.5, step_frac=0.05, recovery_ticks=5)
         flow = self._primed_flow(model, loss=0.1)
-        down = model.dynamic_cap(flow, now=1.0)  # 1 tick: halved
+        down = _cap(model, flow, now=1.0)  # 1 tick: halved
         assert down == pytest.approx(5e5)
         flow.loss = 0.0
         # Recovering the same 5e5 at 0.05*1e6 per 5 ticks needs 50 ticks.
-        assert model.dynamic_cap(flow, now=26.0) < 1e6
-        assert model.dynamic_cap(flow, now=52.0) == math.inf
+        assert _cap(model, flow, now=26.0) < 1e6
+        assert _cap(model, flow, now=52.0) == math.inf
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="control_interval"):

@@ -211,7 +211,7 @@ def test_run_takes_system_and_topology_knobs_as_json_entries(capsys):
     assert "_params" not in capsys.readouterr().out
 
 
-# -- the in-domain fuzz (the seed of ROADMAP item 2's fuzzer) ------------------
+# -- the in-domain fuzz (Bullet' under reno; not yet every system x model) -----
 
 
 def _in_domain(param):

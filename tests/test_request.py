@@ -132,8 +132,9 @@ class TestPickSemantics:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="compaction orphans released blocks (ROADMAP item 4); the fix "
-        "moves every Bullet' golden cell, so it is its own PR",
+        reason="compaction orphans released blocks: a sender scanned while "
+        "the block was in flight never offers it again; the fix moves every "
+        "Bullet' golden cell, so it is its own PR",
     )
     @pytest.mark.parametrize("strategy", REQUEST_STRATEGIES)
     def test_released_block_requestable_from_any_advertiser(self, strategy):
