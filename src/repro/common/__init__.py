@@ -6,7 +6,7 @@ unit constants, and deterministic RNG splitting.
 """
 
 from repro.common.bitmap import BlockBitmap
-from repro.common.stats import Cdf, OnlineStats, mean_stddev
+from repro.common.stats import Cdf, mean_stddev
 from repro.common.rng import split_rng
 from repro.common.units import (
     GBPS,
@@ -21,7 +21,6 @@ from repro.common.units import (
 __all__ = [
     "BlockBitmap",
     "Cdf",
-    "OnlineStats",
     "mean_stddev",
     "split_rng",
     "GBPS",

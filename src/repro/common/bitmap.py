@@ -2,8 +2,9 @@
 
 Bullet' nodes describe which file blocks they hold with a bitmap, and
 exchange *incremental* diffs so a peer hears about any given block at most
-once (paper section 3.3.4).  :class:`BlockBitmap` is that structure: a
-fixed-universe set of block indices with cheap diffing.
+once (paper section 3.3.4).  :class:`BlockBitmap` is the held-block set
+behind :class:`~repro.core.download.DownloadState`: a fixed-universe,
+add-only set of block indices with a cached count.
 """
 
 __all__ = ["BlockBitmap"]
@@ -12,10 +13,9 @@ __all__ = ["BlockBitmap"]
 class BlockBitmap:
     """A set of block indices drawn from ``range(num_blocks)``.
 
-    Backed by a Python ``int`` used as a bit vector, which makes union,
-    difference and population count single C-level operations — important
-    because diffs are computed on every block arrival in a simulation with
-    hundreds of thousands of arrivals.
+    Backed by a Python ``int`` used as a bit vector, so a membership test
+    is one shift and mask — important because one runs in every request
+    decision of a simulation with hundreds of thousands of arrivals.
     """
 
     __slots__ = ("num_blocks", "_bits", "_count")
@@ -50,14 +50,6 @@ class BlockBitmap:
             self._bits |= mask
             self._count += 1
 
-    def discard(self, block):
-        """Mark ``block`` as absent (no error if already absent)."""
-        self._check(block)
-        mask = 1 << block
-        if self._bits & mask:
-            self._bits &= ~mask
-            self._count -= 1
-
     def __contains__(self, block):
         return 0 <= block < self.num_blocks and (self._bits >> block) & 1
 
@@ -71,65 +63,5 @@ class BlockBitmap:
             yield low.bit_length() - 1
             bits ^= low
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockBitmap):
-            return NotImplemented
-        return self.num_blocks == other.num_blocks and self._bits == other._bits
-
     def __repr__(self):
         return f"BlockBitmap({self.num_blocks}, n={len(self)})"
-
-    @property
-    def is_complete(self):
-        """True when every block in the universe is present."""
-        return self._bits == (1 << self.num_blocks) - 1
-
-    def copy(self):
-        clone = BlockBitmap(self.num_blocks)
-        clone._bits = self._bits
-        clone._count = self._count
-        return clone
-
-    def union(self, other):
-        """Return a new bitmap with blocks present in either operand."""
-        self._check_compatible(other)
-        result = BlockBitmap(self.num_blocks)
-        result._bits = self._bits | other._bits
-        result._count = result._bits.bit_count()
-        return result
-
-    def difference(self, other):
-        """Return blocks present here but absent in ``other``."""
-        self._check_compatible(other)
-        result = BlockBitmap(self.num_blocks)
-        result._bits = self._bits & ~other._bits
-        result._count = result._bits.bit_count()
-        return result
-
-    def intersection(self, other):
-        """Return blocks present in both operands."""
-        self._check_compatible(other)
-        result = BlockBitmap(self.num_blocks)
-        result._bits = self._bits & other._bits
-        result._count = result._bits.bit_count()
-        return result
-
-    def update(self, other):
-        """Add every block of ``other`` in place."""
-        self._check_compatible(other)
-        self._bits |= other._bits
-        self._count = self._bits.bit_count()
-
-    def missing(self):
-        """Return a new bitmap of the blocks *not* present."""
-        result = BlockBitmap(self.num_blocks)
-        result._bits = ~self._bits & ((1 << self.num_blocks) - 1)
-        result._count = result._bits.bit_count()
-        return result
-
-    def _check_compatible(self, other):
-        if self.num_blocks != other.num_blocks:
-            raise ValueError(
-                "bitmap universes differ: "
-                f"{self.num_blocks} vs {other.num_blocks}"
-            )

@@ -2,8 +2,8 @@
 
 Every figure in the paper's evaluation is a CDF of per-node download
 times; :class:`Cdf` is the shared representation the harness renders.
-:class:`OnlineStats` provides the running mean/stddev the Bullet'
-peering strategy uses to prune slow senders (1.5 sigma rule).
+:func:`mean_stddev` provides the mean/stddev the Bullet' peering
+strategy uses to prune slow senders (1.5 sigma rule).
 :func:`confidence_interval` / :func:`aggregate` summarize repeated
 measurements across seeds for the sweep engine, and the paired helpers
 (:func:`paired_deltas`, :func:`paired_confidence_interval`,
@@ -27,7 +27,6 @@ import math
 
 __all__ = [
     "Cdf",
-    "OnlineStats",
     "aggregate",
     "confidence_interval",
     "mean_stddev",
@@ -208,33 +207,6 @@ def win_rate(deltas):
         raise ValueError("win_rate requires at least one pair")
     wins, ties, _losses = sign_counts(deltas)
     return (wins + 0.5 * ties) / len(deltas)
-
-
-class OnlineStats:
-    """Welford running mean/variance accumulator."""
-
-    __slots__ = ("count", "_mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value):
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self):
-        return self._mean if self.count else 0.0
-
-    @property
-    def stddev(self):
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / self.count)
 
 
 class Cdf:

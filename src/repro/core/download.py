@@ -117,7 +117,7 @@ class DownloadState:
         wants *any* new block)."""
         if self.encoded:
             raise RuntimeError("missing() is undefined in encoded mode")
-        return list(self._bitmap.missing())
+        return [b for b in range(self.num_blocks) if b not in self._bitmap]
 
     def wants(self, block):
         """Would receiving ``block`` make progress?

@@ -5,7 +5,8 @@ conditions; this package is the vocabulary for scripting them.  A
 :class:`Scenario` declaratively describes how the emulated network
 changes over time and installs into any simulation via a
 :class:`ScenarioContext`; instances are pure configuration and freely
-re-installable.
+re-installable.  An installed scenario runs for the rest of the
+simulation: ``install`` schedules its events and returns nothing.
 
 The catalogue is registered in :data:`repro.harness.registry.SCENARIOS`;
 ``python -m repro list`` prints every scenario with its aliases, knobs
@@ -13,20 +14,14 @@ and defaults (``--json`` adds kinds and descriptions), read off the
 classes' own ``params`` declarations.
 
 Scenarios actuate the full link-condition engine — capacity, loss rate,
-and delay, per direction (see :mod:`repro.sim.links`).  Combinators —
-:func:`compose`, :func:`delay`, :func:`repeat`, :func:`lossy` — build
-compound conditions; :class:`TraceRecorder` captures any run's link
-schedule (optionally including loss and delay columns) for later
-replay.  ``run_experiment`` accepts Scenario instances or registry
+and delay, per direction (see :mod:`repro.sim.links`).  :func:`compose`
+and :func:`lossy` build compound conditions; :class:`TraceRecorder`
+captures any run's link schedule (optionally including loss and delay
+columns) for later replay.  ``run_experiment`` accepts Scenario instances or registry
 names.
 """
 
-from repro.scenarios.base import (
-    CompositeHandle,
-    Scenario,
-    ScenarioContext,
-    ScenarioHandle,
-)
+from repro.scenarios.base import Scenario, ScenarioContext
 from repro.scenarios.catalog import (
     CascadingCuts,
     Churn,
@@ -35,14 +30,7 @@ from repro.scenarios.catalog import (
     Oscillate,
     Static,
 )
-from repro.scenarios.combinators import (
-    Compose,
-    Delay,
-    Repeat,
-    compose,
-    delay,
-    repeat,
-)
+from repro.scenarios.combinators import Compose, compose
 from repro.scenarios.dynamics import (
     AsymmetricSqueeze,
     GilbertElliott,
@@ -70,8 +58,6 @@ from repro.scenarios.tracefile import (
 __all__ = [
     "Scenario",
     "ScenarioContext",
-    "ScenarioHandle",
-    "CompositeHandle",
     "Static",
     "CorrelatedDecreases",
     "CascadingCuts",
@@ -95,11 +81,7 @@ __all__ = [
     "read_trace",
     "write_trace",
     "Compose",
-    "Delay",
-    "Repeat",
     "compose",
-    "delay",
-    "repeat",
     "lossy",
 ]
 

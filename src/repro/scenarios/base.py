@@ -4,8 +4,9 @@ A :class:`Scenario` is a declarative description of a dynamic-network
 condition — *what* happens to the emulated network over time — decoupled
 from any particular experiment.  Instances hold configuration only; all
 per-run state lives inside :meth:`Scenario.install`, so one instance can
-be installed into many simulations (and re-installed by the ``repeat``
-combinator) without cross-talk.
+be installed into many simulations without cross-talk.  An installed
+scenario runs for the rest of the simulation; ``install`` returns
+nothing, and a scenario's own ``stop`` knob is how its effect ends.
 
 ``install`` receives a :class:`ScenarioContext` bundling everything a
 scenario may act on: the simulator, the topology, and — when installed
@@ -22,9 +23,8 @@ from repro.common.rng import split_rng
 __all__ = [
     "Scenario",
     "ScenarioContext",
-    "ScenarioHandle",
-    "CompositeHandle",
     "WINDOW_PARAMS",
+    "periodic",
 ]
 
 #: The install-relative firing window + RNG override that periodic
@@ -111,85 +111,25 @@ class ScenarioContext:
         return sorted(self.topology.core.items())
 
 
-class ScenarioHandle:
-    """Cancellation handle for one installed scenario.
+def periodic(sim, fn, *, start, period, duration=None):
+    """Run ``fn()`` every ``period`` seconds on ``sim``.
 
-    ``add_timer`` tracks simulator timers; ``on_cancel`` registers
-    arbitrary teardown callbacks.  ``cancel`` is idempotent.
+    The first firing happens ``start`` seconds after now; firing stops
+    when ``fn`` returns ``False``, or once ``duration`` seconds have
+    elapsed since the call (``start``/``duration`` are install-relative,
+    so a scenario installed late keeps its whole window).  This is the
+    one shared scenario timer loop — catalogue scenarios must not
+    hand-roll their own reschedule loops.
     """
+    origin = sim.now
 
-    def __init__(self):
-        self._timers = []
-        self._teardowns = []
-        self.cancelled = False
-
-    def add_timer(self, timer):
-        self._timers.append(timer)
-        return timer
-
-    def on_cancel(self, fn):
-        self._teardowns.append(fn)
-        return fn
-
-    def periodic(self, sim, fn, *, start, period, duration=None):
-        """Run ``fn()`` every ``period`` seconds, tied to this handle.
-
-        The first firing happens ``start`` seconds after now; firing
-        stops when this handle is cancelled, when ``fn`` returns
-        ``False``, or once ``duration`` seconds have elapsed since
-        installation (``start``/``duration`` are install-relative, so
-        scenarios behave identically under the ``delay``/``repeat``
-        combinators).  This is the one shared implementation of the
-        scenario timer lifecycle — catalogue scenarios must not
-        hand-roll their own reschedule loops.
-        """
-        origin = sim.now
-        state = {"timer": None}
-
-        def fire():
-            if self.cancelled:
-                return
-            if fn() is False:
-                return
-            if duration is None or sim.now + period - origin <= duration:
-                state["timer"] = sim.schedule(period, fire)
-
-        state["timer"] = sim.schedule(start, fire)
-        self.on_cancel(
-            lambda: state["timer"] is not None and state["timer"].cancel()
-        )
-        return self
-
-    def cancel(self):
-        if self.cancelled:
+    def fire():
+        if fn() is False:
             return
-        self.cancelled = True
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        for fn in self._teardowns:
-            fn()
-        self._teardowns.clear()
+        if duration is None or sim.now + period - origin <= duration:
+            sim.schedule(period, fire)
 
-
-class CompositeHandle:
-    """Cancels a group of child handles together (``compose``)."""
-
-    def __init__(self, handles=()):
-        self.handles = [h for h in handles if h is not None]
-        self.cancelled = False
-
-    def add(self, handle):
-        if handle is not None:
-            self.handles.append(handle)
-        return handle
-
-    def cancel(self):
-        if self.cancelled:
-            return
-        self.cancelled = True
-        for handle in self.handles:
-            handle.cancel()
+    sim.schedule(start, fire)
 
 
 class Scenario(Configurable):
@@ -207,7 +147,8 @@ class Scenario(Configurable):
     name = "scenario"
 
     def install(self, ctx):
-        """Install this scenario into ``ctx``; return a cancel handle."""
+        """Install this scenario into ``ctx``: apply its install-time
+        changes and schedule its events for the rest of the run."""
         raise NotImplementedError
 
     def __repr__(self):

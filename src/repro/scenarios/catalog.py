@@ -15,7 +15,7 @@ the paper motivates but never scripts:
 - :class:`FlashCrowd` — staggered receiver joins over a ramp interval.
 - :class:`Churn` — nodes drop to near-zero connectivity and come back.
 
-``trace_replay`` lives in :mod:`repro.scenarios.tracefile`; combinators
+``trace_replay`` lives in :mod:`repro.scenarios.tracefile`; ``compose``
 in :mod:`repro.scenarios.combinators`.
 """
 
@@ -23,7 +23,7 @@ import math
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import WINDOW_PARAMS, Scenario, ScenarioHandle
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
 
 __all__ = [
     "Static",
@@ -41,7 +41,7 @@ class Static(Scenario):
     name = "none"
 
     def install(self, ctx):
-        return ScenarioHandle()
+        pass
 
 
 class CorrelatedDecreases(Scenario):
@@ -56,8 +56,7 @@ class CorrelatedDecreases(Scenario):
     real emulator's resolution would.
 
     ``start``/``stop`` (like every catalogue scenario's) are measured
-    from installation, so behavior is identical under the ``delay`` and
-    ``repeat`` combinators.
+    from installation, so a scenario installed late keeps its window.
     """
 
     name = "correlated_decreases"
@@ -94,7 +93,6 @@ class CorrelatedDecreases(Scenario):
         topology = ctx.topology
         rng = ctx.rng("correlated", self.seed)
         nodes = list(topology.nodes)
-        handle = ScenarioHandle()
 
         def fire():
             victims = rng.sample(
@@ -113,7 +111,7 @@ class CorrelatedDecreases(Scenario):
                     ):
                         link.scale_capacity(self.factor)
 
-        return handle.periodic(
+        periodic(
             ctx.sim,
             fire,
             start=self.period if self.start is None else self.start,
@@ -181,7 +179,6 @@ class CascadingCuts(Scenario):
     def install(self, ctx):
         topology = ctx.topology
         target, remaining = self._resolve(ctx)
-        handle = ScenarioHandle()
 
         def fire():
             if not remaining:
@@ -192,7 +189,7 @@ class CascadingCuts(Scenario):
                 link.capacity = self.throttled_bw
             return bool(remaining)
 
-        return handle.periodic(
+        periodic(
             ctx.sim,
             fire,
             start=self.period if self.start is None else self.start,
@@ -271,7 +268,6 @@ class Oscillate(Scenario):
             links.append([link, phase, 1.0])
         sample = self.sample_period or self.period / 8.0
         origin = sim.now + self.start
-        handle = ScenarioHandle()
 
         # One tick touches every core link, so the waveform — the factor
         # f(t) at cycles = elapsed/period + phase: high/low square
@@ -297,9 +293,7 @@ class Oscillate(Scenario):
                 link.scale_capacity(factor / previous)
                 entry[2] = factor
 
-        return handle.periodic(
-            sim, tick, start=self.start, period=sample, duration=self.stop
-        )
+        periodic(sim, tick, start=self.start, period=sample, duration=self.stop)
 
 
 class FlashCrowd(Scenario):
@@ -329,7 +323,6 @@ class FlashCrowd(Scenario):
         rng = ctx.rng("flash_crowd", self.seed)
         for node in ctx.receivers:
             ctx.start_delays[node] = self.start + rng.uniform(0.0, self.ramp)
-        return ScenarioHandle()
 
 
 class Churn(Scenario):
@@ -343,7 +336,7 @@ class Churn(Scenario):
     a multiplicative restore, so capacity changes applied by composed
     scenarios (an oscillation tick, a correlated cut) while the node was
     dark persist instead of being overwritten.  The source is never
-    churned; cancelling the scenario restores everyone.
+    churned.
 
     This is network-level churn — the node's process keeps running but
     its connectivity is gone — which stresses exactly the mesh-repair
@@ -377,7 +370,6 @@ class Churn(Scenario):
         sim, topology = ctx.sim, ctx.topology
         rng = ctx.rng("churn", self.seed)
         candidates = list(ctx.receivers)
-        handle = ScenarioHandle()
         offline = set()
         #: (src, dst) -> [restore ratio, offline endpoint count].  Two
         #: simultaneously-offline nodes share their connecting link, so
@@ -402,9 +394,7 @@ class Churn(Scenario):
                     entry[1] += 1
 
         def restore(node):
-            if node not in offline:
-                return
-            offline.discard(node)
+            offline.remove(node)
             for pair in list(dark):
                 if node not in pair:
                     continue
@@ -419,21 +409,12 @@ class Churn(Scenario):
             count = max(1, int(len(candidates) * self.fraction))
             for node in rng.sample(online, min(count, len(online))):
                 take_offline(node)
-                handle.add_timer(
-                    sim.schedule(self.down_time, lambda n=node: restore(n))
-                )
+                sim.schedule(self.down_time, restore, node)
 
-        handle.periodic(
+        periodic(
             sim,
             fire,
             start=self.period if self.start is None else self.start,
             period=self.period,
             duration=self.stop,
         )
-
-        def restore_everyone():
-            for node in list(offline):
-                restore(node)
-
-        handle.on_cancel(restore_everyone)
-        return handle

@@ -17,24 +17,19 @@ These scenarios drive the other two axes of the link-condition engine:
   square-wave) on any other scenario, so every capacity scenario in the
   catalogue composes with loss dynamics by name.
 
-All three undo the changes they applied when cancelled, draw any
-randomness from seeded per-scenario streams, and apply loss overlays
-*multiplicatively on the keep probability* — ``1 - loss`` — so they
-compose with each other (and with lossy baseline topologies) without
-clobbering anyone's writes.  Multiplicative removal is the composition
-price: cancelling restores baselines exactly up to float round-trip
-(one ulp), not bit-exactly — an absolute-snapshot restore would be
-bit-exact but would erase concurrent writers' changes.
+All three draw any randomness from seeded per-scenario streams and
+apply loss overlays *multiplicatively on the keep probability* —
+``1 - loss`` — so they compose with each other (and with lossy baseline
+topologies) without clobbering anyone's writes.  Multiplicative removal
+is the composition price: the end of a stop window restores baselines
+exactly up to float round-trip (one ulp), not bit-exactly — an
+absolute-snapshot restore would be bit-exact but would erase concurrent
+writers' changes.
 """
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import (
-    WINDOW_PARAMS,
-    CompositeHandle,
-    Scenario,
-    ScenarioHandle,
-)
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
 from repro.sim.links import _overlay_loss, _remove_loss
 
 __all__ = [
@@ -62,8 +57,8 @@ class GilbertElliott(Scenario):
     transitions swap the *overlay* (multiplicatively on the keep
     probability), never writing absolute values, so loss changes made
     by composed scenarios (a :class:`Lossy` schedule, a replayed trace)
-    persist underneath; cancelling removes whatever overlay is
-    currently applied the same way.
+    persist underneath; the end of a ``stop`` window returns links in
+    the bad state to good the same way.
     """
 
     name = "gilbert_elliott"
@@ -131,7 +126,6 @@ class GilbertElliott(Scenario):
         # state with probability sample/mean per tick.
         p_leave_good = min(1.0, self.sample_period / self.mean_good)
         p_leave_bad = min(1.0, self.sample_period / self.mean_bad)
-        handle = ScenarioHandle()
         origin = ctx.sim.now
 
         def tick():
@@ -152,7 +146,7 @@ class GilbertElliott(Scenario):
                     entry[1] = True
                     self._swap_overlay(link, self.good_loss, self.bad_loss)
 
-        handle.periodic(
+        periodic(
             ctx.sim,
             tick,
             start=self.start + self.sample_period,
@@ -171,14 +165,7 @@ class GilbertElliott(Scenario):
                     self._swap_overlay(entry[0], self.bad_loss, self.good_loss)
 
         if self.stop is not None:
-            handle.add_timer(ctx.sim.schedule(self.stop, end_bad_states))
-
-        def remove_overlays():
-            for link, bad in links:
-                self._swap_overlay(link, self.bad_loss if bad else self.good_loss, 0.0)
-
-        handle.on_cancel(remove_overlays)
-        return handle
+            ctx.sim.schedule(self.stop, end_bad_states)
 
 
 class AsymmetricSqueeze(Scenario):
@@ -196,8 +183,7 @@ class AsymmetricSqueeze(Scenario):
     ``Topology.uplinks``).  With ``hold`` set, each cut is
     released (multiplicatively, so composed scenarios' changes persist)
     ``hold`` seconds later, turning the cumulative squeeze into
-    squeeze-and-recover cycles.  Cancelling releases every cut still
-    outstanding, the same multiplicative way.
+    squeeze-and-recover cycles.
     """
 
     name = "asymmetric_squeeze"
@@ -232,24 +218,11 @@ class AsymmetricSqueeze(Scenario):
         sim = ctx.sim
         rng = ctx.rng("asymmetric_squeeze", self.seed)
         receivers = list(ctx.receivers)
-        handle = ScenarioHandle()
         inverse = 1.0 / self.factor
-        # link -> number of cuts currently applied and not yet released;
-        # the cancel teardown unwinds exactly these.
-        outstanding = {}
-        # Pending hold-release timers, keyed by a sequence number each
-        # release pops on firing — self-pruning, so a long run never
-        # accumulates fired timers (which would pin them out of the
-        # engine's recycling pool).
-        pending = {}
-        next_key = [0]
 
         def release(cut_links):
             for link in cut_links:
-                count = outstanding.get(link, 0)
-                if count:
-                    outstanding[link] = count - 1
-                    link.scale_capacity(inverse)
+                link.scale_capacity(inverse)
 
         def fire():
             count = max(1, int(len(receivers) * self.fraction))
@@ -258,37 +231,17 @@ class AsymmetricSqueeze(Scenario):
                 for link in ctx.topology.uplinks(node):
                     if link.capacity * self.factor >= self.floor:
                         link.scale_capacity(self.factor)
-                        outstanding[link] = outstanding.get(link, 0) + 1
                         cut.append(link)
             if self.hold is not None and cut:
-                key = next_key[0]
-                next_key[0] = key + 1
+                sim.schedule(self.hold, release, cut)
 
-                def fire_release(links=cut, key=key):
-                    pending.pop(key, None)
-                    release(links)
-
-                pending[key] = sim.schedule(self.hold, fire_release)
-
-        handle.periodic(
+        periodic(
             sim,
             fire,
             start=self.period if self.start is None else self.start,
             period=self.period,
             duration=self.stop,
         )
-
-        def release_everything():
-            for timer in pending.values():
-                timer.cancel()
-            pending.clear()
-            for link, count in outstanding.items():
-                for _ in range(count):
-                    link.scale_capacity(inverse)
-            outstanding.clear()
-
-        handle.on_cancel(release_everything)
-        return handle
 
 
 class Lossy(Scenario):
@@ -298,8 +251,8 @@ class Lossy(Scenario):
     name (checked at construction, built afresh at install time, so the
     instance stays pure configuration); the overlay adds a ``loss``
     process to every core link.  With ``period=None`` the overlay
-    switches on ``start`` seconds after installation and off at ``stop``
-    (or teardown); with a ``period`` it follows a square wave — on for
+    switches on ``start`` seconds after installation and off at ``stop``;
+    with a ``period`` it follows a square wave — on for
     ``duty`` of each cycle — modeling recurring loss episodes
     (cross-traffic bursts, interface roaming) riding on top of whatever
     capacity dynamics ``base`` provides.
@@ -365,17 +318,11 @@ class Lossy(Scenario):
     def install(self, ctx):
         sim = ctx.sim
         links = [link for _pair, link in ctx.core_links()]
-        handle = CompositeHandle()
-        handle.add(self._resolve_base().install(ctx))
-        own = ScenarioHandle()
-        handle.add(own)
-        # One live off-timer slot, overwritten per cycle (appending each
-        # cycle's timer to the handle would pin an ever-growing list of
-        # fired timers out of the engine's recycling pool).
-        state = {"on": False, "off_timer": None}
+        self._resolve_base().install(ctx)
+        state = {"on": False}
 
         def overlay_on():
-            if state["on"] or own.cancelled:
+            if state["on"]:
                 return
             state["on"] = True
             for link in links:
@@ -389,10 +336,10 @@ class Lossy(Scenario):
                 link.loss_rate = _remove_loss(link.loss_rate, self.loss)
 
         if self.period is None:
-            own.add_timer(sim.schedule(self.start, overlay_on))
+            sim.schedule(self.start, overlay_on)
             if self.stop is not None:
                 # stop is install-relative, like every catalogue window.
-                own.add_timer(sim.schedule(self.stop, overlay_off))
+                sim.schedule(self.stop, overlay_off)
         else:
             on_time = self.period * self.duty
             origin = sim.now
@@ -404,9 +351,9 @@ class Lossy(Scenario):
                     return
                 overlay_on()
                 if on_time < self.period:
-                    state["off_timer"] = sim.schedule(on_time, overlay_off)
+                    sim.schedule(on_time, overlay_off)
 
-            own.periodic(
+            periodic(
                 sim,
                 cycle,
                 start=self.start,
@@ -417,15 +364,7 @@ class Lossy(Scenario):
                 # The stop window ends the overlay even when the last
                 # cycle's on-phase crosses it (or duty == 1.0 never
                 # schedules per-cycle off-edges at all).
-                own.add_timer(sim.schedule(self.stop, overlay_off))
-
-            def cancel_off_timer():
-                if state["off_timer"] is not None:
-                    state["off_timer"].cancel()
-
-            own.on_cancel(cancel_off_timer)
-        own.on_cancel(overlay_off)
-        return handle
+                sim.schedule(self.stop, overlay_off)
 
     def __repr__(self):
         return (

@@ -20,7 +20,7 @@ contract needs.
 """
 
 from repro.common.params import Param, with_defaults
-from repro.scenarios.base import Scenario, ScenarioHandle
+from repro.scenarios.base import Scenario
 
 __all__ = [
     "Crash",
@@ -123,12 +123,8 @@ class Crash(Scenario):
         ctx.faults.fail(node)
 
     def install(self, ctx):
-        handle = ScenarioHandle()
         for at, node in self._kill_plan(ctx):
-            handle.add_timer(
-                ctx.sim.schedule(max(at - ctx.sim.now, 0.0), self._fire, ctx, node)
-            )
-        return handle
+            ctx.sim.schedule(max(at - ctx.sim.now, 0.0), self._fire, ctx, node)
 
 
 class CrashRestart(Crash):
@@ -214,9 +210,7 @@ class Partition(Scenario):
         ctx.faults.partition([g for g in groups if g], self.duration, self.squeeze)
 
     def install(self, ctx):
-        handle = ScenarioHandle()
-        handle.add_timer(ctx.sim.schedule(self.start, self._split, ctx))
-        return handle
+        ctx.sim.schedule(self.start, self._split, ctx)
 
 
 class Chaos(Scenario):
@@ -316,9 +310,8 @@ class Chaos(Scenario):
         )
 
     def install(self, ctx):
-        handle = ScenarioHandle()
         if self.rate <= 0:
-            return handle
+            return
         kinds = []
         weights = []
         for kind, weight in self._kind_menu():
@@ -326,7 +319,7 @@ class Chaos(Scenario):
                 kinds.append(kind)
                 weights.append(weight)
         if not kinds:
-            return handle
+            return
         rng = ctx.rng(self.name, self.seed)
         # The whole fault timeline is drawn up front; only victim choice
         # waits for fire time (it depends on who is still alive).
@@ -334,9 +327,8 @@ class Chaos(Scenario):
         end = self.start + self.duration
         while at < end:
             kind = rng.choices(kinds, weights)[0]
-            handle.add_timer(ctx.sim.schedule(at, self._fire, ctx, rng, kind))
+            ctx.sim.schedule(at, self._fire, ctx, rng, kind)
             at += rng.expovariate(self.rate)
-        return handle
 
     def _fire(self, ctx, rng, kind):
         faults = ctx.faults
@@ -437,18 +429,12 @@ class FailSlow(Scenario):
         )
 
     def install(self, ctx):
-        handle = ScenarioHandle()
         if self.fraction <= 0 and not self.count:
-            return handle
+            return
         rng = ctx.rng(self.name, self.seed)
         victims = _pick_victims(ctx, rng, self.fraction, self.count)
         for index, node in enumerate(victims):
-            handle.add_timer(
-                ctx.sim.schedule(
-                    self.start + index * self.stagger, self._fire, ctx, node
-                )
-            )
-        return handle
+            ctx.sim.schedule(self.start + index * self.stagger, self._fire, ctx, node)
 
 
 class Flaky(Scenario):
@@ -514,9 +500,8 @@ class Flaky(Scenario):
         )
 
     def install(self, ctx):
-        handle = ScenarioHandle()
         if self.loss <= 0 or (self.fraction <= 0 and not self.count):
-            return handle
+            return
         rng = ctx.rng(self.name, self.seed)
         victims = _pick_victims(ctx, rng, self.fraction, self.count)
         end = self.start + self.duration
@@ -528,11 +513,8 @@ class Flaky(Scenario):
                     if self.direction == "random"
                     else self.direction
                 )
-                handle.add_timer(
-                    ctx.sim.schedule(at, self._fire, ctx, node, direction)
-                )
+                ctx.sim.schedule(at, self._fire, ctx, node, direction)
                 at += self.window + rng.expovariate(1.0 / self.gap)
-        return handle
 
 
 #: The message-adversity rates ``adversarial`` and ``gray_chaos`` share.
@@ -592,17 +574,12 @@ class Adversarial(Scenario):
             raise ValueError(f"stop must be > start, got {self.stop}")
 
     def install(self, ctx):
-        handle = ScenarioHandle()
         if self.duplicate <= 0 and self.reorder <= 0 and self.corrupt <= 0:
-            return handle
+            return
         rng = ctx.rng(self.name, self.seed)
-        handle.add_timer(ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng))
+        ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
         if self.stop is not None:
-            handle.add_timer(
-                ctx.sim.schedule(self.stop, lambda: ctx.faults.disarm_adversity())
-            )
-        handle.on_cancel(lambda: ctx.faults.disarm_adversity())
-        return handle
+            ctx.sim.schedule(self.stop, lambda: ctx.faults.disarm_adversity())
 
 
 class GrayChaos(Chaos):
@@ -675,18 +652,14 @@ class GrayChaos(Chaos):
         )
 
     def install(self, ctx):
-        handle = super().install(ctx)
+        super().install(ctx)
         if self.rate > 0 and (
             self.duplicate > 0 or self.reorder > 0 or self.corrupt > 0
         ):
             # A dedicated stream: the adversity draws per delivered
             # message and must not perturb the fault timeline's draws.
             rng = ctx.rng(f"{self.name}.adversity", self.seed)
-            handle.add_timer(
-                ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
-            )
-            handle.on_cancel(lambda: ctx.faults.disarm_adversity())
-        return handle
+            ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
 
     def _fire(self, ctx, rng, kind):
         if kind == "degrade":

@@ -35,7 +35,7 @@ including the loss and delay columns.
 import json
 
 from repro.common.params import Param
-from repro.scenarios.base import Scenario, ScenarioHandle
+from repro.scenarios.base import Scenario, periodic
 
 __all__ = [
     "TraceRecorder",
@@ -245,7 +245,6 @@ class TraceRecorder(Scenario):
             values = self._snapshot(link)
             last[pair] = values
             self.events.append({"t": sim.now, "link": _link_key(pair), **values})
-        handle = ScenarioHandle()
 
         def tick():
             for pair, link in links:
@@ -262,7 +261,7 @@ class TraceRecorder(Scenario):
                         {"t": sim.now, "link": _link_key(pair), **changed}
                     )
 
-        return handle.periodic(
+        periodic(
             sim,
             tick,
             start=self.start + self.sample_period,
@@ -343,11 +342,8 @@ class TraceReplay(Scenario):
     def install(self, ctx):
         sim = ctx.sim
         origin = sim.now
-        handle = ScenarioHandle()
 
         def apply(event):
-            if handle.cancelled:
-                return
             for link in self._targets(ctx, event["link"]):
                 if "scale" in event:
                     link.scale_capacity(event["scale"])
@@ -364,7 +360,4 @@ class TraceReplay(Scenario):
             if at <= sim.now:
                 apply(event)
             else:
-                handle.add_timer(
-                    sim.schedule_at(at, lambda e=event: apply(e))
-                )
-        return handle
+                sim.schedule_at(at, apply, event)

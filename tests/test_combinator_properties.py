@@ -1,15 +1,16 @@
-"""Property tests for the scenario combinators.
+"""Property tests for scenario composition.
 
 Two contracts, exercised under randomized schedules:
 
 1. **Determinism and event ordering** — any randomly generated
-   combinator tree (``compose``/``delay``/``repeat`` over probe leaves
-   or real catalogue scenarios) installed twice from the same seed
-   produces the identical, time-ordered event sequence.
-2. **Algebra** — ``repeat(delay(s, t), every=e, times=n)`` fires exactly
-   like the hand-unrolled ``compose(delay(s, t), delay(s, t + e), ...,
-   delay(s, t + (n-1)e))`` for any one-shot scenario that finishes
-   within one period.
+   ``compose`` tree (over probe leaves or real catalogue scenarios, each
+   placed in time by its own ``start`` knob) installed twice from the
+   same seed produces the identical, time-ordered event sequence.
+2. **The window is install-relative** — a catalogue scenario with
+   ``start=s + t, stop=e + t`` installed at time 0 acts on the links
+   exactly like the same scenario with ``start=s, stop=e`` installed
+   ``t`` seconds into the run.  The window knobs are how a scenario is
+   placed later in time.
 
 All randomly drawn times are dyadic rationals (multiples of 1/256), so
 every sum the scheduler computes is exact in binary floating point and
@@ -21,44 +22,42 @@ import random
 import pytest
 
 from repro.scenarios import (
+    AsymmetricSqueeze,
     Churn,
     CorrelatedDecreases,
+    GilbertElliott,
+    Lossy,
     Oscillate,
     Scenario,
     ScenarioContext,
-    ScenarioHandle,
     TraceRecorder,
     compose,
-    delay,
-    repeat,
 )
+from repro.scenarios.base import periodic
 from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
 
 
 class Probe(Scenario):
-    """A one-shot scenario that logs ``(time, tag, i)`` events: one at
-    install, one per extra delay.  The log is shared across installs, so
-    combinator firing order is directly observable."""
+    """A one-shot scenario that logs ``(time, tag, i)`` events: one
+    ``start`` seconds after install, one per extra delay after that.
+    The log is shared across installs, so firing order is directly
+    observable."""
 
     name = "probe"
 
-    def __init__(self, tag, log, delays=()):
+    def __init__(self, tag, log, start=0.0, delays=()):
         self.tag = tag
         self.log = log
+        self.start = start
         self.delays = tuple(delays)
 
     def install(self, ctx):
-        handle = ScenarioHandle()
-        self.log.append((ctx.sim.now, self.tag, 0))
-        for i, offset in enumerate(self.delays, start=1):
-            handle.add_timer(
-                ctx.sim.schedule(
-                    offset,
-                    lambda i=i: self.log.append((ctx.sim.now, self.tag, i)),
-                )
+        for i, offset in enumerate((0.0, *self.delays)):
+            ctx.sim.schedule(
+                self.start + offset,
+                lambda i=i: self.log.append((ctx.sim.now, self.tag, i)),
             )
-        return handle
 
 
 def _dyadic(rng, low, high, denominator=256):
@@ -67,24 +66,14 @@ def _dyadic(rng, low, high, denominator=256):
 
 
 def _random_tree(rng, log, depth=0):
-    """A random combinator tree over Probe leaves."""
-    if depth >= 2 or rng.random() < 0.35:
-        tag = f"p{len(log)}-{rng.randrange(1000)}"
+    """A random compose tree over Probe leaves with random starts."""
+    if depth >= 3 or rng.random() < 0.35:
+        tag = f"p{rng.randrange(1000)}"
+        start = _dyadic(rng, 0.0, 8.0)
         delays = [_dyadic(rng, 0.0, 4.0) for _ in range(rng.randrange(3))]
-        return Probe(tag, log, delays)
-    kind = rng.choice(["compose", "delay", "repeat"])
-    if kind == "compose":
-        children = [
-            _random_tree(rng, log, depth + 1)
-            for _ in range(rng.randrange(2, 4))
-        ]
-        return compose(*children)
-    if kind == "delay":
-        return delay(_random_tree(rng, log, depth + 1), _dyadic(rng, 0.0, 8.0))
-    return repeat(
-        _random_tree(rng, log, depth + 1),
-        every=_dyadic(rng, 5.0, 12.0),
-        times=rng.randrange(1, 4),
+        return Probe(tag, log, start, delays)
+    return compose(
+        *[_random_tree(rng, log, depth + 1) for _ in range(rng.randrange(2, 4))]
     )
 
 
@@ -106,53 +95,16 @@ def test_random_combinator_trees_are_deterministic(seed):
     second = _run_tree(seed)
     assert first, "degenerate draw: tree produced no events"
     assert first == second
-    # Events are logged in nondecreasing simulated time: combinators
-    # never reorder the schedule.
+    # Events are logged in nondecreasing simulated time: composition
+    # never reorders the schedule.
     times = [t for t, _tag, _i in first]
     assert times == sorted(times)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_repeat_of_delay_matches_hand_unrolled_compose(seed):
-    rng = random.Random(seed * 31 + 7)
-    times = rng.randrange(1, 5)
-    every = _dyadic(rng, 6.0, 12.0)
-    offset = _dyadic(rng, 0.0, 2.0)
-    # One-shot probe windows fit strictly inside one period, so
-    # repeat's cancel-previous-install semantics are a no-op and the
-    # unrolled composition is exactly equivalent.
-    delays = sorted(_dyadic(rng, 0.25, 3.0) for _ in range(2))
-    assert offset + max(delays) < every
-
-    def build(log, unrolled):
-        probe = Probe("s", log, delays)
-        if unrolled:
-            starts = []
-            at = offset
-            for _ in range(times):
-                starts.append(at)
-                # Accumulate exactly as Repeat's chained timers do, so
-                # the comparison is bit-level even for inexact floats.
-                at = at + every
-            return compose(*[delay(probe, start) for start in starts])
-        return repeat(delay(probe, offset), every=every, times=times)
-
-    logs = {}
-    for unrolled in (False, True):
-        log = []
-        sim = Simulator()
-        topo = mesh_topology(3, seed=seed)
-        build(log, unrolled).install(ScenarioContext(sim, topo, seed=seed))
-        sim.run(until=times * every + 20.0)
-        logs[unrolled] = log
-    assert logs[False] == logs[True]
-    assert len(logs[False]) == times * (1 + len(delays))
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_composed_catalogue_scenarios_replay_identically(seed):
-    """Real catalogue scenarios under random compose/delay/repeat
-    structure: the full link-capacity schedule (as captured by a
+    """Real catalogue scenarios composed with random periods and
+    starts: the full link-capacity schedule (as captured by a
     TraceRecorder) is identical across two installations."""
 
     def build():
@@ -162,18 +114,16 @@ def test_composed_catalogue_scenarios_replay_identically(seed):
             Oscillate(
                 period=_dyadic(draws, 1.0, 4.0),
                 wave=draws.choice(["sine", "square"]),
+                start=_dyadic(draws, 0.0, 5.0),
             ),
-            delay(
-                CorrelatedDecreases(period=_dyadic(draws, 4.0, 9.0)),
-                _dyadic(draws, 0.0, 5.0),
+            CorrelatedDecreases(
+                period=_dyadic(draws, 4.0, 9.0), start=_dyadic(draws, 0.0, 5.0)
             ),
-            repeat(
-                Churn(
-                    period=_dyadic(draws, 3.0, 6.0),
-                    down_time=_dyadic(draws, 1.0, 2.0),
-                ),
-                every=_dyadic(draws, 10.0, 15.0),
-                times=2,
+            Churn(
+                period=_dyadic(draws, 3.0, 6.0),
+                down_time=_dyadic(draws, 1.0, 2.0),
+                start=_dyadic(draws, 0.0, 5.0),
+                stop=_dyadic(draws, 10.0, 15.0),
             ),
         ]
         draws.shuffle(parts)
@@ -190,3 +140,97 @@ def test_composed_catalogue_scenarios_replay_identically(seed):
         traces.append(recorder.events)
     assert traces[0] == traces[1]
     assert any("capacity" in e for e in traces[0])
+
+
+def _drawn_scenario(seed, start, shift):
+    """The seed's catalogue scenario, its window moved by ``shift``."""
+    draws = random.Random(seed * 53 + 11)
+    stop = draws.choice([None, _dyadic(draws, 10.0, 25.0)])
+    start += shift
+    stop = None if stop is None else stop + shift
+    kind = ["oscillate", "correlated", "churn", "ge", "lossy", "squeeze"][seed % 6]
+    if kind == "oscillate":
+        return Oscillate(
+            period=_dyadic(draws, 1.0, 4.0),
+            wave=draws.choice(["sine", "square"]),
+            start=start,
+            stop=stop,
+            seed=seed,
+        )
+    if kind == "correlated":
+        return CorrelatedDecreases(
+            period=_dyadic(draws, 2.0, 6.0), start=start, stop=stop, seed=seed
+        )
+    if kind == "churn":
+        return Churn(
+            period=_dyadic(draws, 2.0, 5.0),
+            down_time=_dyadic(draws, 1.0, 4.0),
+            fraction=0.5,
+            start=start,
+            stop=stop,
+            seed=seed,
+        )
+    if kind == "ge":
+        return GilbertElliott(
+            bad_loss=0.2,
+            mean_good=_dyadic(draws, 1.0, 4.0),
+            mean_bad=_dyadic(draws, 1.0, 4.0),
+            start=start,
+            stop=stop,
+            seed=seed,
+        )
+    if kind == "lossy":
+        return Lossy(
+            loss=0.1,
+            period=_dyadic(draws, 2.0, 6.0),
+            duty=draws.choice([0.25, 0.5, 1.0]),
+            start=start,
+            stop=stop,
+        )
+    return AsymmetricSqueeze(
+        period=_dyadic(draws, 2.0, 5.0),
+        fraction=1.0,
+        hold=_dyadic(draws, 1.0, 6.0),
+        start=start,
+        stop=stop,
+        seed=seed,
+    )
+
+
+def _link_schedule(seed, start, shift, installed_at, horizon=40.0):
+    """Snapshots of every link's capacity and loss, sampled off the
+    dyadic grid (so no sample ties with a scenario event), while the
+    seed's scenario runs, installed at ``installed_at``."""
+    sim = Simulator()
+    topo = mesh_topology(5, seed=seed)
+    links = [
+        link
+        for table in (topo.core, topo.access_up, topo.access_down)
+        for _key, link in sorted(table.items())
+    ]
+    snapshots = []
+    periodic(
+        sim,
+        lambda: snapshots.append(
+            (sim.now, [(link.capacity, link.loss_rate) for link in links])
+        ),
+        start=1.0 / 512,
+        period=0.25,
+    )
+    sim.run(until=installed_at)
+    ctx = ScenarioContext(sim, topo, source_id=0, seed=seed)
+    _drawn_scenario(seed, start, shift).install(ctx)
+    sim.run(until=horizon)
+    return snapshots
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shifted_window_matches_installing_later(seed):
+    rng = random.Random(seed * 31 + 7)
+    start = _dyadic(rng, 0.0, 4.0)
+    later = _dyadic(rng, 1.0, 8.0)
+    shifted = _link_schedule(seed, start, later, installed_at=0.0)
+    installed_later = _link_schedule(seed, start, 0.0, installed_at=later)
+    assert shifted == installed_later
+    # Non-degenerate: the scenario did change some link in the window.
+    assert any(snapshot != shifted[0][1] for _t, snapshot in shifted)

@@ -71,33 +71,20 @@ class TestGilbertElliott:
 
         assert schedule(4) == schedule(4)
 
-    def test_cancel_removes_overlays(self):
-        ctx = _ctx(5)
-        baseline = _losses(ctx.topology)
-        handle = GilbertElliott(bad_loss=0.2, mean_good=1.0, seed=3).install(ctx)
-        ctx.sim.run(until=10.0)
-        assert _losses(ctx.topology) != baseline
-        handle.cancel()
-        # Multiplicative removal: back to baseline up to float round-trip.
-        assert _losses(ctx.topology) == pytest.approx(baseline)
-
     def test_composes_with_lossy_overlay(self):
         # Regression: GE state flips must not clobber a concurrent Lossy
         # overlay (or any other writer) — transitions swap GE's own
-        # overlay on the link's *current* loss, and cancelling both
-        # leaves the baselines intact.
+        # overlay on the link's *current* loss.
         ctx = _ctx(5)
         baseline = _losses(ctx.topology)
         inner = GilbertElliott(bad_loss=0.05, mean_good=2.0, mean_bad=2.0, seed=7)
-        handle = lossy(inner, loss=0.2).install(ctx)
+        lossy(inner, loss=0.2).install(ctx)
         ctx.sim.run(until=30.0)
         # While the constant overlay is on, every link must carry at
         # least the overlay regardless of GE's state underneath.
         for pair, loss in _losses(ctx.topology).items():
             floor = 1.0 - (1.0 - baseline[pair]) * 0.8
             assert loss >= floor - 1e-9, (pair, loss, floor)
-        handle.cancel()
-        assert _losses(ctx.topology) == pytest.approx(baseline)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +163,24 @@ class TestAsymmetricSqueeze:
         after = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
         assert after == pytest.approx(before)
 
+    def test_holds_release_every_overlapping_cut(self):
+        # Cuts stack on each uplink while their holds overlap; every
+        # release undoes exactly its own cut, so once the last hold has
+        # run out each uplink is back where it started.
+        ctx = _ctx(4)
+        before = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
+        AsymmetricSqueeze(
+            period=2.0, fraction=1.0, hold=50.0, stop=7.0, seed=6
+        ).install(ctx)
+        ctx.sim.run(until=7.0)  # several cuts applied, no release yet
+        assert all(
+            ctx.topology.access_up[n].capacity < before[n] / 2
+            for n in ctx.receivers
+        )
+        ctx.sim.run(until=120.0)
+        after = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
+        assert after == pytest.approx(before)
+
     def test_core_fallback_without_access_links(self):
         # star_topology models no access links: the uplink direction is
         # every core link out of the node — the reverse direction must
@@ -192,27 +197,6 @@ class TestAsymmetricSqueeze:
         for (src, _dst), link in topo.core.items():
             if src == 0:
                 assert link.capacity == pytest.approx(1_250_000.0)
-
-    def test_cancel_releases_outstanding_cuts(self):
-        # Regression: cancel must undo every cut still applied —
-        # including ones whose hold-release timer had not fired yet.
-        ctx = _ctx(4)
-        before = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
-        handle = AsymmetricSqueeze(
-            period=2.0, fraction=1.0, hold=50.0, seed=6
-        ).install(ctx)
-        ctx.sim.run(until=7.0)  # several cuts applied, no release yet
-        assert all(
-            ctx.topology.access_up[n].capacity < before[n]
-            for n in ctx.receivers
-        )
-        handle.cancel()
-        after = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
-        assert after == pytest.approx(before)
-        # And no dangling release timer fires later to over-restore.
-        ctx.sim.run(until=120.0)
-        after = {n: ctx.topology.access_up[n].capacity for n in ctx.receivers}
-        assert after == pytest.approx(before)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -262,9 +246,11 @@ class TestLossy:
 
     def test_base_scenario_instance_composes(self):
         ctx = _ctx(4)
-        handle = lossy(Oscillate(period=4.0, seed=1), loss=0.05).install(ctx)
+        capacities = _capacities(ctx.topology)
+        lossy(Oscillate(period=4.0, seed=1), loss=0.05).install(ctx)
         ctx.sim.run(until=6.0)
-        handle.cancel()
+        assert _capacities(ctx.topology) != capacities
+        assert all(loss > 0.0 for loss in _losses(ctx.topology).values())
 
     def test_stop_ends_overlay_even_at_full_duty(self):
         # Regression: duty=1.0 schedules no per-cycle off-edge, so the
@@ -275,15 +261,6 @@ class TestLossy:
         ctx.sim.run(until=15.0)
         assert _losses(ctx.topology) != baseline
         ctx.sim.run(until=100.0)
-        assert _losses(ctx.topology) == pytest.approx(baseline)
-
-    def test_cancel_removes_overlay(self):
-        ctx = _ctx(4)
-        baseline = _losses(ctx.topology)
-        handle = Lossy(loss=0.1).install(ctx)
-        ctx.sim.run(until=2.0)
-        assert _losses(ctx.topology) != baseline
-        handle.cancel()
         assert _losses(ctx.topology) == pytest.approx(baseline)
 
     def test_validation(self):

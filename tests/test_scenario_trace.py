@@ -11,7 +11,7 @@ from repro.sim.trace import TraceCollector
 
 def _install(scenario, sim, topo):
     """Link-level installation: no nodes, no source, context seed 0."""
-    return scenario.install(ScenarioContext(sim, topo))
+    scenario.install(ScenarioContext(sim, topo))
 
 
 class TestCorrelatedDecreases:
@@ -47,15 +47,26 @@ class TestCorrelatedDecreases:
         }
         assert len(victims) == 10  # 50% of 20
 
-    def test_cancel_stops_cuts(self):
+    def test_start_postpones_cuts(self):
+        sim = Simulator()
+        topo = mesh_topology(6, seed=6)
+        before = {pair: link.capacity for pair, link in topo.core.items()}
+        _install(CorrelatedDecreases(seed=6, period=5.0, start=50.0), sim, topo)
+        sim.run(until=49.0)
+        assert {pair: link.capacity for pair, link in topo.core.items()} == before
+        sim.run(until=60.0)
+        assert {pair: link.capacity for pair, link in topo.core.items()} != before
+
+    def test_stop_ends_cuts(self):
         sim = Simulator()
         topo = mesh_topology(10, seed=3)
-        handle = _install(CorrelatedDecreases(seed=3, period=10.0), sim, topo)
-        handle.cancel()
         before = {pair: link.capacity for pair, link in topo.core.items()}
-        sim.run(until=50.0)
-        after = {pair: link.capacity for pair, link in topo.core.items()}
-        assert before == after
+        _install(CorrelatedDecreases(seed=3, period=10.0, stop=25.0), sim, topo)
+        sim.run(until=25.0)
+        frozen = {pair: link.capacity for pair, link in topo.core.items()}
+        assert frozen != before
+        sim.run(until=100.0)
+        assert {pair: link.capacity for pair, link in topo.core.items()} == frozen
 
     def test_loss_rates_untouched(self):
         sim = Simulator()

@@ -1,9 +1,10 @@
-"""Tests for the scenario package: catalogue, combinators, trace replay."""
+"""Tests for the scenario package: catalogue, composition, trace replay."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MBPS
+from repro.harness.registry import SCENARIOS
 from repro.scenarios import (
     CascadingCuts,
     Churn,
@@ -12,19 +13,15 @@ from repro.scenarios import (
     FlashCrowd,
     GilbertElliott,
     Oscillate,
-    Scenario,
     ScenarioContext,
-    ScenarioHandle,
     Static,
     TraceRecorder,
     TraceReplay,
     compose,
-    delay,
     read_trace,
-    repeat,
 )
 from repro.sim.engine import Simulator
-from repro.sim.topology import mesh_topology, star_topology
+from repro.sim.topology import mesh_topology
 
 
 def _ctx(num_nodes=6, seed=1, source_id=0, **kwargs):
@@ -62,6 +59,39 @@ class TestStatic:
         Static().install(ctx)
         ctx.sim.run(until=100.0)
         assert _capacities(ctx.topology) == before
+
+
+@pytest.mark.parametrize("name", SCENARIOS.names())
+def test_install_schedules_and_returns_nothing(name):
+    ctx = _ctx()
+    assert SCENARIOS.build(name).install(ctx) is None
+
+
+#: Link-level scenarios with knobs that give each a finite schedule of
+#: many timers.
+FINITE_LINK_SCENARIOS = {
+    "asymmetric_squeeze": {"period": 2.0, "hold": 3.0, "stop": 20.0},
+    "cascading_cuts": {"period": 2.0},
+    "churn": {"period": 2.0, "down_time": 3.0, "fraction": 0.5, "stop": 20.0},
+    "correlated_decreases": {"period": 2.0, "stop": 20.0},
+    "gilbert_elliott": {"mean_good": 2.0, "mean_bad": 2.0, "stop": 20.0},
+    "lossy": {"period": 2.0, "stop": 20.0},
+    "oscillate": {"period": 2.0, "stop": 20.0},
+    "trace_replay": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_LINK_SCENARIOS))
+def test_no_scenario_holds_a_fired_timer(name):
+    # Once a finite schedule has run out, every timer the run ever
+    # allocated is back in the engine's pool: no scenario keeps a
+    # reference to a timer that has fired.
+    ctx = _ctx()
+    SCENARIOS.build(name, **FINITE_LINK_SCENARIOS[name]).install(ctx)
+    ctx.sim.run(until=500.0)
+    assert ctx.sim.pending_events == 0
+    assert ctx.sim.timers_allocated > 0
+    assert ctx.sim.pool_size == ctx.sim.timers_allocated
 
 
 class TestCascadingCutsDefaults:
@@ -107,12 +137,13 @@ class TestOscillate:
             ratios.add(round(ctx.topology.core[pair].capacity / base[pair], 6))
         assert ratios == {0.5, 1.0}
 
-    def test_cancel_freezes_capacities(self):
+    def test_stop_freezes_capacities(self):
         ctx = _ctx(4)
-        handle = Oscillate(period=2.0, seed=1).install(ctx)
+        before = _capacities(ctx.topology)
+        Oscillate(period=2.0, seed=1, stop=3.0).install(ctx)
         ctx.sim.run(until=3.0)
-        handle.cancel()
         frozen = _capacities(ctx.topology)
+        assert frozen != before
         ctx.sim.run(until=30.0)
         assert _capacities(ctx.topology) == frozen
 
@@ -170,68 +201,39 @@ class TestChurn:
         for pair in dark:
             assert restored[pair] == before[pair]
 
-    def test_cancel_restores_everyone(self):
+    def test_stop_then_down_time_restores_everyone(self):
         ctx = _ctx(6, source_id=0, seed=3)
         before = _capacities(ctx.topology)
-        handle = Churn(period=5.0, down_time=60.0, seed=3).install(ctx)
+        Churn(period=5.0, down_time=60.0, stop=12.0, seed=3).install(ctx)
         ctx.sim.run(until=12.0)
         assert _capacities(ctx.topology) != before
-        handle.cancel()
+        # No churn after the stop; the last node back is restored
+        # down_time after it went dark.
+        ctx.sim.run(until=12.0 + 60.0)
         assert _capacities(ctx.topology) == before
 
 
 class TestCombinators:
-    def test_compose_installs_all_and_cancels_all(self):
-        ctx = _ctx(6, seed=5)
-        before = _capacities(ctx.topology)
-        handle = compose(
+    def test_compose_installs_all(self):
+        # A composition acts exactly like installing its children one
+        # after another into the same context.
+        parts = (
             Oscillate(period=2.0, seed=5),
             CorrelatedDecreases(seed=5, period=5.0),
-        ).install(ctx)
-        ctx.sim.run(until=20.0)
-        assert _capacities(ctx.topology) != before
-        handle.cancel()
-        frozen = _capacities(ctx.topology)
-        ctx.sim.run(until=100.0)
-        assert _capacities(ctx.topology) == frozen
+        )
+        composed, separate = _ctx(6, seed=5), _ctx(6, seed=5)
+        before = _capacities(composed.topology)
+        compose(*parts).install(composed)
+        for part in parts:
+            part.install(separate)
+        composed.sim.run(until=20.0)
+        separate.sim.run(until=20.0)
+        assert _capacities(composed.topology) != before
+        assert _capacities(composed.topology) == _capacities(separate.topology)
 
     def test_compose_requires_a_scenario(self):
         with pytest.raises(ValueError):
             Compose()
-
-    def test_delay_postpones_install(self):
-        ctx = _ctx(6, seed=6)
-        before = _capacities(ctx.topology)
-        delay(CorrelatedDecreases(seed=6, period=5.0, start=0.0), 50.0).install(ctx)
-        ctx.sim.run(until=49.0)
-        assert _capacities(ctx.topology) == before
-        ctx.sim.run(until=60.0)
-        assert _capacities(ctx.topology) != before
-
-    def test_delayed_cancel_before_arm(self):
-        ctx = _ctx(6, seed=6)
-        before = _capacities(ctx.topology)
-        handle = delay(CorrelatedDecreases(seed=6, period=5.0), 50.0).install(ctx)
-        handle.cancel()
-        ctx.sim.run(until=200.0)
-        assert _capacities(ctx.topology) == before
-
-    def test_repeat_reinstalls(self):
-        # A one-shot cascading cut repeated twice throttles, and the
-        # second installation re-throttles after topology recovery.
-        sim = Simulator()
-        topo = star_topology(4)
-        ctx = ScenarioContext(sim, topo, source_id=0, seed=1)
-        fired = []
-
-        class Marker(Scenario):
-            def install(self, inner_ctx):
-                fired.append(inner_ctx.sim.now)
-                return ScenarioHandle()
-
-        repeat(Marker(), every=10.0, times=3).install(ctx)
-        sim.run(until=100.0)
-        assert fired == [0.0, 10.0, 20.0]
 
     def test_oscillate_composed_with_churn_keeps_nodes_dark(self):
         # Oscillate applies its swing relatively, so a churned node's
@@ -267,13 +269,14 @@ class TestCombinators:
             )
 
     def test_delayed_scenario_keeps_its_stop_window(self):
-        # start/stop are install-relative: a delayed scenario with
-        # stop=45 must run its full 45-second window after the delay,
+        # start/stop are install-relative: a scenario installed 100 s
+        # into a run with stop=45 must run its full 45-second window,
         # not be cut short by absolute-time arithmetic.
-        def cut_count(scenario, until):
+        def cut_count(installed_at, until):
             ctx = _ctx(8, seed=7)
             before = _capacities(ctx.topology)
-            scenario.install(ctx)
+            ctx.sim.run(until=installed_at)
+            CorrelatedDecreases(seed=7, period=20.0, stop=45.0).install(ctx)
             ctx.sim.run(until=until)
             return sum(
                 1
@@ -281,32 +284,10 @@ class TestCombinators:
                 if link.capacity != before[pair]
             )
 
-        undelayed = cut_count(
-            CorrelatedDecreases(seed=7, period=20.0, stop=45.0), 200.0
-        )
-        delayed = cut_count(
-            delay(
-                CorrelatedDecreases(seed=7, period=20.0, stop=45.0), 100.0
-            ),
-            300.0,
-        )
+        undelayed = cut_count(0.0, 200.0)
+        delayed = cut_count(100.0, 300.0)
         assert undelayed > 0
         assert delayed == undelayed
-
-    def test_repeat_cancel_stops_reinstalls(self):
-        ctx = _ctx(4)
-        fired = []
-
-        class Marker(Scenario):
-            def install(self, inner_ctx):
-                fired.append(inner_ctx.sim.now)
-                return ScenarioHandle()
-
-        handle = repeat(Marker(), every=10.0).install(ctx)
-        ctx.sim.schedule_at(15.0, handle.cancel)
-        ctx.sim.run(until=100.0)
-        assert fired == [0.0, 10.0]
-
 
 class TestTraceReplay:
     def test_default_demo_schedule_dips_and_recovers(self):
@@ -328,6 +309,16 @@ class TestTraceReplay:
         TraceReplay(events=events).install(ctx)
         ctx.sim.run(until=10.0)
         assert ctx.topology.core[(1, 2)].capacity == 1000.0
+
+    def test_fired_timers_return_to_the_engine_pool(self):
+        # An installed scenario keeps no handle on its timers, so each
+        # one rejoins the simulator's recycling pool once it has fired.
+        sim = Simulator()
+        ctx = ScenarioContext(sim, mesh_topology(4, seed=1))
+        events = [{"t": i + 1.0, "link": "*", "scale": 0.5} for i in range(5)]
+        TraceReplay(events=events).install(ctx)
+        sim.run()
+        assert sim.pool_size == 5
 
     def test_unknown_links_ignored(self):
         ctx = _ctx(3)
@@ -628,8 +619,6 @@ class TestCsvTrace:
 
     def test_csv_replays_through_the_cli_scenario(self, tmp_path):
         # The registered trace_replay scenario accepts a CSV path.
-        from repro.harness.registry import SCENARIOS
-
         path = tmp_path / "t.csv"
         path.write_text("time,bandwidth\n1.0,100000\n")
         scenario = SCENARIOS.build("trace_replay", path=str(path))

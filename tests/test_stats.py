@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.common.stats import (
     Cdf,
-    OnlineStats,
     aggregate,
     confidence_interval,
     mean_stddev,
@@ -184,31 +183,6 @@ class TestMeanStddev:
         mean, std = mean_stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         assert mean == 5.0
         assert std == pytest.approx(2.0)
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        stats = OnlineStats()
-        assert stats.mean == 0.0
-        assert stats.stddev == 0.0
-
-    def test_matches_batch(self):
-        values = [1.0, 2.0, 3.5, -4.0, 10.0]
-        stats = OnlineStats()
-        for v in values:
-            stats.add(v)
-        batch_mean, batch_std = mean_stddev(values)
-        assert stats.mean == pytest.approx(batch_mean)
-        assert stats.stddev == pytest.approx(batch_std)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_property_matches_batch(self, values):
-        stats = OnlineStats()
-        for v in values:
-            stats.add(v)
-        batch_mean, batch_std = mean_stddev(values)
-        assert stats.mean == pytest.approx(batch_mean, abs=1e-6)
-        assert stats.stddev == pytest.approx(batch_std, abs=1e-3)
 
 
 class TestCdf:
