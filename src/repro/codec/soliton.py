@@ -8,6 +8,8 @@ the decoder's ripple (degree-1 set) dies with high probability.  Luby's
 
 import math
 
+from repro.common.stats import ordered_sum
+
 __all__ = ["ideal_soliton", "robust_soliton", "sample_degree"]
 
 
@@ -44,7 +46,7 @@ def robust_soliton(k, c=0.03, delta=0.5):
         for d in range(1, spike):
             tau[d] = big_r / (d * k)
         tau[spike] = big_r * math.log(big_r / delta) / k
-    total = sum(rho) + sum(tau)
+    total = ordered_sum(rho) + ordered_sum(tau)
     return [(rho[d] + tau[d]) / total for d in range(k + 1)]
 
 

@@ -12,6 +12,9 @@ paired-comparison analytics: same-seed runs of two systems share their
 random numbers, so per-seed deltas are paired samples with far tighter
 confidence intervals than group-vs-group comparisons.
 
+Float totals in ``src/`` go through :func:`ordered_sum`, so they round
+the same on every interpreter the committed goldens are checked under.
+
 Two variance conventions coexist deliberately:
 
 - :func:`mean_stddev` is **population** stddev (ddof=0) — it models the
@@ -30,11 +33,25 @@ __all__ = [
     "aggregate",
     "confidence_interval",
     "mean_stddev",
+    "ordered_sum",
     "paired_confidence_interval",
     "paired_deltas",
     "sign_counts",
     "win_rate",
 ]
+
+
+def ordered_sum(values):
+    """``acc += x`` from left to right, starting at integer 0.
+
+    Bit for bit what Python 3.11's builtin ``sum()`` returns, on every
+    interpreter: 3.12 and later compensate float rounding in ``sum()``,
+    which moves the last digit of some totals.
+    """
+    acc = 0
+    for value in values:
+        acc += value
+    return acc
 
 
 def mean_stddev(values):
@@ -52,8 +69,8 @@ def mean_stddev(values):
     values = list(values)
     if not values:
         return 0.0, 0.0
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    mean = ordered_sum(values) / len(values)
+    variance = ordered_sum((v - mean) ** 2 for v in values) / len(values)
     return mean, math.sqrt(variance)
 
 
@@ -93,7 +110,7 @@ def _sample_variance(values, mean):
     """
     if len(values) < 2:
         return 0.0
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return ordered_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
 def confidence_interval(values, confidence=0.95):
@@ -111,7 +128,7 @@ def confidence_interval(values, confidence=0.95):
     values = list(values)
     if not values:
         raise ValueError("confidence_interval requires at least one sample")
-    mean = sum(values) / len(values)
+    mean = ordered_sum(values) / len(values)
     if len(values) < 2:
         return mean, mean
     df = len(values) - 1
@@ -142,7 +159,7 @@ def aggregate(values, confidence=0.95):
     values = sorted(values)
     if not values:
         raise ValueError("aggregate requires at least one sample")
-    mean = sum(values) / len(values)
+    mean = ordered_sum(values) / len(values)
     low, high = confidence_interval(values, confidence=confidence)
     return {
         "n": len(values),
@@ -243,7 +260,7 @@ class Cdf:
 
     @property
     def mean(self):
-        return sum(self.samples) / len(self.samples)
+        return ordered_sum(self.samples) / len(self.samples)
 
     def fraction_below(self, value):
         """Fraction of samples <= ``value`` (the CDF evaluated at value)."""

@@ -19,6 +19,7 @@ the strategy modules of this package:
 
 from repro.common.params import Param
 from repro.common.rng import split_rng
+from repro.common.stats import ordered_sum
 from repro.core.diffs import DiffTracker, diff_wire_size
 from repro.core.download import BLOCK_SIZE, DownloadState, block_checksum
 from repro.core.flow_control import ALPHA, BETA, OutstandingController
@@ -731,7 +732,7 @@ class BulletPrimeNode(OverlayProtocol):
         """
         senders = self.senders
         measured = [s.quality for s in senders.values() if s.quality >= 0.0]
-        mean_quality = sum(measured) / len(measured) if measured else 0.0
+        mean_quality = ordered_sum(measured) / len(measured) if measured else 0.0
         threshold = STRAGGLER_FRACTION * mean_quality
         for conn, s in list(senders.items()):
             if s.corrupt_total >= CORRUPT_QUARANTINE:

@@ -78,8 +78,8 @@ def _paired_metric(sys_vals, base_vals, confidence):
     deltas = stats.paired_deltas(sys_vals, base_vals)
     ci_low, ci_high = stats.confidence_interval(deltas, confidence=confidence)
     wins, ties, losses = stats.sign_counts(deltas)
-    mean_delta = sum(deltas) / len(deltas)
-    base_mean = sum(base_vals) / len(base_vals)
+    mean_delta = stats.ordered_sum(deltas) / len(deltas)
+    base_mean = stats.ordered_sum(base_vals) / len(base_vals)
     return {
         "n": len(deltas),
         "mean_delta": mean_delta,

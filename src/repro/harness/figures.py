@@ -6,8 +6,8 @@ by default so the whole suite completes on a laptop; pass larger
 :class:`~repro.harness.report.FigureData`.
 
 ``FIGURES`` at the bottom of this module maps each id to its function
-(``python -m repro list`` prints the ids); ``benchmarks/test_bench_figN.py``
-regenerates figure N.
+(``python -m repro list`` prints the ids); ``tests/test_paper_claims.py``
+checks the paper's orderings on each figure over several seeds.
 
 Figures 4-14 are sweep specs plus reducers: each builds a
 :class:`~repro.harness.sweep.SweepSpec` from its scale arguments — the

@@ -14,6 +14,7 @@ each sample entry; the peering strategy consumes the delivered subsets.
 """
 
 from repro.common.rng import split_rng
+from repro.common.stats import ordered_sum
 from repro.sim.transport import Message
 
 __all__ = ["NodeSummary", "RanSubService", "SUMMARY_WIRE_BYTES"]
@@ -56,7 +57,7 @@ class _Sample:
 
 def _merge_samples(samples, k, rng):
     """Weighted-reservoir merge of uniform samples into one of size <= k."""
-    total = sum(s.weight for s in samples)
+    total = ordered_sum(s.weight for s in samples)
     if total <= 0:
         return _Sample([], 0)
     merged = []
@@ -68,7 +69,7 @@ def _merge_samples(samples, k, rng):
         alive = [i for i, p in enumerate(pools) if p]
         if not alive:
             break
-        wsum = sum(weights[i] for i in alive)
+        wsum = ordered_sum(weights[i] for i in alive)
         roll = rng.uniform(0.0, wsum)
         acc = 0.0
         chosen = alive[-1]

@@ -80,6 +80,7 @@ from bisect import insort
 from operator import attrgetter
 
 from repro.common.params import Configurable, Param
+from repro.common.stats import ordered_sum
 from repro.sim.alloc import components, fill
 
 __all__ = ["FlowModel", "TcpModel", "Flow", "FlowNetwork"]
@@ -144,7 +145,7 @@ class FlowModel(Configurable):
 
     def path_rtt(self, links):
         """Round-trip time: twice the one-way propagation delay."""
-        return 2.0 * sum(link.delay for link in links)
+        return 2.0 * ordered_sum(link.delay for link in links)
 
     def steady_state_cap(self, links):
         """Steady-state rate bound in bytes/second (``inf`` = unbounded)."""

@@ -29,6 +29,7 @@ import functools
 
 from repro.common.params import Param
 from repro.common.rng import split_rng
+from repro.common.stats import ordered_sum
 from repro.common.units import KBPS, MBPS, MS
 from repro.sim.links import Link
 
@@ -101,8 +102,8 @@ class Topology:
 
     def rtt(self, src, dst):
         """Round-trip propagation delay between two nodes."""
-        forward = sum(link.delay for link in self.path(src, dst))
-        backward = sum(link.delay for link in self.path(dst, src))
+        forward = ordered_sum(link.delay for link in self.path(src, dst))
+        backward = ordered_sum(link.delay for link in self.path(dst, src))
         return forward + backward
 
     def uplinks(self, node):

@@ -6,7 +6,7 @@ and control-byte overhead.  It is deliberately passive — protocols call
 ``block_received`` / ``completed`` and the harness reads the results.
 """
 
-from repro.common.stats import Cdf
+from repro.common.stats import Cdf, ordered_sum
 
 __all__ = ["TraceCollector"]
 
@@ -86,8 +86,8 @@ class TraceCollector:
         gaps_all = self.mean_interarrival_by_index()
         if len(gaps_all) <= tail:
             return 0.0
-        mean_gap = sum(gaps_all) / len(gaps_all)
-        return sum(max(0.0, g - mean_gap) for g in gaps_all[-tail:])
+        mean_gap = ordered_sum(gaps_all) / len(gaps_all)
+        return ordered_sum(max(0.0, g - mean_gap) for g in gaps_all[-tail:])
 
     def total_duplicates(self):
         return sum(self.duplicate_blocks.values())

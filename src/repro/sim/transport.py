@@ -25,6 +25,8 @@ information becomes stale on lossy paths.
 
 from collections import deque
 
+from repro.common.stats import ordered_sum
+
 __all__ = ["Message", "MessageAdversity", "Connection", "Endpoint", "Network"]
 
 #: Per-message framing overhead in bytes (TCP/IP + protocol header).
@@ -598,8 +600,8 @@ class Network:
         path_ba = self.topology.path(b, a)
         flow_ab = self.flows.new_flow(f"{a}->{b}#{self._conn_counter}", path_ab)
         flow_ba = self.flows.new_flow(f"{b}->{a}#{self._conn_counter}", path_ba)
-        delay_ab = sum(link.delay for link in path_ab)
-        delay_ba = sum(link.delay for link in path_ba)
+        delay_ab = ordered_sum(link.delay for link in path_ab)
+        delay_ba = ordered_sum(link.delay for link in path_ba)
         conn_ab._out_channel = Channel(self, conn_ab, flow_ab, delay_ab)
         conn_ba._out_channel = Channel(self, conn_ba, flow_ba, delay_ba)
         self.endpoint(a).connections[conn_ab] = None

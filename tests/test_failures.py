@@ -2,14 +2,15 @@
 
 A mesh keeps flowing when a peer dies (each peer carries ~1/n of a
 node's bandwidth); a tree loses whole subtrees.  These tests exercise
-failure injection, Bullet's tree repair, and the contrast against
-SplitStream's unrepaired stripe trees.
+failure injection and Bullet's tree repair; the contrast against
+SplitStream's unrepaired stripe trees is a multi-seed claim row
+(``crash.*`` in ``tests/test_paper_claims.py``).
 """
 
 import pytest
 
 from repro.harness.experiment import run_experiment
-from repro.harness.systems import bullet_prime_factory, splitstream_factory
+from repro.harness.systems import bullet_prime_factory
 from repro.scenarios import Crash
 from repro.sim.topology import mesh_topology
 
@@ -86,33 +87,3 @@ def test_failed_nodes_do_not_block_completion_check():
     assert result.finished
     assert 7 in result.failed_nodes
 
-
-def test_mesh_beats_tree_under_failures():
-    """The section-1 claim: one failure costs a mesh ~1/n bandwidth but a
-    tree an entire subtree.  SplitStream has no repair, so a failed node
-    starves its stripe descendants; Bullet' survivors all finish."""
-    seed = 9
-    failures = [(6.0, 5), (10.0, 9)]
-    mesh = run_experiment(
-        mesh_topology(16, seed=seed),
-        bullet_prime_factory(num_blocks=96, seed=seed),
-        96,
-        scenario=Crash(schedule=failures),
-        max_time=900.0,
-        seed=seed,
-    )
-    tree = run_experiment(
-        mesh_topology(16, seed=seed),
-        splitstream_factory(num_blocks=96, seed=seed),
-        96,
-        scenario=Crash(schedule=failures),
-        max_time=900.0,
-        seed=seed,
-    )
-    assert mesh.finished, "the mesh must absorb the failures"
-    mesh_done = len(mesh.trace.completion_times)
-    tree_done = len(tree.trace.completion_times)
-    assert mesh_done > tree_done, (
-        "unrepaired stripe trees must strand more nodes than the mesh "
-        f"(mesh {mesh_done}, splitstream {tree_done})"
-    )

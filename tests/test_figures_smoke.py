@@ -1,9 +1,9 @@
 """Small-scale smoke tests for every figure runner.
 
 Each paper figure's entry point must run end-to-end at tiny scale and
-produce a well-formed :class:`FigureData`; the qualitative assertions
-live in the benchmarks, which run at the scale where the paper's
-effects separate.
+produce a well-formed :class:`FigureData`; the paper's orderings are
+claim rows in ``tests/test_paper_claims.py``, checked over several
+seeds at the scale where each one holds.
 
 Figures 4-14 are sweep specs run through ``execute_cell``; every series
 and scalar they produce at this scale is pinned, float for float, to

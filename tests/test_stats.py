@@ -1,6 +1,8 @@
 """Tests for CDF and statistics helpers."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,11 +12,83 @@ from repro.common.stats import (
     aggregate,
     confidence_interval,
     mean_stddev,
+    ordered_sum,
     paired_confidence_interval,
     paired_deltas,
     sign_counts,
     win_rate,
 )
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: The builtin ``sum(`` calls ``src/`` keeps, by (file, call text):
+#: each adds integers only, which every interpreter totals exactly.
+INTEGER_SUMS = {
+    ("repro/codec/segments.py", "sum(d.blocks_fed for d in self.decoders)"):
+        "encoded blocks fed, a count",
+    ("repro/codec/segments.py", "sum(d.k for d in self.decoders)"):
+        "source blocks per segment, a count",
+    ("repro/overlay/ransub.py", "sum(len(p) for p in pools)"):
+        "pool lengths",
+    ("repro/shotgun/rsync.py",
+     "sum( len(payload) for op, payload in self.ops if op == Delta.LITERAL )"):
+        "literal payload bytes",
+    ("repro/shotgun/rsync.py", "sum(1 for op, _ in self.ops if op == Delta.COPY)"):
+        "copy-op count",
+    ("repro/harness/compare.py",
+     'sum( 1 for s in base_by_seed.values() if s["finished"] )'):
+        "finished-seed count",
+    ("repro/common/stats.py", "sum(1 for d in deltas if d < 0)"):
+        "win count",
+    ("repro/common/stats.py", "sum(1 for d in deltas if d == 0)"):
+        "tie count",
+    ("repro/sim/trace.py", "sum(self.duplicate_blocks.values())"):
+        "duplicate-block counts",
+    ("repro/sim/trace.py", "sum(self.control_bytes.values())"):
+        "control bytes, integer message sizes",
+    ("repro/core/bullet_prime.py",
+     "sum(1 for b in summary.sample_blocks if self.state.wants(b))"):
+        "missing-block count",
+    ("repro/core/request.py", "sum(map(len, self.buckets.values()))"):
+        "bucket lengths",
+}
+
+
+def _builtin_sums():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                call = " ".join(ast.get_source_segment(text, node).split())
+                found.append((path.relative_to(SRC).as_posix(), call))
+    return found
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        # Compensated summation (Python 3.12's builtin sum) gives 1.0.
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_matches_a_plain_loop_and_starts_at_int_zero(self):
+        values = [1e16, 1.0, -1e16, 3.5, 2]
+        acc = 0
+        for value in values:
+            acc += value
+        assert ordered_sum(values) == acc
+        assert ordered_sum(iter(values)) == acc
+        assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
+
+    def test_src_totals_floats_only_through_it(self):
+        # Every builtin sum( under src/ must be an allow-listed integer
+        # site; a float total there would round differently on 3.12+.
+        found = _builtin_sums()
+        assert sorted(found) == sorted(INTEGER_SUMS), (
+            "builtin sum( outside the integer allowlist: "
+            f"{sorted(set(found) - set(INTEGER_SUMS))}; stale entries: "
+            f"{sorted(set(INTEGER_SUMS) - set(found))}"
+        )
 
 
 class TestConfidenceInterval:
