@@ -55,6 +55,7 @@ results store with ``--out``.
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -192,7 +193,7 @@ def _run_parser():
         action="store_true",
         help=(
             "report runtime statistics: events processed, reallocation "
-            "passes, component sizes, and wall-clock time"
+            "passes, component sizes, wall-clock time and peak memory"
         ),
     )
     return parser
@@ -237,6 +238,10 @@ def _run_command(argv):
             round(profile["events_processed"] / elapsed, 1) if elapsed > 0 else 0.0
         )
         profile["wall_seconds"] = round(elapsed, 3)
+        # Linux reports ``ru_maxrss`` in KiB.
+        profile["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        )
     if args.json:
         doc = {
             axis.field: getattr(cell, axis.field)

@@ -230,10 +230,10 @@ class _ReceiverState:
         "pipe_idle",
     )
 
-    def __init__(self, conn, peer):
+    def __init__(self, conn, peer, num_blocks):
         self.conn = conn
         self.peer = peer
-        self.tracker = DiffTracker()
+        self.tracker = DiffTracker(num_blocks)
         #: Index into the node's arrival_order list: everything before it
         #: has been considered for diffing to this receiver.
         self.cursor = 0
@@ -296,6 +296,7 @@ class BulletPrimeNode(OverlayProtocol):
         self.avail = AvailabilityView(
             config.request_strategy,
             split_rng(config.seed, f"bp.req.{node_id}"),
+            config.num_blocks,
         )
 
         self.pusher = None
@@ -828,7 +829,7 @@ class BulletPrimeNode(OverlayProtocol):
             conn.send(Message("bp_reject", size=16))
             return
         peer = message.payload["node"]
-        receiver = _ReceiverState(conn, peer)
+        receiver = _ReceiverState(conn, peer, self.config.num_blocks)
         receiver.tracker.observe_receiver_has(message.payload["have"])
         self.receivers[conn] = receiver
         conn.watch_send_queue_low(1, self._receiver_pipe_drained)
@@ -845,7 +846,7 @@ class BulletPrimeNode(OverlayProtocol):
             return
         block = message.payload["block"]
         receiver.reported_incoming_bw = message.payload["incoming_bw"]
-        receiver.tracker.told.add(block)
+        receiver.tracker.mark(block)
         if block not in self.state:
             return  # stale availability (cannot happen with honest diffs)
         self.stats["blocks_served"] += 1

@@ -1,9 +1,10 @@
 """Incremental availability diffs (paper section 3.3.4).
 
 A sender keeps, per receiver, the set of blocks the receiver has already
-been told about; a diff carries only blocks never mentioned before, so a
-receiver hears about each block from a given peer at most once and diff
-size is decoupled from file size.
+been told about (a :class:`~repro.common.bitmap.BlockBitmap`); a diff
+carries only blocks never mentioned before, so a receiver hears about
+each block from a given peer at most once and diff size is decoupled
+from file size.
 
 Diff transmission is *self-clocked* — there is no diff timer.  A diff is
 sent in exactly two situations:
@@ -13,6 +14,8 @@ sent in exactly two situations:
 2. the receiver explicitly asked for a diff because it is about to run
    out of known-available blocks.
 """
+
+from repro.common.bitmap import BlockBitmap
 
 __all__ = ["DiffTracker", "diff_wire_size"]
 
@@ -31,10 +34,10 @@ class DiffTracker:
 
     __slots__ = ("told", "pending_request")
 
-    def __init__(self):
+    def __init__(self, num_blocks=0):
         #: Block ids this receiver already heard about from us (told in a
         #: diff, sent as data, or reported by the receiver itself).
-        self.told = set()
+        self.told = BlockBitmap(num_blocks)
         #: True when the receiver asked for a diff and we have not yet
         #: answered (coalesces repeated asks).
         self.pending_request = False
@@ -44,12 +47,21 @@ class DiffTracker:
         bitmap): never diff those back to it."""
         self.told.update(blocks)
 
+    def mark(self, block):
+        """``block`` reached the receiver another way (it requested it):
+        never diff it."""
+        self.told.add(block)
+
     def next_diff(self, have_blocks):
         """Blocks of ``have_blocks`` the receiver has not heard about.
 
         Marks them told; returns a sorted list (possibly empty).
         """
-        fresh = [b for b in have_blocks if b not in self.told]
-        self.told.update(fresh)
-        fresh.sort()
+        told = self.told
+        flags = told.flags
+        size = len(flags)
+        fresh = [b for b in have_blocks if not (0 <= b < size and flags[b])]
+        if fresh:
+            told.update(fresh)
+            fresh.sort()
         return fresh

@@ -55,7 +55,12 @@ def block_checksum(block):
 
 
 class DownloadState:
-    """Block bookkeeping for one downloading node."""
+    """Block bookkeeping for one downloading node.
+
+    Held blocks are a :class:`~repro.common.bitmap.BlockBitmap` in both
+    modes: unencoded ids are checked against ``[0, num_blocks)``; encoded
+    ids are a source's counter, so the bitmap grows to the largest one.
+    """
 
     def __init__(self, num_blocks, encoded=False, overhead=ENCODING_OVERHEAD):
         if num_blocks <= 0:
@@ -63,14 +68,13 @@ class DownloadState:
         self.num_blocks = num_blocks
         self.encoded = encoded
         self.overhead = overhead
+        self._held = BlockBitmap(num_blocks)
         if encoded:
-            self._held = set()
-            self._bitmap = None
             self.required = math.ceil((1.0 + overhead) * num_blocks)
+            self._id_limit = math.inf
         else:
-            self._held = None
-            self._bitmap = BlockBitmap(num_blocks)
             self.required = num_blocks
+            self._id_limit = num_blocks
         #: Completion latch: blocks are never removed, so once the count
         #: reaches ``required`` it stays there — protocols poll
         #: ``complete`` on every block decision, so it must be one load.
@@ -78,59 +82,45 @@ class DownloadState:
 
     def add(self, block):
         """Record a received block; returns False for duplicates."""
-        if self.encoded:
-            if block in self._held:
-                return False
-            self._held.add(block)
-        else:
-            if block in self._bitmap:
-                return False
-            self._bitmap.add(block)
-        if not self._complete and len(self) >= self.required:
+        if not 0 <= block < self._id_limit:
+            raise IndexError(f"block {block} out of range [0, {self._id_limit})")
+        held = self._held
+        flags = held.flags
+        if block < len(flags) and flags[block]:
+            return False
+        held.add(block)
+        if not self._complete and len(held) >= self.required:
             self._complete = True
         return True
 
     def __contains__(self, block):
-        if self.encoded:
-            return block in self._held
-        # Inlined BlockBitmap.__contains__ (relies on its int-bit-vector
-        # layout; see the note on BlockBitmap._bits) — this is the
-        # innermost test of every request decision.  Ids past the
-        # universe shift to 0 (absent), matching the bitmap's own range
-        # check.
-        return block >= 0 and (self._bitmap._bits >> block) & 1 == 1
+        flags = self._held.flags
+        return 0 <= block < len(flags) and flags[block] == 1
 
     def __len__(self):
-        return len(self._held) if self.encoded else len(self._bitmap)
+        return len(self._held)
 
     @property
     def complete(self):
         return self._complete
 
     def blocks(self):
-        if self.encoded:
-            return sorted(self._held)
-        return list(self._bitmap)
+        return list(self._held)
 
     def missing(self):
         """Blocks still needed (unencoded mode only; an encoded download
         wants *any* new block)."""
         if self.encoded:
             raise RuntimeError("missing() is undefined in encoded mode")
-        return [b for b in range(self.num_blocks) if b not in self._bitmap]
+        flags = self._held.flags
+        return [b for b in range(self.num_blocks) if not flags[b]]
 
     def wants(self, block):
-        """Would receiving ``block`` make progress?
-
-        The membership test is inlined rather than routed through
-        ``__contains__`` (it relies on BlockBitmap's int-bit-vector
-        layout; see the note on ``BlockBitmap._bits``).
-        """
+        """Would receiving ``block`` make progress?"""
         if self._complete:
             return False
-        if self.encoded:
-            return block not in self._held
-        return not (block >= 0 and (self._bitmap._bits >> block) & 1)
+        flags = self._held.flags
+        return not (0 <= block < len(flags) and flags[block])
 
 
 class FileObject:

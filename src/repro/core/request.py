@@ -49,6 +49,8 @@ Bullet' golden cell lands as a change of its own.
 
 from bisect import bisect_left, insort
 
+from repro.common.bitmap import BlockBitmap
+
 __all__ = ["AvailabilityView", "REQUEST_STRATEGIES"]
 
 
@@ -57,13 +59,16 @@ class _CandidateList:
 
     __slots__ = ("known", "order")
 
-    def __init__(self):
+    def __init__(self, size):
         #: Everything this sender ever advertised (for rarity accounting
         #: and duplicate-diff suppression).
-        self.known = set()
+        self.known = BlockBitmap(size)
         #: Candidates in discovery order; unavailable entries are dropped
         #: lazily during selection.
         self.order = []
+
+    def grow(self, size):
+        self.known.grow(size)
 
 
 class _RarityIndex:
@@ -71,9 +76,9 @@ class _RarityIndex:
 
     __slots__ = ("known", "order", "buckets", "stale")
 
-    def __init__(self):
-        #: block -> discovery position, for everything ever advertised.
-        self.known = {}
+    def __init__(self, size):
+        #: block -> discovery position, -1 if never advertised.
+        self.known = [-1] * size
         #: Discovery position -> block (append-only).
         self.order = []
         #: Census count -> sorted discovery positions of the live
@@ -82,6 +87,9 @@ class _RarityIndex:
         #: Candidates that became unavailable since this sender was last
         #: compacted; a release revives them.
         self.stale = set()
+
+    def grow(self, size):
+        self.known.extend([-1] * (size - len(self.known)))
 
     def file(self, block, rarity):
         bucket = self.buckets.get(rarity)
@@ -110,9 +118,16 @@ class _RarityIndex:
 
 
 class AvailabilityView:
-    """A receiver's knowledge of which peers can supply which blocks."""
+    """A receiver's knowledge of which peers can supply which blocks.
 
-    def __init__(self, strategy, rng):
+    Every per-block record is block-indexed and sized ``num_blocks``
+    up front: the census and each sender's ``known`` are lists, the
+    unavailable blocks a :class:`~repro.common.bitmap.BlockBitmap`.  An
+    id past that size (an encoded stream) grows all of them together,
+    so ``0 <= block < len(self.rarity)`` bounds every index.
+    """
+
+    def __init__(self, strategy, rng, num_blocks=0):
         if strategy not in REQUEST_STRATEGIES:
             raise ValueError(
                 f"unknown request strategy {strategy!r}; "
@@ -123,38 +138,49 @@ class AvailabilityView:
         self._indexed = strategy in ("rarest", "rarest_random")
         self._senders = {}
         #: block id -> number of senders advertising it (rarity census).
-        self.rarity = {}
+        self.rarity = [0] * num_blocks
         #: Blocks held or requested from some sender.  Invariant: an
         #: unavailable block is live in no sender's index.
-        self._unavailable = set()
+        self._unavailable = BlockBitmap(num_blocks)
 
     # -- bookkeeping -------------------------------------------------------------
+
+    def _grow(self, block):
+        """Make room for ``block`` in every per-block record."""
+        if block < 0:
+            raise IndexError(f"block ids are non-negative, got {block}")
+        rarity = self.rarity
+        size = max(block + 1, 2 * len(rarity))
+        rarity.extend([0] * (size - len(rarity)))
+        self._unavailable.grow(size)
+        for index in self._senders.values():
+            index.grow(size)
 
     def add_sender(self, sender_key):
         if sender_key in self._senders:
             raise KeyError(f"sender {sender_key!r} already tracked")
+        size = len(self.rarity)
         self._senders[sender_key] = (
-            _RarityIndex() if self._indexed else _CandidateList()
+            _RarityIndex(size) if self._indexed else _CandidateList(size)
         )
 
     def remove_sender(self, sender_key):
         removed = self._senders.pop(sender_key)
         rarity = self.rarity
-        unavailable = self._unavailable
-        for block in removed.known:
+        unavailable = self._unavailable.flags
+        # Discovery order for the index (``order`` is append-only there);
+        # a candidate list's order is compacted, so walk its bitmap.
+        for block in removed.order if self._indexed else removed.known:
             count = rarity[block] - 1
-            if count == 0:
-                del rarity[block]
-                continue
             rarity[block] = count
-            if self._indexed and block not in unavailable:
+            if count and self._indexed and not unavailable[block]:
                 self._refile(block, count + 1, count)
 
     def _refile(self, block, old, new):
         """An available block's census count changed: move it to the
         right bucket in every sender where it is live."""
         for index in self._senders.values():
-            if block in index.known and index.unfile(block, old):
+            if index.known[block] >= 0 and index.unfile(block, old):
                 index.file(block, new)
 
     def learn(self, sender_key, blocks):
@@ -163,23 +189,31 @@ class AvailabilityView:
         known = learner.known
         order = learner.order
         rarity = self.rarity
-        rarity_get = rarity.get
+        size = len(rarity)
         if not self._indexed:
+            flags = known.flags
             for block in blocks:
-                if block not in known:
-                    known.add(block)
-                    order.append(block)
-                    rarity[block] = rarity_get(block, 0) + 1
+                if not 0 <= block < size:
+                    self._grow(block)
+                    size = len(rarity)
+                elif flags[block]:
+                    continue
+                known.add(block)
+                order.append(block)
+                rarity[block] += 1
             return
-        unavailable = self._unavailable
+        unavailable = self._unavailable.flags
         buckets = learner.buckets
         for block in blocks:
-            if block in known:
+            if not 0 <= block < size:
+                self._grow(block)
+                size = len(rarity)
+            elif known[block] >= 0:
                 continue
-            count = rarity_get(block, 0) + 1
+            count = rarity[block] + 1
             rarity[block] = count
             position = len(order)
-            if block in unavailable:
+            if unavailable[block]:
                 learner.stale.add(block)
             else:
                 if count > 1:
@@ -197,13 +231,16 @@ class AvailabilityView:
 
     def taken(self, block):
         """``block`` was requested from some sender."""
-        if block in self._unavailable:
+        unavailable = self._unavailable
+        if not 0 <= block < len(self.rarity):
+            self._grow(block)
+        elif unavailable.flags[block]:
             return  # already live nowhere
-        self._unavailable.add(block)
+        unavailable.add(block)
         if self._indexed:
-            rarity = self.rarity.get(block)
+            rarity = self.rarity[block]
             for index in self._senders.values():
-                if block in index.known and index.unfile(block, rarity):
+                if index.known[block] >= 0 and index.unfile(block, rarity):
                     index.stale.add(block)
 
     def released(self, block):
@@ -215,7 +252,7 @@ class AvailabilityView:
             return
         self._unavailable.discard(block)
         if self._indexed:
-            rarity = self.rarity.get(block)
+            rarity = self.rarity[block]
             for index in self._senders.values():
                 if block in index.stale:
                     index.stale.discard(block)
@@ -239,8 +276,8 @@ class AvailabilityView:
         if self._indexed:
             candidates.stale.clear()
             return candidates.live_count()
-        unavailable = self._unavailable
-        candidates.order = [b for b in candidates.order if b not in unavailable]
+        unavailable = self._unavailable.flags
+        candidates.order = [b for b in candidates.order if not unavailable[b]]
         return len(candidates.order)
 
     def prefetch_needed(self, sender_key, limit):
@@ -284,15 +321,15 @@ class AvailabilityView:
         return candidates.order[position]
 
     def _pick_first(self, order):
-        unavailable = self._unavailable
+        unavailable = self._unavailable.flags
         while order:
             block = order.pop(0)
-            if block not in unavailable:
+            if not unavailable[block]:
                 return block
         return None
 
     def _pick_random(self, order):
-        unavailable = self._unavailable
+        unavailable = self._unavailable.flags
         while order:
             index = self.rng.randrange(len(order))
             block = order[index]
@@ -300,7 +337,7 @@ class AvailabilityView:
             # strategy.
             order[index] = order[-1]
             order.pop()
-            if block not in unavailable:
+            if not unavailable[block]:
                 return block
         return None
 

@@ -125,6 +125,17 @@ def test_cli_run_profile_text(capsys):
     assert "profile:" in out
     assert "events_processed" in out
     assert "reallocations" in out
+    assert "peak_rss_mb" in out
+
+
+def test_cli_run_profile_reports_peak_memory(capsys):
+    code = main(
+        ["run", "--system", "bulletprime", "--scenario", "none", "--nodes",
+         "8", "--blocks", "16", "--json", "--profile"]
+    )
+    assert code == 0
+    profile = json.loads(capsys.readouterr().out)["profile"]
+    assert profile["peak_rss_mb"] > 0
 
 
 def test_cli_run_unknown_names_fail_cleanly(capsys):

@@ -1,10 +1,15 @@
 """Tests for incremental diffs and the download application."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.rng import split_rng
 from repro.core.diffs import DiffTracker, diff_wire_size
 from repro.core.download import DownloadState, FileObject
+from repro.core.request import AvailabilityView
 
 
 class TestDiffTracker:
@@ -70,6 +75,16 @@ class TestDownloadStateUnencoded:
         with pytest.raises(ValueError):
             DownloadState(0)
 
+    def test_out_of_range_rejected(self):
+        state = DownloadState(4)
+        with pytest.raises(IndexError):
+            state.add(4)
+        with pytest.raises(IndexError):
+            state.add(-1)
+        assert len(state) == 0
+        assert 4 not in state
+        assert -1 not in state
+
 
 class TestDownloadStateEncoded:
     def test_requires_overhead_blocks(self):
@@ -86,10 +101,62 @@ class TestDownloadStateEncoded:
         with pytest.raises(RuntimeError):
             state.missing()
 
-    def test_arbitrary_ids_accepted(self):
+    def test_ids_past_num_blocks_complete_at_required(self):
         state = DownloadState(10, encoded=True)
-        assert state.add(10**9)
-        assert 10**9 in state
+        ids = range(1000, 1000 + state.required)
+        for block in ids:
+            assert not state.complete
+            assert state.wants(block)
+            assert state.add(block)
+            assert block in state
+        assert state.complete
+        assert not state.add(1000)
+        assert state.blocks() == list(ids)
+        with pytest.raises(IndexError):
+            state.add(-1)
+
+
+def _retained_kib(build):
+    """KiB that ``build()``'s result keeps alive, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return (after - before) / 1024
+
+
+class TestPerBlockMemory:
+    """Per-block records are block-indexed: a byte or a list slot per
+    block, not a ``set`` or ``dict`` entry."""
+
+    def test_diff_trackers(self):
+        def build():
+            trackers = [DiffTracker() for _ in range(10)]
+            for tracker in trackers:
+                tracker.next_diff(range(1000))
+            return trackers
+
+        # One ``set`` per tracker retained 555 KiB; bitmaps retain 12 KiB.
+        assert _retained_kib(build) <= 64
+
+    def test_availability_view(self):
+        def build():
+            view = AvailabilityView("rarest_random", split_rng(0, "test"))
+            for sender in range(10):
+                view.add_sender(sender)
+                view.learn(sender, range(1000))
+            return view
+
+        # A census dict and per-sender dicts retained 1,015 KiB; lists
+        # and bitmaps retain 708 KiB (most of it the discovery-order
+        # lists, their position ints and the rarity buckets, whose
+        # layout did not change).
+        assert _retained_kib(build) <= 850
 
 
 class TestFileObject:

@@ -14,6 +14,11 @@ def _view(strategy, seed=0):
     return AvailabilityView(strategy, split_rng(seed, "test"))
 
 
+def _census(view):
+    """The view's rarity census as ``{block: count}``, absent blocks left out."""
+    return {block: count for block, count in enumerate(view.rarity) if count}
+
+
 class TestBookkeeping:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -31,7 +36,7 @@ class TestBookkeeping:
         view.add_sender("s2")
         view.learn("s1", [1, 2])
         view.learn("s2", [2, 3])
-        assert view.rarity == {1: 1, 2: 2, 3: 1}
+        assert _census(view) == {1: 1, 2: 2, 3: 1}
 
     def test_learn_is_idempotent_per_sender(self):
         view = _view("random")
@@ -47,7 +52,7 @@ class TestBookkeeping:
         view.learn("s1", [1, 2])
         view.learn("s2", [2])
         view.remove_sender("s1")
-        assert view.rarity == {2: 1}
+        assert _census(view) == {2: 1}
 
     def test_candidate_count(self):
         view = _view("random")
@@ -440,7 +445,7 @@ def test_index_matches_scan_oracle(strategy, seed, advertised, operations):
                 on_both("taken", block)
         else:
             on_both(name, key, *extra)
-        assert view.rarity == oracle.rarity
+        assert _census(view) == oracle.rarity
 
     # Surviving candidates: give every request up, then drain each sender.
     for block in sorted(oracle.requested - oracle.held):
