@@ -26,8 +26,6 @@ detection; arming them under plain crash scenarios would perturb the
 recorded crash/chaos timelines.
 """
 
-from repro.sim.links import _overlay_loss, _remove_loss
-
 __all__ = ["FaultInjector", "LivenessWatchdog"]
 
 
@@ -127,8 +125,8 @@ class FaultInjector:
         self.armed = False
         self.gray_armed = False
         self._partition_active = False
-        #: node_id -> (squeezed uplinks, factor, stretch) while fail-slow
-        #: degraded; inverse-restored by :meth:`restore_node`.
+        #: node_id -> (inverse rows of the uplink squeeze, stretch) while
+        #: fail-slow degraded; applied by :meth:`restore_node`.
         self.degraded = {}
         #: The run's :class:`~repro.sim.transport.MessageAdversity`, kept
         #: here even after :meth:`disarm_adversity` so its counters
@@ -244,7 +242,7 @@ class FaultInjector:
         if degraded is not None:
             # The host is still fail-slow: the new incarnation inherits
             # the stretch (the uplink squeeze lives on the links anyway).
-            node.timer_stretch = degraded[2]
+            node.timer_stretch = degraded[1]
         # The next successful tree attach is a re-join, not a first join.
         node._fd_rejoin_pending = True
         self.failed.discard(node_id)
@@ -260,9 +258,9 @@ class FaultInjector:
         whose endpoints land in different islands is multiplicatively
         squeezed to a trickle (propagation delay is untouched, so
         handshakes still complete — the paper's partitions are capacity
-        events, not clean cuts), then healed by the inverse factor.  The
-        multiplicative form composes with any concurrent link scenario,
-        the same bookkeeping trick the churn scenario uses.
+        events, not clean cuts), then healed by applying the inverse rows
+        the squeeze's write returned, which composes with any concurrent
+        link scenario.
 
         Only one partition may be active at a time; a second request is
         refused (returns False) rather than stacked.
@@ -273,31 +271,23 @@ class FaultInjector:
             raise ValueError(f"squeeze must be in (0, 1), got {squeeze}")
         if self._partition_active:
             return False
-        island_of = {}
-        for index, group in enumerate(islands):
-            for node in group:
-                island_of[node] = index
-        squeezed = []
-        for (src, dst), link in sorted(self.topology.core.items()):
-            src_island = island_of.get(src)
-            dst_island = island_of.get(dst)
-            if src_island is None or dst_island is None:
-                continue
-            if src_island != dst_island:
-                link.scale_capacity(squeeze)
-                squeezed.append(link)
+        island_of = {node: i for i, group in enumerate(islands) for node in group}
+        squeezed = [
+            link
+            for (src, dst), link in sorted(self.topology.core.items())
+            if {src, dst} <= island_of.keys() and island_of[src] != island_of[dst]
+        ]
         if not squeezed:
             return False
+        undo = self.topology.apply([{"link": squeezed, "scale": squeeze}])
         self.arm()
         self._partition_active = True
-
-        def heal():
-            for link in squeezed:
-                link.scale_capacity(1.0 / squeeze)
-            self._partition_active = False
-
-        self.sim.schedule(duration, heal)
+        self.sim.schedule(duration, self._heal, undo)
         return True
+
+    def _heal(self, undo):
+        self.topology.apply(undo)
+        self._partition_active = False
 
     # -- gray failures ---------------------------------------------------------
 
@@ -305,8 +295,8 @@ class FaultInjector:
         """Make ``node_id`` *fail-slow*: alive, responsive, useless.
 
         The node's uplink capacity is multiplicatively squeezed to
-        ``factor`` (composable with concurrent link scenarios, healed by
-        the inverse — the partition trick) and every one-shot protocol
+        ``factor`` (healed by its inverse rows, so it composes with
+        concurrent link scenarios) and every one-shot protocol
         timer on the victim is stretched by ``stretch``, modeling a host
         whose process still runs but crawls (GC thrash, disk stall,
         oversubscribed CPU).  With ``duration`` set the degradation
@@ -326,13 +316,12 @@ class FaultInjector:
         if node_id in self.degraded:
             return False
         self.arm_gray()
-        links = self.topology.uplinks(node_id)
-        for link in links:
-            link.scale_capacity(factor)
+        uplinks = self.topology.uplinks(node_id)
+        undo = self.topology.apply([{"link": uplinks, "scale": factor}])
         node = self.nodes.get(node_id)
         if node is not None:
             node.timer_stretch = stretch
-        self.degraded[node_id] = (links, factor, stretch)
+        self.degraded[node_id] = (undo, stretch)
         if duration is not None:
             self.sim.schedule(duration, self.restore_node, node_id)
         return True
@@ -343,9 +332,7 @@ class FaultInjector:
         entry = self.degraded.pop(node_id, None)
         if entry is None:
             return False
-        links, factor, _stretch = entry
-        for link in links:
-            link.scale_capacity(1.0 / factor)
+        self.topology.apply(entry[0])
         node = self.nodes.get(node_id)
         if node is not None:
             node.timer_stretch = 1.0
@@ -380,14 +367,8 @@ class FaultInjector:
             links.extend(self.topology.uplinks(node_id))
         if direction in ("down", "both"):
             links.extend(self.topology.downlinks(node_id))
-        for link in links:
-            link.loss_rate = _overlay_loss(link.loss_rate, loss)
-
-        def clear():
-            for link in links:
-                link.loss_rate = _remove_loss(link.loss_rate, loss)
-
-        self.sim.schedule(duration, clear)
+        undo = self.topology.apply([{"link": links, "overlay": loss}])
+        self.sim.schedule(duration, self.topology.apply, undo)
         return True
 
     def arm_adversity(

@@ -114,14 +114,15 @@ class ScenarioContext:
 def periodic(sim, fn, *, start, period, duration=None):
     """Run ``fn()`` every ``period`` seconds on ``sim``.
 
-    The first firing happens ``start`` seconds after now; firing stops
-    when ``fn`` returns ``False``, or once ``duration`` seconds have
-    elapsed since the call (``start``/``duration`` are install-relative,
-    so a scenario installed late keeps its whole window).  This is the
-    one shared scenario timer loop — catalogue scenarios must not
-    hand-roll their own reschedule loops.
+    The first firing happens ``start`` seconds after now (``None``: one
+    ``period``); firing stops when ``fn`` returns ``False``, and no
+    firing (the first included) comes later than ``duration`` seconds
+    after the call (install-relative, so a scenario installed late keeps
+    its whole window).  This is the one shared scenario timer loop —
+    catalogue scenarios must not hand-roll their own reschedule loops.
     """
     origin = sim.now
+    start = period if start is None else start
 
     def fire():
         if fn() is False:
@@ -129,7 +130,8 @@ def periodic(sim, fn, *, start, period, duration=None):
         if duration is None or sim.now + period - origin <= duration:
             sim.schedule(period, fire)
 
-    sim.schedule(start, fire)
+    if duration is None or start <= duration:
+        sim.schedule(start, fire)
 
 
 class Scenario(Configurable):

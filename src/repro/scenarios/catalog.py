@@ -20,6 +20,7 @@ in :mod:`repro.scenarios.combinators`.
 """
 
 import math
+from operator import truediv
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
@@ -91,6 +92,7 @@ class CorrelatedDecreases(Scenario):
 
     def install(self, ctx):
         topology = ctx.topology
+        core = topology.core
         rng = ctx.rng("correlated", self.seed)
         nodes = list(topology.nodes)
 
@@ -98,25 +100,17 @@ class CorrelatedDecreases(Scenario):
             victims = rng.sample(
                 nodes, max(1, int(len(nodes) * self.victim_fraction))
             )
+            cut = []
             for victim in victims:
                 others = [n for n in nodes if n != victim]
                 sources = rng.sample(
                     others, max(1, int(len(others) * self.source_fraction))
                 )
-                for source in sources:
-                    link = topology.core.get((source, victim))
-                    if (
-                        link is not None
-                        and link.capacity * self.factor >= self.floor
-                    ):
-                        link.scale_capacity(self.factor)
+                cut += [core[(s, victim)] for s in sources if (s, victim) in core]
+            topology.apply([{"link": cut, "scale": self.factor, "floor": self.floor}])
 
         periodic(
-            ctx.sim,
-            fire,
-            start=self.period if self.start is None else self.start,
-            period=self.period,
-            duration=self.stop,
+            ctx.sim, fire, start=self.start, period=self.period, duration=self.stop
         )
 
 
@@ -186,15 +180,10 @@ class CascadingCuts(Scenario):
             sender = remaining.pop(0)
             link = topology.core.get((sender, target))
             if link is not None and link.capacity > self.throttled_bw:
-                link.capacity = self.throttled_bw
+                topology.apply([{"link": link, "capacity": self.throttled_bw}])
             return bool(remaining)
 
-        periodic(
-            ctx.sim,
-            fire,
-            start=self.period if self.start is None else self.start,
-            period=self.period,
-        )
+        periodic(ctx.sim, fire, start=self.start, period=self.period)
 
 
 class Oscillate(Scenario):
@@ -261,11 +250,10 @@ class Oscillate(Scenario):
     def install(self, ctx):
         sim = ctx.sim
         rng = ctx.rng("oscillate", self.seed)
-        #: [link, phase, previously applied factor]
-        links = []
-        for _pair, link in ctx.core_links():
-            phase = rng.random() if self.phase_jitter else 0.0
-            links.append([link, phase, 1.0])
+        links = [link for _pair, link in ctx.core_links()]
+        phases = [rng.random() if self.phase_jitter else 0.0 for _link in links]
+        #: The factor each link's capacity was last scaled to.
+        previous = [1.0] * len(links)
         sample = self.sample_period or self.period / 8.0
         origin = sim.now + self.start
 
@@ -283,15 +271,14 @@ class Oscillate(Scenario):
 
         def tick():
             elapsed = sim.now - origin
-            for entry in links:
-                link, phase, previous = entry
-                cycles = elapsed / period + phase
-                if square:
-                    factor = high if (cycles % 1.0) < 0.5 else low
-                else:
-                    factor = mid + amp * sin(two_pi * cycles)
-                link.scale_capacity(factor / previous)
-                entry[2] = factor
+            cycles = [elapsed / period + phase for phase in phases]
+            if square:
+                factors = [high if (c % 1.0) < 0.5 else low for c in cycles]
+            else:
+                factors = [mid + amp * sin(two_pi * c) for c in cycles]
+            scales = list(map(truediv, factors, previous))
+            previous[:] = factors
+            ctx.topology.apply([{"link": links, "scale": scales}])
 
         periodic(sim, tick, start=self.start, period=sample, duration=self.stop)
 
@@ -331,12 +318,11 @@ class Churn(Scenario):
     Every ``period`` seconds, ``fraction`` of the receivers (at least
     one) that are currently online go *offline*: every core link into or
     out of them collapses to ``offline_capacity`` (a trickle — capacity
-    must stay positive).  ``down_time`` seconds later their links are
-    scaled back up by the ratio recorded when the node left —
-    a multiplicative restore, so capacity changes applied by composed
-    scenarios (an oscillation tick, a correlated cut) while the node was
-    dark persist instead of being overwritten.  The source is never
-    churned.
+    must stay positive).  ``down_time`` seconds later their links get
+    the inverse rows that write returned — a multiplicative restore, so
+    capacity changes applied by composed scenarios (an oscillation tick,
+    a correlated cut) while the node was dark persist instead of being
+    overwritten.  The source is never churned.
 
     This is network-level churn — the node's process keeps running but
     its connectivity is gone — which stresses exactly the mesh-repair
@@ -371,38 +357,22 @@ class Churn(Scenario):
         rng = ctx.rng("churn", self.seed)
         candidates = list(ctx.receivers)
         offline = set()
-        #: (src, dst) -> [restore ratio, offline endpoint count].  Two
+        #: (src, dst) -> the inverse rows that restore a dark link.  Two
         #: simultaneously-offline nodes share their connecting link, so
-        #: it only recovers when *both* endpoints are back.  The ratio
-        #: (capacity at darkening / offline_capacity) is applied
-        #: multiplicatively on restore: entering at capacity c*f and
-        #: restoring by c*f/offline yields base*f' if a composed
-        #: scenario moved the factor from f to f' meanwhile — absolute
-        #: save/restore would not commute and would compound errors.
+        #: it only recovers when *both* endpoints are back.
         dark = {}
 
         def take_offline(node):
             offline.add(node)
             for pair, link in ctx.core_links():
-                if node not in pair:
-                    continue
-                entry = dark.get(pair)
-                if entry is None:
-                    dark[pair] = [link.capacity / self.offline_capacity, 1]
-                    link.capacity = self.offline_capacity
-                else:
-                    entry[1] += 1
+                if node in pair and pair not in dark:
+                    row = {"link": link, "capacity": self.offline_capacity}
+                    dark[pair] = topology.apply([row])
 
         def restore(node):
             offline.remove(node)
-            for pair in list(dark):
-                if node not in pair:
-                    continue
-                entry = dark[pair]
-                entry[1] -= 1
-                if entry[1] == 0:
-                    topology.core[pair].scale_capacity(entry[0])
-                    del dark[pair]
+            for pair in [p for p in dark if node in p and offline.isdisjoint(p)]:
+                topology.apply(dark.pop(pair))
 
         def fire():
             online = [n for n in candidates if n not in offline]
@@ -411,10 +381,4 @@ class Churn(Scenario):
                 take_offline(node)
                 sim.schedule(self.down_time, restore, node)
 
-        periodic(
-            sim,
-            fire,
-            start=self.period if self.start is None else self.start,
-            period=self.period,
-            duration=self.stop,
-        )
+        periodic(sim, fire, start=self.start, period=self.period, duration=self.stop)

@@ -18,19 +18,19 @@ These scenarios drive the other two axes of the link-condition engine:
   catalogue composes with loss dynamics by name.
 
 All three draw any randomness from seeded per-scenario streams and
-apply loss overlays *multiplicatively on the keep probability* —
-``1 - loss`` — so they compose with each other (and with lossy baseline
-topologies) without clobbering anyone's writes.  Multiplicative removal
-is the composition price: the end of a stop window restores baselines
-exactly up to float round-trip (one ulp), not bit-exactly — an
-absolute-snapshot restore would be bit-exact but would erase concurrent
-writers' changes.
+write through ``topology.apply``: loss as ``overlay`` rows, applied
+*multiplicatively on the keep probability* — ``1 - loss`` — so they
+compose with each other (and with lossy baseline topologies) without
+clobbering anyone's writes.  A temporary change ends by applying the
+inverse rows its write returned.  Multiplicative removal is the
+composition price: the end of a stop window restores baselines exactly
+up to float round-trip (one ulp), not bit-exactly — an absolute-snapshot
+restore would be bit-exact but would erase concurrent writers' changes.
 """
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
 from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
-from repro.sim.links import _overlay_loss, _remove_loss
 
 __all__ = [
     "AsymmetricSqueeze",
@@ -104,47 +104,37 @@ class GilbertElliott(Scenario):
                 f"bad_loss={self.bad_loss}"
             )
 
-    def _swap_overlay(self, link, old_extra, new_extra):
-        """Replace this scenario's overlay on ``link``: divide out the
-        old extra-loss process, multiply in the new one.  Operating on
-        the link's *current* loss (not an install-time snapshot) keeps
-        concurrent writers — a composed overlay, a trace — intact."""
-        value = link.loss_rate
-        if old_extra > 0.0:
-            value = _remove_loss(value, old_extra)
-        if new_extra > 0.0:
-            value = _overlay_loss(value, new_extra)
-        link.loss_rate = value
-
     def install(self, ctx):
+        apply = ctx.topology.apply
         rng = ctx.rng("gilbert_elliott", self.seed)
-        # One [link, in-bad-state] pair per core link.
-        links = [[link, False] for _pair, link in ctx.core_links()]
-        for entry in links:
-            self._swap_overlay(entry[0], 0.0, self.good_loss)
+        links = [link for _pair, link in ctx.core_links()]
+        apply([{"link": links, "overlay": self.good_loss}])
+        #: Per link: the inverse row of its swap into the bad state, or
+        #: None while it is good.
+        bad = [None] * len(links)
         # Geometric sojourn approximation of the exponential: leave a
         # state with probability sample/mean per tick.
         p_leave_good = min(1.0, self.sample_period / self.mean_good)
         p_leave_bad = min(1.0, self.sample_period / self.mean_bad)
+        # One write swaps the good overlay for the bad one.
+        swap = {"remove": self.good_loss, "overlay": self.bad_loss}
         origin = ctx.sim.now
 
         def tick():
             if self.stop is not None and ctx.sim.now - origin >= self.stop:
                 # A final periodic firing can land exactly on the stop
                 # boundary; the window is over, don't flip states the
-                # end-of-window cleanup below already (or is about to)
+                # end-of-window restore below already (or is about to)
                 # settle.
                 return
-            for entry in links:
-                link, bad = entry
+            for i, link in enumerate(links):
                 roll = rng.random()
-                if bad:
+                if bad[i] is not None:
                     if roll < p_leave_bad:
-                        entry[1] = False
-                        self._swap_overlay(link, self.bad_loss, self.good_loss)
+                        apply([bad[i]])
+                        bad[i] = None
                 elif roll < p_leave_good:
-                    entry[1] = True
-                    self._swap_overlay(link, self.good_loss, self.bad_loss)
+                    bad[i] = apply([{"link": link, **swap}])[0]
 
         periodic(
             ctx.sim,
@@ -154,18 +144,14 @@ class GilbertElliott(Scenario):
             duration=self.stop,
         )
 
-        def end_bad_states():
+        if self.stop is not None:
             # The stop window ends the *process*: links caught in the
             # bad state return to good instead of staying lossy for the
             # rest of the run.  Scheduled after the periodic, so it runs
             # after any final tick sharing its timestamp.
-            for entry in links:
-                if entry[1]:
-                    entry[1] = False
-                    self._swap_overlay(entry[0], self.bad_loss, self.good_loss)
-
-        if self.stop is not None:
-            ctx.sim.schedule(self.stop, end_bad_states)
+            ctx.sim.schedule(
+                self.stop, lambda: apply([r for r in bad if r is not None])
+            )
 
 
 class AsymmetricSqueeze(Scenario):
@@ -216,32 +202,21 @@ class AsymmetricSqueeze(Scenario):
 
     def install(self, ctx):
         sim = ctx.sim
+        topology = ctx.topology
         rng = ctx.rng("asymmetric_squeeze", self.seed)
         receivers = list(ctx.receivers)
-        inverse = 1.0 / self.factor
-
-        def release(cut_links):
-            for link in cut_links:
-                link.scale_capacity(inverse)
 
         def fire():
             count = max(1, int(len(receivers) * self.fraction))
-            cut = []
+            uplinks = []
             for node in rng.sample(receivers, min(count, len(receivers))):
-                for link in ctx.topology.uplinks(node):
-                    if link.capacity * self.factor >= self.floor:
-                        link.scale_capacity(self.factor)
-                        cut.append(link)
-            if self.hold is not None and cut:
-                sim.schedule(self.hold, release, cut)
+                uplinks += topology.uplinks(node)
+            row = {"link": uplinks, "scale": self.factor, "floor": self.floor}
+            undo = topology.apply([row])
+            if self.hold is not None and undo[0]["link"]:
+                sim.schedule(self.hold, topology.apply, undo)
 
-        periodic(
-            sim,
-            fire,
-            start=self.period if self.start is None else self.start,
-            period=self.period,
-            duration=self.stop,
-        )
+        periodic(sim, fire, start=self.start, period=self.period, duration=self.stop)
 
 
 class Lossy(Scenario):
@@ -317,29 +292,21 @@ class Lossy(Scenario):
 
     def install(self, ctx):
         sim = ctx.sim
-        links = [link for _pair, link in ctx.core_links()]
+        apply = ctx.topology.apply
         self._resolve_base().install(ctx)
-        state = {"on": False}
+        #: The overlay's inverse rows while it is on.
+        undo = []
 
         def overlay_on():
-            if state["on"]:
-                return
-            state["on"] = True
-            for link in links:
-                link.loss_rate = _overlay_loss(link.loss_rate, self.loss)
+            if not undo:
+                undo.extend(apply([{"link": "*", "overlay": self.loss}]))
 
         def overlay_off():
-            if not state["on"]:
-                return
-            state["on"] = False
-            for link in links:
-                link.loss_rate = _remove_loss(link.loss_rate, self.loss)
+            apply(undo)
+            undo.clear()
 
         if self.period is None:
             sim.schedule(self.start, overlay_on)
-            if self.stop is not None:
-                # stop is install-relative, like every catalogue window.
-                sim.schedule(self.stop, overlay_off)
         else:
             on_time = self.period * self.duty
             origin = sim.now
@@ -360,11 +327,11 @@ class Lossy(Scenario):
                 period=self.period,
                 duration=self.stop,
             )
-            if self.stop is not None:
-                # The stop window ends the overlay even when the last
-                # cycle's on-phase crosses it (or duty == 1.0 never
-                # schedules per-cycle off-edges at all).
-                sim.schedule(self.stop, overlay_off)
+        if self.stop is not None:
+            # stop is install-relative, like every catalogue window, and
+            # ends the overlay even when the last cycle's on-phase
+            # crosses it (or duty == 1.0 never schedules off-edges).
+            sim.schedule(self.stop, overlay_off)
 
     def __repr__(self):
         return (

@@ -6,13 +6,15 @@ A *trace* is a time-ordered list of condition events::
     {"t": 15.0, "link": "*",    "scale": 0.5}
     {"t": 18.0, "link": "*",    "loss": 0.02, "delay": 0.08}
 
-``link`` names a core link as ``"src->dst"`` (node ids) or ``"*"`` for
-every core link.  An event carries any subset of the link-condition
-columns: an absolute ``capacity`` in bytes/second *or* a multiplicative
-``scale`` on the current capacity, plus optional ``loss`` (probability)
-and ``delay`` (one-way seconds) — the multi-column form that lets one
-measured LTE/5G trace drive all three knobs of the link-condition
-engine at once.
+Each event is a row of :func:`repro.sim.links.apply`, the one link
+write path, plus its time ``t``; so any scenario's writes replay as a
+trace.  ``link`` names a core link as ``"src->dst"`` (node ids) or
+``"*"`` for every core link.  An event carries any subset of the
+link-condition columns: an absolute ``capacity`` in bytes/second *or* a
+multiplicative ``scale`` on the current capacity, plus optional ``loss``
+(probability) and ``delay`` (one-way seconds) — the multi-column form
+that lets one measured LTE/5G trace drive all three knobs of the
+link-condition engine at once.
 
 - :class:`TraceRecorder` — a scenario that samples every core link at a
   fixed period and appends an event whenever a recorded column changed
@@ -47,25 +49,13 @@ __all__ = [
 
 TRACE_VERSION = 1
 
-#: Condition columns an event may carry, beyond capacity/scale.
-_EXTRA_COLUMNS = ("loss", "delay")
+#: Columns that write a condition; an event needs at least one.
+_WRITE_COLUMNS = ("capacity", "scale", "loss", "delay", "remove", "overlay")
 
 
 def _link_key(pair):
     src, dst = pair
     return f"{src}->{dst}"
-
-
-def _parse_link(key):
-    """``"3->7"`` -> ``(3, 7)`` (ids parsed back to int when numeric)."""
-    src, _, dst = key.partition("->")
-    if not _:
-        raise ValueError(f"malformed link key {key!r}")
-
-    def coerce(s):
-        return int(s) if s.lstrip("-").isdigit() else s
-
-    return coerce(src), coerce(dst)
 
 
 def write_trace(path, events, sample_period=None):
@@ -147,28 +137,18 @@ def read_csv_trace(path):
                     f"{path}: line {line_no}: row has a time but no "
                     f"condition columns"
                 )
+            for column in ("bandwidth", "loss", "delay"):
+                if row.get(column, 0.0) < 0:
+                    raise ValueError(
+                        f"{path}: line {line_no}: negative {column} {row[column]}"
+                    )
             event = {"t": row["time"], "link": "*"}
             if "bandwidth" in row:
                 bandwidth = row["bandwidth"]
-                if bandwidth < 0:
-                    raise ValueError(
-                        f"{path}: line {line_no}: negative bandwidth "
-                        f"{bandwidth}"
-                    )
                 event["capacity"] = bandwidth if bandwidth >= 1.0 else 1.0
             if "loss" in row:
-                loss = row["loss"]
-                if loss < 0:
-                    raise ValueError(
-                        f"{path}: line {line_no}: negative loss {loss}"
-                    )
-                event["loss"] = loss if loss < 1.0 else 0.999999
+                event["loss"] = row["loss"] if row["loss"] < 1.0 else 0.999999
             if "delay" in row:
-                if row["delay"] < 0:
-                    raise ValueError(
-                        f"{path}: line {line_no}: negative delay "
-                        f"{row['delay']}"
-                    )
                 event["delay"] = row["delay"]
             events.append(event)
     return events
@@ -326,38 +306,19 @@ class TraceReplay(Scenario):
                     f"trace event cannot carry both capacity and scale: "
                     f"{event!r}"
                 )
-            columns = ("capacity", "scale", *_EXTRA_COLUMNS)
-            if not any(column in event for column in columns):
+            if not any(column in event for column in _WRITE_COLUMNS):
                 raise ValueError(
                     f"trace event needs at least one of "
-                    f"capacity/scale/loss/delay: {event!r}"
+                    f"{'/'.join(_WRITE_COLUMNS)}: {event!r}"
                 )
-
-    def _targets(self, ctx, key):
-        if key == "*":
-            return [link for _pair, link in ctx.core_links()]
-        link = ctx.topology.core.get(_parse_link(key))
-        return [] if link is None else [link]
 
     def install(self, ctx):
         sim = ctx.sim
+        apply = ctx.topology.apply
         origin = sim.now
-
-        def apply(event):
-            for link in self._targets(ctx, event["link"]):
-                if "scale" in event:
-                    link.scale_capacity(event["scale"])
-                # set_conditions is the one multi-knob actuation point;
-                # scale (relative, capacity-only) is the lone exception.
-                link.set_conditions(
-                    capacity=event.get("capacity"),
-                    loss_rate=event.get("loss"),
-                    delay=event.get("delay"),
-                )
-
         for event in sorted(self.events, key=lambda e: e["t"]):
             at = origin + event["t"] * self.time_scale
             if at <= sim.now:
-                apply(event)
+                apply([event])
             else:
-                sim.schedule_at(at, apply, event)
+                sim.schedule_at(at, apply, [event])

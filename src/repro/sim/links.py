@@ -1,4 +1,4 @@
-"""Network links.
+"""Network links and the one function that writes their conditions.
 
 A :class:`Link` is a unidirectional capacity-constrained pipe with a
 propagation delay and a random-loss probability.  Links are shared by the
@@ -6,53 +6,111 @@ TCP flows routed over them; the :mod:`repro.sim.tcp` allocator divides
 ``capacity`` among those flows max-min fairly.
 
 All three knobs are runtime-mutable — together they form the link's
-*conditions*, exposed as the :class:`LinkConditions` value view.  This is
-how dynamic-network scenarios are realized: the paper's section-4.1 /
-Figure-12 bandwidth processes mutate ``capacity``, while the loss-rate
-and asymmetric scenarios (`gilbert_elliott`, `lossy`,
-`asymmetric_squeeze`, multi-column trace replay) additionally drive
-``loss_rate`` and ``delay``.  Because every link is unidirectional, the
-two directions of a node pair are independent links — per-direction
+*conditions* — and :func:`apply` is the one place that writes them: every
+scenario and fault overlay states its change as *rows* (the trace-file
+vocabulary of :mod:`repro.scenarios.tracefile`) and hands them to
+``topology.apply``.  ``apply`` returns the inverse rows of what it wrote,
+so a temporary change — a churned node, a healed partition, the end of a
+loss window — is undone by applying those rows later; no writer keeps
+its own removal rule.  Because every link is unidirectional, the two
+directions of a node pair are independent links — per-direction
 (asymmetric) dynamics need no extra machinery.
 
 Change propagation is callback-based and split by consumer:
-``on_capacity_change`` feeds the allocator's dirty-link path exactly as
-it always has (so capacity-only scenarios are bit-identical to the
-pre-engine behavior), while ``on_condition_change`` fires for loss/delay
-mutations and lets the flow network refresh the per-flow path invariants
-(Mathis cap, RTT, RTO) that were computed from these values.
+``on_capacity_change`` feeds the allocator's dirty-link path, while
+``on_condition_change`` fires for loss/delay mutations and lets the flow
+network refresh the per-flow path invariants (Mathis cap, RTT, RTO) that
+were computed from these values.
 """
 
-from collections import namedtuple
-
-__all__ = ["Link", "LinkConditions"]
+__all__ = ["Link", "apply"]
 
 
-#: Immutable value view of one link's mutable knobs: ``capacity`` in
-#: bytes/second, ``loss_rate`` as a probability in [0, 1), ``delay`` in
-#: seconds (one-way propagation).
-LinkConditions = namedtuple("LinkConditions", ("capacity", "loss_rate", "delay"))
+def _clamp_loss(value):
+    return 0.0 if value < 0.0 else 0.999999 if value >= 1.0 else value
 
 
-def _overlay_loss(current, extra):
-    """Add an independent loss process on top of ``current`` (the one
-    composition rule scenarios and the fault injector share)."""
-    value = 1.0 - (1.0 - current) * (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
+def _targets(topology, target):
+    if type(target) is Link:
+        return (target,)
+    if target == "*":
+        return [link for _pair, link in sorted(topology.core.items())]
+    if isinstance(target, str):
+        src, arrow, dst = target.partition("->")
+        if not arrow:
+            raise ValueError(f"malformed link key {target!r}")
+        pair = tuple(int(n) if n.lstrip("-").isdigit() else n for n in (src, dst))
+        link = topology.core.get(pair)
+        return () if link is None else (link,)
+    return target
 
 
-def _remove_loss(current, extra):
-    """Inverse of :func:`_overlay_loss` (same clamping)."""
-    value = 1.0 - (1.0 - current) / (1.0 - extra)
-    if value < 0.0:
-        return 0.0
-    if value >= 1.0:
-        return 0.999999
-    return value
+def apply(topology, rows):
+    """Write ``rows`` to ``topology``'s links; return the inverse rows.
+
+    A row's ``link`` is a :class:`Link`, a list of links, ``"src->dst"``
+    (an unknown core link is skipped) or ``"*"`` (every core link).  Per
+    link it writes ``capacity`` or ``scale`` (skipping the link if the
+    result is below ``floor``), then ``loss`` with ``remove`` /
+    ``overlay`` (an independent loss process divided out of, then added
+    to, the keep probability — one write), then ``delay``.  ``scale``,
+    ``loss`` and ``delay`` hold one number, or a list with one per link.
+    Each row's inverse names the links it wrote: scale ``f`` is undone
+    by ``1.0 / f``, capacity ``c -> x`` by scale ``c / x``, an overlay by
+    its removal, an absolute loss or delay by the old value.
+    """
+    inverse = []
+    for row in rows:
+        get = row.get
+        capacity, scale, floor = get("capacity"), get("scale"), get("floor")
+        loss, remove, overlay = get("loss"), get("remove"), get("overlay")
+        delay = get("delay")
+        sets_capacity = capacity is not None or scale is not None
+        sets_loss = loss is not None or remove or overlay
+        targets = _targets(topology, row["link"])
+        if type(scale) is list and floor is None and not sets_loss and delay is None:
+            # A per-link scale column alone (an oscillation tick): tight loop.
+            for link, factor in zip(targets, scale):
+                link.capacity = link._capacity * factor
+            inverse.append({"link": list(targets), "scale": [1.0 / f for f in scale]})
+            continue
+        per_scale, per_loss = type(scale) is list, type(loss) is list
+        per_delay = type(delay) is list
+        written, scales, losses, delays = [], [], [], []
+        for i, link in enumerate(targets):
+            if sets_capacity:
+                old = link._capacity
+                factor = scale[i] if per_scale else scale
+                to_capacity = old * factor if capacity is None else capacity
+                if floor is not None and to_capacity < floor:
+                    continue
+                link.capacity = to_capacity
+                scales.append(1.0 / factor if capacity is None else old / to_capacity)
+            if sets_loss:
+                value = link._loss_rate
+                if loss is not None:
+                    losses.append(value)
+                    value = loss[i] if per_loss else loss
+                if remove:
+                    value = _clamp_loss(1.0 - (1.0 - value) / (1.0 - remove))
+                if overlay:
+                    value = _clamp_loss(1.0 - (1.0 - value) * (1.0 - overlay))
+                link.loss_rate = value
+            if delay is not None:
+                delays.append(link._delay)
+                link.delay = delay[i] if per_delay else delay
+            written.append(link)
+        undo = {"link": written}
+        if sets_capacity:
+            undo["scale"] = scales
+        if loss is not None:
+            undo["loss"] = losses
+        elif sets_loss:
+            undo["remove"], undo["overlay"] = overlay, remove
+        if delay is not None:
+            undo["delay"] = delays
+        inverse.append(undo)
+    return inverse
 
 
 class Link:
@@ -174,32 +232,6 @@ class Link:
         self._loss_rate = value
         if self.on_condition_change is not None:
             self.on_condition_change(self)
-
-    @property
-    def conditions(self):
-        """The current :class:`LinkConditions` value view."""
-        return LinkConditions(self._capacity, self._loss_rate, self._delay)
-
-    def set_conditions(self, capacity=None, loss_rate=None, delay=None):
-        """Set any subset of the link's conditions in one call.
-
-        Each provided knob goes through its property setter, so change
-        callbacks fire per mutated field (and not at all for no-op
-        writes).  Scenario code — trace replay in particular — uses this
-        as the single actuation point for multi-knob events.
-        """
-        if capacity is not None:
-            self.capacity = capacity
-        if loss_rate is not None:
-            self.loss_rate = loss_rate
-        if delay is not None:
-            self.delay = delay
-
-    def scale_capacity(self, factor):
-        """Multiply capacity by ``factor`` (used by dynamic scenarios)."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be > 0, got {factor}")
-        self.capacity = self._capacity * factor
 
     def __repr__(self):
         return (

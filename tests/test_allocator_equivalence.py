@@ -18,7 +18,7 @@ from repro.harness.experiment import run_experiment
 from repro.harness.registry import SCENARIOS, SYSTEMS
 from repro.sim.engine import Simulator
 from repro.sim.flow_models import AutorateModel, BbrModel
-from repro.sim.links import Link
+from repro.sim.links import Link, apply
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 
@@ -96,9 +96,8 @@ def _install(sim, net, links, flows, ops):
                 setattr(link, attr, value)
             sim.schedule_at(op[0], set_attr)
         else:
-            def scale(link=links[op[2]], factor=op[3]):
-                link.scale_capacity(factor)
-            sim.schedule_at(op[0], scale)
+            row = {"link": links[op[2]], "scale": op[3]}
+            sim.schedule_at(op[0], apply, None, [row])
 
 
 def _assert_twins_agree(seed, model_cls=None, conditions=False):
@@ -258,7 +257,7 @@ def test_incremental_skips_clean_components():
 
     # Churn only the left component.
     for i in range(5):
-        sim.schedule(0.1 * i, left.scale_capacity, 0.5)
+        sim.schedule(0.1 * i, apply, None, [{"link": left, "scale": 0.5}])
     sim.run(until=2.0)
     assert f_left.rate == 1000.0 * 0.5**5
     assert f_right.rate == 1000.0
@@ -279,7 +278,7 @@ def test_full_mode_refills_everything():
     net.activate(f_right)
     sim.run(until=1.0)
     baseline = net.flows_allocated
-    sim.schedule(0.0, left.scale_capacity, 0.5)
+    sim.schedule(0.0, apply, None, [{"link": left, "scale": 0.5}])
     sim.run(until=2.0)
     # Both components re-filled even though only one changed.
     assert net.flows_allocated - baseline == 2

@@ -2,8 +2,10 @@
 
 Covers the three layers the engine spans:
 
-- :class:`repro.sim.links.Link` — the ``LinkConditions`` view, the
-  loss/delay setters, and the split change callbacks;
+- :class:`repro.sim.links.Link` — the loss/delay setters and the split
+  change callbacks, written only through :func:`repro.sim.links.apply`
+  (its rows, its inverse rows, and an AST fence that finds no other
+  link write under ``src/``);
 - :class:`repro.sim.tcp.FlowNetwork` — eager refresh of active flows,
   lazy (epoch-stamped) refresh of idle ones, and reallocation on loss
   changes;
@@ -15,6 +17,7 @@ the new engine is byte-identical to the goldens recorded before the
 engine existed.
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -23,28 +26,128 @@ from repro.harness.experiment import run_experiment
 from repro.harness.registry import SYSTEMS
 from repro.harness.sweep import StoreView
 from repro.sim.engine import Simulator
-from repro.sim.links import Link, LinkConditions
+from repro.sim.links import Link, apply
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix.jsonl"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+#: The one module allowed to write a link's conditions.
+WRITE_MODULE = "repro/sim/links.py"
+
+
+def _conditions(link):
+    return (link.capacity, link.loss_rate, link.delay)
+
+
+def _link_writes():
+    """Every write of a link condition, or use of the loss-overlay
+    helpers, under ``src/`` outside :data:`WRITE_MODULE`."""
+    conditions = ("capacity", "loss_rate", "delay")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module == WRITE_MODULE:
+            continue
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                hits = [
+                    t
+                    for t in targets
+                    if isinstance(t, ast.Attribute) and t.attr in conditions
+                ]
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                name = name or getattr(node, "name", None)
+                hits = [node] if name in ("_overlay_loss", "_remove_loss") else []
+            for hit in hits:
+                found.append((module, ast.get_source_segment(text, hit)))
+    return found
+
+
+class TestApply:
+    def test_src_writes_links_only_through_apply(self):
+        assert _link_writes() == []
+
+    def test_columns_and_their_inverse(self):
+        link = Link("x", capacity=1000.0, delay=0.05, loss_rate=0.01)
+        undo = apply(None, [{"link": link, "capacity": 250.0, "loss": 0.02}])
+        assert _conditions(link) == (250.0, 0.02, 0.05)
+        assert undo == [{"link": [link], "scale": [4.0], "loss": [0.01]}]
+        undo = apply(None, [{"link": [link], "scale": 0.5, "delay": 0.1}])
+        assert _conditions(link) == (125.0, 0.02, 0.1)
+        assert undo == [{"link": [link], "scale": [2.0], "delay": [0.05]}]
+        apply(None, undo)
+        assert _conditions(link) == (250.0, 0.02, 0.05)
+
+    def test_capacity_inverse_keeps_a_concurrent_scale(self):
+        link = Link("x", capacity=1000.0)
+        undo = apply(None, [{"link": link, "capacity": 10.0}])
+        apply(None, [{"link": link, "scale": 0.5}])
+        apply(None, undo)
+        assert link.capacity == 500.0
+
+    def test_floor_skips_the_link_and_its_inverse(self):
+        high = Link("high", capacity=1000.0)
+        low = Link("low", capacity=100.0)
+        row = {"link": [high, low], "scale": 0.5, "floor": 200.0}
+        assert apply(None, [row]) == [{"link": [high], "scale": [2.0]}]
+        assert (high.capacity, low.capacity) == (500.0, 100.0)
+
+    def test_overlay_swap_is_one_write_and_inverts(self):
+        link = Link("x", capacity=1000.0, loss_rate=0.1)
+        seen = []
+        link.on_condition_change = seen.append
+        undo = apply(None, [{"link": link, "overlay": 0.5}])
+        assert link.loss_rate == pytest.approx(0.55)
+        assert undo == [{"link": [link], "remove": 0.5, "overlay": None}]
+        swap = apply(None, [{"link": link, "remove": 0.5, "overlay": 0.2}])
+        assert link.loss_rate == pytest.approx(0.28)
+        assert seen == [link, link]
+        apply(None, swap + undo)
+        assert link.loss_rate == pytest.approx(0.1)
+
+    def test_per_link_lists_and_write_order(self):
+        a = Link("a", capacity=100.0)
+        b = Link("b", capacity=200.0)
+        undo = apply(None, [{"link": [a, b], "scale": [2.0, 0.5]}])
+        assert undo == [{"link": [a, b], "scale": [0.5, 2.0]}]
+        order = []
+        for link in (a, b):
+            link.on_capacity_change = lambda x: order.append((x.name, "capacity"))
+            link.on_condition_change = lambda x: order.append((x.name, "condition"))
+        row = {"link": [a, b], "scale": [2.0, 0.25], "loss": 0.1, "delay": 0.3}
+        apply(None, [row])
+        assert (a.capacity, b.capacity) == (400.0, 25.0)
+        assert order == [
+            ("a", "capacity"),
+            ("a", "condition"),
+            ("a", "condition"),
+            ("b", "capacity"),
+            ("b", "condition"),
+            ("b", "condition"),
+        ]
+
+    def test_targets_name_core_links(self):
+        topology = mesh_topology(3, seed=1)
+        cores = [link for _pair, link in sorted(topology.core.items())]
+        undo = topology.apply(
+            [
+                {"link": "*", "scale": 0.5},
+                {"link": "0->1", "delay": 0.5},
+                {"link": "7->1", "capacity": 1.0},
+            ]
+        )
+        assert [row["link"] for row in undo] == [cores, [topology.core[(0, 1)]], []]
+        assert all(link.capacity == 125_000.0 for link in cores)
+        assert topology.core[(0, 1)].delay == 0.5
+        with pytest.raises(ValueError, match="malformed link key"):
+            topology.apply([{"link": "0-1", "scale": 0.5}])
 
 
 class TestLinkConditions:
-    def test_conditions_view(self):
-        link = Link("x", capacity=1000.0, delay=0.05, loss_rate=0.01)
-        assert link.conditions == LinkConditions(1000.0, 0.01, 0.05)
-        assert link.conditions.capacity == 1000.0
-        assert link.conditions.loss_rate == 0.01
-        assert link.conditions.delay == 0.05
-
-    def test_set_conditions_partial(self):
-        link = Link("x", capacity=1000.0)
-        link.set_conditions(loss_rate=0.02)
-        assert link.conditions == LinkConditions(1000.0, 0.02, 0.0)
-        link.set_conditions(capacity=500.0, delay=0.1)
-        assert link.conditions == LinkConditions(500.0, 0.02, 0.1)
-
     def test_setter_validation(self):
         link = Link("x", capacity=1000.0)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.links import Link
+from repro.sim.links import Link, apply
 from repro.sim.tcp import FlowNetwork, TcpModel
 
 
@@ -34,10 +34,10 @@ class TestLink:
 
     def test_scale_capacity(self):
         link = Link("x", capacity=100)
-        link.scale_capacity(0.5)
+        apply(None, [{"link": link, "scale": 0.5}])
         assert link.capacity == 50
         with pytest.raises(ValueError):
-            link.scale_capacity(0)
+            apply(None, [{"link": link, "scale": 0}])
 
 
 class TestTcpModel:

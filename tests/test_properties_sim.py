@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.links import Link
+from repro.sim.links import Link, apply
 from repro.sim.tcp import FlowNetwork
 
 
@@ -88,6 +88,6 @@ def test_capacity_cuts_propagate_to_rates(seed, cuts):
     net.activate(flow)
     sim.run(until=10.0)
     for i, factor in enumerate(cuts):
-        sim.schedule(1.0, lambda f=factor: link.scale_capacity(f))
+        sim.schedule(1.0, apply, None, [{"link": link, "scale": factor}])
         sim.run(until=sim.now + 5.0)
         assert abs(flow.rate - link.capacity) < 1e-6 * link.capacity
