@@ -227,7 +227,7 @@ def _run_command(argv):
     elapsed = time.time() - started
     summary = result.summary()
     failed_nodes = sorted(result.failed_nodes)
-    fault_counters = result.extra_perf
+    fault_counters = result.trace.counters
     invariant_report = (
         result.invariants.report() if result.invariants is not None else None
     )

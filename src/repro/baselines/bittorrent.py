@@ -105,15 +105,14 @@ class _PeerState:
 class BitTorrentNode(OverlayProtocol):
     """One swarm participant (the source node is the initial seed)."""
 
-    def __init__(self, network, node_id, tracker, source_id, config, trace=None):
+    def __init__(self, network, node_id, tracker, source_id, config, trace):
         super().__init__(network, node_id, trace)
         self.config = config
         self.tracker = tracker
         self.source_id = source_id
-        self.is_seed_origin = node_id == source_id
         self.rng = split_rng(config.seed, f"bt.{node_id}")
         self.state = DownloadState(config.num_blocks)
-        if self.is_seed_origin:
+        if node_id == source_id:
             for block in range(config.num_blocks):
                 self.state.add(block)
         self.peers = {}  # conn -> _PeerState
@@ -122,18 +121,12 @@ class BitTorrentNode(OverlayProtocol):
         self.rarity = {}  # block -> count of peers having it
         self._rechoke_count = 0
         self._optimistic_peer = None
-        self.completed_at = None
-        self.stats = {"duplicate_blocks": 0, "have_messages": 0, "blocks_served": 0}
+        self.stats = {"have_messages": 0, "blocks_served": 0}
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self):
-        if self.trace is not None:
-            self.trace.node_started(self.node_id)
-        if self.is_seed_origin and self.state.complete:
-            if self.trace is not None:
-                self.trace.completed(self.node_id)
-            self.completed_at = self.sim.now
+        super().start()
         self._announce()
         self.periodic(ANNOUNCE_PERIOD, self._announce_tick)
         self.periodic(RECHOKE_PERIOD, self._rechoke, jitter_rng=self.rng)
@@ -349,19 +342,9 @@ class BitTorrentNode(OverlayProtocol):
             state.outstanding.discard(block)
             self.requested.discard(block)
             self._peer_gained(state, block)
-        fresh = self.state.add(block)
-        if not fresh:
-            self.stats["duplicate_blocks"] += 1
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block, duplicate=True)
-        else:
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block)
+        if self.receive(block):
             self._broadcast_have(block)
-            if self.state.complete and self.completed_at is None:
-                self.completed_at = self.sim.now
-                if self.trace is not None:
-                    self.trace.completed(self.node_id)
+            if self.latch_completion():
                 self._become_seed()
         if state is not None:
             self._pump(state)

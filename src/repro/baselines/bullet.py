@@ -68,7 +68,7 @@ class _SenderState:
 class BulletNode(OverlayProtocol):
     """One participant of the original Bullet overlay."""
 
-    def __init__(self, network, node_id, tree, source_id, config, trace=None):
+    def __init__(self, network, node_id, tree, source_id, config, trace):
         super().__init__(network, node_id, trace)
         self.config = config
         self.tree = tree
@@ -93,14 +93,12 @@ class BulletNode(OverlayProtocol):
             seed=config.seed,
         )
         self._generated = 0
-        self.completed_at = None
-        self.stats = {"duplicate_blocks": 0, "digests_sent": 0, "blocks_served": 0}
+        self.stats = {"digests_sent": 0, "blocks_served": 0}
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self):
-        if self.trace is not None:
-            self.trace.node_started(self.node_id)
+        super().start()
         parent = self.tree.parent_of(self.node_id)
         if parent is not None:
             self.connect(parent, self._parent_connected)
@@ -324,19 +322,10 @@ class BulletNode(OverlayProtocol):
             self._pump(sender)
 
     def _ingest(self, block):
-        fresh = self.state.add(block)
-        if not fresh:
-            self.stats["duplicate_blocks"] += 1
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block, duplicate=True)
+        if not self.receive(block):
             return
         self.arrival_order.append(block)
-        if self.trace is not None:
-            self.trace.block_received(self.node_id, block)
-        if self.state.complete and self.completed_at is None:
-            self.completed_at = self.sim.now
-            if self.trace is not None:
-                self.trace.completed(self.node_id)
+        if self.latch_completion():
             for conn in list(self.senders):
                 conn.close()
             self.senders.clear()

@@ -108,7 +108,7 @@ def build_stripe_forest(nodes, source, num_stripes, max_fanout, seed=0):
 class SplitStreamNode(OverlayProtocol):
     """One forest participant."""
 
-    def __init__(self, network, node_id, forest, source_id, config, trace=None):
+    def __init__(self, network, node_id, forest, source_id, config, trace):
         super().__init__(network, node_id, trace)
         self.config = config
         self.forest = forest
@@ -132,14 +132,12 @@ class SplitStreamNode(OverlayProtocol):
         #: stripe stalls here while its slowest child has no room).
         self._stripe_backlog = {}
         self._generated = 0
-        self.completed_at = None
-        self.stats = {"duplicate_blocks": 0, "blocks_forwarded": 0, "stalls": 0}
+        self.stats = {"blocks_forwarded": 0, "stalls": 0}
 
     # -- lifecycle --------------------------------------------------------------
 
     def start(self):
-        if self.trace is not None:
-            self.trace.node_started(self.node_id)
+        super().start()
         # Children open one connection per stripe tree they belong to —
         # the stripe trees are independent overlays with their own TCP
         # connections, so one stripe's backlog cannot starve another's.
@@ -264,23 +262,14 @@ class SplitStreamNode(OverlayProtocol):
     def on_ss_block(self, conn, message):
         block = message.payload["block"]
         stripe = message.payload["stripe"]
-        fresh = self.state.add(block)
-        if not fresh:
-            self.stats["duplicate_blocks"] += 1
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block, duplicate=True)
-        else:
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block)
+        if self.receive(block):
             self._stripe_counts[stripe] += 1
-            if self._all_stripes_complete() and self.completed_at is None:
-                self.completed_at = self.sim.now
-                if self.trace is not None:
-                    self.trace.completed(self.node_id)
+            self.latch_completion()
         if self.stripe_children.get(stripe):
             self._multicast(stripe, block)
 
-    def _all_stripes_complete(self):
+    def download_complete(self):
+        # Per stripe: enough blocks overall is not enough (see __init__).
         return all(
             count >= self._stripe_required for count in self._stripe_counts
         )

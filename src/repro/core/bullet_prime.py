@@ -250,7 +250,7 @@ class _ReceiverState:
 class BulletPrimeNode(OverlayProtocol):
     """One Bullet' participant."""
 
-    def __init__(self, network, node_id, tree, source_id, config, trace=None):
+    def __init__(self, network, node_id, tree, source_id, config, trace):
         super().__init__(network, node_id, trace)
         self.config = config
         self.tree = tree
@@ -300,6 +300,8 @@ class BulletPrimeNode(OverlayProtocol):
         )
 
         self.pusher = None
+        # An unencoded source holds the full file but only advertises
+        # through RanSub once the file has entered the system.
         self.source_advertised = False
         if self.is_source:
             self._init_source()
@@ -307,9 +309,7 @@ class BulletPrimeNode(OverlayProtocol):
         self._last_epoch_time = 0.0
         self._epoch_incoming_bw = 0.0
         self._epoch_outgoing_bw = 0.0
-        self.completed_at = None
         self.stats = {
-            "duplicate_blocks": 0,
             "requests_sent": 0,
             "diffs_sent": 0,
             "blocks_served": 0,
@@ -338,10 +338,6 @@ class BulletPrimeNode(OverlayProtocol):
                 window=SOURCE_PUSH_WINDOW,
                 on_pass_complete=self._source_pass_complete,
             )
-        if not self.config.encoded:
-            # The source holds the full file but only advertises through
-            # RanSub once the file has entered the system.
-            self.source_advertised = False
 
     def _source_generated(self, block):
         # Encoded mode: each generated block becomes servable.
@@ -352,17 +348,12 @@ class BulletPrimeNode(OverlayProtocol):
         self.source_advertised = True
 
     def start(self):
-        if self.trace is not None:
-            self.trace.node_started(self.node_id)
+        super().start()
         self._tree_attach = self.tree.parent_of(self.node_id)
         if self._tree_attach is not None:
             self._connect_tree(self._tree_attach)
         if self.node_id == self.tree.root:
             self.ransub.start_root()
-        if self.is_source and self.state.complete:
-            if self.trace is not None:
-                self.trace.completed(self.node_id)
-            self.completed_at = self.sim.now
 
     def _connect_tree(self, target):
         # With detection armed, a handshake to a crashed ancestor must
@@ -377,7 +368,7 @@ class BulletPrimeNode(OverlayProtocol):
 
     def _tree_connect_timed_out(self):
         self._tree_connecting = False
-        self.failure_stats["suspects"] += 1
+        self.trace.counters["fd_suspects"] += 1
         self._repair_tree()
 
     def _tree_parent_connected(self, conn):
@@ -391,7 +382,7 @@ class BulletPrimeNode(OverlayProtocol):
         self.ransub.parent_conn = conn
         if self._fd_rejoin_pending:
             self._fd_rejoin_pending = False
-            self.failure_stats["rejoins"] += 1
+            self.trace.counters["fd_rejoins"] += 1
         conn.send(
             Message("bp_tree_hello", payload={"node": self.node_id}, size=16)
         )
@@ -513,7 +504,7 @@ class BulletPrimeNode(OverlayProtocol):
             # Retry round: re-send every outstanding request and back off.
             sender.fd_retries += 1
             sender.timeouts += 1
-            self.failure_stats["retries"] += 1
+            self.trace.counters["fd_retries"] += 1
             for block in sorted(sender.outstanding):
                 conn.send(
                     Message(
@@ -533,7 +524,7 @@ class BulletPrimeNode(OverlayProtocol):
         # Only a sender that still lists a released block can re-request
         # it; one that compacted it away while it was in flight cannot
         # (see core/request.py), so most orphans wait for a new peer.
-        self.failure_stats["suspects"] += 1
+        self.trace.counters["fd_suspects"] += 1
         self._orphaned.update(sender.outstanding)
         self._drop_sender(conn, initiated=True)
 
@@ -546,7 +537,7 @@ class BulletPrimeNode(OverlayProtocol):
         # No distribute wave for several epochs: the parent (or the path
         # above it) is dead.  Self-close never invokes connection_closed
         # locally, so detach bookkeeping happens here before climbing.
-        self.failure_stats["suspects"] += 1
+        self.trace.counters["fd_suspects"] += 1
         self.ransub.last_distribute_at = self.sim.now
         conn = self._tree_parent_conn
         if conn is not None and not conn.closed:
@@ -689,7 +680,7 @@ class BulletPrimeNode(OverlayProtocol):
     def _sender_connect_timed_out(self, peer):
         # RanSub advertised a peer that died before we reached it.
         self._pending_senders.discard(peer)
-        self.failure_stats["suspects"] += 1
+        self.trace.counters["fd_suspects"] += 1
 
     def _estimate_useful(self, summary):
         """Expected count of blocks this candidate has that we want."""
@@ -717,7 +708,7 @@ class BulletPrimeNode(OverlayProtocol):
             QUARANTINE_MAX,
         )
         self._quarantine[peer] = [level, self.sim.now + hold, 0]
-        self.failure_stats["quarantines"] += 1
+        self.trace.counters["gray_quarantines"] += 1
 
     def _update_quarantine(self):
         """Per-epoch quarantine bookkeeping (gray detection armed only).
@@ -920,7 +911,7 @@ class BulletPrimeNode(OverlayProtocol):
             # re-probe.  Probation starts — the record (and its backoff
             # level) only clears after consecutive clean epochs.
             record[2] = QUARANTINE_PROBATION
-            self.failure_stats["reprobes"] += 1
+            self.trace.counters["gray_reprobes"] += 1
         have = self.arrival_order if not self.config.encoded else list(self.state.blocks())
         conn.send(
             Message(
@@ -990,7 +981,7 @@ class BulletPrimeNode(OverlayProtocol):
         salvage path a dead sender's in-flight blocks take.  The sender
         is charged a corruption offense toward quarantine.
         """
-        self.failure_stats["corrupt_detected"] += 1
+        self.trace.counters["gray_corrupt_detected"] += 1
         sender = self.senders.get(conn)
         if sender is not None and not pushed:
             # The path is alive (bytes crossed the wire); only the data
@@ -1016,16 +1007,10 @@ class BulletPrimeNode(OverlayProtocol):
             self._pump_sender(conn)
 
     def _ingest_block(self, block):
-        fresh = self.state.add(block)
-        if not fresh:
-            self.stats["duplicate_blocks"] += 1
-            if self.trace is not None:
-                self.trace.block_received(self.node_id, block, duplicate=True)
+        if not self.receive(block):
             return
         self.arrival_order.append(block)
         self.avail.ingested(block)
-        if self.trace is not None:
-            self.trace.block_received(self.node_id, block)
         # Self-clocked diffs: receivers with an idle request pipeline (or
         # an explicit ask outstanding) hear about new availability now.
         # ``pipe_idle`` is pushed by the channel's low-watermark event,
@@ -1037,10 +1022,7 @@ class BulletPrimeNode(OverlayProtocol):
                 continue
             if receiver.pipe_idle or receiver.tracker.pending_request:
                 self._send_diff(receiver)
-        if self.state.complete and self.completed_at is None:
-            self.completed_at = self.sim.now
-            if self.trace is not None:
-                self.trace.completed(self.node_id)
+        if self.latch_completion():
             self._download_finished()
 
     def _download_finished(self):
@@ -1069,7 +1051,7 @@ class BulletPrimeNode(OverlayProtocol):
                 # A block a dead sender owed us, now re-requested from an
                 # alternate peer.
                 self._orphaned.discard(block)
-                self.failure_stats["rerequests"] += 1
+                self.trace.counters["fd_rerequests"] += 1
             if sender.marked_block == "next":
                 sender.marked_block = block
             self.stats["requests_sent"] += 1

@@ -11,7 +11,6 @@ import gc
 
 from repro.common.rng import split_rng
 from repro.harness.faults import FaultInjector, LivenessWatchdog
-from repro.overlay.node import FAILURE_COUNTERS
 from repro.overlay.tree import build_random_tree
 from repro.scenarios.base import Scenario, ScenarioContext
 from repro.sim.engine import Simulator
@@ -20,6 +19,9 @@ from repro.sim.trace import TraceCollector
 from repro.sim.transport import Network
 
 __all__ = ["ExperimentResult", "run_experiment"]
+
+#: Simulated seconds between checks that every survivor has completed.
+CHECK_PERIOD = 1.0
 
 
 def _resolve_scenario(scenario):
@@ -56,7 +58,8 @@ def _resolve_flow_model(flow_model):
 class ExperimentResult:
     """Everything a figure needs from one run."""
 
-    def __init__(self, trace, nodes, sim, finished, flows=None, extra_perf=None):
+    def __init__(self, trace, nodes, sim, finished, flows=None, source_id=None,
+                 failed_nodes=frozenset(), watchdog=None, invariants=None):
         self.trace = trace
         self.nodes = nodes
         self.sim = sim
@@ -65,10 +68,12 @@ class ExperimentResult:
         #: The :class:`~repro.sim.tcp.FlowNetwork` the run used (for
         #: allocator perf counters; may be None for hand-built results).
         self.flows = flows
-        #: Harness-level counters merged into :meth:`perf_stats` — the
-        #: failure-handling totals (detector retries/suspects, block
-        #: re-requests, tree rejoins) and whether the watchdog fired.
-        self.extra_perf = extra_perf
+        self.source_id = source_id
+        #: Nodes down at the end of the run.
+        self.failed_nodes = failed_nodes
+        self.watchdog = watchdog
+        #: The :class:`~repro.harness.invariants.InvariantChecker`, if any.
+        self.invariants = invariants
 
     def completion_cdf(self):
         return self.trace.completion_cdf()
@@ -76,11 +81,10 @@ class ExperimentResult:
     @property
     def receiver_completion_times(self):
         """Completion times of non-source nodes, as a sorted list."""
-        source = getattr(self, "source_id", None)
         return sorted(
             t
             for node, t in self.trace.completion_times.items()
-            if node != source
+            if node != self.source_id
         )
 
     def perf_stats(self):
@@ -89,12 +93,12 @@ class ExperimentResult:
         same-instant batching, heap compactions — plus the allocator's
         pass/component statistics) — wall-clock time deliberately
         excluded so summaries stay bit-identical across machines and
-        runs."""
+        runs.  The run's failure counters (``trace.counters``) close
+        the dict."""
         stats = dict(self.sim.perf_stats())
         if self.flows is not None:
             stats.update(self.flows.perf_stats())
-        if self.extra_perf:
-            stats.update(self.extra_perf)
+        stats.update(self.trace.counters)
         return stats
 
     def summary(self):
@@ -135,7 +139,6 @@ def run_experiment(
     max_time=3600.0,
     tree_fanout=4,
     seed=0,
-    check_period=1.0,
     flow_allocator="incremental",
     flow_model=None,
     watchdog_window=60.0,
@@ -265,7 +268,7 @@ def run_experiment(
             return False
         return True
 
-    sim.schedule_periodic(check_period, check_done)
+    sim.schedule_periodic(CHECK_PERIOD, check_done)
     # The event core recycles its hot objects (timers via the pool,
     # messages by refcount), so cyclic garbage accrues only from slow
     # structures like connection pairs.  Suspending the collector for
@@ -282,20 +285,14 @@ def run_experiment(
     finished = not injector.pending_restarts and all(
         r in trace.completion_times for r in survivors()
     )
-    extra_perf = dict.fromkeys(FAILURE_COUNTERS.values(), 0)
-    per_node = [node.failure_stats for node in nodes.values()]
-    for stats in (*per_node, injector.salvaged_stats):
-        for key, value in stats.items():
-            extra_perf[FAILURE_COUNTERS[key]] += value
-    adversity = injector.adversity
-    extra_perf["gray_dup_dropped"] = adversity.stats["dup_dropped"] if adversity else 0
-    extra_perf["gray_reordered"] = adversity.stats["reordered"] if adversity else 0
-    extra_perf["watchdog_fired"] = 1 if watchdog.fired else 0
-    result = ExperimentResult(
-        trace, nodes, sim, finished, flows=flows, extra_perf=extra_perf
+    return ExperimentResult(
+        trace,
+        nodes,
+        sim,
+        finished,
+        flows=flows,
+        source_id=source_id,
+        failed_nodes=injector.failed,
+        watchdog=watchdog,
+        invariants=checker,
     )
-    result.source_id = source_id
-    result.failed_nodes = injector.failed
-    result.watchdog = watchdog
-    result.invariants = checker
-    return result

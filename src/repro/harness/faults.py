@@ -24,6 +24,10 @@ which enables checksum verification and sender quarantine.  The split
 matters because gray responses change protocol behavior beyond crash
 detection; arming them under plain crash scenarios would perturb the
 recorded crash/chaos timelines.
+
+Nothing here keeps a count of its own: the watchdog, the message
+adversity and the nodes write the run's ``trace.counters``, which
+outlive a restarted node and a disarmed adversity alike.
 """
 
 __all__ = ["FaultInjector", "LivenessWatchdog"]
@@ -35,9 +39,10 @@ class LivenessWatchdog:
     Progress is defined as a fresh block arriving *anywhere* in the
     experiment (``TraceCollector.last_arrival_time``).  Once armed, the
     watchdog checks twice per window; if no progress happened for a full
-    ``window`` simulated seconds it records the firing and stops the
-    simulation — the harness then reports ``finished=False`` and
-    ``watchdog_fired=1`` instead of silently burning simulated hours.
+    ``window`` simulated seconds it counts the firing in
+    ``trace.counters`` and stops the simulation — the harness then reports
+    ``finished=False`` and ``watchdog_fired=1`` instead of silently burning
+    simulated hours.
     """
 
     def __init__(self, sim, trace, window=60.0):
@@ -49,7 +54,6 @@ class LivenessWatchdog:
         self.armed = False
         self.armed_at = None
         self.fired = False
-        self.fired_at = None
 
     def arm(self):
         """Start watching (idempotent); called by the fault injector."""
@@ -65,7 +69,7 @@ class LivenessWatchdog:
         progress = max(self.trace.last_arrival_time, self.armed_at)
         if self.sim.now - progress >= self.window:
             self.fired = True
-            self.fired_at = self.sim.now
+            self.trace.counters["watchdog_fired"] = 1
             self.sim.stop()
             return False
         return True
@@ -118,20 +122,12 @@ class FaultInjector:
         #: Node ids with a scheduled restart that has not happened yet;
         #: the harness keeps the run alive while this is non-empty.
         self.pending_restarts = set()
-        #: ``failure_stats`` salvaged from pre-crash node incarnations,
-        #: so restart does not lose their counter contributions.  Keys
-        #: mirror whatever the protocol's ``failure_stats`` carries.
-        self.salvaged_stats = {}
         self.armed = False
         self.gray_armed = False
         self._partition_active = False
         #: node_id -> (inverse rows of the uplink squeeze, stretch) while
         #: fail-slow degraded; applied by :meth:`restore_node`.
         self.degraded = {}
-        #: The run's :class:`~repro.sim.transport.MessageAdversity`, kept
-        #: here even after :meth:`disarm_adversity` so its counters
-        #: survive into the end-of-run summary.
-        self.adversity = None
 
     # -- arming ---------------------------------------------------------------
 
@@ -227,10 +223,6 @@ class FaultInjector:
         it, and it re-joins the overlay from scratch — re-peering and
         resuming the download exactly like a brand-new participant.
         """
-        old = self.nodes.get(node_id)
-        if old is not None:
-            for key, value in old.failure_stats.items():
-                self.salvaged_stats[key] = self.salvaged_stats.get(key, 0) + value
         self.network.endpoint(node_id).revive()
         node = self.nodes.rebuild(node_id)
         if self.invariants is not None:
@@ -387,25 +379,20 @@ class FaultInjector:
         from repro.sim.transport import MessageAdversity
 
         self.arm_gray()
-        adversity = MessageAdversity(
+        self.network.adversity = MessageAdversity(
             self.sim,
             rng,
+            self.trace.counters,
             duplicate=duplicate,
             reorder=reorder,
             reorder_window=reorder_window,
             corrupt=corrupt,
         )
-        if self.adversity is not None:
-            # A disarm/re-arm cycle: carry the counters forward so the
-            # end-of-run totals span every adversity window.
-            adversity.stats = self.adversity.stats
-        self.adversity = adversity
-        self.network.adversity = adversity
         return True
 
     def disarm_adversity(self):
-        """Stop perturbing messages; counters remain readable on
-        ``self.adversity``.  Returns False when nothing was armed."""
+        """Stop perturbing messages (its counts stay in
+        ``trace.counters``).  Returns False when nothing was armed."""
         if self.network.adversity is None:
             return False
         self.network.adversity = None

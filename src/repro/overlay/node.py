@@ -3,27 +3,14 @@
 :class:`OverlayProtocol` plays the role MACEDON played for the paper's
 implementation: it wires one node's protocol logic to the simulator —
 message dispatch by ``kind``, timers, connection management — so the
-protocol modules contain only algorithm code.
+protocol modules contain only algorithm code.  It is also the one place
+a node reports to its run's trace: the start, every block received (new
+or duplicate) and the completion, latched once.
 """
 
 from repro.common.params import Configurable
 
-__all__ = ["FAILURE_COUNTERS", "OverlayProtocol", "SystemConfig"]
-
-#: ``OverlayProtocol.failure_stats`` key -> the ``summary()["perf"]``
-#: counter the harness sums it into.  The ``fd_*`` ones move once fault
-#: detection is armed; the ``gray_*`` ones (quarantines, re-probes,
-#: corruption detections) further require *gray* detection (see
-#: :meth:`OverlayProtocol.gray_detection_started`).
-FAILURE_COUNTERS = {
-    "retries": "fd_retries",
-    "suspects": "fd_suspects",
-    "rerequests": "fd_rerequests",
-    "rejoins": "fd_rejoins",
-    "quarantines": "gray_quarantines",
-    "reprobes": "gray_reprobes",
-    "corrupt_detected": "gray_corrupt_detected",
-}
+__all__ = ["OverlayProtocol", "SystemConfig"]
 
 
 class SystemConfig(Configurable):
@@ -46,7 +33,7 @@ class OverlayProtocol:
     :meth:`schedule` and :meth:`periodic` for I/O and timers.
     """
 
-    def __init__(self, network, node_id, trace=None):
+    def __init__(self, network, node_id, trace):
         self.network = network
         self.sim = network.sim
         self.node_id = node_id
@@ -57,9 +44,8 @@ class OverlayProtocol:
         self._timers = []
         self.stopped = False
         self.crashed = False
-        #: Failure-handling work done by this node (all zeros unless
-        #: fault detection was armed at some point during the run).
-        self.failure_stats = dict.fromkeys(FAILURE_COUNTERS, 0)
+        #: Simulated time the download completed (see :meth:`latch_completion`).
+        self.completed_at = None
 
     # -- wiring ----------------------------------------------------------------
 
@@ -92,10 +78,38 @@ class OverlayProtocol:
         conn.on_close = self._closed
         self.accepted(conn)
 
+    # -- reporting ---------------------------------------------------------------
+
+    def receive(self, block):
+        """Add ``block`` to ``self.state`` and report it to the trace as an
+        arrival or a duplicate; returns True when the block was new."""
+        if self.state.add(block):
+            self.trace.block_received(self.node_id, block)
+            return True
+        self.trace.block_received(self.node_id, block, duplicate=True)
+        return False
+
+    def latch_completion(self):
+        """Record completion the first time :meth:`download_complete`
+        holds; returns True only on that call."""
+        if self.completed_at is not None or not self.download_complete():
+            return False
+        self.completed_at = self.sim.now
+        self.trace.completed(self.node_id)
+        return True
+
     # -- overridables ------------------------------------------------------------
 
     def start(self):
-        """Begin protocol operation (called once by the harness)."""
+        """Begin protocol operation (called once by the harness).
+        Subclasses call this first: it reports the node to the trace and
+        latches a node that starts complete (a source holding the file)."""
+        self.trace.node_started(self.node_id)
+        self.latch_completion()
+
+    def download_complete(self):
+        """Whether this node holds enough to call its download done."""
+        return self.state.complete
 
     def accepted(self, conn):
         """An inbound connection was established."""

@@ -2,13 +2,24 @@
 
 The collector records, per node: completion time, every block arrival
 (for the Figure 13 inter-arrival analysis), duplicate block receipts,
-and control-byte overhead.  It is deliberately passive — protocols call
-``block_received`` / ``completed`` and the harness reads the results.
+and control-byte overhead; per run: the failure counters of
+:data:`RUN_COUNTERS`.  It is deliberately passive — nodes report
+through :class:`~repro.overlay.node.OverlayProtocol`, each counter has
+one writer, and the harness reads the results.
 """
 
 from repro.common.stats import Cdf, ordered_sum
 
-__all__ = ["TraceCollector"]
+__all__ = ["RUN_COUNTERS", "TraceCollector"]
+
+#: ``TraceCollector.counters``: the run's failure counters under their
+#: ``summary()["perf"]`` names, in that order, each with one writer.
+RUN_COUNTERS = (
+    "fd_retries", "fd_suspects", "fd_rerequests", "fd_rejoins",  # Bullet' nodes
+    "gray_quarantines", "gray_reprobes", "gray_corrupt_detected",  # Bullet' nodes
+    "gray_dup_dropped", "gray_reordered",  # MessageAdversity
+    "watchdog_fired",  # LivenessWatchdog
+)
 
 
 class TraceCollector:
@@ -21,7 +32,8 @@ class TraceCollector:
         self.block_arrivals = {}
         self.duplicate_blocks = {}
         self.control_bytes = {}
-        self.data_bytes = {}
+        #: Run-wide: a count outlives the node or adversity that made it.
+        self.counters = dict.fromkeys(RUN_COUNTERS, 0)
         self.start_time = sim.now
         #: Simulated time of the most recent fresh block arrival anywhere
         #: in the experiment — the liveness watchdog's progress signal.
@@ -31,7 +43,6 @@ class TraceCollector:
         self.block_arrivals.setdefault(node_id, [])
         self.duplicate_blocks.setdefault(node_id, 0)
         self.control_bytes.setdefault(node_id, 0)
-        self.data_bytes.setdefault(node_id, 0)
 
     def block_received(self, node_id, block, duplicate=False):
         if duplicate:
@@ -47,9 +58,6 @@ class TraceCollector:
 
     def control_sent(self, node_id, nbytes):
         self.control_bytes[node_id] = self.control_bytes.get(node_id, 0) + nbytes
-
-    def data_sent(self, node_id, nbytes):
-        self.data_bytes[node_id] = self.data_bytes.get(node_id, 0) + nbytes
 
     def completed(self, node_id):
         if node_id not in self.completion_times:

@@ -75,13 +75,14 @@ class MessageAdversity:
     scenarios); ``None`` — the default — costs the delivery path a single
     attribute read, so fault-free timelines are untouched.  All draws come
     from one dedicated RNG stream, making the mischief a pure function of
-    the scenario seed.
+    the scenario seed.  It counts into ``counters``, the run's
+    ``TraceCollector.counters``, so counts outlive a disarm/re-arm.
 
     Semantics are deliberately TCP-shaped:
 
     - *Duplication* models a retransmitted segment whose original also
       arrived: the receiver's reliable transport absorbs the copy, so the
-      duplicate costs one delivery event and is counted (``dup_dropped``)
+      duplicate costs one delivery event and is counted (``gray_dup_dropped``)
       but never dispatched to a protocol.
     - *Reordering* adds a bounded extra delay to control messages (blocks
       already serialize through the flow's rate); the in-order contract
@@ -99,11 +100,12 @@ class MessageAdversity:
         "reorder",
         "reorder_window",
         "corrupt",
-        "stats",
+        "counters",
     )
 
     def __init__(
-        self, sim, rng, duplicate=0.0, reorder=0.0, reorder_window=0.5, corrupt=0.0
+        self, sim, rng, counters, duplicate=0.0, reorder=0.0, reorder_window=0.5,
+        corrupt=0.0,
     ):
         for name, value in (
             ("duplicate", duplicate),
@@ -122,12 +124,12 @@ class MessageAdversity:
         self.reorder = reorder
         self.reorder_window = reorder_window
         self.corrupt = corrupt
-        self.stats = {"dup_dropped": 0, "reordered": 0, "corrupted": 0}
+        self.counters = counters
 
     def _dup_absorbed(self):
         # The duplicate copy arrives and the receiver's transport drops
         # it — one event, one counter, no protocol dispatch.
-        self.stats["dup_dropped"] += 1
+        self.counters["gray_dup_dropped"] += 1
 
     def apply(self, message, delay):
         """Possibly perturb ``message``; returns its delivery delay."""
@@ -136,13 +138,12 @@ class MessageAdversity:
             self.sim.schedule(delay, self._dup_absorbed)
         if message.is_block:
             if self.corrupt > 0.0 and rng.random() < self.corrupt:
-                self.stats["corrupted"] += 1
                 payload = message.payload
                 if isinstance(payload, dict) and "csum" in payload:
                     payload["csum"] = payload["csum"] ^ 0x5A5A5A5A
         elif self.reorder > 0.0 and rng.random() < self.reorder:
             delay += rng.random() * self.reorder_window
-            self.stats["reordered"] += 1
+            self.counters["gray_reordered"] += 1
         return delay
 
 

@@ -97,9 +97,10 @@ class TestBitTorrentChoking:
 
 
 class TestSplitStreamBlocking:
-    def test_backlog_stalls_propagate(self):
-        # Build one node with two children on asymmetric links and check
-        # the stripe stalls at the slow child's pace (blocking multicast).
+    @staticmethod
+    def _throttled_stripe(until):
+        # One node with two children on asymmetric links: stripe 0
+        # feeds 1 (fast link) and 2 (20 KB/s link).
         sim = Simulator()
         topo = mesh_topology(4, seed=1, max_loss=0.0)
         # Throttle 0 -> 2 core link hard.
@@ -117,7 +118,12 @@ class TestSplitStreamBlocking:
         }
         for node in nodes.values():
             node.start()
-        sim.run(until=30.0)
+        sim.run(until=until)
+        return nodes, trace
+
+    def test_backlog_stalls_propagate(self):
+        # The stripe stalls at the slow child's pace (blocking multicast).
+        nodes, _trace = self._throttled_stripe(until=30.0)
         # Stripe 0 feeds both 1 (fast link) and 2 (20 KB/s link): the
         # blocking multicast holds the fast child to the slow child's
         # pace, and the whole stripe runs far behind stripe 1.
@@ -128,6 +134,17 @@ class TestSplitStreamBlocking:
         assert fast_s0 <= slow_s0 + splitstream.PUSH_WINDOW + 2
         # ~20 KB/s * 30 s / 16 KB ~ 37 blocks vs hundreds on stripe 1.
         assert fast_s1 > 4 * fast_s0
+
+    def test_a_lagging_stripe_holds_completion_back(self):
+        # Enough blocks overall is not completion: each stripe is its
+        # own fountain and must reach its own quota.
+        nodes, trace = self._throttled_stripe(until=20.0)
+        fast = nodes[1]
+        assert fast.state.complete
+        assert len(fast.state) == 317
+        assert fast._stripe_counts[0] == 26 < fast._stripe_required == 34
+        assert fast.completed_at is None
+        assert 1 not in trace.completion_times
 
     def test_stripe_recovers_when_backpressuring_child_dies(self):
         # A stripe stalled on one slow child must resume when that child

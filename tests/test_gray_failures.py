@@ -18,7 +18,9 @@ from repro.harness.faults import FaultInjector, LivenessWatchdog
 from repro.harness.registry import SCENARIOS
 from repro.harness.systems import bullet_prime_factory
 from repro.scenarios.failures import Adversarial, FailSlow, Flaky, GrayChaos
+from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
+from repro.sim.trace import TraceCollector
 from repro.sim.transport import MessageAdversity
 
 N = 8
@@ -125,14 +127,11 @@ class TestInjectorActuators:
         flows = tcp.FlowNetwork(sim)
         network = transport.Network(sim, topology, flows)
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
-        nodes = bullet_prime_factory(num_blocks=4, seed=1)(
-            network, tree, 0, None
-        )
-        watchdog = LivenessWatchdog(
-            sim, type("T", (), {"last_arrival_time": 0.0})()
-        )
+        trace = TraceCollector(sim, num_blocks=4)
+        nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)
+        watchdog = LivenessWatchdog(sim, trace)
         return sim, topology, FaultInjector(
-            sim, network, topology, nodes, None, 0, watchdog=watchdog
+            sim, network, topology, nodes, trace, 0, watchdog=watchdog
         )
 
     def test_degrade_and_restore_round_trip(self):
@@ -196,13 +195,15 @@ class TestInjectorActuators:
         sim, _topology, injector = self._injector()
         assert injector.arm_adversity(random.Random(1), duplicate=0.5) is True
         assert injector.arm_adversity(random.Random(2), duplicate=0.5) is False
-        first = injector.adversity
-        first.stats["dup_dropped"] = 7
+        first = injector.network.adversity
+        first._dup_absorbed()
         assert injector.disarm_adversity() is True
         assert injector.disarm_adversity() is False
-        # Re-arm: a fresh process, but the counters carry forward.
+        # Re-arm: a fresh process counting into the same run counters.
         assert injector.arm_adversity(random.Random(3), corrupt=0.1) is True
-        assert injector.adversity.stats["dup_dropped"] == 7
+        assert injector.network.adversity is not first
+        injector.network.adversity._dup_absorbed()
+        assert injector.trace.counters["gray_dup_dropped"] == 2
 
 
 class TestScenarioConfigValidation:
@@ -245,7 +246,8 @@ class TestScenarioConfigValidation:
     def test_message_adversity_rate_validation(self):
         import random
 
+        counters = TraceCollector(Simulator(), num_blocks=1).counters
         with pytest.raises(ValueError):
-            MessageAdversity(None, random.Random(1), duplicate=1.0)
+            MessageAdversity(None, random.Random(1), counters, duplicate=1.0)
         with pytest.raises(ValueError):
-            MessageAdversity(None, random.Random(1), reorder_window=0.0)
+            MessageAdversity(None, random.Random(1), counters, reorder_window=0.0)

@@ -42,6 +42,7 @@ from repro.sim.engine import Simulator
 from repro.sim.links import Link
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import Topology, mesh_topology
+from repro.sim.trace import TraceCollector
 from repro.sim.transport import Network
 
 DATA = pathlib.Path(__file__).parent / "data" / "link_schedules.json"
@@ -190,9 +191,10 @@ def _install(case, sim, topology):
     actuate, until = FAULT_CASES[case]
     network = Network(sim, topology, FlowNetwork(sim))
     tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
-    nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, None)
-    watchdog = LivenessWatchdog(sim, type("T", (), {"last_arrival_time": 0.0})())
-    injector = FaultInjector(sim, network, topology, nodes, None, 0, watchdog=watchdog)
+    trace = TraceCollector(sim, num_blocks=4)
+    nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)
+    watchdog = LivenessWatchdog(sim, trace)
+    injector = FaultInjector(sim, network, topology, nodes, trace, 0, watchdog=watchdog)
     actuate(sim, injector)
     return until
 

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core.download import DownloadState
 from repro.overlay.node import OverlayProtocol
 from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
+from repro.sim.trace import TraceCollector
 from repro.sim.transport import Message, Network
 
 
 class _Echo(OverlayProtocol):
     """Replies 'pong' to 'ping'; records everything."""
 
-    def __init__(self, network, node_id):
-        super().__init__(network, node_id)
+    def __init__(self, network, node_id, trace):
+        super().__init__(network, node_id, trace)
         self.log = []
 
     def accepted(self, conn):
@@ -32,8 +34,9 @@ class _Echo(OverlayProtocol):
 def _pair():
     sim = Simulator()
     net = Network(sim, mesh_topology(2, seed=1, max_loss=0.0))
-    a = _Echo(net, 0)
-    b = _Echo(net, 1)
+    trace = TraceCollector(sim, num_blocks=1)
+    a = _Echo(net, 0, trace)
+    b = _Echo(net, 1, trace)
     return sim, a, b
 
 
@@ -101,3 +104,28 @@ def test_stopped_node_ignores_messages():
     conns["a"].send(Message("ping", payload=1, size=16))
     sim.run(until=10.0)
     assert ("ping", 1) not in b.log
+
+
+def test_receive_and_latch_report_once():
+    sim, a, _b = _pair()
+    a.state = DownloadState(2)
+    a.start()
+    assert a.completed_at is None and a.trace.block_arrivals == {0: []}
+    assert a.receive(1) is True
+    assert a.receive(1) is False
+    assert a.latch_completion() is False
+    assert a.receive(0) is True
+    assert a.latch_completion() is True
+    assert a.latch_completion() is False
+    assert a.completed_at == 0.0 and a.trace.completion_times == {0: 0.0}
+    assert [b for _, b in a.trace.block_arrivals[0]] == [1, 0]
+    assert a.trace.duplicate_blocks[0] == 1
+
+
+def test_start_latches_a_node_that_starts_complete():
+    sim, a, _b = _pair()
+    a.state = DownloadState(1)
+    a.state.add(0)
+    sim.schedule(3.0, a.start)
+    sim.run(until=4.0)
+    assert a.completed_at == 3.0 and a.trace.completion_times == {0: 3.0}
