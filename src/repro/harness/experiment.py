@@ -89,12 +89,11 @@ class ExperimentResult:
 
     def perf_stats(self):
         """Deterministic work counters for this run (the simulator's
-        event-core counters — events processed, timer-pool hit/miss,
-        same-instant batching, heap compactions — plus the allocator's
-        pass/component statistics) — wall-clock time deliberately
-        excluded so summaries stay bit-identical across machines and
-        runs.  The run's failure counters (``trace.counters``) close
-        the dict."""
+        event-core counters — events processed, events armed, heap
+        compactions — plus the allocator's pass/component statistics)
+        — wall-clock time deliberately excluded so summaries stay
+        bit-identical across machines and runs.  The run's failure
+        counters (``trace.counters``) close the dict."""
         stats = dict(self.sim.perf_stats())
         if self.flows is not None:
             stats.update(self.flows.perf_stats())
@@ -269,10 +268,10 @@ def run_experiment(
         return True
 
     sim.schedule_periodic(CHECK_PERIOD, check_done)
-    # The event core recycles its hot objects (timers via the pool,
-    # messages by refcount), so cyclic garbage accrues only from slow
-    # structures like connection pairs.  Suspending the collector for
-    # the run avoids generational scans over millions of live tuples;
+    # The hot objects (timers, messages) are freed by reference
+    # counting, so cyclic garbage accrues only from slow structures
+    # like connection pairs.  Suspending the collector for the run
+    # avoids generational scans over millions of live tuples;
     # lifetimes, and therefore results, are unaffected.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

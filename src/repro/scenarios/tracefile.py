@@ -35,6 +35,7 @@ including the loss and delay columns.
 """
 
 import json
+import math
 
 from repro.common.params import Param
 from repro.scenarios.base import Scenario, periodic
@@ -81,8 +82,9 @@ def read_csv_trace(path):
     mid-run against the simulator's invariants (capacity strictly
     positive, loss strictly below 1), zero-bandwidth samples clamp to a
     1 B/s trickle — the same convention the churn scenario uses for
-    dark nodes — and loss clamps just below 1.  Negative values are
-    rejected with the offending line number.
+    dark nodes — and loss clamps just below 1.  Negative and non-finite
+    (``nan``, ``inf``) values are rejected with the offending line
+    number.
     """
     columns = ["time", "bandwidth", "loss", "delay"]
     events = []
@@ -137,6 +139,11 @@ def read_csv_trace(path):
                     f"{path}: line {line_no}: row has a time but no "
                     f"condition columns"
                 )
+            for column, value in row.items():
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {line_no}: non-finite {column} {value}"
+                    )
             for column in ("bandwidth", "loss", "delay"):
                 if row.get(column, 0.0) < 0:
                     raise ValueError(

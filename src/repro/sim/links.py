@@ -146,9 +146,10 @@ class Link:
     )
 
     def __init__(self, name, capacity, delay=0.0, loss_rate=0.0):
-        if capacity <= 0:
+        # Written as "not >" so that NaN fails too, in one comparison.
+        if not capacity > 0:
             raise ValueError(f"link {name}: capacity must be > 0, got {capacity}")
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"link {name}: delay must be >= 0, got {delay}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(
@@ -195,7 +196,7 @@ class Link:
 
     @capacity.setter
     def capacity(self, value):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"link {self.name}: capacity must be > 0, got {value}")
         if value == self._capacity:
             return
@@ -209,7 +210,7 @@ class Link:
 
     @delay.setter
     def delay(self, value):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"link {self.name}: delay must be >= 0, got {value}")
         if value == self._delay:
             return

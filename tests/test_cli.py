@@ -104,11 +104,12 @@ def test_cli_run_profile_json(capsys):
     assert doc["profile"]["events_processed"] > 0
     assert doc["profile"]["reallocations"] > 0
     assert doc["profile"]["max_component_size"] >= 1
-    # The event core pools timers; every armed event is either a fresh
-    # allocation or a pool hit, so the two counters bound the schedule
-    # volume and recycling must be doing real work on any non-trivial run.
-    assert doc["profile"]["timers_allocated"] > 0
-    assert doc["profile"]["timers_recycled"] > 0
+    # timers_allocated counts every armed event, so it bounds the
+    # executed ones; the event core pools nothing, so recycled reads 0.
+    assert doc["profile"]["timers_allocated"] >= (
+        doc["profile"]["events_processed"]
+    )
+    assert doc["profile"]["timers_recycled"] == 0
     # The deterministic counters also ride in the summary.
     assert doc["summary"]["perf"]["events_processed"] == (
         doc["profile"]["events_processed"]

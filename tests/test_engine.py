@@ -1,6 +1,9 @@
 """Tests for the discrete-event loop."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -35,6 +38,22 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.schedule(math.nan, lambda: None),
+            lambda sim: sim.schedule_at(math.nan, lambda: None),
+            lambda sim: sim.schedule_periodic(math.nan, lambda: True),
+        ],
+        ids=["schedule", "schedule_at", "schedule_periodic"],
+    )
+    def test_nan_time_rejected(self, call):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            call(sim)
+        sim.run()
+        assert sim.now == 0.0
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
@@ -263,29 +282,16 @@ class TestHeapCompaction:
         assert len(fired) == 100
 
 
-class TestTimerPooling:
-    """The zero-allocation event core: retired timers are recycled, but
-    never while any caller still holds the handle."""
+class TestHeldHandles:
+    """Every ``schedule`` call arms a fresh timer, so a handle a caller
+    keeps refers to its own event forever."""
 
-    def test_fired_timer_recycled_when_unreferenced(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)  # handles discarded
-        sim.run()
-        assert sim.pool_size > 0
-        allocated_before = sim.timers_allocated
-        sim.schedule(1.0, lambda: None)
-        assert sim.timers_allocated == allocated_before  # pool hit
-        assert sim.timers_recycled >= 1
-
-    def test_held_handle_never_observes_recycled_event(self):
+    def test_late_cancel_leaves_later_events_alone(self):
         sim = Simulator()
         fired = []
         held = sim.schedule(1.0, lambda: fired.append("held"))
         sim.run()
         assert fired == ["held"]
-        # The held timer must not be in the pool: a later schedule must
-        # arm a *different* object.
         later = sim.schedule(1.0, lambda: fired.append("later"))
         assert later is not held
         # Late-cancelling the stale handle is a no-op for the new event.
@@ -293,13 +299,7 @@ class TestTimerPooling:
         sim.run()
         assert fired == ["held", "later"]
 
-    def test_cancelled_and_discarded_timer_rejoins_pool(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None).cancel()  # handle discarded
-        sim.run()
-        assert sim.pool_size >= 1
-
-    def test_held_cancelled_timer_not_recycled(self):
+    def test_cancelled_handle_is_not_reused(self):
         sim = Simulator()
         held = sim.schedule(1.0, lambda: None)
         held.cancel()
@@ -307,21 +307,32 @@ class TestTimerPooling:
         replacement = sim.schedule(1.0, lambda: None)
         assert replacement is not held
 
-    def test_pool_survives_heavy_reschedule_loop(self):
-        # The transport's cancel/reschedule pattern must reach a steady
-        # state where (almost) no fresh Timer objects are constructed.
+    def test_fired_handle_releases_callback_and_args(self):
         sim = Simulator()
-        live = [None]
+        timer = sim.schedule(1.0, print, "payload")
+        sim.run()
+        assert timer._callback is None
+        assert timer._args == ()
 
-        def hop():
-            if live[0] is not None:
-                live[0].cancel()
-            live[0] = sim.schedule(2.0, lambda: None)
-            return sim.now < 50.0
 
-        sim.schedule_periodic(0.5, hop)
-        sim.run(until=100.0)
-        assert sim.timers_recycled > sim.timers_allocated
+class TestPerfStats:
+    def test_every_armed_event_counts_once(self):
+        # Zero-delay events issued while running are heap events like
+        # any other; cancelled ones were armed too.
+        sim = Simulator()
+
+        def outer():
+            sim.schedule(0.0, lambda: None)
+            sim.schedule(0.0, lambda: None).cancel()
+
+        sim.schedule(1.0, outer)
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        stats = sim.perf_stats()
+        assert stats["timers_allocated"] == 4
+        assert stats["events_processed"] == 3
+        assert stats["timers_recycled"] == 0
+        assert stats["same_time_batched"] == 0
 
 
 class TestScheduleAtUntil:
@@ -344,9 +355,9 @@ class TestScheduleAtUntil:
         assert fired == [1]
 
 
-class TestSameInstantDrain:
-    """Zero-delay events issued while running take the drain queue, in
-    exactly the (time, sequence) order the heap would have produced."""
+class TestSameInstantOrder:
+    """Events scheduled for the current instant while running run after
+    every event already queued for it, in the order they were issued."""
 
     def test_zero_delay_runs_at_same_timestamp_in_fifo_order(self):
         sim = Simulator()
@@ -360,21 +371,19 @@ class TestSameInstantDrain:
         sim.schedule(1.0, first)
         sim.schedule(1.0, lambda: order.append(("peer", sim.now)))
         sim.run()
-        # The heap-resident peer event (smaller sequence) runs before
-        # the drain-queue entries created at the same instant.
+        # The peer event (smaller sequence) runs before the zero-delay
+        # events created at the same instant.
         assert order == [
             ("first", 1.0),
             ("peer", 1.0),
             ("zero-a", 1.0),
             ("zero-b", 1.0),
         ]
-        assert sim.same_time_batched == 2
 
     def test_absorbed_tiny_delay_keeps_schedule_order(self):
         # A nonzero delay swallowed by float addition (now + d == now)
-        # must take the drain path too: routing it through the heap
-        # would give it heap priority over *earlier* zero-delay events
-        # at the same instant, inverting (time, sequence) order.
+        # lands at the current instant and must still run after the
+        # zero-delay event issued before it.
         sim = Simulator()
         order = []
 
@@ -413,10 +422,146 @@ class TestSameInstantDrain:
         sim.schedule(1.0, outer)
         sim.run()
         assert fired == ["a"]
-        # The unprocessed drain entry survives for the next run.
+        # The unprocessed same-instant entry survives for the next run.
         assert sim.pending_events == 1
         sim.run()
         assert fired == ["a", "b"]
+
+
+    def test_stopped_entries_run_before_later_ones_at_that_instant(self):
+        sim = Simulator()
+        fired = []
+
+        def outer():
+            sim.schedule(0.0, lambda: (fired.append("a"), sim.stop()))
+            sim.schedule(0.0, lambda: fired.append("b"))
+
+        sim.schedule(1.0, outer)
+        sim.run()
+        # Scheduled after the stop, at the same instant: runs after "b".
+        sim.schedule(0.0, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a", "b", "c"]
+
+
+#: Delays and absolute times of the reference-model programs: zero, a
+#: delay that float addition absorbs once ``now`` reaches 4096, and
+#: repeated values so that many events share an instant.
+DELAYS = st.sampled_from([0.0, 0.0, 1e-13, 1e-9, 0.5, 1.0, 4096.0])
+TIMES = st.sampled_from([0.0, 1.0, 1.5, 4096.0, 4097.0])
+
+
+def _ops(children):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("schedule"), DELAYS, children),
+            st.tuples(st.just("at"), TIMES, children),
+            st.tuples(st.just("cancel"), st.integers(0, 63)),
+            st.tuples(st.just("stop")),
+        ),
+        max_size=4,
+    )
+
+
+#: A program is a list of phases: ops issued from outside the loop, then
+#: ``run(until=now + offset)`` or ``run()``.  A scheduled event's own ops
+#: are issued when it fires.
+PROGRAMS = st.lists(
+    st.tuples(
+        st.recursive(st.just([]), _ops, max_leaves=24),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 4096.0])),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _model(program):
+    """Reference semantics without a heap: the next event is the pending
+    one first in (time, scheduling order); cancelled events never run."""
+    events = []  # [time, children, state]; the index is scheduling order
+    fired, clocks = [], []
+    now, stopped = 0.0, False
+
+    def perform(ops):
+        nonlocal stopped
+        for op in ops:
+            if op[0] == "schedule":
+                events.append([now + op[1], op[2], "pending"])
+            elif op[0] == "at":
+                events.append([max(op[1], now), op[2], "pending"])
+            elif op[0] == "cancel":
+                if events and events[op[1] % len(events)][2] == "pending":
+                    events[op[1] % len(events)][2] = "cancelled"
+            else:
+                stopped = True
+
+    for ops, offset in program:
+        perform(ops)
+        stopped = False
+        until = None if offset is None else now + offset
+        while not stopped:
+            pending = [i for i, e in enumerate(events) if e[2] == "pending"]
+            if not pending:
+                break
+            ident = min(pending, key=lambda i: (events[i][0], i))
+            if until is not None and events[ident][0] > until:
+                break
+            events[ident][2] = "fired"
+            now = events[ident][0]
+            fired.append(ident)
+            perform(events[ident][1])
+        if until is not None and not stopped:
+            now = max(now, until)
+        clocks.append(now)
+    return fired, clocks, len(events)
+
+
+def _play(sim, program):
+    handles, fired, clocks = [], [], []
+
+    def perform(ops):
+        for op in ops:
+            if op[0] in ("schedule", "at"):
+                ident, children = len(handles), op[2]
+
+                def fire(ident=ident, children=children):
+                    fired.append(ident)
+                    perform(children)
+
+                if op[0] == "schedule":
+                    handles.append(sim.schedule(op[1], fire))
+                else:
+                    handles.append(sim.schedule_at(max(op[1], sim.now), fire))
+            elif op[0] == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+            else:
+                sim.stop()
+
+    for ops, offset in program:
+        perform(ops)
+        sim.run(until=None if offset is None else sim.now + offset)
+        clocks.append(sim.now)
+        assert sim._cancelled_count == sum(e[2].cancelled for e in sim._heap)
+    return fired, clocks, len(handles)
+
+
+class TestReferenceModel:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(program=PROGRAMS)
+    def test_runs_in_stable_time_order_minus_cancelled(self, program):
+        # A small compaction floor lets cancels rebuild the heap mid-run.
+        floor = Simulator.COMPACT_MIN_SIZE
+        Simulator.COMPACT_MIN_SIZE = 4
+        try:
+            sim = Simulator()
+            fired, clocks, armed = _play(sim, program)
+        finally:
+            Simulator.COMPACT_MIN_SIZE = floor
+        assert (fired, clocks, armed) == _model(program)
+        assert sim.events_processed == len(fired)
+        assert sim.perf_stats()["timers_allocated"] == armed
 
 
 class TestCancelledCountExact:

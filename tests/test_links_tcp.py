@@ -18,6 +18,25 @@ class TestLink:
         with pytest.raises(ValueError):
             Link("x", capacity=1, loss_rate=1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Link("x", capacity=math.nan),
+            lambda: Link("x", capacity=1, delay=math.nan),
+        ],
+        ids=["capacity", "delay"],
+    )
+    def test_nan_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("attribute", ["capacity", "delay"])
+    def test_nan_rejected_by_setter(self, attribute):
+        link = Link("x", capacity=100, delay=0.01)
+        with pytest.raises(ValueError):
+            setattr(link, attribute, math.nan)
+        assert (link.capacity, link.delay) == (100, 0.01)
+
     def test_capacity_change_fires_callback(self):
         link = Link("x", capacity=100)
         seen = []

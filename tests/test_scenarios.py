@@ -67,33 +67,6 @@ def test_install_schedules_and_returns_nothing(name):
     assert SCENARIOS.build(name).install(ctx) is None
 
 
-#: Link-level scenarios with knobs that give each a finite schedule of
-#: many timers.
-FINITE_LINK_SCENARIOS = {
-    "asymmetric_squeeze": {"period": 2.0, "hold": 3.0, "stop": 20.0},
-    "cascading_cuts": {"period": 2.0},
-    "churn": {"period": 2.0, "down_time": 3.0, "fraction": 0.5, "stop": 20.0},
-    "correlated_decreases": {"period": 2.0, "stop": 20.0},
-    "gilbert_elliott": {"mean_good": 2.0, "mean_bad": 2.0, "stop": 20.0},
-    "lossy": {"period": 2.0, "stop": 20.0},
-    "oscillate": {"period": 2.0, "stop": 20.0},
-    "trace_replay": {},
-}
-
-
-@pytest.mark.parametrize("name", sorted(FINITE_LINK_SCENARIOS))
-def test_no_scenario_holds_a_fired_timer(name):
-    # Once a finite schedule has run out, every timer the run ever
-    # allocated is back in the engine's pool: no scenario keeps a
-    # reference to a timer that has fired.
-    ctx = _ctx()
-    SCENARIOS.build(name, **FINITE_LINK_SCENARIOS[name]).install(ctx)
-    ctx.sim.run(until=500.0)
-    assert ctx.sim.pending_events == 0
-    assert ctx.sim.timers_allocated > 0
-    assert ctx.sim.pool_size == ctx.sim.timers_allocated
-
-
 class TestCascadingCutsDefaults:
     def test_defaults_resolve_from_context(self):
         ctx = _ctx(5, source_id=0)
@@ -309,16 +282,6 @@ class TestTraceReplay:
         TraceReplay(events=events).install(ctx)
         ctx.sim.run(until=10.0)
         assert ctx.topology.core[(1, 2)].capacity == 1000.0
-
-    def test_fired_timers_return_to_the_engine_pool(self):
-        # An installed scenario keeps no handle on its timers, so each
-        # one rejoins the simulator's recycling pool once it has fired.
-        sim = Simulator()
-        ctx = ScenarioContext(sim, mesh_topology(4, seed=1))
-        events = [{"t": i + 1.0, "link": "*", "scale": 0.5} for i in range(5)]
-        TraceReplay(events=events).install(ctx)
-        sim.run()
-        assert sim.pool_size == 5
 
     def test_unknown_links_ignored(self):
         ctx = _ctx(3)
@@ -586,6 +549,22 @@ class TestCsvTrace:
             path.write_text(f"time,bandwidth,loss\n{row}\n")
             with pytest.raises(ValueError, match=f"line 2.*negative {column}"):
                 read_trace(path)
+
+    @pytest.mark.parametrize("column", ["time", "bandwidth", "loss", "delay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_csv_non_finite_values_fail_with_line_context(
+        self, tmp_path, column, value
+    ):
+        fields = {"time": "1.0", "bandwidth": "100", "loss": "0.1", "delay": "0.02"}
+        fields[column] = value
+        path = tmp_path / f"{value}_{column}.csv"
+        path.write_text(
+            "time,bandwidth,loss,delay\n0.5,100,0.0,0.01\n"
+            + ",".join(fields.values())
+            + "\n"
+        )
+        with pytest.raises(ValueError, match=f"line 3.*non-finite {column}"):
+            read_trace(path)
 
     def test_csv_too_many_fields_fail(self, tmp_path):
         path = tmp_path / "wide.csv"
