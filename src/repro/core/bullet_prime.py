@@ -442,8 +442,9 @@ class BulletPrimeNode(OverlayProtocol):
 
     # -- failure detection (armed by the fault injector) ------------------------------
 
-    def fault_detection_started(self):
-        """Arm the failure detectors (idempotent, network-wide event).
+    def arm_detection(self, gray):
+        """Arm the failure detectors (idempotent); ``gray`` also turns on
+        checksum verification and sender quarantine.
 
         Two detectors cover the two ways a silent crash can starve this
         node: the *sender detector* (a block request outstanding past a
@@ -452,6 +453,8 @@ class BulletPrimeNode(OverlayProtocol):
         is gone).  Both are pure additions to the event timeline — in
         fault-free runs neither ever schedules anything.
         """
+        if gray:
+            self._gray_enabled = True
         if self._fd_enabled or self.stopped:
             return
         self._fd_enabled = True

@@ -10,7 +10,7 @@ limit).  The runner wires them to a fresh simulator and returns an
 import gc
 
 from repro.common.rng import split_rng
-from repro.harness.faults import FaultInjector, LivenessWatchdog
+from repro.harness.faults import FaultInjector
 from repro.overlay.tree import build_random_tree
 from repro.scenarios.base import Scenario, ScenarioContext
 from repro.sim.engine import Simulator
@@ -59,7 +59,7 @@ class ExperimentResult:
     """Everything a figure needs from one run."""
 
     def __init__(self, trace, nodes, sim, finished, flows=None, source_id=None,
-                 failed_nodes=frozenset(), watchdog=None, invariants=None):
+                 failed_nodes=frozenset(), invariants=None):
         self.trace = trace
         self.nodes = nodes
         self.sim = sim
@@ -71,7 +71,6 @@ class ExperimentResult:
         self.source_id = source_id
         #: Nodes down at the end of the run.
         self.failed_nodes = failed_nodes
-        self.watchdog = watchdog
         #: The :class:`~repro.harness.invariants.InvariantChecker`, if any.
         self.invariants = invariants
 
@@ -169,17 +168,21 @@ def run_experiment(
         Simulated-seconds cap; the run stops early once every surviving
         non-source node has completed.
     watchdog_window:
-        Liveness window in simulated seconds: once any fault actuates,
-        a run making no block-delivery progress for this long is failed
-        (stopped with ``finished=False`` and ``watchdog_fired=1``)
+        Liveness window in simulated seconds, handed to the run's
+        :class:`~repro.harness.faults.FaultInjector`: from the first
+        fault actuation on, a run making no block-delivery progress for
+        this long is stopped (``finished=False``, ``watchdog_fired=1``)
         instead of hanging to ``max_time``.  Fault-free runs never arm
-        the watchdog.
+        the watchdog.  Anything but a positive number (0, a negative,
+        NaN) is a :class:`ValueError` before the run starts.
     check_invariants:
-        When True, wrap every node with the
-        :class:`repro.harness.invariants.InvariantChecker` (no events
-        on dead nodes, no delivery on closed connections); the checker
-        is returned as ``result.invariants``.  Off by default — the
-        matrix and benchmarks run without the wrapper overhead.
+        When True, install a
+        :class:`repro.harness.invariants.InvariantChecker` as
+        ``network.invariants`` before the nodes are built, so every
+        connection delivers through its checks (no events on dead
+        nodes, no delivery on closed connections); the checker is
+        returned as ``result.invariants``.  Off by default — the matrix
+        and benchmarks run without the checking overhead.
     flow_allocator:
         ``"incremental"`` (default) re-runs progressive filling only
         over dirty connected components; ``"full"`` recomputes every
@@ -211,25 +214,13 @@ def run_experiment(
     tree = build_random_tree(
         topology.nodes, root=source_id, fanout=tree_fanout, seed=seed
     )
-    nodes = node_factory(network, tree, source_id, trace)
-
-    checker = None
     if check_invariants:
         from repro.harness.invariants import InvariantChecker
 
-        checker = InvariantChecker(network)
-        for node in nodes.values():
-            checker.wrap(node)
-    watchdog = LivenessWatchdog(sim, trace, window=watchdog_window)
+        network.invariants = InvariantChecker(network)
+    nodes = node_factory(network, tree, source_id, trace)
     injector = FaultInjector(
-        sim,
-        network,
-        topology,
-        nodes,
-        trace,
-        source_id,
-        watchdog=watchdog,
-        invariants=checker,
+        sim, network, topology, nodes, trace, source_id, watchdog_window
     )
 
     scenario = _resolve_scenario(scenario)
@@ -292,6 +283,5 @@ def run_experiment(
         flows=flows,
         source_id=source_id,
         failed_nodes=injector.failed,
-        watchdog=watchdog,
-        invariants=checker,
+        invariants=network.invariants,
     )

@@ -1,7 +1,8 @@
 """Fault injection: crashes, restarts, partitions, gray failures, liveness.
 
 The :class:`FaultInjector` is the one actuation point for node-level
-failures.  Scenarios reach it as ``ctx.faults`` on their
+failures and the one arming point for everything that reacts to them.
+Scenarios reach it as ``ctx.faults`` on their
 :class:`~repro.scenarios.base.ScenarioContext`; the experiment harness
 builds one per run and reads its ``failed`` / ``pending_restarts`` sets
 for the completion condition.
@@ -9,70 +10,28 @@ for the completion condition.
 Crash semantics are *silent*: a crashed node aborts every connection
 without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
-death through its own failure detectors.  The injector therefore arms
-detection network-wide — each node's ``fault_detection_started()`` hook
-and the :class:`LivenessWatchdog` — at the **first** actual fault
-actuation.  Fault-free runs (and a ``chaos`` scenario with rate 0) never
+death through its own failure detectors.  Every actuator therefore calls
+:meth:`FaultInjector.arm` first, and the **first** call arms detection
+network-wide: each node's ``arm_detection`` hook, then the liveness
+watchdog.  Fault-free runs (and a ``chaos`` scenario with rate 0) never
 arm anything, which is what keeps their event timelines bit-identical to
 the legacy golden matrix.
 
 *Gray* failures — fail-slow nodes (:meth:`FaultInjector.degrade_node`),
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and
-message-level adversity (:meth:`FaultInjector.arm_adversity`) — arm a
-second, stricter tier on top: ``gray_detection_started()`` per node,
-which enables checksum verification and sender quarantine.  The split
-matters because gray responses change protocol behavior beyond crash
-detection; arming them under plain crash scenarios would perturb the
-recorded crash/chaos timelines.
+message-level adversity (:meth:`FaultInjector.arm_adversity`) — call
+``arm(gray=True)``, which adds a second, stricter tier on top: checksum
+verification and sender quarantine.  The split matters because gray
+responses change protocol behavior beyond crash detection; arming them
+under plain crash scenarios would perturb the recorded crash/chaos
+timelines.
 
 Nothing here keeps a count of its own: the watchdog, the message
 adversity and the nodes write the run's ``trace.counters``, which
 outlive a restarted node and a disarmed adversity alike.
 """
 
-__all__ = ["FaultInjector", "LivenessWatchdog"]
-
-
-class LivenessWatchdog:
-    """Fails a run instead of letting it hang to ``max_time``.
-
-    Progress is defined as a fresh block arriving *anywhere* in the
-    experiment (``TraceCollector.last_arrival_time``).  Once armed, the
-    watchdog checks twice per window; if no progress happened for a full
-    ``window`` simulated seconds it counts the firing in
-    ``trace.counters`` and stops the simulation — the harness then reports
-    ``finished=False`` and ``watchdog_fired=1`` instead of silently burning
-    simulated hours.
-    """
-
-    def __init__(self, sim, trace, window=60.0):
-        if window <= 0:
-            raise ValueError(f"watchdog window must be > 0, got {window}")
-        self.sim = sim
-        self.trace = trace
-        self.window = window
-        self.armed = False
-        self.armed_at = None
-        self.fired = False
-
-    def arm(self):
-        """Start watching (idempotent); called by the fault injector."""
-        if self.armed:
-            return
-        self.armed = True
-        self.armed_at = self.sim.now
-        self.sim.schedule_periodic(self.window / 2.0, self._check)
-
-    def _check(self):
-        if self.fired:
-            return False
-        progress = max(self.trace.last_arrival_time, self.armed_at)
-        if self.sim.now - progress >= self.window:
-            self.fired = True
-            self.trace.counters["watchdog_fired"] = 1
-            self.sim.stop()
-            return False
-        return True
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -82,7 +41,9 @@ class FaultInjector:
     ----------
     sim, network, topology, trace:
         The run's simulator, transport network, topology, and trace
-        collector.
+        collector.  ``network.invariants``, when set, is the run's
+        :class:`~repro.harness.invariants.InvariantChecker`; crashes are
+        audited through it.
     nodes:
         The ``{node_id: protocol}`` mapping returned by the system
         factory.  Restarts require it to expose ``rebuild(node_id)``
@@ -90,33 +51,28 @@ class FaultInjector:
         works with any mapping.
     source_id:
         The data source — it can never be failed.
-    watchdog:
-        The :class:`LivenessWatchdog` armed alongside detection.
-    invariants:
-        Optional :class:`repro.harness.invariants.InvariantChecker`;
-        restarted nodes are re-wrapped so the dead-node checks keep
-        covering them.
+    watchdog_window:
+        Liveness window in simulated seconds.  From the first
+        :meth:`arm` on, the watchdog checks twice per window; a run with
+        no fresh block arriving anywhere
+        (``TraceCollector.last_arrival_time``) for a full window is
+        stopped and counted as ``trace.counters["watchdog_fired"]``, so
+        the harness reports ``finished=False`` instead of silently
+        burning simulated hours.
     """
 
     def __init__(
-        self,
-        sim,
-        network,
-        topology,
-        nodes,
-        trace,
-        source_id,
-        watchdog=None,
-        invariants=None,
+        self, sim, network, topology, nodes, trace, source_id, watchdog_window=60.0
     ):
+        if not watchdog_window > 0:
+            raise ValueError(f"watchdog window must be > 0, got {watchdog_window}")
         self.sim = sim
         self.network = network
         self.topology = topology
         self.nodes = nodes
         self.trace = trace
         self.source_id = source_id
-        self.watchdog = watchdog
-        self.invariants = invariants
+        self.watchdog_window = watchdog_window
         #: Node ids currently down (includes nodes awaiting restart).
         self.failed = set()
         #: Node ids with a scheduled restart that has not happened yet;
@@ -131,34 +87,38 @@ class FaultInjector:
 
     # -- arming ---------------------------------------------------------------
 
-    def arm(self):
-        """Arm failure detection network-wide (idempotent).
+    def arm(self, gray=False):
+        """Arm detection network-wide (idempotent per tier).
 
         Every fault path calls this first, so detection exists from the
-        first fault onward and never before.
+        first fault onward and never before.  Each node's
+        ``arm_detection(gray)`` hook runs, then — on the first call only
+        — the liveness watchdog is scheduled.  ``gray=True`` (every gray
+        actuator) also enables each node's gray responses: checksum
+        verification, sender quality scoring, and quarantine, which
+        plain crash scenarios never get.  Arming the gray tier schedules
+        no event.
         """
-        if self.armed:
+        if self.gray_armed or (self.armed and not gray):
             return
+        first = not self.armed
         self.armed = True
+        self.gray_armed = gray
         for node in self.nodes.values():
-            node.fault_detection_started()
-        if self.watchdog is not None:
-            self.watchdog.arm()
+            node.arm_detection(gray)
+        if first:
+            armed_at = self.sim.now
+            self.sim.schedule_periodic(
+                self.watchdog_window / 2.0, lambda: self._watchdog(armed_at)
+            )
 
-    def arm_gray(self):
-        """Arm gray-failure detection network-wide (idempotent).
-
-        Every gray actuation path calls this first.  Implies
-        :meth:`arm`, then additionally enables each node's gray
-        responses — checksum verification, sender quality scoring, and
-        quarantine — which plain crash scenarios never get.
-        """
-        self.arm()
-        if self.gray_armed:
-            return
-        self.gray_armed = True
-        for node in self.nodes.values():
-            node.gray_detection_started()
+    def _watchdog(self, armed_at):
+        progress = max(self.trace.last_arrival_time, armed_at)
+        if self.sim.now - progress < self.watchdog_window:
+            return True
+        self.trace.counters["watchdog_fired"] = 1
+        self.sim.stop()
+        return False
 
     @property
     def partition_active(self):
@@ -190,8 +150,8 @@ class FaultInjector:
         self.failed.add(node_id)
         node = self.nodes[node_id]
         node.crash()
-        if self.invariants is not None:
-            self.invariants.node_crashed(node)
+        if self.network.invariants is not None:
+            self.network.invariants.node_crashed(node)
         return True
 
     def schedule_restart(self, node_id, delay):
@@ -220,16 +180,12 @@ class FaultInjector:
 
         The endpoint is revived (handshakes complete again), a fresh
         protocol instance replaces the dead one, detection is armed on
-        it, and it re-joins the overlay from scratch — re-peering and
+        it at the run's tier, and it re-joins the overlay from scratch — re-peering and
         resuming the download exactly like a brand-new participant.
         """
         self.network.endpoint(node_id).revive()
         node = self.nodes.rebuild(node_id)
-        if self.invariants is not None:
-            self.invariants.wrap(node)
-        node.fault_detection_started()
-        if self.gray_armed:
-            node.gray_detection_started()
+        node.arm_detection(self.gray_armed)
         degraded = self.degraded.get(node_id)
         if degraded is not None:
             # The host is still fail-slow: the new incarnation inherits
@@ -307,7 +263,7 @@ class FaultInjector:
             raise ValueError(f"duration must be > 0, got {duration}")
         if node_id in self.degraded:
             return False
-        self.arm_gray()
+        self.arm(gray=True)
         uplinks = self.topology.uplinks(node_id)
         undo = self.topology.apply([{"link": uplinks, "scale": factor}])
         node = self.nodes.get(node_id)
@@ -353,7 +309,7 @@ class FaultInjector:
             raise ValueError(
                 f"direction must be 'up', 'down', or 'both', got {direction!r}"
             )
-        self.arm_gray()
+        self.arm(gray=True)
         links = []
         if direction in ("up", "both"):
             links.extend(self.topology.uplinks(node_id))
@@ -378,7 +334,7 @@ class FaultInjector:
             return False
         from repro.sim.transport import MessageAdversity
 
-        self.arm_gray()
+        self.arm(gray=True)
         self.network.adversity = MessageAdversity(
             self.sim,
             rng,

@@ -4,13 +4,15 @@ Crash semantics make two classes of bugs easy to introduce and hard to
 notice: an event firing on a node that is supposed to be dead, and a
 message delivered through a connection whose receiving twin closed.  The
 :class:`InvariantChecker` watches both without changing any behavior —
-it wraps each node's message dispatch with assertions and audits
+the harness installs it as ``network.invariants`` before any node is
+built, every connection a node wires then delivers through
+:meth:`InvariantChecker.checked`, and the fault injector audits
 structural state at crash time — so fault scenarios can run with a
 tripwire instead of trusting the implementation.
 
 The transport already *drops* in-flight messages to a closed twin (and
-counts them in ``Network.dropped_after_close``); the checker's dispatch
-wrapper verifies nothing slips past that guard, and its report surfaces
+counts them in ``Network.dropped_after_close``); the checked delivery
+path verifies nothing slips past that guard, and the report surfaces
 the drop counter as informational context.
 """
 
@@ -20,10 +22,10 @@ __all__ = ["InvariantChecker"]
 class InvariantChecker:
     """Passive invariant monitor for one experiment run.
 
-    ``wrap(node)`` must be called before the node starts (dispatch is
-    captured by connections at wiring time); the fault injector re-wraps
-    nodes it rebuilds on restart.  After the run, ``violations`` holds
-    one human-readable string per broken invariant — an empty list means
+    Installed as ``network.invariants``, it covers every node wired
+    after that — restarted incarnations included, since they wire their
+    connections the same way.  After the run, ``violations`` holds one
+    human-readable string per broken invariant — an empty list means
     the run was clean.
     """
 
@@ -32,27 +34,25 @@ class InvariantChecker:
         self.violations = []
         self.dispatches_checked = 0
 
-    def wrap(self, node):
-        """Intercept ``node``'s message dispatch with invariant checks."""
-        inner = node._dispatch
-        checker = self
+    def checked(self, node):
+        """``node``'s message dispatch, with invariant checks in front."""
+        dispatch = node._dispatch
 
         def checked_dispatch(conn, message):
-            checker.dispatches_checked += 1
+            self.dispatches_checked += 1
             if node.crashed:
-                checker.violations.append(
+                self.violations.append(
                     f"event fired on crashed node {node.node_id}: "
                     f"dispatch of {message.kind!r}"
                 )
             if conn.closed:
-                checker.violations.append(
+                self.violations.append(
                     f"message {message.kind!r} delivered on closed "
                     f"connection {conn.local}->{conn.remote}"
                 )
-            inner(conn, message)
+            dispatch(conn, message)
 
-        node._dispatch = checked_dispatch
-        return node
+        return checked_dispatch
 
     def node_crashed(self, node):
         """Audit a node's structural state right after a crash."""

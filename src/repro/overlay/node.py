@@ -70,12 +70,19 @@ class OverlayProtocol:
             self._handlers[message.kind] = fn
         fn(conn, message)
 
+    def _wire(self, conn):
+        """Route ``conn``'s deliveries to this node: through the run's
+        invariant checker (``network.invariants``) when one is
+        installed, straight to :meth:`_dispatch` otherwise."""
+        checker = self.network.invariants
+        conn.on_message = self._dispatch if checker is None else checker.checked(self)
+        conn.on_close = self._closed
+
     def _accepted(self, conn):
         if self.stopped:
             conn.close()  # a failed node accepts nothing
             return
-        conn.on_message = self._dispatch
-        conn.on_close = self._closed
+        self._wire(conn)
         self.accepted(conn)
 
     # -- reporting ---------------------------------------------------------------
@@ -117,28 +124,23 @@ class OverlayProtocol:
     def connection_closed(self, conn):
         """A connection was closed by the remote side."""
 
-    def fault_detection_started(self):
+    def arm_detection(self, gray):
         """The fault injector armed detection network-wide.
 
-        Called once per node (including nodes built later by restarts).
-        Subclasses arm their failure detectors here; the base class only
-        records the flag so helpers can stay zero-cost in fault-free
-        runs.
+        Called on every node at the first fault, again with
+        ``gray=True`` at the first *gray* fault (fail-slow, flaky link,
+        message adversity), and once on each node a restart rebuilds,
+        at the run's tier.  Crash detection is on from the first call;
+        ``gray`` adds the gray responses (checksum verification, sender
+        quality scoring, quarantine), which alter protocol behavior
+        beyond crash detection and so stay off under plain crash
+        scenarios.  Subclasses arm their failure detectors here; the
+        base class only records the flags so helpers stay zero-cost in
+        fault-free runs.
         """
         self._fd_enabled = True
-
-    def gray_detection_started(self):
-        """A *gray* fault (fail-slow, flaky link, message adversity) was
-        actuated somewhere in the network.
-
-        Distinct from :meth:`fault_detection_started` on purpose: the
-        gray responses (checksum verification, sender quality scoring,
-        quarantine) alter protocol behavior beyond pure crash detection,
-        and arming them under plain crash scenarios would perturb their
-        recorded timelines.  Crash detection is always armed before (or
-        with) gray detection.
-        """
-        self._gray_enabled = True
+        if gray:
+            self._gray_enabled = True
 
     # -- helpers -----------------------------------------------------------------
 
@@ -163,8 +165,7 @@ class OverlayProtocol:
         timer = None
 
         def wired(conn):
-            conn.on_message = self._dispatch
-            conn.on_close = self._closed
+            self._wire(conn)
             if state["done"]:
                 conn.close()
                 return

@@ -18,7 +18,7 @@ RUN_COUNTERS = (
     "fd_retries", "fd_suspects", "fd_rerequests", "fd_rejoins",  # Bullet' nodes
     "gray_quarantines", "gray_reprobes", "gray_corrupt_detected",  # Bullet' nodes
     "gray_dup_dropped", "gray_reordered",  # MessageAdversity
-    "watchdog_fired",  # LivenessWatchdog
+    "watchdog_fired",  # FaultInjector's liveness watchdog
 )
 
 

@@ -579,6 +579,10 @@ class Network:
         #: injector's gray-failure actuators; None (the default) keeps
         #: the delivery path a single attribute read.
         self.adversity = None
+        #: Optional :class:`~repro.harness.invariants.InvariantChecker`,
+        #: installed by the harness before the nodes are built; every
+        #: connection a node wires then delivers through it.
+        self.invariants = None
         #: In-flight messages dropped because the receiving twin was
         #: already closed (crash semantics make this routine; the
         #: invariant checker surfaces it as an informational counter).

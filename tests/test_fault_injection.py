@@ -8,15 +8,22 @@ completed, and a run that stops making progress fails fast through the
 watchdog instead of burning simulated hours.
 """
 
+import inspect
+
 import pytest
 
 from repro.harness.experiment import run_experiment
-from repro.harness.faults import FaultInjector, LivenessWatchdog
+from repro.harness.faults import FaultInjector
 from repro.harness.invariants import InvariantChecker
 from repro.harness.registry import SCENARIOS
 from repro.harness.systems import bullet_prime_factory
+from repro.overlay.tree import build_random_tree
 from repro.scenarios.failures import Chaos, Crash, CrashRestart, Partition
+from repro.sim.engine import Simulator
+from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
+from repro.sim.trace import TraceCollector
+from repro.sim.transport import Network
 
 N = 8
 NB = 24
@@ -88,13 +95,15 @@ class TestLivenessWatchdog:
             watchdog_window=30.0,
         )
         assert not result.finished
-        assert result.watchdog.fired
+        assert result.trace.counters["watchdog_fired"] == 1
         assert result.summary()["perf"]["watchdog_fired"] == 1
         assert result.sim.now < 500.0  # long before restart or max_time
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            LivenessWatchdog(sim=None, trace=None, window=0.0)
+    def test_nan_window_refused_before_the_run_starts(self):
+        # NaN passes a ``window <= 0`` check; a fault-free scenario never
+        # arms the watchdog, so only the constructor can catch it.
+        with pytest.raises(ValueError, match="watchdog window"):
+            _run("none", watchdog_window=float("nan"))
 
 
 class TestInvariantChecker:
@@ -120,24 +129,25 @@ class TestInvariantChecker:
 
     def test_clean_dispatch_passes_through(self):
         checker = InvariantChecker(self._Network())
-        node = checker.wrap(self._Node())
-        node._dispatch(self._Conn(), self._Message())
+        node = self._Node()
+        checker.checked(node)(self._Conn(), self._Message())
         assert checker.ok
         assert checker.dispatches_checked == 1
         assert len(node.seen) == 1
 
     def test_dispatch_on_crashed_node_is_a_violation(self):
         checker = InvariantChecker(self._Network())
-        node = checker.wrap(self._Node())
+        node = self._Node()
+        dispatch = checker.checked(node)
         node.crashed = True
-        node._dispatch(self._Conn(), self._Message())
+        dispatch(self._Conn(), self._Message())
         assert not checker.ok
         assert "crashed node" in checker.violations[0]
 
     def test_delivery_on_closed_connection_is_a_violation(self):
         checker = InvariantChecker(self._Network())
-        node = checker.wrap(self._Node())
-        node._dispatch(self._Conn(closed=True), self._Message())
+        node = self._Node()
+        checker.checked(node)(self._Conn(closed=True), self._Message())
         assert not checker.ok
         assert "closed" in checker.violations[0]
 
@@ -211,6 +221,65 @@ class TestInjectorValidation:
             self._injector().partition([[1], [2]], duration=0.0)
         with pytest.raises(ValueError, match="squeeze"):
             self._injector().partition([[1], [2]], duration=5.0, squeeze=1.5)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan")])
+    def test_window_validation(self, window):
+        with pytest.raises(ValueError, match="window"):
+            FaultInjector(None, None, None, {}, None, 0, watchdog_window=window)
+
+
+class TestArming:
+    """``FaultInjector.arm`` is the one arming point: per tier, once."""
+
+    def _setup(self, check_invariants=False):
+        sim = Simulator()
+        topology = mesh_topology(6, seed=1)
+        network = Network(sim, topology, FlowNetwork(sim))
+        if check_invariants:
+            network.invariants = InvariantChecker(network)
+        tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
+        trace = TraceCollector(sim, num_blocks=8)
+        nodes = bullet_prime_factory(num_blocks=8, seed=1)(network, tree, 0, trace)
+        for node in nodes.values():
+            node.start()
+        return sim, FaultInjector(sim, network, topology, nodes, trace, 0)
+
+    def test_gray_tier_after_crash_tier_schedules_nothing(self):
+        sim, injector = self._setup()
+        sim.run(until=2.0)
+        injector.arm()
+        before = sim.pending_events
+        injector.arm(gray=True)
+        assert sim.pending_events == before
+        assert injector.armed and injector.gray_armed
+        assert all(node._gray_enabled for node in injector.nodes.values())
+
+    def test_each_tier_arms_once(self):
+        sim, injector = self._setup()
+        injector.arm(gray=True)
+        before = sim.pending_events
+        injector.arm()
+        injector.arm(gray=True)
+        assert sim.pending_events == before
+
+    def test_restarted_node_comes_back_armed_and_checked(self):
+        sim, injector = self._setup(check_invariants=True)
+        sim.run(until=2.0)
+        injector.arm(gray=True)
+        victim = 3
+        old = injector.nodes[victim]
+        injector.fail(victim)
+        node = injector.restart(victim)
+        assert node is not old and node is injector.nodes[victim]
+        assert node._fd_enabled and node._gray_enabled
+        sim.run(until=6.0)
+        conns = node.endpoint.connections
+        assert conns
+        for conn in conns:
+            closure = inspect.getclosurevars(conn.on_message).nonlocals
+            assert closure["self"] is injector.network.invariants
+            assert closure["node"] is node
+        assert injector.network.invariants.ok
 
 
 class TestScenarioConfigValidation:

@@ -14,7 +14,7 @@ cannot perturb them.
 import pytest
 
 from repro.harness.experiment import run_experiment
-from repro.harness.faults import FaultInjector, LivenessWatchdog
+from repro.harness.faults import FaultInjector
 from repro.harness.registry import SCENARIOS
 from repro.harness.systems import bullet_prime_factory
 from repro.scenarios.failures import Adversarial, FailSlow, Flaky, GrayChaos
@@ -129,10 +129,7 @@ class TestInjectorActuators:
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
         trace = TraceCollector(sim, num_blocks=4)
         nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)
-        watchdog = LivenessWatchdog(sim, trace)
-        return sim, topology, FaultInjector(
-            sim, network, topology, nodes, trace, 0, watchdog=watchdog
-        )
+        return sim, topology, FaultInjector(sim, network, topology, nodes, trace, 0)
 
     def test_degrade_and_restore_round_trip(self):
         sim, topology, injector = self._injector()

@@ -23,7 +23,7 @@ import pathlib
 
 import pytest
 
-from repro.harness.faults import FaultInjector, LivenessWatchdog
+from repro.harness.faults import FaultInjector
 from repro.harness.systems import bullet_prime_factory
 from repro.overlay.tree import build_random_tree
 from repro.scenarios import (
@@ -193,8 +193,7 @@ def _install(case, sim, topology):
     tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
     trace = TraceCollector(sim, num_blocks=4)
     nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)
-    watchdog = LivenessWatchdog(sim, trace)
-    injector = FaultInjector(sim, network, topology, nodes, trace, 0, watchdog=watchdog)
+    injector = FaultInjector(sim, network, topology, nodes, trace, 0)
     actuate(sim, injector)
     return until
 
