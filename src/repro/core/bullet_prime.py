@@ -1086,10 +1086,6 @@ class BulletPrimeNode(OverlayProtocol):
 
     # -- introspection ----------------------------------------------------------------
 
-    @property
-    def progress(self):
-        return len(self.state) / self.state.required
-
     def __repr__(self):
         return (
             f"BulletPrimeNode({self.node_id}, src={self.is_source}, "

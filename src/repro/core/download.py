@@ -107,14 +107,6 @@ class DownloadState:
     def blocks(self):
         return list(self._held)
 
-    def missing(self):
-        """Blocks still needed (unencoded mode only; an encoded download
-        wants *any* new block)."""
-        if self.encoded:
-            raise RuntimeError("missing() is undefined in encoded mode")
-        flags = self._held.flags
-        return [b for b in range(self.num_blocks) if not flags[b]]
-
     def wants(self, block):
         """Would receiving ``block`` make progress?"""
         if self._complete:

@@ -137,7 +137,6 @@ def run_experiment(
     max_time=3600.0,
     tree_fanout=4,
     seed=0,
-    flow_allocator="incremental",
     flow_model=None,
     watchdog_window=60.0,
     check_invariants=False,
@@ -183,12 +182,6 @@ def run_experiment(
         nodes, no delivery on closed connections); the checker is
         returned as ``result.invariants``.  Off by default — the matrix
         and benchmarks run without the checking overhead.
-    flow_allocator:
-        ``"incremental"`` (default) re-runs progressive filling only
-        over dirty connected components; ``"full"`` recomputes every
-        component each pass.  The two are bit-identical by construction
-        (same per-component arithmetic) — the knob exists for the
-        equivalence tests and for perf comparisons.
     flow_model:
         The underlay rate-control law: a name registered in
         :data:`repro.harness.registry.FLOW_MODELS` (``"reno"``,
@@ -197,16 +190,8 @@ def run_experiment(
         ``None`` and ``"reno"`` are bit-identical by construction (the
         golden matrix pins it).
     """
-    if flow_allocator not in ("incremental", "full"):
-        raise ValueError(
-            f"flow_allocator must be 'incremental' or 'full', got {flow_allocator!r}"
-        )
     sim = Simulator()
-    flows = FlowNetwork(
-        sim,
-        model=_resolve_flow_model(flow_model),
-        incremental=(flow_allocator == "incremental"),
-    )
+    flows = FlowNetwork(sim, model=_resolve_flow_model(flow_model))
     network = Network(
         sim, topology, flows, rng=split_rng(seed, "net.message_jitter")
     )

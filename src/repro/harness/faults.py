@@ -162,7 +162,7 @@ class FaultInjector:
         otherwise a fast-finishing survivor set would end the experiment
         mid-downtime and the restart would silently never happen.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"restart delay must be >= 0, got {delay}")
         if node_id in self.pending_restarts:
             return
@@ -213,7 +213,7 @@ class FaultInjector:
         Only one partition may be active at a time; a second request is
         refused (returns False) rather than stacked.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"partition duration must be > 0, got {duration}")
         if not 0 < squeeze < 1:
             raise ValueError(f"squeeze must be in (0, 1), got {squeeze}")
@@ -257,9 +257,9 @@ class FaultInjector:
             raise ValueError(f"unknown node {node_id!r}")
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"factor must be in (0, 1], got {factor}")
-        if stretch < 1.0:
+        if not stretch >= 1.0:
             raise ValueError(f"stretch must be >= 1, got {stretch}")
-        if duration is not None and duration <= 0:
+        if duration is not None and not duration > 0:
             raise ValueError(f"duration must be > 0, got {duration}")
         if node_id in self.degraded:
             return False
@@ -295,15 +295,15 @@ class FaultInjector:
         cap and control messages stall on retransmission timeouts) on
         the node's uplinks, downlinks, or both per ``direction``, then
         removed after ``duration`` seconds.  Windows on the same node
-        compose; each removal is exact-inverse.
+        compose; each removal is exact-inverse (it divides by ``1 - loss``).
         """
         if node_id == self.source_id:
             raise ValueError("the source cannot be flaked (it is the data)")
         if node_id not in self.nodes:
             raise ValueError(f"unknown node {node_id!r}")
-        if not 0.0 < loss <= 1.0:
-            raise ValueError(f"loss must be in (0, 1], got {loss}")
-        if duration <= 0:
+        if not 0.0 < loss < 1.0:
+            raise ValueError(f"loss must be in (0, 1), got {loss}")
+        if not duration > 0:
             raise ValueError(f"duration must be > 0, got {duration}")
         if direction not in ("up", "down", "both"):
             raise ValueError(
@@ -334,7 +334,6 @@ class FaultInjector:
             return False
         from repro.sim.transport import MessageAdversity
 
-        self.arm(gray=True)
         self.network.adversity = MessageAdversity(
             self.sim,
             rng,
@@ -344,6 +343,7 @@ class FaultInjector:
             reorder_window=reorder_window,
             corrupt=corrupt,
         )
+        self.arm(gray=True)
         return True
 
     def disarm_adversity(self):

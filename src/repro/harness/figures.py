@@ -35,9 +35,7 @@ def _spec(num_nodes, num_blocks, seed, max_time=6000.0, **grids):
 
 
 def _receiver_times(cell, result):
-    times = dict(result.trace.completion_times)
-    times.pop(result.source_id, None)
-    return list(times.values())
+    return result.receiver_completion_times
 
 
 def _run_grid(figure, labels, *scale, samples=_receiver_times, **grids):

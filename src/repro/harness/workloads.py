@@ -1,21 +1,17 @@
 """Workload generators.
 
-- :func:`flash_crowd_file` — the paper's main workload: one file, one
-  source, a flash crowd of receivers.
 - :func:`software_update_workload` — Shotgun's workload: an old software
   image and a new image differing in a controlled fraction of its bytes
   (think: rebuilding some objects of a deployed experiment).
+
+The paper's main workload, one synthetic file, is
+:meth:`repro.core.download.FileObject.synthetic`.
 """
 
 from repro.common.rng import split_rng
 from repro.core.download import FileObject
 
-__all__ = ["flash_crowd_file", "software_update_workload"]
-
-
-def flash_crowd_file(size, block_size, seed=0):
-    """A synthetic file of ``size`` bytes as a :class:`FileObject`."""
-    return FileObject.synthetic(size, block_size, seed=seed)
+__all__ = ["software_update_workload"]
 
 
 def software_update_workload(image_size, delta_fraction=0.5, chunk=4096, seed=0):

@@ -15,10 +15,9 @@ classes' own ``params`` declarations.
 
 Scenarios actuate the full link-condition engine — capacity, loss rate,
 and delay, per direction (see :mod:`repro.sim.links`).  :func:`compose`
-and :func:`lossy` build compound conditions; :class:`TraceRecorder`
-captures any run's link schedule (optionally including loss and delay
-columns) for later replay.  ``run_experiment`` accepts Scenario instances or registry
-names.
+and :func:`lossy` build compound conditions; :class:`TraceReplay`
+imposes a measured or written-out link schedule.  ``run_experiment``
+accepts Scenario instances or registry names.
 """
 
 from repro.scenarios.base import Scenario, ScenarioContext
@@ -47,13 +46,7 @@ from repro.scenarios.failures import (
     GrayChaos,
     Partition,
 )
-from repro.scenarios.tracefile import (
-    TraceRecorder,
-    TraceReplay,
-    read_csv_trace,
-    read_trace,
-    write_trace,
-)
+from repro.scenarios.tracefile import TraceReplay, read_csv_trace, read_trace
 
 __all__ = [
     "Scenario",
@@ -75,11 +68,9 @@ __all__ = [
     "Flaky",
     "Adversarial",
     "GrayChaos",
-    "TraceRecorder",
     "TraceReplay",
     "read_csv_trace",
     "read_trace",
-    "write_trace",
     "Compose",
     "compose",
     "lossy",

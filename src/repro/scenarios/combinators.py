@@ -1,10 +1,9 @@
 """Scenario combinators: build compound conditions from simple ones.
 
 :func:`compose` installs several scenarios together (e.g. oscillating
-cellular links *plus* churn, or any scenario plus a
-:class:`~repro.scenarios.tracefile.TraceRecorder`).  A composition is a
-scenario itself, so compositions nest; each child's own ``start`` /
-``stop`` knobs place it in time.
+cellular links *plus* churn, or a trace replay plus a crash).  A
+composition is a scenario itself, so compositions nest; each child's
+own ``start`` / ``stop`` knobs place it in time.
 """
 
 from repro.scenarios.base import Scenario

@@ -1,4 +1,4 @@
-"""Record and replay per-link condition traces.
+"""Replay per-link condition traces.
 
 A *trace* is a time-ordered list of condition events::
 
@@ -16,57 +16,25 @@ multiplicative ``scale`` on the current capacity, plus optional ``loss``
 that lets one measured LTE/5G trace drive all three knobs of the
 link-condition engine at once.
 
-- :class:`TraceRecorder` — a scenario that samples every core link at a
-  fixed period and appends an event whenever a recorded column changed
-  (plus the full baseline at install time).  By default only capacity
-  is recorded — the original ``(time, bandwidth)`` contract —
-  ``record_loss`` / ``record_delay`` add the other columns.  ``save()``
-  writes the JSON trace file; any run can thus be recorded and replayed
-  later.
-- :class:`TraceReplay` — a scenario that drives link conditions from a
-  trace (in-memory events, a JSON trace file, or a ``.csv`` of
-  ``time, bandwidth[, loss[, delay]]`` rows), so measured conditions —
-  a 5G drive trace, a recorded experiment — can be imposed on any
-  system.
-
-Round-tripping is exact: replaying a recorded trace while recording
-again yields the identical event list (see the trace round-trip tests),
-including the loss and delay columns.
+:class:`TraceReplay` is a scenario that drives link conditions from a
+trace (in-memory events, a JSON trace file, or a ``.csv`` of
+``time, bandwidth[, loss[, delay]]`` rows), so measured conditions —
+a 5G drive trace, a recorded experiment — can be imposed on any
+system.  A JSON trace file is ``{"version": 1, "events": [...]}``.
 """
 
 import json
 import math
 
 from repro.common.params import Param
-from repro.scenarios.base import Scenario, periodic
+from repro.scenarios.base import Scenario
 
-__all__ = [
-    "TraceRecorder",
-    "TraceReplay",
-    "read_csv_trace",
-    "read_trace",
-    "write_trace",
-]
+__all__ = ["TraceReplay", "read_csv_trace", "read_trace"]
 
 TRACE_VERSION = 1
 
 #: Columns that write a condition; an event needs at least one.
 _WRITE_COLUMNS = ("capacity", "scale", "loss", "delay", "remove", "overlay")
-
-
-def _link_key(pair):
-    src, dst = pair
-    return f"{src}->{dst}"
-
-
-def write_trace(path, events, sample_period=None):
-    """Write ``events`` as a JSON trace file."""
-    doc = {"version": TRACE_VERSION, "events": list(events)}
-    if sample_period is not None:
-        doc["sample_period"] = sample_period
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def read_csv_trace(path):
@@ -162,8 +130,8 @@ def read_csv_trace(path):
 
 
 def read_trace(path):
-    """Read a trace file: :func:`write_trace` JSON, or ``.csv`` rows
-    (see :func:`read_csv_trace`); returns the event list."""
+    """Read a trace file: JSON (see the module docstring), or ``.csv``
+    rows (see :func:`read_csv_trace`); returns the event list."""
     if str(path).endswith(".csv"):
         return read_csv_trace(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -172,88 +140,6 @@ def read_trace(path):
     if version != TRACE_VERSION:
         raise ValueError(f"unsupported trace version {version!r} in {path}")
     return doc["events"]
-
-
-class TraceRecorder(Scenario):
-    """Record every core link's condition schedule while a run executes.
-
-    At install time the full baseline is captured as events at the
-    current simulated time; afterwards the links are sampled every
-    ``sample_period`` seconds (offset by ``start``) and any change in a
-    recorded column is appended as an event carrying exactly the
-    changed columns.  Changes faster than the sample period collapse to
-    the sampled schedule — the recorded trace *is* the contract a
-    replay reproduces.
-
-    ``record_loss`` / ``record_delay`` extend recording beyond capacity
-    to the other link-condition axes; the default records capacity only,
-    byte-identical to the original ``(time, bandwidth)`` recorder.
-
-    One recorder instance accumulates across installs into ``events``;
-    call :meth:`reset` (or use a fresh instance) per recording.
-    """
-
-    name = "trace_record"
-
-    def __init__(
-        self, sample_period=1.0, start=0.0, record_loss=False, record_delay=False
-    ):
-        if sample_period <= 0:
-            raise ValueError(
-                f"sample_period must be > 0, got {sample_period}"
-            )
-        self.sample_period = sample_period
-        self.start = start
-        self.record_loss = record_loss
-        self.record_delay = record_delay
-        self.events = []
-
-    def reset(self):
-        self.events = []
-
-    def save(self, path):
-        write_trace(path, self.events, sample_period=self.sample_period)
-        return path
-
-    def _snapshot(self, link):
-        """The recorded columns' current values, in column order."""
-        values = {"capacity": link.capacity}
-        if self.record_loss:
-            values["loss"] = link.loss_rate
-        if self.record_delay:
-            values["delay"] = link.delay
-        return values
-
-    def install(self, ctx):
-        sim = ctx.sim
-        links = ctx.core_links()
-        last = {}
-        for pair, link in links:
-            values = self._snapshot(link)
-            last[pair] = values
-            self.events.append({"t": sim.now, "link": _link_key(pair), **values})
-
-        def tick():
-            for pair, link in links:
-                values = self._snapshot(link)
-                previous = last[pair]
-                if values != previous:
-                    changed = {
-                        column: value
-                        for column, value in values.items()
-                        if value != previous[column]
-                    }
-                    last[pair] = values
-                    self.events.append(
-                        {"t": sim.now, "link": _link_key(pair), **changed}
-                    )
-
-        periodic(
-            sim,
-            tick,
-            start=self.start + self.sample_period,
-            period=self.sample_period,
-        )
 
 
 #: Default demo schedule used when ``TraceReplay`` is built with no

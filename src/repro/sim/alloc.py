@@ -25,9 +25,9 @@ whose vertices are flows and whose edges are shared links: a flow's
 rate depends only on the flows it (transitively) shares a link with.
 :func:`components` expands seed flows into whole components;
 :func:`fill` allocates one.  Allocating only the components that hold a
-changed flow or link gives the same rates as allocating all of them, so
-"incremental" and "full" allocation are one code path differing only
-in the seeds the caller passes.
+changed flow or link gives the same rates as allocating all of them:
+which components a pass refills is decided by the seeds the caller
+passes, not by the kernel.
 
 :func:`fill` hands back the flows *in the order they froze*: seq order
 within a freeze batch, batches by rising bottleneck share.  The caller

@@ -41,8 +41,7 @@ keep large experiments linear in the number of block transfers.  A pass
 1. gathers seeds — dirty flows, the flows on dirty links, and flows
    whose slow-start cap is still *binding* (their cap grows with time; a
    ramp already above the flow's share cannot change the allocation and
-   only has its ``ramp_done`` latch swept) — or, with
-   ``incremental=False``, every active flow;
+   only has its ``ramp_done`` latch swept);
 2. asks :func:`repro.sim.alloc.components` for the connected components
    those seeds reach, and for each one prices every flow's cap (one
    ``dynamic_caps`` call under a dynamic model), calls
@@ -54,10 +53,11 @@ keep large experiments linear in the number of block transfers.  A pass
 
 Work per pass is proportional to the dirty components only.  The
 kernel orders everything by creation sequence, so seed order cannot
-influence results, and passing every active flow as seeds runs the
-identical arithmetic in the identical order: ``incremental`` and
-``full`` produce bit-identical rates and event sequences (asserted by a
-randomized property test and the scenario-matrix golden tests).
+influence results: passing every active flow as seeds would run the
+identical arithmetic in the identical order and produce bit-identical
+rates and event sequences (the tests build that every-flow twin and
+assert it with a randomized property test and the scenario-matrix
+golden tests).
 Neither the model feed nor the callbacks fired from the settle loop
 (transport reschedules) touch allocator state, which is what lets
 settling wait until a component's fill has finished.
@@ -168,10 +168,6 @@ class FlowModel(Configurable):
             return math.inf
         window_segments = self.ramp_initial_segments * (2.0 ** doublings)
         return window_segments * self.mss / rtt
-
-    def slow_start_cap(self, links, age):
-        """:meth:`slow_start_cap_at` for the RTT of ``links``."""
-        return self.slow_start_cap_at(self.path_rtt(links), age)
 
     # -- dynamic-model hooks (called only when ``dynamic``) -----------------
 
@@ -285,10 +281,6 @@ class Flow:
         #: were last computed; lets idle flows refresh lazily.
         self._path_epoch = 0
 
-    @property
-    def active(self):
-        return self._active
-
     def __repr__(self):
         return f"Flow({self.name!r}, rate={self.rate:.0f}B/s, active={self._active})"
 
@@ -307,20 +299,16 @@ class FlowNetwork:
     (changes within one interval are coalesced, trading a bounded amount
     of short-term accuracy for linear running time).
 
-    With ``incremental=True`` (the default) a pass refills only the
-    components holding a dirty flow, a dirty link, or a binding ramp;
-    ``incremental=False`` refills every component.  Same arithmetic,
-    bit-identical rates (see the module docstring).
+    A pass refills only the components holding a dirty flow, a dirty
+    link, or a binding ramp (see the module docstring).
     """
 
-    def __init__(self, sim, model=None, reallocation_interval=0.01,
-                 incremental=True):
+    def __init__(self, sim, model=None, reallocation_interval=0.01):
         self.sim = sim
         self.model = model if model is not None else TcpModel()
         #: Hoisted dynamic-model gate, checked at every hook call site.
         self._dynamic = bool(self.model.dynamic)
         self.reallocation_interval = reallocation_interval
-        self.incremental = incremental
         self._active_flows = set()
         self._flow_seq = 0
         self._dirty = False
@@ -520,23 +508,19 @@ class FlowNetwork:
             self._dirty_flows.clear()
             self._dirty_links.clear()
             return
-        if self.incremental:
-            seeds = list(self._dirty_flows)
-            for link in self._dirty_links:
-                seeds.extend(link.flows)
-            if self._dynamic:
-                # Dynamic-model caps can *shrink* (backoff), so a cap
-                # that was non-binding last pass may bind now: every
-                # live flow must be revisited, binding or not.
-                seeds.extend(self._ramping_flows)
-            else:
-                # Ramping flows force a refill only while their
-                # slow-start cap is *binding*: a cap already above the
-                # flow's share cannot change the component's allocation
-                # by growing.
-                seeds.extend(f for f in self._ramping_flows if f.ramp_binding)
+        seeds = list(self._dirty_flows)
+        for link in self._dirty_links:
+            seeds.extend(link.flows)
+        if self._dynamic:
+            # Dynamic-model caps can *shrink* (backoff), so a cap that
+            # was non-binding last pass may bind now: every live flow
+            # must be revisited, binding or not.
+            seeds.extend(self._ramping_flows)
         else:
-            seeds = self._active_flows
+            # Ramping flows force a refill only while their slow-start
+            # cap is *binding*: a cap already above the flow's share
+            # cannot change the component's allocation by growing.
+            seeds.extend(f for f in self._ramping_flows if f.ramp_binding)
         self._dirty_flows.clear()
         self._dirty_links.clear()
 

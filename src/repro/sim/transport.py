@@ -114,7 +114,7 @@ class MessageAdversity:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} rate must be in [0, 1), got {value}")
-        if reorder_window <= 0:
+        if not reorder_window > 0:
             raise ValueError(
                 f"reorder_window must be > 0, got {reorder_window}"
             )

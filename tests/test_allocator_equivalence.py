@@ -5,7 +5,8 @@ module docstring) is that skipping clean components changes *nothing*:
 for any sequence of activations, deactivations, and capacity changes,
 every flow's rate — and the event sequence driven by rate-change
 callbacks — matches a :class:`FlowNetwork` that recomputes every
-component on every pass.  These tests drive both allocator modes with
+component on every pass.  The allocator has one mode; these tests build
+that every-component twin (:class:`FullFlowNetwork`), drive both with
 randomized operation scripts on randomized topologies and compare every
 flow rate for exact (bit-level) equality at every checkpoint.
 """
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+import repro.harness.experiment as experiment
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import SCENARIOS, SYSTEMS
 from repro.sim.engine import Simulator
@@ -23,13 +25,32 @@ from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 
 
+class FullFlowNetwork(FlowNetwork):
+    """The "full" twin: every pass seeds the kernel with every active
+    flow, so clean components are refilled too."""
+
+    def _run_reallocation(self):
+        self._dirty_flows.update(self._active_flows)
+        super()._run_reallocation()
+
+
+def run_full(*args, **kwargs):
+    """``run_experiment`` with the run's allocator swapped for
+    :class:`FullFlowNetwork`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "FlowNetwork", FullFlowNetwork)
+        return run_experiment(*args, **kwargs)
+
+
 def _build_world(seed, incremental, num_links=12, num_flows=24, model=None):
     """One (sim, network, links, flows) universe; two calls with the same
-    seed build identical twins (separate Link/Flow objects)."""
+    seed build identical twins (separate Link/Flow objects), the one
+    allocator with ``incremental`` and its :class:`FullFlowNetwork` twin
+    without."""
     rng = random.Random(seed)
     sim = Simulator()
-    net = FlowNetwork(sim, model=model, reallocation_interval=0.01,
-                      incremental=incremental)
+    network_cls = FlowNetwork if incremental else FullFlowNetwork
+    net = network_cls(sim, model=model, reallocation_interval=0.01)
     links = [
         Link(
             f"l{i}",
@@ -121,7 +142,7 @@ def _assert_twins_agree(seed, model_cls=None, conditions=False):
                 f"seed {seed} t={checkpoint}: {a.name} "
                 f"incremental={a.rate!r} full={b.rate!r}"
             )
-            assert a.active == b.active
+            assert a._active == b._active
             assert a.ramp_done == b.ramp_done
     # Both modes must have run the same coalesced passes and driven the
     # identical simulator event sequence.
@@ -148,15 +169,15 @@ def test_incremental_matches_full_under_dynamic_models(seed, model_cls):
     assert net_i.perf_stats() == net_f.perf_stats()
 
 
-def _matrix_run(scenario_name, flow_allocator, seed=3, flow_model=None):
-    return run_experiment(
+def _matrix_run(scenario_name, mode, seed=3, flow_model=None):
+    run = run_full if mode == "full" else run_experiment
+    return run(
         mesh_topology(8, seed=seed),
         SYSTEMS.get("bullet_prime").builder(num_blocks=24, seed=seed),
         24,
         scenario=SCENARIOS.build(scenario_name),
         max_time=900.0,
         seed=seed,
-        flow_allocator=flow_allocator,
         flow_model=flow_model,
     )
 
@@ -243,7 +264,7 @@ def test_dynamic_model_experiments_identical_in_both_modes(scenario_name,
 def test_incremental_skips_clean_components():
     """Two disjoint link groups: churning one must not re-fill the other."""
     sim = Simulator()
-    net = FlowNetwork(sim, reallocation_interval=0.0, incremental=True)
+    net = FlowNetwork(sim, reallocation_interval=0.0)
     left = Link("left", capacity=1000.0)
     right = Link("right", capacity=1000.0)
     f_left = net.new_flow("fl", [left])
@@ -267,8 +288,10 @@ def test_incremental_skips_clean_components():
 
 
 def test_full_mode_refills_everything():
+    """The full twin really is full: a change in one component refills
+    both (else every equivalence above would compare the mode to itself)."""
     sim = Simulator()
-    net = FlowNetwork(sim, reallocation_interval=0.0, incremental=False)
+    net = FullFlowNetwork(sim, reallocation_interval=0.0)
     left = Link("left", capacity=1000.0)
     right = Link("right", capacity=1000.0)
     f_left = net.new_flow("fl", [left])

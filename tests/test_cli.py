@@ -152,10 +152,10 @@ def test_cli_run_trace_flag_requires_trace_replay(capsys):
 
 
 def test_cli_run_trace_replay_from_file(tmp_path, capsys):
-    from repro.scenarios import write_trace
-
     path = tmp_path / "t.json"
-    write_trace(path, [{"t": 2.0, "link": "*", "scale": 0.5}])
+    path.write_text(
+        json.dumps({"version": 1, "events": [{"t": 2.0, "link": "*", "scale": 0.5}]})
+    )
     code = main(
         ["run", "--scenario", "trace", "--trace", str(path), "--nodes", "6",
          "--blocks", "16", "--json"]

@@ -30,12 +30,13 @@ from repro.scenarios import (
     Oscillate,
     Scenario,
     ScenarioContext,
-    TraceRecorder,
     compose,
 )
 from repro.scenarios.base import periodic
 from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
+
+from test_link_schedules import _watch
 
 
 class Probe(Scenario):
@@ -104,8 +105,8 @@ def test_random_combinator_trees_are_deterministic(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_composed_catalogue_scenarios_replay_identically(seed):
     """Real catalogue scenarios composed with random periods and
-    starts: the full link-capacity schedule (as captured by a
-    TraceRecorder) is identical across two installations."""
+    starts: the full link-condition schedule (every write, logged per
+    instant) is identical across two installations."""
 
     def build():
         # Rebuild fresh instances each run from the same draws.
@@ -131,15 +132,14 @@ def test_composed_catalogue_scenarios_replay_identically(seed):
 
     traces = []
     for _ in range(2):
-        recorder = TraceRecorder(sample_period=0.25)
         sim = Simulator()
         topo = mesh_topology(5, seed=seed)
-        ctx = ScenarioContext(sim, topo, seed=seed)
-        compose(build(), recorder).install(ctx)
+        schedule = _watch(sim, topo)
+        build().install(ScenarioContext(sim, topo, seed=seed))
         sim.run(until=30.0)
-        traces.append(recorder.events)
+        traces.append(schedule)
     assert traces[0] == traces[1]
-    assert any("capacity" in e for e in traces[0])
+    assert len(traces[0]) > 1
 
 
 def _drawn_scenario(seed, start, shift):

@@ -57,12 +57,6 @@ class TestDownloadStateUnencoded:
         state.add(1)
         assert not state.add(1)
 
-    def test_missing(self):
-        state = DownloadState(4)
-        state.add(0)
-        state.add(2)
-        assert state.missing() == [1, 3]
-
     def test_wants(self):
         state = DownloadState(2)
         state.add(0)
@@ -95,11 +89,6 @@ class TestDownloadStateEncoded:
         assert not state.complete
         state.add(1000)  # any distinct block counts
         assert state.complete
-
-    def test_missing_undefined(self):
-        state = DownloadState(10, encoded=True)
-        with pytest.raises(RuntimeError):
-            state.missing()
 
     def test_ids_past_num_blocks_complete_at_required(self):
         state = DownloadState(10, encoded=True)

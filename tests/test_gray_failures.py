@@ -11,6 +11,8 @@ golden cells never arm gray detection, so the quarantine machinery
 cannot perturb them.
 """
 
+import random
+
 import pytest
 
 from repro.harness.experiment import run_experiment
@@ -25,6 +27,7 @@ from repro.sim.transport import MessageAdversity
 
 N = 8
 NB = 24
+NAN = float("nan")
 
 
 def _run(scenario, seed=3, nodes=N, blocks=NB, factory=None, **kwargs):
@@ -154,19 +157,55 @@ class TestInjectorActuators:
         assert up.loss_rate == pytest.approx(0.0)
         assert down.loss_rate == pytest.approx(0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ZeroDivisionError,
-        reason="flake_node accepts loss=1.0 but its exact-inverse removal "
-        "divides by 1 - loss (found by the in-domain fuzz: flaky loss=1.0, "
-        "window=1.0); the scenario domains stop short of 1, the actuator "
-        "fix is post-install code and its own PR",
+    @pytest.mark.parametrize(
+        "act",
+        [
+            lambda injector: injector.flake_node(2, loss=1.0),
+            lambda injector: injector.flake_node(2, duration=NAN),
+            lambda injector: injector.partition([[0, 1], [2, 3]], NAN),
+            lambda injector: injector.degrade_node(2, duration=NAN),
+            lambda injector: injector.degrade_node(2, stretch=NAN),
+            lambda injector: injector.schedule_restart(2, NAN),
+            lambda injector: injector.arm_adversity(random.Random(1), duplicate=1.5),
+            lambda injector: injector.arm_adversity(
+                random.Random(1), reorder_window=NAN
+            ),
+        ],
+        ids=[
+            "flake_total_loss",
+            "flake_nan_duration",
+            "partition_nan_duration",
+            "degrade_nan_duration",
+            "degrade_nan_stretch",
+            "restart_nan_delay",
+            "adversity_duplicate_1.5",
+            "adversity_nan_reorder_window",
+        ],
     )
-    def test_flake_window_at_total_loss_heals(self):
+    def test_refused_before_acting(self, act):
+        """Every argument is checked before the injector acts: a refused
+        call writes no link, arms nothing and leaves no bookkeeping
+        (``loss=1.0`` is refused because the window's exact-inverse
+        removal divides by ``1 - loss``)."""
         sim, topology, injector = self._injector()
-        injector.flake_node(2, loss=1.0, duration=1.0, direction="up")
-        sim.run(until=2.0)
-        assert topology.access_up[2].loss_rate == pytest.approx(0.0)
+        links = [
+            *topology.access_up.values(),
+            *topology.access_down.values(),
+            *topology.core.values(),
+        ]
+
+        def conditions():
+            return [(link.capacity, link.loss_rate, link.delay) for link in links]
+
+        before = conditions()
+        with pytest.raises(ValueError):
+            act(injector)
+        sim.run(until=10.0)
+        assert conditions() == before
+        assert not injector.armed and not injector.partition_active
+        assert injector.failed == injector.pending_restarts == set()
+        assert injector.degraded == {}
+        assert injector.network.adversity is None
 
     def test_source_is_untouchable(self):
         _sim, _topology, injector = self._injector()
@@ -187,8 +226,6 @@ class TestInjectorActuators:
             injector.flake_node(2, direction="sideways")
 
     def test_adversity_single_instance_and_counter_carryover(self):
-        import random
-
         sim, _topology, injector = self._injector()
         assert injector.arm_adversity(random.Random(1), duplicate=0.5) is True
         assert injector.arm_adversity(random.Random(2), duplicate=0.5) is False
@@ -241,8 +278,6 @@ class TestScenarioConfigValidation:
             GrayChaos(degrade_weight=-1.0)
 
     def test_message_adversity_rate_validation(self):
-        import random
-
         counters = TraceCollector(Simulator(), num_blocks=1).counters
         with pytest.raises(ValueError):
             MessageAdversity(None, random.Random(1), counters, duplicate=1.0)

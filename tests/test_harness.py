@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.download import FileObject
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.registry import SYSTEMS
 from repro.harness.report import FigureData
-from repro.harness.workloads import flash_crowd_file, software_update_workload
+from repro.harness.workloads import software_update_workload
 from repro.overlay.tree import build_random_tree
 from repro.sim.engine import Simulator
 from repro.sim.tcp import FlowNetwork
@@ -103,7 +104,7 @@ class TestSummaryPolicy:
 
 class TestWorkloads:
     def test_flash_crowd_file(self):
-        fo = flash_crowd_file(10_000, 512, seed=1)
+        fo = FileObject.synthetic(10_000, 512, seed=1)
         assert fo.num_blocks == 20
 
     def test_update_workload_fractions(self):

@@ -83,11 +83,11 @@ class TestTcpModel:
 
     def test_slow_start_ramps(self):
         model = TcpModel()
-        links = [Link("a", 1, delay=0.05)]
-        early = model.slow_start_cap(links, age=0.0)
-        later = model.slow_start_cap(links, age=0.5)
+        rtt = model.path_rtt([Link("a", 1, delay=0.05)])
+        early = model.slow_start_cap_at(rtt, age=0.0)
+        later = model.slow_start_cap_at(rtt, age=0.5)
         assert later > early
-        assert model.slow_start_cap(links, age=1000.0) == math.inf
+        assert model.slow_start_cap_at(rtt, age=1000.0) == math.inf
 
     def test_rto_floor(self):
         model = TcpModel()

@@ -24,6 +24,8 @@ from repro.harness.sweep import (
 )
 from repro.sim.topology import mesh_topology
 
+from test_allocator_equivalence import run_full
+
 N = 8
 NB = 24
 MAX_TIME = 900.0
@@ -36,22 +38,21 @@ MAX_TIME = 900.0
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_matrix.jsonl"
 
 
-def _run(system_name, scenario_name, seed=1, flow_allocator="incremental"):
+def _run(system_name, scenario_name, seed=1, full=False):
     entry = SYSTEMS.get(system_name)
-    return run_experiment(
+    return (run_full if full else run_experiment)(
         mesh_topology(N, seed=seed),
         entry.builder(num_blocks=NB, seed=seed),
         NB,
         scenario=SCENARIOS.build(scenario_name),
         max_time=MAX_TIME,
         seed=seed,
-        flow_allocator=flow_allocator,
     )
 
 
 def _comparable(summary):
-    """Summary minus the perf counters (which intentionally differ
-    between allocator modes: that is what incremental mode saves)."""
+    """Summary minus the perf counters (which intentionally differ from
+    the full twin's: that is what incremental allocation saves)."""
     summary = dict(summary)
     summary.pop("perf", None)
     return summary
@@ -138,13 +139,11 @@ def test_summary_bit_identical_across_runs(scenario_name):
 def test_incremental_allocator_bit_identical_to_full(scenario_name):
     """Component-scoped incremental allocation produces exactly the
     results of recomputing every component, across the whole scenario
-    catalogue."""
-    incremental = _run(
-        "bullet_prime", scenario_name, seed=3, flow_allocator="incremental"
-    )
-    full = _run("bullet_prime", scenario_name, seed=3, flow_allocator="full")
+    catalogue (the full twin is the tests' ``FullFlowNetwork``)."""
+    incremental = _run("bullet_prime", scenario_name, seed=3)
+    full = _run("bullet_prime", scenario_name, seed=3, full=True)
     assert _comparable(incremental.summary()) == _comparable(full.summary())
-    # Incremental mode must do no *more* allocator work than full mode.
+    # Incremental allocation must do no *more* work than the full twin.
     assert (
         incremental.flows.flows_allocated <= full.flows.flows_allocated
     )

@@ -1,5 +1,7 @@
 """Tests for the scenario package: catalogue, composition, trace replay."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,6 @@ from repro.scenarios import (
     Oscillate,
     ScenarioContext,
     Static,
-    TraceRecorder,
     TraceReplay,
     compose,
     read_trace,
@@ -303,38 +304,7 @@ class TestTraceReplay:
 
 
 class TestTraceRoundTrip:
-    """Record a run's link-capacity trace, replay it, and assert the
-    replayed capacities match the recorded schedule exactly."""
-
-    def _record(self, scenario, recorder, seed=3, until=20.0):
-        sim = Simulator()
-        topo = mesh_topology(5, seed=seed)
-        ctx = ScenarioContext(sim, topo, source_id=0, seed=seed)
-        compose(scenario, recorder).install(ctx)
-        sim.run(until=until)
-        return topo
-
-    def test_replay_reproduces_recorded_schedule(self, tmp_path):
-        recorder = TraceRecorder(sample_period=1.0, start=0.25)
-        self._record(
-            Oscillate(period=4.0, sample_period=1.0, seed=3), recorder
-        )
-        assert any("capacity" in e and e["t"] > 0 for e in recorder.events)
-        path = recorder.save(tmp_path / "run.trace.json")
-
-        # Replay the file onto a fresh identical topology, recording
-        # again with the same sampling offsets.
-        second = TraceRecorder(sample_period=1.0, start=0.25)
-        self._record(TraceReplay(path=path), second)
-        assert second.events == recorder.events
-
-    def test_save_load_round_trip(self, tmp_path):
-        recorder = TraceRecorder(sample_period=0.5, start=0.1)
-        self._record(
-            CorrelatedDecreases(seed=4, period=5.0), recorder, until=16.0
-        )
-        path = recorder.save(tmp_path / "t.json")
-        assert read_trace(path) == recorder.events
+    """JSON trace files: ``{"version": 1, "events": [...]}``."""
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -345,16 +315,7 @@ class TestTraceRoundTrip:
 
 class TestMultiColumnTrace:
     """The (time, bandwidth[, loss, delay]) trace format: loss and delay
-    events replay through the link-condition engine, and a multi-column
-    record -> replay -> record loop is bit-identical."""
-
-    def _record(self, scenario, recorder, seed=3, until=20.0):
-        sim = Simulator()
-        topo = mesh_topology(5, seed=seed)
-        ctx = ScenarioContext(sim, topo, source_id=0, seed=seed)
-        compose(scenario, recorder).install(ctx)
-        sim.run(until=until)
-        return topo
+    events replay through the link-condition engine."""
 
     def test_loss_and_delay_events_replay(self):
         ctx = _ctx(4)
@@ -386,50 +347,10 @@ class TestMultiColumnTrace:
                 ]
             )
 
-    def test_multi_column_record_replay_round_trip(self, tmp_path):
-        # Drive all three knobs at once: oscillating capacity plus
-        # bursty loss (the loss flips also exercise per-link deltas).
-        driver = compose(
-            Oscillate(period=4.0, sample_period=1.0, seed=3),
-            GilbertElliott(
-                bad_loss=0.1, mean_good=3.0, mean_bad=3.0, seed=3
-            ),
-        )
-        recorder = TraceRecorder(
-            sample_period=1.0, start=0.25, record_loss=True, record_delay=True
-        )
-        self._record(driver, recorder)
-        kinds = set()
-        for event in recorder.events:
-            kinds.update(k for k in ("capacity", "loss", "delay") if k in event)
-        assert {"capacity", "loss"} <= kinds
-        path = recorder.save(tmp_path / "multi.trace.json")
-
-        second = TraceRecorder(
-            sample_period=1.0, start=0.25, record_loss=True, record_delay=True
-        )
-        self._record(TraceReplay(path=path), second)
-        assert second.events == recorder.events
-
-    def test_capacity_only_recorder_format_unchanged(self, tmp_path):
-        # Default recorder columns: exactly the legacy (time, bandwidth)
-        # events, even when loss moves underneath.
-        recorder = TraceRecorder(sample_period=1.0, start=0.25)
-        self._record(
-            compose(
-                Oscillate(period=4.0, sample_period=1.0, seed=3),
-                GilbertElliott(bad_loss=0.1, mean_good=2.0, seed=3),
-            ),
-            recorder,
-        )
-        for event in recorder.events:
-            assert set(event) == {"t", "link", "capacity"}
-
 
 class TestTraceRoundTripProperties:
-    """Property test: ANY multi-column schedule record -> replay ->
-    record round-trips bit-identically (the satellite contract for the
-    link-condition engine's trace path)."""
+    """Property test: ANY multi-column schedule written as a JSON trace
+    file reads back identically."""
 
     _event = st.fixed_dictionaries(
         {
@@ -447,34 +368,11 @@ class TestTraceRoundTripProperties:
         },
     ).filter(lambda e: len(e) > 2)
 
-    @given(events=st.lists(_event, min_size=1, max_size=20))
-    @settings(max_examples=25, deadline=None)
-    def test_record_replay_record_is_bit_identical(self, events):
-        def record(schedule):
-            sim = Simulator()
-            topo = mesh_topology(5, seed=11)
-            ctx = ScenarioContext(sim, topo, source_id=0, seed=11)
-            recorder = TraceRecorder(
-                sample_period=0.5,
-                start=0.125,
-                record_loss=True,
-                record_delay=True,
-            )
-            compose(TraceReplay(events=schedule), recorder).install(ctx)
-            sim.run(until=18.0)
-            return recorder.events
-
-        first = record(events)
-        second = record(first)
-        assert second == first
-
     @given(events=st.lists(_event, min_size=1, max_size=12))
     @settings(max_examples=25, deadline=None)
     def test_save_load_round_trip(self, events, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace") / "t.json"
-        from repro.scenarios import write_trace
-
-        write_trace(path, events)
+        path.write_text(json.dumps({"version": 1, "events": events}))
         assert read_trace(path) == events
 
 
