@@ -174,9 +174,9 @@ def _run_parser():
         "--watchdog-window",
         type=float,
         default=60.0,
-        help="liveness window in simulated seconds: once any fault "
-        "actuates, a run making no block-delivery progress for this "
-        "long is failed instead of hanging to --max-time",
+        help="liveness window in simulated seconds: a run in which no "
+        "started, incomplete node gains a block toward completion for "
+        "this long is failed instead of hanging to --max-time",
     )
     parser.add_argument(
         "--no-invariants",

@@ -274,6 +274,10 @@ class SplitStreamNode(OverlayProtocol):
             count >= self._stripe_required for count in self._stripe_counts
         )
 
+    def progress(self):
+        # Fountain ids past a stripe's quota complete nothing.
+        return sum(min(c, self._stripe_required) for c in self._stripe_counts)
+
     def connection_closed(self, conn):
         for stripe, conns in self.stripe_children.items():
             if conn in conns:

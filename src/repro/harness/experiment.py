@@ -20,7 +20,8 @@ from repro.sim.transport import Network
 
 __all__ = ["ExperimentResult", "run_experiment"]
 
-#: Simulated seconds between checks that every survivor has completed.
+#: Simulated seconds between checks of the run's one stop rule: every
+#: survivor completed, or no node the run waits on progressed.
 CHECK_PERIOD = 1.0
 
 
@@ -63,7 +64,7 @@ class ExperimentResult:
         self.trace = trace
         self.nodes = nodes
         self.sim = sim
-        #: True when every receiver completed before the time limit.
+        #: True when every survivor completed and no restart was pending.
         self.finished = finished
         #: The :class:`~repro.sim.tcp.FlowNetwork` the run used (for
         #: allocator perf counters; may be None for hand-built results).
@@ -167,13 +168,12 @@ def run_experiment(
         Simulated-seconds cap; the run stops early once every surviving
         non-source node has completed.
     watchdog_window:
-        Liveness window in simulated seconds, handed to the run's
-        :class:`~repro.harness.faults.FaultInjector`: from the first
-        fault actuation on, a run making no block-delivery progress for
-        this long is stopped (``finished=False``, ``watchdog_fired=1``)
-        instead of hanging to ``max_time``.  Fault-free runs never arm
-        the watchdog.  Anything but a positive number (0, a negative,
-        NaN) is a :class:`ValueError` before the run starts.
+        Liveness window in simulated seconds: the stop rule also ends a
+        run (``finished=False``, ``watchdog_fired=1``) in which some
+        started, incomplete node is waited on but none has changed its
+        :meth:`~repro.overlay.node.OverlayProtocol.progress` for this
+        long, instead of hanging to ``max_time``.  Anything but a
+        positive number (0, a negative, NaN) is a :class:`ValueError`.
     check_invariants:
         When True, install a
         :class:`repro.harness.invariants.InvariantChecker` as
@@ -190,6 +190,8 @@ def run_experiment(
         ``None`` and ``"reno"`` are bit-identical by construction (the
         golden matrix pins it).
     """
+    if not watchdog_window > 0:
+        raise ValueError(f"watchdog window must be > 0, got {watchdog_window}")
     sim = Simulator()
     flows = FlowNetwork(sim, model=_resolve_flow_model(flow_model))
     network = Network(
@@ -204,9 +206,7 @@ def run_experiment(
 
         network.invariants = InvariantChecker(network)
     nodes = node_factory(network, tree, source_id, trace)
-    injector = FaultInjector(
-        sim, network, topology, nodes, trace, source_id, watchdog_window
-    )
+    injector = FaultInjector(sim, network, topology, nodes, trace, source_id)
 
     scenario = _resolve_scenario(scenario)
     start_delays = {}
@@ -230,18 +230,39 @@ def run_experiment(
 
     receivers = [n for n in topology.nodes if n != source_id]
 
-    def survivors():
-        return [r for r in receivers if r not in injector.failed]
+    def done():
+        return not injector.pending_restarts and all(
+            r in trace.completion_times for r in receivers if r not in injector.failed
+        )
+
+    seen = {}  # node id -> its progress() at the last check
+    last_change = sim.now
+
+    def stalled():
+        # Waited on: started, not down for good (a node awaiting restart
+        # is waited on), and its current incarnation incomplete.  A
+        # rebuilt node's new value is a change too.
+        nonlocal last_change
+        lost = injector.permanently_failed()
+        waiting = False
+        for r in receivers:
+            node = nodes[r]
+            if r in lost or r not in trace.block_arrivals or node.download_complete():
+                continue
+            waiting = True
+            value = node.progress()
+            if seen.get(r) != value:
+                seen[r] = value
+                last_change = sim.now
+        return waiting and sim.now - last_change >= watchdog_window
 
     def check_done():
-        if injector.pending_restarts:
-            # A crashed node is coming back: the run is not over even if
-            # every current survivor already finished.
-            return True
-        if all(r in trace.completion_times for r in survivors()):
-            sim.stop()
-            return False
-        return True
+        if not done():
+            if not stalled():
+                return True
+            trace.counters["watchdog_fired"] = 1
+        sim.stop()
+        return False
 
     sim.schedule_periodic(CHECK_PERIOD, check_done)
     # The hot objects (timers, messages) are freed by reference
@@ -257,14 +278,11 @@ def run_experiment(
     finally:
         if gc_was_enabled:
             gc.enable()
-    finished = not injector.pending_restarts and all(
-        r in trace.completion_times for r in survivors()
-    )
     return ExperimentResult(
         trace,
         nodes,
         sim,
-        finished,
+        done(),
         flows=flows,
         source_id=source_id,
         failed_nodes=injector.failed,

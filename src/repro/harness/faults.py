@@ -1,21 +1,22 @@
-"""Fault injection: crashes, restarts, partitions, gray failures, liveness.
+"""Fault injection: crashes, restarts, partitions, gray failures.
 
 The :class:`FaultInjector` is the one actuation point for node-level
 failures and the one arming point for everything that reacts to them.
 Scenarios reach it as ``ctx.faults`` on their
 :class:`~repro.scenarios.base.ScenarioContext`; the experiment harness
 builds one per run and reads its ``failed`` / ``pending_restarts`` sets
-for the completion condition.
+in the run's stop rule, which also judges liveness (see
+:func:`repro.harness.experiment.run_experiment`).
 
 Crash semantics are *silent*: a crashed node aborts every connection
 without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
 death through its own failure detectors.  Every actuator therefore calls
 :meth:`FaultInjector.arm` first, and the **first** call arms detection
-network-wide: each node's ``arm_detection`` hook, then the liveness
-watchdog.  Fault-free runs (and a ``chaos`` scenario with rate 0) never
-arm anything, which is what keeps their event timelines bit-identical to
-the legacy golden matrix.
+network-wide through each node's ``arm_detection`` hook; the injector
+schedules no event of its own.  Fault-free runs (and a ``chaos``
+scenario with rate 0) never arm anything, which is what keeps their
+event timelines bit-identical to the legacy golden matrix.
 
 *Gray* failures — fail-slow nodes (:meth:`FaultInjector.degrade_node`),
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and
@@ -26,9 +27,9 @@ responses change protocol behavior beyond crash detection; arming them
 under plain crash scenarios would perturb the recorded crash/chaos
 timelines.
 
-Nothing here keeps a count of its own: the watchdog, the message
-adversity and the nodes write the run's ``trace.counters``, which
-outlive a restarted node and a disarmed adversity alike.
+Nothing here keeps a count of its own: the message adversity and the
+nodes write the run's ``trace.counters``, which outlive a restarted
+node and a disarmed adversity alike.
 """
 
 __all__ = ["FaultInjector"]
@@ -51,32 +52,20 @@ class FaultInjector:
         works with any mapping.
     source_id:
         The data source — it can never be failed.
-    watchdog_window:
-        Liveness window in simulated seconds.  From the first
-        :meth:`arm` on, the watchdog checks twice per window; a run with
-        no fresh block arriving anywhere
-        (``TraceCollector.last_arrival_time``) for a full window is
-        stopped and counted as ``trace.counters["watchdog_fired"]``, so
-        the harness reports ``finished=False`` instead of silently
-        burning simulated hours.
     """
 
-    def __init__(
-        self, sim, network, topology, nodes, trace, source_id, watchdog_window=60.0
-    ):
-        if not watchdog_window > 0:
-            raise ValueError(f"watchdog window must be > 0, got {watchdog_window}")
+    def __init__(self, sim, network, topology, nodes, trace, source_id):
         self.sim = sim
         self.network = network
         self.topology = topology
         self.nodes = nodes
         self.trace = trace
         self.source_id = source_id
-        self.watchdog_window = watchdog_window
         #: Node ids currently down (includes nodes awaiting restart).
         self.failed = set()
         #: Node ids with a scheduled restart that has not happened yet;
-        #: the harness keeps the run alive while this is non-empty.
+        #: the run's stop rule does not call it complete while this is
+        #: non-empty.
         self.pending_restarts = set()
         self.armed = False
         self.gray_armed = False
@@ -91,34 +80,18 @@ class FaultInjector:
         """Arm detection network-wide (idempotent per tier).
 
         Every fault path calls this first, so detection exists from the
-        first fault onward and never before.  Each node's
-        ``arm_detection(gray)`` hook runs, then — on the first call only
-        — the liveness watchdog is scheduled.  ``gray=True`` (every gray
+        first fault onward and never before: each node's
+        ``arm_detection(gray)`` hook runs.  ``gray=True`` (every gray
         actuator) also enables each node's gray responses: checksum
         verification, sender quality scoring, and quarantine, which
-        plain crash scenarios never get.  Arming the gray tier schedules
-        no event.
+        plain crash scenarios never get.  The injector schedules nothing.
         """
         if self.gray_armed or (self.armed and not gray):
             return
-        first = not self.armed
         self.armed = True
         self.gray_armed = gray
         for node in self.nodes.values():
             node.arm_detection(gray)
-        if first:
-            armed_at = self.sim.now
-            self.sim.schedule_periodic(
-                self.watchdog_window / 2.0, lambda: self._watchdog(armed_at)
-            )
-
-    def _watchdog(self, armed_at):
-        progress = max(self.trace.last_arrival_time, armed_at)
-        if self.sim.now - progress < self.watchdog_window:
-            return True
-        self.trace.counters["watchdog_fired"] = 1
-        self.sim.stop()
-        return False
 
     @property
     def partition_active(self):

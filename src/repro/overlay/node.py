@@ -118,6 +118,11 @@ class OverlayProtocol:
         """Whether this node holds enough to call its download done."""
         return self.state.complete
 
+    def progress(self):
+        """Useful blocks held, capped at what completion needs: full
+        exactly when :meth:`download_complete` holds."""
+        return min(len(self.state), self.state.required)
+
     def accepted(self, conn):
         """An inbound connection was established."""
 

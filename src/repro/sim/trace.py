@@ -18,7 +18,7 @@ RUN_COUNTERS = (
     "fd_retries", "fd_suspects", "fd_rerequests", "fd_rejoins",  # Bullet' nodes
     "gray_quarantines", "gray_reprobes", "gray_corrupt_detected",  # Bullet' nodes
     "gray_dup_dropped", "gray_reordered",  # MessageAdversity
-    "watchdog_fired",  # FaultInjector's liveness watchdog
+    "watchdog_fired",  # run_experiment's stop rule, on a stall
 )
 
 
@@ -35,9 +35,6 @@ class TraceCollector:
         #: Run-wide: a count outlives the node or adversity that made it.
         self.counters = dict.fromkeys(RUN_COUNTERS, 0)
         self.start_time = sim.now
-        #: Simulated time of the most recent fresh block arrival anywhere
-        #: in the experiment — the liveness watchdog's progress signal.
-        self.last_arrival_time = sim.now
 
     def node_started(self, node_id):
         self.block_arrivals.setdefault(node_id, [])
@@ -54,7 +51,6 @@ class TraceCollector:
         if arrivals is None:
             arrivals = self.block_arrivals[node_id] = []
         arrivals.append((self.sim.now, block))
-        self.last_arrival_time = self.sim.now
 
     def control_sent(self, node_id, nbytes):
         self.control_bytes[node_id] = self.control_bytes.get(node_id, 0) + nbytes

@@ -13,7 +13,7 @@ from repro.sim.engine import Simulator
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 from repro.sim.trace import TraceCollector
-from repro.sim.transport import Network
+from repro.sim.transport import Message, Network
 
 
 def _bt_swarm(num_nodes=8, num_blocks=32, seed=3, **overrides):
@@ -145,6 +145,29 @@ class TestSplitStreamBlocking:
         assert fast._stripe_counts[0] == 26 < fast._stripe_required == 34
         assert fast.completed_at is None
         assert 1 not in trace.completion_times
+
+    def test_ids_past_a_stripe_quota_are_not_progress(self):
+        # Stripe 1 overflows its quota while stripe 0 starves: the
+        # overflow is fresh data but completes nothing, so progress()
+        # stays put — the run's liveness check must see a stall there.
+        sim = Simulator()
+        topo = mesh_topology(3, seed=1)
+        net = Network(sim, topo, FlowNetwork(sim))
+        config = SplitStreamConfig(num_blocks=8, num_stripes=2, seed=1)
+        node = SplitStreamNode(
+            net, 1, {0: {}, 1: {}}, 0, config, TraceCollector(sim, 8)
+        )
+        quota = node._stripe_required
+        readings = []
+        for i in range(3 * quota):
+            node.on_ss_block(
+                None,
+                Message("ss_block", payload={"block": 1 + 2 * i, "stripe": 1}),
+            )
+            readings.append(node.progress())
+        assert readings == [*range(1, quota + 1), *[quota] * (2 * quota)]
+        assert len(node.state) == 3 * quota
+        assert not node.download_complete()
 
     def test_stripe_recovers_when_backpressuring_child_dies(self):
         # A stripe stalled on one slow child must resume when that child

@@ -1,22 +1,28 @@
-"""The fault-injection engine: crash/recovery scenarios, the liveness
-watchdog, the invariant checker, and failure-schedule validation.
+"""The fault-injection engine: crash/recovery scenarios, the run's
+liveness check, the invariant checker, and failure-schedule validation.
 
 The contract under test: failures are *silent* (peers discover them via
 their own detectors), restarted nodes lose all state and re-join from
 scratch, the run stays alive until every scheduled restart happened and
-completed, and a run that stops making progress fails fast through the
-watchdog instead of burning simulated hours.
+completed, and a run whose nodes stop making progress fails fast through
+the stop rule's liveness check instead of burning simulated hours.
 """
 
 import inspect
 
 import pytest
 
+from repro.baselines.splitstream import SplitStreamNode
 from repro.harness.experiment import run_experiment
 from repro.harness.faults import FaultInjector
 from repro.harness.invariants import InvariantChecker
-from repro.harness.registry import SCENARIOS
-from repro.harness.systems import bullet_prime_factory
+from repro.harness.registry import SCENARIOS, SYSTEMS
+from repro.harness.sweep import TOPOLOGIES
+from repro.harness.systems import (
+    bittorrent_factory,
+    bullet_prime_factory,
+    splitstream_factory,
+)
 from repro.overlay.tree import build_random_tree
 from repro.scenarios.failures import Chaos, Crash, CrashRestart, Partition
 from repro.sim.engine import Simulator
@@ -88,8 +94,8 @@ class TestChaosEquivalence:
 class TestLivenessWatchdog:
     def test_watchdog_fails_stalled_run_instead_of_hanging(self):
         # A restart 500s out keeps the run alive long after every
-        # survivor finished; with nothing arriving, the watchdog must
-        # stop the simulation within ~2 windows, not at max_time.
+        # survivor finished; with the victim making no progress, the
+        # stop rule must end the run within ~1 window, not at max_time.
         result = _run(
             CrashRestart(down_time=500.0, schedule=((3.0, 5),)),
             watchdog_window=30.0,
@@ -99,11 +105,85 @@ class TestLivenessWatchdog:
         assert result.summary()["perf"]["watchdog_fired"] == 1
         assert result.sim.now < 500.0  # long before restart or max_time
 
-    def test_nan_window_refused_before_the_run_starts(self):
-        # NaN passes a ``window <= 0`` check; a fault-free scenario never
-        # arms the watchdog, so only the constructor can catch it.
+    def test_fountain_ids_past_the_quota_do_not_keep_a_stalled_run_alive(self):
+        # SplitStream's fountain source streams fresh ids forever, so
+        # "a fresh block arrived somewhere" never stalls; per-node
+        # progress counts only ids toward a stripe's quota.  This cell
+        # used to run to max_time with the watchdog clean.
+        result = run_experiment(
+            TOPOLOGIES["throttled_star"](N, seed=1),
+            splitstream_factory(num_blocks=NB, seed=1),
+            NB,
+            scenario="crash",
+            seed=1,
+            watchdog_window=20.0,
+        )
+        assert not result.finished
+        assert result.trace.counters["watchdog_fired"] == 1
+        assert result.sim.now < 100.0  # max_time is 3,600 s
+        live = [
+            node
+            for node_id, node in result.nodes.items()
+            if node_id != result.source_id and node_id not in result.failed_nodes
+        ]
+        # Fresh ids kept arriving; they were not progress.
+        assert any(len(node.state) > node.progress() for node in live)
+
+    def test_a_late_start_is_not_a_stall(self):
+        # Every receiver joins after more than a window of silence: a
+        # node not yet started is not waited on.
+        result = _run(
+            SCENARIOS.build("flash_crowd", start=120.0, ramp=5.0),
+            watchdog_window=30.0,
+        )
+        assert result.finished
+        assert result.trace.counters["watchdog_fired"] == 0
+        assert result.receiver_completion_times[0] > 120.0
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan")])
+    def test_window_validation(self, window):
+        # NaN passes a ``window <= 0`` check; refused before the run starts.
         with pytest.raises(ValueError, match="watchdog window"):
-            _run("none", watchdog_window=float("nan"))
+            _run("none", watchdog_window=window)
+
+
+class TestProgress:
+    """``OverlayProtocol.progress()``, the stop rule's liveness signal."""
+
+    @staticmethod
+    def _full(node):
+        if isinstance(node, SplitStreamNode):
+            return node._stripe_required * len(node._stripe_counts)
+        return node.state.required
+
+    @pytest.mark.parametrize("system", SYSTEMS.names())
+    def test_progress_rises_to_full_exactly_at_completion(self, system):
+        samples = {}
+
+        def probed(network, tree, source_id, trace):
+            nodes = SYSTEMS[system](num_blocks=NB, seed=3)(
+                network, tree, source_id, trace
+            )
+
+            def probe():
+                for node_id, node in nodes.items():
+                    if node_id != source_id and not node.crashed:
+                        samples.setdefault(node_id, []).append(
+                            (node.progress(), node.download_complete(), node)
+                        )
+                return True
+
+            network.sim.schedule_periodic(1.0, probe)
+            return nodes
+
+        run_experiment(mesh_topology(N, seed=3), probed, NB, scenario="crash", seed=3)
+        seen = [sample for series in samples.values() for sample in series]
+        assert {complete for _, complete, _ in seen} == {False, True}
+        for series in samples.values():
+            values = [value for value, _, _ in series]
+            assert values == sorted(values)  # never falls for a live node
+        for value, complete, node in seen:
+            assert (value == self._full(node)) == complete
 
 
 class TestInvariantChecker:
@@ -222,16 +302,11 @@ class TestInjectorValidation:
         with pytest.raises(ValueError, match="squeeze"):
             self._injector().partition([[1], [2]], duration=5.0, squeeze=1.5)
 
-    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan")])
-    def test_window_validation(self, window):
-        with pytest.raises(ValueError, match="window"):
-            FaultInjector(None, None, None, {}, None, 0, watchdog_window=window)
-
 
 class TestArming:
     """``FaultInjector.arm`` is the one arming point: per tier, once."""
 
-    def _setup(self, check_invariants=False):
+    def _setup(self, check_invariants=False, factory=bullet_prime_factory):
         sim = Simulator()
         topology = mesh_topology(6, seed=1)
         network = Network(sim, topology, FlowNetwork(sim))
@@ -239,10 +314,22 @@ class TestArming:
             network.invariants = InvariantChecker(network)
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
         trace = TraceCollector(sim, num_blocks=8)
-        nodes = bullet_prime_factory(num_blocks=8, seed=1)(network, tree, 0, trace)
+        nodes = factory(num_blocks=8, seed=1)(network, tree, 0, trace)
         for node in nodes.values():
             node.start()
         return sim, FaultInjector(sim, network, topology, nodes, trace, 0)
+
+    def test_arming_schedules_no_event(self):
+        # Liveness belongs to the run's stop rule: the injector leaves
+        # no timer behind at either tier (BitTorrent nodes keep the base
+        # class's hook, which schedules nothing either).
+        sim, injector = self._setup(factory=bittorrent_factory)
+        sim.run(until=2.0)
+        before = sim.pending_events
+        injector.arm()
+        assert sim.pending_events == before
+        injector.arm(gray=True)
+        assert sim.pending_events == before
 
     def test_gray_tier_after_crash_tier_schedules_nothing(self):
         sim, injector = self._setup()

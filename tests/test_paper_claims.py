@@ -16,8 +16,7 @@ Each :data:`CLAIMS` row is one assertion:
   two sides and its comparison, thresholds as they were written;
 - ``paper`` is the scale the comparison was written for, and ``tier1``
   is the first :data:`LADDER` rung below it at which the predicate
-  holds on every seed, or None when no rung does (one crash row is
-  None for cost, see its comment);
+  holds on every seed, or None when no rung does;
 - ``seeds`` are at least five, the original assertion's own among them.
 
 Tier-1 runs every row with a ``tier1`` rung; the paper-scale run is
@@ -215,16 +214,9 @@ def _two_interior(nodes):
     return [(6.0, 5), (10.0, 9)]
 
 
-#: Two interior nodes fail early.  SplitStream's stranded nodes keep its
-#: run going to the 900 s limit (~15 s of wall time a seed), so the row
-#: that reads only the mesh runs the mesh alone.
+#: Two interior nodes fail early.  SplitStream's stranded nodes end its
+#: run through the stop rule's liveness check, not at the 900 s limit.
 crash_two = _crashes("crash-two", _two_interior, 900.0)
-crash_two_mesh = _crashes(
-    "crash-two-mesh",
-    _two_interior,
-    900.0,
-    systems={"bullet_prime": bullet_prime_factory},
-)
 
 
 def med(fig, label):
@@ -566,7 +558,7 @@ CLAIMS = [
     Claim(
         "crash.mesh_finishes",
         "tests/test_failures.py:112",
-        crash_two_mesh,
+        crash_two,
         lambda f: (f.scalars["bullet_prime finished"], "==", True),
         Scale(16, 96),
         Scale(12, 64),
@@ -582,9 +574,7 @@ CLAIMS = [
             f.scalars["splitstream completions"],
         ),
         Scale(16, 96),
-        # Holds from Scale(12, 64) on, but SplitStream's stranded runs
-        # there cost ~15 s a seed: tier-1 keeps the crash-fifth rows.
-        None,
+        Scale(12, 64),
         CRASH_SEEDS,
     ),
 ]

@@ -52,6 +52,9 @@ INTEGER_SUMS = {
         "missing-block count",
     ("repro/core/request.py", "sum(map(len, self.buckets.values()))"):
         "bucket lengths",
+    ("repro/baselines/splitstream.py",
+     "sum(min(c, self._stripe_required) for c in self._stripe_counts)"):
+        "per-stripe block counts",
 }
 
 
