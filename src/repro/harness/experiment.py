@@ -265,9 +265,9 @@ def run_experiment(
         return False
 
     sim.schedule_periodic(CHECK_PERIOD, check_done)
-    # The hot objects (timers, messages) are freed by reference
-    # counting, so cyclic garbage accrues only from slow structures
-    # like connection pairs.  Suspending the collector for the run
+    # The hot objects (timers, messages) and closed connection pairs
+    # are freed by reference counting, so cyclic garbage accrues only
+    # from slow structures.  Suspending the collector for the run
     # avoids generational scans over millions of live tuples;
     # lifetimes, and therefore results, are unaffected.
     gc_was_enabled = gc.isenabled()

@@ -19,12 +19,15 @@ the paper motivates but never scripts:
 in :mod:`repro.scenarios.combinators`.
 """
 
-import math
-from operator import truediv
+from math import pi, sin
+from operator import attrgetter, truediv
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
 from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
+from repro.sim.links import ScaleColumn
+
+TWO_PI = 2.0 * pi
 
 __all__ = [
     "Static",
@@ -201,7 +204,11 @@ class Oscillate(Scenario):
     current capacity by ``f(t) / f(t_prev)`` — so capacity changes made
     by composed scenarios (churn taking a node dark, correlated cuts,
     a replayed trace) persist underneath the oscillation instead of
-    being overwritten.
+    being overwritten.  Each tick is one row whose ``scale`` is an
+    immutable :class:`~repro.sim.links.ScaleColumn` computing those
+    factors on demand, so ``apply`` writes it at once only to the links
+    a flow observes and defers it on the rest; a tick costs the links
+    in use, not the whole mesh.
     """
 
     name = "oscillate"
@@ -250,37 +257,107 @@ class Oscillate(Scenario):
     def install(self, ctx):
         sim = ctx.sim
         rng = ctx.rng("oscillate", self.seed)
-        links = [link for _pair, link in ctx.core_links()]
+        links = tuple(link for _pair, link in ctx.core_links())
         phases = [rng.random() if self.phase_jitter else 0.0 for _link in links]
-        #: The factor each link's capacity was last scaled to.
-        previous = [1.0] * len(links)
+        wave = _Wave(self, phases)
         sample = self.sample_period or self.period / 8.0
         origin = sim.now + self.start
-
-        # One tick touches every core link, so the waveform — the factor
-        # f(t) at cycles = elapsed/period + phase: high/low square
-        # switching at half-cycle, or mid + amp*sin(2*pi*cycles) — is
-        # computed inline with hoisted constants.
-        period = self.period
-        square = self.wave == "square"
-        high, low = self.high, self.low
-        mid = (high + low) / 2.0
-        amp = (high - low) / 2.0
-        two_pi = 2.0 * math.pi
-        sin = math.sin
+        #: The last tick's column (None before the first: f = 1.0).
+        prior = None
 
         def tick():
-            elapsed = sim.now - origin
-            cycles = [elapsed / period + phase for phase in phases]
-            if square:
-                factors = [high if (c % 1.0) < 0.5 else low for c in cycles]
-            else:
-                factors = [mid + amp * sin(two_pi * c) for c in cycles]
-            scales = list(map(truediv, factors, previous))
-            previous[:] = factors
-            ctx.topology.apply([{"link": links, "scale": scales}])
+            nonlocal prior
+            prior = _Swing(wave, (sim.now - origin) / self.period, prior)
+            ctx.topology.apply([{"link": links, "scale": prior}])
 
         periodic(sim, tick, start=self.start, period=sample, duration=self.stop)
+
+
+class _Wave:
+    """An oscillation's waveform: the factor ``f`` of a link at ``cycles
+    = elapsed / period + phase`` is ``high`` / ``low`` switching at the
+    half-cycle (square) or ``mid + amp * sin(2 pi cycles)`` (sine)."""
+
+    __slots__ = ("phases", "period", "square", "high", "low", "mid", "amp")
+
+    def __init__(self, oscillate, phases):
+        self.phases = phases
+        self.period = oscillate.period
+        self.square = oscillate.wave == "square"
+        self.high, self.low = oscillate.high, oscillate.low
+        self.mid = (self.high + self.low) / 2.0
+        self.amp = (self.high - self.low) / 2.0
+
+    def at(self, turns, indices):
+        """``f`` of the links at ``indices`` at one ``elapsed / period``."""
+        phases = self.phases
+        if self.square:
+            high, low = self.high, self.low
+            return [high if (turns + phases[i]) % 1.0 < 0.5 else low for i in indices]
+        mid, amp = self.mid, self.amp
+        return [mid + amp * sin(TWO_PI * (turns + phases[i])) for i in indices]
+
+    def over(self, turns, i):
+        """``f`` of link ``i`` at several ``elapsed / period``."""
+        phase = self.phases[i]
+        if self.square:
+            high, low = self.high, self.low
+            return [high if (t + phase) % 1.0 < 0.5 else low for t in turns]
+        mid, amp = self.mid, self.amp
+        return [mid + amp * sin(TWO_PI * (t + phase)) for t in turns]
+
+
+_PRIOR = attrgetter("prior")
+_TURNS = attrgetter("turns")
+
+
+class _Swing(ScaleColumn):
+    """One oscillation tick: link i's factor is ``f`` now over ``f`` at
+    the prior tick (``f`` is 1.0 before the first tick, whose prior is
+    None, and ``x / 1.0`` is ``x``).  ``turns`` is the tick's ``elapsed
+    / period``; ``known`` keeps the last ``take``'s indices and ``f``
+    values until the next tick's ``take`` reuses them as divisors."""
+
+    __slots__ = ("wave", "turns", "prior", "known")
+
+    def __init__(self, wave, turns, prior):
+        self.wave = wave
+        self.turns = turns
+        self.prior = prior
+        self.known = None
+
+    def __getitem__(self, i):
+        return self.take((i,))[0]
+
+    def take(self, indices):
+        wave, prior = self.wave, self.prior
+        factors = wave.at(self.turns, indices)
+        self.known = (list(indices), factors)
+        if prior is None:
+            return list(factors)
+        known, prior.known = prior.known, None
+        if known is not None and known[0] == indices:
+            before = known[1]
+        else:
+            before = wave.at(prior.turns, indices)
+        return list(map(truediv, factors, before))
+
+    def replay(self, capacity, i, columns):
+        # Consecutive ticks of one waveform on one link: f once per
+        # tick (each tick's f is the next one's divisor), then the same
+        # quotients and products in the same order.
+        try:
+            consecutive = list(map(_PRIOR, columns[1:])) == columns[:-1]
+        except AttributeError:  # a column of another kind
+            consecutive = False
+        if not consecutive:
+            return super().replay(capacity, i, columns)
+        wave, prior = self.wave, self.prior
+        before = 1.0 if prior is None else wave.over((prior.turns,), i)[0]
+        for factor in wave.over(list(map(_TURNS, columns)), i):
+            capacity *= factor / before
+            before = factor
+        return capacity
 
 
 class FlashCrowd(Scenario):

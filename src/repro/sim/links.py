@@ -21,9 +21,27 @@ Change propagation is callback-based and split by consumer:
 ``on_condition_change`` fires for loss/delay mutations and lets the flow
 network refresh the per-flow path invariants (Mathis cap, RTT, RTO) that
 were computed from these values.
+
+**Deferred rows.**  A link is *observed* once it has an
+``on_capacity_change`` callback (the flow network sets one on every link
+of a flow it creates).  A row that names a tuple of links and whose
+``scale`` is a :class:`ScaleColumn` — an immutable per-link column such
+as one oscillation tick — is written at once only to the observed links,
+with the usual product, equality skip and callback.  For the other links
+it is appended to the topology's :class:`ScaleLog`, and each keeps a
+cursor into that log.  A deferred link replays its logged rows — the
+same multiplications in the same order, firing no callback, as none
+would have fired — the first time its capacity is read through
+``Link.capacity``, another row writes its capacity, or it becomes
+observed.  The allocator reads ``_capacity`` directly, which is safe:
+it reads only links that carry a flow, and those are observed.
 """
 
-__all__ = ["Link", "apply"]
+from bisect import insort
+from itertools import groupby, islice
+from operator import itemgetter
+
+__all__ = ["Link", "ScaleColumn", "ScaleLog", "apply"]
 
 
 def _clamp_loss(value):
@@ -45,19 +63,136 @@ def _targets(topology, target):
     return target
 
 
+class ScaleColumn:
+    """An immutable ``scale`` column, one factor per target link.
+
+    A row carrying one is deferred on unobserved links (see the module
+    docstring), so its factors must not change once the row is applied.
+    ``column[i]`` is the i-th factor, ``take(indices)`` a list of
+    several, and ``replay`` multiplies one link's capacity by a run of
+    columns; the inverse column's i-th factor is ``1.0 / column[i]``.
+    """
+
+    __slots__ = ()
+
+    def take(self, indices):
+        return [self[i] for i in indices]
+
+    def replay(self, capacity, i, columns):
+        """``capacity`` times the i-th factor of each of ``columns`` (a
+        run of logged columns that starts with this one), in order."""
+        for column in columns:
+            capacity *= column[i]
+        return capacity
+
+
+class _Inverse(ScaleColumn):
+    __slots__ = ("column",)
+
+    def __init__(self, column):
+        self.column = column
+
+    def __getitem__(self, i):
+        return 1.0 / self.column[i]
+
+    def take(self, indices):
+        return [1.0 / f for f in self.column.take(indices)]
+
+
+class _Index:
+    """A links tuple deferred rows name: each link's position, and the
+    sorted positions of the observed ones."""
+
+    __slots__ = ("targets", "positions", "observed")
+
+    def __init__(self, targets, positions, observed):
+        self.targets = targets
+        self.positions = positions
+        self.observed = observed
+
+
+class ScaleLog:
+    """A topology's deferred :class:`ScaleColumn` rows.
+
+    ``rows`` holds one ``(index, column)`` pair per deferred row, in
+    apply order.  The links tuple a row names is indexed once and the
+    index is shared by every row naming that tuple, so a tick walks
+    only its observed links; observing a link updates the indexes.
+    """
+
+    __slots__ = ("rows", "_indexes")
+
+    def __init__(self):
+        self.rows = []
+        #: id(tuple) -> its :class:`_Index` (which keeps the tuple alive).
+        self._indexes = {}
+
+    def index(self, targets):
+        """The :class:`_Index` of the links tuple ``targets``."""
+        index = self._indexes.get(id(targets))
+        if index is not None:
+            return index
+        positions = {}
+        observed = []
+        cursor = len(self.rows)
+        for i, link in enumerate(targets):
+            positions[link] = i
+            if link._log is None:
+                link._log = self
+                if link._on_capacity_change is None:
+                    link._cursor = cursor
+            if link._cursor is None:
+                observed.append(i)
+        if len(positions) != len(targets):
+            raise ValueError("a scale column's links must be distinct")
+        index = self._indexes[id(targets)] = _Index(targets, positions, observed)
+        return index
+
+    def observe(self, link):
+        """``link`` gained a capacity callback: replay what it missed."""
+        _catch_up(link)
+        link._cursor = None
+        for index in self._indexes.values():
+            i = index.positions.get(link)
+            if i is not None:
+                insort(index.observed, i)
+
+
+def _catch_up(link):
+    """Replay the rows logged since ``link``'s cursor (no callback)."""
+    rows = link._log.rows
+    cursor = link._cursor
+    if cursor == len(rows):
+        return
+    capacity = link._capacity
+    for index, run in groupby(islice(rows, cursor, None), itemgetter(0)):
+        i = index.positions.get(link)
+        if i is not None:
+            columns = [column for _index, column in run]
+            capacity = columns[0].replay(capacity, i, columns)
+    if not capacity > 0:
+        raise ValueError(f"link {link.name}: capacity must be > 0, got {capacity}")
+    link._capacity = capacity
+    link._cursor = len(rows)
+
+
 def apply(topology, rows):
     """Write ``rows`` to ``topology``'s links; return the inverse rows.
 
-    A row's ``link`` is a :class:`Link`, a list of links, ``"src->dst"``
-    (an unknown core link is skipped) or ``"*"`` (every core link).  Per
-    link it writes ``capacity`` or ``scale`` (skipping the link if the
-    result is below ``floor``), then ``loss`` with ``remove`` /
-    ``overlay`` (an independent loss process divided out of, then added
-    to, the keep probability — one write), then ``delay``.  ``scale``,
-    ``loss`` and ``delay`` hold one number, or a list with one per link.
+    A row's ``link`` is a :class:`Link`, a list or tuple of links,
+    ``"src->dst"`` (an unknown core link is skipped) or ``"*"`` (every
+    core link).  Per link it writes ``capacity`` or ``scale`` (skipping
+    the link if the result is below ``floor``), then ``loss`` with
+    ``remove`` / ``overlay`` (an independent loss process divided out
+    of, then added to, the keep probability — one write), then
+    ``delay``.  ``scale``, ``loss`` and ``delay`` hold one number, or a
+    list with one per link; ``scale`` may also be a
+    :class:`ScaleColumn`, and a row of only such a column on a tuple of
+    links is deferred on the unobserved ones (see the module docstring).
     Each row's inverse names the links it wrote: scale ``f`` is undone
-    by ``1.0 / f``, capacity ``c -> x`` by scale ``c / x``, an overlay by
-    its removal, an absolute loss or delay by the old value.
+    by ``1.0 / f`` (a column by its inverse column), capacity ``c -> x``
+    by scale ``c / x``, an overlay by its removal, an absolute loss or
+    delay by the old value.
     """
     inverse = []
     for row in rows:
@@ -67,19 +202,33 @@ def apply(topology, rows):
         delay = get("delay")
         sets_capacity = capacity is not None or scale is not None
         sets_loss = loss is not None or remove or overlay
-        targets = _targets(topology, row["link"])
-        if type(scale) is list and floor is None and not sets_loss and delay is None:
-            # A per-link scale column alone (an oscillation tick): tight loop.
-            for link, factor in zip(targets, scale):
+        target = row["link"]
+        targets = _targets(topology, target)
+        if (
+            type(target) is tuple
+            and isinstance(scale, ScaleColumn)
+            and topology is not None
+            and capacity is None
+            and floor is None
+            and not sets_loss
+            and delay is None
+        ):
+            log = topology.scale_log
+            index = log.index(targets)
+            observed = index.observed
+            for i, factor in zip(observed, scale.take(observed)):
+                link = targets[i]
                 link.capacity = link._capacity * factor
-            inverse.append({"link": list(targets), "scale": [1.0 / f for f in scale]})
+            if len(observed) < len(targets):
+                log.rows.append((index, scale))
+            inverse.append({"link": targets, "scale": _Inverse(scale)})
             continue
-        per_scale, per_loss = type(scale) is list, type(loss) is list
-        per_delay = type(delay) is list
+        per_scale = isinstance(scale, (list, ScaleColumn))
+        per_loss, per_delay = type(loss) is list, type(delay) is list
         written, scales, losses, delays = [], [], [], []
         for i, link in enumerate(targets):
             if sets_capacity:
-                old = link._capacity
+                old = link.capacity
                 factor = scale[i] if per_scale else scale
                 to_capacity = old * factor if capacity is None else capacity
                 if floor is not None and to_capacity < floor:
@@ -137,12 +286,14 @@ class Link:
         "_delay",
         "_loss_rate",
         "flows",
-        "on_capacity_change",
+        "_on_capacity_change",
         "on_condition_change",
         "_cond_stamp",
         "_alloc_epoch",
         "_alloc_remaining",
         "_alloc_unfrozen",
+        "_log",
+        "_cursor",
     )
 
     def __init__(self, name, capacity, delay=0.0, loss_rate=0.0):
@@ -168,10 +319,8 @@ class Link:
         #: allocator loop; flow counts per link are small, so the O(n)
         #: insert/remove is a short C-level memmove.
         self.flows = []
-        #: Optional callback invoked as ``on_capacity_change(link)`` when
-        #: capacity is mutated; the flow network hooks this to trigger a
-        #: rate reallocation.
-        self.on_capacity_change = None
+        #: See the ``on_capacity_change`` property.
+        self._on_capacity_change = None
         #: Optional callback invoked as ``on_condition_change(link)``
         #: when loss_rate or delay is mutated; the flow network hooks
         #: this to refresh the path invariants (Mathis cap, RTT, RTO) of
@@ -189,20 +338,47 @@ class Link:
         self._alloc_epoch = -1
         self._alloc_remaining = 0.0
         self._alloc_unfrozen = 0
+        #: The :class:`ScaleLog` of the first deferred row naming this
+        #: link, and the index of the first logged row not yet applied
+        #: to it; the cursor is None while the link is observed (or
+        #: before any deferred row named it): nothing is pending then.
+        self._log = None
+        self._cursor = None
 
     @property
     def capacity(self):
+        if self._cursor is not None:
+            _catch_up(self)
         return self._capacity
 
     @capacity.setter
     def capacity(self, value):
         if not value > 0:
             raise ValueError(f"link {self.name}: capacity must be > 0, got {value}")
+        if self._cursor is not None:
+            # This write overwrites the rows still pending.
+            self._cursor = len(self._log.rows)
         if value == self._capacity:
             return
         self._capacity = value
-        if self.on_capacity_change is not None:
-            self.on_capacity_change(self)
+        if self._on_capacity_change is not None:
+            self._on_capacity_change(self)
+
+    @property
+    def on_capacity_change(self):
+        """Optional callback invoked as ``on_capacity_change(link)`` when
+        capacity is mutated; the flow network hooks this to trigger a
+        rate reallocation.  Setting one makes the link observed, which
+        first replays its deferred rows."""
+        return self._on_capacity_change
+
+    @on_capacity_change.setter
+    def on_capacity_change(self, callback):
+        # A link stays observed once observed: without a callback the
+        # eager writes fire none, which is all a deferred link would do.
+        if self._cursor is not None and callback is not None:
+            self._log.observe(self)
+        self._on_capacity_change = callback
 
     @property
     def delay(self):
@@ -236,6 +412,6 @@ class Link:
 
     def __repr__(self):
         return (
-            f"Link({self.name!r}, cap={self._capacity:.0f}B/s, "
+            f"Link({self.name!r}, cap={self.capacity:.0f}B/s, "
             f"delay={self._delay * 1e3:.1f}ms, loss={self._loss_rate:.3f})"
         )

@@ -406,7 +406,10 @@ class FlowNetwork:
 
     def _capacity_changed(self, link):
         self._dirty_links.add(link)
-        self._mark_dirty()
+        # _mark_dirty inlined (every observed link, every oscillation tick).
+        self._dirty = True
+        if not self._realloc_scheduled:
+            self._schedule_realloc()
 
     def _condition_changed(self, link):
         """A link's loss rate or delay moved (the link-condition engine).

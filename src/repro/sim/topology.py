@@ -31,7 +31,7 @@ from repro.common.params import Param
 from repro.common.rng import split_rng
 from repro.common.stats import ordered_sum
 from repro.common.units import KBPS, MBPS, MS
-from repro.sim.links import Link, apply
+from repro.sim.links import Link, ScaleLog, apply
 
 __all__ = [
     "Topology",
@@ -73,6 +73,8 @@ class Topology:
         #: (src, dst) -> core link (required for every ordered pair that
         #: will communicate)
         self.core = {}
+        #: Rows deferred on unobserved links (see :mod:`repro.sim.links`).
+        self.scale_log = ScaleLog()
 
     #: ``topology.apply(rows)``: write link-condition rows, get back the
     #: inverse rows (see :func:`repro.sim.links.apply`).

@@ -354,6 +354,9 @@ class Channel:
 
     def close(self):
         self.closed = True
+        # Break the connection <-> channel cycle: the run disables the
+        # cyclic collector, so a closed pair must die by refcount.
+        self.connection = None
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -474,6 +477,7 @@ class Connection:
         self.closed = True
         self._out_channel.close()
         self.endpoint._forget(self)
+        self._unpair()
 
     def close(self):
         """Tear the connection down; the peer sees ``on_close`` after the
@@ -488,6 +492,7 @@ class Connection:
             self.endpoint.network.sim.schedule(
                 self._out_channel.prop_delay, twin._remote_closed
             )
+        self._unpair()
 
     def _remote_closed(self):
         if self.closed:
@@ -495,8 +500,17 @@ class Connection:
         self.closed = True
         self._out_channel.close()
         self.endpoint._forget(self)
+        self._unpair()
         if self.on_close is not None:
             self.on_close(self)
+
+    def _unpair(self):
+        # Once both ends are closed, drop the twin cycle so the pair is
+        # freed by refcount; a late delivery finds no twin and is
+        # dropped, as it would be at a closed one.
+        twin = self._twin
+        if twin is not None and twin.closed:
+            self._twin = twin._twin = None
 
     def __repr__(self):
         return f"Connection({self.local}->{self.remote}, closed={self.closed})"

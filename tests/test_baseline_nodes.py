@@ -1,5 +1,7 @@
 """Node-level behaviour tests for the baseline systems."""
 
+import pytest
+
 from repro.baselines import bittorrent, bullet, splitstream
 from repro.baselines.bittorrent import BitTorrentConfig, BitTorrentNode, Tracker
 from repro.baselines.splitstream import (
@@ -8,6 +10,7 @@ from repro.baselines.splitstream import (
     build_stripe_forest,
 )
 from repro.harness.experiment import run_experiment
+from repro.harness.sweep import SweepCell, execute_cell
 from repro.harness.systems import bullet_factory
 from repro.sim.engine import Simulator
 from repro.sim.tcp import FlowNetwork
@@ -253,3 +256,23 @@ class TestBulletBaseline:
         )
         for node in result.nodes.values():
             assert len(node.receivers) <= bullet.MAX_RECEIVERS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="baselines/bittorrent.py never times out a request or a "
+    "connection: blocks requested from a silently crashed peer stay in "
+    "BitTorrentNode.requested, so _pick_rarest never asks the unchoking "
+    "source for them; the fix moves golden cells, so it is its own change",
+)
+def test_bittorrent_survivors_all_complete_under_chaos():
+    """Golden cell ``bittorrent|chaos|mesh|n8|b24|s1``: node 7 takes its
+    16th and last block at 30.5 s with the other 8 outstanding to node
+    2, which has crashed for good.  Its incarnation restarted at 117.8 s
+    gets no block either: the source's 20 connection slots are full, and
+    it refuses the handshake at 118.3 s (when the run ends on the stall
+    rule at 178 s, all 20 lead to crashed incarnations)."""
+    cell = SweepCell("bittorrent", "chaos", {}, "mesh", 8, 24, 1, 900.0)
+    result = execute_cell(cell)
+    survivors = [n for n in result.nodes if n not in result.failed_nodes]
+    assert [n for n in survivors if n not in result.trace.completion_times] == []

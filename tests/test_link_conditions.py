@@ -41,9 +41,11 @@ def _conditions(link):
 
 
 def _link_writes():
-    """Every write of a link condition, or use of the loss-overlay
-    helpers, under ``src/`` outside :data:`WRITE_MODULE`."""
+    """Every write of a link condition (public or its private slot), or
+    use of the loss-overlay helpers, under ``src/`` outside
+    :data:`WRITE_MODULE`."""
     conditions = ("capacity", "loss_rate", "delay")
+    conditions += tuple(f"_{name}" for name in conditions)
     found = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()

@@ -1,12 +1,14 @@
 """Tests for the message transport: connections, queues, accounting."""
 
+import gc
+
 import pytest
 
 from repro.common.units import MBPS, MS
 from repro.sim.engine import Simulator
 from repro.sim.links import Link
 from repro.sim.topology import Topology, mesh_topology, star_topology
-from repro.sim.transport import MESSAGE_HEADER_BYTES, Message, Network
+from repro.sim.transport import MESSAGE_HEADER_BYTES, Connection, Message, Network
 
 
 def _two_node_net(core_bw=2 * MBPS, delay=10 * MS, loss=0.0):
@@ -274,6 +276,27 @@ class TestCloseDuringFlight:
         assert channel.on_block_low is None
         sim.run(until=sim.now + 5.0)
         assert fired == []
+
+    @pytest.mark.parametrize("end", ["close", "abort"])
+    def test_a_closed_pair_is_freed_without_the_cycle_collector(self, end):
+        sim, net = _two_node_net(delay=10 * MS)
+        local, remote = net._make_connection_pair(0, 1)
+        remote.send(Message("late", size=100))
+        getattr(local, end)()
+        sim.run(until=sim.now + 1.0)
+        remote.close()
+        sim.run(until=sim.now + 1.0)
+        assert net.dropped_after_close == 1
+        pair = {id(local), id(remote)}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del local, remote
+            alive = [o for o in gc.get_objects() if type(o) is Connection]
+            assert not pair & {id(o) for o in alive}
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_crashed_endpoint_blackholes_handshakes_until_revive(self):
         sim, net = _two_node_net(delay=10 * MS)
