@@ -15,7 +15,6 @@ Run:  python examples/shotgun_sync.py
 
 from repro.harness.workloads import software_update_workload
 from repro.shotgun.shotgun import ParallelRsyncModel, ShotgunSession, UpdateBundle
-from repro.sim.topology import planetlab_like_topology
 
 
 def main():
@@ -38,8 +37,7 @@ def main():
 
     print("\ndisseminating through Bullet' ...")
     session = ShotgunSession(bundle)
-    topology = planetlab_like_topology(num_nodes, seed=3)
-    outcome = session.run(topology, seed=3, max_time=6000.0)
+    outcome = session.run(num_nodes, seed=3, max_time=6000.0)
     downloads = sorted(outcome["download"].values())
     with_update = sorted(outcome["download_and_update"].values())
     print(f"  slowest download           : {downloads[-1]:8.1f} s")

@@ -268,7 +268,7 @@ class FaultInjector:
         cap and control messages stall on retransmission timeouts) on
         the node's uplinks, downlinks, or both per ``direction``, then
         removed after ``duration`` seconds.  Windows on the same node
-        compose; each removal is exact-inverse (it divides by ``1 - loss``).
+        compose; removal divides by ``1 - loss``: restored up to float round-off.
         """
         if node_id == self.source_id:
             raise ValueError("the source cannot be flaked (it is the data)")

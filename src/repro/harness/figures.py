@@ -15,6 +15,7 @@ figure's variants are ``systems`` / ``scenarios`` / ``topologies``
 entries with params — runs the cells through
 :func:`~repro.harness.sweep.execute_cell`, and reduces each result to a
 series.  Anything registered is therefore immediately plottable.
+Figure 15's Shotgun session runs its one cell through ``execute_cell`` too.
 """
 
 from repro.common.units import KiB, MBPS, MS
@@ -22,7 +23,6 @@ from repro.core.download import ENCODING_OVERHEAD
 from repro.harness.registry import SYSTEMS
 from repro.harness.report import FigureData
 from repro.harness.sweep import SweepSpec, execute_cell
-from repro.sim.topology import planetlab_like_topology
 
 __all__ = ["FIGURES", "run_figure"]
 
@@ -263,9 +263,8 @@ def fig15_shotgun(
     delta = int(delta_bytes * scale)
     image = delta * image_ratio
     bundle = UpdateBundle.synthetic(delta, image)
-    topology = planetlab_like_topology(num_nodes, seed=seed)
     outcome = ShotgunSession(bundle).run(
-        topology, seed=seed, max_time=max_time, apply_bytes=image
+        num_nodes, seed=seed, max_time=max_time, apply_bytes=image
     )
 
     title = "Shotgun vs staggered parallel rsync (paper Fig. 15)"

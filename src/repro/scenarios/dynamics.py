@@ -23,8 +23,8 @@ write through ``topology.apply``: loss as ``overlay`` rows, applied
 compose with each other (and with lossy baseline topologies) without
 clobbering anyone's writes.  A temporary change ends by applying the
 inverse rows its write returned.  Multiplicative removal is the
-composition price: the end of a stop window restores baselines exactly
-up to float round-trip (one ulp), not bit-exactly — an absolute-snapshot
+composition price: the end of a stop window restores baselines up to
+float round-off, not bit-exactly — an absolute-snapshot
 restore would be bit-exact but would erase concurrent writers' changes.
 """
 

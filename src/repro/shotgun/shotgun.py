@@ -113,28 +113,19 @@ class ShotgunSession:
         """Seconds of local disk work to replay the delta."""
         return new_image_size / self.apply_throughput
 
-    def run(self, topology, seed=0, max_time=4000.0, apply_bytes=None, **config_overrides):
-        """Disseminate the bundle; returns per-node download and
-        download+apply completion times.
+    def run(self, nodes, seed=0, max_time=4000.0, apply_bytes=None):
+        """Disseminate the bundle to ``nodes`` PlanetLab-like nodes; returns
+        per-node download and download+apply completion times.
 
         ``apply_bytes`` overrides the volume of disk work the local
         delta replay does (defaults to the reconstructed file size).
         """
-        from repro.harness.experiment import run_experiment
-        from repro.harness.systems import bullet_prime_factory
+        from repro.harness.sweep import SweepCell, execute_cell
 
-        result = run_experiment(
-            topology,
-            bullet_prime_factory(
-                num_blocks=self.num_blocks,
-                block_size=self.block_size,
-                seed=seed,
-                **config_overrides,
-            ),
-            self.num_blocks,
-            max_time=max_time,
-            seed=seed,
-        )
+        cell = SweepCell("bullet_prime", "none", {}, "planetlab", nodes,
+                         self.num_blocks, seed, max_time,
+                         system_params={"block_size": self.block_size})
+        result = execute_cell(cell)
         if apply_bytes is None:
             apply_bytes = (
                 self.bundle.delta.literal_bytes()

@@ -579,10 +579,10 @@ class FlowNetwork:
         if self._ramping_flows and model is None:
             # Ramping flows whose component was not refilled still track
             # the window growth: latch ramp_done exactly when a full
-            # recomputation would, so the revisit schedule (and with it
-            # the event timeline) is identical in both allocator modes.
-            # A dynamic model seeds every ramping flow in both modes, so
-            # none is ever left unvisited there.
+            # recomputation (one that refills every component) would, so
+            # the revisit schedule, and with it the event timeline, is
+            # the same as under that recomputation.  A dynamic model
+            # seeds every ramping flow, so none is left unvisited there.
             for flow in list(self._ramping_flows):
                 if flow._visit_epoch != bfs_epoch:
                     flow_cap(flow)

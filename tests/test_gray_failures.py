@@ -141,7 +141,7 @@ class TestInjectorActuators:
         assert injector.degrade_node(2, factor=0.25) is True
         assert link.capacity == pytest.approx(before * 0.25)
         assert injector.gray_armed
-        # Double-degrade refused; restore is exact-inverse.
+        # Double-degrade refused; restore is exact up to float round-off.
         assert injector.degrade_node(2) is False
         assert injector.restore_node(2) is True
         assert link.capacity == pytest.approx(before)
@@ -185,7 +185,7 @@ class TestInjectorActuators:
     def test_refused_before_acting(self, act):
         """Every argument is checked before the injector acts: a refused
         call writes no link, arms nothing and leaves no bookkeeping
-        (``loss=1.0`` is refused because the window's exact-inverse
+        (``loss=1.0`` is refused because the window's inverse
         removal divides by ``1 - loss``)."""
         sim, topology, injector = self._injector()
         links = [
