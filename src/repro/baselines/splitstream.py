@@ -124,14 +124,11 @@ class SplitStreamNode(OverlayProtocol):
         self._stripe_counts = [0] * config.num_stripes
         #: stripe -> list of child connections (filled as children join).
         self.stripe_children = {}
-        self._expected_children = {}
-        for stripe, tree in forest.items():
-            for child in tree.get(node_id, ()):
-                self._expected_children.setdefault(stripe, set()).add(child)
         #: stripe -> FIFO of blocks awaiting the blocking multicast (the
         #: stripe stalls here while its slowest child has no room).
         self._stripe_backlog = {}
-        self._generated = 0
+        #: stripe -> blocks generated for it so far (the source's).
+        self._stripe_counters = {}
         self.stats = {"blocks_forwarded": 0, "stalls": 0}
 
     # -- lifecycle --------------------------------------------------------------
@@ -194,16 +191,9 @@ class SplitStreamNode(OverlayProtocol):
     def _next_block_for_stripe(self, stripe):
         # Block ids are striped round-robin: stripe s carries ids
         # s, s + k, s + 2k, ... — each stripe its own progression.
-        counter = self._stripe_counters.setdefault(stripe, 0)
+        counter = self._stripe_counters.get(stripe, 0)
         self._stripe_counters[stripe] = counter + 1
-        self._generated += 1
         return stripe + counter * self.config.num_stripes
-
-    @property
-    def _stripe_counters(self):
-        if not hasattr(self, "_stripe_counters_dict"):
-            self._stripe_counters_dict = {}
-        return self._stripe_counters_dict
 
     def _stripe_has_room(self, stripe):
         conns = [

@@ -429,16 +429,21 @@ class BulletPrimeNode(OverlayProtocol):
         elif conn in self.receivers:
             self.receivers.pop(conn, None)
         else:
-            for node, tree_conn in list(self.tree_conns.items()):
-                if tree_conn is conn:
-                    self.tree_conns.pop(node)
-                    self.ransub.child_conns.pop(node, None)
-            if conn is self._tree_parent_conn:
-                self._tree_parent_conn = None
-                self.ransub.parent_conn = None
-                self._repair_tree()
+            self._detach_tree(conn)
             if self.is_source and self.pusher is not None:
                 self.pusher.remove_child(conn)
+
+    def _detach_tree(self, conn):
+        """Forget the tree link ``conn``; losing the parent link climbs
+        to a new one."""
+        for node, tree_conn in list(self.tree_conns.items()):
+            if tree_conn is conn:
+                self.tree_conns.pop(node)
+                self.ransub.child_conns.pop(node, None)
+        if conn is self._tree_parent_conn:
+            self._tree_parent_conn = None
+            self.ransub.parent_conn = None
+            self._repair_tree()
 
     # -- failure detection (armed by the fault injector) ------------------------------
 
@@ -509,16 +514,7 @@ class BulletPrimeNode(OverlayProtocol):
             sender.timeouts += 1
             self.trace.counters["fd_retries"] += 1
             for block in sorted(sender.outstanding):
-                conn.send(
-                    Message(
-                        "bp_request",
-                        payload={
-                            "block": block,
-                            "incoming_bw": self._epoch_incoming_bw,
-                        },
-                        size=REQUEST_WIRE_BYTES,
-                    )
-                )
+                self._send_request(conn, block)
             self._arm_sender_detector(conn)
             return
         # Out of retries: the peer is dead to us.  Orphan its in-flight
@@ -545,12 +541,7 @@ class BulletPrimeNode(OverlayProtocol):
         conn = self._tree_parent_conn
         if conn is not None and not conn.closed:
             conn.close()
-        for node, tree_conn in list(self.tree_conns.items()):
-            if tree_conn is conn:
-                self.tree_conns.pop(node)
-        self._tree_parent_conn = None
-        self.ransub.parent_conn = None
-        self._repair_tree()
+        self._detach_tree(conn)
         return True
 
     # -- RanSub summaries and peering decisions ---------------------------------------
@@ -1058,16 +1049,7 @@ class BulletPrimeNode(OverlayProtocol):
             if sender.marked_block == "next":
                 sender.marked_block = block
             self.stats["requests_sent"] += 1
-            conn.send(
-                Message(
-                    "bp_request",
-                    payload={
-                        "block": block,
-                        "incoming_bw": self._epoch_incoming_bw,
-                    },
-                    size=REQUEST_WIRE_BYTES,
-                )
-            )
+            self._send_request(conn, block)
         else:
             # Prefetch availability: ask for a diff when we are *about
             # to* run out of known-useful blocks from this sender (paper
@@ -1077,6 +1059,15 @@ class BulletPrimeNode(OverlayProtocol):
                 self._maybe_request_diff(sender)
         if self._fd_enabled and sender.outstanding and sender.fd_timer is None:
             self._arm_sender_detector(conn)
+
+    def _send_request(self, conn, block):
+        conn.send(
+            Message(
+                "bp_request",
+                payload={"block": block, "incoming_bw": self._epoch_incoming_bw},
+                size=REQUEST_WIRE_BYTES,
+            )
+        )
 
     def _maybe_request_diff(self, sender):
         if sender.diff_request_pending or sender.conn.closed:

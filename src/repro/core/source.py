@@ -29,7 +29,6 @@ class SourcePusher:
         block_ids=None,
         encoded=False,
         window=2,
-        block_kind="bp_block",
         on_block_pushed=None,
         on_pass_complete=None,
     ):
@@ -41,13 +40,11 @@ class SourcePusher:
         self._next_index = 0
         self._counter = 0  # encoded-mode block id generator
         self.window = window
-        self.block_kind = block_kind
         self.on_block_pushed = on_block_pushed
         self.on_pass_complete = on_pass_complete
-        self.pass_complete = encoded is True and False
+        self.pass_complete = False
         self.children = []
         self._rr = 0
-        self.blocks_pushed = 0
 
     def add_child(self, conn):
         """Register a tree-child connection and start feeding it.
@@ -81,14 +78,13 @@ class SourcePusher:
         return None
 
     def _consume_block(self):
+        # Encoded mode: the counter already advanced in _next_block.
         if not self.encoded:
             self._next_index += 1
             if self._next_index >= len(self._pending) and not self.pass_complete:
                 self.pass_complete = True
                 if self.on_pass_complete is not None:
                     self.on_pass_complete()
-        else:
-            pass  # counter already advanced by _next_block
 
     def pump(self):
         """Push as many blocks as children currently have room for."""
@@ -108,7 +104,7 @@ class SourcePusher:
                     continue
                 conn.send(
                     Message(
-                        self.block_kind,
+                        "bp_block",
                         payload={
                             "block": block,
                             "pushed": True,
@@ -119,7 +115,6 @@ class SourcePusher:
                     )
                 )
                 self._rr = (index + 1) % len(self.children)
-                self.blocks_pushed += 1
                 placed = True
                 if self.on_block_pushed is not None:
                     self.on_block_pushed(block)

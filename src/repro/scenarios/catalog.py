@@ -204,11 +204,12 @@ class Oscillate(Scenario):
     current capacity by ``f(t) / f(t_prev)`` — so capacity changes made
     by composed scenarios (churn taking a node dark, correlated cuts,
     a replayed trace) persist underneath the oscillation instead of
-    being overwritten.  Each tick is one row whose ``scale`` is an
-    immutable :class:`~repro.sim.links.ScaleColumn` computing those
-    factors on demand, so ``apply`` writes it at once only to the links
-    a flow observes and defers it on the rest; a tick costs the links
-    in use, not the whole mesh.
+    being overwritten.  Each tick is one ``"*"`` row whose ``scale`` is
+    an immutable :class:`~repro.sim.links.ScaleColumn` computing those
+    factors on demand (link i of the core links in key order gets phase
+    i), so ``apply`` writes it at once only to the links a flow observes
+    and defers it on the rest; a tick costs the links in use, not the
+    whole mesh.
     """
 
     name = "oscillate"
@@ -257,8 +258,8 @@ class Oscillate(Scenario):
     def install(self, ctx):
         sim = ctx.sim
         rng = ctx.rng("oscillate", self.seed)
-        links = tuple(link for _pair, link in ctx.core_links())
-        phases = [rng.random() if self.phase_jitter else 0.0 for _link in links]
+        # One phase per core link, in key order: the order "*" names them.
+        phases = [rng.random() if self.phase_jitter else 0.0 for _ in ctx.topology.core]
         wave = _Wave(self, phases)
         sample = self.sample_period or self.period / 8.0
         origin = sim.now + self.start
@@ -268,7 +269,7 @@ class Oscillate(Scenario):
         def tick():
             nonlocal prior
             prior = _Swing(wave, (sim.now - origin) / self.period, prior)
-            ctx.topology.apply([{"link": links, "scale": prior}])
+            ctx.topology.apply([{"link": "*", "scale": prior}])
 
         periodic(sim, tick, start=self.start, period=sample, duration=self.stop)
 

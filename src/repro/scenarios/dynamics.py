@@ -146,9 +146,9 @@ class GilbertElliott(Scenario):
 
         if self.stop is not None:
             # The stop window ends the *process*: links caught in the
-            # bad state return to good instead of staying lossy for the
-            # rest of the run.  Scheduled after the periodic, so it runs
-            # after any final tick sharing its timestamp.
+            # bad state return to good, not lossy for the rest of the
+            # run.  Scheduled at install, it runs before a final tick at
+            # its instant; the guard atop ``tick`` stops that tick.
             ctx.sim.schedule(
                 self.stop, lambda: apply([r for r in bad if r is not None])
             )

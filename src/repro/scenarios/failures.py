@@ -332,7 +332,6 @@ class Chaos(Scenario):
 
     def _fire(self, ctx, rng, kind):
         faults = ctx.faults
-        receivers = ctx.receivers
         live = faults.live_receivers()
         if kind == "partition":
             if faults.partition_active or len(live) < 2:
@@ -348,15 +347,19 @@ class Chaos(Scenario):
             )
             return
         if len(live) < 2:
-            return  # never take out the last live receiver
-        victim = rng.choice(live)
+            return  # never take out (or gray) the last live receiver
+        self._hit(ctx, kind, rng.choice(live), rng)
+
+    def _hit(self, ctx, kind, victim, rng):
+        """Strike ``victim`` with a ``kind`` event (not a partition)."""
+        faults = ctx.faults
         if kind == "crash":
             dead_after = len(faults.permanently_failed()) + 1
-            if dead_after > self.max_dead_fraction * len(receivers):
+            if dead_after > self.max_dead_fraction * len(ctx.receivers):
                 kind = "restart"  # cap reached: demote to a transient
-        ctx.faults.fail(victim)
+        faults.fail(victim)
         if kind == "restart":
-            ctx.faults.schedule_restart(victim, self.down_time)
+            faults.schedule_restart(victim, self.down_time)
 
 
 class FailSlow(Scenario):
@@ -661,34 +664,20 @@ class GrayChaos(Chaos):
             rng = ctx.rng(f"{self.name}.adversity", self.seed)
             ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
 
-    def _fire(self, ctx, rng, kind):
+    def _hit(self, ctx, kind, victim, rng):
         if kind == "degrade":
-            victim = self._gray_victim(ctx, rng)
-            if victim is not None:
-                ctx.faults.degrade_node(
-                    victim,
-                    factor=self.degrade_factor,
-                    stretch=self.stretch,
-                    duration=self.degrade_duration,
-                )
-            return
-        if kind == "flake":
-            victim = self._gray_victim(ctx, rng)
-            if victim is not None:
-                ctx.faults.flake_node(
-                    victim,
-                    loss=self.flake_loss,
-                    duration=self.flake_window,
-                    direction=rng.choice(("up", "down", "both")),
-                )
-            return
-        super()._fire(ctx, rng, kind)
-
-    def _gray_victim(self, ctx, rng):
-        """A live receiver to degrade/flake (never the source; gray
-        events do not kill, so the last-receiver guard is about keeping
-        at least one clean serving path, same spirit as ``chaos``)."""
-        live = ctx.faults.live_receivers()
-        if len(live) < 2:
-            return None
-        return rng.choice(live)
+            ctx.faults.degrade_node(
+                victim,
+                factor=self.degrade_factor,
+                stretch=self.stretch,
+                duration=self.degrade_duration,
+            )
+        elif kind == "flake":
+            ctx.faults.flake_node(
+                victim,
+                loss=self.flake_loss,
+                duration=self.flake_window,
+                direction=rng.choice(("up", "down", "both")),
+            )
+        else:
+            super()._hit(ctx, kind, victim, rng)

@@ -88,12 +88,12 @@ class Timer:
 
 
 class _PeriodicState:
-    """Per-timer state of one :meth:`Simulator.schedule_periodic` loop.
+    """One :meth:`Simulator.schedule_periodic` loop, and its handle.
 
     A ``__slots__`` object instead of the former closure-over-dict pair:
     one small fixed-shape object per periodic timer, and each tick
     reschedules the bound :meth:`_fire` method — no per-tick closures,
-    no dict lookups.
+    no dict lookups.  :meth:`cancel` ends the loop.
     """
 
     __slots__ = ("sim", "period", "callback", "jitter_rng", "timer")
@@ -115,24 +115,10 @@ class _PeriodicState:
             delay *= 1.0 + self.jitter_rng.uniform(-0.1, 0.1)
         self.timer = self.sim.schedule(delay, self._fire)
 
-
-class _PeriodicHandle:
-    """Cancellation handle returned by :meth:`Simulator.schedule_periodic`.
-
-    Defined at module level so repeated ``schedule_periodic`` calls share
-    one class object instead of allocating a fresh class per timer.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state):
-        self._state = state
-
     def cancel(self):
-        timer = self._state.timer
-        if timer is not None:
-            timer.cancel()
-            self._state.timer = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 class Simulator:
@@ -215,13 +201,13 @@ class Simulator:
 
         If ``jitter_rng`` is given, each interval is perturbed by up to
         +/-10% to break synchronization between nodes, as real protocol
-        timers do.
+        timers do.  The returned loop's ``cancel()`` ends it.
         """
         if not period > 0:
             raise ValueError(f"period must be > 0, got {period}")
         state = _PeriodicState(self, period, callback, jitter_rng)
         state.timer = self.schedule(period, state._fire)
-        return _PeriodicHandle(state)
+        return state
 
     def stop(self):
         """Stop the run loop after the current event."""

@@ -24,22 +24,21 @@ were computed from these values.
 
 **Deferred rows.**  A link is *observed* once it has an
 ``on_capacity_change`` callback (the flow network sets one on every link
-of a flow it creates).  A row that names a tuple of links and whose
-``scale`` is a :class:`ScaleColumn` — an immutable per-link column such
-as one oscillation tick — is written at once only to the observed links,
-with the usual product, equality skip and callback.  For the other links
-it is appended to the topology's :class:`ScaleLog`, and each keeps a
-cursor into that log.  A deferred link replays its logged rows — the
-same multiplications in the same order, firing no callback, as none
-would have fired — the first time its capacity is read through
-``Link.capacity``, another row writes its capacity, or it becomes
-observed.  The allocator reads ``_capacity`` directly, which is safe:
-it reads only links that carry a flow, and those are observed.
+of a flow it creates).  A row that names ``"*"`` and whose only write is
+a :class:`ScaleColumn` ``scale`` — an immutable per-link column such as
+one oscillation tick — is written at once only to the observed links,
+with the usual product, equality skip and callback.  For the other
+links its column is appended to the topology's :class:`ScaleLog`, and
+each keeps a cursor into that log.  A deferred link replays the columns
+logged since its cursor — the same multiplications in the same order,
+firing no callback, as none would have fired — the first time its
+capacity is read through ``Link.capacity``, another row writes its
+capacity, or it becomes observed.  The allocator reads ``_capacity``
+directly, which is safe: it reads only links that carry a flow, and
+those are observed.
 """
 
 from bisect import insort
-from itertools import groupby, islice
-from operator import itemgetter
 
 __all__ = ["Link", "ScaleColumn", "ScaleLog", "apply"]
 
@@ -66,8 +65,8 @@ def _targets(topology, target):
 class ScaleColumn:
     """An immutable ``scale`` column, one factor per target link.
 
-    A row carrying one is deferred on unobserved links (see the module
-    docstring), so its factors must not change once the row is applied.
+    A ``"*"`` row carrying one is deferred on unobserved links (see the
+    module docstring), so its factors must not change once applied.
     ``column[i]`` is the i-th factor, ``take(indices)`` a list of
     several, and ``replay`` multiplies one link's capacity by a run of
     columns; the inverse column's i-th factor is ``1.0 / column[i]``.
@@ -99,77 +98,50 @@ class _Inverse(ScaleColumn):
         return [1.0 / f for f in self.column.take(indices)]
 
 
-class _Index:
-    """A links tuple deferred rows name: each link's position, and the
-    sorted positions of the observed ones."""
-
-    __slots__ = ("targets", "positions", "observed")
-
-    def __init__(self, targets, positions, observed):
-        self.targets = targets
-        self.positions = positions
-        self.observed = observed
-
-
 class ScaleLog:
     """A topology's deferred :class:`ScaleColumn` rows.
 
-    ``rows`` holds one ``(index, column)`` pair per deferred row, in
-    apply order.  The links tuple a row names is indexed once and the
-    index is shared by every row naming that tuple, so a tick walks
-    only its observed links; observing a link updates the indexes.
+    ``rows`` holds the column of each deferred row, in apply order.  At
+    the first one, ``index_core`` indexes the topology's core links
+    once: ``links`` in key order, each link's ``positions`` entry, and
+    the sorted positions of the ``observed`` ones, so a row walks only
+    the observed links; observing a link inserts its position.
     """
 
-    __slots__ = ("rows", "_indexes")
+    __slots__ = ("rows", "links", "positions", "observed")
 
     def __init__(self):
         self.rows = []
-        #: id(tuple) -> its :class:`_Index` (which keeps the tuple alive).
-        self._indexes = {}
+        self.links = None
+        self.positions = {}
+        self.observed = []
 
-    def index(self, targets):
-        """The :class:`_Index` of the links tuple ``targets``."""
-        index = self._indexes.get(id(targets))
-        if index is not None:
-            return index
-        positions = {}
-        observed = []
-        cursor = len(self.rows)
-        for i, link in enumerate(targets):
-            positions[link] = i
-            if link._log is None:
-                link._log = self
-                if link._on_capacity_change is None:
-                    link._cursor = cursor
-            if link._cursor is None:
-                observed.append(i)
-        if len(positions) != len(targets):
-            raise ValueError("a scale column's links must be distinct")
-        index = self._indexes[id(targets)] = _Index(targets, positions, observed)
-        return index
+    def index_core(self, core):
+        """Index the core links (``topology.core``); the log is empty."""
+        self.links = [link for _pair, link in sorted(core.items())]
+        for i, link in enumerate(self.links):
+            self.positions[link] = i
+            link._log = self
+            if link._on_capacity_change is None:
+                link._cursor = 0
+            else:
+                self.observed.append(i)
 
     def observe(self, link):
         """``link`` gained a capacity callback: replay what it missed."""
         _catch_up(link)
         link._cursor = None
-        for index in self._indexes.values():
-            i = index.positions.get(link)
-            if i is not None:
-                insort(index.observed, i)
+        insort(self.observed, self.positions[link])
 
 
 def _catch_up(link):
-    """Replay the rows logged since ``link``'s cursor (no callback)."""
-    rows = link._log.rows
-    cursor = link._cursor
-    if cursor == len(rows):
+    """Replay the columns logged since ``link``'s cursor (no callback)."""
+    log = link._log
+    rows = log.rows
+    if link._cursor == len(rows):
         return
-    capacity = link._capacity
-    for index, run in groupby(islice(rows, cursor, None), itemgetter(0)):
-        i = index.positions.get(link)
-        if i is not None:
-            columns = [column for _index, column in run]
-            capacity = columns[0].replay(capacity, i, columns)
+    columns = rows[link._cursor :]
+    capacity = columns[0].replay(link._capacity, log.positions[link], columns)
     if not capacity > 0:
         raise ValueError(f"link {link.name}: capacity must be > 0, got {capacity}")
     link._capacity = capacity
@@ -187,10 +159,11 @@ def apply(topology, rows):
     of, then added to, the keep probability — one write), then
     ``delay``.  ``scale``, ``loss`` and ``delay`` hold one number, or a
     list with one per link; ``scale`` may also be a
-    :class:`ScaleColumn`, and a row of only such a column on a tuple of
-    links is deferred on the unobserved ones (see the module docstring).
+    :class:`ScaleColumn`, and a ``"*"`` row of only such a column is
+    deferred on the unobserved links (see the module docstring); a
+    column on any other target is written at once, like a list.
     Each row's inverse names the links it wrote: scale ``f`` is undone
-    by ``1.0 / f`` (a column by its inverse column), capacity ``c -> x``
+    by ``1.0 / f`` (a deferred column by its inverse), capacity ``c -> x``
     by scale ``c / x``, an overlay by its removal, an absolute loss or
     delay by the old value.
     """
@@ -203,26 +176,26 @@ def apply(topology, rows):
         sets_capacity = capacity is not None or scale is not None
         sets_loss = loss is not None or remove or overlay
         target = row["link"]
-        targets = _targets(topology, target)
         if (
-            type(target) is tuple
+            target == "*"
             and isinstance(scale, ScaleColumn)
-            and topology is not None
             and capacity is None
             and floor is None
             and not sets_loss
             and delay is None
         ):
             log = topology.scale_log
-            index = log.index(targets)
-            observed = index.observed
+            if log.links is None:
+                log.index_core(topology.core)
+            links, observed = log.links, log.observed
             for i, factor in zip(observed, scale.take(observed)):
-                link = targets[i]
+                link = links[i]
                 link.capacity = link._capacity * factor
-            if len(observed) < len(targets):
-                log.rows.append((index, scale))
-            inverse.append({"link": targets, "scale": _Inverse(scale)})
+            if len(observed) < len(links):
+                log.rows.append(scale)
+            inverse.append({"link": "*", "scale": _Inverse(scale)})
             continue
+        targets = _targets(topology, target)
         per_scale = isinstance(scale, (list, ScaleColumn))
         per_loss, per_delay = type(loss) is list, type(delay) is list
         written, scales, losses, delays = [], [], [], []
@@ -338,10 +311,10 @@ class Link:
         self._alloc_epoch = -1
         self._alloc_remaining = 0.0
         self._alloc_unfrozen = 0
-        #: The :class:`ScaleLog` of the first deferred row naming this
-        #: link, and the index of the first logged row not yet applied
-        #: to it; the cursor is None while the link is observed (or
-        #: before any deferred row named it): nothing is pending then.
+        #: The topology's :class:`ScaleLog` once it has indexed this
+        #: link, and the index of the first logged column not yet
+        #: applied to it; the cursor is None while the link is observed
+        #: (or before the first deferred row): nothing is pending then.
         self._log = None
         self._cursor = None
 

@@ -229,8 +229,7 @@ class Flow:
     __slots__ = (
         "name", "seq", "links", "mathis_cap", "rtt", "loss", "rto", "started_at",
         "rate", "ramp_done", "ramp_binding", "on_rate_change", "on_path_change",
-        "model_state", "_active", "_network", "_cap", "_frozen", "_visit_epoch",
-        "_path_epoch",
+        "model_state", "_active", "_cap", "_frozen", "_visit_epoch", "_path_epoch",
     )
 
     def __init__(self, name, links, model, started_at):
@@ -270,7 +269,6 @@ class Flow:
         #: static Reno model.
         self.model_state = None
         self._active = False
-        self._network = None
         #: Allocation scratch: instantaneous cap (``flow_cap`` or
         #: ``FlowModel.dynamic_caps``) / frozen marker for the pass in
         #: progress, plus the BFS visit stamp of component discovery.
@@ -347,7 +345,6 @@ class FlowNetwork:
         flow = Flow(name, links, self.model, started_at=self.sim.now)
         flow.seq = self._flow_seq
         self._flow_seq += 1
-        flow._network = self
         flow._path_epoch = self._cond_epoch
         if self._dynamic:
             self.model.flow_started(flow, self.sim.now)

@@ -177,7 +177,6 @@ class Channel:
         "head_remaining",
         "last_advance",
         "idle_since",
-        "head_started_tx",
         "_event",
         "bytes_sent",
         "closed",
@@ -199,7 +198,6 @@ class Channel:
         self.head_remaining = 0.0
         self.last_advance = network.sim.now
         self.idle_since = network.sim.now
-        self.head_started_tx = None
         self._event = None
         self.bytes_sent = 0
         self.closed = False
@@ -255,7 +253,6 @@ class Channel:
         message = self.queue[0]
         now = self.sim.now
         self.idle_since = None
-        self.head_started_tx = now
         if message.is_block and message._enqueued_at is not None:
             wait = now - message._enqueued_at
             if wait > 0 and message.wasted >= 0:

@@ -10,8 +10,8 @@ t=0, and no link observed — and the two must end with the same
 conditions to the last bit; a link observed mid-run must hold, at that
 instant, the capacity the all-observed run has.  The partners make
 other rows interleave with the waveform's: churn's absolute writes,
-correlated cuts with a floor, and a second waveform with its own links
-tuple and ticks.
+correlated cuts with a floor, and a second waveform with its own
+phases and ticks.
 """
 
 import pytest
@@ -113,13 +113,15 @@ def test_a_link_observed_mid_run_holds_the_eager_capacity(wave, partner):
 
 def test_the_log_holds_one_row_per_tick_and_no_per_link_list():
     topology = _run("sine", "alone")
-    rows = topology.scale_log.rows
+    log = topology.scale_log
+    rows = log.rows
     assert len(rows) == 1 + int(UNTIL / 0.25)
-    # One index shared by every tick of the waveform's links tuple, and
-    # no per-link list in a row but the last tick's f values, which the
-    # next tick would reuse.
-    assert len({id(index) for index, _column in rows}) == 1
-    for _index, column in rows[:-1]:
+    # One index of the core links in key order, rows that are columns,
+    # and no per-link list in a row but the last tick's f values, which
+    # the next tick would reuse.
+    assert log.links == _links(topology)
+    assert all(isinstance(column, ScaleColumn) for column in rows)
+    for column in rows[:-1]:
         held = [getattr(column, slot) for slot in column.__slots__]
         assert not any(isinstance(value, (list, tuple, dict)) for value in held)
 
@@ -136,20 +138,35 @@ class _Ramp(ScaleColumn):
 def test_a_column_row_and_its_inverse_defer_like_any_row():
     def run(observe):
         topology = mesh_topology(4, seed=1)
-        links = tuple(_links(topology))
-        for link in links[:observe]:
+        for link in _links(topology)[:observe]:
             link.on_capacity_change = lambda _link: None
         column = _Ramp()
-        undo = topology.apply([{"link": links, "scale": column}])
-        topology.apply([{"link": links, "scale": column}] + undo)
+        undo = topology.apply([{"link": "*", "scale": column}])
+        topology.apply([{"link": "*", "scale": column}] + undo)
         return topology, undo
 
     eager, _undo = run(observe=12)
     deferred, undo = run(observe=3)
+    assert undo[0]["link"] == "*"
     assert [undo[0]["scale"][i] for i in range(12)] == [
         1.0 / (0.5 + i / 64) for i in range(12)
     ]
     assert len(deferred.scale_log.rows) == 3
     assert [_conditions(link) for link in _links(deferred)] == [
         _conditions(link) for link in _links(eager)
+    ]
+
+
+def test_a_column_row_naming_a_tuple_is_written_at_once():
+    topology = mesh_topology(4, seed=1)
+    links = tuple(_links(topology))
+    before = [link._capacity for link in links]
+    undo = topology.apply([{"link": links, "scale": _Ramp()}])
+    assert topology.scale_log.rows == []
+    assert all(link._cursor is None for link in links)
+    assert [link._capacity for link in links] == [
+        capacity * (0.5 + i / 64) for i, capacity in enumerate(before)
+    ]
+    assert undo == [
+        {"link": list(links), "scale": [1.0 / (0.5 + i / 64) for i in range(12)]}
     ]

@@ -1,5 +1,5 @@
 """Every structural claim about ``src/`` as a row: name, measure, bound and
-the commit that set it; three rows are fences over one parse of ``src/``.
+the commit that set it; the fence rows share one parse of ``src/``.
 A change that grows a bounded module edits its row, with the reason.
 ``PYTHONPATH=src python tests/test_structure.py`` prints the measured column.
 """
@@ -42,6 +42,16 @@ WRITE_MODULE, REPORT_MODULE = "sim/links.py", "overlay/node.py"
 REPORTS = ("block_received", "completed", "node_started")
 #: Names of the per-node counter plumbing that ``trace.counters`` replaced.
 GONE = ("failure_stats", "FAILURE_COUNTERS", "salvaged_stats", "extra_perf")
+#: Attributes stored under ``src/`` that no code loads, each with the
+#: mechanism it is kept for.
+WRITE_ONLY = {
+    "control_bytes_sent": "Connection's control bytes; summary() does not read it yet",
+    "announces": "Tracker's announce count, asserted by tests",
+    "incoming_bw": "NodeSummary's gossiped field, sized into SUMMARY_WIRE_BYTES",
+    "blocks_per_segment": "the segment codec's constructor argument, kept public",
+    "segment_sizes": "the segment encoder's per-segment byte counts, kept public",
+    "__doc__": "the system-builder factory documents each builder for help()",
+}
 
 
 @functools.cache
@@ -54,6 +64,13 @@ def _sources(root=REPRO):
 def _nodes():
     trees = {m: ast.parse(text) for m, text in _sources().items()}
     return [(m, _sources()[m], n) for m, tree in trees.items() for n in ast.walk(tree)]
+
+
+@functools.cache
+def _walk(top):
+    """Every AST node of the modules under ``top`` (``examples``, ``bench``)."""
+    paths = sorted((TESTS.parent / top).rglob("*.py"))
+    return [n for p in paths for n in ast.walk(ast.parse(p.read_text("utf-8")))]
 
 
 def _texts(paths, exclude=()):
@@ -152,6 +169,24 @@ def report_path_breaches():
     return found
 
 
+def write_only():
+    """Attribute names stored under ``src/`` that no file in ``src/``,
+    ``examples/`` or ``bench/`` loads, as an attribute or as a
+    ``getattr`` / ``hasattr`` string, off :data:`WRITE_ONLY`; then stale
+    entries."""
+    src = [node for _module, _text, node in _nodes()]
+    attrs = [n for n in src if isinstance(n, ast.Attribute)]
+    stored = {n.attr for n in attrs if isinstance(n.ctx, ast.Store)}
+    loaded = set()
+    for node in src + _walk("examples") + _walk("bench"):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.Call) and _name(node.func) in ("getattr", "hasattr"):
+            loaded.add(getattr(node.args[1], "value", None))
+    unread = stored - loaded
+    return sorted(unread - WRITE_ONLY.keys()) + sorted(WRITE_ONLY.keys() - unread)
+
+
 Row = namedtuple("Row", "name measure bound since", defaults=(None, None))
 ACTUATION = "scenarios/ harness/faults.py sim/links.py"
 ALLOCATOR = "sim/tcp.py sim/alloc.py"
@@ -169,13 +204,17 @@ ARMING = r"\b(arm_gray|fault_detection_started|gray_detection_started|LivenessWa
 ARMING = grep(ARMING + r"|last_arrival_time|_watchdog)\b")
 TEST_ONLY = r"\b(flow_allocator|TraceRecorder|write_trace|flash_crowd_file"
 TEST_ONLY = grep(TEST_ONLY + r"|slow_start_cap)\b")
+ONE_INDEX = r"\b(_Index|_indexes|groupby|_PeriodicHandle|_gray_victim|_network"
+ONE_INDEX += r"|head_started_tx|_expected_children|block_kind|blocks_pushed)\b"
 ROWS = [
-    # src/ passed 13,380 with the deferred scale column (sim/links.py).
-    Row("src/ lines", lines(""), "<= 13616", "2ad1543"),
+    # src/ passed 13,380 with the deferred scale column (sim/links.py);
+    # the bounds marked 08c29ac were set by the change after it: one
+    # scale-log index, and the write-only state gone.
+    Row("src/ lines", lines(""), "<= 13525", "08c29ac"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
-    Row("scenario package lines", lines("scenarios/"), "<= 2041", "2ad1543"),
-    Row("link actuation lines", lines(ACTUATION), "<= 2786", "2ad1543"),
+    Row("scenario package lines", lines("scenarios/"), "<= 2031", "08c29ac"),
+    Row("link actuation lines", lines(ACTUATION), "<= 2749", "08c29ac"),
     Row("link writes outside sim/links.py", link_writes, "== 0", "2ad1543"),
     Row("cli + sweep + compare lines", lines(CLI)),
     Row("allocator lines", lines(ALLOCATOR), "<= 934", "8ab783b"),
@@ -194,7 +233,7 @@ ROWS = [
     Row("trace reports outside overlay/node.py", TRACE_REPORTS, "== 0", "aa6b928"),
     Row("report-path breaches", report_path_breaches, "== 0", "aa6b928"),
     # Whole words: the kept same_time_batched perf key does not count.
-    Row("sim/engine.py lines", lines("sim/engine.py"), "<= 300", "50acba1"),
+    Row("sim/engine.py lines", lines("sim/engine.py"), "<= 274", "08c29ac"),
     Row("timer pool words", TIMER_POOL, "== 0", "50acba1"),
     Row("harness/faults.py lines", lines("harness/faults.py"), "<= 328", "0ebe3a6"),
     Row("arming hook and watchdog words", ARMING, "== 0", "0ebe3a6"),
@@ -202,6 +241,8 @@ ROWS = [
     Row("test-only member words", TEST_ONLY, "== 0", "a859d83"),
     Row("incremental=", grep("incremental="), "== 0", "a859d83"),
     Row("float sum( outside the integer allowlist", float_sums, "== 0", "1733139"),
+    Row("write-only attributes off the allowlist", write_only, "== 0", "08c29ac"),
+    Row("per-tuple index and write-only words", grep(ONE_INDEX), "== 0", "08c29ac"),
 ]
 
 
