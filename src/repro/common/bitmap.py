@@ -5,8 +5,8 @@ exchange *incremental* diffs so a peer hears about any given block at most
 once (paper section 3.3.4).  :class:`BlockBitmap` is the one block-set
 type behind every per-block record of the protocol: held blocks
 (:class:`~repro.core.download.DownloadState`), blocks a receiver was told
-about (:class:`~repro.core.diffs.DiffTracker`) and a receiver's
-per-sender availability (:class:`~repro.core.request.AvailabilityView`).
+about (:class:`~repro.core.diffs.DiffTracker`) and the blocks a receiver
+holds or has requested (:class:`~repro.core.request.AvailabilityView`).
 Block ids are dense (``range(num_blocks)``, or an encoded stream's
 counter), so one byte per id costs a few percent of a ``set`` slot.
 """

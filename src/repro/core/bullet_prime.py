@@ -283,6 +283,9 @@ class BulletPrimeNode(OverlayProtocol):
 
         self.tree_conns = {}  # neighbor id -> conn
         self._tree_parent_conn = None
+        #: The tree parent connection's ``bytes_received`` at the last
+        #: bandwidth epoch (or at attach).
+        self._tree_bytes_mark = 0
         self.ransub = RanSubService(
             self,
             tree,
@@ -378,6 +381,9 @@ class BulletPrimeNode(OverlayProtocol):
             self._repair_tree()
             return
         self._tree_parent_conn = conn
+        # Bytes from the tree parent are measured from this connection's
+        # own count, never from a previous parent's.
+        self._tree_bytes_mark = conn.bytes_received
         self.tree_conns[self._tree_attach] = conn
         self.ransub.parent_conn = conn
         if self._fd_rejoin_pending:
@@ -519,10 +525,9 @@ class BulletPrimeNode(OverlayProtocol):
             return
         # Out of retries: the peer is dead to us.  Orphan its in-flight
         # blocks (so their re-request elsewhere is counted) and drop it —
-        # _drop_sender releases the blocks and re-pumps the other senders.
-        # Only a sender that still lists a released block can re-request
-        # it; one that compacted it away while it was in flight cannot
-        # (see core/request.py), so most orphans wait for a new peer.
+        # _drop_sender releases the blocks and re-pumps the other senders,
+        # and every remaining sender that advertised a block offers it
+        # again (see core/request.py).
         self.trace.counters["fd_suspects"] += 1
         self._orphaned.update(sender.outstanding)
         self._drop_sender(conn, initiated=True)
@@ -598,8 +603,7 @@ class BulletPrimeNode(OverlayProtocol):
                     )
         if self._tree_parent_conn is not None and not self._tree_parent_conn.closed:
             incoming += (
-                self._tree_parent_conn.bytes_received
-                - getattr(self, "_tree_bytes_mark", 0)
+                self._tree_parent_conn.bytes_received - self._tree_bytes_mark
             ) / elapsed
             self._tree_bytes_mark = self._tree_parent_conn.bytes_received
         outgoing = 0.0
@@ -1055,7 +1059,7 @@ class BulletPrimeNode(OverlayProtocol):
             # to* run out of known-useful blocks from this sender (paper
             # section 3.3.4), hiding the diff round trip instead of
             # idling the pipe when the candidate list empties.
-            if self.avail.prefetch_needed(conn, limit):
+            if self.avail.candidate_count(conn) <= limit:
                 self._maybe_request_diff(sender)
         if self._fd_enabled and sender.outstanding and sender.fd_timer is None:
             self._arm_sender_detector(conn)

@@ -23,28 +23,24 @@ when a request is issued, :meth:`~AvailabilityView.released` when a
 request is given up while the block is still wanted, and
 :meth:`~AvailabilityView.ingested` when a block is held for good.
 
-**The rarest index.**  For ``rarest`` / ``rarest_random`` each sender's
-*live* candidates (advertised, wanted, requested nowhere) are filed in
-rarity buckets — ``census count -> sorted list of discovery positions``
-— so a pick is "smallest non-empty bucket, first or
-``rng.randrange(len(bucket))``-th entry" and counting candidates is a
-sum of bucket lengths.  A census change (``learn``, ``remove_sender``)
+**The index.**  Each sender's *live* candidates (advertised, wanted,
+requested nowhere) are filed in rarity buckets — ``census count ->
+sorted list of discovery positions`` — so counting candidates is a sum
+of bucket lengths.  A census change (``learn``, ``remove_sender``)
 re-files a block only in the senders where it is live, and not at all
-when it is unavailable (then it is live nowhere).  ``first`` / ``random``
-keep a plain candidate list and drop unavailable entries as they meet
-them.
+when it is unavailable (then it is live nowhere).  ``taken`` unfiles a
+block from every sender; ``released`` files it, at its current census
+count, in every sender that ever advertised it, so a block whose request
+was given up is requestable again from each of them.
 
-**Compaction and the ``stale`` set.**  The scan this index replaced
-dropped every candidate that was not useful at the moment a sender's
-list was scanned, for good; one that became useful again *before* the
-next scan (its request was released) survived.  The index reproduces
-that bit for bit: a live candidate requested elsewhere moves to the
-sender's ``stale`` set, a release moves it back to its old position,
-and ``stale`` is emptied wherever the scan compacted (``pick`` and
-``candidate_count``, not ``prefetch_needed``).  A block released after
-that is therefore requestable only from a sender that learns it anew:
-the orphaned-released-block defect, kept until a fix that moves every
-Bullet' golden cell lands as a change of its own.
+**The four picks** each take the chosen block out of its bucket:
+
+- ``rarest``: the head of the lowest bucket;
+- ``rarest_random``: entry ``rng.randrange(len(bucket))`` of the lowest
+  bucket;
+- ``first``: the smallest discovery position among the bucket heads;
+- ``random``: entry ``rng.randrange(live count)`` of the live
+  candidates in (census, discovery position) order.
 """
 
 from bisect import bisect_left, insort
@@ -54,27 +50,10 @@ from repro.common.bitmap import BlockBitmap
 __all__ = ["AvailabilityView", "REQUEST_STRATEGIES"]
 
 
-class _CandidateList:
-    """One sender's candidates for ``first`` / ``random``."""
-
-    __slots__ = ("known", "order")
-
-    def __init__(self, size):
-        #: Everything this sender ever advertised (for rarity accounting
-        #: and duplicate-diff suppression).
-        self.known = BlockBitmap(size)
-        #: Candidates in discovery order; unavailable entries are dropped
-        #: lazily during selection.
-        self.order = []
-
-    def grow(self, size):
-        self.known.grow(size)
-
-
 class _RarityIndex:
-    """One sender's candidates for ``rarest`` / ``rarest_random``."""
+    """One sender's candidates."""
 
-    __slots__ = ("known", "order", "buckets", "stale")
+    __slots__ = ("known", "order", "buckets")
 
     def __init__(self, size):
         #: block -> discovery position, -1 if never advertised.
@@ -84,9 +63,6 @@ class _RarityIndex:
         #: Census count -> sorted discovery positions of the live
         #: candidates advertised by that many senders; no empty buckets.
         self.buckets = {}
-        #: Candidates that became unavailable since this sender was last
-        #: compacted; a release revives them.
-        self.stale = set()
 
     def grow(self, size):
         self.known.extend([-1] * (size - len(self.known)))
@@ -113,9 +89,6 @@ class _RarityIndex:
             del bucket[index]
         return True
 
-    def live_count(self):
-        return sum(map(len, self.buckets.values()))
-
 
 class AvailabilityView:
     """A receiver's knowledge of which peers can supply which blocks.
@@ -135,7 +108,6 @@ class AvailabilityView:
             )
         self.strategy = strategy
         self.rng = rng
-        self._indexed = strategy in ("rarest", "rarest_random")
         self._senders = {}
         #: block id -> number of senders advertising it (rarity census).
         self.rarity = [0] * num_blocks
@@ -159,21 +131,16 @@ class AvailabilityView:
     def add_sender(self, sender_key):
         if sender_key in self._senders:
             raise KeyError(f"sender {sender_key!r} already tracked")
-        size = len(self.rarity)
-        self._senders[sender_key] = (
-            _RarityIndex(size) if self._indexed else _CandidateList(size)
-        )
+        self._senders[sender_key] = _RarityIndex(len(self.rarity))
 
     def remove_sender(self, sender_key):
         removed = self._senders.pop(sender_key)
         rarity = self.rarity
         unavailable = self._unavailable.flags
-        # Discovery order for the index (``order`` is append-only there);
-        # a candidate list's order is compacted, so walk its bitmap.
-        for block in removed.order if self._indexed else removed.known:
+        for block in removed.order:
             count = rarity[block] - 1
             rarity[block] = count
-            if count and self._indexed and not unavailable[block]:
+            if count and not unavailable[block]:
                 self._refile(block, count + 1, count)
 
     def _refile(self, block, old, new):
@@ -188,22 +155,10 @@ class AvailabilityView:
         learner = self._senders[sender_key]
         known = learner.known
         order = learner.order
+        buckets = learner.buckets
         rarity = self.rarity
         size = len(rarity)
-        if not self._indexed:
-            flags = known.flags
-            for block in blocks:
-                if not 0 <= block < size:
-                    self._grow(block)
-                    size = len(rarity)
-                elif flags[block]:
-                    continue
-                known.add(block)
-                order.append(block)
-                rarity[block] += 1
-            return
         unavailable = self._unavailable.flags
-        buckets = learner.buckets
         for block in blocks:
             if not 0 <= block < size:
                 self._grow(block)
@@ -213,9 +168,7 @@ class AvailabilityView:
             count = rarity[block] + 1
             rarity[block] = count
             position = len(order)
-            if unavailable[block]:
-                learner.stale.add(block)
-            else:
+            if not unavailable[block]:
                 if count > 1:
                     self._refile(block, count - 1, count)
                 # The newest position sorts after everything already filed.
@@ -237,11 +190,10 @@ class AvailabilityView:
         elif unavailable.flags[block]:
             return  # already live nowhere
         unavailable.add(block)
-        if self._indexed:
-            rarity = self.rarity[block]
-            for index in self._senders.values():
-                if index.known[block] >= 0 and index.unfile(block, rarity):
-                    index.stale.add(block)
+        rarity = self.rarity[block]
+        for index in self._senders.values():
+            if index.known[block] >= 0:
+                index.unfile(block, rarity)
 
     def released(self, block):
         """A request for ``block`` was given up.
@@ -251,12 +203,10 @@ class AvailabilityView:
         if block not in self._unavailable:
             return
         self._unavailable.discard(block)
-        if self._indexed:
-            rarity = self.rarity[block]
-            for index in self._senders.values():
-                if block in index.stale:
-                    index.stale.discard(block)
-                    index.file(block, rarity)
+        rarity = self.rarity[block]
+        for index in self._senders.values():
+            if index.known[block] >= 0:
+                index.file(block, rarity)
 
     def ingested(self, block):
         """The receiver now holds ``block``.
@@ -265,81 +215,43 @@ class AvailabilityView:
         """
         self.taken(block)
 
-    # -- counting -------------------------------------------------------------------
+    # -- counting and selection -----------------------------------------------------
 
     def candidate_count(self, sender_key):
-        """Number of useful blocks available from this sender.
-
-        Compacts the sender's candidates as a side effect.
-        """
-        candidates = self._senders[sender_key]
-        if self._indexed:
-            candidates.stale.clear()
-            return candidates.live_count()
-        unavailable = self._unavailable.flags
-        candidates.order = [b for b in candidates.order if not unavailable[b]]
-        return len(candidates.order)
-
-    def prefetch_needed(self, sender_key, limit):
-        """True when at most ``limit`` useful candidates remain.
-
-        The rarest strategies answer without compacting (their selection
-        never depends on how many stale entries a sender carries);
-        ``random`` / ``first`` draw on the raw list, so they keep the
-        exact compact-and-count semantics.
-        """
-        if self._indexed:
-            return self._senders[sender_key].live_count() <= limit
-        return self.candidate_count(sender_key) <= limit
-
-    # -- selection ----------------------------------------------------------------
+        """Number of useful blocks available from this sender."""
+        return sum(map(len, self._senders[sender_key].buckets.values()))
 
     def pick(self, sender_key):
         """Choose the next block to request from ``sender_key``.
 
         Returns a block id, or ``None`` when the sender has nothing
-        useful.  The block stops being a candidate of this sender; the
-        caller reports the request with :meth:`taken`.
+        useful.  The block stops being a candidate of this sender until
+        it is :meth:`released`; the caller reports the request with
+        :meth:`taken`.
         """
         candidates = self._senders[sender_key]
-        if not self._indexed:
-            if self.strategy == "first":
-                return self._pick_first(candidates.order)
-            return self._pick_random(candidates.order)
-        candidates.stale.clear()
         buckets = candidates.buckets
         if not buckets:
             return None
-        rarity = min(buckets)
-        bucket = buckets[rarity]
-        if self.strategy == "rarest_random":
-            position = bucket.pop(self.rng.randrange(len(bucket)))
+        strategy = self.strategy
+        index = 0
+        if strategy == "first":
+            rarity = min(buckets, key=lambda count: buckets[count][0])
+        elif strategy == "random":
+            index = self.rng.randrange(self.candidate_count(sender_key))
+            for rarity in sorted(buckets):
+                if index < len(buckets[rarity]):
+                    break
+                index -= len(buckets[rarity])
         else:
-            position = bucket.pop(0)
+            rarity = min(buckets)
+            if strategy == "rarest_random":
+                index = self.rng.randrange(len(buckets[rarity]))
+        bucket = buckets[rarity]
+        position = bucket.pop(index)
         if not bucket:
             del buckets[rarity]
         return candidates.order[position]
-
-    def _pick_first(self, order):
-        unavailable = self._unavailable.flags
-        while order:
-            block = order.pop(0)
-            if not unavailable[block]:
-                return block
-        return None
-
-    def _pick_random(self, order):
-        unavailable = self._unavailable.flags
-        while order:
-            index = self.rng.randrange(len(order))
-            block = order[index]
-            # Swap-pop: O(1) removal, order no longer matters for this
-            # strategy.
-            order[index] = order[-1]
-            order.pop()
-            if not unavailable[block]:
-                return block
-        return None
 
 
 #: The strategies a Bullet' node can be configured with.

@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 from repro.baselines.splitstream import SplitStreamNode
+from repro.core.bullet_prime import BulletPrimeNode
 from repro.harness.experiment import run_experiment
 from repro.harness.faults import FaultInjector
 from repro.harness.invariants import InvariantChecker
@@ -78,6 +79,24 @@ class TestCrashRestart:
         assert result.failed_nodes == {victim}
         assert victim not in result.trace.completion_times
         assert result.invariants.ok, result.invariants.violations
+
+
+class TestTreeRepair:
+    def test_incoming_bandwidth_never_negative_after_reattach(self, monkeypatch):
+        # A tree repair attaches a new parent connection whose byte count
+        # starts over; measuring it against the old parent's mark made the
+        # first epoch after the repair report a negative incoming rate.
+        seen = []
+        measure = BulletPrimeNode._measure_bandwidth
+
+        def recording(node, elapsed):
+            measure(node, elapsed)
+            seen.append(node._epoch_incoming_bw)
+
+        monkeypatch.setattr(BulletPrimeNode, "_measure_bandwidth", recording)
+        result = _run(SCENARIOS.build("chaos"), seed=1)
+        assert result.summary()["perf"]["fd_rejoins"] > 0
+        assert seen and min(seen) >= 0.0
 
 
 class TestChaosEquivalence:

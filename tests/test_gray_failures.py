@@ -78,12 +78,17 @@ class TestQuarantineLifecycle:
         # sinks below the straggler threshold while requests are
         # outstanding: peers must quarantine them (fast backoff), and
         # after the hold expires re-probe them (slow recovery) — and
-        # the run must still finish.  Uses the stock Bullet' config:
-        # its block sizing makes the run long enough for the EWMA rule
-        # to engage and a quarantine hold to expire mid-run.
+        # the run must still finish.  Uses the stock Bullet' config
+        # (16 KiB blocks) so the EWMA rule engages.  The file size comes
+        # from the hold arithmetic: the victims slow down at 10 s and the
+        # first quarantine opens two 5 s epochs later, near 20 s; its
+        # QUARANTINE_BASE hold of 20 s expires near 40 s, which is when
+        # the stock 640-block download ends.  Twice the blocks double the
+        # download, so it outlasts the first quarantine by about twice the
+        # hold, and a node still downloading can re-adopt the peer.
         result = _run(
             FailSlow(),
-            factory=bullet_prime_factory(),
+            factory=bullet_prime_factory(num_blocks=1280),
             check_invariants=True,
         )
         perf = result.summary()["perf"]

@@ -583,23 +583,23 @@ CLAIMS = [
 #: (row id, seed) pairs that fail at paper scale, with what was measured.
 PAPER_XFAILS = {
     ("fig4.beats_bullet", 1): (
-        "Bullet' does not beat Bullet at seed 1: median 30.14 s against 29.88 s"
+        "Bullet' does not beat Bullet at seed 1: median 30.11 s against 29.88 s"
     ),
     ("fig4.near_splitstream", 4): (
-        "Bullet' is not within 15% of SplitStream at seed 4: median 35.90 s "
+        "Bullet' is not within 15% of SplitStream at seed 4: median 35.45 s "
         "against 29.24 s x 1.15 = 33.62 s"
     ),
     ("fig7.more_peers_help", 3): (
         "14 static peers do not beat 6 on the lossy mesh at seed 3: "
-        "median 28.06 s against 27.86 s"
+        "median 28.03 s against 27.79 s"
     ),
     ("fig14.leads_within_5pct", 1): (
         "Bullet' does not lead within 5% in the wide area at seed 1: "
-        "median 22.21 s against Bullet's 16.98 s x 1.05 = 17.83 s"
+        "median 22.22 s against Bullet's 16.98 s x 1.05 = 17.83 s"
     ),
     ("fig14.leads_within_5pct", 4): (
         "Bullet' does not lead within 5% in the wide area at seed 4: "
-        "median 22.56 s against Bullet's 19.68 s x 1.05 = 20.67 s"
+        "median 22.33 s against Bullet's 19.68 s x 1.05 = 20.67 s"
     ),
     ("fig14.leads_within_5pct", 5): (
         "Bullet' does not lead within 5% in the wide area at seed 5: "
