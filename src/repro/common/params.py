@@ -1,7 +1,7 @@
 """Declared knobs: the one place a tunable is written down.
 
-A :class:`Configurable` subclass (every registered scenario and flow
-model) lists its knobs once, as a ``params`` tuple of :class:`Param`
+A :class:`Configurable` subclass (every registered scenario) lists its
+knobs once, as a ``params`` tuple of :class:`Param`
 schemas.  That tuple *is* the constructor signature, the defaults, the
 legal values, the registry schema sweeps and the CLI enumerate, and the
 ``repro list`` documentation — nothing else restates a knob, and a
@@ -204,6 +204,5 @@ class Configurable:
 
     def validate(self):
         """What a single knob's domain cannot say: a constraint between
-        two knobs, a name that must resolve, a derived attribute.  A
-        subclass of a validating class calls ``super().validate()``
-        first."""
+        two knobs, or a name that must resolve.  A subclass of a
+        validating class calls ``super().validate()`` first."""

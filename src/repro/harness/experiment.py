@@ -60,7 +60,7 @@ class ExperimentResult:
     """Everything a figure needs from one run."""
 
     def __init__(self, trace, nodes, sim, finished, flows=None, source_id=None,
-                 failed_nodes=frozenset(), invariants=None):
+                 failed_nodes=frozenset(), invariants=None, network=None):
         self.trace = trace
         self.nodes = nodes
         self.sim = sim
@@ -74,6 +74,9 @@ class ExperimentResult:
         self.failed_nodes = failed_nodes
         #: The :class:`~repro.harness.invariants.InvariantChecker`, if any.
         self.invariants = invariants
+        #: The :class:`~repro.sim.transport.Network` the run used (for its
+        #: control-byte count; None for hand-built results).
+        self.network = network
 
     def completion_cdf(self):
         return self.trace.completion_cdf()
@@ -124,7 +127,9 @@ class ExperimentResult:
             "worst": worst,
             "finished": self.finished,
             "duplicates": self.trace.total_duplicates(),
-            "control_bytes": self.trace.total_control_bytes(),
+            "control_bytes": (
+                self.network.control_bytes if self.network is not None else 0
+            ),
             "perf": self.perf_stats(),
         }
 
@@ -287,4 +292,5 @@ def run_experiment(
         source_id=source_id,
         failed_nodes=injector.failed,
         invariants=network.invariants,
+        network=network,
     )

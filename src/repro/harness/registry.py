@@ -38,7 +38,8 @@ class RegistryEntry:
 
     ``params`` is the builder's own ``params`` tuple (see
     :class:`repro.common.params.Configurable`) — the registry reads the
-    knob schema off the builder, it never holds a second copy.
+    knob schema off the builder, it never holds a second copy.  A builder
+    without one (every flow model) has no knobs: ``params`` is empty.
     """
 
     __slots__ = ("name", "builder", "description", "aliases", "params")

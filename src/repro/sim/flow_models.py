@@ -13,7 +13,7 @@ registered, together with ``reno``, in
     rates the allocator actually settled for the flow (the same
     max-filter structure cellular BBR analyses use), the pacing cap
     cycles through a probe/drain gain schedule, and inflight is bounded
-    by ``cwnd_gain * btlbw * min_rtt / rtt`` so a path whose delay
+    by ``CWND_GAIN * btlbw * min_rtt / rtt`` so a path whose delay
     inflates sees its cap shrink.  Loss never enters the cap — under
     ``gilbert_elliott`` this is the controller that does *not* collapse
     like ``1/sqrt(p)``.
@@ -41,16 +41,49 @@ state is a pure function of (event times, settled rates), both of which
 are deterministic per cell, so sweeps over these models are
 bit-identical at any worker count — the same contract the golden matrix
 pins for ``reno``.
+
+A run names its flow model and nothing more, so neither model has
+knobs: each law's constants are the module constants below.
 """
 
 import math
 from collections import deque
 
-from repro.common.params import Param
 from repro.harness.registry import FLOW_MODELS
-from repro.sim.tcp import FlowModel, TcpModel
+from repro.sim.tcp import MSS, RAMP_INITIAL_SEGMENTS, FlowModel, TcpModel
 
 __all__ = ["BbrModel", "AutorateModel"]
+
+# -- bbr: the max-filter window, the gain cycle, the inflight bound ----------------
+#: Max-filter window over delivery samples (seconds).
+WINDOW = 10.0
+#: BBR's ProbeBW gain cycle, one entry per phase: the probe phase's
+#: pacing gain, the drain phase's, then six cruise phases.
+GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+#: Inflight bound as a multiple of estimated BDP.
+CWND_GAIN = 2.0
+#: Duration of one gain-cycle phase (seconds).
+PHASE_TIME = 0.25
+
+# -- autorate: wanctl's rule, one RED tick backs off, five GREEN buy a step --------
+#: Seconds of simulated time per control tick.
+CONTROL_INTERVAL = 0.05
+#: RTT increase over baseline entering YELLOW (seconds).
+YELLOW_DELTA = 0.01
+#: RTT increase over baseline entering RED (seconds).
+RED_DELTA = 0.03
+#: Path loss probability entering YELLOW.
+YELLOW_LOSS = 0.01
+#: Path loss probability entering RED.
+RED_LOSS = 0.04
+#: Multiplicative cap factor per RED tick.
+BACKOFF = 0.5
+#: Cap floor as a fraction of the best rate seen.
+FLOOR_FRAC = 0.2
+#: Recovery step as a fraction of the best rate seen.
+STEP_FRAC = 0.05
+#: Consecutive GREEN ticks per recovery step.
+RECOVERY_TICKS = 5
 
 
 class _BbrState:
@@ -72,50 +105,14 @@ class BbrModel(FlowModel):
 
     The steady-state cap is ``inf`` — the live bound comes from
     :meth:`dynamic_caps`: ``gain * btlbw`` with ``btlbw`` the windowed
-    max of settled rates and ``gain`` cycling through
-    ``[probe, drain, 1, 1, 1, 1, 1, 1]`` (phase advances every
-    ``phase_time`` seconds, deterministically from simulated time), all
-    bounded by the BDP-derived inflight limit
-    ``cwnd_gain * btlbw * min_rtt / rtt``.
+    max of settled rates over :data:`WINDOW` and ``gain`` cycling
+    through :data:`GAINS` (phase advances every :data:`PHASE_TIME`
+    seconds, deterministically from simulated time), all bounded by the
+    BDP-derived inflight limit ``CWND_GAIN * btlbw * min_rtt / rtt``.
     """
 
     name = "bbr"
     dynamic = True
-    params = FlowModel.params + (
-        Param(
-            "window",
-            "float",
-            10.0,
-            "max-filter window over delivery samples (seconds)",
-            "(0, inf)",
-        ),
-        Param(
-            "probe_gain", "float", 1.25, "pacing gain in the probe phase", "(0, inf)"
-        ),
-        Param(
-            "drain_gain", "float", 0.75, "pacing gain in the drain phase", "(0, inf)"
-        ),
-        Param(
-            "cwnd_gain",
-            "float",
-            2.0,
-            "inflight bound as a multiple of estimated BDP",
-            "(0, inf)",
-        ),
-        Param(
-            "phase_time",
-            "float",
-            0.25,
-            "duration of one gain-cycle phase (seconds)",
-            "(0, inf)",
-        ),
-    )
-
-    def validate(self):
-        #: BBR's ProbeBW gain cycle: one probe phase, one drain phase,
-        #: six cruise phases (precomputed: ``dynamic_caps`` indexes it
-        #: per flow per fill).
-        self.gains = (self.probe_gain, self.drain_gain, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def steady_state_cap(self, links):
         # Loss-insensitive: no static bound, the windowed estimator is
@@ -144,12 +141,7 @@ class BbrModel(FlowModel):
             wedge.append((now, rate))
 
     def dynamic_caps(self, flows, now):
-        horizon = now - self.window
-        mss = self.mss
-        initial = self.ramp_initial_segments
-        gains = self.gains
-        phase_time = self.phase_time
-        cwnd_gain = self.cwnd_gain
+        horizon = now - WINDOW
         inf = math.inf
         for flow in flows:
             rtt = flow.rtt
@@ -157,7 +149,11 @@ class BbrModel(FlowModel):
                 rtt = 1e-4
             # The slow-start ramp: ``FlowModel.slow_start_cap_at``, inlined.
             doublings = (now - flow.started_at) / rtt
-            ramp = inf if doublings > 40 else initial * 2.0**doublings * mss / rtt
+            ramp = (
+                inf
+                if doublings > 40
+                else RAMP_INITIAL_SEGMENTS * 2.0**doublings * MSS / rtt
+            )
             st = flow.model_state
             wedge = st.wedge
             while wedge:
@@ -172,11 +168,11 @@ class BbrModel(FlowModel):
                 cap = inf
             else:
                 btlbw = sample[1]
-                cap = mss / rtt  # never below one segment per RTT
+                cap = MSS / rtt  # never below one segment per RTT
                 if btlbw > 0.0:
-                    phase = int((now - st.cycle_start) / phase_time) % 8
-                    bound = btlbw * gains[phase]
-                    inflight_bound = cwnd_gain * btlbw * st.min_rtt / rtt
+                    phase = int((now - st.cycle_start) / PHASE_TIME) % 8
+                    bound = btlbw * GAINS[phase]
+                    inflight_bound = CWND_GAIN * btlbw * st.min_rtt / rtt
                     if inflight_bound < bound:
                         bound = inflight_bound
                     if bound > cap:
@@ -204,86 +200,24 @@ class _AutorateState:
 class AutorateModel(FlowModel):
     """Delay-delta GREEN/YELLOW/RED shaper with wanctl's asymmetry.
 
-    Every ``control_interval`` of simulated time is one control tick
+    Every :data:`CONTROL_INTERVAL` of simulated time is one control tick
     (ticks between allocator visits are caught up in closed form, so the
     trajectory is independent of visit cadence).  The path is classified
     from its current invariants: RED when the RTT exceeds the lowest
-    observed RTT by ``red_delta`` (or path loss reaches ``red_loss`` —
+    observed RTT by ``RED_DELTA`` (or path loss reaches ``RED_LOSS`` —
     the secondary trigger for scenarios that burst loss without touching
-    delay), YELLOW at the ``yellow_*`` thresholds, GREEN otherwise.
+    delay), YELLOW at the ``YELLOW_*`` thresholds, GREEN otherwise.
 
-    RED ticks back off multiplicatively (``backoff`` per tick — one
+    RED ticks back off multiplicatively (:data:`BACKOFF` per tick — one
     sample is enough, there is no averaging delay) down to
-    ``floor_frac * max_rate``; YELLOW holds; only ``recovery_ticks``
-    *consecutive* GREEN ticks buy one ``step_frac * max_rate`` additive
+    ``FLOOR_FRAC * max_rate``; YELLOW holds; only :data:`RECOVERY_TICKS`
+    *consecutive* GREEN ticks buy one ``STEP_FRAC * max_rate`` additive
     step back up, and a cap recovered past ``max_rate`` returns to
     unshaped.  Fast down, slow up — the wanctl asymmetry.
     """
 
     name = "autorate"
     dynamic = True
-    params = FlowModel.params + (
-        Param(
-            "control_interval",
-            "float",
-            0.05,
-            "seconds of simulated time per control tick",
-            "(0, inf)",
-        ),
-        Param(
-            "yellow_delta",
-            "float",
-            0.01,
-            "RTT increase over baseline entering YELLOW (seconds)",
-            "(0, inf)",
-        ),
-        Param(
-            "red_delta",
-            "float",
-            0.03,
-            "RTT increase over baseline entering RED (seconds)",
-            "(0, inf)",
-        ),
-        Param(
-            "yellow_loss",
-            "float",
-            0.01,
-            "path loss probability entering YELLOW",
-            "(0, 1]",
-        ),
-        Param(
-            "red_loss", "float", 0.04, "path loss probability entering RED", "(0, 1]"
-        ),
-        Param(
-            "backoff", "float", 0.5, "multiplicative cap factor per RED tick", "(0, 1)"
-        ),
-        Param(
-            "floor_frac",
-            "float",
-            0.2,
-            "cap floor as a fraction of the best rate seen",
-            "[0, 1]",
-        ),
-        Param(
-            "step_frac",
-            "float",
-            0.05,
-            "recovery step as a fraction of the best rate seen",
-            "(0, 1]",
-        ),
-        Param(
-            "recovery_ticks",
-            "int",
-            5,
-            "consecutive GREEN ticks per recovery step",
-            "[1, inf)",
-        ),
-    )
-
-    def validate(self):
-        # Programmatic values are checked, not coerced; the streak
-        # arithmetic in ``_tick`` needs a true int.
-        self.recovery_ticks = int(self.recovery_ticks)
 
     def steady_state_cap(self, links):
         # The shaper, not loss arithmetic, is the bound.
@@ -304,9 +238,6 @@ class AutorateModel(FlowModel):
                 st.max_rate = rate
 
     def dynamic_caps(self, flows, now):
-        interval = self.control_interval
-        mss = self.mss
-        initial = self.ramp_initial_segments
         inf = math.inf
         for flow in flows:
             rtt = flow.rtt
@@ -314,11 +245,15 @@ class AutorateModel(FlowModel):
                 rtt = 1e-4
             # The slow-start ramp: ``FlowModel.slow_start_cap_at``, inlined.
             doublings = (now - flow.started_at) / rtt
-            ramp = inf if doublings > 40 else initial * 2.0**doublings * mss / rtt
+            ramp = (
+                inf
+                if doublings > 40
+                else RAMP_INITIAL_SEGMENTS * 2.0**doublings * MSS / rtt
+            )
             st = flow.model_state
-            ticks = int((now - st.last_tick) / interval)
+            ticks = int((now - st.last_tick) / CONTROL_INTERVAL)
             if ticks > 0:
-                st.last_tick += ticks * interval
+                st.last_tick += ticks * CONTROL_INTERVAL
                 self._tick(flow, st, ticks, rtt)
             cap = st.cap
             flow._cap = ramp if ramp < cap else cap
@@ -330,7 +265,7 @@ class AutorateModel(FlowModel):
         so the window between visits is homogeneous to within one
         coalescing interval)."""
         delta = flow.rtt - st.base_rtt
-        if delta >= self.red_delta or flow.loss >= self.red_loss:
+        if delta >= RED_DELTA or flow.loss >= RED_LOSS:
             st.green_streak = 0
             cap = st.cap
             if cap == math.inf:
@@ -338,23 +273,22 @@ class AutorateModel(FlowModel):
                 # actually seen (nothing to shape before that).
                 cap = st.max_rate
             if cap > 0.0:
-                floor = self.floor_frac * st.max_rate
-                segment_floor = self.mss / rtt
+                floor = FLOOR_FRAC * st.max_rate
+                segment_floor = MSS / rtt
                 if floor < segment_floor:
                     floor = segment_floor
-                cap *= self.backoff**ticks
+                cap *= BACKOFF**ticks
                 if cap < floor:
                     cap = floor
                 st.cap = cap
-        elif delta >= self.yellow_delta or flow.loss >= self.yellow_loss:
+        elif delta >= YELLOW_DELTA or flow.loss >= YELLOW_LOSS:
             st.green_streak = 0
         else:
             if st.cap != math.inf and st.max_rate > 0.0:
-                rt = self.recovery_ticks
                 streak = st.green_streak
-                steps = (streak + ticks) // rt - streak // rt
+                steps = (streak + ticks) // RECOVERY_TICKS - streak // RECOVERY_TICKS
                 if steps:
-                    st.cap += steps * self.step_frac * st.max_rate
+                    st.cap += steps * STEP_FRAC * st.max_rate
                     if st.cap >= st.max_rate:
                         st.cap = math.inf
             st.green_streak += ticks

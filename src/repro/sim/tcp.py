@@ -79,7 +79,6 @@ import math
 from bisect import insort
 from operator import attrgetter
 
-from repro.common.params import Configurable, Param
 from repro.common.stats import ordered_sum
 from repro.sim.alloc import components, fill
 
@@ -87,9 +86,13 @@ __all__ = ["FlowModel", "TcpModel", "Flow", "FlowNetwork"]
 
 #: TCP maximum segment size used by the rate-model caps, in bytes.
 MSS = 1460
+#: Lower bound on the RTO estimate (seconds).
+MIN_RTO = 0.2
+#: Slow-start initial window (segments).
+RAMP_INITIAL_SEGMENTS = 4
 
 
-class FlowModel(Configurable):
+class FlowModel:
     """Abstract underlay rate-control model.
 
     A flow model answers four questions about any flow, given the links
@@ -115,9 +118,10 @@ class FlowModel(Configurable):
 
     Subclasses share the Reno-shaped RTO and exponential ramp by
     default (the dynamic models inline the ramp in their
-    :meth:`dynamic_caps` loop).  Knobs are declared as ``params``
-    (see :class:`~repro.common.params.Configurable`); a subclass extends
-    this tuple with the knobs it adds.
+    :meth:`dynamic_caps` loop).  A model has no knobs: its constants
+    (:data:`MSS`, :data:`MIN_RTO`, :data:`RAMP_INITIAL_SEGMENTS` and
+    each model's own) are module constants, and a run names a model
+    and nothing more.
     """
 
     #: Canonical registry name (display metadata; the registry is the
@@ -127,14 +131,6 @@ class FlowModel(Configurable):
     #: flows never latch ``ramp_done`` — they re-enter every allocation
     #: pass so the model's control loop ticks on the allocator cadence.
     dynamic = False
-
-    params = (
-        Param("mss", "int", MSS, "TCP maximum segment size (bytes)", "[1, inf)"),
-        Param("min_rto", "float", 0.2, "lower bound on the RTO estimate (seconds)",
-              "[0, inf)"),
-        Param("ramp_initial_segments", "int", 4,
-              "slow-start initial window (segments)", "[1, inf)"),
-    )
 
     def path_loss(self, links):
         """Aggregate loss probability across ``links`` (independent drops)."""
@@ -153,12 +149,12 @@ class FlowModel(Configurable):
 
     def retransmission_timeout(self, links):
         """RTO estimate used to penalize control messages on lossy paths."""
-        return max(self.min_rto, 2.0 * self.path_rtt(links))
+        return max(MIN_RTO, 2.0 * self.path_rtt(links))
 
     def slow_start_cap_at(self, rtt, age):
         """Slow-start rate bound from a precomputed path RTT.
 
-        The window starts at ``ramp_initial_segments`` segments and
+        The window starts at :data:`RAMP_INITIAL_SEGMENTS` segments and
         doubles every RTT, so the achievable rate at connection age
         ``age`` is ``initial * 2^(age/RTT) * MSS / RTT``.
         """
@@ -166,8 +162,8 @@ class FlowModel(Configurable):
         doublings = age / rtt
         if doublings > 40:  # beyond any practical window growth
             return math.inf
-        window_segments = self.ramp_initial_segments * (2.0 ** doublings)
-        return window_segments * self.mss / rtt
+        window_segments = RAMP_INITIAL_SEGMENTS * (2.0 ** doublings)
+        return window_segments * MSS / rtt
 
     # -- dynamic-model hooks (called only when ``dynamic``) -----------------
 
@@ -210,7 +206,7 @@ class TcpModel(FlowModel):
         if p <= 0.0:
             return math.inf
         rtt = max(self.path_rtt(links), 1e-4)
-        return self.mss / (rtt * math.sqrt(2.0 * p / 3.0))
+        return MSS / (rtt * math.sqrt(2.0 * p / 3.0))
 
     steady_state_cap = mathis_cap
 

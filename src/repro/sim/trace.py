@@ -1,11 +1,12 @@
 """Experiment metrics.
 
 The collector records, per node: completion time, every block arrival
-(for the Figure 13 inter-arrival analysis), duplicate block receipts,
-and control-byte overhead; per run: the failure counters of
-:data:`RUN_COUNTERS`.  It is deliberately passive — nodes report
-through :class:`~repro.overlay.node.OverlayProtocol`, each counter has
-one writer, and the harness reads the results.
+(for the Figure 13 inter-arrival analysis) and duplicate block
+receipts; per run: the failure counters of :data:`RUN_COUNTERS`.  It is
+deliberately passive — nodes report through
+:class:`~repro.overlay.node.OverlayProtocol`, each counter has one
+writer, and the harness reads the results.  The run's control bytes are
+the transport's count (``Network.control_bytes``), not the collector's.
 """
 
 from repro.common.stats import Cdf, ordered_sum
@@ -31,7 +32,6 @@ class TraceCollector:
         self.completion_times = {}
         self.block_arrivals = {}
         self.duplicate_blocks = {}
-        self.control_bytes = {}
         #: Run-wide: a count outlives the node or adversity that made it.
         self.counters = dict.fromkeys(RUN_COUNTERS, 0)
         self.start_time = sim.now
@@ -39,7 +39,6 @@ class TraceCollector:
     def node_started(self, node_id):
         self.block_arrivals.setdefault(node_id, [])
         self.duplicate_blocks.setdefault(node_id, 0)
-        self.control_bytes.setdefault(node_id, 0)
 
     def block_received(self, node_id, block, duplicate=False):
         if duplicate:
@@ -51,9 +50,6 @@ class TraceCollector:
         if arrivals is None:
             arrivals = self.block_arrivals[node_id] = []
         arrivals.append((self.sim.now, block))
-
-    def control_sent(self, node_id, nbytes):
-        self.control_bytes[node_id] = self.control_bytes.get(node_id, 0) + nbytes
 
     def completed(self, node_id):
         if node_id not in self.completion_times:
@@ -95,6 +91,3 @@ class TraceCollector:
 
     def total_duplicates(self):
         return sum(self.duplicate_blocks.values())
-
-    def total_control_bytes(self):
-        return sum(self.control_bytes.values())

@@ -245,6 +245,8 @@ class Channel:
                     1 if self.queue else 0
                 )
             self.queued_blocks += 1
+        else:
+            self.network.control_bytes += message.size + MESSAGE_HEADER_BYTES
         self.queue.append(message)
         if len(self.queue) == 1:
             self._start_head()
@@ -383,8 +385,6 @@ class Connection:
         "on_close",
         "closed",
         "bytes_received",
-        "blocks_received",
-        "control_bytes_sent",
     )
 
     def __init__(self, endpoint, local, remote):
@@ -397,15 +397,11 @@ class Connection:
         self.on_close = None
         self.closed = False
         self.bytes_received = 0
-        self.blocks_received = 0
-        self.control_bytes_sent = 0
 
     def send(self, message):
         """Queue ``message`` for transmission to the remote node."""
         if self.closed:
             return False
-        if not message.is_block:
-            self.control_bytes_sent += message.size + MESSAGE_HEADER_BYTES
         self._out_channel.enqueue(message)
         return True
 
@@ -418,8 +414,6 @@ class Connection:
             self.endpoint.network.dropped_after_close += 1
             return
         twin.bytes_received += message.size + MESSAGE_HEADER_BYTES
-        if message.is_block:
-            twin.blocks_received += 1
         if twin.on_message is not None:
             twin.on_message(twin, message)
 
@@ -598,6 +592,9 @@ class Network:
         #: already closed (crash semantics make this routine; the
         #: invariant checker surfaces it as an informational counter).
         self.dropped_after_close = 0
+        #: Control bytes (every non-block message, header included) sent
+        #: on any connection of the run: ``summary()["control_bytes"]``.
+        self.control_bytes = 0
 
     def endpoint(self, node_id):
         if node_id not in self._endpoints:

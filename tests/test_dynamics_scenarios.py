@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.registry import FLOW_MODELS, SCENARIOS
+from repro.harness.registry import SCENARIOS
 from repro.scenarios import (
     AsymmetricSqueeze,
     GilbertElliott,
@@ -281,18 +281,11 @@ class TestLossy:
 
 
 class TestRegistration:
-    @pytest.mark.parametrize(
-        "registry, name",
-        [
-            pytest.param(registry, name, id=name)
-            for registry in (SCENARIOS, FLOW_MODELS)
-            for name in registry.names()
-        ],
-    )
-    def test_registered_with_param_schemas(self, registry, name):
+    @pytest.mark.parametrize("name", SCENARIOS.names())
+    def test_registered_with_param_schemas(self, name):
         """A class's ``params`` tuple is the one declaration of its
         knobs: the registry schema, the constructor, and the defaults."""
-        entry = registry.get(name)
+        entry = SCENARIOS.get(name)
         builder = entry.builder
         assert entry.params is builder.params
         built = entry.build()

@@ -30,8 +30,25 @@ from hypothesis import strategies as st
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS
 from repro.harness.sweep import SweepCell, SweepSpec, run_sweep
-from repro.sim.flow_models import AutorateModel, BbrModel
-from repro.sim.tcp import FlowModel, TcpModel
+from repro.common.params import Param
+from repro.sim.flow_models import (
+    BACKOFF,
+    CONTROL_INTERVAL,
+    CWND_GAIN,
+    FLOOR_FRAC,
+    GAINS,
+    PHASE_TIME,
+    RECOVERY_TICKS,
+    RED_DELTA,
+    RED_LOSS,
+    STEP_FRAC,
+    WINDOW,
+    YELLOW_DELTA,
+    YELLOW_LOSS,
+    AutorateModel,
+    BbrModel,
+)
+from repro.sim.tcp import MIN_RTO, MSS, RAMP_INITIAL_SEGMENTS, FlowModel, TcpModel
 from repro.sim.topology import mesh_topology
 
 N = 8
@@ -99,6 +116,46 @@ class TestFlowModelInterface:
         assert AutorateModel().steady_state_cap(links) == math.inf
 
 
+#: Each flow-model constant: its value, its kind and its legal values
+#: in ``Param`` bracket notation.  The models' arithmetic assumes each.
+CONSTANTS = {
+    "MSS": (MSS, "int", "[1, inf)"),
+    "MIN_RTO": (MIN_RTO, "float", "[0, inf)"),
+    "RAMP_INITIAL_SEGMENTS": (RAMP_INITIAL_SEGMENTS, "int", "[1, inf)"),
+    "WINDOW": (WINDOW, "float", "(0, inf)"),
+    "GAINS[0]": (GAINS[0], "float", "(0, inf)"),
+    "GAINS[1]": (GAINS[1], "float", "(0, inf)"),
+    "CWND_GAIN": (CWND_GAIN, "float", "(0, inf)"),
+    "PHASE_TIME": (PHASE_TIME, "float", "(0, inf)"),
+    "CONTROL_INTERVAL": (CONTROL_INTERVAL, "float", "(0, inf)"),
+    "YELLOW_DELTA": (YELLOW_DELTA, "float", "(0, inf)"),
+    "RED_DELTA": (RED_DELTA, "float", "(0, inf)"),
+    "YELLOW_LOSS": (YELLOW_LOSS, "float", "(0, 1]"),
+    "RED_LOSS": (RED_LOSS, "float", "(0, 1]"),
+    "BACKOFF": (BACKOFF, "float", "(0, 1)"),
+    "FLOOR_FRAC": (FLOOR_FRAC, "float", "[0, 1]"),
+    "STEP_FRAC": (STEP_FRAC, "float", "(0, 1]"),
+    "RECOVERY_TICKS": (RECOVERY_TICKS, "int", "[1, inf)"),
+}
+
+
+class TestConstants:
+    @pytest.mark.parametrize("name", CONSTANTS)
+    def test_constant_lies_in_its_domain(self, name):
+        value, kind, domain = CONSTANTS[name]
+        # A true int where the arithmetic counts (autorate's GREEN streak).
+        assert type(value) is {"int": int, "float": float}[kind]
+        assert Param(name, kind, value, "", domain).check(value) == value
+
+    def test_thresholds_and_gains_are_ordered(self):
+        # YELLOW is reachable only below RED, and the gain cycle probes
+        # above the estimate, drains below it, then cruises at it.
+        assert YELLOW_LOSS < RED_LOSS
+        assert YELLOW_DELTA < RED_DELTA
+        assert GAINS[1] < 1.0 < GAINS[0]
+        assert GAINS[2:] == (1.0,) * 6
+
+
 def _stub_flow(rtt=0.1, loss=0.0, started_at=-math.inf):
     # Started infinitely long ago unless asked: the slow-start ramp is
     # then ``inf`` and the model's own bound is the whole cap.
@@ -159,7 +216,7 @@ class TestBbrMechanics:
         # Rates are bytes/second and must sit above the one-segment-per-
         # RTT floor (mss/rtt = 14.6 kB/s at rtt 0.1) to exercise the
         # estimator rather than the floor.
-        model = BbrModel(window=10.0)
+        model = BbrModel()
         flow = _stub_flow()
         model.flow_started(flow, now=0.0)
         _observe(model, flow, 1e6, now=0.0)
@@ -173,7 +230,7 @@ class TestBbrMechanics:
         assert cap == pytest.approx(6e5)
 
     def test_gain_cycle_probes_and_drains(self):
-        model = BbrModel(phase_time=0.25)
+        model = BbrModel()
         flow = _stub_flow()
         model.flow_started(flow, now=0.0)
         _observe(model, flow, 1e6, now=0.0)
@@ -182,7 +239,7 @@ class TestBbrMechanics:
         assert _cap(model, flow, now=0.60) == pytest.approx(1e6)
 
     def test_inflight_bound_shrinks_when_delay_inflates(self):
-        model = BbrModel(cwnd_gain=2.0)
+        model = BbrModel()
         flow = _stub_flow(rtt=0.1)
         model.flow_started(flow, now=0.0)
         _observe(model, flow, 1e6, now=0.0)
@@ -203,7 +260,7 @@ class TestBbrMechanics:
         flow = _stub_flow(rtt=0.1)
         model.flow_started(flow, now=0.0)
         _observe(model, flow, 0.0, now=0.0)
-        assert _cap(model, flow, now=0.6) == model.mss / 0.1
+        assert _cap(model, flow, now=0.6) == MSS / 0.1
 
     def test_loss_never_enters_the_cap(self):
         model = BbrModel()
@@ -214,18 +271,14 @@ class TestBbrMechanics:
             _observe(model, flow, 1e6, now=0.0)
         assert _cap(model, lossless, 0.6) == _cap(model, lossy, 0.6)
 
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            BbrModel(window=0.0)
-        with pytest.raises(ValueError, match="phase_time"):
-            BbrModel(phase_time=-1.0)
+
+def _mid_tick(k):
+    """The middle of control tick ``k``: exactly ``k`` ticks after 0, with
+    no float division landing on a tick boundary."""
+    return (k + 0.5) * CONTROL_INTERVAL
 
 
 class TestAutorateMechanics:
-    def _model(self, **kwargs):
-        kwargs.setdefault("control_interval", 1.0)
-        return AutorateModel(**kwargs)
-
     def _primed_flow(self, model, loss=0.0, rtt=0.1, max_rate=1e6):
         flow = _stub_flow(rtt=rtt, loss=loss)
         model.flow_started(flow, now=0.0)
@@ -233,66 +286,59 @@ class TestAutorateMechanics:
         return flow
 
     def test_unshaped_until_congestion(self):
-        model = self._model()
+        model = AutorateModel()
         flow = self._primed_flow(model)
-        assert _cap(model, flow, now=5.0) == math.inf
+        assert _cap(model, flow, now=_mid_tick(100)) == math.inf
 
     def test_red_loss_backs_off_immediately(self):
-        model = self._model(backoff=0.5, red_loss=0.04)
+        model = AutorateModel()
         flow = self._primed_flow(model, loss=0.1)
         # One RED tick: inf -> max_rate, then one halving.
-        assert _cap(model, flow, now=1.0) == pytest.approx(5e5)
+        assert _cap(model, flow, now=_mid_tick(1)) == pytest.approx(5e5)
 
     def test_sustained_red_clamps_at_the_floor(self):
-        model = self._model(backoff=0.5, floor_frac=0.2)
+        model = AutorateModel()
         flow = self._primed_flow(model, loss=0.1)
-        assert _cap(model, flow, now=50.0) == pytest.approx(0.2 * 1e6)
+        assert _cap(model, flow, now=_mid_tick(50)) == pytest.approx(FLOOR_FRAC * 1e6)
 
     def test_red_rtt_delta_triggers_too(self):
-        model = self._model(red_delta=0.03)
+        model = AutorateModel()
         flow = self._primed_flow(model, rtt=0.1)
         flow.rtt = 0.2  # +100 ms over baseline
-        model.path_refreshed(flow, now=0.5)
-        assert _cap(model, flow, now=1.0) < math.inf
+        model.path_refreshed(flow, now=_mid_tick(0))
+        assert _cap(model, flow, now=_mid_tick(1)) < math.inf
 
     def test_yellow_holds_without_backing_off(self):
-        model = self._model(yellow_loss=0.01, red_loss=0.5)
-        flow = self._primed_flow(model, loss=0.1)
-        assert _cap(model, flow, now=5.0) == math.inf
+        model = AutorateModel()
+        # Between the YELLOW (0.01) and RED (0.04) loss thresholds.
+        flow = self._primed_flow(model, loss=0.02)
+        assert _cap(model, flow, now=_mid_tick(100)) == math.inf
 
     def test_recovery_is_slow_and_stepped(self):
-        model = self._model(backoff=0.5, step_frac=0.05, recovery_ticks=5)
+        model = AutorateModel()
         flow = self._primed_flow(model, loss=0.1)
-        backed_off = _cap(model, flow, now=1.0)
+        backed_off = _cap(model, flow, now=_mid_tick(1))
         flow.loss = 0.0  # congestion clears
         # Four GREEN ticks: not yet a full streak, cap holds.
-        assert _cap(model, flow, now=4.9) == backed_off
+        assert _cap(model, flow, now=_mid_tick(5)) == backed_off
         # The fifth completes a streak: one additive step up.
-        stepped = _cap(model, flow, now=6.0)
-        assert stepped == pytest.approx(backed_off + 0.05 * 1e6)
+        stepped = _cap(model, flow, now=_mid_tick(6))
+        assert stepped == pytest.approx(backed_off + STEP_FRAC * 1e6)
         # Enough streaks recover past max_rate and unshape entirely.
-        assert _cap(model, flow, now=80.0) == math.inf
+        assert _cap(model, flow, now=_mid_tick(80)) == math.inf
 
     def test_backoff_asymmetry(self):
-        """Coming down is one tick; coming back is recovery_ticks per
+        """Coming down is one tick; coming back is five GREEN ticks per
         step — the wanctl asymmetry in one number: recovery takes
         longer than collapse."""
-        model = self._model(backoff=0.5, step_frac=0.05, recovery_ticks=5)
+        model = AutorateModel()
         flow = self._primed_flow(model, loss=0.1)
-        down = _cap(model, flow, now=1.0)  # 1 tick: halved
+        down = _cap(model, flow, now=_mid_tick(1))  # 1 tick: halved
         assert down == pytest.approx(5e5)
         flow.loss = 0.0
         # Recovering the same 5e5 at 0.05*1e6 per 5 ticks needs 50 ticks.
-        assert _cap(model, flow, now=26.0) < 1e6
-        assert _cap(model, flow, now=52.0) == math.inf
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="control_interval"):
-            AutorateModel(control_interval=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            AutorateModel(backoff=1.5)
-        with pytest.raises(ValueError, match="recovery_ticks"):
-            AutorateModel(recovery_ticks=0)
+        assert _cap(model, flow, now=_mid_tick(26)) < 1e6
+        assert _cap(model, flow, now=_mid_tick(52)) == math.inf
 
 
 class TestSpecValidation:
@@ -404,10 +450,8 @@ class TestCliSurfaces:
         doc = json.loads(capsys.readouterr().out)
         names = [entry["name"] for entry in doc["flow_models"]]
         assert names == ["reno", "bbr", "autorate"]
-        bbr = next(e for e in doc["flow_models"] if e["name"] == "bbr")
-        assert {p["name"] for p in bbr["params"]} >= {
-            "window", "probe_gain", "drain_gain", "cwnd_gain", "phase_time",
-        }
+        # A run names its flow model and nothing more: no knobs.
+        assert [entry["params"] for entry in doc["flow_models"]] == [[], [], []]
 
     def test_run_rejects_unknown_flow_model(self, capsys):
         from repro.__main__ import main

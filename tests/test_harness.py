@@ -5,15 +5,16 @@ import pytest
 from repro.core.download import FileObject
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import FIGURES, run_figure
-from repro.harness.registry import SYSTEMS
+from repro.harness.registry import FLOW_MODELS, SCENARIOS, SYSTEMS
 from repro.harness.report import FigureData
+from repro.harness.sweep import SweepSpec, execute_cell
 from repro.harness.workloads import software_update_workload
 from repro.overlay.tree import build_random_tree
 from repro.sim.engine import Simulator
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology, planetlab_like_topology
 from repro.sim.trace import TraceCollector
-from repro.sim.transport import Network
+from repro.sim.transport import MESSAGE_HEADER_BYTES, Connection, Network
 
 
 class TestFigureData:
@@ -81,6 +82,23 @@ class TestFigureData:
         assert fig.median_speedup("slow") == pytest.approx(0.75)
 
 
+@pytest.fixture
+def control_sends(monkeypatch):
+    """The wire size of every non-block message a connection accepts,
+    recorded at ``Connection.send`` itself."""
+    sent = []
+    send = Connection.send
+
+    def counting_send(conn, message):
+        accepted = send(conn, message)
+        if accepted and not message.is_block:
+            sent.append(message.size + MESSAGE_HEADER_BYTES)
+        return accepted
+
+    monkeypatch.setattr(Connection, "send", counting_send)
+    return sent
+
+
 class TestSummaryPolicy:
     def test_no_finisher_summary_metrics_are_none(self):
         # A run where no node completed (watchdog before first
@@ -100,6 +118,44 @@ class TestSummaryPolicy:
         assert summary["worst"] is None
         assert summary["nodes"] == 0
         assert summary["finished"] is False
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS.names()))
+    def test_control_bytes_count_every_accepted_control_message(
+        self, system, control_sends
+    ):
+        # The oracle totals, at the send call itself, every non-block
+        # message a connection accepts; the summary must report exactly
+        # that, crashes and closed connections included.
+        (cell,) = SweepSpec(
+            systems=(system,), scenarios=("chaos",), nodes=8, blocks=24, seeds=1
+        ).expand()
+        summary = execute_cell(cell).summary()
+        assert control_sends
+        assert summary["control_bytes"] == sum(control_sends)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS.names())
+    @pytest.mark.parametrize("flow_model", FLOW_MODELS.names())
+    @pytest.mark.parametrize("system", sorted(SYSTEMS.names()))
+    def test_control_bytes_and_invariants_hold_in_every_cell(
+        self, system, flow_model, scenario, control_sends
+    ):
+        # The chaos oracle above, over the whole system x flow model x
+        # scenario cross at 8 x 24, with the invariant checker installed:
+        # crashes, restarts and partitions close connections mid-run, and
+        # the dynamic models move every flow's rate.
+        result = run_experiment(
+            mesh_topology(8, seed=1),
+            SYSTEMS.get(system).builder(num_blocks=24, seed=1),
+            24,
+            scenario=SCENARIOS.build(scenario),
+            max_time=120.0,
+            seed=1,
+            flow_model=flow_model,
+            check_invariants=True,
+        )
+        assert result.invariants.ok, result.invariants.violations
+        assert control_sends
+        assert result.summary()["control_bytes"] == sum(control_sends)
 
 
 class TestWorkloads:

@@ -98,12 +98,7 @@ FIG = {figure_id: _figure_runner(figure_id) for figure_id in FIGURES}
 
 
 def _control_kb(result):
-    sent = sum(
-        conn.control_bytes_sent
-        for node in result.nodes.values()
-        for conn in node.endpoint.connections
-    )
-    return sent / 1024
+    return result.network.control_bytes / 1024
 
 
 def _senders_pruned(result):

@@ -32,7 +32,6 @@ INTEGER_SUMS = [
     "common/stats.py: sum(1 for d in deltas if d < 0)",
     "common/stats.py: sum(1 for d in deltas if d == 0)",
     "sim/trace.py: sum(self.duplicate_blocks.values())",
-    "sim/trace.py: sum(self.control_bytes.values())",
     "core/bullet_prime.py: sum(1 for b in summary.sample_blocks if self.state.wants(b))",
     "core/request.py: sum(map(len, self._senders[sender_key].buckets.values()))",
     "baselines/splitstream.py: sum(min(c, self._stripe_required) for c in self._stripe_counts)",
@@ -45,7 +44,6 @@ GONE = ("failure_stats", "FAILURE_COUNTERS", "salvaged_stats", "extra_perf")
 #: Attributes stored under ``src/`` that no code loads, each with the
 #: mechanism it is kept for.
 WRITE_ONLY = {
-    "control_bytes_sent": "Connection's control bytes; summary() does not read it yet",
     "announces": "Tracker's announce count, asserted by tests",
     "incoming_bw": "NodeSummary's gossiped field, sized into SUMMARY_WIRE_BYTES",
     "blocks_per_segment": "the segment codec's constructor argument, kept public",
@@ -98,6 +96,7 @@ def _listing():
     doc = json.loads(out.getvalue())
     knobs = {k: [p for e in doc[k] for p in e["params"]] for k in doc if k != "figures"}
     facts = {"bytes": len(out.getvalue().encode())}
+    facts["flow_models"] = len(knobs["flow_models"])
     for kind in ("systems", "topologies"):
         none = [p["domain"] is None for p in knobs[kind]]
         facts[kind] = f"{none.count(False)} / {none.count(True)}"
@@ -190,6 +189,7 @@ def write_only():
 Row = namedtuple("Row", "name measure bound since", defaults=(None, None))
 ACTUATION = "scenarios/ harness/faults.py sim/links.py"
 ALLOCATOR = "sim/tcp.py sim/alloc.py"
+UNDERLAY = ALLOCATOR + " sim/flow_models.py"
 CLI = "__main__.py harness/sweep.py harness/compare.py"
 CHECKS = "scenarios/catalog.py scenarios/dynamics.py scenarios/failures.py sim/flow_models.py"
 REPORT_PATH = "overlay/node.py core/bullet_prime.py sim/trace.py sim/transport.py"
@@ -208,20 +208,26 @@ ONE_INDEX = r"\b(_Index|_indexes|groupby|_PeriodicHandle|_gray_victim|_network"
 ONE_INDEX += r"|head_started_tx|_expected_children|block_kind|blocks_pushed)\b"
 ONE_CANDIDATE_INDEX = r"\.stale\b|\b(_CandidateList|_pick_first|_pick_random|_indexed"
 ONE_CANDIDATE_INDEX = grep(ONE_CANDIDATE_INDEX + r"|prefetch_needed)\b")
+CONTROL_BYTES = r"control_sent|total_control_bytes|control_bytes_sent"
+CONTROL_BYTES = grep(CONTROL_BYTES + r"|\bblocks_received\b")
 ROWS = [
     # src/ passed 13,380 with the deferred scale column (sim/links.py);
     # the bounds marked 08c29ac were set by the change after it: one
     # scale-log index, and the write-only state gone.  The bounds marked
-    # deac2f3 were set by one candidate index for every request strategy.
-    Row("src/ lines", lines(""), "<= 13441", "deac2f3"),
+    # deac2f3 were set by one candidate index for every request strategy,
+    # and those marked 8e35007 by knob-free flow models and one control-byte
+    # count.
+    Row("src/ lines", lines(""), "<= 13367", "8e35007"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
     Row("scenario package lines", lines("scenarios/"), "<= 2031", "08c29ac"),
     Row("link actuation lines", lines(ACTUATION), "<= 2749", "08c29ac"),
     Row("link writes outside sim/links.py", link_writes, "== 0", "2ad1543"),
     Row("cli + sweep + compare lines", lines(CLI)),
-    Row("allocator lines", lines(ALLOCATOR), "<= 934", "8ab783b"),
-    Row("allocator + flow-model lines", lines(ALLOCATOR + " sim/flow_models.py")),
+    Row("allocator lines", lines(ALLOCATOR), "<= 915", "8e35007"),
+    Row("allocator + flow-model lines", lines(UNDERLAY), "<= 1239", "8e35007"),
+    Row("sim/flow_models.py lines", lines("sim/flow_models.py"), "<= 324", "8e35007"),
+    Row("flow-model knobs", lambda: _listing()["flow_models"], "== 0", "8e35007"),
     Row("settle sites", SETTLE, "== 1", "06cdc33"),
     Row("figures.py lines", lines("harness/figures.py")),
     Row("run_experiment( in figures + shotgun", RUNS, "== 0", "239e919"),
@@ -248,6 +254,8 @@ ROWS = [
     Row("per-tuple index and write-only words", grep(ONE_INDEX), "== 0", "08c29ac"),
     Row("core/request.py lines", lines("core/request.py"), "<= 258", "deac2f3"),
     Row("second candidate structure words", ONE_CANDIDATE_INDEX, "== 0", "deac2f3"),
+    # One run-wide control-byte count, in the transport's Network.
+    Row("control-byte and block counter words", CONTROL_BYTES, "== 0", "8e35007"),
 ]
 
 

@@ -108,8 +108,7 @@ class TestDelivery:
         expected = 3000 + 2 * MESSAGE_HEADER_BYTES
         assert local.bytes_sent == expected
         assert remote.bytes_received == expected
-        assert remote.blocks_received == 1
-        assert local.control_bytes_sent == 1000 + MESSAGE_HEADER_BYTES
+        assert net.control_bytes == 1000 + MESSAGE_HEADER_BYTES
 
 
 class TestSenderAccounting:
