@@ -228,9 +228,8 @@ def _run_command(argv):
     summary = result.summary()
     failed_nodes = sorted(result.failed_nodes)
     fault_counters = result.trace.counters
-    invariant_report = (
-        result.invariants.report() if result.invariants is not None else None
-    )
+    invariants = result.network.invariants
+    invariant_report = invariants.report() if invariants is not None else None
     profile = None
     if args.profile:
         profile = dict(result.perf_stats())

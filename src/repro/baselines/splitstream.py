@@ -161,7 +161,7 @@ class SplitStreamNode(OverlayProtocol):
         stripe = message.payload["stripe"]
         self.stripe_children.setdefault(stripe, []).append(conn)
         self._stripe_backlog.setdefault(stripe, [])
-        # Blocking multicast is resumed by the channel's low-watermark
+        # Blocking multicast is resumed by the connection's low-watermark
         # event — the instant this child's queue drops below the push
         # window — instead of a drain attempt per transmitted message.
         conn.watch_send_queue_low(

@@ -241,7 +241,7 @@ class _ReceiverState:
         self.bytes_mark = 0
         self.epoch_bw = 0.0
         #: Mirrors ``conn.send_queue_blocks == 0``, maintained by the
-        #: channel's low-watermark event plus the one site that enqueues
+        #: connection's low-watermark event plus the one site that enqueues
         #: blocks — the self-clocked diff check per ingested block is a
         #: flag read instead of a queue poll.
         self.pipe_idle = True
@@ -478,9 +478,9 @@ class BulletPrimeNode(OverlayProtocol):
             self.periodic(self.config.ransub_epoch, self._check_tree_liveness)
 
     def _fd_timeout(self, sender):
-        conn = sender.conn
+        flow = sender.conn.flow
         base = max(
-            FD_RTO_MULTIPLE * max(conn.rtt, conn.rto),
+            FD_RTO_MULTIPLE * max(flow.rtt, flow.rto),
             FD_MIN_TIMEOUT,
         )
         # Exponential backoff per retry round, jittered so a wave of
@@ -1011,7 +1011,7 @@ class BulletPrimeNode(OverlayProtocol):
         self.avail.ingested(block)
         # Self-clocked diffs: receivers with an idle request pipeline (or
         # an explicit ask outstanding) hear about new availability now.
-        # ``pipe_idle`` is pushed by the channel's low-watermark event,
+        # ``pipe_idle`` is pushed by the connection's low-watermark event,
         # so this per-block pass is flag reads, not queue polls — and
         # nothing in _send_diff mutates the receiver table, so the dict
         # is iterated directly (no per-block copy).
@@ -1033,11 +1033,9 @@ class BulletPrimeNode(OverlayProtocol):
         sender = self.senders.get(conn)
         if sender is None or conn.closed or self.state.complete:
             return
-        limit = (
-            sender.limit
-            if self.config.adaptive_outstanding
-            else self.config.fixed_outstanding
-        )
+        # Without adaptive_outstanding the controller starts at
+        # fixed_outstanding and never moves, so one limit serves both.
+        limit = sender.limit
         while len(sender.outstanding) < limit:
             block = self.avail.pick(conn)
             if block is None:

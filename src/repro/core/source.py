@@ -51,7 +51,7 @@ class SourcePusher:
 
         Feeding is event-driven: rather than re-running :meth:`pump` on
         every transmitted message (most of which are control traffic that
-        cannot open push room), the channel's low-watermark callback
+        cannot open push room), the connection's low-watermark callback
         wakes the pusher exactly when a child's block queue drops below
         the push window — the only moment a poll could make progress.
         """

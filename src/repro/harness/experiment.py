@@ -59,23 +59,20 @@ def _resolve_flow_model(flow_model):
 class ExperimentResult:
     """Everything a figure needs from one run."""
 
-    def __init__(self, trace, nodes, sim, finished, flows=None, source_id=None,
-                 failed_nodes=frozenset(), invariants=None, network=None):
+    def __init__(self, trace, nodes, sim, finished, source_id=None,
+                 failed_nodes=frozenset(), network=None):
         self.trace = trace
         self.nodes = nodes
         self.sim = sim
         #: True when every survivor completed and no restart was pending.
         self.finished = finished
-        #: The :class:`~repro.sim.tcp.FlowNetwork` the run used (for
-        #: allocator perf counters; may be None for hand-built results).
-        self.flows = flows
         self.source_id = source_id
         #: Nodes down at the end of the run.
         self.failed_nodes = failed_nodes
-        #: The :class:`~repro.harness.invariants.InvariantChecker`, if any.
-        self.invariants = invariants
-        #: The :class:`~repro.sim.transport.Network` the run used (for its
-        #: control-byte count; None for hand-built results).
+        #: The :class:`~repro.sim.transport.Network` the run used: its
+        #: ``flows`` (allocator perf counters), ``invariants`` (the
+        #: checker, if any) and control-byte count.  None for hand-built
+        #: results.
         self.network = network
 
     def completion_cdf(self):
@@ -98,8 +95,8 @@ class ExperimentResult:
         bit-identical across machines and runs.  The run's failure
         counters (``trace.counters``) close the dict."""
         stats = dict(self.sim.perf_stats())
-        if self.flows is not None:
-            stats.update(self.flows.perf_stats())
+        if self.network is not None:
+            stats.update(self.network.flows.perf_stats())
         stats.update(self.trace.counters)
         return stats
 
@@ -185,8 +182,8 @@ def run_experiment(
         ``network.invariants`` before the nodes are built, so every
         connection delivers through its checks (no events on dead
         nodes, no delivery on closed connections); the checker is
-        returned as ``result.invariants``.  Off by default — the matrix
-        and benchmarks run without the checking overhead.
+        reachable as ``result.network.invariants``.  Off by default —
+        the matrix and benchmarks run without the checking overhead.
     flow_model:
         The underlay rate-control law: a name registered in
         :data:`repro.harness.registry.FLOW_MODELS` (``"reno"``,
@@ -288,9 +285,7 @@ def run_experiment(
         nodes,
         sim,
         done(),
-        flows=flows,
         source_id=source_id,
         failed_nodes=injector.failed,
-        invariants=network.invariants,
         network=network,
     )

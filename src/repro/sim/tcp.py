@@ -258,7 +258,7 @@ class Flow:
         #: Callback ``on_path_change(flow)`` fired after the path
         #: invariants above (Mathis cap, RTT, loss, RTO) were refreshed
         #: because a traversed link's loss rate or delay changed; the
-        #: transport re-reads its cached per-channel copies.
+        #: transport re-reads its cached per-connection copies.
         self.on_path_change = None
         #: Per-flow controller scratch owned by dynamic flow models
         #: (``FlowModel.flow_started`` fills it in); None under the

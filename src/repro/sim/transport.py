@@ -3,18 +3,18 @@
 Protocols in this reproduction are written against the same abstractions
 MACEDON gave the paper's implementation: nodes own an :class:`Endpoint`,
 open :class:`Connection` objects to peers, and exchange :class:`Message`
-objects.  Underneath, each direction of a connection is a :class:`Channel`
-with a FIFO send queue drained at the rate the
-:class:`~repro.sim.tcp.FlowNetwork` allocates to its flow.
+objects.  Each :class:`Connection` is one end of a connection: the node's
+handle, and the FIFO send queue drained at the rate the
+:class:`~repro.sim.tcp.FlowNetwork` allocates to that direction's flow.
 
-The channel also implements the sender-side accounting that Bullet's
+The connection also implements the sender-side accounting that Bullet's
 flow-control loop (paper section 3.3.3) consumes:
 
 - ``in_front`` — number of queued blocks ahead of the "socket buffer"
   (we treat the message currently being transmitted as the socket
-  buffer) when a block is enqueued;
+  buffer) when a block is sent;
 - ``wasted`` — negative if the pipe sat idle before this block was
-  enqueued (the idle gap), positive if the block waited in the queue
+  sent (the idle gap), positive if the block waited in the queue
   before transmission began (its service time).
 
 Loss does not drop bytes (TCP retransmits); it throttles flows through
@@ -59,7 +59,7 @@ class Message:
         self.payload = payload
         self.size = size
         self.is_block = is_block
-        #: Filled in by the sending channel for block messages.
+        #: Filled in by the sending connection for block messages.
         self.in_front = 0
         self.wasted = 0.0
         self._enqueued_at = None
@@ -86,7 +86,7 @@ class MessageAdversity:
       but never dispatched to a protocol.
     - *Reordering* adds a bounded extra delay to control messages (blocks
       already serialize through the flow's rate); the in-order contract
-      between two blocks on one channel is preserved.
+      between two blocks on one connection is preserved.
     - *Corruption* damages a block's payload in flight: the message's
       ``csum`` field (when the sender attached one) is perturbed, so
       checksum-verifying protocols detect the damage and checksum-less
@@ -147,60 +147,76 @@ class MessageAdversity:
         return delay
 
 
-class Channel:
-    """One direction of a connection: a FIFO drained at the flow's rate.
+class Connection:
+    """One end of an established bidirectional connection.
 
-    The send queue is a :class:`collections.deque` (popping the head of a
-    list is O(n)) and the block count protocols read on every block is a
-    running counter, so ``queued_block_count`` / ``send_queue_blocks``
-    are O(1) instead of per-call scans.
+    A node's handle on a peer and the outbound FIFO behind it: messages
+    queue on a :class:`collections.deque` drained at the rate the flow
+    network allocates to ``flow``, and arrive at the twin end after the
+    path's one-way propagation delay.  ``send_queue_blocks`` is a running
+    count of the queued block messages (the one in transmission
+    included), so protocols poll it in O(1) per block.
 
-    Instead of making every protocol poll that counter per block, the
-    channel pushes the one transition protocols actually act on: when the
-    number of queued blocks drops below ``block_low_watermark`` the
-    channel invokes ``on_block_low(connection)`` — the event-driven
-    low-watermark path push senders (the source pusher, Bullet's lossy
-    tree push, SplitStream's blocking multicast) and Bullet's self-
-    clocked diff trigger ride on.  The callback fires at the simulated
-    instant the block whose transmission takes the count from the
-    watermark to one below it leaves the queue.
+    Instead of making every protocol poll that count, the connection
+    pushes the one transition protocols act on: when it drops below
+    ``block_low_watermark`` the connection invokes
+    ``on_block_low(connection)`` — the event-driven low-watermark path
+    push senders (the source pusher, Bullet's lossy tree push,
+    SplitStream's blocking multicast) and Bullet's self-clocked diff
+    trigger ride on.  The callback fires at the simulated instant the
+    block whose transmission takes the count from the watermark to one
+    below it leaves the queue.
     """
 
     __slots__ = (
+        "endpoint",
         "network",
         "sim",
-        "connection",
+        "local",
+        "remote",
+        "_twin",
+        "on_message",
+        "on_close",
+        "closed",
+        "bytes_received",
+        "bytes_sent",
         "flow",
         "prop_delay",
         "queue",
-        "queued_blocks",
+        "send_queue_blocks",
         "head_remaining",
         "last_advance",
         "idle_since",
         "_event",
-        "bytes_sent",
-        "closed",
         "_loss",
         "_rng",
         "block_low_watermark",
         "on_block_low",
     )
 
-    def __init__(self, network, connection, flow, prop_delay):
+    def __init__(self, endpoint, local, remote, flow, prop_delay):
+        network = endpoint.network
+        self.endpoint = endpoint
         self.network = network
         self.sim = network.sim
-        self.connection = connection
+        self.local = local
+        self.remote = remote
+        self._twin = None
+        self.on_message = None
+        self.on_close = None
+        self.closed = False
+        self.bytes_received = 0
+        #: Total wire bytes fully transmitted to the remote end.
+        self.bytes_sent = 0
         self.flow = flow
         self.prop_delay = prop_delay
         self.queue = deque()
         #: Running count of block messages in ``queue`` (head included).
-        self.queued_blocks = 0
+        self.send_queue_blocks = 0
         self.head_remaining = 0.0
         self.last_advance = network.sim.now
         self.idle_since = network.sim.now
         self._event = None
-        self.bytes_sent = 0
-        self.closed = False
         #: Path loss and the shared rng, cached off the hot delivery
         #: path.  The loss copy (and ``prop_delay``) track the flow's
         #: path invariants: when a dynamic scenario mutates a traversed
@@ -210,46 +226,45 @@ class Channel:
         self._loss = flow.loss
         self._rng = network.rng
         #: When set, ``on_block_low(connection)`` fires the instant
-        #: ``queued_blocks`` drops from the watermark to one below it.
+        #: ``send_queue_blocks`` drops from the watermark to one below it.
         self.block_low_watermark = None
         self.on_block_low = None
         flow.on_rate_change = self._rate_changed
         flow.on_path_change = self._path_changed
 
-    # -- queue state queries used by protocols -------------------------------
-
-    def queued_block_count(self):
-        """Blocks waiting behind the one in the socket buffer."""
-        if self.queue and self.queue[0].is_block:
-            return self.queued_blocks - 1
-        return self.queued_blocks
-
     # -- sending --------------------------------------------------------------
 
-    def enqueue(self, message):
+    def send(self, message):
+        """Queue ``message`` for transmission to the remote node.
+
+        Returns False, queueing nothing, once this end is closed.
+        """
         if self.closed:
-            raise RuntimeError("send on closed channel")
+            return False
         now = self.sim.now
         message._enqueued_at = now
+        queue = self.queue
         if message.is_block:
-            if not self.queue and self.idle_since is not None:
+            if not queue and self.idle_since is not None:
                 # The pipe sat idle: report the (negative) idle gap.
                 message.wasted = -(now - self.idle_since)
                 message.in_front = 0
             else:
                 # Positive "service time" is filled in when transmission
-                # begins (_start_head); in_front counts blocks ahead of
-                # the socket buffer right now.
+                # begins (_start_head); in_front counts the blocks
+                # waiting behind the socket buffer, plus the buffer.
                 message.wasted = 0.0
-                message.in_front = self.queued_block_count() + (
-                    1 if self.queue else 0
-                )
-            self.queued_blocks += 1
+                in_front = self.send_queue_blocks
+                if queue and not queue[0].is_block:
+                    in_front += 1
+                message.in_front = in_front
+            self.send_queue_blocks += 1
         else:
             self.network.control_bytes += message.size + MESSAGE_HEADER_BYTES
-        self.queue.append(message)
-        if len(self.queue) == 1:
+        queue.append(message)
+        if len(queue) == 1:
             self._start_head()
+        return True
 
     def _start_head(self):
         message = self.queue[0]
@@ -263,9 +278,9 @@ class Channel:
         self.head_remaining = remaining
         self.last_advance = now
         self.network.flows.activate(self.flow)
-        # On both call paths (first enqueue after idle, next message
-        # after a completion) no transmission event is pending, so this
-        # is a bare schedule — no cancel, no _reschedule round-trip.
+        # On both call paths (first send after idle, next message after
+        # a completion) no transmission event is pending, so this is a
+        # bare schedule — no cancel, no _reschedule round-trip.
         rate = self.flow.rate
         if rate > 0:
             self._event = self.sim.schedule(
@@ -296,45 +311,36 @@ class Channel:
     def _path_changed(self, flow):
         # A traversed link's loss rate or delay moved: re-read the
         # cached copies.  ``flow.rtt`` is exactly ``2.0 * sum(delays)``,
-        # so halving it reproduces the one-way propagation delay the
-        # constructor summed, bit for bit.  Messages already in flight
-        # keep the delay they were launched with (they are physically on
-        # the old path), matching how rate changes only affect the head.
+        # so halving it reproduces the one-way delay the pair factory
+        # summed, bit for bit.  Messages already in flight keep the delay
+        # they were launched with (they are physically on the old path),
+        # matching how rate changes only affect the head.
         self._loss = flow.loss
         self.prop_delay = flow.rtt * 0.5
 
     def _head_transmitted(self):
+        # Only a non-empty queue has a transmission event, and the head's
+        # progress state is rewritten by the next _start_head before any
+        # reader looks at it.
         self._event = None
-        # Credit the head's progress since the last rate change.
-        now = self.sim.now
         queue = self.queue
-        if queue:
-            rate = self.flow.rate
-            if rate > 0:
-                remaining = self.head_remaining - rate * (now - self.last_advance)
-                self.head_remaining = remaining if remaining > 0 else 0.0
-        self.last_advance = now
-        if not queue:
-            return
         message = queue.popleft()
-        wire_size = message.size + MESSAGE_HEADER_BYTES
-        self.bytes_sent += wire_size
+        self.bytes_sent += message.size + MESSAGE_HEADER_BYTES
         if message.is_block:
-            self.queued_blocks -= 1
+            self.send_queue_blocks -= 1
         self._deliver_later(message)
         if queue:
             self._start_head()
         else:
             self.network.flows.deactivate(self.flow)
             self.idle_since = self.sim.now
-        conn = self.connection
         if (
             self.on_block_low is not None
             and message.is_block
-            and self.queued_blocks == self.block_low_watermark - 1
-            and not conn.closed
+            and self.send_queue_blocks == self.block_low_watermark - 1
+            and not self.closed
         ):
-            self.on_block_low(conn)
+            self.on_block_low(self)
 
     def _deliver_later(self, message):
         delay = self.prop_delay
@@ -349,61 +355,7 @@ class Channel:
             delay = adversity.apply(message, delay)
         # Bound-method + args scheduling: no per-message closure on the
         # busiest path in the simulator.
-        self.sim.schedule(delay, self.connection._deliver, message)
-
-    def close(self):
-        self.closed = True
-        # Break the connection <-> channel cycle: the run disables the
-        # cyclic collector, so a closed pair must die by refcount.
-        self.connection = None
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        if self.queue:
-            self.queue.clear()
-            self.queued_blocks = 0
-            self.network.flows.deactivate(self.flow)
-        self.flow.on_rate_change = None
-        self.flow.on_path_change = None
-        # Drop the low-watermark watcher entirely: a closed channel never
-        # transmits again, so a surviving watermark would only invite a
-        # stale callback if the slot were ever re-armed.
-        self.block_low_watermark = None
-        self.on_block_low = None
-
-
-class Connection:
-    """A node's view of one established bidirectional connection."""
-
-    __slots__ = (
-        "endpoint",
-        "local",
-        "remote",
-        "_out_channel",
-        "_twin",
-        "on_message",
-        "on_close",
-        "closed",
-        "bytes_received",
-    )
-
-    def __init__(self, endpoint, local, remote):
-        self.endpoint = endpoint
-        self.local = local
-        self.remote = remote
-        self._out_channel = None
-        self._twin = None
-        self.on_message = None
-        self.on_close = None
-        self.closed = False
-        self.bytes_received = 0
-
-    def send(self, message):
-        """Queue ``message`` for transmission to the remote node."""
-        if self.closed:
-            return False
-        self._out_channel.enqueue(message)
-        return True
+        self.sim.schedule(delay, self._deliver, message)
 
     def _deliver(self, message):
         twin = self._twin
@@ -411,23 +363,11 @@ class Connection:
             # In-flight message arriving after the receiving side closed
             # (or crashed): dropped on the floor, never dispatched.  The
             # counter is off the hot path and feeds the invariant checker.
-            self.endpoint.network.dropped_after_close += 1
+            self.network.dropped_after_close += 1
             return
         twin.bytes_received += message.size + MESSAGE_HEADER_BYTES
         if twin.on_message is not None:
             twin.on_message(twin, message)
-
-    # -- sender-queue accounting exposed to Bullet' --------------------------
-
-    @property
-    def bytes_sent(self):
-        """Total bytes fully transmitted on the outbound channel."""
-        return self._out_channel.bytes_sent
-
-    @property
-    def send_queue_blocks(self):
-        """Blocks queued on the outbound channel (including in transit)."""
-        return self._out_channel.queued_blocks
 
     def watch_send_queue_low(self, watermark, callback):
         """Event-driven replacement for per-block send-queue polling.
@@ -440,19 +380,10 @@ class Connection:
         """
         if watermark is not None and watermark < 1:
             raise ValueError(f"watermark must be >= 1, got {watermark}")
-        channel = self._out_channel
-        channel.block_low_watermark = watermark
-        channel.on_block_low = callback
+        self.block_low_watermark = watermark
+        self.on_block_low = callback
 
-    @property
-    def rtt(self):
-        return self._out_channel.flow.rtt
-
-    @property
-    def rto(self):
-        """Retransmission timeout of the outbound flow (failure detectors
-        key their suspicion thresholds off this)."""
-        return self._out_channel.flow.rto
+    # -- teardown -------------------------------------------------------------
 
     def abort(self):
         """Tear the local side down *silently* — crash semantics.
@@ -463,45 +394,48 @@ class Connection:
         power failure looks like from the other end — the peer can only
         learn of it through its own failure detector.
         """
-        if self.closed:
-            return
-        self.closed = True
-        self._out_channel.close()
-        self.endpoint._forget(self)
-        self._unpair()
+        self._shut()
 
     def close(self):
         """Tear the connection down; the peer sees ``on_close`` after the
         one-way propagation delay."""
-        if self.closed:
-            return
-        self.closed = True
-        self._out_channel.close()
-        self.endpoint._forget(self)
-        twin = self._twin
-        if twin is not None and not twin.closed:
-            self.endpoint.network.sim.schedule(
-                self._out_channel.prop_delay, twin._remote_closed
-            )
-        self._unpair()
+        if self._shut():
+            # _shut dropped the twin if it was closed already.
+            twin = self._twin
+            if twin is not None:
+                self.sim.schedule(self.prop_delay, twin._remote_closed)
 
     def _remote_closed(self):
-        if self.closed:
-            return
-        self.closed = True
-        self._out_channel.close()
-        self.endpoint._forget(self)
-        self._unpair()
-        if self.on_close is not None:
+        if self._shut() and self.on_close is not None:
             self.on_close(self)
 
-    def _unpair(self):
-        # Once both ends are closed, drop the twin cycle so the pair is
-        # freed by refcount; a late delivery finds no twin and is
-        # dropped, as it would be at a closed one.
+    def _shut(self):
+        """Close this end once; returns False if it was already closed."""
+        if self.closed:
+            return False
+        self.closed = True
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+        if self.queue:
+            self.queue.clear()
+            self.send_queue_blocks = 0
+            self.network.flows.deactivate(self.flow)
+        # The flow's callbacks are bound methods of this end: clearing
+        # them breaks the flow <-> connection cycle (the run disables the
+        # cyclic collector, so a closed pair must die by refcount).  The
+        # watermark goes too, so no stale low-watermark callback remains.
+        self.flow.on_rate_change = None
+        self.flow.on_path_change = None
+        self.block_low_watermark = None
+        self.on_block_low = None
+        self.endpoint._forget(self)
+        # Once both ends are closed, drop the twin cycle too; a late
+        # delivery finds no twin and is dropped, as at a closed one.
         twin = self._twin
         if twin is not None and twin.closed:
             self._twin = twin._twin = None
+        return True
 
     def __repr__(self):
         return f"Connection({self.local}->{self.remote}, closed={self.closed})"
@@ -563,20 +497,16 @@ class Endpoint:
 
 
 class Network:
-    """Binds the topology, the flow allocator and all endpoints together."""
+    """Binds the topology, the flow allocator and all endpoints together.
 
-    def __init__(self, sim, topology, flows=None, rng=None):
+    ``flows`` is the run's :class:`~repro.sim.tcp.FlowNetwork` and ``rng``
+    the stream control-message loss draws from.
+    """
+
+    def __init__(self, sim, topology, flows, rng):
         self.sim = sim
         self.topology = topology
-        if flows is None:
-            from repro.sim.tcp import FlowNetwork
-
-            flows = FlowNetwork(sim)
         self.flows = flows
-        if rng is None:
-            import random
-
-            rng = random.Random(0)
         self.rng = rng
         self._endpoints = {}
         self._conn_counter = 0
@@ -604,10 +534,6 @@ class Network:
         return self._endpoints[node_id]
 
     def _make_connection_pair(self, a, b):
-        conn_ab = Connection(self.endpoint(a), a, b)
-        conn_ba = Connection(self.endpoint(b), b, a)
-        conn_ab._twin = conn_ba
-        conn_ba._twin = conn_ab
         self._conn_counter += 1
         path_ab = self.topology.path(a, b)
         path_ba = self.topology.path(b, a)
@@ -615,8 +541,12 @@ class Network:
         flow_ba = self.flows.new_flow(f"{b}->{a}#{self._conn_counter}", path_ba)
         delay_ab = ordered_sum(link.delay for link in path_ab)
         delay_ba = ordered_sum(link.delay for link in path_ba)
-        conn_ab._out_channel = Channel(self, conn_ab, flow_ab, delay_ab)
-        conn_ba._out_channel = Channel(self, conn_ba, flow_ba, delay_ba)
-        self.endpoint(a).connections[conn_ab] = None
-        self.endpoint(b).connections[conn_ba] = None
+        end_a = self.endpoint(a)
+        end_b = self.endpoint(b)
+        conn_ab = Connection(end_a, a, b, flow_ab, delay_ab)
+        conn_ba = Connection(end_b, b, a, flow_ba, delay_ba)
+        conn_ab._twin = conn_ba
+        conn_ba._twin = conn_ab
+        end_a.connections[conn_ab] = None
+        end_b.connections[conn_ba] = None
         return conn_ab, conn_ba

@@ -1,5 +1,7 @@
 """Node-level behaviour tests for the baseline systems."""
 
+import random
+
 import pytest
 
 from repro.baselines import bittorrent, bullet, splitstream
@@ -22,7 +24,7 @@ from repro.sim.transport import Message, Network
 def _bt_swarm(num_nodes=8, num_blocks=32, seed=3, **overrides):
     sim = Simulator()
     topo = mesh_topology(num_nodes, seed=seed)
-    net = Network(sim, topo, FlowNetwork(sim))
+    net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
     trace = TraceCollector(sim, num_blocks)
     config = BitTorrentConfig(num_blocks=num_blocks, seed=seed, **overrides)
     tracker = Tracker(seed=seed)
@@ -108,7 +110,7 @@ class TestSplitStreamBlocking:
         topo = mesh_topology(4, seed=1, max_loss=0.0)
         # Throttle 0 -> 2 core link hard.
         topo.core[(0, 2)].capacity = 20_000.0
-        net = Network(sim, topo, FlowNetwork(sim))
+        net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
         trace = TraceCollector(sim, 64)
         config = SplitStreamConfig(num_blocks=64, num_stripes=2, seed=1)
         forest = {
@@ -155,7 +157,7 @@ class TestSplitStreamBlocking:
         # stays put — the run's liveness check must see a stall there.
         sim = Simulator()
         topo = mesh_topology(3, seed=1)
-        net = Network(sim, topo, FlowNetwork(sim))
+        net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
         config = SplitStreamConfig(num_blocks=8, num_stripes=2, seed=1)
         node = SplitStreamNode(
             net, 1, {0: {}, 1: {}}, 0, config, TraceCollector(sim, 8)
@@ -180,7 +182,7 @@ class TestSplitStreamBlocking:
         sim = Simulator()
         topo = mesh_topology(4, seed=1, max_loss=0.0)
         topo.core[(0, 2)].capacity = 20_000.0  # node 2 is the slow child
-        net = Network(sim, topo, FlowNetwork(sim))
+        net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
         trace = TraceCollector(sim, 64)
         config = SplitStreamConfig(num_blocks=64, num_stripes=1, seed=1)
         forest = {0: {0: [1, 2]}}
@@ -201,7 +203,7 @@ class TestSplitStreamBlocking:
     def test_interior_nodes_forward(self):
         sim = Simulator()
         topo = mesh_topology(6, seed=2, max_loss=0.0)
-        net = Network(sim, topo, FlowNetwork(sim))
+        net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
         trace = TraceCollector(sim, 32)
         config = SplitStreamConfig(num_blocks=32, num_stripes=4, seed=2)
         forest = build_stripe_forest(topo.nodes, 0, 4, 4, seed=2)

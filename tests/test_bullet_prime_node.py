@@ -5,6 +5,8 @@ peering handshakes, rejects, diff self-clocking with prefetch, the
 dead-weight safeguard, and source behaviour.
 """
 
+import random
+
 from repro.core.bullet_prime import BulletPrimeConfig, BulletPrimeNode
 from repro.overlay.tree import build_random_tree
 from repro.sim.engine import Simulator
@@ -17,7 +19,7 @@ from repro.sim.transport import Network
 def _build(num_nodes=8, num_blocks=32, seed=3, **overrides):
     sim = Simulator()
     topo = mesh_topology(num_nodes, seed=seed)
-    net = Network(sim, topo, FlowNetwork(sim))
+    net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
     trace = TraceCollector(sim, num_blocks)
     tree = build_random_tree(topo.nodes, root=0, fanout=4, seed=seed)
     config = BulletPrimeConfig(num_blocks=num_blocks, seed=seed, **overrides)

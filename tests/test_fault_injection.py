@@ -9,6 +9,7 @@ the stop rule's liveness check instead of burning simulated hours.
 """
 
 import inspect
+import random
 
 import pytest
 
@@ -70,7 +71,8 @@ class TestCrashRestart:
         perf = result.summary()["perf"]
         assert perf["fd_rejoins"] >= 1
         assert perf["watchdog_fired"] == 0
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
     def test_permanent_crash_survivors_finish_without_victim(self):
         victim = 5
@@ -78,7 +80,8 @@ class TestCrashRestart:
         assert result.finished
         assert result.failed_nodes == {victim}
         assert victim not in result.trace.completion_times
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
 
 class TestTreeRepair:
@@ -252,7 +255,7 @@ class TestInvariantChecker:
 
     def test_full_chaos_run_is_clean(self):
         result = _run(SCENARIOS.build("chaos"), check_invariants=True)
-        report = result.invariants.report()
+        report = result.network.invariants.report()
         assert report["ok"], report["violations"]
         assert report["dispatches_checked"] > 0
 
@@ -262,7 +265,8 @@ class TestPartitionScenario:
         result = _run(Partition(start=2.0, duration=8.0), check_invariants=True)
         assert result.finished
         assert result.failed_nodes == set()
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
 
 class TestFailureScheduleValidation:
@@ -328,7 +332,7 @@ class TestArming:
     def _setup(self, check_invariants=False, factory=bullet_prime_factory):
         sim = Simulator()
         topology = mesh_topology(6, seed=1)
-        network = Network(sim, topology, FlowNetwork(sim))
+        network = Network(sim, topology, FlowNetwork(sim), random.Random(0))
         if check_invariants:
             network.invariants = InvariantChecker(network)
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)

@@ -96,7 +96,8 @@ class TestQuarantineLifecycle:
         assert perf["gray_quarantines"] >= 1
         assert perf["gray_reprobes"] >= 1
         assert perf["watchdog_fired"] == 0
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
     def test_corrupt_blocks_detected_and_rerequested(self):
         # Corruption-only adversity: every corrupted block must be
@@ -110,7 +111,8 @@ class TestQuarantineLifecycle:
         assert result.finished
         assert perf["gray_corrupt_detected"] >= 1
         assert perf["fd_rerequests"] >= 1
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
     def test_gray_chaos_full_spectrum_run_is_clean(self):
         result = _run(GrayChaos(), check_invariants=True)
@@ -120,7 +122,8 @@ class TestQuarantineLifecycle:
         assert perf["gray_dup_dropped"] >= 1
         assert perf["gray_reordered"] >= 1
         assert perf["watchdog_fired"] == 0
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
 
 
 class TestInjectorActuators:
@@ -133,7 +136,7 @@ class TestInjectorActuators:
         sim = engine.Simulator()
         topology = mesh_topology(4, seed=1)
         flows = tcp.FlowNetwork(sim)
-        network = transport.Network(sim, topology, flows)
+        network = transport.Network(sim, topology, flows, random.Random(0))
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
         trace = TraceCollector(sim, num_blocks=4)
         nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)

@@ -1,5 +1,7 @@
 """Tests for the harness: report rendering, workloads, figure registry."""
 
+import random
+
 import pytest
 
 from repro.core.download import FileObject
@@ -153,7 +155,8 @@ class TestSummaryPolicy:
             flow_model=flow_model,
             check_invariants=True,
         )
-        assert result.invariants.ok, result.invariants.violations
+        invariants = result.network.invariants
+        assert invariants.ok, invariants.violations
         assert control_sends
         assert result.summary()["control_bytes"] == sum(control_sends)
 
@@ -228,7 +231,7 @@ class TestSystemFactories:
     ):
         topology = mesh_topology(6, seed=1)
         sim = Simulator()
-        network = Network(sim, topology, FlowNetwork(sim))
+        network = Network(sim, topology, FlowNetwork(sim), random.Random(0))
         tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
         trace = TraceCollector(sim, 8)
         factory = SYSTEMS.get(system).builder(num_blocks=8, seed=1)

@@ -9,8 +9,8 @@ Covers the three layers the engine spans:
 - :class:`repro.sim.tcp.FlowNetwork` — eager refresh of active flows,
   lazy (epoch-stamped) refresh of idle ones, and reallocation on loss
   changes;
-- :class:`repro.sim.transport.Channel` — cached loss and propagation
-  delay tracking the flow's refreshed path invariants mid-run.
+- :class:`repro.sim.transport.Connection` — each end's cached loss and
+  propagation delay tracking its flow's refreshed path invariants mid-run.
 
 Plus the contract everything above rests on: a capacity-only run under
 the new engine is byte-identical to the goldens recorded before the
@@ -19,6 +19,7 @@ engine existed.
 
 import math
 import pathlib
+import random
 
 import pytest
 
@@ -241,7 +242,7 @@ class TestChannelPropagation:
 
         sim = Simulator()
         topology = mesh_topology(2, seed=seed, max_loss=0.0)
-        network = Network(sim, topology)
+        network = Network(sim, topology, FlowNetwork(sim), random.Random(0))
         return sim, topology, network
 
     def test_channel_tracks_loss_and_delay_mid_run(self):
@@ -251,20 +252,19 @@ class TestChannelPropagation:
         network.endpoint(0).connect(1, conns.append)
         sim.run(until=1.0)
         conn = next(c for c in conns if c.local == 0)
-        channel = conn._out_channel
-        before_delay = channel.prop_delay
-        assert channel._loss == 0.0
+        before_delay = conn.prop_delay
+        assert conn._loss == 0.0
         core = topology.core[(0, 1)]
         core.loss_rate = 0.08
         core.delay = core.delay + 0.1
 
-        # The channel refreshes eagerly only while its flow is active;
+        # The connection refreshes eagerly only while its flow is active;
         # sending a message activates the flow and forces the refresh.
         from repro.sim.transport import Message
 
         conn.send(Message("ping", size=100))
-        assert channel._loss > 0.0
-        assert channel.prop_delay == pytest.approx(before_delay + 0.1)
+        assert conn._loss > 0.0
+        assert conn.prop_delay == pytest.approx(before_delay + 0.1)
 
     def test_delivery_uses_new_delay(self):
         sim, topology, network = self._network_pair()

@@ -20,6 +20,7 @@ Re-record only on purpose::
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -189,7 +190,7 @@ def _install(case, sim, topology):
         build().install(ScenarioContext(sim, topology, source_id=0, seed=1))
         return until
     actuate, until = FAULT_CASES[case]
-    network = Network(sim, topology, FlowNetwork(sim))
+    network = Network(sim, topology, FlowNetwork(sim), random.Random(0))
     tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
     trace = TraceCollector(sim, num_blocks=4)
     nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)

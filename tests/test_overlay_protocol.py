@@ -1,10 +1,13 @@
 """Tests for the OverlayProtocol base class (the MACEDON stand-in)."""
 
+import random
+
 import pytest
 
 from repro.core.download import DownloadState
 from repro.overlay.node import OverlayProtocol
 from repro.sim.engine import Simulator
+from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import mesh_topology
 from repro.sim.trace import TraceCollector
 from repro.sim.transport import Message, Network
@@ -33,7 +36,9 @@ class _Echo(OverlayProtocol):
 
 def _pair():
     sim = Simulator()
-    net = Network(sim, mesh_topology(2, seed=1, max_loss=0.0))
+    net = Network(
+        sim, mesh_topology(2, seed=1, max_loss=0.0), FlowNetwork(sim), random.Random(0)
+    )
     trace = TraceCollector(sim, num_blocks=1)
     a = _Echo(net, 0, trace)
     b = _Echo(net, 1, trace)

@@ -145,7 +145,8 @@ def test_incremental_allocator_bit_identical_to_full(scenario_name):
     assert _comparable(incremental.summary()) == _comparable(full.summary())
     # Incremental allocation must do no *more* work than the full twin.
     assert (
-        incremental.flows.flows_allocated <= full.flows.flows_allocated
+        incremental.network.flows.flows_allocated
+        <= full.network.flows.flows_allocated
     )
 
 

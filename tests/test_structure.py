@@ -210,14 +210,15 @@ ONE_CANDIDATE_INDEX = r"\.stale\b|\b(_CandidateList|_pick_first|_pick_random|_in
 ONE_CANDIDATE_INDEX = grep(ONE_CANDIDATE_INDEX + r"|prefetch_needed)\b")
 CONTROL_BYTES = r"control_sent|total_control_bytes|control_bytes_sent"
 CONTROL_BYTES = grep(CONTROL_BYTES + r"|\bblocks_received\b")
+CHANNEL = grep(r"\b(Channel|_out_channel|queued_block_count|queued_blocks)\b")
 ROWS = [
     # src/ passed 13,380 with the deferred scale column (sim/links.py);
     # the bounds marked 08c29ac were set by the change after it: one
     # scale-log index, and the write-only state gone.  The bounds marked
     # deac2f3 were set by one candidate index for every request strategy,
-    # and those marked 8e35007 by knob-free flow models and one control-byte
-    # count.
-    Row("src/ lines", lines(""), "<= 13367", "8e35007"),
+    # those marked 8e35007 by knob-free flow models and one control-byte
+    # count, and those marked 2d1cbe2 by one object per connection end.
+    Row("src/ lines", lines(""), "<= 13289", "2d1cbe2"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
     Row("scenario package lines", lines("scenarios/"), "<= 2031", "08c29ac"),
@@ -256,6 +257,9 @@ ROWS = [
     Row("second candidate structure words", ONE_CANDIDATE_INDEX, "== 0", "deac2f3"),
     # One run-wide control-byte count, in the transport's Network.
     Row("control-byte and block counter words", CONTROL_BYTES, "== 0", "8e35007"),
+    # A Connection is one end: its own send queue, no Channel behind it.
+    Row("sim/transport.py lines", lines("sim/transport.py"), "<= 552", "2d1cbe2"),
+    Row("channel and queue-forwarder words", CHANNEL, "== 0", "2d1cbe2"),
 ]
 
 

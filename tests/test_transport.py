@@ -1,12 +1,14 @@
 """Tests for the message transport: connections, queues, accounting."""
 
 import gc
+import random
 
 import pytest
 
 from repro.common.units import MBPS, MS
 from repro.sim.engine import Simulator
 from repro.sim.links import Link
+from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import Topology, mesh_topology, star_topology
 from repro.sim.transport import MESSAGE_HEADER_BYTES, Connection, Message, Network
 
@@ -18,7 +20,7 @@ def _two_node_net(core_bw=2 * MBPS, delay=10 * MS, loss=0.0):
         topo.add_access(n, None, None)
     topo.add_core(0, 1, Link("c01", core_bw, delay, loss))
     topo.add_core(1, 0, Link("c10", core_bw, delay, loss))
-    net = Network(sim, topo)
+    net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
     return sim, net
 
 
@@ -127,7 +129,7 @@ class TestSenderAccounting:
         sim.run(until=10.0)
         in_front, wasted = got[0]
         assert in_front == 0
-        # The idle gap runs from channel creation (during the handshake)
+        # The idle gap runs from connection creation (during the handshake)
         # to the send, so it is a bit over two seconds.
         assert -send_time - 0.1 < wasted <= -2.0
 
@@ -155,17 +157,17 @@ class TestSenderAccounting:
 
 
 class TestChannelCounterAccounting:
-    """The deque-backed channel keeps a running block counter; it must
-    agree with a from-scratch scan of the queue at every point in time."""
+    """Each connection end keeps a running block counter over its deque;
+    it must agree with a from-scratch scan of the queue at every point in
+    time."""
 
     @staticmethod
-    def _recount(channel):
-        return sum(1 for m in channel.queue if m.is_block)
+    def _recount(conn):
+        return sum(1 for m in conn.queue if m.is_block)
 
     def test_counters_track_mixed_traffic(self):
         sim, net = _two_node_net(core_bw=50_000)
         local, _ = _connect(sim, net)
-        channel = local._out_channel
         pattern = [True, False, True, True, False, True, False, False, True]
         for i, is_block in enumerate(pattern):
             local.send(
@@ -175,44 +177,47 @@ class TestChannelCounterAccounting:
                     is_block=is_block,
                 )
             )
-            blocks = self._recount(channel)
-            assert channel.queued_blocks == blocks
+            blocks = self._recount(local)
             assert local.send_queue_blocks == blocks
 
         # Drain step by step: counters must stay consistent after every
         # transmission completes.  Bounded so a stalled queue fails the
         # test instead of spinning forever.
         for _ in range(200):
-            if not channel.queue:
+            if not local.queue:
                 break
-            before = len(channel.queue)
+            before = len(local.queue)
             sim.run(until=sim.now + 1.0)
-            if len(channel.queue) == before:
+            if len(local.queue) == before:
                 continue
-            assert channel.queued_blocks == self._recount(channel)
-        assert not channel.queue, "send queue failed to drain"
-        assert channel.queued_blocks == 0
+            assert local.send_queue_blocks == self._recount(local)
+        assert not local.queue, "send queue failed to drain"
+        assert local.send_queue_blocks == 0
 
     def test_queued_block_count_excludes_transmitting_head(self):
+        # A block's in_front counts the blocks waiting behind the one in
+        # the "socket buffer", plus the buffer; control messages in the
+        # queue do not count.
         sim, net = _two_node_net(core_bw=10_000)
-        local, _ = _connect(sim, net)
-        channel = local._out_channel
+        local, remote = _connect(sim, net)
+        got = []
+        remote.on_message = lambda c, m: got.append((m.kind, m.in_front))
         for _ in range(3):
             local.send(Message("b", size=5_000, is_block=True))
-        # Head is in the "socket buffer": behind it sit two blocks.
-        assert channel.queued_block_count() == 2
         local.send(Message("c", size=100, is_block=False))
-        assert channel.queued_block_count() == 2  # control doesn't count
+        local.send(Message("b4", size=5_000, is_block=True))
+        sim.run(until=sim.now + 60.0)
+        assert [kind for kind, _ in got] == ["b", "b", "b", "c", "b4"]
+        assert got[-1] == ("b4", 3)
 
     def test_close_resets_counters(self):
         sim, net = _two_node_net()
         local, _ = _connect(sim, net)
-        channel = local._out_channel
         for _ in range(3):
             local.send(Message("b", size=5_000, is_block=True))
         local.close()
-        assert channel.queued_blocks == 0
-        assert len(channel.queue) == 0
+        assert local.send_queue_blocks == 0
+        assert len(local.queue) == 0
 
 
 class TestCloseDuringFlight:
@@ -270,9 +275,8 @@ class TestCloseDuringFlight:
             local.send(Message("b", size=50_000, is_block=True))
         local.watch_send_queue_low(2, lambda c: fired.append(sim.now))
         local.close()
-        channel = local._out_channel
-        assert channel.block_low_watermark is None
-        assert channel.on_block_low is None
+        assert local.block_low_watermark is None
+        assert local.on_block_low is None
         sim.run(until=sim.now + 5.0)
         assert fired == []
 
@@ -333,7 +337,7 @@ class TestMeshTopologyIntegration:
     def test_many_pairs_share_access_link(self):
         sim = Simulator()
         topo = mesh_topology(5, seed=1, max_loss=0.0)
-        net = Network(sim, topo)
+        net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
         # Node 0 sends blocks to all others simultaneously; its 6 Mbps
         # access link is the bottleneck, so aggregate completion takes
         # at least size*4/access_bw.
