@@ -1,4 +1,4 @@
-"""Scenario base classes.
+"""Scenario base classes and the one driver of link scripts.
 
 A :class:`Scenario` is a declarative description of a dynamic-network
 condition — *what* happens to the emulated network over time — decoupled
@@ -7,6 +7,10 @@ per-run state lives inside :meth:`Scenario.install`, so one instance can
 be installed into many simulations without cross-talk.  An installed
 scenario runs for the rest of the simulation; ``install`` returns
 nothing, and a scenario's own ``stop`` knob is how its effect ends.
+
+A link scenario is a *script*, a generator of waits and link-write rows
+that :func:`play` runs (the default :meth:`Scenario.install`), so its
+rows can be checked on a bare simulator and topology.
 
 ``install`` receives a :class:`ScenarioContext` bundling everything a
 scenario may act on: the simulator, the topology, and — when installed
@@ -24,7 +28,9 @@ __all__ = [
     "Scenario",
     "ScenarioContext",
     "WINDOW_PARAMS",
-    "periodic",
+    "every",
+    "later",
+    "play",
 ]
 
 #: The install-relative firing window + RNG override that periodic
@@ -111,27 +117,43 @@ class ScenarioContext:
         return sorted(self.topology.core.items())
 
 
-def periodic(sim, fn, *, start, period, duration=None):
-    """Run ``fn()`` every ``period`` seconds on ``sim``.
-
-    The first firing happens ``start`` seconds after now (``None``: one
-    ``period``); firing stops when ``fn`` returns ``False``, and no
-    firing (the first included) comes later than ``duration`` seconds
-    after the call (install-relative, so a scenario installed late keeps
-    its whole window).  This is the one shared scenario timer loop —
-    catalogue scenarios must not hand-roll their own reschedule loops.
-    """
+def every(sim, period, start, stop):
+    """Yield the waits of a clock that fires ``start`` seconds after the
+    first draw (None: one ``period``) and then every ``period``, up to
+    and including ``stop`` seconds after the first draw (None: forever).
+    A script draws first inside ``install``: its window is install-relative."""
     origin = sim.now
-    start = period if start is None else start
+    wait = period if start is None else start
+    if stop is None or wait <= stop:
+        yield wait
+        while stop is None or sim.now + period - origin <= stop:
+            yield period
 
-    def fire():
-        if fn() is False:
+
+def later(delay, rows):
+    """A script that writes ``rows`` ``delay`` seconds from now (the
+    inverse rows that end a temporary change, say)."""
+    yield delay
+    yield rows
+
+
+def play(ctx, script):
+    """Run ``script`` on ``ctx``: its first segment now, each later one at
+    the firing it waits for.  A script yields a wait in seconds (one
+    event), or a list of rows that ``topology.apply`` writes at once,
+    resuming the script in the same instant with their inverse rows."""
+    apply, schedule = ctx.topology.apply, ctx.sim.schedule
+
+    def resume():
+        reply = None
+        try:
+            while type(step := script.send(reply)) is list:
+                reply = apply(step)
+        except StopIteration:
             return
-        if duration is None or sim.now + period - origin <= duration:
-            sim.schedule(period, fire)
+        schedule(step, resume)
 
-    if duration is None or start <= duration:
-        sim.schedule(start, fire)
+    resume()
 
 
 class Scenario(Configurable):
@@ -141,8 +163,10 @@ class Scenario(Configurable):
     states the knob's domain, the only range check it gets (bound and
     checked by :class:`~repro.common.params.Configurable`; ``validate``
     is for cross-knob constraints only) — set :attr:`name`, and
-    override :meth:`install`; instances must be pure configuration so
-    they can be installed more than once.
+    write :meth:`script` (or, for a scenario that is not a link
+    script, override :meth:`install`); instances must be pure
+    configuration so they can be installed more than once.  The base
+    script writes nothing: the static network.
     """
 
     #: Registry/display name; subclasses override.
@@ -151,7 +175,11 @@ class Scenario(Configurable):
     def install(self, ctx):
         """Install this scenario into ``ctx``: apply its install-time
         changes and schedule its events for the rest of the run."""
-        raise NotImplementedError
+        play(ctx, self.script(ctx))
+
+    def script(self, ctx):
+        """This installation's waits and link-write rows, for :func:`play`."""
+        yield from ()
 
     def __repr__(self):
         return f"{type(self).__name__}()"

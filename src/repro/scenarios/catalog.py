@@ -15,6 +15,7 @@ the paper motivates but never scripts:
 - :class:`FlashCrowd` — staggered receiver joins over a ramp interval.
 - :class:`Churn` — nodes drop to near-zero connectivity and come back.
 
+All but :class:`FlashCrowd` are link scripts (see :mod:`repro.scenarios.base`).
 ``trace_replay`` lives in :mod:`repro.scenarios.tracefile`; ``compose``
 in :mod:`repro.scenarios.combinators`.
 """
@@ -24,7 +25,7 @@ from operator import attrgetter, truediv
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, every, play
 from repro.sim.links import ScaleColumn
 
 TWO_PI = 2.0 * pi
@@ -43,9 +44,6 @@ class Static(Scenario):
     """No dynamic conditions: the network stays exactly as built."""
 
     name = "none"
-
-    def install(self, ctx):
-        pass
 
 
 class CorrelatedDecreases(Scenario):
@@ -93,13 +91,12 @@ class CorrelatedDecreases(Scenario):
         *WINDOW_PARAMS,
     )
 
-    def install(self, ctx):
-        topology = ctx.topology
-        core = topology.core
+    def script(self, ctx):
+        core = ctx.topology.core
         rng = ctx.rng("correlated", self.seed)
-        nodes = list(topology.nodes)
-
-        def fire():
+        nodes = list(ctx.topology.nodes)
+        for wait in every(ctx.sim, self.period, self.start, self.stop):
+            yield wait
             victims = rng.sample(
                 nodes, max(1, int(len(nodes) * self.victim_fraction))
             )
@@ -110,11 +107,7 @@ class CorrelatedDecreases(Scenario):
                     others, max(1, int(len(others) * self.source_fraction))
                 )
                 cut += [core[(s, victim)] for s in sources if (s, victim) in core]
-            topology.apply([{"link": cut, "scale": self.factor, "floor": self.floor}])
-
-        periodic(
-            ctx.sim, fire, start=self.start, period=self.period, duration=self.stop
-        )
+            yield [{"link": cut, "scale": self.factor, "floor": self.floor}]
 
 
 class CascadingCuts(Scenario):
@@ -158,35 +151,19 @@ class CascadingCuts(Scenario):
         self.target = target
         self.senders = None if senders is None else list(senders)
 
-    def _resolve(self, ctx):
-        target = self.target
-        if target is None:
-            candidates = ctx.receivers or list(ctx.topology.nodes)
-            target = max(candidates)
-        if self.senders is not None:
-            senders = list(self.senders)
-        else:
-            senders = [
-                n
-                for n in ctx.topology.nodes
-                if n != target and n != ctx.source_id
-            ]
-        return target, senders
-
-    def install(self, ctx):
-        topology = ctx.topology
-        target, remaining = self._resolve(ctx)
-
-        def fire():
-            if not remaining:
-                return False
-            sender = remaining.pop(0)
-            link = topology.core.get((sender, target))
+    def script(self, ctx):
+        core, nodes = ctx.topology.core, ctx.topology.nodes
+        target = max(ctx.receivers or nodes) if self.target is None else self.target
+        senders = self.senders
+        if senders is None:
+            senders = [n for n in nodes if n != target and n != ctx.source_id]
+        clock = every(ctx.sim, self.period, self.start, None)
+        # With no sender the first firing still comes, and writes nothing.
+        for wait, sender in zip(clock, senders or [None]):
+            yield wait
+            link = core.get((sender, target))
             if link is not None and link.capacity > self.throttled_bw:
-                topology.apply([{"link": link, "capacity": self.throttled_bw}])
-            return bool(remaining)
-
-        periodic(ctx.sim, fire, start=self.start, period=self.period)
+                yield [{"link": link, "capacity": self.throttled_bw}]
 
 
 class Oscillate(Scenario):
@@ -255,7 +232,7 @@ class Oscillate(Scenario):
                 f"need low <= high, got low={self.low} high={self.high}"
             )
 
-    def install(self, ctx):
+    def script(self, ctx):
         sim = ctx.sim
         rng = ctx.rng("oscillate", self.seed)
         # One phase per core link, in key order: the order "*" names them.
@@ -265,13 +242,10 @@ class Oscillate(Scenario):
         origin = sim.now + self.start
         #: The last tick's column (None before the first: f = 1.0).
         prior = None
-
-        def tick():
-            nonlocal prior
+        for wait in every(sim, sample, self.start, self.stop):
+            yield wait
             prior = _Swing(wave, (sim.now - origin) / self.period, prior)
-            ctx.topology.apply([{"link": "*", "scale": prior}])
-
-        periodic(sim, tick, start=self.start, period=sample, duration=self.stop)
+            yield [{"link": "*", "scale": prior}]
 
 
 class _Wave:
@@ -430,8 +404,7 @@ class Churn(Scenario):
         *WINDOW_PARAMS,
     )
 
-    def install(self, ctx):
-        sim, topology = ctx.sim, ctx.topology
+    def script(self, ctx):
         rng = ctx.rng("churn", self.seed)
         candidates = list(ctx.receivers)
         offline = set()
@@ -440,23 +413,20 @@ class Churn(Scenario):
         #: it only recovers when *both* endpoints are back.
         dark = {}
 
-        def take_offline(node):
-            offline.add(node)
-            for pair, link in ctx.core_links():
-                if node in pair and pair not in dark:
-                    row = {"link": link, "capacity": self.offline_capacity}
-                    dark[pair] = topology.apply([row])
-
         def restore(node):
+            yield self.down_time
             offline.remove(node)
             for pair in [p for p in dark if node in p and offline.isdisjoint(p)]:
-                topology.apply(dark.pop(pair))
+                yield dark.pop(pair)
 
-        def fire():
+        for wait in every(ctx.sim, self.period, self.start, self.stop):
+            yield wait
             online = [n for n in candidates if n not in offline]
             count = max(1, int(len(candidates) * self.fraction))
             for node in rng.sample(online, min(count, len(online))):
-                take_offline(node)
-                sim.schedule(self.down_time, restore, node)
-
-        periodic(sim, fire, start=self.start, period=self.period, duration=self.stop)
+                offline.add(node)
+                for pair, link in ctx.core_links():
+                    if node in pair and pair not in dark:
+                        row = {"link": link, "capacity": self.offline_capacity}
+                        dark[pair] = yield [row]
+                play(ctx, restore(node))

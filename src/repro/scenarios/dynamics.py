@@ -17,20 +17,20 @@ These scenarios drive the other two axes of the link-condition engine:
   square-wave) on any other scenario, so every capacity scenario in the
   catalogue composes with loss dynamics by name.
 
-All three draw any randomness from seeded per-scenario streams and
-write through ``topology.apply``: loss as ``overlay`` rows, applied
-*multiplicatively on the keep probability* — ``1 - loss`` — so they
-compose with each other (and with lossy baseline topologies) without
-clobbering anyone's writes.  A temporary change ends by applying the
-inverse rows its write returned.  Multiplicative removal is the
-composition price: the end of a stop window restores baselines up to
-float round-off, not bit-exactly — an absolute-snapshot
+All three are link scripts (see :mod:`repro.scenarios.base`) that draw
+any randomness from seeded per-scenario streams and yield rows: loss as
+``overlay`` rows, applied *multiplicatively on the keep probability* —
+``1 - loss`` — so they compose with each other (and with lossy baseline
+topologies) without clobbering anyone's writes.  A temporary change ends
+by yielding the inverse rows its write returned.  Multiplicative
+removal is the composition price: the end of a stop window restores
+baselines up to float round-off, not bit-exactly — an absolute-snapshot
 restore would be bit-exact but would erase concurrent writers' changes.
 """
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import WINDOW_PARAMS, Scenario, periodic
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, every, later, play
 
 __all__ = [
     "AsymmetricSqueeze",
@@ -104,11 +104,11 @@ class GilbertElliott(Scenario):
                 f"bad_loss={self.bad_loss}"
             )
 
-    def install(self, ctx):
-        apply = ctx.topology.apply
+    def script(self, ctx):
+        sim = ctx.sim
         rng = ctx.rng("gilbert_elliott", self.seed)
         links = [link for _pair, link in ctx.core_links()]
-        apply([{"link": links, "overlay": self.good_loss}])
+        yield [{"link": links, "overlay": self.good_loss}]
         #: Per link: the inverse row of its swap into the bad state, or
         #: None while it is good.
         bad = [None] * len(links)
@@ -118,40 +118,30 @@ class GilbertElliott(Scenario):
         p_leave_bad = min(1.0, self.sample_period / self.mean_bad)
         # One write swaps the good overlay for the bad one.
         swap = {"remove": self.good_loss, "overlay": self.bad_loss}
-        origin = ctx.sim.now
+        origin = sim.now
 
-        def tick():
-            if self.stop is not None and ctx.sim.now - origin >= self.stop:
-                # A final periodic firing can land exactly on the stop
-                # boundary; the window is over, don't flip states the
-                # end-of-window restore below already (or is about to)
-                # settle.
-                return
-            for i, link in enumerate(links):
-                roll = rng.random()
-                if bad[i] is not None:
-                    if roll < p_leave_bad:
-                        apply([bad[i]])
-                        bad[i] = None
-                elif roll < p_leave_good:
-                    bad[i] = apply([{"link": link, **swap}])[0]
+        def ticks():
+            start = self.start + self.sample_period
+            for wait in every(sim, self.sample_period, start, self.stop):
+                yield wait
+                if self.stop is not None and sim.now - origin >= self.stop:
+                    continue  # a firing on stop: the restore below settles
+                for i, link in enumerate(links):
+                    roll = rng.random()
+                    if bad[i] is not None:
+                        if roll < p_leave_bad:
+                            yield [bad[i]]
+                            bad[i] = None
+                    elif roll < p_leave_good:
+                        bad[i] = (yield [{"link": link, **swap}])[0]
 
-        periodic(
-            ctx.sim,
-            tick,
-            start=self.start + self.sample_period,
-            period=self.sample_period,
-            duration=self.stop,
-        )
-
+        play(ctx, ticks())
         if self.stop is not None:
             # The stop window ends the *process*: links caught in the
-            # bad state return to good, not lossy for the rest of the
-            # run.  Scheduled at install, it runs before a final tick at
-            # its instant; the guard atop ``tick`` stops that tick.
-            ctx.sim.schedule(
-                self.stop, lambda: apply([r for r in bad if r is not None])
-            )
+            # bad state return to good.  Its event comes after the first
+            # tick's, so a tick on stop runs first, and is a no-op.
+            yield self.stop
+            yield [r for r in bad if r is not None]
 
 
 class AsymmetricSqueeze(Scenario):
@@ -200,23 +190,19 @@ class AsymmetricSqueeze(Scenario):
         *WINDOW_PARAMS,
     )
 
-    def install(self, ctx):
-        sim = ctx.sim
-        topology = ctx.topology
+    def script(self, ctx):
         rng = ctx.rng("asymmetric_squeeze", self.seed)
         receivers = list(ctx.receivers)
-
-        def fire():
+        for wait in every(ctx.sim, self.period, self.start, self.stop):
+            yield wait
             count = max(1, int(len(receivers) * self.fraction))
             uplinks = []
             for node in rng.sample(receivers, min(count, len(receivers))):
-                uplinks += topology.uplinks(node)
+                uplinks += ctx.topology.uplinks(node)
             row = {"link": uplinks, "scale": self.factor, "floor": self.floor}
-            undo = topology.apply([row])
+            undo = yield [row]
             if self.hold is not None and undo[0]["link"]:
-                sim.schedule(self.hold, topology.apply, undo)
-
-        periodic(sim, fire, start=self.start, period=self.period, duration=self.stop)
+                play(ctx, later(self.hold, undo))
 
 
 class Lossy(Scenario):
@@ -290,48 +276,42 @@ class Lossy(Scenario):
             return SCENARIOS.build(self.base)
         return self.base
 
-    def install(self, ctx):
+    def script(self, ctx):
         sim = ctx.sim
-        apply = ctx.topology.apply
         self._resolve_base().install(ctx)
         #: The overlay's inverse rows while it is on.
         undo = []
+        origin = sim.now
 
         def overlay_on():
             if not undo:
-                undo.extend(apply([{"link": "*", "overlay": self.loss}]))
+                undo.extend((yield [{"link": "*", "overlay": self.loss}]))
 
-        def overlay_off():
-            apply(undo)
+        def overlay_off(delay):
+            yield delay
+            yield undo
             undo.clear()
 
-        if self.period is None:
-            sim.schedule(self.start, overlay_on)
-        else:
+        def cycles():
+            if self.period is None:
+                yield self.start
+                yield from overlay_on()
+                return
             on_time = self.period * self.duty
-            origin = sim.now
-
-            def cycle():
+            for wait in every(sim, self.period, self.start, self.stop):
+                yield wait
                 if self.stop is not None and sim.now - origin >= self.stop:
-                    # The periodic's last firing lands exactly on the
-                    # stop boundary; the window is over, stay off.
-                    return
-                overlay_on()
+                    continue  # a firing on stop: the window is over
+                yield from overlay_on()
                 if on_time < self.period:
-                    sim.schedule(on_time, overlay_off)
+                    play(ctx, overlay_off(on_time))
 
-            periodic(
-                sim,
-                cycle,
-                start=self.start,
-                period=self.period,
-                duration=self.stop,
-            )
+        play(ctx, cycles())
         if self.stop is not None:
             # stop is install-relative, like every catalogue window, and
             # ends the overlay even when the last cycle's on-phase
             # crosses it (or duty == 1.0 never schedules off-edges).
-            sim.schedule(self.stop, overlay_off)
+            yield from overlay_off(self.stop)
 
     def __repr__(self):
         return (

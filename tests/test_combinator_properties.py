@@ -32,7 +32,6 @@ from repro.scenarios import (
     ScenarioContext,
     compose,
 )
-from repro.scenarios.base import periodic
 from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
 
@@ -209,14 +208,15 @@ def _link_schedule(seed, start, shift, installed_at, horizon=40.0):
         for _key, link in sorted(table.items())
     ]
     snapshots = []
-    periodic(
-        sim,
-        lambda: snapshots.append(
-            (sim.now, [(link.capacity, link.loss_rate) for link in links])
-        ),
-        start=1.0 / 512,
-        period=0.25,
-    )
+
+    def sample():
+        snapshots.append((sim.now, [(link.capacity, link.loss_rate) for link in links]))
+
+    def begin():
+        sample()
+        sim.schedule_periodic(0.25, sample)
+
+    sim.schedule(1.0 / 512, begin)
     sim.run(until=installed_at)
     ctx = ScenarioContext(sim, topo, source_id=0, seed=seed)
     _drawn_scenario(seed, start, shift).install(ctx)

@@ -211,18 +211,21 @@ ONE_CANDIDATE_INDEX = grep(ONE_CANDIDATE_INDEX + r"|prefetch_needed)\b")
 CONTROL_BYTES = r"control_sent|total_control_bytes|control_bytes_sent"
 CONTROL_BYTES = grep(CONTROL_BYTES + r"|\bblocks_received\b")
 CHANNEL = grep(r"\b(Channel|_out_channel|queued_block_count|queued_blocks)\b")
+LINK_SCRIPTS = "scenarios/catalog.py scenarios/dynamics.py"
+SCRIPT_TIMERS = grep(r"\bperiodic\(|\.schedule\(|schedule_at\(|\.apply\(", LINK_SCRIPTS)
 ROWS = [
     # src/ passed 13,380 with the deferred scale column (sim/links.py);
     # the bounds marked 08c29ac were set by the change after it: one
     # scale-log index, and the write-only state gone.  The bounds marked
     # deac2f3 were set by one candidate index for every request strategy,
     # those marked 8e35007 by knob-free flow models and one control-byte
-    # count, and those marked 2d1cbe2 by one object per connection end.
-    Row("src/ lines", lines(""), "<= 13289", "2d1cbe2"),
+    # count, those marked 2d1cbe2 by one object per connection end, and
+    # those marked 220a13f by link scenarios written as row scripts.
+    Row("src/ lines", lines(""), "<= 13267", "220a13f"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
-    Row("scenario package lines", lines("scenarios/"), "<= 2031", "08c29ac"),
-    Row("link actuation lines", lines(ACTUATION), "<= 2749", "08c29ac"),
+    Row("scenario package lines", lines("scenarios/"), "<= 2009", "220a13f"),
+    Row("link actuation lines", lines(ACTUATION), "<= 2727", "220a13f"),
     Row("link writes outside sim/links.py", link_writes, "== 0", "2ad1543"),
     Row("cli + sweep + compare lines", lines(CLI)),
     Row("allocator lines", lines(ALLOCATOR), "<= 915", "8e35007"),
@@ -260,6 +263,8 @@ ROWS = [
     # A Connection is one end: its own send queue, no Channel behind it.
     Row("sim/transport.py lines", lines("sim/transport.py"), "<= 552", "2d1cbe2"),
     Row("channel and queue-forwarder words", CHANNEL, "== 0", "2d1cbe2"),
+    # Link scenarios yield waits and rows; only play() schedules and writes.
+    Row("scenario timer and write calls", SCRIPT_TIMERS, "== 0", "220a13f"),
 ]
 
 
