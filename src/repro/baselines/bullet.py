@@ -83,7 +83,9 @@ class BulletNode(OverlayProtocol):
         self._pending_senders = set()
         self.requested = set()
 
-        self.tree_conns = {}
+        #: Tree children in attach order (the push order).  A restarted
+        #: child's stale connection stays here until it closes, while
+        #: ``ransub.child_conns`` keeps only its newest one.
         self._tree_children_conns = []
         self.ransub = RanSubService(
             self,
@@ -107,15 +109,11 @@ class BulletNode(OverlayProtocol):
         self.periodic(DIGEST_PERIOD, self._send_digests, jitter_rng=self.rng)
 
     def _parent_connected(self, conn):
-        parent = self.tree.parent_of(self.node_id)
-        self.tree_conns[parent] = conn
         self.ransub.parent_conn = conn
         conn.send(Message("bl_tree_hello", payload={"node": self.node_id}, size=16))
 
     def on_bl_tree_hello(self, conn, message):
-        child = message.payload["node"]
-        self.tree_conns[child] = conn
-        self.ransub.child_conns[child] = conn
+        self.ransub.child_conns[message.payload["node"]] = conn
         self._tree_children_conns.append(conn)
         if self.is_source:
             # Event-driven generation: wake only when this child's block
@@ -236,10 +234,10 @@ class BulletNode(OverlayProtocol):
         self.receivers.pop(conn, None)
         if conn in self._tree_children_conns:
             self._tree_children_conns.remove(conn)
-        for node, tree_conn in list(self.tree_conns.items()):
-            if tree_conn is conn:
-                self.tree_conns.pop(node)
-                self.ransub.child_conns.pop(node, None)
+        children = self.ransub.child_conns
+        for node, child_conn in list(children.items()):
+            if child_conn is conn:
+                del children[node]
         if conn is self.ransub.parent_conn:
             self.ransub.parent_conn = None
 

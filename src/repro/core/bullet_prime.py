@@ -19,7 +19,6 @@ the strategy modules of this package:
 
 from repro.common.params import Param
 from repro.common.rng import split_rng
-from repro.common.stats import ordered_sum
 from repro.core.diffs import DiffTracker, diff_wire_size
 from repro.core.download import BLOCK_SIZE, DownloadState, block_checksum
 from repro.core.flow_control import ALPHA, BETA, OutstandingController
@@ -67,32 +66,6 @@ FD_CONNECT_TIMEOUT = 5.0
 #: presumed dead and the node climbs toward the root.
 FD_LIVENESS_EPOCHS = 3.0
 
-# Gray-failure response.  Dormant until a gray fault (fail-slow, flaky
-# link, message adversity) arms gray detection network-wide; crash-only
-# runs never touch these paths.  The quarantine state machine is
-# deliberately asymmetric — fast backoff (exponential hold per offense),
-# slow recovery (a probation of clean epochs before the record clears) —
-# the GREEN/YELLOW/RED shape adaptive controllers converge on for
-# loss-vs-delay ambiguity.
-#: EWMA smoothing for per-sender goodput quality.
-QUALITY_ALPHA = 0.3
-#: A sender is a straggler when its quality falls below this fraction of
-#: the mean sender quality...
-STRAGGLER_FRACTION = 0.35
-#: ...for this many consecutive epochs while misbehaving (timeouts,
-#: corrupt blocks, or lagging on outstanding requests).
-STRAGGLER_EPOCHS = 2
-#: Corrupted blocks from one sender (per connection) that trigger an
-#: immediate quarantine — a checksum mismatch is unambiguous evidence of
-#: a gray path, so this bypasses the slow EWMA rule entirely.
-CORRUPT_QUARANTINE = 2
-#: First-offense quarantine hold in seconds; doubles per re-offense.
-QUARANTINE_BASE = 20.0
-#: Cap on the exponential quarantine hold.
-QUARANTINE_MAX = 240.0
-#: Clean epochs a re-probed peer must serve before its record clears.
-QUARANTINE_PROBATION = 2
-
 
 class BulletPrimeConfig(SystemConfig):
     """Every tunable of the system, declared once.
@@ -101,8 +74,10 @@ class BulletPrimeConfig(SystemConfig):
     defaults below are the paper's own constants, and the non-default
     modes exist to reproduce its ablation experiments (static peer sets,
     fixed outstanding requests, alternative request strategies).  Values
-    nothing varies (the failure-detector and quarantine constants, the
-    RanSub subset size) are module constants, not knobs.
+    nothing varies (the failure-detector constants, the RanSub subset
+    size) are module constants, not knobs.  A slow sender is shed by the
+    paper's own per-epoch prune (``prune_sigma``); there is no second
+    straggler response.
     """
 
     params = (
@@ -176,11 +151,6 @@ class _SenderState:
         "fd_timer",
         "fd_armed_at",
         "fd_retries",
-        "quality",
-        "timeouts",
-        "corrupts",
-        "corrupt_total",
-        "slow_epochs",
     )
 
     def __init__(self, conn, peer, controller):
@@ -206,14 +176,6 @@ class _SenderState:
         self.fd_timer = None
         self.fd_armed_at = 0.0
         self.fd_retries = 0
-        #: Gray-failure quality tracking: EWMA goodput (-1.0 until the
-        #: first epoch measurement lands), detector timeouts and corrupt
-        #: blocks this epoch, and consecutive below-threshold epochs.
-        self.quality = -1.0
-        self.timeouts = 0
-        self.corrupts = 0
-        self.corrupt_total = 0
-        self.slow_epochs = 0
 
 
 class _ReceiverState:
@@ -270,20 +232,14 @@ class BulletPrimeNode(OverlayProtocol):
         #: discarded as corrupt); membership tags the re-request so it is
         #: counted once.
         self._orphaned = set()
-        #: Gray-failure quarantine ledger: peer id ->
-        #: ``[level, until, probation]``.  Entries outlive the peering —
-        #: a chronic straggler must not be re-adopted the next epoch just
-        #: because its connection is gone.
-        self._quarantine = {}
         #: True while a tree (re-)attach handshake is in flight.
         self._tree_connecting = False
         #: Set when a repair or restart detaches us from the tree; the
         #: next successful attach counts as a rejoin.
         self._fd_rejoin_pending = False
 
-        self.tree_conns = {}  # neighbor id -> conn
-        self._tree_parent_conn = None
-        #: The tree parent connection's ``bytes_received`` at the last
+        #: The tree links are ``ransub.parent_conn`` / ``child_conns``.
+        #: The parent connection's ``bytes_received`` at the last
         #: bandwidth epoch (or at attach).
         self._tree_bytes_mark = 0
         self.ransub = RanSubService(
@@ -380,11 +336,9 @@ class BulletPrimeNode(OverlayProtocol):
             # The attach target died during the handshake: climb on.
             self._repair_tree()
             return
-        self._tree_parent_conn = conn
         # Bytes from the tree parent are measured from this connection's
         # own count, never from a previous parent's.
         self._tree_bytes_mark = conn.bytes_received
-        self.tree_conns[self._tree_attach] = conn
         self.ransub.parent_conn = conn
         if self._fd_rejoin_pending:
             self._fd_rejoin_pending = False
@@ -423,9 +377,7 @@ class BulletPrimeNode(OverlayProtocol):
         pass
 
     def on_bp_tree_hello(self, conn, message):
-        child = message.payload["node"]
-        self.tree_conns[child] = conn
-        self.ransub.child_conns[child] = conn
+        self.ransub.child_conns[message.payload["node"]] = conn
         if self.is_source:
             self.pusher.add_child(conn)
 
@@ -441,13 +393,12 @@ class BulletPrimeNode(OverlayProtocol):
 
     def _detach_tree(self, conn):
         """Forget the tree link ``conn``; losing the parent link climbs
-        to a new one."""
-        for node, tree_conn in list(self.tree_conns.items()):
-            if tree_conn is conn:
-                self.tree_conns.pop(node)
-                self.ransub.child_conns.pop(node, None)
-        if conn is self._tree_parent_conn:
-            self._tree_parent_conn = None
+        to a new one (``conn=None``, a silent parent, climbs too)."""
+        children = self.ransub.child_conns
+        for node, child_conn in list(children.items()):
+            if child_conn is conn:
+                del children[node]
+        if conn is self.ransub.parent_conn:
             self.ransub.parent_conn = None
             self._repair_tree()
 
@@ -455,7 +406,7 @@ class BulletPrimeNode(OverlayProtocol):
 
     def arm_detection(self, gray):
         """Arm the failure detectors (idempotent); ``gray`` also turns on
-        checksum verification and sender quarantine.
+        checksum verification of pulled and pushed blocks.
 
         Two detectors cover the two ways a silent crash can starve this
         node: the *sender detector* (a block request outstanding past a
@@ -517,7 +468,6 @@ class BulletPrimeNode(OverlayProtocol):
         if sender.fd_retries < FD_MAX_RETRIES:
             # Retry round: re-send every outstanding request and back off.
             sender.fd_retries += 1
-            sender.timeouts += 1
             self.trace.counters["fd_retries"] += 1
             for block in sorted(sender.outstanding):
                 self._send_request(conn, block)
@@ -543,7 +493,7 @@ class BulletPrimeNode(OverlayProtocol):
         # locally, so detach bookkeeping happens here before climbing.
         self.trace.counters["fd_suspects"] += 1
         self.ransub.last_distribute_at = self.sim.now
-        conn = self._tree_parent_conn
+        conn = self.ransub.parent_conn
         if conn is not None and not conn.closed:
             conn.close()
         self._detach_tree(conn)
@@ -584,28 +534,15 @@ class BulletPrimeNode(OverlayProtocol):
 
     def _measure_bandwidth(self, elapsed):
         incoming = 0.0
-        gray = self._gray_enabled
         for s in self.senders.values():
             received = s.conn.bytes_received
             s.epoch_bw = (received - s.bytes_mark) / elapsed
             s.bytes_mark = received
             incoming += s.epoch_bw
-            if gray:
-                # EWMA goodput quality: the straggler signal.  Seeded
-                # from the first measured epoch so a brand-new sender is
-                # never judged against an all-zero history.
-                if s.quality < 0.0:
-                    s.quality = s.epoch_bw
-                else:
-                    s.quality = (
-                        QUALITY_ALPHA * s.epoch_bw
-                        + (1.0 - QUALITY_ALPHA) * s.quality
-                    )
-        if self._tree_parent_conn is not None and not self._tree_parent_conn.closed:
-            incoming += (
-                self._tree_parent_conn.bytes_received - self._tree_bytes_mark
-            ) / elapsed
-            self._tree_bytes_mark = self._tree_parent_conn.bytes_received
+        parent = self.ransub.parent_conn
+        if parent is not None and not parent.closed:
+            incoming += (parent.bytes_received - self._tree_bytes_mark) / elapsed
+            self._tree_bytes_mark = parent.bytes_received
         outgoing = 0.0
         for r in self.receivers.values():
             sent = r.conn.bytes_sent
@@ -620,9 +557,6 @@ class BulletPrimeNode(OverlayProtocol):
             return  # the source only serves
         policy = self.sender_policy
         policy.manage(len(self.senders), self._epoch_incoming_bw)
-
-        if self._gray_enabled:
-            self._update_quarantine()
 
         # Dead-weight senders: no bytes delivered, nothing outstanding and
         # nothing useful advertised for two consecutive epochs.  The
@@ -651,17 +585,12 @@ class BulletPrimeNode(OverlayProtocol):
         if want <= 0 or self.state.complete:
             return
         current_peers = {s.peer for s in self.senders.values()}
-        now = self.sim.now
         candidates = []
         for summary in summaries:
             if summary.node_id == self.node_id:
                 continue
             if summary.node_id in current_peers or summary.node_id in self._pending_senders:
                 continue
-            if self._quarantine:
-                record = self._quarantine.get(summary.node_id)
-                if record is not None and now < record[1]:
-                    continue  # still serving its quarantine hold
             usefulness = self._estimate_useful(summary)
             if usefulness > 0:
                 candidates.append((usefulness, summary.node_id))
@@ -689,84 +618,6 @@ class BulletPrimeNode(OverlayProtocol):
         missing = sum(1 for b in summary.sample_blocks if self.state.wants(b))
         fraction = missing / len(summary.sample_blocks)
         return summary.blocks_held * fraction
-
-    # -- gray-failure response: sender quality + quarantine ---------------------------
-
-    def _quarantine_peer(self, peer):
-        """Open (or extend) ``peer``'s quarantine: fast backoff.
-
-        Each offense doubles the hold (capped), so a chronically gray
-        peer is consulted exponentially less often while a one-off
-        victim of a transient window gets back in quickly.
-        """
-        record = self._quarantine.get(peer)
-        level = record[0] + 1 if record is not None else 1
-        hold = min(
-            QUARANTINE_BASE * (2.0 ** (level - 1)),
-            QUARANTINE_MAX,
-        )
-        self._quarantine[peer] = [level, self.sim.now + hold, 0]
-        self.trace.counters["gray_quarantines"] += 1
-
-    def _update_quarantine(self):
-        """Per-epoch quarantine bookkeeping (gray detection armed only).
-
-        Two jobs: (1) catch chronic stragglers — senders that misbehaved
-        this epoch (detector timeouts or corrupt blocks) *and* whose
-        EWMA goodput sits below ``STRAGGLER_FRACTION`` of the mean for
-        ``STRAGGLER_EPOCHS`` consecutive epochs — and quarantine them;
-        (2) walk re-probed peers through probation — slow recovery: only
-        ``QUARANTINE_PROBATION`` consecutive clean epochs clear the
-        record, and any offense during probation re-quarantines at the
-        next backoff level immediately.
-        """
-        senders = self.senders
-        measured = [s.quality for s in senders.values() if s.quality >= 0.0]
-        mean_quality = ordered_sum(measured) / len(measured) if measured else 0.0
-        threshold = STRAGGLER_FRACTION * mean_quality
-        for conn, s in list(senders.items()):
-            if s.corrupt_total >= CORRUPT_QUARANTINE:
-                # Chronic corrupter: no EWMA deliberation needed.
-                self._quarantine_peer(s.peer)
-                self._drop_sender(conn, initiated=True)
-                continue
-            # An "offense" is hard evidence of grayness: a detector
-            # timeout, a corrupt block, or lagging delivery on work we
-            # actually asked for (outstanding requests pending while the
-            # EWMA sits below threshold — a fail-slow host answers every
-            # message, so it never times out; the dribbling goodput *is*
-            # the signal).  A sender we simply have not used is innocent.
-            offended = (
-                s.timeouts > 0
-                or s.corrupts > 0
-                or (
-                    bool(s.outstanding)
-                    and 0.0 <= s.quality < threshold
-                )
-            )
-            record = self._quarantine.get(s.peer)
-            if record is not None and record[2] > 0:
-                # On probation after a re-probe.
-                if offended:
-                    self._quarantine_peer(s.peer)
-                    self._drop_sender(conn, initiated=True)
-                    continue
-                record[2] -= 1
-                if record[2] == 0:
-                    del self._quarantine[s.peer]  # clean: record cleared
-            elif offended and len(senders) > 1 and s.quality >= 0.0:
-                if s.quality < threshold:
-                    s.slow_epochs += 1
-                    if s.slow_epochs >= STRAGGLER_EPOCHS:
-                        self._quarantine_peer(s.peer)
-                        self._drop_sender(conn, initiated=True)
-                        continue
-                else:
-                    s.slow_epochs = 0
-            else:
-                s.slow_epochs = 0
-            s.timeouts = 0
-            s.corrupts = 0
 
     def _manage_receivers(self):
         policy = self.receiver_policy
@@ -903,13 +754,6 @@ class BulletPrimeNode(OverlayProtocol):
         state.bytes_mark = conn.bytes_received
         self.senders[conn] = state
         self.avail.add_sender(conn)
-        record = self._quarantine.get(peer)
-        if record is not None:
-            # Re-adopting a peer whose quarantine hold expired: a slow
-            # re-probe.  Probation starts — the record (and its backoff
-            # level) only clears after consecutive clean epochs.
-            record[2] = QUARANTINE_PROBATION
-            self.trace.counters["gray_reprobes"] += 1
         have = self.arrival_order if not self.config.encoded else list(self.state.blocks())
         conn.send(
             Message(
@@ -976,8 +820,7 @@ class BulletPrimeNode(OverlayProtocol):
         The block is never ingested (no poisoned download), the event is
         counted, and — when it came from a pulled request — the block is
         orphaned and re-requested from an alternate mesh peer, the same
-        salvage path a dead sender's in-flight blocks take.  The sender
-        is charged a corruption offense toward quarantine.
+        salvage path a dead sender's in-flight blocks take.
         """
         self.trace.counters["gray_corrupt_detected"] += 1
         sender = self.senders.get(conn)
@@ -989,8 +832,6 @@ class BulletPrimeNode(OverlayProtocol):
             sender.outstanding.discard(block)
             if self.state.wants(block):
                 self.avail.released(block)
-            sender.corrupts += 1
-            sender.corrupt_total += 1
             if sender.marked_block == block:
                 sender.marked_block = None
         if self.state.wants(block):

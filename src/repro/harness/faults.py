@@ -22,10 +22,10 @@ event timelines bit-identical to the legacy golden matrix.
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and
 message-level adversity (:meth:`FaultInjector.arm_adversity`) — call
 ``arm(gray=True)``, which adds a second, stricter tier on top: checksum
-verification and sender quarantine.  The split matters because gray
-responses change protocol behavior beyond crash detection; arming them
-under plain crash scenarios would perturb the recorded crash/chaos
-timelines.
+verification of received blocks.  The split matters because it changes
+protocol behavior beyond crash detection (a corrupt block is discarded
+and re-requested); arming it under plain crash scenarios would perturb
+the recorded crash/chaos timelines.
 
 Nothing here keeps a count of its own: the message adversity and the
 nodes write the run's ``trace.counters``, which outlive a restarted
@@ -82,8 +82,7 @@ class FaultInjector:
         Every fault path calls this first, so detection exists from the
         first fault onward and never before: each node's
         ``arm_detection(gray)`` hook runs.  ``gray=True`` (every gray
-        actuator) also enables each node's gray responses: checksum
-        verification, sender quality scoring, and quarantine, which
+        actuator) also enables each node's checksum verification, which
         plain crash scenarios never get.  The injector schedules nothing.
         """
         if self.gray_armed or (self.armed and not gray):

@@ -136,12 +136,11 @@ class OverlayProtocol:
         ``gray=True`` at the first *gray* fault (fail-slow, flaky link,
         message adversity), and once on each node a restart rebuilds,
         at the run's tier.  Crash detection is on from the first call;
-        ``gray`` adds the gray responses (checksum verification, sender
-        quality scoring, quarantine), which alter protocol behavior
-        beyond crash detection and so stay off under plain crash
-        scenarios.  Subclasses arm their failure detectors here; the
-        base class only records the flags so helpers stay zero-cost in
-        fault-free runs.
+        ``gray`` adds checksum verification, which alters protocol
+        behavior beyond crash detection (a corrupt block is discarded
+        and re-requested) and so stays off under plain crash scenarios.
+        Subclasses arm their failure detectors here; the base class only
+        records the flags so helpers stay zero-cost in fault-free runs.
         """
         self._fd_enabled = True
         if gray:

@@ -370,8 +370,8 @@ class FailSlow(Scenario):
     victim's uplink capacity is multiplicatively squeezed to ``factor``
     and its one-shot protocol timers stretched by ``stretch`` — the host
     still answers every message, it just crawls.  With ``duration`` set
-    the degradation heals (the victim recovers and may be re-probed out
-    of quarantine); ``duration=None`` makes it permanent.
+    the degradation heals (the victim recovers and peers may adopt it as
+    a sender again); ``duration=None`` makes it permanent.
 
     ``fraction=0`` with ``count=0`` installs nothing at all: no RNG
     stream is created and no event is scheduled, making the run

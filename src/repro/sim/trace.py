@@ -14,7 +14,11 @@ from repro.common.stats import Cdf, ordered_sum
 __all__ = ["RUN_COUNTERS", "TraceCollector"]
 
 #: ``TraceCollector.counters``: the run's failure counters under their
-#: ``summary()["perf"]`` names, in that order, each with one writer.
+#: ``summary()["perf"]`` names, in that order, each with at most one
+#: writer.  ``gray_quarantines`` and ``gray_reprobes`` have none (Bullet'
+#: sheds slow senders by its peer-set prune alone) and read 0; they stay
+#: because ``bench/metrics.py`` reads ``perf["gray_quarantines"]`` and
+#: every golden record carries both keys.
 RUN_COUNTERS = (
     "fd_retries", "fd_suspects", "fd_rerequests", "fd_rejoins",  # Bullet' nodes
     "gray_quarantines", "gray_reprobes", "gray_corrupt_detected",  # Bullet' nodes

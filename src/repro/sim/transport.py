@@ -213,8 +213,7 @@ class Connection:
         self.queue = deque()
         #: Running count of block messages in ``queue`` (head included).
         self.send_queue_blocks = 0
-        self.head_remaining = 0.0
-        self.last_advance = network.sim.now
+        # head_remaining / last_advance are first written by _start_head.
         self.idle_since = network.sim.now
         self._event = None
         #: Path loss and the shared rng, cached off the hot delivery
@@ -290,10 +289,12 @@ class Connection:
     def _rate_changed(self, _flow, old_rate):
         # The transport's busiest callback (every allocation pass hits
         # every rescheduled flow): progress-credit at the old rate and
-        # the transmission reschedule, one merged body, no sub-calls.
+        # the transmission reschedule, one merged body, no sub-calls.  An
+        # empty queue has no head to credit and no pending event.
+        if not self.queue:
+            return
         now = self.sim.now
-        queue = self.queue
-        if queue and old_rate > 0:
+        if old_rate > 0:
             remaining = self.head_remaining - old_rate * (now - self.last_advance)
             self.head_remaining = remaining if remaining > 0 else 0.0
         self.last_advance = now
@@ -301,12 +302,11 @@ class Connection:
         if event is not None:
             event.cancel()
             self._event = None
-        if queue:
-            rate = self.flow.rate
-            if rate > 0:
-                self._event = self.sim.schedule(
-                    self.head_remaining / rate, self._head_transmitted
-                )
+        rate = self.flow.rate
+        if rate > 0:
+            self._event = self.sim.schedule(
+                self.head_remaining / rate, self._head_transmitted
+            )
 
     def _path_changed(self, flow):
         # A traversed link's loss rate or delay moved: re-read the

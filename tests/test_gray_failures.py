@@ -1,14 +1,15 @@
-"""The gray-failure engine: fail-slow nodes, flaky links, message
-adversity, and the adaptive peer quarantine.
+"""The gray-failure engine: fail-slow nodes, flaky links and message
+adversity, and Bullet''s responses to them.
 
 The contract under test: gray faults are *partial* — the victim stays
 up and answers every message — so the overlay can only respond through
-its own measurements (EWMA goodput, detector timeouts, checksum
-verification).  Every gray scenario at zero intensity installs nothing
-at all (no RNG stream, no events) and must reproduce the static
-baseline bit for bit, perf counters included; the recorded crash/chaos
-golden cells never arm gray detection, so the quarantine machinery
-cannot perturb them.
+its own measurements: the per-epoch peer-set prune sheds a slow sender,
+the sender detector times out a silent one, and checksum verification
+discards a corrupt block.  Every gray scenario at zero intensity
+installs nothing at all (no RNG stream, no events) and must reproduce
+the static baseline bit for bit, perf counters included; the recorded
+crash/chaos golden cells never arm gray detection, so checksum
+verification cannot perturb them.
 """
 
 import random
@@ -72,20 +73,13 @@ class TestZeroIntensityEquivalence:
         assert quiet == static
 
 
-class TestQuarantineLifecycle:
-    def test_fail_slow_straggler_quarantined_and_reprobed(self):
-        # Degrade victims hard and long enough that their EWMA goodput
-        # sinks below the straggler threshold while requests are
-        # outstanding: peers must quarantine them (fast backoff), and
-        # after the hold expires re-probe them (slow recovery) — and
-        # the run must still finish.  Uses the stock Bullet' config
-        # (16 KiB blocks) so the EWMA rule engages.  The file size comes
-        # from the hold arithmetic: the victims slow down at 10 s and the
-        # first quarantine opens two 5 s epochs later, near 20 s; its
-        # QUARANTINE_BASE hold of 20 s expires near 40 s, which is when
-        # the stock 640-block download ends.  Twice the blocks double the
-        # download, so it outlasts the first quarantine by about twice the
-        # hold, and a node still downloading can re-adopt the peer.
+class TestGrayLifecycle:
+    def test_fail_slow_long_download_finishes_clean(self):
+        # Victims slow down at 10 s and stay slow for a 1,280-block
+        # download (twice the stock 640) at the stock 16 KiB blocks.  The
+        # per-epoch peer-set prune is Bullet''s one answer to a slow
+        # sender; with it, every node must finish without the stall
+        # watchdog and with every transport invariant intact.
         result = _run(
             FailSlow(),
             factory=bullet_prime_factory(num_blocks=1280),
@@ -93,8 +87,6 @@ class TestQuarantineLifecycle:
         )
         perf = result.summary()["perf"]
         assert result.finished
-        assert perf["gray_quarantines"] >= 1
-        assert perf["gray_reprobes"] >= 1
         assert perf["watchdog_fired"] == 0
         invariants = result.network.invariants
         assert invariants.ok, invariants.violations

@@ -213,6 +213,9 @@ CONTROL_BYTES = grep(CONTROL_BYTES + r"|\bblocks_received\b")
 CHANNEL = grep(r"\b(Channel|_out_channel|queued_block_count|queued_blocks)\b")
 LINK_SCRIPTS = "scenarios/catalog.py scenarios/dynamics.py"
 SCRIPT_TIMERS = grep(r"\bperiodic\(|\.schedule\(|schedule_at\(|\.apply\(", LINK_SCRIPTS)
+BULLET_PRIME = "core/bullet_prime.py"
+QUARANTINE = r"\b(_quarantine|QUARANTINE_|STRAGGLER_|QUALITY_ALPHA|slow_epochs"
+QUARANTINE = grep(QUARANTINE + r"|corrupt_total|tree_conns|_tree_parent_conn\b)")
 ROWS = [
     # src/ passed 13,380 with the deferred scale column (sim/links.py);
     # the bounds marked 08c29ac were set by the change after it: one
@@ -220,8 +223,9 @@ ROWS = [
     # deac2f3 were set by one candidate index for every request strategy,
     # those marked 8e35007 by knob-free flow models and one control-byte
     # count, those marked 2d1cbe2 by one object per connection end, and
-    # those marked 220a13f by link scenarios written as row scripts.
-    Row("src/ lines", lines(""), "<= 13267", "220a13f"),
+    # those marked 220a13f by link scenarios written as row scripts, and
+    # those marked 6dffae9 by Bullet' without its sender quarantine.
+    Row("src/ lines", lines(""), "<= 13108", "6dffae9"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
     Row("scenario package lines", lines("scenarios/"), "<= 2009", "220a13f"),
@@ -265,6 +269,10 @@ ROWS = [
     Row("channel and queue-forwarder words", CHANNEL, "== 0", "2d1cbe2"),
     # Link scenarios yield waits and rows; only play() schedules and writes.
     Row("scenario timer and write calls", SCRIPT_TIMERS, "== 0", "220a13f"),
+    # A slow sender is shed by the peer-set prune alone, and a node's tree
+    # links are RanSub's parent_conn / child_conns, with no mirror.
+    Row("core/bullet_prime.py lines", lines(BULLET_PRIME), "<= 928", "6dffae9"),
+    Row("quarantine and tree-link mirror words", QUARANTINE, "== 0", "6dffae9"),
 ]
 
 
