@@ -193,7 +193,8 @@ def _run_parser():
         action="store_true",
         help=(
             "report runtime statistics: events processed, reallocation "
-            "passes, component sizes, wall-clock time and peak memory"
+            "passes, component sizes, wall-clock time, peak memory and "
+            "core links built"
         ),
     )
     return parser
@@ -241,6 +242,9 @@ def _run_command(argv):
         profile["peak_rss_mb"] = round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         )
+        # Core links are built on first use: how many the run asked for.
+        core = result.network.topology.core
+        profile["core_links_built"] = f"{len(core.built())}/{len(core)}"
     if args.json:
         doc = {
             axis.field: getattr(cell, axis.field)

@@ -358,13 +358,11 @@ class BulletPrimeNode(OverlayProtocol):
         static tree toward the root (the source, which outlives the
         session) and reconnect there.
         """
-        if self.stopped:
-            return
+        if self.stopped or self.node_id == self.tree.root:
+            return  # the root would re-attach to itself
         ancestor = self.tree.parent_of(self._tree_attach)
-        if ancestor is None and self._tree_attach != self.tree.root:
+        if ancestor is None:  # a re-attach to the root timed out: retry it
             ancestor = self.tree.root
-        if ancestor is None:
-            return  # we would be re-attaching to ourselves (we are root)
         if self._fd_enabled:
             self._fd_rejoin_pending = True
         self._tree_attach = ancestor

@@ -13,8 +13,9 @@ without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
 death through its own failure detectors.  Every actuator therefore calls
 :meth:`FaultInjector.arm` first, and the **first** call arms detection
-network-wide through each node's ``arm_detection`` hook; the injector
-schedules no event of its own.  Fault-free runs (and a ``chaos``
+network-wide through each node's ``arm_detection`` hook.  The injector
+schedules each timed fault's undo (``schedule_restart``, ``partition``,
+``degrade_node``, ``flake_node``).  Fault-free runs (and a ``chaos``
 scenario with rate 0) never arm anything, which is what keeps their
 event timelines bit-identical to the legacy golden matrix.
 
@@ -83,7 +84,7 @@ class FaultInjector:
         first fault onward and never before: each node's
         ``arm_detection(gray)`` hook runs.  ``gray=True`` (every gray
         actuator) also enables each node's checksum verification, which
-        plain crash scenarios never get.  The injector schedules nothing.
+        plain crash scenarios never get.  A hook starts its node's detector timers.
         """
         if self.gray_armed or (self.armed and not gray):
             return
@@ -194,7 +195,7 @@ class FaultInjector:
         island_of = {node: i for i, group in enumerate(islands) for node in group}
         squeezed = [
             link
-            for (src, dst), link in sorted(self.topology.core.items())
+            for (src, dst), link in self.topology.core.items()
             if {src, dst} <= island_of.keys() and island_of[src] != island_of[dst]
         ]
         if not squeezed:

@@ -20,6 +20,7 @@ All but :class:`FlashCrowd` are link scripts (see :mod:`repro.scenarios.base`).
 in :mod:`repro.scenarios.combinators`.
 """
 
+from array import array
 from math import pi, sin
 from operator import attrgetter, truediv
 
@@ -236,7 +237,8 @@ class Oscillate(Scenario):
         sim = ctx.sim
         rng = ctx.rng("oscillate", self.seed)
         # One phase per core link, in key order: the order "*" names them.
-        phases = [rng.random() if self.phase_jitter else 0.0 for _ in ctx.topology.core]
+        jitter, count = self.phase_jitter, len(ctx.topology.core)
+        phases = array("d", (rng.random() if jitter else 0.0 for _ in range(count)))
         wave = _Wave(self, phases)
         sample = self.sample_period or self.period / 8.0
         origin = sim.now + self.start

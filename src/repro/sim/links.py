@@ -28,12 +28,13 @@ of a flow it creates).  A row that names ``"*"`` and whose only write is
 a :class:`ScaleColumn` ``scale`` — an immutable per-link column such as
 one oscillation tick — is written at once only to the observed links,
 with the usual product, equality skip and callback.  For the other
-links its column is appended to the topology's :class:`ScaleLog`, and
-each keeps a cursor into that log.  A deferred link replays the columns
-logged since its cursor — the same multiplications in the same order,
-firing no callback, as none would have fired — the first time its
-capacity is read through ``Link.capacity``, another row writes its
-capacity, or it becomes observed.  The allocator reads ``_capacity``
+links, built or not, its column is appended to the topology's
+:class:`ScaleLog`; each built one keeps a cursor into that log, and a
+link built later starts at the first column.  A deferred link replays
+the columns logged since its cursor — the same multiplications in the
+same order, firing no callback, as none would have fired — the first
+time its capacity is read through ``Link.capacity``, another row writes
+its capacity, or it becomes observed.  The allocator reads ``_capacity``
 directly, which is safe: it reads only links that carry a flow, and
 those are observed.
 """
@@ -51,7 +52,7 @@ def _targets(topology, target):
     if type(target) is Link:
         return (target,)
     if target == "*":
-        return [link for _pair, link in sorted(topology.core.items())]
+        return list(topology.core.values())
     if isinstance(target, str):
         src, arrow, dst = target.partition("->")
         if not arrow:
@@ -102,36 +103,41 @@ class ScaleLog:
     """A topology's deferred :class:`ScaleColumn` rows.
 
     ``rows`` holds the column of each deferred row, in apply order.  At
-    the first one, ``index_core`` indexes the topology's core links
-    once: ``links`` in key order, each link's ``positions`` entry, and
-    the sorted positions of the ``observed`` ones, so a row walks only
-    the observed links; observing a link inserts its position.
+    the first one, ``index_core`` takes the topology's core links
+    (:class:`~repro.sim.topology.CoreLinks`, each link at its key
+    position ``link._pos``) and the sorted positions of the built links
+    that are ``observed``, so a row walks only the observed links;
+    observing a link inserts its position.  A link built later enrolls
+    unobserved, at cursor 0.
     """
 
-    __slots__ = ("rows", "links", "positions", "observed")
+    __slots__ = ("rows", "core", "observed")
 
     def __init__(self):
         self.rows = []
-        self.links = None
-        self.positions = {}
+        self.core = None
         self.observed = []
 
     def index_core(self, core):
         """Index the core links (``topology.core``); the log is empty."""
-        self.links = [link for _pair, link in sorted(core.items())]
-        for i, link in enumerate(self.links):
-            self.positions[link] = i
-            link._log = self
-            if link._on_capacity_change is None:
-                link._cursor = 0
-            else:
-                self.observed.append(i)
+        self.core = core
+        for link in core.built():
+            self.enroll(link)
+
+    def enroll(self, link):
+        """Follow ``link`` from cursor 0: unobserved, it has missed every
+        logged column (a link built late was unobserved all along)."""
+        link._log = self
+        if link._on_capacity_change is None:
+            link._cursor = 0
+        else:
+            insort(self.observed, link._pos)
 
     def observe(self, link):
         """``link`` gained a capacity callback: replay what it missed."""
         _catch_up(link)
         link._cursor = None
-        insort(self.observed, self.positions[link])
+        insort(self.observed, link._pos)
 
 
 def _catch_up(link):
@@ -141,7 +147,7 @@ def _catch_up(link):
     if link._cursor == len(rows):
         return
     columns = rows[link._cursor :]
-    capacity = columns[0].replay(link._capacity, log.positions[link], columns)
+    capacity = columns[0].replay(link._capacity, link._pos, columns)
     if not capacity > 0:
         raise ValueError(f"link {link.name}: capacity must be > 0, got {capacity}")
     link._capacity = capacity
@@ -185,9 +191,9 @@ def apply(topology, rows):
             and delay is None
         ):
             log = topology.scale_log
-            if log.links is None:
+            if log.core is None:
                 log.index_core(topology.core)
-            links, observed = log.links, log.observed
+            links, observed = log.core.links, log.observed
             for i, factor in zip(observed, scale.take(observed)):
                 link = links[i]
                 link.capacity = link._capacity * factor
@@ -267,6 +273,7 @@ class Link:
         "_alloc_unfrozen",
         "_log",
         "_cursor",
+        "_pos",
     )
 
     def __init__(self, name, capacity, delay=0.0, loss_rate=0.0):
@@ -317,6 +324,8 @@ class Link:
         #: (or before the first deferred row): nothing is pending then.
         self._log = None
         self._cursor = None
+        #: The link's key position in ``topology.core`` (None off the core).
+        self._pos = None
 
     @property
     def capacity(self):

@@ -26,6 +26,9 @@ figure turns are declared once, as ``Param`` rows on the builder
 """
 
 import functools
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 
 from repro.common.params import Param
 from repro.common.rng import split_rng
@@ -60,21 +63,128 @@ PLANETLAB_MAX_LOSS = 0.02
 PLANETLAB_CORE_BW = 20 * MBPS
 
 
-class Topology:
-    """A set of node ids plus per-ordered-pair paths of links."""
+class CoreLinks(Mapping):
+    """A topology's core links, ``(src, dst) -> Link``, in key order.
 
-    def __init__(self, nodes):
+    A full-mesh builder hands over one ``(capacity, delay, loss)``
+    column triple for every ordered pair of ``nodes``: each column is a
+    number shared by every pair or an ``array('d')`` with one value per
+    pair in key order, drawn at build time.  A link is built from its
+    columns the first time ``core[pair]`` (``get``, ``values``,
+    ``items``) asks for it; ``len``, iteration over the keys and ``in``
+    build nothing.  Without columns the keys are the pairs
+    :meth:`Topology.add_core` adds.  ``links[i]`` is the link at key
+    position ``i`` (None until built), and each link stores ``i`` as
+    its ``_pos``: the index a :class:`~repro.sim.links.ScaleColumn`
+    gives it.  A link built after the topology's :class:`ScaleLog`
+    indexed the core enrolls in the log at cursor 0, so it replays
+    every logged column, as it would have if it had been built first.
+    """
+
+    __slots__ = ("links", "_log", "_nodes", "_rank", "_columns", "_pairs")
+
+    def __init__(self, nodes, log, columns=None):
+        self._log = log
+        self._nodes = sorted(nodes)
+        self._rank = {node: i for i, node in enumerate(self._nodes)}
+        self._columns = columns
+        #: The added keys in key order (None: every ordered pair).
+        self._pairs = [] if columns is None else None
+        size = len(self._nodes) * (len(self._nodes) - 1)
+        self.links = [] if columns is None else [None] * size
+
+    def _position(self, pair):
+        """``pair``'s key position, or None if it is no key."""
+        pairs = self._pairs
+        if pairs is not None:
+            try:
+                i = bisect_left(pairs, pair)
+            except TypeError:
+                return None
+            return i if i < len(pairs) and pairs[i] == pair else None
+        try:
+            src, dst = map(self._rank.__getitem__, pair)
+        except (KeyError, TypeError, ValueError):
+            return None
+        if src == dst:
+            return None
+        return src * (len(self._nodes) - 1) + dst - (dst > src)
+
+    def _build(self, i):
+        src, dst = divmod(i, len(self._nodes) - 1)
+        src, dst = self._nodes[src], self._nodes[dst + (dst >= src)]
+        capacity, delay, loss = (
+            column[i] if type(column) is array else column for column in self._columns
+        )
+        link = Link(f"core{src}->{dst}", capacity, delay, loss)
+        link._pos = i
+        if self._log.core is not None:
+            self._log.enroll(link)
+        self.links[i] = link
+        return link
+
+    def __getitem__(self, pair):
+        i = self._position(pair)
+        if i is None:
+            raise KeyError(pair)
+        link = self.links[i]
+        return self._build(i) if link is None else link
+
+    def __contains__(self, pair):
+        return self._position(pair) is not None
+
+    def __len__(self):
+        return len(self.links)
+
+    def __iter__(self):
+        return iter(_ordered_pairs(self._nodes) if self._pairs is None else self._pairs)
+
+    def built(self):
+        """The links built so far, in key order."""
+        return [link for link in self.links if link is not None]
+
+    def add(self, src, dst, link):
+        """Add (or replace) the link of ``(src, dst)``: no columns only."""
+        if self._pairs is None or self._log.core is not None:
+            raise ValueError("add_core: a topology without columns, no deferred row")
+        pair = (src, dst)
+        i = bisect_left(self._pairs, pair)
+        if self._pairs[i : i + 1] != [pair]:
+            self._pairs.insert(i, pair)
+            self.links.insert(i, None)
+        self.links[i] = link
+        for j in range(i, len(self.links)):
+            self.links[j]._pos = j
+
+
+def _ordered_pairs(nodes):
+    """Every ordered pair of distinct ``nodes``, in key order."""
+    return ((src, dst) for src in nodes for dst in nodes if src != dst)
+
+
+class Topology:
+    """A set of node ids plus per-ordered-pair paths of links.
+
+    ``core`` is a :class:`CoreLinks`.  A full-mesh builder passes its
+    per-pair ``columns`` (see there), and a core link is built the first
+    time something asks for it: a path, a row naming it, ``uplinks``.
+    Enumerating ``core``'s links (``values()``, ``items()``,
+    ``ScenarioContext.core_links()``, a ``"*"`` row written at once)
+    builds every one of them; ``len(core)`` and its keys build none.
+    """
+
+    def __init__(self, nodes, columns=None):
         self.nodes = list(nodes)
         self._node_set = set(self.nodes)
         #: node -> outbound access link (may be None)
         self.access_up = {}
         #: node -> inbound access link (may be None)
         self.access_down = {}
-        #: (src, dst) -> core link (required for every ordered pair that
-        #: will communicate)
-        self.core = {}
         #: Rows deferred on unobserved links (see :mod:`repro.sim.links`).
         self.scale_log = ScaleLog()
+        #: (src, dst) -> core link (required for every ordered pair that
+        #: will communicate)
+        self.core = CoreLinks(self.nodes, self.scale_log, columns)
 
     #: ``topology.apply(rows)``: write link-condition rows, get back the
     #: inverse rows (see :func:`repro.sim.links.apply`).
@@ -85,7 +195,7 @@ class Topology:
         self.access_down[node] = down
 
     def add_core(self, src, dst, link):
-        self.core[(src, dst)] = link
+        self.core.add(src, dst, link)
 
     def path(self, src, dst):
         """Ordered links a flow from ``src`` to ``dst`` traverses."""
@@ -115,14 +225,16 @@ class Topology:
     def uplinks(self, node):
         """Links carrying ``node``'s *outbound* traffic, in deterministic
         order: the access uplink when the topology models one, otherwise
-        every core link out of the node.  Links are unidirectional, so
-        mutating these leaves the inbound direction untouched — this is
-        the actuation point for asymmetric (per-direction) dynamics.
+        every core link out of the node (built if need be, and no other).
+        Links are unidirectional, so mutating these leaves the inbound
+        direction untouched — this is the actuation point for asymmetric
+        (per-direction) dynamics.
         """
         up = self.access_up.get(node)
         if up is not None:
             return [up]
-        return [link for (src, _dst), link in sorted(self.core.items()) if src == node]
+        pairs = [(node, other) for other in sorted(self.nodes)]
+        return [self.core[pair] for pair in pairs if pair in self.core]
 
     def downlinks(self, node):
         """Links carrying ``node``'s *inbound* traffic (mirror of
@@ -130,18 +242,11 @@ class Topology:
         down = self.access_down.get(node)
         if down is not None:
             return [down]
-        return [link for (_src, dst), link in sorted(self.core.items()) if dst == node]
+        pairs = [(other, node) for other in sorted(self.nodes)]
+        return [self.core[pair] for pair in pairs if pair in self.core]
 
     def __repr__(self):
         return f"Topology(n={len(self.nodes)}, core_links={len(self.core)})"
-
-
-def _full_mesh(topology, nodes, make_core):
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
-                continue
-            topology.add_core(src, dst, make_core(src, dst))
 
 
 def _family(*params):
@@ -181,38 +286,30 @@ def mesh_topology(
     """
     rng = split_rng(seed, "topology.mesh")
     nodes = list(range(num_nodes))
-    topo = Topology(nodes)
+    delay, loss = array("d"), array("d")
+    for _pair in _ordered_pairs(nodes):
+        loss.append(rng.uniform(0.0, max_loss))
+        delay.append(rng.uniform(min_core_delay, max_core_delay))
+    topo = Topology(nodes, (core_bw, delay, loss))
     for node in nodes:
         topo.add_access(
             node,
             Link(f"up{node}", access_bw, ACCESS_DELAY),
             Link(f"down{node}", access_bw, ACCESS_DELAY),
         )
-
-    def make_core(src, dst):
-        loss = rng.uniform(0.0, max_loss)
-        delay = rng.uniform(min_core_delay, max_core_delay)
-        return Link(f"core{src}->{dst}", core_bw, delay, loss)
-
-    _full_mesh(topo, nodes, make_core)
     return topo
 
 
 def constrained_access_topology(num_nodes, seed=0):
     """Figure 9: ample core bandwidth, constrained access links, no loss."""
     nodes = list(range(num_nodes))
-    topo = Topology(nodes)
+    topo = Topology(nodes, (DEDICATED_CORE_BW, DEDICATED_CORE_DELAY, 0.0))
     for node in nodes:
         topo.add_access(
             node,
             Link(f"up{node}", CONSTRAINED_ACCESS_BW, ACCESS_DELAY),
             Link(f"down{node}", CONSTRAINED_ACCESS_BW, ACCESS_DELAY),
         )
-
-    def make_core(src, dst):
-        return Link(f"core{src}->{dst}", DEDICATED_CORE_BW, DEDICATED_CORE_DELAY)
-
-    _full_mesh(topo, nodes, make_core)
     return topo
 
 
@@ -237,15 +334,14 @@ def star_topology(num_nodes, seed, core_delay, special_links=None):
     """
     special_links = special_links or {}
     nodes = list(range(num_nodes))
-    topo = Topology(nodes)
+    capacity, delay = array("d"), array("d")
+    for pair in _ordered_pairs(nodes):
+        bw, pair_delay = special_links.get(pair, (DEDICATED_CORE_BW, core_delay))
+        capacity.append(bw)
+        delay.append(pair_delay)
+    topo = Topology(nodes, (capacity, delay, 0.0))
     for node in nodes:
         topo.add_access(node, None, None)
-
-    def make_core(src, dst):
-        bw, delay = special_links.get((src, dst), (DEDICATED_CORE_BW, core_delay))
-        return Link(f"core{src}->{dst}", bw, delay)
-
-    _full_mesh(topo, nodes, make_core)
     return topo
 
 
@@ -271,30 +367,27 @@ def planetlab_like_topology(num_nodes, seed=0):
     """
     rng = split_rng(seed, "topology.planetlab")
     nodes = list(range(num_nodes))
-    topo = Topology(nodes)
     spread = PLANETLAB_MAX_ACCESS - PLANETLAB_MIN_ACCESS
-    for node in nodes:
-        # Heavy tail: most sites are fast, a noticeable minority is slow.
-        bw = PLANETLAB_MIN_ACCESS + spread * (rng.random() ** 2)
+    # Heavy tail: most sites are fast, a noticeable minority is slow.
+    access = [PLANETLAB_MIN_ACCESS + spread * (rng.random() ** 2) for _ in nodes]
+    delay, loss = array("d"), array("d")
+    for _pair in _ordered_pairs(nodes):
+        roll = rng.random()
+        if roll < 0.5:
+            delay.append(rng.uniform(10 * MS, 50 * MS))  # same continent
+        elif roll < 0.85:
+            delay.append(rng.uniform(60 * MS, 120 * MS))  # transatlantic
+        else:
+            delay.append(rng.uniform(120 * MS, 250 * MS))  # transpacific
+        loss.append(rng.uniform(0.0, PLANETLAB_MAX_LOSS))
+    # Core capacity ample relative to access; congestion shows up as
+    # loss and shared access links.
+    topo = Topology(nodes, (PLANETLAB_CORE_BW, delay, loss))
+    for node, bw in zip(nodes, access):
         topo.add_access(
             node,
             Link(f"up{node}", bw, ACCESS_DELAY),
             Link(f"down{node}", bw, ACCESS_DELAY),
         )
-
-    def make_core(src, dst):
-        roll = rng.random()
-        if roll < 0.5:
-            delay = rng.uniform(10 * MS, 50 * MS)  # same continent
-        elif roll < 0.85:
-            delay = rng.uniform(60 * MS, 120 * MS)  # transatlantic
-        else:
-            delay = rng.uniform(120 * MS, 250 * MS)  # transpacific
-        loss = rng.uniform(0.0, PLANETLAB_MAX_LOSS)
-        # Core capacity ample relative to access; congestion shows up as
-        # loss and shared access links.
-        return Link(f"core{src}->{dst}", PLANETLAB_CORE_BW, delay, loss)
-
-    _full_mesh(topo, nodes, make_core)
     return topo
 

@@ -116,6 +116,20 @@ def test_cli_run_profile_json(capsys):
     )
 
 
+@pytest.mark.parametrize("scenario,built", [("none", "26/56"), ("lossy", "56/56")])
+def test_cli_run_profile_counts_core_links_built(capsys, scenario, built):
+    # Core links are built on first use; a scenario that writes every
+    # core link (a "*" row written at once) builds them all.
+    code = main(
+        ["run", "--system", "bulletprime", "--scenario", scenario, "--nodes",
+         "8", "--blocks", "16", "--json", "--profile"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["profile"]["core_links_built"] == built
+    assert "core_links_built" not in doc["summary"]["perf"]
+
+
 def test_cli_run_profile_text(capsys):
     code = main(
         ["run", "--system", "bulletprime", "--scenario", "none", "--nodes",

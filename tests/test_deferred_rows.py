@@ -116,10 +116,12 @@ def test_the_log_holds_one_row_per_tick_and_no_per_link_list():
     log = topology.scale_log
     rows = log.rows
     assert len(rows) == 1 + int(UNTIL / 0.25)
-    # One index of the core links in key order, rows that are columns,
-    # and no per-link list in a row but the last tick's f values, which
-    # the next tick would reuse.
-    assert log.links == _links(topology)
+    # One index of the core links in key order (the topology's own core
+    # map, each link at its key position), rows that are columns, and no
+    # per-link list in a row but the last tick's f values, which the
+    # next tick would reuse.
+    assert log.core is topology.core
+    assert [link._pos for link in _links(topology)] == list(range(56))
     assert all(isinstance(column, ScaleColumn) for column in rows)
     for column in rows[:-1]:
         held = [getattr(column, slot) for slot in column.__slots__]

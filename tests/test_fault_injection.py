@@ -102,6 +102,17 @@ class TestTreeRepair:
         assert seen and min(seen) >= 0.0
 
 
+    @pytest.mark.parametrize("nodes,blocks,seed", [(8, 128, 4), (12, 24, 11)])
+    def test_a_timed_out_reattach_to_the_root_is_retried(self, nodes, blocks, seed):
+        # A node whose re-attach to the root timed out used to stay off
+        # the tree for good: no RanSub subsets, no new senders once its
+        # old ones were gone, and the run ended by the stall watchdog.
+        scenario = SCENARIOS.build("partition")
+        result = _run(scenario, seed=seed, nodes=nodes, blocks=blocks)
+        assert result.finished
+        assert result.trace.counters["watchdog_fired"] == 0
+
+
 class TestChaosEquivalence:
     def test_rate_zero_is_bit_identical_to_none(self):
         # A zero-rate chaos scenario creates no RNG stream and schedules

@@ -108,6 +108,16 @@ class TestFairSharing:
         sim.run(until=1.0)
         assert flow.rate == pytest.approx(1000)
 
+    def test_flows_and_links_are_slotted(self):
+        # No per-instance __dict__: a stray attribute write is an error.
+        _, net = _make_network()
+        link = Link("l", capacity=1000)
+        flow = net.new_flow("f", [link])
+        for obj in (flow, link):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.undeclared = 1
+
     def test_empty_path_refused_where_it_enters(self):
         _, net = _make_network()
         with pytest.raises(ValueError, match="'x'"):

@@ -216,6 +216,8 @@ SCRIPT_TIMERS = grep(r"\bperiodic\(|\.schedule\(|schedule_at\(|\.apply\(", LINK_
 BULLET_PRIME = "core/bullet_prime.py"
 QUARANTINE = r"\b(_quarantine|QUARANTINE_|STRAGGLER_|QUALITY_ALPHA|slow_epochs"
 QUARANTINE = grep(QUARANTINE + r"|corrupt_total|tree_conns|_tree_parent_conn\b)")
+#: ``Link(`` calls in sim/topology.py that make no access link.
+CORE_LINK_SITES = grep(r'\bLink\((?!f"(up|down)\{)', "sim/topology.py")
 ROWS = [
     # src/ passed 13,380 with the deferred scale column (sim/links.py);
     # the bounds marked 08c29ac were set by the change after it: one
@@ -223,13 +225,18 @@ ROWS = [
     # deac2f3 were set by one candidate index for every request strategy,
     # those marked 8e35007 by knob-free flow models and one control-byte
     # count, those marked 2d1cbe2 by one object per connection end, and
-    # those marked 220a13f by link scenarios written as row scripts, and
-    # those marked 6dffae9 by Bullet' without its sender quarantine.
-    Row("src/ lines", lines(""), "<= 13108", "6dffae9"),
+    # those marked 220a13f by link scenarios written as row scripts,
+    # those marked 6dffae9 by Bullet' without its sender quarantine, and
+    # those marked fa268c7 by core links built on first use: CoreLinks
+    # (sim/topology.py) adds about 100 lines, net of the eager make_core
+    # closures and _full_mesh, ScaleLog's positions dict and links list
+    # give way to a position on each link, the oscillation phases are
+    # an array, and run --profile counts the links built.
+    Row("src/ lines", lines(""), "<= 13215", "fa268c7"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
-    Row("scenario package lines", lines("scenarios/"), "<= 2009", "220a13f"),
-    Row("link actuation lines", lines(ACTUATION), "<= 2727", "220a13f"),
+    Row("scenario package lines", lines("scenarios/"), "<= 2011", "fa268c7"),
+    Row("link actuation lines", lines(ACTUATION), "<= 2738", "fa268c7"),
     Row("link writes outside sim/links.py", link_writes, "== 0", "2ad1543"),
     Row("cli + sweep + compare lines", lines(CLI)),
     Row("allocator lines", lines(ALLOCATOR), "<= 915", "8e35007"),
@@ -273,6 +280,9 @@ ROWS = [
     # links are RanSub's parent_conn / child_conns, with no mirror.
     Row("core/bullet_prime.py lines", lines(BULLET_PRIME), "<= 928", "6dffae9"),
     Row("quarantine and tree-link mirror words", QUARANTINE, "== 0", "6dffae9"),
+    # The builders hand per-pair columns to CoreLinks, which makes each
+    # core link on first use: its _build is the one core Link( site.
+    Row("core-link Link( sites", CORE_LINK_SITES, "== 1", "fa268c7"),
 ]
 
 
