@@ -13,11 +13,10 @@ without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
 death through its own failure detectors.  Every actuator therefore calls
 :meth:`FaultInjector.arm` first, and the **first** call arms detection
-network-wide through each node's ``arm_detection`` hook.  The injector
-schedules each timed fault's undo (``schedule_restart``, ``partition``,
-``degrade_node``, ``flake_node``).  Fault-free runs (and a ``chaos``
-scenario with rate 0) never arm anything, which is what keeps their
-event timelines bit-identical to the legacy golden matrix.
+network-wide through each node's ``arm_detection`` hook; a timed fault
+schedules its own undo.  Fault-free runs (and a ``chaos`` scenario with
+rate 0) never arm anything, which is what keeps their event timelines
+bit-identical to the legacy golden matrix.
 
 *Gray* failures — fail-slow nodes (:meth:`FaultInjector.degrade_node`),
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and

@@ -98,9 +98,7 @@ class CorrelatedDecreases(Scenario):
         nodes = list(ctx.topology.nodes)
         for wait in every(ctx.sim, self.period, self.start, self.stop):
             yield wait
-            victims = rng.sample(
-                nodes, max(1, int(len(nodes) * self.victim_fraction))
-            )
+            victims = rng.sample(nodes, max(1, int(len(nodes) * self.victim_fraction)))
             cut = []
             for victim in victims:
                 others = [n for n in nodes if n != victim]
@@ -229,9 +227,7 @@ class Oscillate(Scenario):
 
     def validate(self):
         if self.low > self.high:
-            raise ValueError(
-                f"need low <= high, got low={self.low} high={self.high}"
-            )
+            raise ValueError(f"need low <= high, got low={self.low} high={self.high}")
 
     def script(self, ctx):
         sim = ctx.sim

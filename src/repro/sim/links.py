@@ -28,15 +28,14 @@ of a flow it creates).  A row that names ``"*"`` and whose only write is
 a :class:`ScaleColumn` ``scale`` — an immutable per-link column such as
 one oscillation tick — is written at once only to the observed links,
 with the usual product, equality skip and callback.  For the other
-links, built or not, its column is appended to the topology's
-:class:`ScaleLog`; each built one keeps a cursor into that log, and a
-link built later starts at the first column.  A deferred link replays
-the columns logged since its cursor — the same multiplications in the
-same order, firing no callback, as none would have fired — the first
-time its capacity is read through ``Link.capacity``, another row writes
-its capacity, or it becomes observed.  The allocator reads ``_capacity``
-directly, which is safe: it reads only links that carry a flow, and
-those are observed.
+links its column is appended to the topology's :class:`ScaleLog`; each
+keeps a cursor into it (a link built late starts at 0).  A deferred link
+replays the columns logged since its cursor — the same multiplications
+in the same order, firing no callback, as none would have fired — the
+first time its capacity is read through ``Link.capacity``, another row
+writes its capacity, or it becomes observed.  The allocator reads
+``_capacity`` directly, which is safe: it reads only links that carry a
+flow, and those are observed.
 """
 
 from bisect import insort
@@ -103,12 +102,9 @@ class ScaleLog:
     """A topology's deferred :class:`ScaleColumn` rows.
 
     ``rows`` holds the column of each deferred row, in apply order.  At
-    the first one, ``index_core`` takes the topology's core links
-    (:class:`~repro.sim.topology.CoreLinks`, each link at its key
-    position ``link._pos``) and the sorted positions of the built links
-    that are ``observed``, so a row walks only the observed links;
-    observing a link inserts its position.  A link built later enrolls
-    unobserved, at cursor 0.
+    the first one, ``index_core`` takes ``topology.core`` and enrolls its
+    built links; ``observed`` holds the sorted key positions (``_pos``)
+    of the observed ones, so a row walks only those.
     """
 
     __slots__ = ("rows", "core", "observed")
@@ -125,8 +121,7 @@ class ScaleLog:
             self.enroll(link)
 
     def enroll(self, link):
-        """Follow ``link`` from cursor 0: unobserved, it has missed every
-        logged column (a link built late was unobserved all along)."""
+        """Follow ``link`` from cursor 0 (built late, it missed every row)."""
         link._log = self
         if link._on_capacity_change is None:
             link._cursor = 0
@@ -142,8 +137,7 @@ class ScaleLog:
 
 def _catch_up(link):
     """Replay the columns logged since ``link``'s cursor (no callback)."""
-    log = link._log
-    rows = log.rows
+    rows = link._log.rows
     if link._cursor == len(rows):
         return
     columns = rows[link._cursor :]
@@ -318,13 +312,12 @@ class Link:
         self._alloc_epoch = -1
         self._alloc_remaining = 0.0
         self._alloc_unfrozen = 0
-        #: The topology's :class:`ScaleLog` once it has indexed this
-        #: link, and the index of the first logged column not yet
-        #: applied to it; the cursor is None while the link is observed
-        #: (or before the first deferred row): nothing is pending then.
+        #: The topology's :class:`ScaleLog` once it has enrolled this
+        #: link, the index of the first logged column not yet applied to
+        #: it (None while observed, or before the first deferred row:
+        #: nothing is pending then), and its key position in the core.
         self._log = None
         self._cursor = None
-        #: The link's key position in ``topology.core`` (None off the core).
         self._pos = None
 
     @property

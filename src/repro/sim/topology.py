@@ -27,7 +27,6 @@ figure turns are declared once, as ``Param`` rows on the builder
 
 import functools
 from array import array
-from bisect import bisect_left
 from collections.abc import Mapping
 
 from repro.common.params import Param
@@ -72,36 +71,25 @@ class CoreLinks(Mapping):
     pair in key order, drawn at build time.  A link is built from its
     columns the first time ``core[pair]`` (``get``, ``values``,
     ``items``) asks for it; ``len``, iteration over the keys and ``in``
-    build nothing.  Without columns the keys are the pairs
-    :meth:`Topology.add_core` adds.  ``links[i]`` is the link at key
-    position ``i`` (None until built), and each link stores ``i`` as
-    its ``_pos``: the index a :class:`~repro.sim.links.ScaleColumn`
-    gives it.  A link built after the topology's :class:`ScaleLog`
-    indexed the core enrolls in the log at cursor 0, so it replays
-    every logged column, as it would have if it had been built first.
+    build nothing.  ``links[i]`` is the link at key position ``i``
+    (None until built), and each link stores ``i`` as its ``_pos``: the
+    index a :class:`~repro.sim.links.ScaleColumn` gives it.  A link
+    built after the topology's :class:`ScaleLog` indexed the core
+    enrolls in the log at cursor 0, so it replays every logged column,
+    as it would have if it had been built first.
     """
 
-    __slots__ = ("links", "_log", "_nodes", "_rank", "_columns", "_pairs")
+    __slots__ = ("links", "_log", "_nodes", "_rank", "_columns")
 
-    def __init__(self, nodes, log, columns=None):
+    def __init__(self, nodes, log, columns):
         self._log = log
         self._nodes = sorted(nodes)
         self._rank = {node: i for i, node in enumerate(self._nodes)}
         self._columns = columns
-        #: The added keys in key order (None: every ordered pair).
-        self._pairs = [] if columns is None else None
-        size = len(self._nodes) * (len(self._nodes) - 1)
-        self.links = [] if columns is None else [None] * size
+        self.links = [None] * (len(self._nodes) * (len(self._nodes) - 1))
 
     def _position(self, pair):
         """``pair``'s key position, or None if it is no key."""
-        pairs = self._pairs
-        if pairs is not None:
-            try:
-                i = bisect_left(pairs, pair)
-            except TypeError:
-                return None
-            return i if i < len(pairs) and pairs[i] == pair else None
         try:
             src, dst = map(self._rank.__getitem__, pair)
         except (KeyError, TypeError, ValueError):
@@ -137,24 +125,11 @@ class CoreLinks(Mapping):
         return len(self.links)
 
     def __iter__(self):
-        return iter(_ordered_pairs(self._nodes) if self._pairs is None else self._pairs)
+        return _ordered_pairs(self._nodes)
 
     def built(self):
         """The links built so far, in key order."""
         return [link for link in self.links if link is not None]
-
-    def add(self, src, dst, link):
-        """Add (or replace) the link of ``(src, dst)``: no columns only."""
-        if self._pairs is None or self._log.core is not None:
-            raise ValueError("add_core: a topology without columns, no deferred row")
-        pair = (src, dst)
-        i = bisect_left(self._pairs, pair)
-        if self._pairs[i : i + 1] != [pair]:
-            self._pairs.insert(i, pair)
-            self.links.insert(i, None)
-        self.links[i] = link
-        for j in range(i, len(self.links)):
-            self.links[j]._pos = j
 
 
 def _ordered_pairs(nodes):
@@ -165,15 +140,15 @@ def _ordered_pairs(nodes):
 class Topology:
     """A set of node ids plus per-ordered-pair paths of links.
 
-    ``core`` is a :class:`CoreLinks`.  A full-mesh builder passes its
-    per-pair ``columns`` (see there), and a core link is built the first
+    ``core`` is a :class:`CoreLinks` of the per-pair ``columns`` a
+    full-mesh builder passes (see there); a core link is built the first
     time something asks for it: a path, a row naming it, ``uplinks``.
     Enumerating ``core``'s links (``values()``, ``items()``,
     ``ScenarioContext.core_links()``, a ``"*"`` row written at once)
     builds every one of them; ``len(core)`` and its keys build none.
     """
 
-    def __init__(self, nodes, columns=None):
+    def __init__(self, nodes, columns):
         self.nodes = list(nodes)
         self._node_set = set(self.nodes)
         #: node -> outbound access link (may be None)
@@ -182,8 +157,7 @@ class Topology:
         self.access_down = {}
         #: Rows deferred on unobserved links (see :mod:`repro.sim.links`).
         self.scale_log = ScaleLog()
-        #: (src, dst) -> core link (required for every ordered pair that
-        #: will communicate)
+        #: (src, dst) -> core link, one for every ordered pair
         self.core = CoreLinks(self.nodes, self.scale_log, columns)
 
     #: ``topology.apply(rows)``: write link-condition rows, get back the
@@ -193,9 +167,6 @@ class Topology:
     def add_access(self, node, up, down):
         self.access_up[node] = up
         self.access_down[node] = down
-
-    def add_core(self, src, dst, link):
-        self.core.add(src, dst, link)
 
     def path(self, src, dst):
         """Ordered links a flow from ``src`` to ``dst`` traverses."""
@@ -207,10 +178,7 @@ class Topology:
         up = self.access_up.get(src)
         if up is not None:
             links.append(up)
-        core = self.core.get((src, dst))
-        if core is None:
-            raise KeyError(f"no core link {src!r}->{dst!r}")
-        links.append(core)
+        links.append(self.core[(src, dst)])
         down = self.access_down.get(dst)
         if down is not None:
             links.append(down)
@@ -233,8 +201,8 @@ class Topology:
         up = self.access_up.get(node)
         if up is not None:
             return [up]
-        pairs = [(node, other) for other in sorted(self.nodes)]
-        return [self.core[pair] for pair in pairs if pair in self.core]
+        others = [other for other in sorted(self.nodes) if other != node]
+        return [self.core[node, other] for other in others]
 
     def downlinks(self, node):
         """Links carrying ``node``'s *inbound* traffic (mirror of
@@ -242,8 +210,8 @@ class Topology:
         down = self.access_down.get(node)
         if down is not None:
             return [down]
-        pairs = [(other, node) for other in sorted(self.nodes)]
-        return [self.core[pair] for pair in pairs if pair in self.core]
+        others = [other for other in sorted(self.nodes) if other != node]
+        return [self.core[other, node] for other in others]
 
     def __repr__(self):
         return f"Topology(n={len(self.nodes)}, core_links={len(self.core)})"

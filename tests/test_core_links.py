@@ -12,13 +12,7 @@ import pytest
 
 from repro.harness.experiment import run_experiment
 from repro.harness.registry import SCENARIOS, SYSTEMS
-from repro.sim.links import Link
-from repro.sim.topology import (
-    Topology,
-    mesh_topology,
-    planetlab_like_topology,
-    star_topology,
-)
+from repro.sim.topology import mesh_topology, planetlab_like_topology, star_topology
 
 N = 8
 NB = 16
@@ -87,18 +81,3 @@ def test_links_are_positioned_in_key_order():
     assert [link._pos for link in links] == list(range(20))
     assert topology.core.links == links
 
-
-def test_added_core_links_keep_key_order():
-    topology = Topology(["a", "b", "c"])
-    for src, dst in [("c", "a"), ("a", "b"), ("b", "c")]:
-        topology.add_core(src, dst, Link(f"{src}{dst}", 1.0))
-    core = topology.core
-    assert list(core) == [("a", "b"), ("b", "c"), ("c", "a")]
-    assert [link._pos for link in core.values()] == [0, 1, 2]
-    assert ("a", "c") not in core and core.get(("a", "c")) is None
-    assert [link.name for link in topology.uplinks("b")] == ["bc"]
-    topology.add_core("a", "b", Link("ab2", 1.0))
-    assert [link.name for link in core.values()] == ["ab2", "bc", "ca"]
-    # A full mesh's links come from its columns only.
-    with pytest.raises(ValueError, match="without columns"):
-        mesh_topology(3).add_core(0, 1, Link("01", 1.0))

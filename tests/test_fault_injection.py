@@ -101,7 +101,6 @@ class TestTreeRepair:
         assert result.summary()["perf"]["fd_rejoins"] > 0
         assert seen and min(seen) >= 0.0
 
-
     @pytest.mark.parametrize("nodes,blocks,seed", [(8, 128, 4), (12, 24, 11)])
     def test_a_timed_out_reattach_to_the_root_is_retried(self, nodes, blocks, seed):
         # A node whose re-attach to the root timed out used to stay off

@@ -7,7 +7,6 @@ import pytest
 
 from repro.common.units import MBPS, MS
 from repro.sim.engine import Simulator
-from repro.sim.links import Link
 from repro.sim.tcp import FlowNetwork
 from repro.sim.topology import Topology, mesh_topology, star_topology
 from repro.sim.transport import MESSAGE_HEADER_BYTES, Connection, Message, Network
@@ -15,11 +14,9 @@ from repro.sim.transport import MESSAGE_HEADER_BYTES, Connection, Message, Netwo
 
 def _two_node_net(core_bw=2 * MBPS, delay=10 * MS, loss=0.0):
     sim = Simulator()
-    topo = Topology([0, 1])
+    topo = Topology([0, 1], (core_bw, delay, loss))
     for n in (0, 1):
         topo.add_access(n, None, None)
-    topo.add_core(0, 1, Link("c01", core_bw, delay, loss))
-    topo.add_core(1, 0, Link("c10", core_bw, delay, loss))
     net = Network(sim, topo, FlowNetwork(sim), random.Random(0))
     return sim, net
 
