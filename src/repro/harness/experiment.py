@@ -149,7 +149,7 @@ def run_experiment(
     Parameters
     ----------
     topology:
-        A :class:`repro.sim.topology.Topology`.
+        A :class:`repro.sim.topology.Topology` that served no run yet.
     node_factory:
         Called as ``node_factory(network, tree, source_id, trace)`` and
         must return ``{node_id: protocol}`` with ``start()`` methods.
@@ -194,6 +194,9 @@ def run_experiment(
     """
     if not watchdog_window > 0:
         raise ValueError(f"watchdog window must be > 0, got {watchdog_window}")
+    if topology.served:  # its links keep the first run's state and callbacks
+        raise ValueError(f"{topology!r} already served a run; build a fresh topology")
+    topology.served = True
     sim = Simulator()
     flows = FlowNetwork(sim, model=_resolve_flow_model(flow_model))
     network = Network(
@@ -267,11 +270,10 @@ def run_experiment(
         return False
 
     sim.schedule_periodic(CHECK_PERIOD, check_done)
-    # The hot objects (timers, messages) and closed connection pairs
-    # are freed by reference counting, so cyclic garbage accrues only
-    # from slow structures.  Suspending the collector for the run
-    # avoids generational scans over millions of live tuples;
-    # lifetimes, and therefore results, are unaffected.
+    # Timers and messages die by reference counting; the rest of the
+    # run is one cyclic graph, live until the result is dropped.  So the
+    # collector is suspended for the run (no scans over millions of live
+    # objects; results are unaffected), and reduce_cell frees the graph.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

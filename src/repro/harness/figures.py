@@ -12,17 +12,19 @@ checks the paper's orderings on each figure over several seeds.
 Figures 4-14 are sweep specs plus reducers: each builds a
 :class:`~repro.harness.sweep.SweepSpec` from its scale arguments — the
 figure's variants are ``systems`` / ``scenarios`` / ``topologies``
-entries with params — runs the cells through
-:func:`~repro.harness.sweep.execute_cell`, and reduces each result to a
-series.  Anything registered is therefore immediately plottable.
-Figure 15's Shotgun session runs its one cell through ``execute_cell`` too.
+entries with params — and reduces each cell's result to a series
+through :func:`~repro.harness.sweep.reduce_cell`, which frees the run.
+Anything registered is therefore immediately plottable.  Figure 13 and
+Figure 15's Shotgun session run their one cell through ``execute_cell``.
 """
+
+from functools import partial
 
 from repro.common.units import KiB, MBPS, MS
 from repro.core.download import ENCODING_OVERHEAD
 from repro.harness.registry import SYSTEMS
 from repro.harness.report import FigureData
-from repro.harness.sweep import SweepSpec, execute_cell
+from repro.harness.sweep import SweepSpec, execute_cell, reduce_cell
 
 __all__ = ["FIGURES", "run_figure"]
 
@@ -47,7 +49,7 @@ def _run_grid(figure, labels, *scale, samples=_receiver_times, **grids):
     fig = FigureData(figure_id, f"{title} (paper Fig. {figure_id[3:]})", reference)
     cells = _spec(*scale, **grids).expand()
     for label, cell in zip(labels, cells, strict=True):
-        fig.add_series(label, samples(cell, execute_cell(cell)))
+        fig.add_series(label, reduce_cell(cell, partial(samples, cell)))
     return fig
 
 

@@ -28,6 +28,7 @@ file and/or flag-level grids, ``--workers N``, and writes the JSONL
 store with ``--out``.
 """
 
+import gc
 import itertools
 import json
 import multiprocessing
@@ -55,6 +56,7 @@ __all__ = [
     "execute_cell",
     "golden_matrix_spec",
     "record_cell",
+    "reduce_cell",
     "run_cell",
     "run_sweep",
 ]
@@ -483,12 +485,33 @@ def execute_cell(cell, *, watchdog_window=60.0, check_invariants=False):
     )
 
 
+def reduce_cell(cell, reduce):
+    """Run one cell and return ``reduce(result)``; the run is freed first.
+
+    A run's object graph is cyclic, so only the collector frees it.  The
+    collector stays paused from the build to the end of ``reduce``, so
+    all the cell allocated is still young when the result is dropped,
+    and one young collection frees it without walking the caller's older
+    heap.  The collector's prior state is restored on every exit path.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        value = reduce(execute_cell(cell))
+        gc.collect(0)
+        return value
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_cell(cell):
     """Execute one cell; returns its plain-data record.
 
     The record carries only deterministic content (no wall-clock), so
     result stores can be compared byte for byte across runs, worker
-    counts, and machines.
+    counts, and machines.  It runs through :func:`reduce_cell`, so no
+    earlier cell's run stays in a serial sweep or a pool worker.
     """
     if isinstance(cell, dict):
         cell = SweepCell.from_dict(cell)
@@ -500,7 +523,7 @@ def run_cell(cell):
         "group": cell.group_key(),
         "seed": cell.seed,
         "cell": cell.to_dict(),
-        "summary": execute_cell(cell).summary(),
+        "summary": reduce_cell(cell, lambda result: result.summary()),
     }
 
 
@@ -517,7 +540,8 @@ def run_sweep(spec, workers=1, progress=None):
     are merged back into canonical cell order, so the result — and the
     JSONL store written from it — is bit-identical to ``workers=1``.
     ``progress`` (optional) is called as ``progress(done, total, key)``
-    after each cell completes, in completion order.
+    after each cell completes, in completion order.  Each cell's run is
+    freed once its record is made (:func:`run_cell`).
     """
     cells = spec.expand()
     workers = max(1, int(workers))

@@ -159,6 +159,8 @@ class Topology:
         self.scale_log = ScaleLog()
         #: (src, dst) -> core link, one for every ordered pair
         self.core = CoreLinks(self.nodes, self.scale_log, columns)
+        #: Set by ``run_experiment``: a topology serves one run.
+        self.served = False
 
     #: ``topology.apply(rows)``: write link-condition rows, get back the
     #: inverse rows (see :func:`repro.sim.links.apply`).

@@ -265,3 +265,24 @@ def test_fig14_is_the_system_comparison_on_the_planetlab_topology():
         times = dict(result.trace.completion_times)
         times.pop(result.source_id, None)
         assert fig.series[name] == sorted(times.values())
+
+
+def test_a_topology_serves_one_run():
+    # A second run on a used topology would find its links bound to the
+    # first run's allocator and left in the conditions it ended with.
+    builds = []
+
+    def factory(*args):
+        builds.append(args)
+        return SYSTEMS["bullet_prime"](num_blocks=8, seed=1)(*args)
+
+    topology = mesh_topology(6, seed=1)
+    first = run_experiment(topology, factory, 8, scenario="oscillate", seed=1)
+    assert first.finished and len(builds) == 1
+    with pytest.raises(ValueError, match="build a fresh topology"):
+        run_experiment(topology, factory, 8, scenario="oscillate", seed=1)
+    assert len(builds) == 1
+    again = run_experiment(
+        mesh_topology(6, seed=1), factory, 8, scenario="oscillate", seed=1
+    )
+    assert again.summary() == first.summary()

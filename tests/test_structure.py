@@ -231,8 +231,11 @@ ROWS = [
     # (sim/topology.py) adds about 60 lines, net of the eager make_core
     # closures and _full_mesh, ScaleLog's positions dict and links list
     # give way to a position on each link, the oscillation phases are
-    # an array, and run --profile counts the links built.
-    Row("src/ lines", lines(""), "<= 13171", "fa268c7"),
+    # an array, and run --profile counts the links built.  Those marked
+    # 18f8daa were set by freeing each sweep cell's run: reduce_cell
+    # (harness/sweep.py, about 20 lines with its docstring) and the
+    # check that a topology serves one run.
+    Row("src/ lines", lines(""), "<= 13201", "18f8daa"),
     Row("tests/ lines", lambda: sum(t.count("\n") for t in _sources(TESTS).values())),
     Row("paper claim rows", lambda: len(test_paper_claims.CLAIMS)),
     Row("scenario package lines", lines("scenarios/"), "<= 2009", "220a13f"),
@@ -283,6 +286,9 @@ ROWS = [
     # The builders hand per-pair columns to CoreLinks, which makes each
     # core link on first use: its _build is the one core Link( site.
     Row("core-link Link( sites", CORE_LINK_SITES, "== 1", "fa268c7"),
+    # A sweep cell's run is freed by reduce_cell's one young collection;
+    # nothing else in src/ collects, and nothing walks the whole heap.
+    Row("gc.collect( sites", grep(r"\bgc\.collect\("), "== 1", "18f8daa"),
 ]
 
 
