@@ -244,7 +244,7 @@ def _run_command(argv):
         )
         # Core links are built on first use: how many the run asked for.
         core = result.network.topology.core
-        profile["core_links_built"] = f"{len(core.built())}/{len(core)}"
+        profile["core_links_built"] = f"{len(core.built)}/{len(core)}"
     if args.json:
         doc = {
             axis.field: getattr(cell, axis.field)

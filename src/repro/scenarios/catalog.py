@@ -183,9 +183,9 @@ class Oscillate(Scenario):
     being overwritten.  Each tick is one ``"*"`` row whose ``scale`` is
     an immutable :class:`~repro.sim.links.ScaleColumn` computing those
     factors on demand (link i of the core links in key order gets phase
-    i), so ``apply`` writes it at once only to the links a flow observes
-    and defers it on the rest; a tick costs the links in use, not the
-    whole mesh.
+    i), so ``apply`` writes it at once only to the core links built so
+    far, and a link built later starts from every tick it missed; a
+    tick costs the links in use, not the whole mesh.
     """
 
     name = "oscillate"

@@ -28,6 +28,7 @@ import math
 
 from repro.common.params import Param
 from repro.scenarios.base import Scenario
+from repro.sim.links import ScaleColumn
 
 __all__ = ["TraceReplay", "read_csv_trace", "read_trace"]
 
@@ -35,6 +36,12 @@ TRACE_VERSION = 1
 
 #: Columns that write a condition; an event needs at least one.
 _WRITE_COLUMNS = ("capacity", "scale", "loss", "delay", "remove", "overlay")
+#: Each number column's domain: a value, or each element of a per-link
+#: list, must lie in it (an infinity or a NaN lies in none).
+_DOMAINS = {"t": "(-inf, inf)", "capacity": "(0, inf)", "scale": "(0, inf)"}
+_DOMAINS |= dict.fromkeys(("loss", "remove", "overlay"), "[0, 1)")
+_DOMAINS |= dict.fromkeys(("delay", "floor"), "[0, inf)")
+_NUMBERS = [Param(name, "float", 0.5, "", domain) for name, domain in _DOMAINS.items()]
 
 
 def read_csv_trace(path):
@@ -192,18 +199,27 @@ class TraceReplay(Scenario):
             events = DEMO_EVENTS
         self.events = [dict(e) for e in events]
         for event in self.events:
-            if "t" not in event or "link" not in event:
+            if event.get("t") is None or "link" not in event:
                 raise ValueError(f"trace event missing t/link: {event!r}")
             if "capacity" in event and "scale" in event:
-                raise ValueError(
-                    f"trace event cannot carry both capacity and scale: "
-                    f"{event!r}"
-                )
+                raise ValueError(f"trace event has both capacity and scale: {event!r}")
             if not any(column in event for column in _WRITE_COLUMNS):
                 raise ValueError(
                     f"trace event needs at least one of "
                     f"{'/'.join(_WRITE_COLUMNS)}: {event!r}"
                 )
+            link = event["link"]
+            if isinstance(link, str) and link != "*" and "->" not in link:
+                raise ValueError(f"trace event link {link!r} is not '*' or src->dst")
+            for param in _NUMBERS:
+                value = event.get(param.name)
+                if value is None or isinstance(value, ScaleColumn):
+                    continue
+                try:
+                    for element in value if type(value) is list else [value]:
+                        param.check(element)
+                except ValueError as exc:
+                    raise ValueError(f"trace event {event!r}: {exc}") from None
 
     def install(self, ctx):
         sim = ctx.sim

@@ -22,25 +22,19 @@ Change propagation is callback-based and split by consumer:
 network refresh the per-flow path invariants (Mathis cap, RTT, RTO) that
 were computed from these values.
 
-**Deferred rows.**  A link is *observed* once it has an
-``on_capacity_change`` callback (the flow network sets one on every link
-of a flow it creates).  A row that names ``"*"`` and whose only write is
-a :class:`ScaleColumn` ``scale`` — an immutable per-link column such as
-one oscillation tick — is written at once only to the observed links,
-with the usual product, equality skip and callback.  For the other
-links its column is appended to the topology's :class:`ScaleLog`; each
-keeps a cursor into it (a link built late starts at 0).  A deferred link
-replays the columns logged since its cursor — the same multiplications
-in the same order, firing no callback, as none would have fired — the
-first time its capacity is read through ``Link.capacity``, another row
-writes its capacity, or it becomes observed.  The allocator reads
-``_capacity`` directly, which is safe: it reads only links that carry a
-flow, and those are observed.
+**Column rows.**  A row that names ``"*"`` and whose only write is a
+:class:`ScaleColumn` ``scale`` — an immutable per-link column such as one
+oscillation tick — is written at once to every *built* core link (core
+links are built on first use, see :class:`~repro.sim.topology.CoreLinks`),
+in key order, with the usual product, equality skip and callback.  While
+some core link is unbuilt, the column is also appended to the core's
+``pending`` list, and a link built later starts from its drawn capacity
+times each pending column's factor: the same multiplications in the same
+order as if it had been built first.  Every built link's ``_capacity`` is
+therefore current; only an unbuilt link is ever behind.
 """
 
-from bisect import insort
-
-__all__ = ["Link", "ScaleColumn", "ScaleLog", "apply"]
+__all__ = ["Link", "ScaleColumn", "apply"]
 
 
 def _clamp_loss(value):
@@ -65,11 +59,11 @@ def _targets(topology, target):
 class ScaleColumn:
     """An immutable ``scale`` column, one factor per target link.
 
-    A ``"*"`` row carrying one is deferred on unobserved links (see the
-    module docstring), so its factors must not change once applied.
-    ``column[i]`` is the i-th factor, ``take(indices)`` a list of
-    several, and ``replay`` multiplies one link's capacity by a run of
-    columns; the inverse column's i-th factor is ``1.0 / column[i]``.
+    A ``"*"`` row carrying one is replayed by core links built after it
+    (see the module docstring), so its factors must not change once
+    applied.  ``column[i]`` is the i-th factor, ``take(indices)`` a list
+    of several, and ``replay`` multiplies one link's capacity by a run
+    of columns; the inverse column's i-th factor is ``1.0 / column[i]``.
     """
 
     __slots__ = ()
@@ -79,7 +73,7 @@ class ScaleColumn:
 
     def replay(self, capacity, i, columns):
         """``capacity`` times the i-th factor of each of ``columns`` (a
-        run of logged columns that starts with this one), in order."""
+        run of pending columns that starts with this one), in order."""
         for column in columns:
             capacity *= column[i]
         return capacity
@@ -98,56 +92,6 @@ class _Inverse(ScaleColumn):
         return [1.0 / f for f in self.column.take(indices)]
 
 
-class ScaleLog:
-    """A topology's deferred :class:`ScaleColumn` rows.
-
-    ``rows`` holds the column of each deferred row, in apply order.  At
-    the first one, ``index_core`` takes ``topology.core`` and enrolls its
-    built links; ``observed`` holds the sorted key positions (``_pos``)
-    of the observed ones, so a row walks only those.
-    """
-
-    __slots__ = ("rows", "core", "observed")
-
-    def __init__(self):
-        self.rows = []
-        self.core = None
-        self.observed = []
-
-    def index_core(self, core):
-        """Index the core links (``topology.core``); the log is empty."""
-        self.core = core
-        for link in core.built():
-            self.enroll(link)
-
-    def enroll(self, link):
-        """Follow ``link`` from cursor 0 (built late, it missed every row)."""
-        link._log = self
-        if link._on_capacity_change is None:
-            link._cursor = 0
-        else:
-            insort(self.observed, link._pos)
-
-    def observe(self, link):
-        """``link`` gained a capacity callback: replay what it missed."""
-        _catch_up(link)
-        link._cursor = None
-        insort(self.observed, link._pos)
-
-
-def _catch_up(link):
-    """Replay the columns logged since ``link``'s cursor (no callback)."""
-    rows = link._log.rows
-    if link._cursor == len(rows):
-        return
-    columns = rows[link._cursor :]
-    capacity = columns[0].replay(link._capacity, link._pos, columns)
-    if not capacity > 0:
-        raise ValueError(f"link {link.name}: capacity must be > 0, got {capacity}")
-    link._capacity = capacity
-    link._cursor = len(rows)
-
-
 def apply(topology, rows):
     """Write ``rows`` to ``topology``'s links; return the inverse rows.
 
@@ -158,12 +102,11 @@ def apply(topology, rows):
     ``remove`` / ``overlay`` (an independent loss process divided out
     of, then added to, the keep probability — one write), then
     ``delay``.  ``scale``, ``loss`` and ``delay`` hold one number, or a
-    list with one per link; ``scale`` may also be a
-    :class:`ScaleColumn`, and a ``"*"`` row of only such a column is
-    deferred on the unobserved links (see the module docstring); a
-    column on any other target is written at once, like a list.
+    list with one per link; ``scale`` may also be a :class:`ScaleColumn`,
+    written like a list, or, in a ``"*"`` row of only a column, to the
+    built core links and kept for the unbuilt ones (module docstring).
     Each row's inverse names the links it wrote: scale ``f`` is undone
-    by ``1.0 / f`` (a deferred column by its inverse), capacity ``c -> x``
+    by ``1.0 / f`` (a ``"*"`` column by its inverse), capacity ``c -> x``
     by scale ``c / x``, an overlay by its removal, an absolute loss or
     delay by the old value.
     """
@@ -176,23 +119,15 @@ def apply(topology, rows):
         sets_capacity = capacity is not None or scale is not None
         sets_loss = loss is not None or remove or overlay
         target = row["link"]
-        if (
-            target == "*"
-            and isinstance(scale, ScaleColumn)
-            and capacity is None
-            and floor is None
-            and not sets_loss
-            and delay is None
-        ):
-            log = topology.scale_log
-            if log.core is None:
-                log.index_core(topology.core)
-            links, observed = log.core.links, log.observed
-            for i, factor in zip(observed, scale.take(observed)):
+        lone = capacity is None and floor is None and not sets_loss and delay is None
+        if target == "*" and isinstance(scale, ScaleColumn) and lone:
+            core = topology.core
+            links, built = core.links, core.built
+            for i, factor in zip(built, scale.take(built)):
                 link = links[i]
                 link.capacity = link._capacity * factor
-            if len(observed) < len(links):
-                log.rows.append(scale)
+            if len(built) < len(links):
+                core.pending.append(scale)
             inverse.append({"link": "*", "scale": _Inverse(scale)})
             continue
         targets = _targets(topology, target)
@@ -259,15 +194,12 @@ class Link:
         "_delay",
         "_loss_rate",
         "flows",
-        "_on_capacity_change",
+        "on_capacity_change",
         "on_condition_change",
         "_cond_stamp",
         "_alloc_epoch",
         "_alloc_remaining",
         "_alloc_unfrozen",
-        "_log",
-        "_cursor",
-        "_pos",
     )
 
     def __init__(self, name, capacity, delay=0.0, loss_rate=0.0):
@@ -293,8 +225,10 @@ class Link:
         #: allocator loop; flow counts per link are small, so the O(n)
         #: insert/remove is a short C-level memmove.
         self.flows = []
-        #: See the ``on_capacity_change`` property.
-        self._on_capacity_change = None
+        #: Optional callback invoked as ``on_capacity_change(link)`` when
+        #: capacity is mutated; the flow network hooks this to trigger a
+        #: rate reallocation.
+        self.on_capacity_change = None
         #: Optional callback invoked as ``on_condition_change(link)``
         #: when loss_rate or delay is mutated; the flow network hooks
         #: this to refresh the path invariants (Mathis cap, RTT, RTO) of
@@ -312,48 +246,20 @@ class Link:
         self._alloc_epoch = -1
         self._alloc_remaining = 0.0
         self._alloc_unfrozen = 0
-        #: The topology's :class:`ScaleLog` once it has enrolled this
-        #: link, the index of the first logged column not yet applied to
-        #: it (None while observed, or before the first deferred row:
-        #: nothing is pending then), and its key position in the core.
-        self._log = None
-        self._cursor = None
-        self._pos = None
 
     @property
     def capacity(self):
-        if self._cursor is not None:
-            _catch_up(self)
         return self._capacity
 
     @capacity.setter
     def capacity(self, value):
         if not value > 0:
             raise ValueError(f"link {self.name}: capacity must be > 0, got {value}")
-        if self._cursor is not None:
-            # This write overwrites the rows still pending.
-            self._cursor = len(self._log.rows)
         if value == self._capacity:
             return
         self._capacity = value
-        if self._on_capacity_change is not None:
-            self._on_capacity_change(self)
-
-    @property
-    def on_capacity_change(self):
-        """Optional callback invoked as ``on_capacity_change(link)`` when
-        capacity is mutated; the flow network hooks this to trigger a
-        rate reallocation.  Setting one makes the link observed, which
-        first replays its deferred rows."""
-        return self._on_capacity_change
-
-    @on_capacity_change.setter
-    def on_capacity_change(self, callback):
-        # A link stays observed once observed: without a callback the
-        # eager writes fire none, which is all a deferred link would do.
-        if self._cursor is not None and callback is not None:
-            self._log.observe(self)
-        self._on_capacity_change = callback
+        if self.on_capacity_change is not None:
+            self.on_capacity_change(self)
 
     @property
     def delay(self):

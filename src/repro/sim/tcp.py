@@ -399,7 +399,7 @@ class FlowNetwork:
 
     def _capacity_changed(self, link):
         self._dirty_links.add(link)
-        # _mark_dirty inlined (every observed link, every oscillation tick).
+        # _mark_dirty inlined (every link a flow crosses, every oscillation tick).
         self._dirty = True
         if not self._realloc_scheduled:
             self._schedule_realloc()

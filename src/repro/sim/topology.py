@@ -27,13 +27,14 @@ figure turns are declared once, as ``Param`` rows on the builder
 
 import functools
 from array import array
+from bisect import insort
 from collections.abc import Mapping
 
 from repro.common.params import Param
 from repro.common.rng import split_rng
 from repro.common.stats import ordered_sum
 from repro.common.units import KBPS, MBPS, MS
-from repro.sim.links import Link, ScaleLog, apply
+from repro.sim.links import Link, apply
 
 __all__ = [
     "Topology",
@@ -72,21 +73,23 @@ class CoreLinks(Mapping):
     columns the first time ``core[pair]`` (``get``, ``values``,
     ``items``) asks for it; ``len``, iteration over the keys and ``in``
     build nothing.  ``links[i]`` is the link at key position ``i``
-    (None until built), and each link stores ``i`` as its ``_pos``: the
-    index a :class:`~repro.sim.links.ScaleColumn` gives it.  A link
-    built after the topology's :class:`ScaleLog` indexed the core
-    enrolls in the log at cursor 0, so it replays every logged column,
-    as it would have if it had been built first.
+    (None until built), the index a
+    :class:`~repro.sim.links.ScaleColumn` gives it, and ``built`` holds
+    the positions of the built links, sorted.  ``pending`` holds the
+    ``"*"`` column rows applied while some link was unbuilt: a link
+    built later starts from their product, as it would hold had it been
+    built first.
     """
 
-    __slots__ = ("links", "_log", "_nodes", "_rank", "_columns")
+    __slots__ = ("links", "built", "pending", "_nodes", "_rank", "_columns")
 
-    def __init__(self, nodes, log, columns):
-        self._log = log
+    def __init__(self, nodes, columns):
         self._nodes = sorted(nodes)
         self._rank = {node: i for i, node in enumerate(self._nodes)}
         self._columns = columns
         self.links = [None] * (len(self._nodes) * (len(self._nodes) - 1))
+        self.built = []
+        self.pending = []
 
     def _position(self, pair):
         """``pair``'s key position, or None if it is no key."""
@@ -104,11 +107,11 @@ class CoreLinks(Mapping):
         capacity, delay, loss = (
             column[i] if type(column) is array else column for column in self._columns
         )
-        link = Link(f"core{src}->{dst}", capacity, delay, loss)
-        link._pos = i
-        if self._log.core is not None:
-            self._log.enroll(link)
-        self.links[i] = link
+        pending = self.pending
+        if pending:
+            capacity = pending[0].replay(capacity, i, pending)
+        link = self.links[i] = Link(f"core{src}->{dst}", capacity, delay, loss)
+        insort(self.built, i)
         return link
 
     def __getitem__(self, pair):
@@ -127,10 +130,6 @@ class CoreLinks(Mapping):
     def __iter__(self):
         return _ordered_pairs(self._nodes)
 
-    def built(self):
-        """The links built so far, in key order."""
-        return [link for link in self.links if link is not None]
-
 
 def _ordered_pairs(nodes):
     """Every ordered pair of distinct ``nodes``, in key order."""
@@ -144,8 +143,10 @@ class Topology:
     full-mesh builder passes (see there); a core link is built the first
     time something asks for it: a path, a row naming it, ``uplinks``.
     Enumerating ``core``'s links (``values()``, ``items()``,
-    ``ScenarioContext.core_links()``, a ``"*"`` row written at once)
-    builds every one of them; ``len(core)`` and its keys build none.
+    ``ScenarioContext.core_links()``, a ``"*"`` row that is not a lone
+    scale column) builds every one of them; ``len(core)`` and its keys
+    build none.  A lone ``"*"`` scale column (an oscillation tick) is
+    written to the built links and kept in ``core.pending`` for the rest.
     """
 
     def __init__(self, nodes, columns):
@@ -155,10 +156,8 @@ class Topology:
         self.access_up = {}
         #: node -> inbound access link (may be None)
         self.access_down = {}
-        #: Rows deferred on unobserved links (see :mod:`repro.sim.links`).
-        self.scale_log = ScaleLog()
         #: (src, dst) -> core link, one for every ordered pair
-        self.core = CoreLinks(self.nodes, self.scale_log, columns)
+        self.core = CoreLinks(self.nodes, columns)
         #: Set by ``run_experiment``: a topology serves one run.
         self.served = False
 

@@ -73,11 +73,3 @@ def test_uplinks_build_only_the_node_s_own_core_links():
     assert [link.name for link in up] == [f"core0->{n}" for n in range(1, 100)]
     assert [link.name for link in down] == [f"core{n}->0" for n in range(1, 100)]
     assert _built(topology) == 198
-
-
-def test_links_are_positioned_in_key_order():
-    topology = mesh_topology(5, seed=2)
-    links = list(topology.core.values())
-    assert [link._pos for link in links] == list(range(20))
-    assert topology.core.links == links
-

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.__main__ import main
 from repro.common.units import MBPS
 from repro.harness.registry import SCENARIOS
 from repro.scenarios import (
@@ -301,6 +302,67 @@ class TestTraceReplay:
             )
         with pytest.raises(ValueError):
             TraceReplay(events=[], path="x")
+
+    @pytest.mark.parametrize(
+        "column,value,named",
+        [
+            ("t", float("nan"), "'t' must be in (-inf, inf), got nan"),
+            ("capacity", 0, "'capacity' must be in (0, inf), got 0"),
+            ("scale", [0.5, float("inf")], "'scale' must be in (0, inf), got inf"),
+            ("loss", 1.5, "'loss' must be in [0, 1), got 1.5"),
+            ("remove", 1.0, "'remove' must be in [0, 1), got 1.0"),
+            ("overlay", -0.1, "'overlay' must be in [0, 1), got -0.1"),
+            ("delay", -0.1, "'delay' must be in [0, inf), got -0.1"),
+            ("floor", -1.0, "'floor' must be in [0, inf), got -1.0"),
+            ("link", "0-1", "link '0-1' is not '*' or src->dst"),
+        ],
+        ids=["t", "capacity", "scale_list", "loss", "remove", "overlay", "delay",
+             "floor", "link"],
+    )
+    def test_a_bad_value_fails_both_verbs_before_any_cell(
+        self, column, value, named, tmp_path, capsys
+    ):
+        event = {"t": 2.0, "link": "*", "delay": 0.01, column: value}
+        with pytest.raises(ValueError) as info:
+            TraceReplay(events=[event])
+        assert named in str(info.value)
+        trace = tmp_path / "bad.json"
+        trace.write_text(json.dumps({"version": 1, "events": [event]}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "systems": ["bullet_prime"],
+                    "scenarios": [
+                        "none",
+                        {"name": "trace_replay", "params": {"path": str(trace)}},
+                    ],
+                    "nodes": [8],
+                    "blocks": [16],
+                    "seeds": [0],
+                }
+            )
+        )
+        run = ["run", "--scenario", "trace_replay", "--trace", str(trace)]
+        for argv in (
+            ["sweep", "--spec", str(spec), "--workers", "1"],
+            run + ["--nodes", "8", "--blocks", "16"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and named in captured.err
+            assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_the_values_a_trace_may_hold_pass(self):
+        # Inverse rows carry None for an absent remove / overlay, and
+        # the domains' closed ends are legal.
+        TraceReplay(
+            events=[
+                {"t": -1.0, "link": "0->1", "loss": [0.0], "remove": None},
+                {"t": 0.0, "link": "*", "scale": 1e-9, "floor": 0.0, "delay": 0.0},
+                {"t": 1, "link": "*", "overlay": 0.999999, "remove": 0},
+            ]
+        )
 
 
 class TestTraceRoundTrip:
