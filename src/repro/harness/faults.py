@@ -13,10 +13,13 @@ without notifying peers (no FINs cross the wire) and its endpoint
 black-holes handshakes, so the rest of the overlay can only learn of the
 death through its own failure detectors.  Every actuator therefore calls
 :meth:`FaultInjector.arm` first, and the **first** call arms detection
-network-wide through each node's ``arm_detection`` hook; a timed fault
-schedules its own undo.  Fault-free runs (and a ``chaos`` scenario with
-rate 0) never arm anything, which is what keeps their event timelines
-bit-identical to the legacy golden matrix.
+network-wide through each node's ``arm_detection`` hook.  The injector
+schedules nothing: a temporary fault returns its undo (an action such
+as ``("restart", node)``, or inverse link rows), and the scenario script
+that caused it takes the undo when the fault ends, through
+:func:`repro.scenarios.base.play`.  Fault-free runs (and a ``chaos``
+scenario with rate 0) never arm anything, which is what keeps their
+event timelines bit-identical to the legacy golden matrix.
 
 *Gray* failures — fail-slow nodes (:meth:`FaultInjector.degrade_node`),
 intermittently lossy links (:meth:`FaultInjector.flake_node`), and
@@ -63,7 +66,7 @@ class FaultInjector:
         self.source_id = source_id
         #: Node ids currently down (includes nodes awaiting restart).
         self.failed = set()
-        #: Node ids with a scheduled restart that has not happened yet;
+        #: Node ids with a restart due that has not happened yet;
         #: the run's stop rule does not call it complete while this is
         #: non-empty.
         self.pending_restarts = set()
@@ -126,35 +129,33 @@ class FaultInjector:
             self.network.invariants.node_crashed(node)
         return True
 
-    def schedule_restart(self, node_id, delay):
-        """Restart ``node_id`` after ``delay`` seconds of downtime.
+    def schedule_restart(self, node_id):
+        """Promise a restart of ``node_id``; returns the ``("restart",
+        node_id)`` action that keeps it, or None if one is already due.
 
         Registered immediately in ``pending_restarts`` so the harness's
         completion check cannot stop the run while the node is down —
         otherwise a fast-finishing survivor set would end the experiment
         mid-downtime and the restart would silently never happen.
         """
-        if not delay >= 0:
-            raise ValueError(f"restart delay must be >= 0, got {delay}")
         if node_id in self.pending_restarts:
-            return
+            return None
         self.pending_restarts.add(node_id)
-        self.sim.schedule(delay, self._do_restart, node_id)
-
-    def _do_restart(self, node_id):
-        self.pending_restarts.discard(node_id)
-        if node_id not in self.failed:
-            return
-        self.restart(node_id)
+        return ("restart", node_id)
 
     def restart(self, node_id):
         """Bring a crashed node back with all protocol state lost.
 
-        The endpoint is revived (handshakes complete again), a fresh
-        protocol instance replaces the dead one, detection is armed on
-        it at the run's tier, and it re-joins the overlay from scratch — re-peering and
-        resuming the download exactly like a brand-new participant.
+        Ends any restart due for it.  A node that is up is left alone
+        (returns None).  Otherwise the endpoint is revived (handshakes
+        complete again), a fresh protocol instance replaces the dead one,
+        detection is armed on it at the run's tier, and it re-joins the
+        overlay from scratch — re-peering and resuming the download
+        exactly like a brand-new participant.
         """
+        self.pending_restarts.discard(node_id)
+        if node_id not in self.failed:
+            return None
         self.network.endpoint(node_id).revive()
         node = self.nodes.rebuild(node_id)
         node.arm_detection(self.gray_armed)
@@ -171,26 +172,25 @@ class FaultInjector:
 
     # -- partition -------------------------------------------------------------
 
-    def partition(self, islands, duration, squeeze=1e-3):
-        """Split the topology into ``islands`` for ``duration`` seconds.
+    def partition(self, islands, squeeze=1e-3):
+        """Split the topology into ``islands``; returns the ``("heal",
+        rows)`` action that ends the split.
 
         ``islands`` is an iterable of node-id groups.  Every core link
         whose endpoints land in different islands is multiplicatively
         squeezed to a trickle (propagation delay is untouched, so
         handshakes still complete — the paper's partitions are capacity
-        events, not clean cuts), then healed by applying the inverse rows
+        events, not clean cuts); :meth:`heal` applies the inverse rows
         the squeeze's write returned, which composes with any concurrent
         link scenario.
 
         Only one partition may be active at a time; a second request is
-        refused (returns False) rather than stacked.
+        refused (returns None) rather than stacked.
         """
-        if not duration > 0:
-            raise ValueError(f"partition duration must be > 0, got {duration}")
         if not 0 < squeeze < 1:
             raise ValueError(f"squeeze must be in (0, 1), got {squeeze}")
         if self._partition_active:
-            return False
+            return None
         island_of = {node: i for i, group in enumerate(islands) for node in group}
         squeezed = [
             link
@@ -198,20 +198,20 @@ class FaultInjector:
             if {src, dst} <= island_of.keys() and island_of[src] != island_of[dst]
         ]
         if not squeezed:
-            return False
+            return None
         undo = self.topology.apply([{"link": squeezed, "scale": squeeze}])
         self.arm()
         self._partition_active = True
-        self.sim.schedule(duration, self._heal, undo)
-        return True
+        return ("heal", undo)
 
-    def _heal(self, undo):
+    def heal(self, undo):
+        """End the partition whose squeeze ``undo`` inverts."""
         self.topology.apply(undo)
         self._partition_active = False
 
     # -- gray failures ---------------------------------------------------------
 
-    def degrade_node(self, node_id, factor=0.25, stretch=2.0, duration=None):
+    def degrade_node(self, node_id, factor=0.25, stretch=2.0):
         """Make ``node_id`` *fail-slow*: alive, responsive, useless.
 
         The node's uplink capacity is multiplicatively squeezed to
@@ -219,9 +219,9 @@ class FaultInjector:
         concurrent link scenarios) and every one-shot protocol
         timer on the victim is stretched by ``stretch``, modeling a host
         whose process still runs but crawls (GC thrash, disk stall,
-        oversubscribed CPU).  With ``duration`` set the degradation
-        auto-restores; otherwise it holds until :meth:`restore_node`.
-        Returns False if the node is already degraded.
+        oversubscribed CPU).  It holds until :meth:`restore_node`; the
+        ``("restore_node", node_id)`` action is returned, or None if the
+        node is already degraded.
         """
         if node_id == self.source_id:
             raise ValueError("the source cannot be degraded (it is the data)")
@@ -231,10 +231,8 @@ class FaultInjector:
             raise ValueError(f"factor must be in (0, 1], got {factor}")
         if not stretch >= 1.0:
             raise ValueError(f"stretch must be >= 1, got {stretch}")
-        if duration is not None and not duration > 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
         if node_id in self.degraded:
-            return False
+            return None
         self.arm(gray=True)
         uplinks = self.topology.uplinks(node_id)
         undo = self.topology.apply([{"link": uplinks, "scale": factor}])
@@ -242,9 +240,7 @@ class FaultInjector:
         if node is not None:
             node.timer_stretch = stretch
         self.degraded[node_id] = (undo, stretch)
-        if duration is not None:
-            self.sim.schedule(duration, self.restore_node, node_id)
-        return True
+        return ("restore_node", node_id)
 
     def restore_node(self, node_id):
         """Undo :meth:`degrade_node` (idempotent; returns False if the
@@ -258,16 +254,17 @@ class FaultInjector:
             node.timer_stretch = 1.0
         return True
 
-    def flake_node(self, node_id, loss=0.9, duration=5.0, direction="both"):
-        """Open a gray-link window on ``node_id``'s access links.
+    def flake_node(self, node_id, loss=0.9, direction="both"):
+        """Open a gray-link window on ``node_id``'s access links; returns
+        the inverse rows that close it.
 
         An additional loss process of probability ``loss`` is overlaid
         (multiplicatively, clamped below 1.0 — the near-1.0 regime is an
         intermittent black hole: TCP rates collapse through the Mathis
         cap and control messages stall on retransmission timeouts) on
-        the node's uplinks, downlinks, or both per ``direction``, then
-        removed after ``duration`` seconds.  Windows on the same node
-        compose; removal divides by ``1 - loss``: restored up to float round-off.
+        the node's uplinks, downlinks, or both per ``direction``.
+        Windows on the same node compose; the inverse rows divide by
+        ``1 - loss``: restored up to float round-off.
         """
         if node_id == self.source_id:
             raise ValueError("the source cannot be flaked (it is the data)")
@@ -275,8 +272,6 @@ class FaultInjector:
             raise ValueError(f"unknown node {node_id!r}")
         if not 0.0 < loss < 1.0:
             raise ValueError(f"loss must be in (0, 1), got {loss}")
-        if not duration > 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
         if direction not in ("up", "down", "both"):
             raise ValueError(
                 f"direction must be 'up', 'down', or 'both', got {direction!r}"
@@ -287,9 +282,7 @@ class FaultInjector:
             links.extend(self.topology.uplinks(node_id))
         if direction in ("down", "both"):
             links.extend(self.topology.downlinks(node_id))
-        undo = self.topology.apply([{"link": links, "overlay": loss}])
-        self.sim.schedule(duration, self.topology.apply, undo)
-        return True
+        return self.topology.apply([{"link": links, "overlay": loss}])
 
     def arm_adversity(
         self, rng, duplicate=0.0, reorder=0.0, reorder_window=0.5, corrupt=0.0

@@ -6,7 +6,8 @@ conditions; this package is the vocabulary for scripting them.  A
 changes over time and installs into any simulation via a
 :class:`ScenarioContext`; instances are pure configuration and freely
 re-installable.  An installed scenario runs for the rest of the
-simulation: ``install`` schedules its events and returns nothing.
+simulation: ``install`` plays its script (see
+:func:`~repro.scenarios.base.play`) and returns nothing.
 
 The catalogue is registered in :data:`repro.harness.registry.SCENARIOS`;
 ``python -m repro list`` prints every scenario with its aliases, knobs

@@ -1,4 +1,4 @@
-"""Scenario base classes and the one driver of link scripts.
+"""Scenario base classes and the one driver of scenario scripts.
 
 A :class:`Scenario` is a declarative description of a dynamic-network
 condition — *what* happens to the emulated network over time — decoupled
@@ -8,9 +8,11 @@ be installed into many simulations without cross-talk.  An installed
 scenario runs for the rest of the simulation; ``install`` returns
 nothing, and a scenario's own ``stop`` knob is how its effect ends.
 
-A link scenario is a *script*, a generator of waits and link-write rows
-that :func:`play` runs (the default :meth:`Scenario.install`), so its
-rows can be checked on a bare simulator and topology.
+A scenario is a *script*, a generator of waits, link-write rows and
+fault actions that :func:`play` runs (the default
+:meth:`Scenario.install`): ``play`` is the one place a scenario's
+events are scheduled, so its rows and actions can be checked on a bare
+simulator and topology.
 
 ``install`` receives a :class:`ScenarioContext` bundling everything a
 scenario may act on: the simulator, the topology, and — when installed
@@ -86,10 +88,10 @@ class ScenarioContext:
 
     @property
     def faults(self):
-        """The run's :class:`repro.harness.faults.FaultInjector`: how a
-        scenario actuates node-level failures (never by touching
-        protocol nodes directly).  Only the experiment harness supplies
-        one; a bare link-level context refuses."""
+        """The run's :class:`repro.harness.faults.FaultInjector`, which
+        :func:`play` hands a script's fault actions (a scenario never
+        touches protocol nodes directly).  Only the experiment harness
+        supplies one; a bare link-level context refuses."""
         if self._faults is None:
             raise RuntimeError(
                 "this scenario injects node failures and needs the "
@@ -130,25 +132,32 @@ def every(sim, period, start, stop):
             yield period
 
 
-def later(delay, rows):
-    """A script that writes ``rows`` ``delay`` seconds from now (the
-    inverse rows that end a temporary change, say)."""
-    yield delay
-    yield rows
+def later(delay, step):
+    """A script that takes ``step``, rows or a fault action, ``delay``
+    seconds from now: the undo that ends a temporary change, say.  A
+    refused action's undo is None, and None is never taken."""
+    if step is not None:
+        yield delay
+        yield step
 
 
 def play(ctx, script):
     """Run ``script`` on ``ctx``: its first segment now, each later one at
     the firing it waits for.  A script yields a wait in seconds (one
-    event), or a list of rows that ``topology.apply`` writes at once,
-    resuming the script in the same instant with their inverse rows."""
+    event); a list of rows that ``topology.apply`` writes at once; or a
+    fault action ``(name, *args)`` that calls ``ctx.faults.name(*args)``.
+    Rows and actions resume the script in the same instant with what
+    they return: the inverse rows, or the action's undo."""
     apply, schedule = ctx.topology.apply, ctx.sim.schedule
+
+    def act(name, *args):
+        return getattr(ctx.faults, name)(*args)
 
     def resume():
         reply = None
         try:
-            while type(step := script.send(reply)) is list:
-                reply = apply(step)
+            while type(step := script.send(reply)) in (list, tuple):
+                reply = apply(step) if type(step) is list else act(*step)
         except StopIteration:
             return
         schedule(step, resume)
@@ -173,12 +182,11 @@ class Scenario(Configurable):
     name = "scenario"
 
     def install(self, ctx):
-        """Install this scenario into ``ctx``: apply its install-time
-        changes and schedule its events for the rest of the run."""
+        """Install this scenario into ``ctx``: :func:`play` its script."""
         play(ctx, self.script(ctx))
 
     def script(self, ctx):
-        """This installation's waits and link-write rows, for :func:`play`."""
+        """This installation's waits, rows and actions, for :func:`play`."""
         yield from ()
 
     def __repr__(self):

@@ -12,15 +12,17 @@ the standard :class:`~repro.scenarios.base.ScenarioContext` — whose
 :mod:`repro.harness.faults`): peers learn of a death only through their
 own failure detectors, which the injector arms at the first fault.
 
-All randomness derives from ``ctx.rng`` streams, and every timer is
-scheduled at install time from those draws, so a given (scenario config,
-seed) pair produces one fixed fault timeline regardless of worker count
-or protocol behavior — the property the sweep engine's bit-identity
-contract needs.
+Each fault event is a script that waits for its instant, yields a
+fault action such as ``("fail", node)`` and takes the undo it returns
+when the fault ends.  All randomness derives from ``ctx.rng`` streams,
+and every event is armed at install time from those draws, so a given
+(scenario config, seed) pair produces one fixed fault timeline
+regardless of worker count or protocol behavior — the property the
+sweep engine's bit-identity contract needs.
 """
 
 from repro.common.params import Param, with_defaults
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, later, play
 
 __all__ = [
     "Crash",
@@ -119,12 +121,13 @@ class Crash(Scenario):
             for index, node in enumerate(victims)
         ]
 
-    def _fire(self, ctx, node):
-        ctx.faults.fail(node)
+    def _strike(self, wait, node):
+        yield wait
+        yield ("fail", node)
 
     def install(self, ctx):
         for at, node in self._kill_plan(ctx):
-            ctx.sim.schedule(max(at - ctx.sim.now, 0.0), self._fire, ctx, node)
+            play(ctx, self._strike(max(at - ctx.sim.now, 0.0), node))
 
 
 class CrashRestart(Crash):
@@ -147,9 +150,10 @@ class CrashRestart(Crash):
         ),
     )
 
-    def _fire(self, ctx, node):
-        ctx.faults.fail(node)
-        ctx.faults.schedule_restart(node, self.down_time)
+    def _strike(self, wait, node):
+        yield from super()._strike(wait, node)
+        restart = yield ("schedule_restart", node)
+        yield from later(self.down_time, restart)
 
 
 class Partition(Scenario):
@@ -196,7 +200,8 @@ class Partition(Scenario):
         Param("seed", "int", None, "override the experiment seed for island choice"),
     )
 
-    def _split(self, ctx):
+    def script(self, ctx):
+        yield self.start
         rng = ctx.rng(self.name, self.seed)
         pool = list(ctx.receivers)
         if len(pool) < 2:
@@ -207,10 +212,8 @@ class Partition(Scenario):
             groups[index % len(groups)].append(node)
         if ctx.source_id is not None:
             groups[0].append(ctx.source_id)
-        ctx.faults.partition([g for g in groups if g], self.duration, self.squeeze)
-
-    def install(self, ctx):
-        ctx.sim.schedule(self.start, self._split, ctx)
+        heal = yield ("partition", [g for g in groups if g], self.squeeze)
+        yield from later(self.duration, heal)
 
 
 class Chaos(Scenario):
@@ -327,10 +330,11 @@ class Chaos(Scenario):
         end = self.start + self.duration
         while at < end:
             kind = rng.choices(kinds, weights)[0]
-            ctx.sim.schedule(at, self._fire, ctx, rng, kind)
+            play(ctx, self._event(ctx, rng, at, kind))
             at += rng.expovariate(self.rate)
 
-    def _fire(self, ctx, rng, kind):
+    def _event(self, ctx, rng, at, kind):
+        yield at
         faults = ctx.faults
         live = faults.live_receivers()
         if kind == "partition":
@@ -342,13 +346,10 @@ class Chaos(Scenario):
             near = pool[half:]
             if ctx.source_id is not None:
                 near = near + [ctx.source_id]
-            ctx.faults.partition(
-                [near, pool[:half]], self.partition_duration, self.squeeze
-            )
-            return
-        if len(live) < 2:
-            return  # never take out (or gray) the last live receiver
-        self._hit(ctx, kind, rng.choice(live), rng)
+            heal = yield ("partition", [near, pool[:half]], self.squeeze)
+            yield from later(self.partition_duration, heal)
+        elif len(live) >= 2:  # never take out (or gray) the last live receiver
+            yield from self._hit(ctx, kind, rng.choice(live), rng)
 
     def _hit(self, ctx, kind, victim, rng):
         """Strike ``victim`` with a ``kind`` event (not a partition)."""
@@ -357,9 +358,10 @@ class Chaos(Scenario):
             dead_after = len(faults.permanently_failed()) + 1
             if dead_after > self.max_dead_fraction * len(ctx.receivers):
                 kind = "restart"  # cap reached: demote to a transient
-        faults.fail(victim)
+        yield ("fail", victim)
         if kind == "restart":
-            faults.schedule_restart(victim, self.down_time)
+            restart = yield ("schedule_restart", victim)
+            yield from later(self.down_time, restart)
 
 
 class FailSlow(Scenario):
@@ -423,13 +425,11 @@ class FailSlow(Scenario):
         Param("seed", "int", None, "override the experiment seed for victim choice"),
     )
 
-    def _fire(self, ctx, node):
-        ctx.faults.degrade_node(
-            node,
-            factor=self.factor,
-            stretch=self.stretch,
-            duration=self.duration,
-        )
+    def _degrade(self, at, node):
+        yield at
+        restore = yield ("degrade_node", node, self.factor, self.stretch)
+        if self.duration is not None:
+            yield from later(self.duration, restore)
 
     def install(self, ctx):
         if self.fraction <= 0 and not self.count:
@@ -437,7 +437,7 @@ class FailSlow(Scenario):
         rng = ctx.rng(self.name, self.seed)
         victims = _pick_victims(ctx, rng, self.fraction, self.count)
         for index, node in enumerate(victims):
-            ctx.sim.schedule(self.start + index * self.stagger, self._fire, ctx, node)
+            play(ctx, self._degrade(self.start + index * self.stagger, node))
 
 
 class Flaky(Scenario):
@@ -497,10 +497,10 @@ class Flaky(Scenario):
         Param("seed", "int", None, "override the experiment seed for the schedule"),
     )
 
-    def _fire(self, ctx, node, direction):
-        ctx.faults.flake_node(
-            node, loss=self.loss, duration=self.window, direction=direction
-        )
+    def _window(self, at, node, direction):
+        yield at
+        rows = yield ("flake_node", node, self.loss, direction)
+        yield from later(self.window, rows)
 
     def install(self, ctx):
         if self.loss <= 0 or (self.fraction <= 0 and not self.count):
@@ -516,7 +516,7 @@ class Flaky(Scenario):
                     if self.direction == "random"
                     else self.direction
                 )
-                ctx.sim.schedule(at, self._fire, ctx, node, direction)
+                play(ctx, self._window(at, node, direction))
                 at += self.window + rng.expovariate(1.0 / self.gap)
 
 
@@ -537,14 +537,10 @@ _ADVERSITY_PARAMS = (
 )
 
 
-def _arm_adversity(scenario, ctx, rng):
-    ctx.faults.arm_adversity(
-        rng,
-        duplicate=scenario.duplicate,
-        reorder=scenario.reorder,
-        reorder_window=scenario.reorder_window,
-        corrupt=scenario.corrupt,
-    )
+def _adversity(scenario, rng):
+    """The ``arm_adversity`` action of ``scenario``'s rates."""
+    rates = (scenario.duplicate, scenario.reorder, scenario.reorder_window)
+    return ("arm_adversity", rng, *rates, scenario.corrupt)
 
 
 class Adversarial(Scenario):
@@ -580,9 +576,9 @@ class Adversarial(Scenario):
         if self.duplicate <= 0 and self.reorder <= 0 and self.corrupt <= 0:
             return
         rng = ctx.rng(self.name, self.seed)
-        ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
+        play(ctx, later(self.start, _adversity(self, rng)))
         if self.stop is not None:
-            ctx.sim.schedule(self.stop, lambda: ctx.faults.disarm_adversity())
+            play(ctx, later(self.stop, ("disarm_adversity",)))
 
 
 class GrayChaos(Chaos):
@@ -662,22 +658,15 @@ class GrayChaos(Chaos):
             # A dedicated stream: the adversity draws per delivered
             # message and must not perturb the fault timeline's draws.
             rng = ctx.rng(f"{self.name}.adversity", self.seed)
-            ctx.sim.schedule(self.start, _arm_adversity, self, ctx, rng)
+            play(ctx, later(self.start, _adversity(self, rng)))
 
     def _hit(self, ctx, kind, victim, rng):
         if kind == "degrade":
-            ctx.faults.degrade_node(
-                victim,
-                factor=self.degrade_factor,
-                stretch=self.stretch,
-                duration=self.degrade_duration,
-            )
+            restore = yield ("degrade_node", victim, self.degrade_factor, self.stretch)
+            yield from later(self.degrade_duration, restore)
         elif kind == "flake":
-            ctx.faults.flake_node(
-                victim,
-                loss=self.flake_loss,
-                duration=self.flake_window,
-                direction=rng.choice(("up", "down", "both")),
-            )
+            direction = rng.choice(("up", "down", "both"))
+            rows = yield ("flake_node", victim, self.flake_loss, direction)
+            yield from later(self.flake_window, rows)
         else:
-            super()._hit(ctx, kind, victim, rng)
+            yield from super()._hit(ctx, kind, victim, rng)

@@ -27,7 +27,7 @@ import json
 import math
 
 from repro.common.params import Param
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, later, play
 from repro.sim.links import ScaleColumn
 
 __all__ = ["TraceReplay", "read_csv_trace", "read_trace"]
@@ -221,13 +221,11 @@ class TraceReplay(Scenario):
                 except ValueError as exc:
                     raise ValueError(f"trace event {event!r}: {exc}") from None
 
-    def install(self, ctx):
-        sim = ctx.sim
-        apply = ctx.topology.apply
-        origin = sim.now
+    def script(self, ctx):
+        origin = ctx.sim.now
         for event in sorted(self.events, key=lambda e: e["t"]):
-            at = origin + event["t"] * self.time_scale
-            if at <= sim.now:
-                apply([event])
+            wait = event["t"] * self.time_scale
+            if origin + wait <= origin:  # too small to move the clock: now
+                yield [event]
             else:
-                sim.schedule_at(at, apply, [event])
+                play(ctx, later(wait, [event]))

@@ -325,15 +325,17 @@ class TestInjectorValidation:
         with pytest.raises(ValueError, match="unknown"):
             self._injector().fail(99)
 
-    def test_negative_restart_delay_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            self._injector().schedule_restart(1, -1.0)
+    def test_a_restart_is_promised_once(self):
+        # The delay is the scenario's down_time knob, checked by its domain.
+        injector = self._injector()
+        assert injector.schedule_restart(1) == ("restart", 1)
+        assert injector.schedule_restart(1) is None
+        assert injector.pending_restarts == {1}
 
-    def test_partition_duration_and_squeeze_validated(self):
-        with pytest.raises(ValueError, match="duration"):
-            self._injector().partition([[1], [2]], duration=0.0)
+    def test_partition_squeeze_validated(self):
+        # The duration is the scenario's knob, checked by its domain.
         with pytest.raises(ValueError, match="squeeze"):
-            self._injector().partition([[1], [2]], duration=5.0, squeeze=1.5)
+            self._injector().partition([[1], [2]], squeeze=1.5)
 
 
 class TestArming:

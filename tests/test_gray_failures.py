@@ -20,6 +20,8 @@ from repro.harness.experiment import run_experiment
 from repro.harness.faults import FaultInjector
 from repro.harness.registry import SCENARIOS
 from repro.harness.systems import bullet_prime_factory
+from repro.scenarios import ScenarioContext
+from repro.scenarios.base import later, play
 from repro.scenarios.failures import Adversarial, FailSlow, Flaky, GrayChaos
 from repro.sim.engine import Simulator
 from repro.sim.topology import mesh_topology
@@ -138,11 +140,11 @@ class TestInjectorActuators:
         sim, topology, injector = self._injector()
         link = topology.access_up[2]
         before = link.capacity
-        assert injector.degrade_node(2, factor=0.25) is True
+        assert injector.degrade_node(2, factor=0.25) == ("restore_node", 2)
         assert link.capacity == pytest.approx(before * 0.25)
         assert injector.gray_armed
         # Double-degrade refused; restore is exact up to float round-off.
-        assert injector.degrade_node(2) is False
+        assert injector.degrade_node(2) is None
         assert injector.restore_node(2) is True
         assert link.capacity == pytest.approx(before)
         assert injector.restore_node(2) is False
@@ -151,7 +153,8 @@ class TestInjectorActuators:
         sim, topology, injector = self._injector()
         up = topology.access_up[2]
         down = topology.access_down[2]
-        injector.flake_node(2, loss=0.5, duration=5.0, direction="both")
+        ctx = ScenarioContext(sim, topology, source_id=0, faults=injector)
+        play(ctx, later(5.0, injector.flake_node(2, loss=0.5, direction="both")))
         assert up.loss_rate > 0.0 and down.loss_rate > 0.0
         sim.run(until=6.0)
         assert up.loss_rate == pytest.approx(0.0)
@@ -161,11 +164,8 @@ class TestInjectorActuators:
         "act",
         [
             lambda injector: injector.flake_node(2, loss=1.0),
-            lambda injector: injector.flake_node(2, duration=NAN),
             lambda injector: injector.partition([[0, 1], [2, 3]], NAN),
-            lambda injector: injector.degrade_node(2, duration=NAN),
             lambda injector: injector.degrade_node(2, stretch=NAN),
-            lambda injector: injector.schedule_restart(2, NAN),
             lambda injector: injector.arm_adversity(random.Random(1), duplicate=1.5),
             lambda injector: injector.arm_adversity(
                 random.Random(1), reorder_window=NAN
@@ -173,11 +173,8 @@ class TestInjectorActuators:
         ],
         ids=[
             "flake_total_loss",
-            "flake_nan_duration",
-            "partition_nan_duration",
-            "degrade_nan_duration",
+            "partition_nan_squeeze",
             "degrade_nan_stretch",
-            "restart_nan_delay",
             "adversity_duplicate_1.5",
             "adversity_nan_reorder_window",
         ],

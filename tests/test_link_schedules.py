@@ -39,6 +39,7 @@ from repro.scenarios import (
     TraceReplay,
     compose,
 )
+from repro.scenarios.base import later, play
 from repro.sim.engine import Simulator
 from repro.sim.links import Link
 from repro.sim.tcp import FlowNetwork
@@ -135,25 +136,37 @@ SCENARIO_CASES = {
 }
 
 
-def _partition(sim, injector):
-    injector.partition([[0, 1, 2, 3], [4, 5, 6, 7]], duration=3.0)
-    injector.partition([[0], [1]], duration=1.0)  # refused: one at a time
-    sim.schedule(5.0, injector.partition, [[0], [1, 2, 3, 4, 5, 6, 7]], 2.0)
+def _partition(ctx):
+    heal = yield ("partition", [[0, 1, 2, 3], [4, 5, 6, 7]])
+    play(ctx, later(3.0, heal))
+    assert (yield ("partition", [[0], [1]])) is None  # refused: one at a time
+    yield 5.0
+    heal = yield ("partition", [[0], [1, 2, 3, 4, 5, 6, 7]])
+    yield from later(2.0, heal)
 
 
-def _degrade(sim, injector):
-    injector.degrade_node(2, factor=0.25, duration=3.0)
-    injector.degrade_node(3, factor=0.5)
-    sim.schedule(4.0, injector.restore_node, 3)
+def _degrade(ctx):
+    restore = yield ("degrade_node", 2, 0.25)
+    play(ctx, later(3.0, restore))
+    yield ("degrade_node", 3, 0.5)
+    yield from later(4.0, ("restore_node", 3))
 
 
-def _flake(sim, injector):
-    injector.flake_node(2, loss=0.5, duration=3.0)
-    sim.schedule(1.0, injector.flake_node, 2, 0.3, 1.0, "up")
-    injector.flake_node(4, loss=0.9, duration=2.0, direction="down")
+def _window(wait, node, loss, direction, hold):
+    yield wait
+    rows = yield ("flake_node", node, loss, direction)
+    yield from later(hold, rows)
 
 
-#: case -> (actuation on a fault injector, seconds to run).
+def _flake(ctx):
+    rows = yield ("flake_node", 2, 0.5, "both")
+    play(ctx, later(3.0, rows))
+    play(ctx, _window(1.0, 2, 0.3, "up", 1.0))
+    rows = yield ("flake_node", 4, 0.9, "down")
+    yield from later(2.0, rows)
+
+
+#: case -> (fault script played with a fault injector, seconds to run).
 FAULT_CASES = {
     "partition": (_partition, 10.0),
     "degrade_node": (_degrade, 6.0),
@@ -189,13 +202,14 @@ def _install(case, sim, topology):
         build, until = SCENARIO_CASES[case]
         build().install(ScenarioContext(sim, topology, source_id=0, seed=1))
         return until
-    actuate, until = FAULT_CASES[case]
+    script, until = FAULT_CASES[case]
     network = Network(sim, topology, FlowNetwork(sim), random.Random(0))
     tree = build_random_tree(topology.nodes, root=0, fanout=4, seed=1)
     trace = TraceCollector(sim, num_blocks=4)
     nodes = bullet_prime_factory(num_blocks=4, seed=1)(network, tree, 0, trace)
-    injector = FaultInjector(sim, network, topology, nodes, trace, 0)
-    actuate(sim, injector)
+    faults = FaultInjector(sim, network, topology, nodes, trace, 0)
+    ctx = ScenarioContext(sim, topology, source_id=0, seed=1, faults=faults)
+    play(ctx, script(ctx))
     return until
 
 

@@ -11,6 +11,7 @@ runs to a verdict).
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,19 @@ PARAMS = [
     for registry in (SYSTEMS, SCENARIOS, FLOW_MODELS, TOPOLOGIES)
     for name, entry in registry.items()
     for param in entry.params
+]
+
+#: The scenario knobs that time how long a fault holds.  The fault
+#: injector takes no duration, so each knob's domain is its one check.
+DURATION_KNOBS = [
+    ("partition", "duration"),
+    ("chaos", "partition_duration"),
+    ("chaos", "down_time"),
+    ("crash_restart", "down_time"),
+    ("fail_slow", "duration"),
+    ("flaky", "window"),
+    ("gray_chaos", "degrade_duration"),
+    ("gray_chaos", "flake_window"),
 ]
 
 #: The spec field whose entries carry each registry's knobs.
@@ -136,12 +150,15 @@ class TestParamDomain:
         (param,) = with_defaults((Param("s", "float", None, "", "[0, inf)"),), s=0.0)
         assert not param.nullable
 
-    def test_constructor_checks_without_coercing(self):
-        churn = SCENARIOS.get("churn").builder
-        assert churn(period=20).period == 20  # an int stays an int
-        for bad in (0, float("nan"), float("inf"), "soon"):
-            with pytest.raises(ValueError, match=r"'period' must be in \(0, inf\)"):
-                churn(period=bad)
+    @pytest.mark.parametrize("name, knob", [("churn", "period"), *DURATION_KNOBS])
+    def test_constructor_checks_without_coercing(self, name, knob):
+        builder = SCENARIOS.get(name).builder
+        assert getattr(builder(**{knob: 20}), knob) == 20  # an int stays an int
+        (param,) = [p for p in builder.params if p.name == knob]
+        refused = re.escape(f"'{knob}' must be in {param.domain}")
+        for bad in (-1, float("nan"), float("inf"), "soon"):
+            with pytest.raises(ValueError, match=refused):
+                builder(**{knob: bad})
 
 
 # -- system and topology knobs are refused at spec time, under both verbs -------

@@ -1,12 +1,14 @@
-"""Link scripts, checked on their rows: the driver and three scenario laws.
+"""Scenario scripts, checked on their rows and fault actions: the
+driver, three link-scenario laws and the eight fault scenarios.
 
-A link scenario is a generator of waits and link-write rows that
-:func:`repro.scenarios.base.play` runs (see that module).  Everything
-here runs on a bare ``Simulator`` and ``mesh_topology``, with no
-``FlowNetwork`` and no nodes: the driver's clock and resume rules, then
+A scenario is a generator of waits, link-write rows and fault actions
+that :func:`repro.scenarios.base.play` runs (see that module).
+Everything here runs on a bare ``Simulator`` and ``mesh_topology``, with
+no ``FlowNetwork`` and no nodes: the driver's clock and resume rules;
 the laws of ``oscillate``, ``correlated_decreases`` and
 ``gilbert_elliott`` read off the rows each one writes and the link
-conditions right after.
+conditions right after; and each fault scenario's timeline read off
+the actions it hands a recording stand-in for the fault injector.
 
 All driver times are dyadic, so the clock's sums are exact and the
 firing instants compare with ``==``.
@@ -18,9 +20,17 @@ import pytest
 
 from repro.common.units import KBPS
 from repro.scenarios import (
+    Adversarial,
+    Chaos,
     CorrelatedDecreases,
+    Crash,
+    CrashRestart,
+    FailSlow,
+    Flaky,
     GilbertElliott,
+    GrayChaos,
     Oscillate,
+    Partition,
     Scenario,
     ScenarioContext,
 )
@@ -217,3 +227,158 @@ def test_gilbert_elliott_spends_its_stationary_share_in_the_bad_state():
         bad += sum(link.loss_rate > base + 0.025 for link, base in zip(links, baseline))
     share = bad / (ticks * len(links))
     assert share == pytest.approx(5.0 / (20.0 + 5.0), abs=0.02)
+
+
+# -- the fault scenarios -----------------------------------------------------
+
+
+class Recorder:
+    """A stand-in for ``FaultInjector``: each action is logged as
+    ``(sim.now, name, args)`` and returns a canned undo, and only the
+    state that the fault scenarios read is kept.  Every second
+    partition is refused, as the injector refuses a second split."""
+
+    def __init__(self, sim, topology, source_id):
+        self.sim, self.log = sim, []
+        self.receivers = [n for n in topology.nodes if n != source_id]
+        self.failed, self.pending_restarts = set(), set()
+        self.partition_active, self.partitions = False, 0
+
+    def _log(self, name, *args):
+        self.log.append((self.sim.now, name, args))
+
+    def live_receivers(self):
+        return [n for n in self.receivers if n not in self.failed]
+
+    def permanently_failed(self):
+        return self.failed - self.pending_restarts
+
+    def fail(self, node):
+        self._log("fail", node)
+        self.failed.add(node)
+        return True
+
+    def schedule_restart(self, node):
+        self._log("schedule_restart", node)
+        self.pending_restarts.add(node)
+        return ("restart", node)
+
+    def restart(self, node):
+        self._log("restart", node)
+        self.pending_restarts.discard(node)
+        self.failed.discard(node)
+
+    def partition(self, islands, squeeze):
+        self._log("partition", islands, squeeze)
+        self.partitions += 1
+        if self.partitions % 2 == 0:
+            return None
+        self.partition_active = True
+        return ("heal", self.partitions)
+
+    def heal(self, undo):
+        self._log("heal", undo)
+        self.partition_active = False
+
+    def degrade_node(self, node, factor, stretch):
+        self._log("degrade_node", node, factor, stretch)
+        return ("restore_node", node)
+
+    def restore_node(self, node):
+        self._log("restore_node", node)
+
+    def flake_node(self, node, loss, direction):
+        self._log("flake_node", node, loss, direction)
+        # Inverse rows that write no link, tagged to pair the close.
+        return [{"link": [], "remove": loss, "node": node}]
+
+    def arm_adversity(self, rng, *rates):
+        self._log("arm_adversity", rng.random(), *rates)
+
+    def disarm_adversity(self):
+        self._log("disarm_adversity")
+
+
+def _played(scenario, until=400.0):
+    """``scenario``'s action log on a bare 8-node mesh (source 0), with
+    each applied row logged as ``(sim.now, "rows", node)``."""
+    sim, topology = Simulator(), mesh_topology(8, seed=1)
+    faults = Recorder(sim, topology, 0)
+    ctx = ScenarioContext(sim, topology, source_id=0, seed=1, faults=faults)
+    _logged(topology, lambda rows, _: faults._log("rows", rows[0]["node"]))
+    scenario.install(ctx)
+    sim.run(until=until)
+    return faults.log
+
+
+def _named(log, name):
+    return [(t, args) for t, logged, args in log if logged == name]
+
+
+def test_crash_victims_fire_one_stagger_apart_and_never_hit_the_source():
+    log = _played(Crash(count=3, start=10.0, stagger=2.5))
+    times = [(t, name) for t, name, _ in log]
+    assert times == [(10.0, "fail"), (12.5, "fail"), (15.0, "fail")]
+    victims = [node for _t, _name, (node,) in log]
+    assert len(set(victims)) == 3 and 0 not in victims
+
+
+def test_crash_restart_restarts_down_time_after_the_fail():
+    log = _played(CrashRestart(count=2, start=4.0, stagger=1.0, down_time=7.5))
+    fails = _named(log, "fail")
+    assert _named(log, "schedule_restart") == fails
+    assert _named(log, "restart") == [(t + 7.5, args) for t, args in fails]
+    assert [t for t, _ in fails] == [4.0, 5.0]
+
+
+def test_partition_heals_at_start_plus_duration():
+    log = _played(Partition(start=8.0, duration=15.5, islands=3))
+    ((t, (islands, squeeze)),) = _named(log, "partition")
+    assert (t, squeeze, len(islands)) == (8.0, 1e-3, 3)
+    assert 0 in islands[0] and sorted(sum(islands, [])) == list(range(8))
+    assert _named(log, "heal") == [(23.5, (1,))]
+
+
+def test_each_flaky_window_opens_inside_the_period_and_closes_after_window():
+    flaky = Flaky(count=3, window=1.5, gap=2.0, start=5.0, duration=30.0)
+    log = _played(flaky)
+    opens, closes = _named(log, "flake_node"), _named(log, "rows")
+    assert len(opens) > 3 and len(closes) == len(opens)
+    for node in {args[0] for _t, args in opens}:
+        opened = [t for t, args in opens if args[0] == node]
+        assert all(5.0 < t < 35.0 for t in opened)
+        closed = [t for t, args in closes if args == (node,)]
+        assert closed == [t + 1.5 for t in opened]
+
+
+@pytest.mark.parametrize("duration", [12.0, None])
+def test_fail_slow_restores_after_duration_and_never_without_one(duration):
+    log = _played(FailSlow(count=2, start=3.0, stagger=1.0, duration=duration))
+    degrades = _named(log, "degrade_node")
+    assert [t for t, _ in degrades] == [3.0, 4.0]
+    expected = [(t + duration, args[:1]) for t, args in degrades] if duration else []
+    assert _named(log, "restore_node") == expected
+
+
+def test_adversarial_arms_at_start_and_disarms_at_stop():
+    log = _played(Adversarial(start=5.0, stop=20.0, duplicate=0.5))
+    assert [(t, name) for t, name, _ in log] == [
+        (5.0, "arm_adversity"),
+        (20.0, "disarm_adversity"),
+    ]
+    assert log[0][2][1:] == (0.5, 0.05, 0.5, 0.01)
+
+
+@pytest.mark.parametrize("chaos", [Chaos, GrayChaos])
+def test_chaos_plays_one_log_per_seed_and_a_refused_split_never_heals(chaos):
+    scenario = chaos(rate=0.5, partition_weight=4.0, duration=80.0)
+    log = _played(scenario)
+    assert log == _played(scenario)
+    splits = _named(log, "partition")
+    assert len(splits) >= 4
+    hold = scenario.partition_duration
+    accepted = [(t + hold, (n,)) for n, (t, _) in enumerate(splits, start=1) if n % 2]
+    assert _named(log, "heal") == accepted
+    for t, name, (node, *_) in log:
+        if name in ("fail", "degrade_node", "flake_node"):
+            assert node != 0
