@@ -262,26 +262,11 @@ class Cdf:
     def mean(self):
         return ordered_sum(self.samples) / len(self.samples)
 
-    def fraction_below(self, value):
-        """Fraction of samples <= ``value`` (the CDF evaluated at value)."""
-        lo, hi = 0, len(self.samples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.samples[mid] <= value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo / len(self.samples)
-
     def points(self):
         """Yield ``(value, cumulative_fraction)`` pairs for plotting."""
         n = len(self.samples)
         for i, value in enumerate(self.samples, start=1):
             yield value, i / n
-
-    def table(self, fractions=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0)):
-        """Return ``{fraction: value}`` rows as the paper reports them."""
-        return {f: self.percentile(f) for f in fractions}
 
     def __repr__(self):
         return (

@@ -160,8 +160,9 @@ def run_experiment(
         :class:`repro.scenarios.Scenario` or a scenario name registered
         in :data:`repro.harness.registry.SCENARIOS` (anything else is a
         :class:`TypeError`).  The scenario gets the full
-        :class:`~repro.scenarios.ScenarioContext` (nodes, source, seed)
-        and may stagger node start times via ``ctx.start_delays``.
+        :class:`~repro.scenarios.ScenarioContext` (fault injector,
+        source, seed) and may stagger node start times via
+        ``ctx.start_delays``.
         Node crashes are scenarios too: ``"crash"``, or
         :class:`repro.scenarios.failures.Crash` with an explicit
         ``schedule``; failed nodes are excluded from the completion
@@ -217,12 +218,7 @@ def run_experiment(
     start_delays = {}
     if scenario is not None:
         ctx = ScenarioContext(
-            sim,
-            topology,
-            nodes=nodes,
-            source_id=source_id,
-            seed=seed,
-            faults=injector,
+            sim, topology, source_id=source_id, seed=seed, faults=injector
         )
         scenario.install(ctx)
         start_delays = ctx.start_delays

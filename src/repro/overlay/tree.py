@@ -47,27 +47,8 @@ class ControlTree:
     def nodes(self):
         return [self.root] + list(self.parent)
 
-    def children_of(self, node):
-        return self.children.get(node, [])
-
     def parent_of(self, node):
         return self.parent.get(node)
-
-    def is_leaf(self, node):
-        return not self.children.get(node)
-
-    def depth_of(self, node):
-        depth = 0
-        while node != self.root:
-            node = self.parent[node]
-            depth += 1
-        return depth
-
-    def subtree_size(self, node):
-        size = 1
-        for child in self.children_of(node):
-            size += self.subtree_size(child)
-        return size
 
     def __repr__(self):
         return f"ControlTree(root={self.root}, n={len(self.nodes)})"

@@ -3,25 +3,27 @@
 A :class:`Scenario` is a declarative description of a dynamic-network
 condition — *what* happens to the emulated network over time — decoupled
 from any particular experiment.  Instances hold configuration only; all
-per-run state lives inside :meth:`Scenario.install`, so one instance can
+per-run state lives inside :meth:`Scenario.script`, so one instance can
 be installed into many simulations without cross-talk.  An installed
 scenario runs for the rest of the simulation; ``install`` returns
 nothing, and a scenario's own ``stop`` knob is how its effect ends.
 
-A scenario is a *script*, a generator of waits, link-write rows and
-fault actions that :func:`play` runs (the default
-:meth:`Scenario.install`): ``play`` is the one place a scenario's
-events are scheduled, so its rows and actions can be checked on a bare
-simulator and topology.
+A scenario is a *script*, a generator of waits, link-write rows, fault
+actions and scripts that :func:`play` runs (only :meth:`Scenario.install`
+calls it): ``play`` is the one place a scenario's events are
+scheduled, so its rows and actions can be checked on a bare simulator
+and topology.
 
 ``install`` receives a :class:`ScenarioContext` bundling everything a
 scenario may act on: the simulator, the topology, and — when installed
-by :func:`repro.harness.experiment.run_experiment` — the protocol nodes,
+by :func:`repro.harness.experiment.run_experiment` — the fault injector,
 the source id, and the experiment seed.  Scenarios that only mutate
 links work in any context; scenarios that shape *membership* (e.g.
 ``flash_crowd`` staggering node joins) publish their intent through
-``ctx.start_delays`` and the harness honors it.
+``ctx.start_delays`` in their first segment and the harness honors it.
 """
+
+from types import GeneratorType
 
 from repro.common.params import Configurable, Param
 from repro.common.rng import split_rng
@@ -50,6 +52,8 @@ WINDOW_PARAMS = (
     ),
     Param("seed", "int", None, "override the experiment seed for this scenario's RNG"),
 )
+#: The steps :func:`play` takes at once: rows, a fault action, a script.
+_NOW = (list, tuple, GeneratorType)
 
 
 class ScenarioContext:
@@ -62,23 +66,20 @@ class ScenarioContext:
     topology:
         The :class:`repro.sim.topology.Topology` whose links the
         scenario mutates.
-    nodes:
-        Optional ``{node_id: protocol}`` mapping (present when installed
-        by the experiment harness, absent for bare link-level use).
     source_id:
         The data source's node id, or None when unknown.  Scenarios must
         never degrade the source into uselessness (it *is* the data).
     seed:
         The experiment seed; :meth:`rng` derives per-scenario streams
         from it so scenarios never perturb each other's draws.
+    faults:
+        The run's fault injector (see :attr:`faults`), or None for bare
+        link-level use.
     """
 
-    def __init__(
-        self, sim, topology, *, nodes=None, source_id=None, seed=0, faults=None
-    ):
+    def __init__(self, sim, topology, *, source_id=None, seed=0, faults=None):
         self.sim = sim
         self.topology = topology
-        self.nodes = nodes
         self.source_id = source_id
         self.seed = seed
         #: node_id -> start delay in seconds; the harness starts those
@@ -144,10 +145,12 @@ def later(delay, step):
 def play(ctx, script):
     """Run ``script`` on ``ctx``: its first segment now, each later one at
     the firing it waits for.  A script yields a wait in seconds (one
-    event); a list of rows that ``topology.apply`` writes at once; or a
-    fault action ``(name, *args)`` that calls ``ctx.faults.name(*args)``.
-    Rows and actions resume the script in the same instant with what
-    they return: the inverse rows, or the action's undo."""
+    event); a list of rows that ``topology.apply`` writes at once; a
+    fault action ``(name, *args)`` that calls ``ctx.faults.name(*args)``;
+    or another script, which ``play`` starts at once, so its first
+    segment runs before the yielding script's next step.  Rows, actions
+    and scripts resume the yielding script in the same instant with what
+    they return: the inverse rows, the action's undo, or None."""
     apply, schedule = ctx.topology.apply, ctx.sim.schedule
 
     def act(name, *args):
@@ -156,8 +159,12 @@ def play(ctx, script):
     def resume():
         reply = None
         try:
-            while type(step := script.send(reply)) in (list, tuple):
-                reply = apply(step) if type(step) is list else act(*step)
+            while (kind := type(step := script.send(reply))) in _NOW:
+                if kind is GeneratorType:
+                    play(ctx, step)
+                    reply = None
+                else:
+                    reply = apply(step) if kind is list else act(*step)
         except StopIteration:
             return
         schedule(step, resume)
@@ -172,10 +179,9 @@ class Scenario(Configurable):
     states the knob's domain, the only range check it gets (bound and
     checked by :class:`~repro.common.params.Configurable`; ``validate``
     is for cross-knob constraints only) — set :attr:`name`, and
-    write :meth:`script` (or, for a scenario that is not a link
-    script, override :meth:`install`); instances must be pure
-    configuration so they can be installed more than once.  The base
-    script writes nothing: the static network.
+    write :meth:`script`; ``install`` is not an extension point.
+    Instances must be pure configuration so they can be installed more
+    than once.  The base script writes nothing: the static network.
     """
 
     #: Registry/display name; subclasses override.
@@ -186,7 +192,7 @@ class Scenario(Configurable):
         play(ctx, self.script(ctx))
 
     def script(self, ctx):
-        """This installation's waits, rows and actions, for :func:`play`."""
+        """This installation's steps, for :func:`play`."""
         yield from ()
 
     def __repr__(self):

@@ -26,7 +26,7 @@ from operator import attrgetter, truediv
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import WINDOW_PARAMS, Scenario, every, play
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, every
 from repro.sim.links import ScaleColumn
 
 TWO_PI = 2.0 * pi
@@ -338,9 +338,9 @@ class FlashCrowd(Scenario):
 
     Each receiver's start is delayed by ``start`` plus a uniform draw in
     ``[0, ramp]`` seconds.  Membership shaping is published through
-    ``ctx.start_delays``, which the experiment harness honors; installed
-    against a bare ``(sim, topology)`` pair the scenario has no effect
-    (there are no nodes to delay).
+    ``ctx.start_delays`` in the script's one segment, inside ``install``,
+    and the harness honors it; installed against a bare ``(sim,
+    topology)`` pair the scenario has no effect (no nodes to delay).
     """
 
     name = "flash_crowd"
@@ -356,10 +356,11 @@ class FlashCrowd(Scenario):
         Param("seed", "int", None, "override the experiment seed for join times"),
     )
 
-    def install(self, ctx):
+    def script(self, ctx):
         rng = ctx.rng("flash_crowd", self.seed)
         for node in ctx.receivers:
             ctx.start_delays[node] = self.start + rng.uniform(0.0, self.ramp)
+        yield from ()
 
 
 class Churn(Scenario):
@@ -427,4 +428,4 @@ class Churn(Scenario):
                     if node in pair and pair not in dark:
                         row = {"link": link, "capacity": self.offline_capacity}
                         dark[pair] = yield [row]
-                play(ctx, restore(node))
+                yield restore(node)

@@ -1,9 +1,10 @@
 """Scenario combinators: build compound conditions from simple ones.
 
 :func:`compose` installs several scenarios together (e.g. oscillating
-cellular links *plus* churn, or a trace replay plus a crash).  A
-composition is a scenario itself, so compositions nest; each child's
-own ``start`` / ``stop`` knobs place it in time.
+cellular links *plus* churn, or a trace replay plus a crash): its script
+yields each child's script in turn.  A composition is a scenario
+itself, so compositions nest; each child's own ``start`` / ``stop``
+knobs place it in time.
 """
 
 from repro.scenarios.base import Scenario
@@ -12,7 +13,7 @@ __all__ = ["Compose", "compose"]
 
 
 class Compose(Scenario):
-    """Install every child scenario into the same context."""
+    """Play every child scenario's script in the same context."""
 
     name = "compose"
 
@@ -21,9 +22,9 @@ class Compose(Scenario):
             raise ValueError("compose needs at least one scenario")
         self.scenarios = scenarios
 
-    def install(self, ctx):
+    def script(self, ctx):
         for scenario in self.scenarios:
-            scenario.install(ctx)
+            yield scenario.script(ctx)
 
     def __repr__(self):
         inner = ", ".join(repr(s) for s in self.scenarios)

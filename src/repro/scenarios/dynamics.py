@@ -30,7 +30,7 @@ restore would be bit-exact but would erase concurrent writers' changes.
 
 from repro.common.params import Param, with_defaults
 from repro.common.units import KBPS
-from repro.scenarios.base import WINDOW_PARAMS, Scenario, every, later, play
+from repro.scenarios.base import WINDOW_PARAMS, Scenario, every, later
 
 __all__ = [
     "AsymmetricSqueeze",
@@ -135,7 +135,7 @@ class GilbertElliott(Scenario):
                     elif roll < p_leave_good:
                         bad[i] = (yield [{"link": link, **swap}])[0]
 
-        play(ctx, ticks())
+        yield ticks()
         if self.stop is not None:
             # The stop window ends the *process*: links caught in the
             # bad state return to good.  Its event comes after the first
@@ -202,7 +202,7 @@ class AsymmetricSqueeze(Scenario):
             row = {"link": uplinks, "scale": self.factor, "floor": self.floor}
             undo = yield [row]
             if self.hold is not None and undo[0]["link"]:
-                play(ctx, later(self.hold, undo))
+                yield later(self.hold, undo)
 
 
 class Lossy(Scenario):
@@ -278,7 +278,7 @@ class Lossy(Scenario):
 
     def script(self, ctx):
         sim = ctx.sim
-        self._resolve_base().install(ctx)
+        yield self._resolve_base().script(ctx)
         #: The overlay's inverse rows while it is on.
         undo = []
         origin = sim.now
@@ -304,9 +304,9 @@ class Lossy(Scenario):
                     continue  # a firing on stop: the window is over
                 yield from overlay_on()
                 if on_time < self.period:
-                    play(ctx, overlay_off(on_time))
+                    yield overlay_off(on_time)
 
-        play(ctx, cycles())
+        yield cycles()
         if self.stop is not None:
             # stop is install-relative, like every catalogue window, and
             # ends the overlay even when the last cycle's on-phase

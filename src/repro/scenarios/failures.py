@@ -12,17 +12,18 @@ the standard :class:`~repro.scenarios.base.ScenarioContext` — whose
 :mod:`repro.harness.faults`): peers learn of a death only through their
 own failure detectors, which the injector arms at the first fault.
 
-Each fault event is a script that waits for its instant, yields a
-fault action such as ``("fail", node)`` and takes the undo it returns
-when the fault ends.  All randomness derives from ``ctx.rng`` streams,
-and every event is armed at install time from those draws, so a given
-(scenario config, seed) pair produces one fixed fault timeline
-regardless of worker count or protocol behavior — the property the
-sweep engine's bit-identity contract needs.
+Each fault event is a script that waits for its install-relative
+instant, yields a fault action such as ``("fail", node)`` and takes the
+undo it returns when the fault ends; a scenario yields one per drawn
+event.  All randomness derives from ``ctx.rng`` streams, and every
+event is armed at install time from those draws, so a given (scenario
+config, seed) pair produces one fixed fault timeline regardless of
+worker count or protocol behavior — the property the sweep engine's
+bit-identity contract needs.
 """
 
 from repro.common.params import Param, with_defaults
-from repro.scenarios.base import Scenario, later, play
+from repro.scenarios.base import Scenario, later
 
 __all__ = [
     "Crash",
@@ -78,10 +79,11 @@ class Crash(Scenario):
     ``count`` nodes (or ``fraction`` of the receivers when ``count`` is
     0) are chosen with the scenario RNG and crashed one ``stagger``
     apart starting at ``start``.  An explicit ``schedule`` of
-    ``(time, node_id)`` pairs overrides the random choice entirely; it
-    is validated up front — malformed pairs, NaN or negative times and
-    duplicate nodes at construction, unknown nodes and the source (it
-    is the data) at install, where the topology is known.
+    install-relative ``(time, node_id)`` pairs overrides the random
+    choice entirely; it is validated up front — malformed pairs, NaN or
+    negative times and duplicate nodes at construction, unknown nodes
+    and the source (it is the data) at install, where the topology is
+    known.
     """
 
     name = "crash"
@@ -121,13 +123,13 @@ class Crash(Scenario):
             for index, node in enumerate(victims)
         ]
 
-    def _strike(self, wait, node):
-        yield wait
+    def _strike(self, at, node):
+        yield at
         yield ("fail", node)
 
-    def install(self, ctx):
+    def script(self, ctx):
         for at, node in self._kill_plan(ctx):
-            play(ctx, self._strike(max(at - ctx.sim.now, 0.0), node))
+            yield self._strike(at, node)
 
 
 class CrashRestart(Crash):
@@ -150,8 +152,8 @@ class CrashRestart(Crash):
         ),
     )
 
-    def _strike(self, wait, node):
-        yield from super()._strike(wait, node)
+    def _strike(self, at, node):
+        yield from super()._strike(at, node)
         restart = yield ("schedule_restart", node)
         yield from later(self.down_time, restart)
 
@@ -312,7 +314,7 @@ class Chaos(Scenario):
             ("partition", self.partition_weight),
         )
 
-    def install(self, ctx):
+    def script(self, ctx):
         if self.rate <= 0:
             return
         kinds = []
@@ -330,7 +332,7 @@ class Chaos(Scenario):
         end = self.start + self.duration
         while at < end:
             kind = rng.choices(kinds, weights)[0]
-            play(ctx, self._event(ctx, rng, at, kind))
+            yield self._event(ctx, rng, at, kind)
             at += rng.expovariate(self.rate)
 
     def _event(self, ctx, rng, at, kind):
@@ -431,13 +433,13 @@ class FailSlow(Scenario):
         if self.duration is not None:
             yield from later(self.duration, restore)
 
-    def install(self, ctx):
+    def script(self, ctx):
         if self.fraction <= 0 and not self.count:
             return
         rng = ctx.rng(self.name, self.seed)
         victims = _pick_victims(ctx, rng, self.fraction, self.count)
         for index, node in enumerate(victims):
-            play(ctx, self._degrade(self.start + index * self.stagger, node))
+            yield self._degrade(self.start + index * self.stagger, node)
 
 
 class Flaky(Scenario):
@@ -502,7 +504,7 @@ class Flaky(Scenario):
         rows = yield ("flake_node", node, self.loss, direction)
         yield from later(self.window, rows)
 
-    def install(self, ctx):
+    def script(self, ctx):
         if self.loss <= 0 or (self.fraction <= 0 and not self.count):
             return
         rng = ctx.rng(self.name, self.seed)
@@ -516,7 +518,7 @@ class Flaky(Scenario):
                     if self.direction == "random"
                     else self.direction
                 )
-                play(ctx, self._window(at, node, direction))
+                yield self._window(at, node, direction)
                 at += self.window + rng.expovariate(1.0 / self.gap)
 
 
@@ -572,13 +574,13 @@ class Adversarial(Scenario):
         if self.stop is not None and self.stop <= self.start:
             raise ValueError(f"stop must be > start, got {self.stop}")
 
-    def install(self, ctx):
+    def script(self, ctx):
         if self.duplicate <= 0 and self.reorder <= 0 and self.corrupt <= 0:
             return
         rng = ctx.rng(self.name, self.seed)
-        play(ctx, later(self.start, _adversity(self, rng)))
+        yield later(self.start, _adversity(self, rng))
         if self.stop is not None:
-            play(ctx, later(self.stop, ("disarm_adversity",)))
+            yield later(self.stop, ("disarm_adversity",))
 
 
 class GrayChaos(Chaos):
@@ -650,15 +652,15 @@ class GrayChaos(Chaos):
             ("flake", self.flake_weight),
         )
 
-    def install(self, ctx):
-        super().install(ctx)
+    def script(self, ctx):
+        yield from super().script(ctx)
         if self.rate > 0 and (
             self.duplicate > 0 or self.reorder > 0 or self.corrupt > 0
         ):
             # A dedicated stream: the adversity draws per delivered
             # message and must not perturb the fault timeline's draws.
             rng = ctx.rng(f"{self.name}.adversity", self.seed)
-            play(ctx, later(self.start, _adversity(self, rng)))
+            yield later(self.start, _adversity(self, rng))
 
     def _hit(self, ctx, kind, victim, rng):
         if kind == "degrade":

@@ -27,7 +27,7 @@ import json
 import math
 
 from repro.common.params import Param
-from repro.scenarios.base import Scenario, later, play
+from repro.scenarios.base import Scenario, later
 from repro.sim.links import ScaleColumn
 
 __all__ = ["TraceReplay", "read_csv_trace", "read_trace"]
@@ -228,4 +228,4 @@ class TraceReplay(Scenario):
             if origin + wait <= origin:  # too small to move the clock: now
                 yield [event]
             else:
-                play(ctx, later(wait, [event]))
+                yield later(wait, [event])

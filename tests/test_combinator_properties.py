@@ -41,6 +41,7 @@ from test_link_schedules import _watch
 class Probe(Scenario):
     """A one-shot scenario that logs ``(time, tag, i)`` events: one
     ``start`` seconds after install, one per extra delay after that.
+    Each event is a script of its own, yielded in the first segment.
     The log is shared across installs, so firing order is directly
     observable."""
 
@@ -52,12 +53,13 @@ class Probe(Scenario):
         self.start = start
         self.delays = tuple(delays)
 
-    def install(self, ctx):
+    def script(self, ctx):
         for i, offset in enumerate((0.0, *self.delays)):
-            ctx.sim.schedule(
-                self.start + offset,
-                lambda i=i: self.log.append((ctx.sim.now, self.tag, i)),
-            )
+            yield self._event(ctx, self.start + offset, i)
+
+    def _event(self, ctx, wait, i):
+        yield wait
+        self.log.append((ctx.sim.now, self.tag, i))
 
 
 def _dyadic(rng, low, high, denominator=256):

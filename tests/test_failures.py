@@ -52,7 +52,7 @@ def test_bullet_prime_survives_interior_tree_failure():
     interior = next(
         n
         for n in tree.nodes
-        if n != tree.root and not tree.is_leaf(n)
+        if n != tree.root and tree.children[n]
     )
     result = run_experiment(
         topology,

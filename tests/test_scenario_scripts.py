@@ -1,10 +1,12 @@
 """Scenario scripts, checked on their rows and fault actions: the
 driver, three link-scenario laws and the eight fault scenarios.
 
-A scenario is a generator of waits, link-write rows and fault actions
-that :func:`repro.scenarios.base.play` runs (see that module).
-Everything here runs on a bare ``Simulator`` and ``mesh_topology``, with
-no ``FlowNetwork`` and no nodes: the driver's clock and resume rules;
+A scenario is a generator of waits, link-write rows, fault actions and
+other scripts that :func:`repro.scenarios.base.play` runs (see that
+module).  Everything here runs on a bare ``Simulator`` and
+``mesh_topology``, with no ``FlowNetwork`` and no nodes: the driver's
+clock and resume rules, yielded scripts, ``flash_crowd`` and
+``compose``;
 the laws of ``oscillate``, ``correlated_decreases`` and
 ``gilbert_elliott`` read off the rows each one writes and the link
 conditions right after; and each fault scenario's timeline read off
@@ -27,12 +29,15 @@ from repro.scenarios import (
     CrashRestart,
     FailSlow,
     Flaky,
+    FlashCrowd,
     GilbertElliott,
     GrayChaos,
+    Lossy,
     Oscillate,
     Partition,
     Scenario,
     ScenarioContext,
+    compose,
 )
 from repro.scenarios.base import every, later, play
 from repro.sim.engine import Simulator
@@ -132,6 +137,34 @@ def test_a_scripts_first_segment_runs_inside_install():
     assert ctx.sim.pending_events == 1
     ctx.sim.run()
     assert (ctx.sim.now, link.capacity) == (1.0, installed * 0.25)
+
+
+def test_a_yielded_script_starts_at_once_and_its_parent_resumes_with_none():
+    ctx = _ctx(nodes=8)
+    sim, log = ctx.sim, []
+
+    def child():
+        log.append((sim.now, "child starts", sim.pending_events))
+        yield 0.5
+        log.append((sim.now, "child fires"))
+
+    def parent():
+        yield 1.0
+        reply = yield child()
+        log.append((sim.now, "parent resumes", reply, sim.pending_events))
+        yield 0.5
+        log.append((sim.now, "parent fires"))
+
+    play(ctx, parent())
+    sim.run()
+    # The child's wait is armed before the parent's next one, so of the
+    # two firings at 1.5 the child's comes first.
+    assert log == [
+        (1.0, "child starts", 0),
+        (1.0, "parent resumes", None, 1),
+        (1.5, "child fires"),
+        (1.5, "parent fires"),
+    ]
 
 
 # -- the laws ----------------------------------------------------------------
@@ -299,13 +332,15 @@ class Recorder:
         self._log("disarm_adversity")
 
 
-def _played(scenario, until=400.0):
-    """``scenario``'s action log on a bare 8-node mesh (source 0), with
-    each applied row logged as ``(sim.now, "rows", node)``."""
+def _played(scenario, until=400.0, at=0.0):
+    """``scenario``'s action log on a bare 8-node mesh (source 0),
+    installed at ``at``, with each applied row logged as ``(sim.now,
+    "rows", node)``."""
     sim, topology = Simulator(), mesh_topology(8, seed=1)
     faults = Recorder(sim, topology, 0)
     ctx = ScenarioContext(sim, topology, source_id=0, seed=1, faults=faults)
     _logged(topology, lambda rows, _: faults._log("rows", rows[0]["node"]))
+    sim.run(until=at)
     scenario.install(ctx)
     sim.run(until=until)
     return faults.log
@@ -321,6 +356,96 @@ def test_crash_victims_fire_one_stagger_apart_and_never_hit_the_source():
     assert times == [(10.0, "fail"), (12.5, "fail"), (15.0, "fail")]
     victims = [node for _t, _name, (node,) in log]
     assert len(set(victims)) == 3 and 0 not in victims
+
+
+@pytest.mark.parametrize("fault", [Crash, FailSlow])
+def test_a_fault_scenario_installed_late_acts_start_seconds_after_install(fault):
+    log = _played(fault(count=1, start=10.0), at=6.0)
+    assert [t for t, name, _ in log if name != "rows"][:1] == [16.0]
+
+
+def test_a_crash_schedule_is_install_relative():
+    log = _played(Crash(schedule=[(1.5, 3), (4.0, 5)]), at=6.0)
+    assert log == [(7.5, "fail", (3,)), (10.0, "fail", (5,))]
+
+
+def test_a_yielded_scripts_rows_and_actions_reach_apply_and_the_injector():
+    sim, topology = Simulator(), mesh_topology(8, seed=1)
+    faults = Recorder(sim, topology, 0)
+    ctx = ScenarioContext(sim, topology, source_id=0, seed=1, faults=faults)
+    link = topology.core[(1, 2)]
+    installed, written = link.capacity, []
+    _logged(topology, lambda rows, inverse: written.append((sim.now, rows)))
+    halve = [{"link": link, "scale": 0.5}]
+
+    def child():
+        yield 2.0
+        inverse = yield halve
+        restore = yield ("degrade_node", 3, 0.5, 2.0)
+        yield 1.0
+        yield inverse
+        yield restore
+
+    def parent():
+        yield child()
+
+    play(ctx, parent())
+    sim.run(until=2.5)
+    assert link.capacity == installed * 0.5
+    sim.run()
+    assert written == [(2.0, halve), (3.0, [{"link": [link], "scale": [2.0]}])]
+    assert faults.log == [
+        (2.0, "degrade_node", (3, 0.5, 2.0)),
+        (3.0, "restore_node", (3,)),
+    ]
+    assert link.capacity == installed
+
+
+def test_flash_crowd_fills_start_delays_inside_install():
+    ctx = ScenarioContext(Simulator(), mesh_topology(8, seed=1), source_id=0)
+    FlashCrowd(ramp=10.0, start=2.0).install(ctx)
+    assert sorted(ctx.start_delays) == list(range(1, 8))
+    assert all(2.0 <= delay <= 12.0 for delay in ctx.start_delays.values())
+    assert ctx.sim.pending_events == 0
+
+
+def _armed(install):
+    """Every timer that ``install`` and the run after it arm, as
+    ``(sim.now, delay)``; the action log; the start delays; and every
+    core link's capacity at the end."""
+    sim, topology = Simulator(), mesh_topology(8, seed=1)
+    faults = Recorder(sim, topology, 0)
+    ctx = ScenarioContext(sim, topology, source_id=0, seed=1, faults=faults)
+    armed, schedule = [], sim.schedule
+
+    def arm(delay, callback):
+        armed.append((sim.now, delay))
+        return schedule(delay, callback)
+
+    sim.schedule = arm
+    install(ctx)
+    sim.run(until=60.0)
+    core = [link.capacity for _pair, link in sorted(topology.core.items())]
+    return armed, faults.log, ctx.start_delays, core
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (Crash(count=2, start=3.0), CorrelatedDecreases(period=2.0, stop=10.0)),
+        (FlashCrowd(), Chaos(rate=0.5, duration=30.0)),
+        (Lossy(base="oscillate", period=4.0, stop=20.0), GrayChaos(rate=0.3)),
+    ],
+    ids=["crash+cuts", "flash+chaos", "lossy+gray"],
+)
+def test_compose_arms_what_installing_each_part_in_turn_arms(parts):
+    def each(ctx):
+        for part in parts:
+            part.install(ctx)
+
+    composed = _armed(compose(*parts).install)
+    assert composed == _armed(each)
+    assert composed[0] and composed[1]
 
 
 def test_crash_restart_restarts_down_time_after_the_fail():

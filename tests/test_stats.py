@@ -219,22 +219,19 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf.percentile(1.5)
 
-    def test_fraction_below(self):
-        cdf = Cdf([1, 2, 3, 4])
-        assert cdf.fraction_below(0) == 0.0
-        assert cdf.fraction_below(2) == 0.5
-        assert cdf.fraction_below(4) == 1.0
-        assert cdf.fraction_below(100) == 1.0
+    def test_percentile_is_the_nearest_rank(self):
+        cdf = Cdf([4, 1, 3, 2])
+        assert [cdf.percentile(f) for f in (0.25, 0.5, 0.6, 1.0)] == [1, 2, 3, 4]
 
     def test_points_monotone(self):
         cdf = Cdf([3, 1, 2])
         points = list(cdf.points())
         assert points == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
 
-    def test_table(self):
+    def test_percentiles_at_the_paper_fractions(self):
         cdf = Cdf(range(10))
-        table = cdf.table((0.5, 1.0))
-        assert set(table) == {0.5, 1.0}
+        fractions = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+        assert [cdf.percentile(f) for f in fractions] == [0, 2, 4, 7, 8, 9]
 
     @given(st.lists(st.floats(0, 1e9), min_size=1, max_size=100))
     def test_percentile_monotone(self, values):

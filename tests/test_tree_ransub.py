@@ -18,7 +18,7 @@ class TestRandomTree:
     def test_fanout_respected(self):
         tree = build_random_tree(list(range(100)), root=0, fanout=3, seed=2)
         for node in tree.nodes:
-            assert len(tree.children_of(node)) <= 3
+            assert len(tree.children[node]) <= 3
 
     def test_root_has_no_parent(self):
         tree = build_random_tree(list(range(10)), root=5, fanout=2, seed=0)
@@ -30,7 +30,7 @@ class TestRandomTree:
         for node in tree.nodes:
             if node == tree.root:
                 continue
-            assert node in tree.children_of(tree.parent_of(node))
+            assert node in tree.children[tree.parent_of(node)]
 
     def test_deterministic_given_seed(self):
         a = build_random_tree(list(range(20)), root=0, seed=9)
@@ -46,15 +46,23 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             build_random_tree([1, 2], root=0)
 
-    def test_subtree_size(self):
+    def test_every_node_hangs_under_the_root(self):
         tree = build_random_tree(list(range(10)), root=0, fanout=2, seed=0)
-        assert tree.subtree_size(tree.root) == 10
+        reached, frontier = [], [tree.root]
+        while frontier:
+            node = frontier.pop()
+            reached.append(node)
+            frontier += tree.children[node]
+        assert sorted(reached) == list(range(10))
 
     def test_depth(self):
         tree = build_random_tree(list(range(64)), root=0, fanout=2, seed=1)
-        assert tree.depth_of(tree.root) == 0
-        max_depth = max(tree.depth_of(n) for n in tree.nodes)
-        assert max_depth >= 4  # 64 nodes, fanout 2
+
+        def depth(node):
+            return 0 if node == tree.root else 1 + depth(tree.parent_of(node))
+
+        assert depth(tree.root) == 0
+        assert max(depth(n) for n in tree.nodes) >= 4  # 64 nodes, fanout 2
 
 
 class TestControlTreeValidation:
@@ -158,7 +166,7 @@ class TestRanSubSweep:
                 seed=3,
             )
         for node in tree.nodes:
-            for child in tree.children_of(node):
+            for child in tree.children[node]:
                 services[node].child_conns[child] = _StubConn(
                     sim, protocols[child]
                 )
@@ -181,7 +189,7 @@ class TestRanSubSweep:
         sim.run(until=60.0)
         # After several epochs, a deep node must have seen summaries of
         # nodes outside its own subtree (the parent-sample propagation).
-        leaves = [n for n in tree.nodes if tree.is_leaf(n)]
+        leaves = [n for n in tree.nodes if not tree.children[n]]
         leaf = leaves[-1]
         seen = {s.node_id for subset in received[leaf] for s in subset}
         outside = seen - {leaf}
